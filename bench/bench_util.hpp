@@ -92,7 +92,13 @@ namespace bhss::bench {
 /// fields (20 -> 23 tokens), journals may carry `H` heartbeat records,
 /// and the journal write path fails hard (JournalWriteError) instead of
 /// silently dropping appends.
-inline constexpr std::size_t kSchemaVersion = 6;
+/// v7: one LinkStats field table — `S` records drop the worker_* fields
+/// (23 -> 20 tokens), and the link schema's counters that duplicated
+/// LinkStats are replaced by the LinkStats projection under the field
+/// names (delivered -> ok, sync_losses -> sync_lost, input_scrubbed ->
+/// corrupt_input_rejected, fault_events -> faults_injected), registered
+/// first, so `O` records and --metrics lines change counter order.
+inline constexpr std::size_t kSchemaVersion = 7;
 
 /// Exit status of a gracefully drained (SIGINT/SIGTERM) checkpointed
 /// campaign: the run is incomplete but everything finished is journaled —

@@ -32,7 +32,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/psd.hpp"
-#include "dsp/real_fft.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/utils.hpp"
 #include "obs/link_obs.hpp"
@@ -249,35 +248,6 @@ void BM_CorrelateSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8192);
 }
 BENCHMARK(BM_CorrelateSearch)->Arg(64)->Arg(512);
-
-void BM_WelchPsdReal(benchmark::State& state) {
-  std::mt19937 rng(16);
-  std::normal_distribution<float> dist(0.0F, 1.0F);
-  dsp::fvec x(16384);
-  for (float& v : x) v = dist(rng);
-  for (auto _ : state) {
-    auto psd = dsp::welch_psd_real(dsp::fspan{x}, 256);
-    benchmark::DoNotOptimize(psd.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 16384);
-}
-BENCHMARK(BM_WelchPsdReal);
-
-void BM_RealFft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  dsp::RealFft rfft(n);
-  std::mt19937 rng(17);
-  std::normal_distribution<float> dist(0.0F, 1.0F);
-  dsp::fvec x(n);
-  for (float& v : x) v = dist(rng);
-  dsp::cvec out(n / 2 + 1);
-  for (auto _ : state) {
-    rfft.forward(dsp::fspan{x}, dsp::cspan_mut{out});
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RealFft)->Arg(256)->Arg(1024)->Arg(4096);
 
 // ------------------------------------------------------ filter-design cache
 

@@ -53,7 +53,6 @@ void ResilienceController::enter(LinkAdaptState next, std::size_t window_ordinal
   state_ = next;
   ++counters_.transitions;
   if (obs::counting(o.metrics)) {
-    o.metrics->add(obs::link_ids().adapt_transitions);
     o.metrics->set(obs::link_ids().adapt_state, static_cast<double>(state_));
   }
   if (obs::tracing(o.trace)) {
@@ -69,19 +68,13 @@ void ResilienceController::enter(LinkAdaptState next, std::size_t window_ordinal
 }
 
 void ResilienceController::on_packet(const PacketOutcome& outcome, const obs::LinkObs& o) {
-  if (plan_.epoch != 0) {
-    ++counters_.packets_adapted;
-    if (obs::counting(o.metrics)) o.metrics->add(obs::link_ids().adapt_packets_adapted);
-  }
+  if (plan_.epoch != 0) ++counters_.packets_adapted;
 
   const WindowVerdict v = detector_.note_packet(outcome.delivered, outcome.sync_lost);
   if (!v.closed) return;
 
   if (v.jammed) ++counters_.windows_jammed;
-  if (obs::counting(o.metrics)) {
-    o.metrics->add(obs::link_ids().adapt_windows);
-    if (v.jammed) o.metrics->add(obs::link_ids().adapt_windows_jammed);
-  }
+  if (obs::counting(o.metrics)) o.metrics->add(obs::link_ids().adapt_windows);
   if (obs::tracing(o.trace)) {
     obs::TraceEvent ev;
     ev.type = obs::TraceEventType::adapt_window;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 #include <optional>
+#include <type_traits>
+#include <variant>
 
 #include "channel/link_channel.hpp"
 #include "fault/fault_injector.hpp"
@@ -18,87 +20,64 @@
 namespace bhss::core {
 namespace {
 
-/// Owns whichever jammer the spec asks for and produces per-packet
-/// waveforms. Kept alive across packets so the jammer's own randomness
-/// does not repeat.
-class JammerBox {
- public:
-  JammerBox(const JammerSpec& spec, const BandwidthSet& bands) : spec_(spec) {
-    switch (spec.kind) {
-      case JammerSpec::Kind::none:
-        break;
-      case JammerSpec::Kind::fixed_bandwidth:
-        fixed_.emplace(spec.bandwidth_frac, spec.seed);
-        break;
-      case JammerSpec::Kind::hopping: {
-        std::vector<double> probs = spec.hop_probs;
-        if (probs.empty()) probs.assign(bands.size(), 1.0);
-        hopping_.emplace(bands.bandwidth_fracs(), probs, spec.dwell_samples, spec.seed);
-        break;
-      }
-      case JammerSpec::Kind::reactive:
-        reactive_.emplace(bands.bandwidth_fracs(), spec.reaction_delay, spec.seed,
-                          spec.estimation_samples);
-        break;
-      case JammerSpec::Kind::tone:
-        tone_.emplace(spec.tone_freqs, spec.seed);
-        break;
-      case JammerSpec::Kind::swept:
-        swept_.emplace(spec.sweep_lo, spec.sweep_hi, spec.sweep_samples, spec.seed);
-        break;
-      case JammerSpec::Kind::duty_cycle:
-        duty_.emplace(spec.bandwidth_frac, spec.duty_period, spec.duty_fraction, spec.seed);
-        break;
-      case JammerSpec::Kind::band_sweep:
-        band_sweep_.emplace(spec.sweep_lo, spec.sweep_hi, spec.sweep_steps, spec.dwell_samples,
-                            spec.sweep_bw_frac, spec.seed);
-        break;
-      case JammerSpec::Kind::estimating:
-        estimating_.emplace(bands.bandwidth_fracs(), spec.estimation_hops, spec.seed);
-        break;
-    }
-  }
+/// Whichever jammer the spec asks for (monostate: none). Kept alive
+/// across packets so the jammer's own randomness does not repeat.
+using AnyJammer =
+    std::variant<std::monostate, jammer::NoiseJammer, jammer::HoppingJammer,
+                 jammer::ReactiveJammer, jammer::ToneJammer, jammer::SweptJammer,
+                 jammer::DutyCycleJammer, jammer::BandSweepJammer, jammer::EstimatingJammer>;
 
-  [[nodiscard]] dsp::cvec waveform(const Transmission& tx, const BandwidthSet& bands,
-                                   std::size_t delay, std::size_t total_len) {
-    switch (spec_.kind) {
-      case JammerSpec::Kind::none:
-        return {};
-      case JammerSpec::Kind::fixed_bandwidth:
-        return fixed_->generate(total_len);
-      case JammerSpec::Kind::hopping:
-        return hopping_->generate(total_len);
-      case JammerSpec::Kind::reactive: {
-        const auto hops = tx.schedule.observed_hops(bands, delay);
-        return reactive_->generate(hops, total_len);
-      }
-      case JammerSpec::Kind::tone:
-        return tone_->generate(total_len);
-      case JammerSpec::Kind::swept:
-        return swept_->generate(total_len);
-      case JammerSpec::Kind::duty_cycle:
-        return duty_->generate(total_len);
-      case JammerSpec::Kind::band_sweep:
-        return band_sweep_->generate(total_len);
-      case JammerSpec::Kind::estimating: {
-        const auto hops = tx.schedule.observed_hops(bands, delay);
-        return estimating_->generate(hops, total_len);
-      }
+AnyJammer make_jammer(const JammerSpec& spec, std::uint64_t seed, const BandwidthSet& bands) {
+  using Kind = JammerSpec::Kind;
+  switch (spec.kind) {
+    case Kind::none:
+      return std::monostate{};
+    case Kind::fixed_bandwidth:
+      return AnyJammer(std::in_place_type<jammer::NoiseJammer>, spec.bandwidth_frac, seed);
+    case Kind::hopping: {
+      std::vector<double> probs = spec.hop_probs;
+      if (probs.empty()) probs.assign(bands.size(), 1.0);
+      return AnyJammer(std::in_place_type<jammer::HoppingJammer>, bands.bandwidth_fracs(), probs,
+                       spec.dwell_samples, seed);
     }
-    return {};
+    case Kind::reactive:
+      return AnyJammer(std::in_place_type<jammer::ReactiveJammer>, bands.bandwidth_fracs(),
+                       spec.reaction_delay, seed, spec.estimation_samples);
+    case Kind::tone:
+      return AnyJammer(std::in_place_type<jammer::ToneJammer>, spec.tone_freqs, seed);
+    case Kind::swept:
+      return AnyJammer(std::in_place_type<jammer::SweptJammer>, spec.sweep_lo, spec.sweep_hi,
+                       spec.sweep_samples, seed);
+    case Kind::duty_cycle:
+      return AnyJammer(std::in_place_type<jammer::DutyCycleJammer>, spec.bandwidth_frac,
+                       spec.duty_period, spec.duty_fraction, seed);
+    case Kind::band_sweep:
+      return AnyJammer(std::in_place_type<jammer::BandSweepJammer>, spec.sweep_lo, spec.sweep_hi,
+                       spec.sweep_steps, spec.dwell_samples, spec.sweep_bw_frac, seed);
+    case Kind::estimating:
+      return AnyJammer(std::in_place_type<jammer::EstimatingJammer>, bands.bandwidth_fracs(),
+                       spec.estimation_hops, seed);
   }
+  return std::monostate{};
+}
 
- private:
-  JammerSpec spec_;
-  std::optional<jammer::NoiseJammer> fixed_;
-  std::optional<jammer::HoppingJammer> hopping_;
-  std::optional<jammer::ReactiveJammer> reactive_;
-  std::optional<jammer::ToneJammer> tone_;
-  std::optional<jammer::SweptJammer> swept_;
-  std::optional<jammer::DutyCycleJammer> duty_;
-  std::optional<jammer::BandSweepJammer> band_sweep_;
-  std::optional<jammer::EstimatingJammer> estimating_;
-};
+/// One packet's jammer waveform. Jammers that sense the link (reactive,
+/// estimating) are handed the hops they observe on air: the transmit
+/// schedule shifted by the arrival delay.
+dsp::cvec jammer_waveform(AnyJammer& jam, const Transmission& tx, const BandwidthSet& bands,
+                          std::size_t delay, std::size_t total_len) {
+  return std::visit(
+      [&](auto& j) -> dsp::cvec {
+        if constexpr (std::is_same_v<std::decay_t<decltype(j)>, std::monostate>) {
+          return {};
+        } else if constexpr (requires { j.generate(total_len); }) {
+          return j.generate(total_len);
+        } else {
+          return j.generate(tx.schedule.observed_hops(bands, delay), total_len);
+        }
+      },
+      jam);
+}
 
 }  // namespace
 
@@ -109,9 +88,7 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
   const BhssReceiver rx(cfg.system);
   channel::AwgnSource noise(seeds.channel);
   SharedRandom channel_rng(seeds.impairments);
-  JammerSpec spec = cfg.jammer;
-  spec.seed = seeds.jammer;
-  JammerBox jammer(spec, cfg.system.pattern.bands());
+  AnyJammer jammer = make_jammer(cfg.jammer, seeds.jammer, cfg.system.pattern.bands());
   const fault::FaultInjector injector(cfg.faults);
 
   const double sample_rate = cfg.system.pattern.bands().sample_rate_hz();
@@ -165,7 +142,7 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
 
     const std::size_t total_len = link.tx_delay + t.samples.size() + link.tail_pad;
     const dsp::cvec jam =
-        jammer.waveform(t, cfg.system.pattern.bands(), link.tx_delay, total_len);
+        jammer_waveform(jammer, t, cfg.system.pattern.bands(), link.tx_delay, total_len);
 
     dsp::cvec rx_signal = channel::transmit(t.samples, jam, link, noise);
 
@@ -192,12 +169,6 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
     const bool delivered = res.crc_ok && res.payload == payload;
     if (delivered) ++stats.ok;
 
-    if (obs::counting(o.metrics)) {
-      const obs::LinkIds& ids = obs::link_ids();
-      o.metrics->add(ids.packets);
-      if (res.frame_detected) o.metrics->add(ids.detected);
-      if (delivered) o.metrics->add(ids.delivered);
-    }
     if (obs::tracing(o.trace)) {
       obs::TraceEvent ev;
       ev.type = obs::TraceEventType::packet_done;
@@ -248,6 +219,7 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
     stats.throughput_bps =
         static_cast<double>(stats.ok * cfg.payload_len * 8) / stats.airtime_s;
   }
+  if (obs::counting(o.metrics)) obs::add_link_stats(*o.metrics, stats);
   return stats;
 }
 
@@ -261,28 +233,9 @@ LinkStats run_link(const SimConfig& cfg) {
 LinkStats merge_link_stats(const std::vector<LinkStats>& shards, std::size_t payload_len) {
   LinkStats total;
   for (const LinkStats& s : shards) {
-    total.packets += s.packets;
-    total.detected += s.detected;
-    total.ok += s.ok;
-    total.symbol_errors += s.symbol_errors;
-    total.total_symbols += s.total_symbols;
-    total.airtime_s += s.airtime_s;
-    total.sync_lost += s.sync_lost;
-    total.reacquired += s.reacquired;
-    total.filter_fallback += s.filter_fallback;
-    total.corrupt_input_rejected += s.corrupt_input_rejected;
-    total.faults_injected += s.faults_injected;
-    total.shard_timeout += s.shard_timeout;
-    total.shard_retried += s.shard_retried;
-    total.worker_restarts += s.worker_restarts;
-    total.worker_crashes += s.worker_crashes;
-    total.worker_drains += s.worker_drains;
-    total.adapt_transitions += s.adapt_transitions;
-    total.adapt_jam_episodes += s.adapt_jam_episodes;
-    total.adapt_fallbacks += s.adapt_fallbacks;
-    total.adapt_recoveries += s.adapt_recoveries;
-    total.adapt_windows_jammed += s.adapt_windows_jammed;
-    total.adapt_packets_adapted += s.adapt_packets_adapted;
+    for (const LinkStatsField& f : kLinkStatsFields) {
+      if (!f.derived) f.add(total, s);
+    }
   }
   if (total.airtime_s > 0.0) {
     total.throughput_bps =

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "adapt/resilience_controller.hpp"
+#include "core/link_stats.hpp"
 #include "core/receiver.hpp"
 #include "core/system_config.hpp"
 #include "core/transmitter.hpp"
@@ -82,62 +83,6 @@ struct SimConfig {
   adapt::AdaptConfig adapt{};
 };
 
-/// Aggregated link statistics.
-struct LinkStats {
-  std::size_t packets = 0;
-  std::size_t detected = 0;       ///< frames whose preamble was acquired
-  std::size_t ok = 0;             ///< frames that passed the CRC
-  std::size_t symbol_errors = 0;
-  std::size_t total_symbols = 0;
-  double airtime_s = 0.0;         ///< total waveform time on air
-  double throughput_bps = 0.0;    ///< delivered payload bits / airtime
-
-  // Failure taxonomy (graceful degradation accounting): *how* frames were
-  // lost or saved, not just how many. Merged across shards like the
-  // counters above.
-  std::size_t sync_lost = 0;      ///< bounded re-acquisition exhausted
-  std::size_t reacquired = 0;     ///< frames acquired on a retry attempt
-  std::size_t filter_fallback = 0;   ///< degenerate-PSD control-logic fallbacks
-  std::size_t corrupt_input_rejected = 0;  ///< captures with NaN/Inf scrubbed
-  std::size_t faults_injected = 0;  ///< fault events applied by the injector
-
-  // Campaign-orchestration taxonomy (runtime::CampaignRunner): shards that
-  // exhausted their watchdog budget and were quarantined (their packets are
-  // missing from the merge — accounted, not silently lost), and shards that
-  // timed out at least once but succeeded on a deterministic retry.
-  std::size_t shard_timeout = 0;  ///< shards quarantined after watchdog timeouts
-  std::size_t shard_retried = 0;  ///< shards recovered by a retry attempt
-
-  // Distributed-fleet taxonomy (runtime::CampaignSupervisor): how worker
-  // *processes* behaved while the campaign fanned out. Exit codes map to
-  // distinct counters — a graceful drain (exit 75) is recoverable and
-  // expected under SIGTERM; a crash (signal or nonzero exit) consumed a
-  // restart budget; a restart is the supervisor respawning a worker after
-  // a crash or hang. Summed across merges like everything above.
-  std::size_t worker_restarts = 0;  ///< worker processes respawned (crash/hang retry)
-  std::size_t worker_crashes = 0;   ///< worker exits by signal or nonzero status
-  std::size_t worker_drains = 0;    ///< workers that drained gracefully (exit 75)
-
-  // Closed-loop adaptation taxonomy (src/adapt): what the resilience
-  // controller did, summed across shards like everything above.
-  std::size_t adapt_transitions = 0;     ///< state-machine edges taken
-  std::size_t adapt_jam_episodes = 0;    ///< entries into DEGRADED
-  std::size_t adapt_fallbacks = 0;       ///< entries into FALLBACK
-  std::size_t adapt_recoveries = 0;      ///< completed returns to NOMINAL
-  std::size_t adapt_windows_jammed = 0;  ///< detector windows that tripped
-  std::size_t adapt_packets_adapted = 0; ///< packets sent under a non-base plan
-
-  [[nodiscard]] double per() const noexcept {
-    return packets == 0 ? 1.0
-                        : 1.0 - static_cast<double>(ok) / static_cast<double>(packets);
-  }
-  [[nodiscard]] double ser() const noexcept {
-    return total_symbols == 0
-               ? 1.0
-               : static_cast<double>(symbol_errors) / static_cast<double>(total_symbols);
-  }
-};
-
 /// Merge shard statistics under the shared merge-order contract:
 ///
 ///   The merge is a LEFT FOLD IN ASCENDING SHARD ORDER over a vector
@@ -149,8 +94,9 @@ struct LinkStats {
 ///   BHSS_REQUIREs that both vectors agree on the length, so the two
 ///   merges cannot silently diverge.
 ///
-/// `throughput_bps` is recomputed from the merged totals. Deterministic
-/// for a fixed shard sequence.
+/// Every non-derived row of `kLinkStatsFields` is summed; `throughput_bps`
+/// is recomputed from the merged totals. Deterministic for a fixed shard
+/// sequence.
 [[nodiscard]] LinkStats merge_link_stats(const std::vector<LinkStats>& shards,
                                          std::size_t payload_len);
 

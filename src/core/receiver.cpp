@@ -112,9 +112,6 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
       result.input_scrubbed = true;
     }
   }
-  if (result.input_scrubbed && obs::counting(o.metrics)) {
-    o.metrics->add(obs::link_ids().input_scrubbed);
-  }
   std::size_t frame_start = genie_frame_start;
 
   if (config_.sync == SyncMode::preamble) {
@@ -216,7 +213,6 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
         ev.packet = frame_counter;
         o.trace->push(ev);
       }
-      if (obs::counting(o.metrics)) o.metrics->add(obs::link_ids().sync_losses);
       return result;
     }
     result.reacquired = result.sync_attempts > 1;
@@ -240,7 +236,6 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     if (obs::counting(o.metrics)) {
       const obs::LinkIds& ids = obs::link_ids();
       o.metrics->add(ids.sync_locks);
-      if (result.reacquired) o.metrics->add(ids.reacquired);
       o.metrics->set(ids.last_sync_quality, static_cast<double>(est->quality));
       o.metrics->set(ids.last_sync_margin, static_cast<double>(est->margin));
       o.metrics->observe(ids.sync_margin, static_cast<double>(est->margin));

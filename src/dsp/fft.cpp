@@ -99,8 +99,6 @@ void Fft::transform(cspan_mut x, bool inverse) const {
   }
 }
 
-cspan Fft::twiddles() const noexcept { return cspan{plan_->twiddles}; }
-
 void Fft::forward(cspan_mut x) const { transform(x, false); }
 
 void Fft::inverse(cspan_mut x) const { transform(x, true); }

@@ -46,11 +46,6 @@ class Fft {
   /// True if `n` is a power of two >= 2.
   [[nodiscard]] static bool valid_size(std::size_t n) noexcept;
 
-  /// The plan's forward twiddle table: exp(-j 2 pi k / n) for k in
-  /// [0, n/2). Exposed for the real-input specialization (`RealFft`),
-  /// whose post-recombination twiddles are exactly this table.
-  [[nodiscard]] cspan twiddles() const noexcept;
-
  private:
   void transform(cspan_mut x, bool inverse) const;
 

@@ -7,7 +7,6 @@
 
 #include "core/contracts.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/real_fft.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/utils.hpp"
 
@@ -70,54 +69,6 @@ fvec welch_psd(cspan x, std::size_t fft_size, double overlap, Window window) {
       1.0 / (static_cast<double>(n_segments) * static_cast<double>(fft_size) * w_power));
   for (float& p : psd) p *= norm;
   BHSS_ENSURE(all_finite(fspan{psd}), "welch_psd: produced non-finite PSD bins");
-  return psd;
-}
-
-fvec welch_psd_real(fspan x, std::size_t fft_size, double overlap, Window window) {
-  BHSS_REQUIRE(fft_size >= 4 && (fft_size & (fft_size - 1)) == 0,
-               "welch_psd_real: fft_size must be a power of two >= 4");
-  BHSS_REQUIRE(overlap >= 0.0 && overlap <= 0.95, "welch_psd_real: overlap must be in [0, 0.95]");
-  BHSS_REQUIRE(!x.empty(), "welch_psd_real: empty input");
-
-  const fvec& w = cached_window(window, fft_size);
-  const double w_power = window_power(w);
-  const auto hop = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::lround(static_cast<double>(fft_size) * (1.0 - overlap))));
-  const std::size_t half = fft_size / 2;
-
-  RealFft rfft(fft_size);
-  fvec acc(half + 1, 0.0F);
-  thread_local fvec rseg;
-  thread_local cvec spec;
-  rseg.resize(fft_size);
-  spec.resize(half + 1);
-  std::size_t n_segments = 0;
-
-  auto accumulate = [&](fspan chunk) {
-    const std::size_t full = std::min<std::size_t>(chunk.size(), fft_size);
-    for (std::size_t i = 0; i < full; ++i) rseg[i] = chunk[i] * w[i];
-    for (std::size_t i = full; i < fft_size; ++i) rseg[i] = 0.0F;
-    rfft.forward(fspan{rseg}, cspan_mut{spec});
-    for (std::size_t k = 0; k <= half; ++k) acc[k] += static_cast<float>(std::norm(spec[k]));
-    ++n_segments;
-  };
-
-  if (x.size() < fft_size) {
-    accumulate(x);
-  } else {
-    for (std::size_t pos = 0; pos + fft_size <= x.size(); pos += hop) {
-      accumulate(x.subspan(pos, fft_size));
-    }
-  }
-
-  const auto norm = static_cast<float>(
-      1.0 / (static_cast<double>(n_segments) * static_cast<double>(fft_size) * w_power));
-  // Mirror the non-redundant half-spectrum into the natural-order layout:
-  // X[n-k] == conj(X[k]) for real input, so the PSD is symmetric.
-  fvec psd(fft_size, 0.0F);
-  for (std::size_t k = 0; k <= half; ++k) psd[k] = acc[k] * norm;
-  for (std::size_t k = 1; k < half; ++k) psd[fft_size - k] = psd[k];
-  BHSS_ENSURE(all_finite(fspan{psd}), "welch_psd_real: produced non-finite PSD bins");
   return psd;
 }
 

@@ -23,15 +23,6 @@ namespace bhss::dsp {
 [[nodiscard]] fvec welch_psd(cspan x, std::size_t fft_size, double overlap = 0.5,
                              Window window = Window::hann);
 
-/// Welch PSD estimate of a *real* signal, using the Hermitian real-input
-/// FFT specialization (`RealFft`): one N/2 complex transform per segment
-/// instead of N. Same normalisation and bin layout as `welch_psd` — the
-/// full `fft_size` bins are returned in natural FFT order, with the
-/// negative-frequency half mirrored from the non-redundant half-spectrum.
-/// @param fft_size power of two >= 4.
-[[nodiscard]] fvec welch_psd_real(fspan x, std::size_t fft_size, double overlap = 0.5,
-                                  Window window = Window::hann);
-
 /// Bartlett's method: Welch with rectangular window and no overlap.
 [[nodiscard]] fvec bartlett_psd(cspan x, std::size_t fft_size);
 

@@ -53,9 +53,6 @@ FaultLog FaultInjector::apply(const FaultPlan& plan, dsp::cvec& capture,
       te.v2 = ev.magnitude;
       o.trace->push(te);
     }
-    if (obs::counting(o.metrics)) {
-      o.metrics->add(obs::link_ids().fault_events);
-    }
     ++ordinal;
     switch (ev.kind) {
       case FaultKind::jammer_burst: {

@@ -51,8 +51,8 @@ class FaultInjector {
   /// (drops, duplications, clock jumps) resize the buffer; offsets are
   /// clamped to the buffer's current size, so any plan is safe to apply
   /// to any capture. `obs` (optional) records one fault_applied trace
-  /// event + a fault_events count per event and the fault_inject timing
-  /// scope; the capture mutation is identical with or without it.
+  /// event per event and the fault_inject timing scope; the capture
+  /// mutation is identical with or without it.
   FaultLog apply(const FaultPlan& plan, dsp::cvec& capture,
                  const obs::LinkObs& o = {}) const;
 

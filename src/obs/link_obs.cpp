@@ -22,26 +22,20 @@ LinkSchema build_link_schema() {
   LinkSchema s;
   MetricsRegistry& r = s.registry;
   LinkIds& id = s.ids;
-  id.packets = r.add_counter("packets");
-  id.delivered = r.add_counter("delivered");
-  id.detected = r.add_counter("detected");
+  for (std::size_t row = 0; row < core::kLinkStatsFields.size(); ++row) {
+    const core::LinkStatsField& f = core::kLinkStatsFields[row];
+    if (f.projected) id.stats[row] = r.add_counter(f.name);
+  }
   id.sync_attempts = r.add_counter("sync_attempts");
   id.sync_locks = r.add_counter("sync_locks");
-  id.sync_losses = r.add_counter("sync_losses");
-  id.reacquired = r.add_counter("reacquired");
   id.hops = r.add_counter("hops");
   id.filter_none = r.add_counter("filter_none");
   id.filter_lowpass = r.add_counter("filter_lowpass");
   id.filter_excision = r.add_counter("filter_excision");
   id.degenerate_psd = r.add_counter("degenerate_psd");
-  id.input_scrubbed = r.add_counter("input_scrubbed");
-  id.fault_events = r.add_counter("fault_events");
   id.filter_cache_hits = r.add_counter("filter_cache_hits");
   id.filter_cache_misses = r.add_counter("filter_cache_misses");
   id.adapt_windows = r.add_counter("adapt_windows");
-  id.adapt_windows_jammed = r.add_counter("adapt_windows_jammed");
-  id.adapt_transitions = r.add_counter("adapt_transitions");
-  id.adapt_packets_adapted = r.add_counter("adapt_packets_adapted");
   id.last_sync_quality = r.add_gauge("last_sync_quality");
   id.last_sync_margin = r.add_gauge("last_sync_margin");
   id.adapt_state = r.add_gauge("adapt_state");
@@ -163,6 +157,16 @@ const MetricsRegistry& link_registry() { return link_schema().registry; }
 const LinkIds& link_ids() { return link_schema().ids; }
 const MetricsRegistry& fleet_registry() { return fleet_schema().registry; }
 const FleetIds& fleet_ids() { return fleet_schema().ids; }
+
+void add_link_stats(MetricsShard& m, const core::LinkStats& s) {
+  BHSS_REQUIRE(m.registry() == &link_registry(),
+               "add_link_stats: shard must use the canonical link registry");
+  const LinkIds& ids = link_ids();
+  for (std::size_t row = 0; row < core::kLinkStatsFields.size(); ++row) {
+    const core::LinkStatsField& f = core::kLinkStatsFields[row];
+    if (f.projected) m.add(ids.stats[row], f.bits(s));
+  }
+}
 
 ShardTelemetry merge_telemetry(const std::vector<ShardTelemetry>& shards,
                                std::size_t expected_shards) {

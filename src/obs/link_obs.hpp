@@ -11,11 +11,13 @@
 /// the stats and telemetry vectors agree on that length, so the two
 /// merges can never silently diverge.
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/link_stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -24,28 +26,28 @@ namespace bhss::obs {
 /// Stable instrument ids of the canonical link registry. Counters sum
 /// across shards; gauges keep the value of the highest shard that set
 /// them; histograms sum bin-wise.
+///
+/// The registry opens with the LinkStats projection: one counter per
+/// `projected` row of `core::kLinkStatsFields`, named after the field and
+/// added once per shard by `add_link_stats`. The counters below it are
+/// events LinkStats does not count.
 struct LinkIds {
-  // counters
-  std::size_t packets = 0;          ///< packets simulated
-  std::size_t delivered = 0;        ///< CRC-clean deliveries
-  std::size_t detected = 0;         ///< frames detected (genie or sync lock)
+  /// Counter id of each projected LinkStats row, indexed by table row
+  /// (rows that are not projected are never registered; their slot is 0).
+  std::array<std::size_t, core::kLinkStatsFields.size()> stats{};
+  // obs-only counters
   std::size_t sync_attempts = 0;    ///< preamble acquisition attempts
   std::size_t sync_locks = 0;       ///< accepted acquisitions
-  std::size_t sync_losses = 0;      ///< frames lost after all attempts
-  std::size_t reacquired = 0;       ///< locks that needed a retry
   std::size_t hops = 0;             ///< hop slices demodulated
   std::size_t filter_none = 0;      ///< per-hop decision: no filtering
   std::size_t filter_lowpass = 0;   ///< per-hop decision: low-pass (eq. (3))
   std::size_t filter_excision = 0;  ///< per-hop decision: excision (eq. (4))
-  std::size_t degenerate_psd = 0;   ///< hops decided via the degenerate-PSD fallback
-  std::size_t input_scrubbed = 0;   ///< frames with NaN/Inf samples scrubbed
-  std::size_t fault_events = 0;     ///< fault-injector events applied
+  /// Per-hop degenerate-PSD decisions. Not LinkStats::filter_fallback,
+  /// which also counts the acquisition-window decisions.
+  std::size_t degenerate_psd = 0;
   std::size_t filter_cache_hits = 0;    ///< excision designs replayed from the cache
   std::size_t filter_cache_misses = 0;  ///< excision designs computed and stored
-  std::size_t adapt_windows = 0;          ///< jam-detector windows closed
-  std::size_t adapt_windows_jammed = 0;   ///< windows that crossed the trip thresholds
-  std::size_t adapt_transitions = 0;      ///< resilience state-machine edges taken
-  std::size_t adapt_packets_adapted = 0;  ///< packets sent under a non-base hop plan
+  std::size_t adapt_windows = 0;        ///< jam-detector windows closed
   // gauges
   std::size_t last_sync_quality = 0;
   std::size_t last_sync_margin = 0;
@@ -59,6 +61,11 @@ struct LinkIds {
 /// Process-wide canonical schema (built once, immortal) and its ids.
 [[nodiscard]] const MetricsRegistry& link_registry();
 [[nodiscard]] const LinkIds& link_ids();
+
+/// Add one shard's projected LinkStats counters into `m` (bound to the
+/// canonical link registry). `run_link_shard` calls this once, after its
+/// last packet.
+void add_link_stats(MetricsShard& m, const core::LinkStats& s);
 
 /// Stable instrument ids of the fleet-supervision registry: process-level
 /// counters for `runtime::distributed::CampaignSupervisor`. Deliberately a

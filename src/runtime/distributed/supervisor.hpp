@@ -33,19 +33,18 @@
 ///    fleet, waits for the workers' own graceful drains (exit 75), and
 ///    returns with `drained` set so the caller can exit 75 itself.
 ///
-/// Exit-code taxonomy (`FleetResult::fleet` maps it into the LinkStats
-/// worker_* counters): 0 = worker finished its slice; 75 = graceful
-/// drain, resumable; anything else, or death by signal, is a crash.
+/// Exit-code taxonomy (`FleetResult::fleet` counts it): 0 = worker
+/// finished its slice; 75 = graceful drain, resumable; anything else, or
+/// death by signal, is a crash.
 /// These counters are *process-level* accounting and are deliberately
 /// kept out of the published per-point statistics — a supervised
 /// campaign's JSONL/metrics/trace bytes must stay identical to a
 /// single-process run no matter how much chaos the fleet absorbed.
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "core/link_simulator.hpp"
 
 namespace bhss::runtime::distributed {
 
@@ -69,15 +68,19 @@ struct SupervisorOptions {
 using WorkerCommand =
     std::function<std::vector<std::string>(std::size_t worker, bool resume)>;
 
+/// Worker exit-code taxonomy, summed over every incarnation of the fleet.
+struct FleetCounters {
+  std::size_t worker_restarts = 0;  ///< worker processes respawned (crash/hang retry)
+  std::size_t worker_crashes = 0;   ///< worker exits by signal or nonzero status
+  std::size_t worker_drains = 0;    ///< workers that drained gracefully (exit 75)
+};
+
 /// What the fleet did.
 struct FleetResult {
   bool completed = false;  ///< every worker finished its slice (exit 0)
   bool drained = false;    ///< drain requested; fleet exited resumable
   std::vector<std::size_t> failed_workers;  ///< restart budget exhausted
-  /// Exit-code taxonomy mapped into the LinkStats failure-taxonomy
-  /// fields: worker_restarts (respawns), worker_crashes (signal/nonzero
-  /// exit), worker_drains (exit 75). All other fields stay zero.
-  core::LinkStats fleet;
+  FleetCounters fleet;
 
   /// Worker journal paths, in worker order — the merge input list.
   std::vector<std::string> worker_journals;

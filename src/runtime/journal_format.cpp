@@ -1,9 +1,11 @@
 #include "runtime/journal_format.hpp"
 
-#include <bit>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <span>
+#include <string_view>
+#include <system_error>
 
 #include "core/contracts.hpp"
 #include "phy/crc16.hpp"
@@ -58,38 +60,46 @@ bool parse_header(const std::string& body, Header& out) {
 }
 
 std::string format_stats(const core::LinkStats& s) {
-  char buf[640];
-  std::snprintf(buf, sizeof(buf),
-                "%zu %zu %zu %zu %zu %016" PRIx64 " %016" PRIx64
-                " %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu",
-                s.packets, s.detected, s.ok, s.symbol_errors, s.total_symbols,
-                std::bit_cast<std::uint64_t>(s.airtime_s),
-                std::bit_cast<std::uint64_t>(s.throughput_bps), s.sync_lost, s.reacquired,
-                s.filter_fallback, s.corrupt_input_rejected, s.faults_injected,
-                s.shard_timeout, s.shard_retried, s.worker_restarts, s.worker_crashes,
-                s.worker_drains, s.adapt_transitions, s.adapt_jam_episodes,
-                s.adapt_fallbacks, s.adapt_recoveries, s.adapt_windows_jammed,
-                s.adapt_packets_adapted);
-  return buf;
+  std::string out;
+  char token[24];
+  for (const core::LinkStatsField& f : core::kLinkStatsFields) {
+    std::snprintf(token, sizeof(token), f.count != nullptr ? "%" PRIu64 : "%016" PRIx64,
+                  f.bits(s));
+    if (!out.empty()) out += ' ';
+    out += token;
+  }
+  return out;
 }
+
+namespace {
+
+/// One stats token: a decimal count, or a double's bit pattern as exactly
+/// 16 hex digits. The whole token must parse; no sign, no overflow.
+bool parse_token(std::string_view tok, bool hex_bits, std::uint64_t& v) {
+  if (hex_bits && tok.size() != 16) return false;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v, hex_bits ? 16 : 10);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 bool parse_stats(const char* text, core::LinkStats& s) {
   BHSS_REQUIRE(text != nullptr, "journal::parse_stats: null text");
-  std::uint64_t airtime_bits = 0;
-  std::uint64_t throughput_bits = 0;
-  const int n = std::sscanf(
-      text,
-      "%zu %zu %zu %zu %zu %" SCNx64 " %" SCNx64 " %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu "
-      "%zu %zu %zu %zu %zu %zu",
-      &s.packets, &s.detected, &s.ok, &s.symbol_errors, &s.total_symbols, &airtime_bits,
-      &throughput_bits, &s.sync_lost, &s.reacquired, &s.filter_fallback,
-      &s.corrupt_input_rejected, &s.faults_injected, &s.shard_timeout, &s.shard_retried,
-      &s.worker_restarts, &s.worker_crashes, &s.worker_drains, &s.adapt_transitions,
-      &s.adapt_jam_episodes, &s.adapt_fallbacks, &s.adapt_recoveries,
-      &s.adapt_windows_jammed, &s.adapt_packets_adapted);
-  if (n != 23) return false;
-  s.airtime_s = std::bit_cast<double>(airtime_bits);
-  s.throughput_bps = std::bit_cast<double>(throughput_bits);
+  core::LinkStats parsed;
+  std::string_view rest{text};
+  bool more = true;  // a separator followed the previous token
+  for (const core::LinkStatsField& f : core::kLinkStatsFields) {
+    if (!more) return false;  // too few tokens
+    const std::size_t space = rest.find(' ');
+    more = space != std::string_view::npos;
+    std::uint64_t v = 0;
+    if (!parse_token(rest.substr(0, space), f.count == nullptr, v)) return false;
+    f.set_bits(parsed, v);
+    rest.remove_prefix(more ? space + 1 : rest.size());
+  }
+  if (more) return false;  // trailing token
+  s = parsed;
   return true;
 }
 

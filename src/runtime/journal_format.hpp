@@ -54,13 +54,16 @@ struct Header {
 /// header at all (wrong magic / missing fields).
 [[nodiscard]] bool parse_header(const std::string& body, Header& out);
 
-/// LinkStats fields in journal order. Doubles travel as IEEE-754 bit
-/// patterns: the replayed merge must reproduce the uninterrupted run's
-/// statistics bit for bit, and "%.17g" round-trips are one parser bug
-/// away from silently breaking that.
+/// One space-separated token per `core::kLinkStatsFields` row, in table
+/// order: counters in decimal, doubles as their IEEE-754 bit patterns in
+/// 16 hex digits. The replayed merge must reproduce the uninterrupted
+/// run's statistics bit for bit, and "%.17g" round-trips are one parser
+/// bug away from silently breaking that.
 [[nodiscard]] std::string format_stats(const core::LinkStats& s);
 
-/// Inverse of format_stats; returns false on any token mismatch.
+/// Inverse of format_stats. Strict: exactly one token per field, single
+/// spaces, each token parsed whole (no sign, no overflow, hex tokens
+/// exactly 16 digits). Returns false and leaves `s` untouched otherwise.
 [[nodiscard]] bool parse_stats(const char* text, core::LinkStats& s);
 
 }  // namespace bhss::runtime::journal

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/link_simulator.hpp"
+#include "link_stats_testing.hpp"
 #include "obs/link_obs.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/checkpoint_journal.hpp"
@@ -53,26 +54,7 @@ core::SimConfig adaptive_sim(core::JammerSpec::Kind jammer) {
   return cfg;
 }
 
-void expect_identical(const core::LinkStats& a, const core::LinkStats& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.symbol_errors, b.symbol_errors);
-  EXPECT_EQ(a.total_symbols, b.total_symbols);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.airtime_s),
-            std::bit_cast<std::uint64_t>(b.airtime_s));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.throughput_bps),
-            std::bit_cast<std::uint64_t>(b.throughput_bps));
-  EXPECT_EQ(a.sync_lost, b.sync_lost);
-  EXPECT_EQ(a.reacquired, b.reacquired);
-  EXPECT_EQ(a.filter_fallback, b.filter_fallback);
-  EXPECT_EQ(a.adapt_transitions, b.adapt_transitions);
-  EXPECT_EQ(a.adapt_jam_episodes, b.adapt_jam_episodes);
-  EXPECT_EQ(a.adapt_fallbacks, b.adapt_fallbacks);
-  EXPECT_EQ(a.adapt_recoveries, b.adapt_recoveries);
-  EXPECT_EQ(a.adapt_windows_jammed, b.adapt_windows_jammed);
-  EXPECT_EQ(a.adapt_packets_adapted, b.adapt_packets_adapted);
-}
+using testutil::expect_identical;
 
 TEST(AdaptLink, ThreadCountDoesNotChangeTheStatistics) {
   const core::SimConfig cfg = adaptive_sim(core::JammerSpec::Kind::duty_cycle);

@@ -12,6 +12,7 @@
 #include "core/link_simulator.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
+#include "link_stats_testing.hpp"
 #include "runtime/parallel_link_runner.hpp"
 
 namespace bhss::fault {
@@ -184,18 +185,7 @@ TEST(FaultedLink, ThreadCountDoesNotChangeFaultedStatistics) {
   const core::LinkStats a = runtime::ParallelLinkRunner(one).run(cfg);
   const core::LinkStats b = runtime::ParallelLinkRunner(eight).run(cfg);
 
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.symbol_errors, b.symbol_errors);
-  EXPECT_EQ(a.total_symbols, b.total_symbols);
-  EXPECT_EQ(a.sync_lost, b.sync_lost);
-  EXPECT_EQ(a.reacquired, b.reacquired);
-  EXPECT_EQ(a.filter_fallback, b.filter_fallback);
-  EXPECT_EQ(a.corrupt_input_rejected, b.corrupt_input_rejected);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_DOUBLE_EQ(a.airtime_s, b.airtime_s);
-  EXPECT_DOUBLE_EQ(a.throughput_bps, b.throughput_bps);
+  testutil::expect_identical(a, b);  // every field, doubles bit for bit
   EXPECT_TRUE(stats_finite(a));
   EXPECT_GT(a.faults_injected, 0U);
 }

@@ -18,6 +18,7 @@
 #include "core/link_simulator.hpp"
 #include "core/transmitter.hpp"
 #include "dsp/utils.hpp"
+#include "link_stats_testing.hpp"
 #include "obs/link_obs.hpp"
 #include "runtime/parallel_link_runner.hpp"
 
@@ -181,19 +182,7 @@ SimConfig tone_jammed_sim() {
   return cfg;
 }
 
-void expect_identical_stats(const LinkStats& a, const LinkStats& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.symbol_errors, b.symbol_errors);
-  EXPECT_EQ(a.total_symbols, b.total_symbols);
-  EXPECT_EQ(a.airtime_s, b.airtime_s);
-  EXPECT_EQ(a.throughput_bps, b.throughput_bps);
-  EXPECT_EQ(a.sync_lost, b.sync_lost);
-  EXPECT_EQ(a.reacquired, b.reacquired);
-  EXPECT_EQ(a.filter_fallback, b.filter_fallback);
-  EXPECT_EQ(a.corrupt_input_rejected, b.corrupt_input_rejected);
-}
+using testutil::expect_identical;
 
 /// Remove one `"key":value` pair from a metrics JSON body fragment.
 std::string strip_key(std::string body, const std::string& key) {
@@ -229,7 +218,7 @@ TEST(FilterDesignCache, LinkStatsAndTelemetryAreCacheNeutral) {
   const LinkStats fresh_s = runner.run(fresh_cfg, &fresh_t);
 
   // The statistics must not know whether the cache exists.
-  expect_identical_stats(cached_s, fresh_s);
+  expect_identical(cached_s, fresh_s);
 
   // Telemetry likewise, outside the two counters that ARE the cache.
   const obs::ShardTelemetry cached_m = obs::merge_telemetry(cached_t, 4);
@@ -260,7 +249,7 @@ TEST(FilterDesignCache, ThreadCountDoesNotChangeCacheTelemetry) {
   std::vector<obs::ShardTelemetry> t8;
   const LinkStats s1 = one.run(cfg, &t1);
   const LinkStats s8 = eight.run(cfg, &t8);
-  expect_identical_stats(s1, s8);
+  expect_identical(s1, s8);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(obs::serialize_telemetry(t1[i]), obs::serialize_telemetry(t8[i])) << "shard " << i;
   }

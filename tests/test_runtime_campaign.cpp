@@ -2,7 +2,9 @@
 // round-trips (bit-exact stats, CRC rejection, torn-tail truncation,
 // header validation), CampaignRunner kill-and-resume determinism at 1 and
 // 8 threads, the per-shard watchdog (retry then quarantine), the graceful
-// drain protocol, and merge_link_stats degenerate inputs.
+// drain protocol, merge_link_stats degenerate inputs, the journal's strict
+// stats parser under hostile tokens, and per-field coverage of the
+// LinkStats field table (journal round trip, merge, equality).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -14,13 +16,16 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/link_simulator.hpp"
+#include "link_stats_testing.hpp"
 #include "obs/link_obs.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/checkpoint_journal.hpp"
+#include "runtime/journal_format.hpp"
 #include "runtime/parallel_link_runner.hpp"
 
 namespace bhss::runtime {
@@ -44,63 +49,10 @@ core::SimConfig small_sim() {
   return cfg;
 }
 
-void expect_identical(const core::LinkStats& a, const core::LinkStats& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.symbol_errors, b.symbol_errors);
-  EXPECT_EQ(a.total_symbols, b.total_symbols);
-  // bitwise, not approximate: the whole point of the journal's bit-pattern
-  // encoding is that resume reproduces the uninterrupted run exactly.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.airtime_s),
-            std::bit_cast<std::uint64_t>(b.airtime_s));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.throughput_bps),
-            std::bit_cast<std::uint64_t>(b.throughput_bps));
-  EXPECT_EQ(a.sync_lost, b.sync_lost);
-  EXPECT_EQ(a.reacquired, b.reacquired);
-  EXPECT_EQ(a.filter_fallback, b.filter_fallback);
-  EXPECT_EQ(a.corrupt_input_rejected, b.corrupt_input_rejected);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.shard_timeout, b.shard_timeout);
-  EXPECT_EQ(a.shard_retried, b.shard_retried);
-  EXPECT_EQ(a.worker_restarts, b.worker_restarts);
-  EXPECT_EQ(a.worker_crashes, b.worker_crashes);
-  EXPECT_EQ(a.worker_drains, b.worker_drains);
-  EXPECT_EQ(a.adapt_transitions, b.adapt_transitions);
-  EXPECT_EQ(a.adapt_jam_episodes, b.adapt_jam_episodes);
-  EXPECT_EQ(a.adapt_fallbacks, b.adapt_fallbacks);
-  EXPECT_EQ(a.adapt_recoveries, b.adapt_recoveries);
-  EXPECT_EQ(a.adapt_windows_jammed, b.adapt_windows_jammed);
-  EXPECT_EQ(a.adapt_packets_adapted, b.adapt_packets_adapted);
-}
-
-core::LinkStats sample_stats(std::size_t salt) {
-  core::LinkStats s;
-  s.packets = 10 + salt;
-  s.detected = 9 + salt;
-  s.ok = 8;
-  s.symbol_errors = 3 * salt;
-  s.total_symbols = 4000 + salt;
-  s.airtime_s = 0.1 * static_cast<double>(salt + 1) + 1e-17;  // not exactly representable
-  s.throughput_bps = 12345.6789 / static_cast<double>(salt + 1);
-  s.sync_lost = salt;
-  s.reacquired = salt / 2;
-  s.filter_fallback = 1;
-  s.corrupt_input_rejected = 2;
-  s.faults_injected = 5;
-  s.shard_timeout = 0;
-  s.shard_retried = salt % 2;
-  s.worker_restarts = salt % 3;
-  s.worker_crashes = salt / 2;
-  s.worker_drains = (salt + 1) % 2;
-  s.adapt_transitions = 4 * salt;
-  s.adapt_jam_episodes = salt;
-  s.adapt_fallbacks = salt / 3;
-  s.adapt_recoveries = salt % 2;
-  s.adapt_windows_jammed = 2 * salt;
-  s.adapt_packets_adapted = 7 + salt;
-  return s;
-}
+// Bitwise, not approximate: the whole point of the journal's bit-pattern
+// encoding is that resume reproduces the uninterrupted run exactly.
+using testutil::expect_identical;
+using testutil::salted_stats;
 
 /// Keep the first `lines` lines of `path` (simulates a crash that landed
 /// between appends).
@@ -133,7 +85,7 @@ TEST(CheckpointJournal, ShardStatsRoundTripBitExact) {
     CheckpointJournal journal;
     journal.open(path, "unit", 2, "abc123", /*resume=*/false);
     for (std::size_t shard = 0; shard < 4; ++shard) {
-      journal.record_shard(key, shard, sample_stats(shard));
+      journal.record_shard(key, shard, salted_stats(shard));
     }
     // Lookups work immediately, before any close/reopen.
     ASSERT_NE(journal.find_shard(key, 2), nullptr);
@@ -145,7 +97,7 @@ TEST(CheckpointJournal, ShardStatsRoundTripBitExact) {
   for (std::size_t shard = 0; shard < 4; ++shard) {
     const core::LinkStats* got = resumed.find_shard(key, shard);
     ASSERT_NE(got, nullptr) << "shard " << shard;
-    expect_identical(*got, sample_stats(shard));
+    expect_identical(*got, salted_stats(shard));
   }
   EXPECT_EQ(resumed.find_shard(key, 4), nullptr);
   std::remove(path.c_str());
@@ -156,7 +108,7 @@ TEST(CheckpointJournal, ParamsHashMismatchIsNotFound) {
   std::remove(path.c_str());
   CheckpointJournal journal;
   journal.open(path, "unit", 2, "abc123", false);
-  journal.record_shard({"pt0", 1}, 0, sample_stats(0));
+  journal.record_shard({"pt0", 1}, 0, salted_stats(0));
   EXPECT_NE(journal.find_shard({"pt0", 1}, 0), nullptr);
   EXPECT_EQ(journal.find_shard({"pt0", 2}, 0), nullptr);  // stale params
   EXPECT_EQ(journal.find_shard({"pt1", 1}, 0), nullptr);  // other point
@@ -192,8 +144,8 @@ TEST(CheckpointJournal, TornTailIsTruncatedAndAppendable) {
   {
     CheckpointJournal journal;
     journal.open(path, "unit", 2, "abc123", false);
-    journal.record_shard(key, 0, sample_stats(0));
-    journal.record_shard(key, 1, sample_stats(1));
+    journal.record_shard(key, 0, salted_stats(0));
+    journal.record_shard(key, 1, salted_stats(1));
   }
   {  // simulate a crash mid-append: half a record, no newline
     std::ofstream out(path, std::ios::binary | std::ios::app);
@@ -204,14 +156,14 @@ TEST(CheckpointJournal, TornTailIsTruncatedAndAppendable) {
     resumed.open(path, "unit", 2, "abc123", true);
     EXPECT_TRUE(resumed.tail_truncated());
     EXPECT_EQ(resumed.replayed_records(), 2U);
-    resumed.record_shard(key, 2, sample_stats(2));  // append onto the clean boundary
+    resumed.record_shard(key, 2, salted_stats(2));  // append onto the clean boundary
   }
   CheckpointJournal again;
   again.open(path, "unit", 2, "abc123", true);
   EXPECT_FALSE(again.tail_truncated());
   EXPECT_EQ(again.replayed_records(), 3U);
   ASSERT_NE(again.find_shard(key, 2), nullptr);
-  expect_identical(*again.find_shard(key, 2), sample_stats(2));
+  expect_identical(*again.find_shard(key, 2), salted_stats(2));
   std::remove(path.c_str());
 }
 
@@ -223,7 +175,7 @@ TEST(CheckpointJournal, CorruptedRecordDropsTheSuffix) {
     CheckpointJournal journal;
     journal.open(path, "unit", 2, "abc123", false);
     for (std::size_t shard = 0; shard < 4; ++shard) {
-      journal.record_shard(key, shard, sample_stats(shard));
+      journal.record_shard(key, shard, salted_stats(shard));
     }
   }
   {  // flip one byte inside the third record (header + 2 full records kept)
@@ -244,6 +196,69 @@ TEST(CheckpointJournal, CorruptedRecordDropsTheSuffix) {
   EXPECT_EQ(resumed.find_shard(key, 2), nullptr);  // corrupted away
   EXPECT_EQ(resumed.find_shard(key, 3), nullptr);  // after the corruption
   std::remove(path.c_str());
+}
+
+/// `text` with its space-separated token `index` replaced by `token`.
+std::string with_token(const std::string& text, std::size_t index, const std::string& token) {
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < index; ++i) begin = text.find(' ', begin) + 1;
+  const std::size_t end = std::min(text.find(' ', begin), text.size());
+  return text.substr(0, begin) + token + text.substr(end);
+}
+
+TEST(JournalFormat, ParseStatsRejectsHostileTokens) {
+  const std::string good = journal::format_stats(salted_stats(3));
+  const auto rejected = [](const std::string& text) {
+    core::LinkStats out = salted_stats(9);
+    return !journal::parse_stats(text.c_str(), out) && out == salted_stats(9);  // untouched
+  };
+  core::LinkStats parsed;
+  ASSERT_TRUE(journal::parse_stats(good.c_str(), parsed));
+  std::size_t airtime_row = 0;
+  while (std::string_view(core::kLinkStatsFields[airtime_row].name) != "airtime_s") {
+    ++airtime_row;
+  }
+
+  EXPECT_TRUE(rejected(with_token(good, 0, "-1")));                    // negative count
+  EXPECT_TRUE(rejected(with_token(good, 0, "+1")));                    // explicit sign
+  EXPECT_TRUE(rejected(good + " 7"));                                  // trailing token
+  EXPECT_TRUE(rejected(good + " "));                                   // trailing separator
+  EXPECT_TRUE(rejected(good.substr(0, good.rfind(' '))));              // one token short
+  EXPECT_TRUE(rejected(with_token(good, 0, "18446744073709551616")));  // 2^64 overflows
+  EXPECT_TRUE(rejected(with_token(good, 0, "12x")));                   // partial token
+  EXPECT_TRUE(rejected(with_token(good, airtime_row, "3fb999999999999z")));  // not hex
+  EXPECT_TRUE(rejected(with_token(good, airtime_row, "3fb99999999999")));    // too short
+  EXPECT_TRUE(rejected(with_token(good, airtime_row, "0x3fb99999999999")));  // prefixed
+  EXPECT_TRUE(rejected(""));
+  // 2^64 - 1 is the largest count and still parses.
+  EXPECT_FALSE(rejected(with_token(good, 0, "18446744073709551615")));
+}
+
+TEST(LinkStatsFields, EveryFieldRoundTripsMergesAndCompares) {
+  const core::LinkStats a = salted_stats(1);
+  const core::LinkStats b = salted_stats(2);
+  core::LinkStats parsed;
+  ASSERT_TRUE(journal::parse_stats(journal::format_stats(a).c_str(), parsed));
+  constexpr std::size_t kPayload = 6;
+  const core::LinkStats merged = core::merge_link_stats({a, b}, kPayload);
+
+  for (const core::LinkStatsField& f : core::kLinkStatsFields) {
+    SCOPED_TRACE(f.name);
+    EXPECT_EQ(f.bits(parsed), f.bits(a));  // journal round trip, bit for bit
+    core::LinkStats changed = a;
+    f.set_bits(changed, f.bits(a) ^ 1U);   // this field alone
+    EXPECT_FALSE(changed == a);
+    if (f.derived) continue;
+    if (f.count != nullptr) {
+      EXPECT_EQ(merged.*f.count, a.*f.count + b.*f.count);
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(merged.*f.real),
+                std::bit_cast<std::uint64_t>(a.*f.real + b.*f.real));
+    }
+  }
+  EXPECT_TRUE(parsed == a);
+  EXPECT_EQ(merged.throughput_bps,
+            static_cast<double>(merged.ok * kPayload * 8) / merged.airtime_s);
 }
 
 TEST(CheckpointJournal, HeaderMismatchesAreHardErrors) {
@@ -693,10 +708,10 @@ TEST(CampaignRunner, InterruptDrainsAndResumeCompletes) {
 // ------------------------------------------------- merge_link_stats edges
 
 TEST(MergeLinkStats, ZeroPacketShardsContributeNothing) {
-  std::vector<core::LinkStats> parts = {sample_stats(0), core::LinkStats{}, sample_stats(1),
+  std::vector<core::LinkStats> parts = {salted_stats(0), core::LinkStats{}, salted_stats(1),
                                         core::LinkStats{}, core::LinkStats{}};
   const core::LinkStats with_empty = core::merge_link_stats(parts, 6);
-  const std::vector<core::LinkStats> dense = {sample_stats(0), sample_stats(1)};
+  const std::vector<core::LinkStats> dense = {salted_stats(0), salted_stats(1)};
   expect_identical(with_empty, core::merge_link_stats(dense, 6));
 }
 
@@ -714,51 +729,40 @@ TEST(MergeLinkStats, ShardOrderPreservesCountsAndTaxonomy) {
   // The journal hands shards back by index, but a resumed vector can hold
   // records produced in any order across runs. Counting fields are exact
   // sums, so every permutation must agree on them.
-  std::vector<core::LinkStats> parts = {sample_stats(3), sample_stats(1), sample_stats(4),
-                                        sample_stats(2)};
+  std::vector<core::LinkStats> parts = {salted_stats(3), salted_stats(1), salted_stats(4),
+                                        salted_stats(2)};
   const core::LinkStats a = core::merge_link_stats(parts, 6);
   std::reverse(parts.begin(), parts.end());
   const core::LinkStats b = core::merge_link_stats(parts, 6);
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.symbol_errors, b.symbol_errors);
-  EXPECT_EQ(a.total_symbols, b.total_symbols);
-  EXPECT_EQ(a.sync_lost, b.sync_lost);
-  EXPECT_EQ(a.reacquired, b.reacquired);
-  EXPECT_EQ(a.filter_fallback, b.filter_fallback);
-  EXPECT_EQ(a.corrupt_input_rejected, b.corrupt_input_rejected);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.shard_timeout, b.shard_timeout);
-  EXPECT_EQ(a.shard_retried, b.shard_retried);
+  for (const core::LinkStatsField& f : core::kLinkStatsFields) {
+    if (f.count != nullptr) {
+      EXPECT_EQ(a.*f.count, b.*f.count) << f.name;
+    }
+  }
 }
 
 TEST(MergeLinkStats, TaxonomySurvivesAJournalRoundTrip) {
   const std::string path = temp_path("taxonomy");
   std::remove(path.c_str());
   const JournalKey key{"pt", 99};
-  core::LinkStats weird = sample_stats(5);
+  core::LinkStats weird = salted_stats(5);
   weird.shard_timeout = 2;
   weird.shard_retried = 3;
   {
     CheckpointJournal journal;
     journal.open(path, "unit", 2, "abc123", false);
     journal.record_shard(key, 0, weird);
-    journal.record_shard(key, 1, sample_stats(1));
+    journal.record_shard(key, 1, salted_stats(1));
   }
   CheckpointJournal resumed;
   resumed.open(path, "unit", 2, "abc123", true);
   std::vector<core::LinkStats> parts = {*resumed.find_shard(key, 0),
                                         *resumed.find_shard(key, 1)};
   const core::LinkStats merged = core::merge_link_stats(parts, 6);
-  EXPECT_EQ(merged.shard_timeout, weird.shard_timeout + sample_stats(1).shard_timeout);
-  EXPECT_EQ(merged.shard_retried, weird.shard_retried + sample_stats(1).shard_retried);
-  EXPECT_EQ(merged.worker_restarts,
-            weird.worker_restarts + sample_stats(1).worker_restarts);
-  EXPECT_EQ(merged.worker_crashes, weird.worker_crashes + sample_stats(1).worker_crashes);
-  EXPECT_EQ(merged.worker_drains, weird.worker_drains + sample_stats(1).worker_drains);
+  EXPECT_EQ(merged.shard_timeout, weird.shard_timeout + salted_stats(1).shard_timeout);
+  EXPECT_EQ(merged.shard_retried, weird.shard_retried + salted_stats(1).shard_retried);
   EXPECT_EQ(merged.faults_injected,
-            weird.faults_injected + sample_stats(1).faults_injected);
+            weird.faults_injected + salted_stats(1).faults_injected);
   std::remove(path.c_str());
 }
 

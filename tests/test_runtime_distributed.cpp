@@ -64,7 +64,6 @@ core::LinkStats sample_stats(std::size_t salt) {
   s.ok = 8;
   s.total_symbols = 4000 + salt;
   s.airtime_s = 0.1 * static_cast<double>(salt + 1) + 1e-17;
-  s.worker_drains = salt % 2;
   return s;
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/link_simulator.hpp"
 #include "core/shared_random.hpp"
+#include "link_stats_testing.hpp"
 #include "runtime/parallel_link_runner.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -156,15 +157,7 @@ core::SimConfig small_sim(core::JammerSpec::Kind jammer = core::JammerSpec::Kind
   return cfg;
 }
 
-void expect_identical(const core::LinkStats& a, const core::LinkStats& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.symbol_errors, b.symbol_errors);
-  EXPECT_EQ(a.total_symbols, b.total_symbols);
-  EXPECT_EQ(a.airtime_s, b.airtime_s);          // bitwise: merge order is fixed
-  EXPECT_EQ(a.throughput_bps, b.throughput_bps);
-}
+using testutil::expect_identical;  // bitwise: merge order is fixed
 
 TEST(ParallelLinkRunner, ThreadCountDoesNotChangeTheStatistics) {
   const core::SimConfig cfg = small_sim();
