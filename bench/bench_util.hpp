@@ -30,27 +30,18 @@
 ///                      eq. (10) threshold terms, sync attempts/locks/
 ///                      losses, fault hits) to PATH (JSONL)
 ///
-/// Distributed campaigns (src/runtime/distributed):
-///   --supervise=N      fork/exec N worker incarnations of this binary
-///                      (one per fleet slot), merge their journals and
-///                      finish with a normal in-process publish pass.
-///                      Requires --checkpoint/--resume. The published
-///                      JSONL/metrics/trace bytes are identical to a
-///                      single-process run
-///   --worker-id=I      run as fleet worker I: simulate only the shards
+/// Worker slices (src/runtime/distributed; see EXPERIMENTS.md
+/// "Distributed campaigns"):
+///   --worker-id=I      run as worker I: simulate only the shards
 ///                      `shard % n_workers == I`, journal S/O records to
 ///                      the given --checkpoint path, publish nothing
-///   --n-workers=N      fleet size the worker partitions against
-///   --hang-timeout=S   supervisor: a worker whose journal stops growing
-///                      for S seconds is SIGTERM'd, then SIGKILL'd (0=off)
-///   --heartbeat=S      worker: append an `H` liveness record every S
-///                      seconds while between shards (default 0.25)
-///   --chaos-kill=W:K[,W:K...]
-///                      supervisor: pass --chaos-kill-after-shards=K to
-///                      worker W's FIRST incarnation (chaos testing)
-///   --chaos-kill-after-shards=K
-///                      worker: raise SIGKILL on itself after journaling
-///                      K shards — a scripted crash with a durable journal
+///   --n-workers=N      number of workers the slice partitions against
+///
+/// Worker journals are folded with tools/journal_merge and published by
+/// an ordinary --resume run over the merged journal.
+///
+/// An unknown flag, a malformed or negative count, or trailing junk after
+/// a number exits with status 2 and the usage line.
 ///
 /// Every JSONL record is stamped with `schema_version` and the build's
 /// git SHA, so journals merged from different binaries are detectable.
@@ -59,22 +50,21 @@
 /// publishes byte-identical telemetry JSONL (shard telemetry is journaled
 /// as `O` records and replayed bit-exactly).
 
-#include <atomic>
+#include <charconv>
 #include <chrono>
-#include <csignal>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "core/link_simulator.hpp"
 #include "runtime/campaign.hpp"
-#include "runtime/distributed/journal_merge.hpp"
-#include "runtime/distributed/supervisor.hpp"
 
 namespace bhss::bench {
 
@@ -98,12 +88,18 @@ namespace bhss::bench {
 /// names (delivered -> ok, sync_losses -> sync_lost, input_scrubbed ->
 /// corrupt_input_rejected, fault_events -> faults_injected), registered
 /// first, so `O` records and --metrics lines change counter order.
-inline constexpr std::size_t kSchemaVersion = 7;
+/// v8: one runner, no process supervisor — journal lines are sealed
+/// with CRC-32 (journal format v2) and `H` heartbeat records are gone;
+/// older journals are refused at open instead of half-replayed.
+inline constexpr std::size_t kSchemaVersion = 8;
 
 /// Exit status of a gracefully drained (SIGINT/SIGTERM) checkpointed
 /// campaign: the run is incomplete but everything finished is journaled —
 /// rerun with --resume to continue. 75 = BSD EX_TEMPFAIL.
 inline constexpr int kExitResumable = 75;
+
+/// Exit status of a malformed command line (unknown flag, bad number).
+inline constexpr int kExitUsage = 2;
 
 /// Short git SHA baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.
@@ -127,23 +123,9 @@ struct Options {
   double shard_timeout_s = 0.0;   ///< watchdog budget per shard; 0 = off
   std::string metrics_path;       ///< empty = telemetry metrics disabled
   std::string trace_path;         ///< empty = trace events disabled
-
-  // Distributed-campaign knobs (src/runtime/distributed).
-  std::size_t supervise_workers = 0;  ///< --supervise=N; 0 = not supervising
-  bool worker = false;                ///< --worker-id given: run one fleet slice
-  std::size_t worker_id = 0;          ///< this worker's slot in [0, n_workers)
-  std::size_t n_workers = 1;          ///< fleet size the partition divides by
-  double hang_timeout_s = 0.0;        ///< supervisor journal-stall budget; 0 = off
-  double heartbeat_s = 0.25;          ///< worker heartbeat period
-  std::size_t chaos_kill_after_shards = 0;  ///< worker: SIGKILL self after K shards
-  std::string chaos_kill_spec;        ///< supervisor: "W:K[,W:K...]"
-
-  std::string argv0;  ///< this binary's path — the supervisor re-execs it
-  /// Simulation-identity and runtime flags to forward verbatim to worker
-  /// incarnations (--packets/--seed/--jnr/--threads/--shards/
-  /// --shard-timeout/--heartbeat). Output and orchestration flags are
-  /// deliberately NOT forwarded: workers never publish.
-  std::vector<std::string> forward_args;
+  bool worker = false;            ///< --worker-id given: run one worker slice
+  std::size_t worker_id = 0;      ///< this worker's slot in [0, n_workers)
+  std::size_t n_workers = 1;      ///< number of workers the partition divides by
 
   /// True when any telemetry stream was requested.
   [[nodiscard]] bool telemetry_enabled() const noexcept {
@@ -154,89 +136,88 @@ struct Options {
   [[nodiscard]] const std::string& journal_path() const noexcept {
     return resume_path.empty() ? checkpoint_path : resume_path;
   }
-
-  /// Scripted chaos kill point for worker `w` out of --chaos-kill, or 0.
-  [[nodiscard]] std::size_t chaos_kill_for(std::size_t w) const {
-    const char* p = chaos_kill_spec.c_str();
-    while (*p != '\0') {
-      char* end = nullptr;
-      const std::size_t worker_tok = static_cast<std::size_t>(std::strtoull(p, &end, 10));
-      if (end == p || *end != ':') break;
-      p = end + 1;
-      const std::size_t kill_after = static_cast<std::size_t>(std::strtoull(p, &end, 10));
-      if (end == p) break;
-      if (worker_tok == w) return kill_after;
-      p = *end == ',' ? end + 1 : end;
-    }
-    return 0;
-  }
 };
 
+inline void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--packets=N] [--seed=N] [--jnr=dB] [--threads=N] [--shards=N]\n"
+               "          [--json=PATH] [--checkpoint=PATH] [--resume=PATH]\n"
+               "          [--shard-timeout=S] [--metrics=PATH] [--trace=PATH]\n"
+               "          [--worker-id=I --n-workers=N]\n",
+               argv0);
+}
+
+/// Parse every `--flag=value` strictly: unknown arguments, numbers that
+/// do not parse whole, negative counts and non-finite reals exit with
+/// kExitUsage. `--help` prints the usage line and exits 0.
 inline Options parse_options(int argc, char** argv, std::size_t default_packets = 12,
                              double default_jnr_db = 30.0) {
   Options opt;
   opt.packets = default_packets;
   opt.jnr_db = default_jnr_db;
-  opt.argv0 = argc > 0 ? argv[0] : "";
+  const char* argv0 = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
-    bool forward = false;  // worker incarnations must see this flag verbatim
-    if (std::strncmp(argv[i], "--packets=", 10) == 0) {
-      opt.packets = static_cast<std::size_t>(std::strtoull(argv[i] + 10, nullptr, 10));
-      forward = true;
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-      forward = true;
-    } else if (std::strncmp(argv[i], "--jnr=", 6) == 0) {
-      opt.jnr_db = std::strtod(argv[i] + 6, nullptr);
-      forward = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      opt.threads = static_cast<std::size_t>(std::strtoull(argv[i] + 10, nullptr, 10));
-      forward = true;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      opt.shards = static_cast<std::size_t>(std::strtoull(argv[i] + 9, nullptr, 10));
-      forward = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      opt.json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--checkpoint=", 13) == 0) {
-      opt.checkpoint_path = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-      opt.resume_path = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--shard-timeout=", 16) == 0) {
-      opt.shard_timeout_s = std::strtod(argv[i] + 16, nullptr);
-      forward = true;
-    } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      opt.metrics_path = argv[i] + 10;
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      opt.trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--supervise=", 12) == 0) {
-      opt.supervise_workers =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 12, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--worker-id=", 12) == 0) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string_view flag = arg.substr(0, eq == std::string_view::npos ? eq : eq + 1);
+    const std::string_view value =
+        eq == std::string_view::npos ? std::string_view{} : arg.substr(eq + 1);
+    const auto fail = [&](const char* why) {
+      std::fprintf(stderr, "%s: %s: %s\n", argv0, argv[i], why);
+      print_usage(stderr, argv0);
+      std::exit(kExitUsage);
+    };
+    // Whole-token numbers: from_chars takes no sign on unsigned types and
+    // no leading whitespace, and `end` must reach the end of the value.
+    const auto count = [&](auto& out) {
+      const char* last = value.data() + value.size();
+      const auto [end, ec] = std::from_chars(value.data(), last, out);
+      if (value.empty() || ec != std::errc{} || end != last) {
+        fail("expected a non-negative integer");
+      }
+    };
+    const auto real = [&](double& out, bool non_negative) {
+      const char* last = value.data() + value.size();
+      const auto [end, ec] = std::from_chars(value.data(), last, out);
+      if (value.empty() || ec != std::errc{} || end != last || !std::isfinite(out) ||
+          (non_negative && out < 0.0)) {
+        fail(non_negative ? "expected a non-negative number" : "expected a finite number");
+      }
+    };
+
+    if (flag == "--packets=") {
+      count(opt.packets);
+    } else if (flag == "--seed=") {
+      count(opt.seed);
+    } else if (flag == "--jnr=") {
+      real(opt.jnr_db, false);
+    } else if (flag == "--threads=") {
+      count(opt.threads);
+    } else if (flag == "--shards=") {
+      count(opt.shards);
+    } else if (flag == "--json=") {
+      opt.json_path = value;
+    } else if (flag == "--checkpoint=") {
+      opt.checkpoint_path = value;
+    } else if (flag == "--resume=") {
+      opt.resume_path = value;
+    } else if (flag == "--shard-timeout=") {
+      real(opt.shard_timeout_s, true);
+    } else if (flag == "--metrics=") {
+      opt.metrics_path = value;
+    } else if (flag == "--trace=") {
+      opt.trace_path = value;
+    } else if (flag == "--worker-id=") {
       opt.worker = true;
-      opt.worker_id = static_cast<std::size_t>(std::strtoull(argv[i] + 12, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--n-workers=", 12) == 0) {
-      opt.n_workers = static_cast<std::size_t>(std::strtoull(argv[i] + 12, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--hang-timeout=", 15) == 0) {
-      opt.hang_timeout_s = std::strtod(argv[i] + 15, nullptr);
-    } else if (std::strncmp(argv[i], "--heartbeat=", 12) == 0) {
-      opt.heartbeat_s = std::strtod(argv[i] + 12, nullptr);
-      forward = true;
-    } else if (std::strncmp(argv[i], "--chaos-kill=", 13) == 0) {
-      opt.chaos_kill_spec = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--chaos-kill-after-shards=", 26) == 0) {
-      opt.chaos_kill_after_shards =
-          static_cast<std::size_t>(std::strtoull(argv[i] + 26, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: %s [--packets=N] [--seed=N] [--jnr=dB] [--threads=N] [--shards=N]\n"
-                  "          [--json=PATH] [--checkpoint=PATH] [--resume=PATH]\n"
-                  "          [--shard-timeout=S] [--metrics=PATH] [--trace=PATH]\n"
-                  "          [--supervise=N] [--hang-timeout=S] [--chaos-kill=W:K,...]\n"
-                  "          [--worker-id=I --n-workers=N] [--heartbeat=S]\n"
-                  "          [--chaos-kill-after-shards=K]\n",
-                  argv[0]);
+      count(opt.worker_id);
+    } else if (flag == "--n-workers=") {
+      count(opt.n_workers);
+    } else if (arg == "--help") {
+      print_usage(stdout, argv0);
       std::exit(0);
+    } else {
+      fail("unknown argument");
     }
-    if (forward) opt.forward_args.emplace_back(argv[i]);
   }
   return opt;
 }
@@ -451,29 +432,18 @@ class Campaign {
   Campaign(const Options& opt, const char* figure_id)
       : figure_(figure_id), worker_mode_(opt.worker) {
     const std::string& journal_path = opt.journal_path();
-    if (opt.supervise_workers > 0) {
-      if (journal_path.empty() || opt.worker) {
-        std::fprintf(stderr,
-                     "%s: --supervise requires --checkpoint/--resume and excludes "
-                     "--worker-id\n",
-                     figure_.c_str());
-        std::exit(2);
-      }
-      runtime::CampaignRunner::install_signal_handlers();
-      supervise_fleet(opt, journal_path);  // exits kExitResumable on drain
-    }
     if (worker_mode_ &&
         (journal_path.empty() || opt.n_workers < 1 || opt.worker_id >= opt.n_workers)) {
       std::fprintf(stderr,
                    "%s: worker mode requires --checkpoint/--resume and "
                    "--worker-id < --n-workers\n",
                    figure_.c_str());
-      std::exit(2);
+      std::exit(kExitUsage);
     }
     if (!journal_path.empty()) {
       remove_stale_tmp(journal_path);
       journal_.open(journal_path, figure_, static_cast<int>(kSchemaVersion), build_git_sha(),
-                    /*resume=*/!opt.resume_path.empty() || supervised_);
+                    /*resume=*/!opt.resume_path.empty());
       runtime::CampaignRunner::install_signal_handlers();
       if (journal_.replayed_records() > 0) {
         std::fprintf(stderr, "%s: resuming from %s (%zu journaled units%s)\n",
@@ -492,9 +462,9 @@ class Campaign {
 
     if (worker_mode_) {
       // Workers never publish — they exist to journal S/O records for the
-      // supervisor's merge. Telemetry is ALWAYS collected (collect-only
-      // sink) so every journaled shard carries its O record: the final
-      // pass can then honor --metrics/--trace without re-running shards.
+      // offline merge. Telemetry is ALWAYS collected (collect-only sink)
+      // so every journaled shard carries its O record: the publish pass
+      // can then honor --metrics/--trace without re-running shards.
       if (!opt.json_path.empty() || opt.telemetry_enabled()) {
         std::fprintf(stderr, "%s: worker %zu ignores --json/--metrics/--trace\n",
                      figure_.c_str(), opt.worker_id);
@@ -502,16 +472,6 @@ class Campaign {
       runner_->telemetry_sink = [](const std::string&, const core::SimConfig&,
                                    const core::LinkStats&,
                                    const std::vector<obs::ShardTelemetry>&) {};
-      if (opt.chaos_kill_after_shards > 0) {
-        runner_->shard_journaled_hook = [this,
-                                         kill_after = opt.chaos_kill_after_shards](
-                                            std::size_t) {
-          if (chaos_journaled_.fetch_add(1, std::memory_order_relaxed) + 1 >= kill_after) {
-            std::raise(SIGKILL);  // scripted crash: the journal is already durable
-          }
-        };
-      }
-      if (opt.heartbeat_s > 0.0) start_heartbeat(opt.worker_id, opt.heartbeat_s);
       return;
     }
 
@@ -531,8 +491,6 @@ class Campaign {
     }
   }
 
-  ~Campaign() { stop_heartbeat(); }
-
   [[nodiscard]] runtime::CampaignRunner& runner() noexcept { return *runner_; }
   [[nodiscard]] std::size_t threads() const noexcept { return runner_->threads(); }
   [[nodiscard]] std::size_t shards() const noexcept { return runner_->shards(); }
@@ -545,11 +503,11 @@ class Campaign {
   }
 
   /// Checkpointed §6.3 bisection (see CampaignRunner::min_snr_for_per).
-  /// A fleet worker skips bisections entirely (returns 0): partial-shard
-  /// PER would steer each worker down a different probe path, journaling
-  /// unmergeable same-point records. The supervisor's final pass computes
-  /// them in-process — distributed campaigns parallelize the run_point
-  /// sweeps, not the bisection probes.
+  /// A worker skips bisections entirely (returns 0): partial-shard PER
+  /// would steer each worker down a different probe path, journaling
+  /// unmergeable same-point records. The publish pass over the merged
+  /// journal computes them in-process — worker slices parallelize the
+  /// run_point sweeps, not the bisection probes.
   [[nodiscard]] double min_snr_for_per(const std::string& point_id,
                                        const core::SimConfig& cfg,
                                        double target_per = 0.5) {
@@ -575,10 +533,10 @@ class Campaign {
 
   /// Publish one data-point record: stamp provenance, append to the
   /// JSONL log, journal it (so resume republishes these exact bytes) and
-  /// log the wall time to the timing sidecar. A fleet worker publishes
-  /// nothing — not even `P` records: the canonical publish happens in the
-  /// supervisor's final pass, and a worker-written `P` would carry stats
-  /// merged from a partial shard slice.
+  /// log the wall time to the timing sidecar. A worker publishes nothing
+  /// — not even `P` records: the canonical publish happens in the resumed
+  /// pass over the merged journal, and a worker-written `P` would carry
+  /// stats merged from a partial shard slice.
   void emit(const std::string& point_id, std::uint64_t params_hash, JsonLine line,
             double wall_s) {
     if (worker_mode_) return;
@@ -611,122 +569,6 @@ class Campaign {
   }
 
  private:
-  /// Fork/exec the worker fleet, supervise it to completion, fold the
-  /// worker journals into the campaign journal and fall through to the
-  /// normal (single-process) publish path. Exits kExitResumable when the
-  /// fleet drained on SIGINT/SIGTERM. See supervisor.hpp for semantics.
-  void supervise_fleet(const Options& opt, const std::string& journal_path) {
-    namespace dist = runtime::distributed;
-    dist::SupervisorOptions sup;
-    sup.n_workers = opt.supervise_workers;
-    sup.journal_base = journal_path;
-    sup.hang_timeout_s = opt.hang_timeout_s;
-    dist::CampaignSupervisor supervisor(
-        sup, [&opt, &journal_path](std::size_t worker, bool resume) {
-          std::vector<std::string> argv{opt.argv0};
-          argv.insert(argv.end(), opt.forward_args.begin(), opt.forward_args.end());
-          argv.push_back("--worker-id=" + std::to_string(worker));
-          argv.push_back("--n-workers=" + std::to_string(opt.supervise_workers));
-          const std::string worker_journal =
-              dist::CampaignSupervisor::worker_journal_path(journal_path, worker);
-          argv.push_back((resume ? "--resume=" : "--checkpoint=") + worker_journal);
-          if (!resume) {
-            // Chaos injection arms the FIRST incarnation only: the whole
-            // point is that the respawn resumes cleanly past the kill.
-            const std::size_t kill_after = opt.chaos_kill_for(worker);
-            if (kill_after > 0) {
-              argv.push_back("--chaos-kill-after-shards=" + std::to_string(kill_after));
-            }
-          }
-          return argv;
-        });
-    std::fprintf(stderr, "%s: supervising %zu workers (journals %s.w*)\n", figure_.c_str(),
-                 sup.n_workers, journal_path.c_str());
-    const dist::FleetResult fleet = supervisor.run();
-
-    // Fleet accounting goes through the obs fleet registry — a separate
-    // schema from the link telemetry, because these counters describe the
-    // orchestration, not the experiment, and must never perturb the
-    // published streams.
-    obs::MetricsShard counters(&obs::fleet_registry());
-    const obs::FleetIds& ids = obs::fleet_ids();
-    counters.add(ids.worker_restarts, fleet.fleet.worker_restarts);
-    counters.add(ids.worker_crashes, fleet.fleet.worker_crashes);
-    counters.add(ids.worker_drains, fleet.fleet.worker_drains);
-    counters.add(ids.workers_failed, fleet.failed_workers.size());
-    for (const std::size_t failed : fleet.failed_workers) {
-      const dist::ShardPartition slice{failed, opt.supervise_workers};
-      counters.add(ids.shards_quarantined, slice.owned_count(opt.shards));
-    }
-    std::fprintf(stderr, "%s: fleet {%s}\n", figure_.c_str(),
-                 obs::metrics_json_body(counters).c_str());
-
-    if (fleet.drained) {
-      std::fprintf(stderr,
-                   "%s: fleet drained — rerun with --supervise=%zu --resume=%s to "
-                   "continue\n",
-                   figure_.c_str(), opt.supervise_workers, journal_path.c_str());
-      std::exit(kExitResumable);
-    }
-
-    std::vector<std::string> inputs;
-    for (const std::string& worker_journal : fleet.worker_journals) {
-      if (std::FILE* probe = std::fopen(worker_journal.c_str(), "rb")) {
-        std::fclose(probe);
-        inputs.push_back(worker_journal);
-      }
-    }
-    std::string base;
-    if (std::FILE* probe = std::fopen(journal_path.c_str(), "rb")) {
-      std::fclose(probe);
-      base = journal_path;  // previous supervised/partial run: fold it in
-    }
-    try {
-      const dist::MergeReport report = dist::merge_journals(inputs, journal_path, base);
-      std::fprintf(stderr,
-                   "%s: merged %zu journals -> %s (%zu shard records, %zu telemetry, "
-                   "%zu duplicates folded, %zu torn tails recovered)\n",
-                   figure_.c_str(), report.inputs, journal_path.c_str(),
-                   report.shard_records, report.obs_records, report.duplicates_folded,
-                   report.torn_tails);
-    } catch (const dist::JournalMergeError& e) {
-      std::fprintf(stderr, "%s: %s\n", figure_.c_str(), e.what());
-      std::exit(1);
-    }
-    supervised_ = true;  // the constructor now resumes from the merged journal
-  }
-
-  /// Worker liveness: append an `H` record every `period_s` so the
-  /// supervisor can tell "slow shard" from "hung worker" even when no
-  /// shard completes for a while.
-  void start_heartbeat(std::size_t worker_id, double period_s) {
-    heartbeat_ = std::thread([this, worker_id, period_s] {
-      std::size_t sequence = 0;
-      auto next = std::chrono::steady_clock::now();
-      while (!heartbeat_stop_.load(std::memory_order_relaxed)) {
-        next += std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(period_s));
-        while (!heartbeat_stop_.load(std::memory_order_relaxed) &&
-               std::chrono::steady_clock::now() < next) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        if (heartbeat_stop_.load(std::memory_order_relaxed)) return;
-        try {
-          journal_.record_heartbeat(worker_id, sequence++);
-        } catch (const runtime::JournalWriteError&) {
-          return;  // the next shard append will surface the failure
-        }
-      }
-    });
-  }
-
-  void stop_heartbeat() {
-    if (heartbeat_.joinable()) {
-      heartbeat_stop_.store(true, std::memory_order_relaxed);
-      heartbeat_.join();
-    }
-  }
-
   /// Telemetry emitter, invoked by the campaign runner after every
   /// point's merge (including points replayed wholly from the journal).
   /// Record order is deterministic: per-shard metrics in ascending shard
@@ -779,7 +621,6 @@ class Campaign {
 
   std::string figure_;
   bool worker_mode_ = false;
-  bool supervised_ = false;
   runtime::CheckpointJournal journal_;
   std::optional<runtime::CampaignRunner> runner_;
   JsonLog log_;
@@ -787,9 +628,6 @@ class Campaign {
   JsonLog metrics_log_;
   JsonLog trace_log_;
   JsonLog obs_timing_;
-  std::thread heartbeat_;
-  std::atomic<bool> heartbeat_stop_{false};
-  std::atomic<std::size_t> chaos_journaled_{0};
 };
 
 }  // namespace bhss::bench

@@ -1,39 +1,33 @@
 #!/usr/bin/env bash
-# Deterministic chaos harness for the distributed campaign layer.
+# Chaos check for the distributed campaign path: hand-launched worker
+# slices, killed and resumed, merged offline, published by a resumed run.
 #
-# Proves the fleet-level crash-recovery guarantee end to end on a real
-# bench binary:
-#   1. reference run, 1 thread, no checkpointing, no fleet -> ref.jsonl
-#   2. supervised fleet (--supervise=N) with scripted worker SIGKILLs
-#      (--chaos-kill=W:K,... — worker W SIGKILLs itself after journaling
-#      its K-th shard, first incarnation only). The supervisor respawns
-#      the killed workers with --resume, merges the per-worker journals
-#      into the canonical journal, and publishes through the ordinary
-#      single-process path                                 -> chaos.jsonl
-#   3. assert chaos.jsonl (and --metrics/--trace telemetry) is
-#      BYTE-identical to the reference (cmp)
-#   4. drain phase: a fresh supervised fleet is SIGTERMed mid-flight; it
-#      must exit with the resumable status (75), and re-running the same
-#      supervised command must resume the merged journal and again
-#      reproduce the reference bytes.
+#   1. reference run, 1 thread, single process              -> ref.*
+#   2. launch WORKERS processes `--worker-id=I --n-workers=WORKERS
+#      --checkpoint=wI.ckpt` (one thread each)
+#   3. SIGKILL worker 0 once its journal holds a shard record; it must
+#      exit 137 with some but not all of its slice journaled; resume it
+#   4. SIGTERM worker 2 (the last worker when WORKERS < 3) the same way;
+#      it must drain and exit 75; resume it
+#   5. tools/journal_merge the worker journals into merged.ckpt; the
+#      merge must fold 0 duplicates (a duplicate means two processes
+#      wrote one worker's journal)
+#   6. publish with --resume=merged.ckpt --json --metrics --trace
+#   7. cmp all three streams against the reference
 #
-# The chaos schedule is deterministic (fixed worker:shard-count pairs, no
-# timers), so every run kills the same work units — failures reproduce.
+# Each worker is started directly in the background, so `$!` is the
+# bench process itself and the signals reach it, not a wrapper shell.
 #
 # Usage: chaos_campaign.sh [bench-binary] [packets]
-# Env:   WORKERS (default 4), CHAOS (default "0:1,2:2"), DRAIN_AFTER_S
-#        (default 1 — SIGTERM delay for the drain phase; the fleet is
-#        killed mid-flight only if it is still running, otherwise the
-#        drain degenerates to a full replay, which must still be
-#        byte-identical).
+# Env:   WORKERS (default 4, at least 2)
+# journal_merge is taken from the same build tree (../tools/ relative to
+# the bench binary's directory).
 
 set -euo pipefail
 
 BENCH="${1:-build/bench/adapt_scenarios}"
 PACKETS="${2:-240}"
 WORKERS="${WORKERS:-4}"
-CHAOS="${CHAOS:-0:1,2:2}"
-DRAIN_AFTER_S="${DRAIN_AFTER_S:-1}"
 EXIT_RESUMABLE=75
 
 if [[ ! -x "$BENCH" ]]; then
@@ -41,84 +35,110 @@ if [[ ! -x "$BENCH" ]]; then
   exit 2
 fi
 BENCH="$(readlink -f "$BENCH")"
+MERGE="$(dirname "$BENCH")/../tools/journal_merge"
+if [[ ! -x "$MERGE" ]]; then
+  echo "chaos_campaign: journal_merge binary not found: $MERGE" >&2
+  exit 2
+fi
+MERGE="$(readlink -f "$MERGE")"
+if (( WORKERS < 2 )); then
+  echo "chaos_campaign: WORKERS must be at least 2" >&2
+  exit 2
+fi
+TERMED=$(( WORKERS > 2 ? 2 : WORKERS - 1 ))
 
 WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+declare -a PIDS=()
+cleanup() {
+  for pid in "${PIDS[@]}"; do kill -9 "$pid" 2>/dev/null || true; done
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
 cd "$WORK"
+
+shard_records() {
+  local n
+  n=$(grep -c '^S ' "$1" 2>/dev/null) || true
+  echo "${n:-0}"
+}
+
+start_worker() {  # start_worker I [--resume]
+  local journal="--checkpoint=w$1.ckpt"
+  [[ "${2:-}" == "--resume" ]] && journal="--resume=w$1.ckpt"
+  "$BENCH" --packets="$PACKETS" --threads=1 --worker-id="$1" --n-workers="$WORKERS" \
+    "$journal" >>"w$1.log" 2>&1 &
+  PIDS[$1]=$!
+}
+
+# Signal worker I once its journal holds a shard record, then reap it.
+# Sets RC to its exit status and AT to the shard records journaled then.
+signal_after_first_shard() {  # signal_after_first_shard I SIGNAL
+  local pid="${PIDS[$1]}"
+  until (( $(shard_records "w$1.ckpt") >= 1 )); do
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.005
+  done
+  RC=0
+  if ! kill "-$2" "$pid" 2>/dev/null; then
+    echo "FAIL: worker $1 finished before SIG$2 — raise the packet count" >&2
+    exit 1
+  fi
+  { wait "$pid"; } 2>/dev/null || RC=$?  # quiet the shell's "Killed" notice
+  AT=$(shard_records "w$1.ckpt")
+}
 
 echo "== reference run (1 thread, single process)"
 "$BENCH" --packets="$PACKETS" --threads=1 --json=ref.jsonl \
   --metrics=ref_metrics.jsonl --trace=ref_trace.jsonl >/dev/null
 [[ -s ref.jsonl ]] || { echo "FAIL: reference produced no JSONL" >&2; exit 1; }
 
-echo "== supervised fleet ($WORKERS workers) with chaos kills ($CHAOS)"
-"$BENCH" --packets="$PACKETS" --threads=2 --supervise="$WORKERS" \
-  --chaos-kill="$CHAOS" --checkpoint=chaos.ckpt --json=chaos.jsonl \
-  --metrics=chaos_metrics.jsonl --trace=chaos_trace.jsonl \
-  >chaos.out 2>chaos.err || {
-  echo "FAIL: supervised chaos run did not complete (see below)" >&2
-  cat chaos.err >&2
-  exit 1
-}
-grep -q '"worker_crashes"' chaos.err || {
-  echo "FAIL: fleet taxonomy not reported on stderr" >&2
-  cat chaos.err >&2
-  exit 1
-}
-echo "   fleet: $(grep -o 'fleet {.*' chaos.err | head -1)"
+echo "== $WORKERS worker slices"
+for ((i = 0; i < WORKERS; i++)); do start_worker "$i"; done
 
-cmp ref.jsonl chaos.jsonl || {
-  echo "FAIL: supervised+chaos JSONL differs from the single-process reference" >&2
-  exit 1
-}
-cmp ref_metrics.jsonl chaos_metrics.jsonl || {
-  echo "FAIL: supervised+chaos metrics differ from the single-process reference" >&2
-  exit 1
-}
-cmp ref_trace.jsonl chaos_trace.jsonl || {
-  echo "FAIL: supervised+chaos trace differs from the single-process reference" >&2
-  exit 1
-}
-echo "   supervised+chaos JSONL + metrics + trace byte-identical to the reference"
+signal_after_first_shard 0 KILL
+killed_at=$AT
+[[ "$RC" -eq 137 ]] || { echo "FAIL: worker 0 exit $RC after SIGKILL, want 137" >&2; exit 1; }
+echo "   worker 0 SIGKILLed with $killed_at shard records journaled"
+start_worker 0 --resume
 
-echo "== drain phase: SIGTERM the supervisor after ${DRAIN_AFTER_S}s"
-rm -f drain.jsonl drain_metrics.jsonl drain_trace.jsonl
-"$BENCH" --packets="$PACKETS" --threads=2 --supervise="$WORKERS" \
-  --checkpoint=drain.ckpt --json=drain.jsonl \
-  --metrics=drain_metrics.jsonl --trace=drain_trace.jsonl \
-  >/dev/null 2>drain.err &
-PID=$!
-sleep "$DRAIN_AFTER_S"
-if kill -TERM "$PID" 2>/dev/null; then
-  wait "$PID" && rc=0 || rc=$?
-  [[ "$rc" -eq "$EXIT_RESUMABLE" ]] || {
-    echo "FAIL: expected resumable exit $EXIT_RESUMABLE after SIGTERM, got $rc" >&2
-    cat drain.err >&2
+signal_after_first_shard "$TERMED" TERM
+[[ "$RC" -eq "$EXIT_RESUMABLE" ]] || {
+  echo "FAIL: worker $TERMED exit $RC after SIGTERM, want $EXIT_RESUMABLE" >&2
+  cat "w$TERMED.log" >&2
+  exit 1
+}
+echo "   worker $TERMED drained on SIGTERM (exit $EXIT_RESUMABLE) with $AT shard records"
+start_worker "$TERMED" --resume
+
+for ((i = 0; i < WORKERS; i++)); do
+  wait "${PIDS[$i]}" || { echo "FAIL: worker $i exited $?" >&2; cat "w$i.log" >&2; exit 1; }
+done
+PIDS=()
+full=$(shard_records w0.ckpt)
+(( killed_at >= 1 && killed_at < full )) || {
+  echo "FAIL: worker 0 held $killed_at of $full shard records when killed" >&2
+  exit 1
+}
+echo "   all workers done; worker 0's slice is $full shard records"
+
+echo "== offline merge"
+journals=()
+for ((i = 0; i < WORKERS; i++)); do journals+=("w$i.ckpt"); done
+"$MERGE" --out=merged.ckpt "${journals[@]}" | tee merge.out
+grep -Eq '^ +duplicates folded +0$' merge.out || {
+  echo "FAIL: the merge folded duplicate records" >&2
+  exit 1
+}
+
+echo "== publish from the merged journal"
+"$BENCH" --packets="$PACKETS" --resume=merged.ckpt --json=fleet.jsonl \
+  --metrics=fleet_metrics.jsonl --trace=fleet_trace.jsonl >/dev/null
+for stream in "" _metrics _trace; do
+  cmp "ref$stream.jsonl" "fleet$stream.jsonl" || {
+    echo "FAIL: fleet$stream.jsonl differs from the single-process reference" >&2
     exit 1
   }
-  [[ ! -f drain.jsonl ]] || { echo "FAIL: drained fleet published a JSONL" >&2; exit 1; }
-  echo "   fleet drained with resumable exit status"
-else
-  wait "$PID" || true
-  echo "   fleet finished before the drain — resume degenerates to a full replay"
-fi
+done
+echo "   JSONL + metrics + trace byte-identical to the reference"
 
-echo "== resume the drained fleet"
-"$BENCH" --packets="$PACKETS" --threads=2 --supervise="$WORKERS" \
-  --resume=drain.ckpt --json=drain.jsonl \
-  --metrics=drain_metrics.jsonl --trace=drain_trace.jsonl >/dev/null 2>&1
-cmp ref.jsonl drain.jsonl || {
-  echo "FAIL: drained+resumed fleet JSONL differs from the reference" >&2
-  exit 1
-}
-cmp ref_metrics.jsonl drain_metrics.jsonl || {
-  echo "FAIL: drained+resumed fleet metrics differ from the reference" >&2
-  exit 1
-}
-cmp ref_trace.jsonl drain_trace.jsonl || {
-  echo "FAIL: drained+resumed fleet trace differs from the reference" >&2
-  exit 1
-}
-echo "   drained+resumed fleet byte-identical to the reference"
-
-echo "PASS: supervised fleet under chaos kills and drain/resume reproduces the reference bytes"
+echo "PASS: killed, drained and resumed worker slices merge and publish the reference bytes"

@@ -38,7 +38,7 @@ struct LinkStats {
   std::size_t corrupt_input_rejected = 0;  ///< captures with NaN/Inf scrubbed
   std::size_t faults_injected = 0;  ///< fault events applied by the injector
 
-  // Campaign-orchestration taxonomy (runtime::CampaignRunner): shards that
+  // Campaign-orchestration taxonomy (runtime::ParallelLinkRunner): shards that
   // exhausted their watchdog budget and were quarantined (their packets are
   // missing from the merge — accounted, not silently lost), and shards that
   // timed out at least once but succeeded on a deterministic retry.
@@ -98,7 +98,7 @@ struct LinkStatsField {
 
 /// Every LinkStats member, in journal order. `projected` marks the
 /// per-packet counters that `run_link_shard` also adds into its metrics
-/// shard; `shard_timeout`/`shard_retried` are set by CampaignRunner after
+/// shard; `shard_timeout`/`shard_retried` are set by the runner after
 /// the merge, so they are not projected.
 inline constexpr std::array kLinkStatsFields = [] {
   const auto counter = [](const char* name, std::size_t LinkStats::* m,

@@ -121,42 +121,8 @@ const char* adapt_state_name(std::uint8_t flag) noexcept {
 
 }  // namespace
 
-namespace {
-
-struct FleetSchema {
-  MetricsRegistry registry;
-  FleetIds ids;
-};
-
-FleetSchema build_fleet_schema() {
-  FleetSchema s;
-  MetricsRegistry& r = s.registry;
-  FleetIds& id = s.ids;
-  id.worker_restarts = r.add_counter("worker_restarts");
-  id.worker_crashes = r.add_counter("worker_crashes");
-  id.worker_drains = r.add_counter("worker_drains");
-  id.workers_failed = r.add_counter("workers_failed");
-  id.shards_quarantined = r.add_counter("shards_quarantined");
-  return s;
-}
-
-const FleetSchema& fleet_schema() {
-  // Same immortality rationale as link_schema() above.
-  union Holder {
-    FleetSchema schema;
-    Holder() : schema(build_fleet_schema()) {}
-    ~Holder() {}  // never destroy schema
-  };
-  static const Holder holder;
-  return holder.schema;
-}
-
-}  // namespace
-
 const MetricsRegistry& link_registry() { return link_schema().registry; }
 const LinkIds& link_ids() { return link_schema().ids; }
-const MetricsRegistry& fleet_registry() { return fleet_schema().registry; }
-const FleetIds& fleet_ids() { return fleet_schema().ids; }
 
 void add_link_stats(MetricsShard& m, const core::LinkStats& s) {
   BHSS_REQUIRE(m.registry() == &link_registry(),

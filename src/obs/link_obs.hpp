@@ -67,24 +67,6 @@ struct LinkIds {
 /// last packet.
 void add_link_stats(MetricsShard& m, const core::LinkStats& s);
 
-/// Stable instrument ids of the fleet-supervision registry: process-level
-/// counters for `runtime::distributed::CampaignSupervisor`. Deliberately a
-/// *separate* registry from the link schema — fleet behavior (restarts,
-/// crashes, drains) is orchestration accounting, and folding it into the
-/// per-point telemetry would break the guarantee that a supervised
-/// campaign publishes byte-identical streams to a single-process run.
-struct FleetIds {
-  std::size_t worker_restarts = 0;     ///< workers respawned after crash/hang
-  std::size_t worker_crashes = 0;      ///< worker exits by signal or nonzero status
-  std::size_t worker_drains = 0;       ///< graceful worker drains (exit 75)
-  std::size_t workers_failed = 0;      ///< workers whose restart budget ran out
-  std::size_t shards_quarantined = 0;  ///< shard slots handed to the final pass
-};
-
-/// Process-wide fleet schema (built once, immortal) and its ids.
-[[nodiscard]] const MetricsRegistry& fleet_registry();
-[[nodiscard]] const FleetIds& fleet_ids();
-
 /// Borrowed telemetry hooks threaded through the receiver chain. Both
 /// pointers may be null ("off"); all instrumentation sites are null-safe
 /// and compile out entirely under -DBHSS_OBS_DISABLED.

@@ -1,175 +1,16 @@
 #pragma once
 
 /// @file campaign.hpp
-/// Resilient campaign orchestration for long Monte-Carlo sweeps.
-///
-/// A paper-scale figure regeneration is hours of simulation across many
-/// (SNR, jammer-bandwidth, hop-pattern) data points. CampaignRunner turns
-/// such a sweep into a deterministic DAG of (data-point, shard) work
-/// units, each keyed by `(point id, params hash, seed, shard)`:
-///
-///  - Completed units are journaled to a CRC-protected, fsync'd
-///    CheckpointJournal; a crashed or killed campaign resumes by replaying
-///    the journal and re-running only the missing units. Because every
-///    shard is a pure function of its seed tuple (PR 2's determinism
-///    contract), the resumed merge is bit-identical to an uninterrupted
-///    run at any thread count.
-///  - A per-shard watchdog bounds how long one shard may run. A shard
-///    that overruns is retried with exponential backoff (a deterministic
-///    retry: same seeds, same result) up to `max_attempts`, then
-///    quarantined — the campaign finishes with `shard_timeout` accounted
-///    in the merged failure taxonomy instead of hanging forever or
-///    silently dropping the loss.
-///  - SIGINT/SIGTERM request a graceful drain: in-flight shards finish
-///    and are journaled, un-started shards are skipped, and the campaign
-///    throws CampaignInterrupted so the caller can exit with a distinct
-///    "resumable" status instead of losing the session's work.
-///
-/// CampaignRunner executes shards on the same fixed-shard ThreadPool and
-/// derives seeds/packet ranges through ParallelLinkRunner, so a campaign
-/// data point and `ParallelLinkRunner::run` produce identical LinkStats
-/// for identical (SimConfig, n_shards).
+/// The checkpointed-campaign names of the one runner in
+/// parallel_link_runner.hpp. A campaign is `ParallelLinkRunner::run_point`
+/// with a CheckpointJournal attached; there is no separate class.
 
-#include <cstdint>
-#include <functional>
-#include <stdexcept>
-#include <string>
-#include <vector>
-
-#include "core/link_simulator.hpp"
-#include "runtime/checkpoint_journal.hpp"
-#include "runtime/distributed/shard_partition.hpp"
 #include "runtime/parallel_link_runner.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace bhss::runtime {
 
-/// Campaign knobs. As with RunnerOptions, `n_shards` is part of the
-/// experiment identity; everything else only changes wall time or failure
-/// handling. `partition` selects this process's slice of the shard set in
-/// a distributed fleet (shard_partition.hpp) — it is NOT part of the
-/// experiment identity either: the params hash covers `n_shards` only, so
-/// worker journals merge cleanly back into the single-process keyspace.
-struct CampaignOptions {
-  std::size_t n_threads = 0;     ///< total concurrency; 0 = hardware threads
-  std::size_t n_shards = 16;     ///< fixed shard count (>= 1)
-  double shard_timeout_s = 0.0;  ///< watchdog budget per shard attempt; 0 = off
-  std::size_t max_attempts = 3;  ///< attempts per shard before quarantine
-  double backoff_base_s = 0.05;  ///< retry backoff: base * 2^(attempt-1)
-  distributed::ShardPartition partition{};  ///< this process's shard slice
-};
-
-/// Thrown when a drain was requested (SIGINT/SIGTERM or programmatic):
-/// everything finished so far is journaled; rerun with --resume to
-/// continue. Carries no data — the journal is the state.
-class CampaignInterrupted : public std::runtime_error {
- public:
-  CampaignInterrupted() : std::runtime_error("campaign interrupted — resumable") {}
-};
-
-/// Checkpointed, watchdog-supervised drop-in for ParallelLinkRunner.
-/// One runner owns one pool; reuse it across data points.
-class CampaignRunner {
- public:
-  /// `journal` may be null (no checkpointing: behaves like
-  /// ParallelLinkRunner plus watchdog/drain). The journal must outlive
-  /// the runner.
-  explicit CampaignRunner(CampaignOptions options = {}, CheckpointJournal* journal = nullptr);
-
-  /// Simulate one data point under the campaign contract. `point_id`
-  /// must be whitespace-free and unique within the campaign; shards
-  /// already present in the journal under the same params hash are loaded
-  /// instead of re-run. Throws CampaignInterrupted on a drain request.
-  ///
-  /// With a distributing `partition`, only owned shards are simulated and
-  /// journaled; the others contribute default elements to the returned
-  /// merge, which is therefore PARTIAL — a worker's return value is shard
-  /// bookkeeping, not the data point. The canonical stats come from the
-  /// supervisor's final pass over the merged journal.
-  [[nodiscard]] core::LinkStats run_point(const std::string& point_id,
-                                          const core::SimConfig& cfg);
-
-  /// Paper §6.3 bisection with every PER probe checkpointed as its own
-  /// work unit (`<point_id>/p<n>`). The probe sequence is deterministic
-  /// because every probe's PER is, so a resumed bisection walks the same
-  /// SNR path and reuses the journaled probes.
-  ///
-  /// Refuses to run under a distributing partition: each probe's PER
-  /// would be computed from a partial shard slice, so different workers
-  /// would walk *different* bisection paths and journal same-point-id
-  /// records for different SNR configs — unmergeable by construction.
-  /// The supervisor's final pass computes bisections in-process instead.
-  [[nodiscard]] double min_snr_for_per(const std::string& point_id,
-                                       const core::SimConfig& cfg, double target_per = 0.5,
-                                       double lo_db = -10.0, double hi_db = 45.0,
-                                       double tol_db = 0.5);
-
-  /// Fingerprint of every SimConfig field that can change the merged
-  /// statistics, plus `n_shards`. Journal records carry it so a resumed
-  /// run never reuses work computed under different parameters.
-  [[nodiscard]] static std::uint64_t params_hash(const core::SimConfig& cfg,
-                                                 std::size_t n_shards) noexcept;
-
-  // -- graceful shutdown ------------------------------------------------
-  /// Route SIGINT/SIGTERM to a drain request (process-wide; call once
-  /// from main when checkpointing is active).
-  static void install_signal_handlers() noexcept;
-  /// Programmatic drain request — what the signal handler calls, exposed
-  /// for tests and embedders.
-  static void request_interrupt() noexcept;
-  static void clear_interrupt() noexcept;  ///< reset between tests
-  [[nodiscard]] static bool interrupt_requested() noexcept;
-
-  /// Timed-out shard threads are parked in a process-wide registry rather
-  /// than detached; this blocks until every parked thread has finished.
-  /// For tests and orderly embedders that tear down state a runaway shard
-  /// may still be reading. Production exit paths should NOT call it — a
-  /// genuinely hung shard is exactly what must not block exit.
-  static void join_abandoned_threads();
-
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
-  [[nodiscard]] std::size_t shards() const noexcept { return options_.n_shards; }
-  [[nodiscard]] CheckpointJournal* journal() const noexcept { return journal_; }
-
-  /// Test-only fault hook, run inside every shard attempt before the
-  /// simulation: (shard index, attempt index). A hook that sleeps past
-  /// the watchdog budget simulates a hung shard.
-  std::function<void(std::size_t, std::size_t)> shard_hook;
-
-  /// Invoked (outside the journal lock) each time a shard's result has
-  /// been durably journaled, with the shard index. The chaos harness's
-  /// `--chaos-kill-after-shards=K` counts journaled shards here and
-  /// SIGKILLs the worker at a scripted point — after the fsync, so the
-  /// journal the respawn resumes from provably contains the work.
-  std::function<void(std::size_t)> shard_journaled_hook;
-
-  /// Telemetry consumer. When set, every run_point collects per-shard
-  /// telemetry (metrics + traces) and invokes the sink after the merge —
-  /// including for points satisfied entirely from the journal, whose
-  /// bundles are rebuilt from `O` records. A journaled shard *without* an
-  /// `O` record (it ran before telemetry was requested) is re-run — a
-  /// deterministic replay, so its stats are unchanged. Quarantined shards
-  /// contribute a default bundle at their index, mirroring their
-  /// default-constructed LinkStats. Arguments: (point id, config, merged
-  /// stats, per-shard bundles in ascending shard order).
-  std::function<void(const std::string&, const core::SimConfig&, const core::LinkStats&,
-                     const std::vector<obs::ShardTelemetry>&)>
-      telemetry_sink;
-
- private:
-  void execute_pooled(const JournalKey& key, const core::SimConfig& cfg,
-                      const std::vector<std::size_t>& pending,
-                      std::vector<core::LinkStats>& slots,
-                      std::vector<obs::ShardTelemetry>* telemetry);
-  void execute_watchdogged(const JournalKey& key, const core::SimConfig& cfg,
-                           std::vector<std::size_t> pending,
-                           std::vector<core::LinkStats>& slots,
-                           std::vector<obs::ShardTelemetry>* telemetry,
-                           std::size_t& retried_shards, std::size_t& quarantined_shards);
-
-  CampaignOptions options_;
-  ThreadPool pool_;
-  CheckpointJournal* journal_;
-};
+// Campaign code reads better with these names; they are the same types.
+using CampaignRunner = ParallelLinkRunner;
+using CampaignOptions = RunnerOptions;
 
 }  // namespace bhss::runtime

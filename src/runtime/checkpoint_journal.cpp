@@ -27,6 +27,12 @@ std::string point_key(const JournalKey& key) {
   return key.point_id + buf;
 }
 
+void require_point_id(const JournalKey& key) {
+  BHSS_REQUIRE(journal::valid_point_id(key.point_id),
+               "CheckpointJournal: point id must be non-empty, whitespace-free and at most "
+               "journal::kMaxPointIdLength bytes");
+}
+
 }  // namespace
 
 JournalWriteError::JournalWriteError(const std::string& what)
@@ -83,27 +89,35 @@ void CheckpointJournal::load_existing(const std::string& figure_id, int schema_v
   std::ifstream in(path_, std::ios::binary);
   if (!in) throw std::runtime_error("CheckpointJournal: cannot read " + path_);
 
+  const auto refuse_format = [this](int version) {
+    throw std::runtime_error("CheckpointJournal: " + path_ + " uses journal format v" +
+                             std::to_string(version) + ", this build reads v" +
+                             std::to_string(journal::kFormatVersion) +
+                             " — start a fresh checkpoint");
+  };
+
   std::string line;
   std::size_t valid_end = 0;  // byte offset just past the last valid record
   bool saw_header = false;
   while (std::getline(in, line)) {
-    // getline strips the '\n'; a final line at EOF without one is a torn
-    // append and never validates (the CRC tail would be incomplete).
-    const bool had_newline = !in.eof();
+    // getline strips the '\n'. A final line without one is a torn append
+    // even when its CRC checks out (the cut fell just before the newline):
+    // keeping it would glue the next append onto the same line.
+    if (in.eof()) break;
     std::string body;
-    if (!journal::unseal_line(line, body)) break;
+    if (!journal::unseal_line(line, body)) {
+      if (const int version = saw_header ? 0 : journal::foreign_format_version(line)) {
+        refuse_format(version);
+      }
+      break;
+    }
 
     if (!saw_header) {
       journal::Header header;
       if (!journal::parse_header(body, header)) {
         throw std::runtime_error("CheckpointJournal: " + path_ + " has no valid header");
       }
-      if (header.format_version != journal::kFormatVersion) {
-        throw std::runtime_error("CheckpointJournal: " + path_ + " uses journal format v" +
-                                 std::to_string(header.format_version) +
-                                 ", this build writes v" +
-                                 std::to_string(journal::kFormatVersion));
-      }
+      if (header.format_version != journal::kFormatVersion) refuse_format(header.format_version);
       if (header.schema_version != schema_version) {
         throw std::runtime_error(
             "CheckpointJournal: " + path_ + " was written with schema_version " +
@@ -117,38 +131,25 @@ void CheckpointJournal::load_existing(const std::string& figure_id, int schema_v
       }
       saw_header = true;
     } else {
-      char point[192] = {0};
-      std::uint64_t hash = 0;
-      std::size_t shard = 0;
-      int consumed = 0;
-      if (std::sscanf(body.c_str(), "S %191s %" SCNx64 " %zu %n", point, &hash, &shard,
-                      &consumed) == 3) {
+      journal::RecordHead head;
+      if (!journal::parse_record_head(body, head)) break;  // unknown kind: a torn tail
+      const JournalKey key{head.point, head.params_hash};
+      const char* payload = body.c_str() + head.payload;
+      if (head.kind == 'S') {
         core::LinkStats stats;
-        if (!journal::parse_stats(body.c_str() + consumed, stats)) break;
-        shards_[shard_key({point, hash}, shard)] = stats;
-      } else if (std::sscanf(body.c_str(), "O %191s %" SCNx64 " %zu %n", point, &hash,
-                             &shard, &consumed) == 3) {
-        shard_obs_[shard_key({point, hash}, shard)] =
-            body.substr(static_cast<std::size_t>(consumed));
-      } else if (std::size_t attempts = 0;
-                 std::sscanf(body.c_str(), "Q %191s %" SCNx64 " %zu %zu", point, &hash,
-                             &shard, &attempts) == 4) {
-        quarantined_[shard_key({point, hash}, shard)] = attempts;
-      } else if (std::sscanf(body.c_str(), "P %191s %" SCNx64 " %n", point, &hash,
-                             &consumed) == 2) {
-        points_[point_key({point, hash})] = body.substr(static_cast<std::size_t>(consumed));
-      } else if (body.size() >= 2 && body[0] == 'H' && body[1] == ' ') {
-        // Worker heartbeat: liveness breadcrumbs for the process-level
-        // supervisor. Carries no campaign state — skipped on replay (and
-        // dropped entirely by journal-merge), but it is a *valid* record:
-        // the scan continues past it instead of truncating.
+        if (!journal::parse_stats(payload, stats)) break;
+        shards_[shard_key(key, head.shard)] = stats;
+      } else if (head.kind == 'O') {
+        shard_obs_[shard_key(key, head.shard)] = payload;
+      } else if (std::size_t attempts = 0; head.kind == 'Q') {
+        if (std::sscanf(payload, "%zu", &attempts) != 1) break;
+        quarantined_[shard_key(key, head.shard)] = attempts;
       } else {
-        break;  // unknown record kind: treat like a torn tail, drop the rest
+        points_[point_key(key)] = payload;
       }
       ++replayed_;
     }
-    valid_end += line.size() + (had_newline ? 1 : 0);
-    if (!had_newline) break;
+    valid_end += line.size() + 1;
   }
 
   if (!saw_header) {
@@ -240,6 +241,7 @@ void CheckpointJournal::append_line(const std::string& body) {
 void CheckpointJournal::record_shard(const JournalKey& key, std::size_t shard,
                                      const core::LinkStats& stats,
                                      const std::string* obs_blob) {
+  require_point_id(key);
   const std::lock_guard<std::mutex> lock(mutex_);
   char prefix[280];
   if (obs_blob != nullptr) {
@@ -260,6 +262,7 @@ void CheckpointJournal::record_shard(const JournalKey& key, std::size_t shard,
 
 void CheckpointJournal::record_quarantine(const JournalKey& key, std::size_t shard,
                                           std::size_t attempts) {
+  require_point_id(key);
   const std::lock_guard<std::mutex> lock(mutex_);
   char body[320];
   std::snprintf(body, sizeof(body), "Q %s %016" PRIx64 " %zu %zu", key.point_id.c_str(),
@@ -269,6 +272,7 @@ void CheckpointJournal::record_quarantine(const JournalKey& key, std::size_t sha
 }
 
 void CheckpointJournal::record_point(const JournalKey& key, const std::string& payload) {
+  require_point_id(key);
   BHSS_REQUIRE(payload.find('\n') == std::string::npos,
                "CheckpointJournal: point payload must be newline-free");
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -277,13 +281,6 @@ void CheckpointJournal::record_point(const JournalKey& key, const std::string& p
                 key.params_hash);
   append_line(prefix + payload);
   points_[point_key(key)] = payload;
-}
-
-void CheckpointJournal::record_heartbeat(std::size_t worker_id, std::size_t sequence) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  char body[96];
-  std::snprintf(body, sizeof(body), "H %zu %zu", worker_id, sequence);
-  append_line(body);
 }
 
 void CheckpointJournal::flush() {

@@ -9,25 +9,22 @@
 /// journal records every completed (data-point, shard) work unit of a
 /// campaign as one CRC-protected line in an append-only file:
 ///
-///   bhss-journal v1 schema=<n> figure=<id> git=<sha> crc=XXXX
-///   S <point> <params-hash> <shard> <LinkStats fields...> crc=XXXX
-///   O <point> <params-hash> <shard> <telemetry blob...> crc=XXXX
-///   Q <point> <params-hash> <shard> <attempts> crc=XXXX
-///   P <point> <params-hash> <payload...> crc=XXXX
-///   H <worker-id> <sequence> crc=XXXX
+///   bhss-journal v2 schema=<n> figure=<id> git=<sha> crc=XXXXXXXX
+///   S <point> <params-hash> <shard> <LinkStats fields...> crc=XXXXXXXX
+///   O <point> <params-hash> <shard> <telemetry blob...> crc=XXXXXXXX
+///   Q <point> <params-hash> <shard> <attempts> crc=XXXXXXXX
+///   P <point> <params-hash> <payload...> crc=XXXXXXXX
 ///
 /// `S` journals the bit-exact statistics of one finished simulation shard
 /// (doubles stored as IEEE-754 bit patterns, so replay merges to the same
 /// bits), `O` the shard's serialized telemetry when the campaign records
 /// it (written immediately before its `S` line, so a journaled shard with
 /// no blob can only mean telemetry was off), `Q` quarantines a shard the
-/// watchdog gave up on, `P` stores the published JSONL record of a
-/// completed data point verbatim, and `H` is a worker heartbeat — a
-/// liveness breadcrumb for the process-level supervisor that carries no
-/// campaign state (skipped on replay, dropped by journal-merge). Binaries
-/// predating a record kind treat such a line as a torn tail; the bench
-/// schema_version is bumped alongside format additions so mixed-schema
-/// resumes are rejected up front.
+/// watchdog gave up on, and `P` stores the published JSONL record of a
+/// completed data point verbatim. A line of unknown kind ends the replay
+/// like a torn tail; the bench schema_version and the header's format
+/// version are bumped alongside format changes so mixed-format resumes
+/// are rejected up front.
 ///
 /// Durability contract:
 ///  - The file is *created* by writing the header to `<path>.tmp`,
@@ -36,8 +33,9 @@
 ///  - Every appended record is flushed and fsync'd before the append call
 ///    returns: once a work unit is reported done, it survives SIGKILL.
 ///  - A torn tail (the crash landed mid-write) is detected by the per-line
-///    CRC-16 on load; the valid prefix is kept and the file is truncated
-///    back to it before appending resumes.
+///    CRC-32 on load, or by a last line missing its newline; the valid
+///    prefix is kept and the file is truncated back to it before
+///    appending resumes.
 ///
 /// Keys are `(point id, params hash)`: a record whose params hash does not
 /// match the current configuration is ignored on lookup, so editing a
@@ -65,10 +63,11 @@ class JournalWriteError : public std::runtime_error {
   explicit JournalWriteError(const std::string& what);
 };
 
-/// Identity of one data point inside a campaign. `point_id` must be
-/// whitespace-free (it is a token in the journal's line format);
+/// Identity of one data point inside a campaign. `point_id` must be a
+/// valid token of the journal's line format (journal::valid_point_id:
+/// non-empty, whitespace-free, at most journal::kMaxPointIdLength bytes);
 /// `params_hash` fingerprints every simulation parameter that can change
-/// the result (see CampaignRunner::params_hash).
+/// the result (see ParallelLinkRunner::params_hash).
 struct JournalKey {
   std::string point_id;
   std::uint64_t params_hash = 0;
@@ -78,10 +77,6 @@ struct JournalKey {
 /// thread-safe (worker shards report completion concurrently) and fsync'd.
 class CheckpointJournal {
  public:
-  /// Journal line-format version. Bump when the record layout changes;
-  /// a resumed journal with a different version is rejected.
-  static constexpr int kFormatVersion = 1;
-
   CheckpointJournal() = default;
   ~CheckpointJournal();
   CheckpointJournal(const CheckpointJournal&) = delete;
@@ -127,6 +122,9 @@ class CheckpointJournal {
 
   // -- appends (thread-safe, fsync'd before return) --
 
+  /// Every writer BHSS_REQUIREs a valid `key.point_id` (see JournalKey):
+  /// a record the reader could not parse back would end the replay there.
+  ///
   /// `obs_blob` (optional) is the shard's serialized telemetry
   /// (obs::serialize_telemetry); when present its `O` line is written
   /// *before* the `S` line under one lock, so a crash between the two
@@ -138,11 +136,6 @@ class CheckpointJournal {
   /// stores the final stamped JSONL record so resume republishes the
   /// exact bytes).
   void record_point(const JournalKey& key, const std::string& payload);
-
-  /// Append a worker liveness heartbeat (`H` record). The supervisor
-  /// watches the journal grow to distinguish a slow shard from a hung
-  /// worker; heartbeats carry no campaign state and are skipped on replay.
-  void record_heartbeat(std::size_t worker_id, std::size_t sequence);
 
   /// Test hook: fail appends as if the disk filled after `bytes` more
   /// bytes reach the file. The partial line that fits is really written

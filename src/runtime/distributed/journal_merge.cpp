@@ -39,37 +39,24 @@ struct Record {
 struct ParsedInput {
   journal::Header header;
   std::vector<std::pair<RecordKey, Record>> records;
-  std::size_t heartbeats = 0;
   bool torn = false;
 };
 
-// Split one record body into its canonical key. Returns false for
-// heartbeats (dropped) ; throws for bodies that unsealed cleanly but make
-// no sense as any known record kind (a valid CRC guarantees the bytes are
-// what was written, so this is a foreign or future-format file, not rot).
-bool classify(const std::string& body, const std::string& path, RecordKey& key) {
-  char point[192] = {0};
-  std::uint64_t hash = 0;
-  std::size_t shard = 0;
-  if (std::sscanf(body.c_str(), "S %191s %" SCNx64 " %zu", point, &hash, &shard) == 3) {
-    key = {point, hash, shard, kStats};
-    return true;
+// Split one record body into its canonical key. Throws for bodies that
+// unsealed cleanly but make no sense as any known record kind (a valid
+// CRC guarantees the bytes are what was written, so this is a foreign or
+// future-format file, not rot).
+RecordKey classify(const std::string& body, const std::string& path) {
+  journal::RecordHead head;
+  if (!journal::parse_record_head(body, head)) {
+    throw JournalMergeError("unknown record kind in " + path + ": '" + body.substr(0, 32) +
+                            "...'");
   }
-  if (std::sscanf(body.c_str(), "O %191s %" SCNx64 " %zu", point, &hash, &shard) == 3) {
-    key = {point, hash, shard, kObs};
-    return true;
-  }
-  if (std::sscanf(body.c_str(), "Q %191s %" SCNx64 " %zu", point, &hash, &shard) == 3) {
-    key = {point, hash, shard, kQuarantine};
-    return true;
-  }
-  if (std::sscanf(body.c_str(), "P %191s %" SCNx64, point, &hash) == 2) {
-    key = {point, hash, 0, kPoint};
-    return true;
-  }
-  if (body.size() >= 2 && body[0] == 'H' && body[1] == ' ') return false;
-  throw JournalMergeError("unknown record kind in " + path + ": '" +
-                          body.substr(0, 32) + "...'");
+  const int rank = head.kind == 'O'   ? kObs
+                   : head.kind == 'S' ? kStats
+                   : head.kind == 'Q' ? kQuarantine
+                                      : kPoint;
+  return {head.point, head.params_hash, head.shard, rank};
 }
 
 // Read one journal: verify the header, collect the valid CRC prefix and
@@ -87,9 +74,14 @@ ParsedInput read_journal(const std::string& path) {
     const bool had_newline = !in.eof();
     std::string body;
     if (!journal::unseal_line(line, body) || !had_newline) {
+      if (const int version = saw_header ? 0 : journal::foreign_format_version(line)) {
+        throw JournalMergeError(path + " uses journal format v" + std::to_string(version) +
+                                ", this build reads v" +
+                                std::to_string(journal::kFormatVersion));
+      }
       // A final line without its newline is a torn append even when the
       // CRC happens to validate (the write was cut mid-line).
-      clean_end = journal::unseal_line(line, body) && had_newline;
+      clean_end = false;
       break;
     }
     if (!saw_header) {
@@ -99,12 +91,7 @@ ParsedInput read_journal(const std::string& path) {
       saw_header = true;
       continue;
     }
-    RecordKey key;
-    if (!classify(body, path, key)) {
-      ++parsed.heartbeats;
-      continue;
-    }
-    parsed.records.emplace_back(key, Record{body, 0, false});
+    parsed.records.emplace_back(classify(body, path), Record{body, 0, false});
   }
   if (!saw_header) throw JournalMergeError(path + " has no valid journal header");
   parsed.torn = !clean_end || in.peek() != std::ifstream::traits_type::eof();
@@ -129,8 +116,7 @@ void require_same_header(const journal::Header& ref, const journal::Header& got,
   }
   if (got.build_sha != ref.build_sha) {
     throw JournalMergeError("build mismatch: " + path + " was written by git=" +
-                            got.build_sha + ", " + ref_path + " by git=" + got.build_sha +
-                            " vs " + ref.build_sha +
+                            got.build_sha + ", " + ref_path + " by git=" + ref.build_sha +
                             " — cross-binary determinism is not guaranteed");
   }
 }
@@ -154,7 +140,6 @@ MergeReport merge_journals(const std::vector<std::string>& inputs,
     ParsedInput parsed = read_journal(path);
     ++report.inputs;
     if (parsed.torn) ++report.torn_tails;
-    report.heartbeats_dropped += parsed.heartbeats;
     if (ref_path.empty()) {
       ref_path = path;
       ref_header = parsed.header;
@@ -188,8 +173,8 @@ MergeReport merge_journals(const std::vector<std::string>& inputs,
             std::to_string(key.shard) + " (" + path +
             " disagrees with an earlier input) — shards must replay to identical bytes");
       }
-      // Identical bytes. Within one journal (or against the supervisor's
-      // base journal) that is a benign deterministic replay; across two
+      // Identical bytes. Within one journal (or against the base
+      // journal) that is a benign deterministic replay; across two
       // *worker* journals it means two workers claimed the same shard —
       // the partition was violated even though the results agree.
       const bool same_worker_file = !it->second.from_base && !record.from_base &&

@@ -3,12 +3,13 @@
 /// @file journal_merge.hpp
 /// Fold N worker checkpoint journals into one canonical journal.
 ///
-/// A distributed campaign leaves one journal per worker process
-/// (`<base>.w<i>`), each holding the S/O/Q records of the shards that
+/// A campaign split across worker processes (`--worker-id=I
+/// --n-workers=N`, launched by hand on one or many hosts) leaves one
+/// journal per worker, each holding the S/O/Q records of the shards that
 /// worker owns under the mod partition (shard_partition.hpp). The merge
-/// folds them back into a single journal the supervisor resumes from,
-/// under the same contract `merge_point_results` enforces for in-process
-/// shard merging:
+/// folds them back into a single journal that an ordinary `--resume`
+/// publish pass replays, under the same contract `merge_point_results`
+/// enforces for in-process shard merging:
 ///
 ///  - Canonical record order: ascending (point id, params hash, shard),
 ///    with a shard's `O` line immediately before its `S` line — the byte
@@ -23,17 +24,17 @@
 ///    payload means non-deterministic recomputation and rejects.
 ///  - Config coherence: all inputs must carry identical headers (format,
 ///    schema, figure, build sha), and one point id must map to one params
-///    hash across the whole fleet — workers that ran different configs
-///    cannot be silently folded.
+///    hash across all inputs — workers that ran different configs cannot
+///    be silently folded. Journals of another line-format version are
+///    refused by name.
 ///  - Torn tails: each input's valid CRC prefix is used and the torn
 ///    remainder counted, exactly like a single-journal resume.
-///  - Heartbeats (`H`) are worker-local liveness and are dropped.
 ///
-/// `base` (optional) is the supervisor's own journal from a previous
-/// supervised run: its records are folded in too, but a worker record
-/// that *equals* a base record is fine (workers deterministically
-/// recompute shards they cannot see in the base journal) — only a
-/// payload conflict rejects.
+/// `base` (optional) is an earlier journal of the same campaign (a
+/// previous merge, or a single-process run): its records are folded in
+/// too, but a worker record that *equals* a base record is fine (workers
+/// deterministically recompute shards they cannot see in the base
+/// journal) — only a payload conflict rejects.
 
 #include <cstdint>
 #include <stdexcept>
@@ -50,21 +51,19 @@ class JournalMergeError : public std::runtime_error {
       : std::runtime_error("journal-merge: " + what) {}
 };
 
-/// What one merge did — for the tools binary's report and the
-/// supervisor's fleet accounting.
+/// What one merge did — the tools binary's report.
 struct MergeReport {
   std::size_t inputs = 0;             ///< journals read (including `base`)
   std::size_t shard_records = 0;      ///< S records in the output
   std::size_t obs_records = 0;        ///< O records in the output
   std::size_t quarantine_records = 0; ///< Q records in the output
   std::size_t point_records = 0;      ///< P records in the output
-  std::size_t heartbeats_dropped = 0; ///< H records dropped (worker-local)
   std::size_t duplicates_folded = 0;  ///< benign exact duplicates removed
   std::size_t torn_tails = 0;         ///< inputs whose tail was torn
 };
 
-/// Merge `inputs` (worker journals, any order) plus optional `base` (the
-/// supervisor's previous journal, "" = none) into a fresh journal at
+/// Merge `inputs` (worker journals, any order) plus optional `base` (an
+/// earlier journal of the campaign, "" = none) into a fresh journal at
 /// `out_path`. The output is written to `<out_path>.tmp` and atomically
 /// renamed, so a crash mid-merge never leaves a half-merged journal at
 /// the published path. Throws JournalMergeError on any contract

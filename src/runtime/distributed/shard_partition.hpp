@@ -3,9 +3,9 @@
 /// @file shard_partition.hpp
 /// Deterministic shard → worker assignment for distributed campaigns.
 ///
-/// A fleet of worker processes splits one campaign by *shard*, not by
-/// data point: every worker walks the identical point sequence (the
-/// sweep loop is deterministic) but simulates only the shards it owns.
+/// Worker processes split one campaign by *shard*, not by data point:
+/// every worker walks the identical point sequence (the sweep loop is
+/// deterministic) but simulates only the shards it owns.
 /// Ownership is a pure function of (shard, n_workers) — a mod partition:
 ///
 ///   owner(shard) = shard % n_workers
@@ -15,9 +15,8 @@
 /// shard exactly once. The partition deliberately does NOT depend on the
 /// point id or params hash: per-shard cost is roughly uniform (packets
 /// split evenly across shards), and a shard-index stripe keeps each
-/// worker's slice interleaved so a quarantined worker range maps to a
-/// predictable comb of shard indices rather than a contiguous block of
-/// one point.
+/// worker's slice interleaved, a predictable comb of shard indices
+/// rather than a contiguous block of one point.
 ///
 /// The merged result stays a pure function of (SimConfig, n_shards):
 /// workers journal per-shard LinkStats under the same keys a
@@ -31,35 +30,24 @@
 
 namespace bhss::runtime::distributed {
 
-/// One worker's identity inside a fleet. Default-constructed = "not
+/// One worker's identity among `n_workers`. Default-constructed = "not
 /// distributed": the single process owns every shard.
 struct ShardPartition {
   std::size_t worker_id = 0;  ///< in [0, n_workers)
-  std::size_t n_workers = 1;  ///< fleet size (>= 1)
+  std::size_t n_workers = 1;  ///< number of workers (>= 1)
 
   /// True when this process owns `shard` under the mod partition.
   [[nodiscard]] constexpr bool owns(std::size_t shard) const noexcept {
     return n_workers <= 1 || shard % n_workers == worker_id;
   }
 
-  /// True when this identity actually splits work (fleet of >= 2).
+  /// True when this identity actually splits work (>= 2 workers).
   [[nodiscard]] constexpr bool distributed() const noexcept { return n_workers > 1; }
 
-  /// Number of shards this worker owns out of `n_shards` total.
-  [[nodiscard]] constexpr std::size_t owned_count(std::size_t n_shards) const noexcept {
-    if (n_workers <= 1) return n_shards;
-    return n_shards / n_workers + (shard_of_rank(n_shards) ? 1U : 0U);
-  }
-
-  /// Validate the identity (worker_id must index into the fleet).
+  /// Validate the identity (worker_id must be < n_workers).
   void validate() const {
     BHSS_REQUIRE(n_workers >= 1, "ShardPartition: n_workers must be >= 1");
     BHSS_REQUIRE(worker_id < n_workers, "ShardPartition: worker_id must be < n_workers");
-  }
-
- private:
-  [[nodiscard]] constexpr bool shard_of_rank(std::size_t n_shards) const noexcept {
-    return worker_id < n_shards % n_workers;
   }
 };
 

@@ -3,35 +3,46 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <span>
 #include <string_view>
 #include <system_error>
 
 #include "core/contracts.hpp"
-#include "phy/crc16.hpp"
 
 namespace bhss::runtime::journal {
 
-std::uint16_t line_crc(const std::string& body) {
-  return phy::crc16_ccitt(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(body.data()), body.size()));
+bool valid_point_id(const std::string& id) noexcept {
+  return !id.empty() && id.size() <= kMaxPointIdLength &&
+         id.find_first_of(" \t\n\r\v\f") == std::string::npos;
+}
+
+std::uint32_t line_crc(const std::string& body) {
+  // Bitwise, like phy::crc16_ccitt: eight shift/xor steps per byte.
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (const char ch : body) {
+    crc ^= static_cast<std::uint8_t>(ch);
+    for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ (0xEDB88320U & (0U - (crc & 1U)));
+  }
+  return ~crc;
 }
 
 std::string seal_line(const std::string& body) {
   char tail[16];
-  std::snprintf(tail, sizeof(tail), " crc=%04X", line_crc(body));
+  std::snprintf(tail, sizeof(tail), " crc=%08" PRIX32, line_crc(body));
   return body + tail;
 }
 
 bool unseal_line(const std::string& line, std::string& body) {
-  static constexpr std::size_t kTail = 9;  // " crc=XXXX"
+  static constexpr std::size_t kDigits = 8;
+  static constexpr std::size_t kTail = 5 + kDigits;  // " crc=XXXXXXXX"
   if (line.size() < kTail) return false;
   const std::size_t split = line.size() - kTail;
   if (line.compare(split, 5, " crc=") != 0) return false;
-  unsigned crc = 0;
-  if (std::sscanf(line.c_str() + split + 5, "%4x", &crc) != 1) return false;
+  const char* digits = line.data() + split + 5;
+  std::uint32_t crc = 0;
+  const auto [end, ec] = std::from_chars(digits, digits + kDigits, crc, 16);
+  if (ec != std::errc{} || end != digits + kDigits) return false;
   body = line.substr(0, split);
-  return line_crc(body) == static_cast<std::uint16_t>(crc);
+  return line_crc(body) == crc;
 }
 
 std::string format_header(int schema_version, const std::string& figure_id,
@@ -56,6 +67,46 @@ bool parse_header(const std::string& body, Header& out) {
   out.schema_version = schema;
   out.figure_id = figure;
   out.build_sha = git;
+  return true;
+}
+
+int foreign_format_version(const std::string& line) {
+  // A header's fields come before its CRC tail, so an older format's
+  // header line parses without being unsealed.
+  Header header;
+  if (!parse_header(line, header) || header.format_version == kFormatVersion) return 0;
+  return header.format_version;
+}
+
+bool parse_record_head(const std::string& body, RecordHead& out) {
+  // " %191s%n": the point-id conversion, its width tied to
+  // kMaxPointIdLength so the reader accepts every id a writer accepts.
+  static const std::string kPointConversion =
+      " %" + std::to_string(kMaxPointIdLength) + "s%n";
+  if (body.size() < 2 || body[1] != ' ') return false;
+  const char kind = body[0];
+  const bool has_shard = kind == 'S' || kind == 'O' || kind == 'Q';
+  if (!has_shard && kind != 'P') return false;
+
+  char point[kMaxPointIdLength + 1] = {0};
+  int consumed = 0;
+  if (std::sscanf(body.c_str() + 1, kPointConversion.c_str(), point, &consumed) != 1) {
+    return false;
+  }
+  // A longer id stops the conversion mid-token: the id must end at a
+  // separator, or the rest of it would be read as the hash.
+  const std::size_t at = 1 + static_cast<std::size_t>(consumed);
+  if (at >= body.size() || body[at] != ' ') return false;
+
+  std::uint64_t hash = 0;
+  std::size_t shard = 0;
+  int rest = 0;
+  const bool ok =
+      has_shard
+          ? std::sscanf(body.c_str() + at, " %" SCNx64 " %zu %n", &hash, &shard, &rest) == 2
+          : std::sscanf(body.c_str() + at, " %" SCNx64 " %n", &hash, &rest) == 1;
+  if (!ok) return false;
+  out = {kind, point, hash, shard, at + static_cast<std::size_t>(rest)};
   return true;
 }
 

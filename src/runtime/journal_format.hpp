@@ -6,16 +6,20 @@
 /// `journal-merge` fold (src/runtime/distributed) and the tools/ binary —
 /// reads and writes exactly the same sealed lines. One line is
 ///
-///   <body> crc=XXXX
+///   <body> crc=XXXXXXXX
 ///
-/// with the CRC-16/CCITT over the body bytes. The header body is
+/// with the CRC-32 (IEEE) over the body bytes. The header body is
 ///
 ///   bhss-journal v<fmt> schema=<n> figure=<id> git=<sha>
 ///
-/// and record bodies start with a one-letter kind (S/O/Q/P/H — see
+/// and record bodies start with a one-letter kind (S/O/Q/P — see
 /// checkpoint_journal.hpp). LinkStats travel as space-separated tokens
 /// with doubles as IEEE-754 bit patterns, so replaying a journal merges
 /// to the same bits as the uninterrupted run.
+///
+/// Format v1 sealed lines with a CRC-16 (" crc=XXXX"), which lets about
+/// one random corruption in 65 536 through; v2 moved to CRC-32. A v1
+/// journal is refused, not converted.
 
 #include <cstdint>
 #include <string>
@@ -26,16 +30,27 @@ namespace bhss::runtime::journal {
 
 /// Journal line-format version. Bump when the sealed-line layout changes;
 /// a resumed or merged journal with a different version is rejected.
-inline constexpr int kFormatVersion = 1;
+inline constexpr int kFormatVersion = 2;
 
-/// CRC-16/CCITT over the body bytes (what the " crc=XXXX" tail seals).
-[[nodiscard]] std::uint16_t line_crc(const std::string& body);
+/// Longest point id a record may carry. The writers reject longer ids and
+/// the record reader's sscanf width is derived from it, so whatever is
+/// written reads back whole.
+inline constexpr std::size_t kMaxPointIdLength = 191;
 
-/// "<body> crc=XXXX" with the CRC over the body bytes.
+/// True when `id` can be a record's point-id token: non-empty, at most
+/// kMaxPointIdLength bytes, no whitespace.
+[[nodiscard]] bool valid_point_id(const std::string& id) noexcept;
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, init and final
+/// xor 0xFFFFFFFF) over the body bytes — what the " crc=XXXXXXXX" tail
+/// seals. Check value: "123456789" -> 0xCBF43926.
+[[nodiscard]] std::uint32_t line_crc(const std::string& body);
+
+/// "<body> crc=XXXXXXXX" with the CRC over the body bytes.
 [[nodiscard]] std::string seal_line(const std::string& body);
 
-/// Strip and verify the trailing " crc=XXXX"; returns false on any
-/// mismatch (torn write, bit rot, manual edit).
+/// Strip and verify the trailing " crc=XXXXXXXX"; returns false on any
+/// mismatch (torn write, bit rot, manual edit, older format).
 [[nodiscard]] bool unseal_line(const std::string& line, std::string& body);
 
 /// Parsed journal header line.
@@ -53,6 +68,30 @@ struct Header {
 /// Parse an unsealed header body; returns false when it is not a journal
 /// header at all (wrong magic / missing fields).
 [[nodiscard]] bool parse_header(const std::string& body, Header& out);
+
+/// The first line of a journal that failed to unseal, read as a header of
+/// another format version: returns that version when the line parses as
+/// a header whose version differs from kFormatVersion, and 0 otherwise.
+/// Lets both readers refuse an older journal by name instead of calling
+/// it headerless.
+[[nodiscard]] int foreign_format_version(const std::string& line);
+
+/// The fixed head of a record body: `<kind> <point> <hash> [<shard>]`.
+/// `S`, `O` and `Q` records carry a shard; `P` records do not (shard 0).
+/// `payload` is the offset of what follows the head (stats tokens,
+/// telemetry blob, attempt count or published record).
+struct RecordHead {
+  char kind = 0;
+  std::string point;
+  std::uint64_t params_hash = 0;
+  std::size_t shard = 0;
+  std::size_t payload = 0;
+};
+
+/// Split a record body into its head. Returns false for an unknown kind
+/// or a malformed head, including a point id longer than
+/// kMaxPointIdLength.
+[[nodiscard]] bool parse_record_head(const std::string& body, RecordHead& out);
 
 /// One space-separated token per `core::kLinkStatsFields` row, in table
 /// order: counters in decimal, doubles as their IEEE-754 bit patterns in

@@ -1,6 +1,6 @@
 // Tests for the campaign orchestration layer: CheckpointJournal
-// round-trips (bit-exact stats, CRC rejection, torn-tail truncation,
-// header validation), CampaignRunner kill-and-resume determinism at 1 and
+// round-trips (bit-exact stats, CRC-32 sealing and rejection, torn-tail
+// truncation, header validation, point-id length), CampaignRunner kill-and-resume determinism at 1 and
 // 8 threads, the per-shard watchdog (retry then quarantine), the graceful
 // drain protocol, merge_link_stats degenerate inputs, the journal's strict
 // stats parser under hostile tokens, and per-field coverage of the
@@ -232,6 +232,47 @@ TEST(JournalFormat, ParseStatsRejectsHostileTokens) {
   EXPECT_TRUE(rejected(""));
   // 2^64 - 1 is the largest count and still parses.
   EXPECT_FALSE(rejected(with_token(good, 0, "18446744073709551615")));
+}
+
+TEST(JournalFormat, LinesAreSealedWithCrc32) {
+  EXPECT_EQ(journal::line_crc("123456789"), 0xCBF43926U);  // CRC-32/IEEE check value
+  EXPECT_EQ(journal::seal_line("123456789"), "123456789 crc=CBF43926");
+  std::string body;
+  EXPECT_TRUE(journal::unseal_line("123456789 crc=CBF43926", body));
+  EXPECT_EQ(body, "123456789");
+  EXPECT_FALSE(journal::unseal_line("123456789 crc=CBF43927", body));  // wrong CRC
+  EXPECT_FALSE(journal::unseal_line("12345678 crc=CBF43926", body));   // wrong body
+  EXPECT_FALSE(journal::unseal_line("123456789 crc=+BF43926", body));  // not hex
+  EXPECT_FALSE(journal::unseal_line("123456789 crc=29B1", body));      // a v1 tail
+}
+
+TEST(CheckpointJournal, LongPointIdsAreRejectedAtTheWriter) {
+  const std::string path = temp_path("longid");
+  std::remove(path.c_str());
+  const std::string longest(journal::kMaxPointIdLength, 'a');
+  const std::string too_long(journal::kMaxPointIdLength + 9, 'a');
+  {
+    CheckpointJournal journal;
+    journal.open(path, "unit", 2, "abc123", false);
+    journal.record_shard({"before", 1}, 0, salted_stats(0));
+    EXPECT_THROW(journal.record_shard({too_long, 1}, 0, salted_stats(1)), std::exception);
+    EXPECT_THROW(journal.record_quarantine({too_long, 1}, 0, 2), std::exception);
+    EXPECT_THROW(journal.record_point({too_long, 1}, "{}"), std::exception);
+    journal.record_shard({longest, 1}, 0, salted_stats(2));
+    journal.record_shard({"after", 1}, 0, salted_stats(3));
+  }
+  // The longest accepted id reads back whole, and so does the record
+  // after it: nothing is truncated.
+  CheckpointJournal resumed;
+  resumed.open(path, "unit", 2, "abc123", true);
+  EXPECT_EQ(resumed.replayed_records(), 3U);
+  EXPECT_FALSE(resumed.tail_truncated());
+  EXPECT_NE(resumed.find_shard({longest, 1}, 0), nullptr);
+  EXPECT_NE(resumed.find_shard({"after", 1}, 0), nullptr);
+
+  CampaignRunner runner({.n_threads = 1, .n_shards = 2});
+  EXPECT_THROW((void)runner.run_point(too_long, small_sim()), std::exception);
+  std::remove(path.c_str());
 }
 
 TEST(LinkStatsFields, EveryFieldRoundTripsMergesAndCompares) {

@@ -1,33 +1,32 @@
 // Tests for the distributed campaign layer (src/runtime/distributed):
-// the mod shard partition, worker-sliced CampaignRunner journaling,
-// journal-merge fold semantics — canonical ordering, byte-determinism
-// against input order, benign-duplicate folding — and every adversarial
-// rejection case (overlapping worker shards, conflicting duplicate
-// payloads, params-hash and schema/figure/build mismatches, torn middle
-// journals, unknown record kinds), the hardened journal write path
+// the mod shard partition, worker-sliced runner journaling, journal-merge
+// fold semantics — canonical ordering, byte-determinism against input
+// order, benign-duplicate folding — and every adversarial rejection case
+// (overlapping worker shards, conflicting duplicate payloads, params-hash
+// and schema/figure/build mismatches, torn middle journals, unknown
+// record kinds, older journal formats), the hardened journal write path
 // (disk-full simulation producing a genuine torn tail, typed
-// JournalWriteError, refuse-after-failure), heartbeat records surviving
-// replay, and CampaignSupervisor process supervision with /bin/sh fake
-// workers (crash respawn, exit-code taxonomy, restart-budget quarantine,
-// hang detection via journal-growth stall).
+// JournalWriteError, refuse-after-failure), and a seeded mutation sweep
+// proving journal load and merge reject or recover every corrupted file.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <random>
+#include <span>
+#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/link_simulator.hpp"
+#include "phy/crc16.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/checkpoint_journal.hpp"
 #include "runtime/distributed/journal_merge.hpp"
 #include "runtime/distributed/shard_partition.hpp"
-#include "runtime/distributed/supervisor.hpp"
 #include "runtime/journal_format.hpp"
 
 namespace bhss::runtime::distributed {
@@ -87,21 +86,13 @@ TEST(ShardPartition, ModPartitionCoversEveryShardExactlyOnce) {
   const std::size_t n_shards = 37;
   for (const std::size_t n_workers : {1UL, 2UL, 3UL, 5UL, 16UL, 64UL}) {
     std::vector<std::size_t> owners(n_shards, 0);
-    std::size_t total_owned = 0;
     for (std::size_t w = 0; w < n_workers; ++w) {
       const ShardPartition part{w, n_workers};
       part.validate();
-      std::size_t owned = 0;
       for (std::size_t s = 0; s < n_shards; ++s) {
-        if (part.owns(s)) {
-          ++owners[s];
-          ++owned;
-        }
+        if (part.owns(s)) ++owners[s];
       }
-      EXPECT_EQ(owned, part.owned_count(n_shards)) << "worker " << w << "/" << n_workers;
-      total_owned += owned;
     }
-    EXPECT_EQ(total_owned, n_shards);
     for (std::size_t s = 0; s < n_shards; ++s) EXPECT_EQ(owners[s], 1U) << "shard " << s;
   }
 }
@@ -247,9 +238,17 @@ TEST(JournalMerge, RejectsMismatchedSchemaFigureAndBuild) {
   write_worker_journal(figure, "other", 3, "sha1", {{"pt", 1}});
   EXPECT_THROW((void)merge_journals({ref, figure}, out), JournalMergeError);
 
+  // The message names each journal with its own build.
   const std::string build = temp_path("hdr_build");
   write_worker_journal(build, "dist", 3, "sha2", {{"pt", 1}});
-  EXPECT_THROW((void)merge_journals({ref, build}, out), JournalMergeError);
+  try {
+    (void)merge_journals({ref, build}, out);
+    ADD_FAILURE() << "build mismatch was merged";
+  } catch (const JournalMergeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(build + " was written by git=sha2"), std::string::npos) << what;
+    EXPECT_NE(what.find(ref + " by git=sha1"), std::string::npos) << what;
+  }
 
   for (const std::string& p : {ref, schema, figure, build}) std::remove(p.c_str());
 }
@@ -310,25 +309,18 @@ TEST(JournalMerge, BaseJournalMayCoincideWithWorkerRecords) {
   for (const std::string& p : {base, w, out, conflicting}) std::remove(p.c_str());
 }
 
-TEST(JournalMerge, HeartbeatsAreDroppedAndForeignRecordKindsReject) {
-  const std::string a = temp_path("hb");
-  write_worker_journal(a, "dist", 1, "sha", {{"pt", 0}});
-  {
-    CheckpointJournal journal;
-    journal.open(a, "dist", 1, "sha", true);
-    journal.record_heartbeat(0, 1);
-    journal.record_heartbeat(0, 2);
-  }
-  const std::string out = temp_path("hb_out");
-  const MergeReport report = merge_journals({a}, out);
-  EXPECT_EQ(report.heartbeats_dropped, 2U);
-  EXPECT_EQ(slurp(out).find(" H "), std::string::npos);
-
+TEST(JournalMerge, ForeignRecordKindsReject) {
   // A CRC-valid line of an unknown kind is a foreign/future journal, not
-  // bit rot — reject loudly instead of silently dropping it.
-  spit(a, slurp(a) + journal::seal_line("Z mystery record") + "\n");
-  EXPECT_THROW((void)merge_journals({a}, out), JournalMergeError);
-
+  // bit rot — reject loudly instead of silently dropping it. `H` (the
+  // worker heartbeat of schema v6/v7) is one of them now.
+  const std::string a = temp_path("foreign");
+  write_worker_journal(a, "dist", 1, "sha", {{"pt", 0}});
+  const std::string clean = slurp(a);
+  const std::string out = temp_path("foreign_out");
+  for (const char* body : {"Z mystery record", "H 0 1"}) {
+    spit(a, clean + journal::seal_line(body) + "\n");
+    EXPECT_THROW((void)merge_journals({a}, out), JournalMergeError) << body;
+  }
   for (const std::string& p : {a, out}) std::remove(p.c_str());
 }
 
@@ -378,177 +370,190 @@ TEST(JournalWritePath, DiskFullFailsTypedAndLeavesAResumableTornTail) {
   std::remove(path.c_str());
 }
 
-TEST(JournalWritePath, HeartbeatsSurviveReplayWithoutTruncatingRecordsAfterThem) {
-  const std::string path = temp_path("hb_replay");
+// ------------------------------------------------- older journal formats
+
+/// A line as journal format v1 (schema v7 and earlier) sealed it: the
+/// CRC-16/CCITT of the body in four hex digits.
+std::string seal_v1(const std::string& body) {
+  const std::uint16_t crc = phy::crc16_ccitt(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(body.data()), body.size()));
+  char tail[16];
+  std::snprintf(tail, sizeof(tail), " crc=%04X", static_cast<unsigned>(crc));
+  return body + tail + "\n";
+}
+
+TEST(JournalFormat, V7JournalIsRefusedByResumeAndMerge) {
+  // A schema v7 worker journal, byte for byte as that build wrote it.
+  const std::string path = temp_path("v7");
+  const std::string v7 =
+      seal_v1("bhss-journal v1 schema=7 figure=dist git=sha") +
+      seal_v1("S pt 000000000000abcd 0 " + journal::format_stats(sample_stats(0))) +
+      seal_v1("H 0 1");
+  spit(path, v7);
+
+  CheckpointJournal journal;
+  try {
+    journal.open(path, "dist", 7, "sha", true);
+    ADD_FAILURE() << "a v7 journal was resumed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("journal format v1"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(journal.is_open());
+  EXPECT_EQ(slurp(path), v7);  // refused up front, nothing truncated
+
+  const std::string out = temp_path("v7_out");
+  EXPECT_THROW((void)merge_journals({path}, out), JournalMergeError);
+  EXPECT_EQ(slurp(out), "");
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------- mutation sweep
+
+/// Every lookup a resumed journal answers about the mutation fixture, one
+/// token each, "-" where the lookup finds nothing.
+std::vector<std::string> lookups(const CheckpointJournal& journal, const JournalKey& key) {
+  std::vector<std::string> out;
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    const core::LinkStats* stats = journal.find_shard(key, shard);
+    out.push_back(stats != nullptr ? journal::format_stats(*stats) : "-");
+    const std::string* blob = journal.find_shard_obs(key, shard);
+    out.push_back(blob != nullptr ? *blob : "-");
+    out.push_back(journal.shard_quarantined(key, shard) ? "Q" : "-");
+  }
+  const std::string* point = journal.find_point(key);
+  out.push_back(point != nullptr ? *point : "-");
+  return out;
+}
+
+TEST(JournalMutation, EveryMutationIsRejectedOrRecovered) {
+  // One journal holding every record kind: O+S for shard 0, S for shard
+  // 1, Q for shard 2, then the data point's P record.
+  const JournalKey key{"pt", 0xABCD};
+  const std::string src = temp_path("mut_src");
+  std::remove(src.c_str());
   {
     CheckpointJournal journal;
-    journal.open(path, "dist", 1, "sha", false);
-    journal.record_shard({"pt", 1}, 0, sample_stats(0));
-    journal.record_heartbeat(3, 0);
-    journal.record_shard({"pt", 1}, 1, sample_stats(1));  // after the heartbeat
+    journal.open(src, "dist", 1, "sha", false);
+    const std::string blob = "c 3 7 h 2 1 0";
+    journal.record_shard(key, 0, sample_stats(0), &blob);
+    journal.record_shard(key, 1, sample_stats(1));
+    journal.record_quarantine(key, 2, 3);
+    journal.record_point(key, R"({"point":"pt","per":0.25})");
   }
-  CheckpointJournal resumed;
-  resumed.open(path, "dist", 1, "sha", true);
-  EXPECT_FALSE(resumed.tail_truncated());
-  ASSERT_NE(resumed.find_shard({"pt", 1}, 1), nullptr);
-  std::remove(path.c_str());
-}
+  const std::string original = slurp(src);
+  std::vector<std::size_t> starts{0};  // each line's offset, then the file size
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    if (original[i] == '\n') starts.push_back(i + 1);
+  }
+  const std::size_t n_lines = starts.size() - 1;
+  ASSERT_EQ(n_lines, 6U);
+  const std::size_t n_records = n_lines - 1;
 
-// --------------------------------------------------------- CampaignSupervisor
+  std::vector<std::string> expected;
+  {
+    CheckpointJournal journal;
+    journal.open(src, "dist", 1, "sha", true);
+    ASSERT_EQ(journal.replayed_records(), n_records);
+    expected = lookups(journal, key);
+  }
+  const std::string canonical_path = temp_path("mut_canonical");
+  (void)merge_journals({src}, canonical_path);
+  const std::string canonical = slurp(canonical_path);
 
-/// Fake-worker command builder: each incarnation runs a /bin/sh script.
-/// The script appends to the worker journal path (so hang detection sees
-/// growth) and exits as scripted.
-WorkerCommand sh_worker(const std::string& base, const std::string& script) {
-  return [base, script](std::size_t worker, bool resume) {
-    const std::string journal = CampaignSupervisor::worker_journal_path(base, worker);
-    return std::vector<std::string>{
-        "/bin/sh", "-c",
-        "W=" + std::to_string(worker) + "; R=" + (resume ? std::string("1") : "0") +
-            "; J=" + journal + "; " + script};
+  struct Mutant {
+    std::string bytes;
+    bool cut = false;  ///< truncated inside a line
   };
-}
-
-TEST(CampaignSupervisor, CleanFleetCompletesWithZeroTaxonomy) {
-  const std::string base = temp_path("sup_clean");
-  SupervisorOptions options;
-  options.n_workers = 3;
-  options.journal_base = base;
-  options.poll_interval_s = 0.01;
-  CampaignRunner::clear_interrupt();
-  CampaignSupervisor supervisor(options, sh_worker(base, "echo done >> $J; exit 0"));
-  const FleetResult result = supervisor.run();
-  EXPECT_TRUE(result.completed);
-  EXPECT_FALSE(result.drained);
-  EXPECT_EQ(result.fleet.worker_restarts, 0U);
-  EXPECT_EQ(result.fleet.worker_crashes, 0U);
-  EXPECT_EQ(result.fleet.worker_drains, 0U);
-  EXPECT_TRUE(result.failed_workers.empty());
-  ASSERT_EQ(result.worker_journals.size(), 3U);
-  for (std::size_t w = 0; w < 3; ++w) {
-    EXPECT_EQ(result.worker_journals[w], base + ".w" + std::to_string(w));
-    std::remove(result.worker_journals[w].c_str());
-    std::remove((result.worker_journals[w] + ".log").c_str());
-  }
-}
-
-TEST(CampaignSupervisor, CrashedWorkerIsRespawnedWithResumeAndCounted) {
-  const std::string base = temp_path("sup_crash");
-  // First incarnation (R=0) crashes after journaling; the respawn (R=1)
-  // succeeds. Exactly one crash, one restart, then completion.
-  const std::string script = "echo step >> $J; if [ $R = 0 ]; then exit 9; fi; exit 0";
-  SupervisorOptions options;
-  options.n_workers = 2;
-  options.journal_base = base;
-  options.poll_interval_s = 0.01;
-  options.backoff_base_s = 0.01;
-  CampaignRunner::clear_interrupt();
-  CampaignSupervisor supervisor(options, sh_worker(base, script));
-  const FleetResult result = supervisor.run();
-  EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.fleet.worker_crashes, 2U);
-  EXPECT_EQ(result.fleet.worker_restarts, 2U);
-  EXPECT_TRUE(result.failed_workers.empty());
-  for (const std::string& j : result.worker_journals) {
-    std::remove(j.c_str());
-    std::remove((j + ".log").c_str());
-  }
-}
-
-TEST(CampaignSupervisor, RestartBudgetExhaustionQuarantinesTheWorker) {
-  const std::string base = temp_path("sup_budget");
-  SupervisorOptions options;
-  options.n_workers = 2;
-  options.journal_base = base;
-  options.poll_interval_s = 0.01;
-  options.backoff_base_s = 0.005;
-  options.max_restarts = 2;
-  CampaignRunner::clear_interrupt();
-  // Worker 1 always crashes; worker 0 completes.
-  const std::string script =
-      "echo step >> $J; if [ $W = 1 ]; then exit 7; fi; exit 0";
-  CampaignSupervisor supervisor(options, sh_worker(base, script));
-  const FleetResult result = supervisor.run();
-  EXPECT_FALSE(result.completed);
-  EXPECT_FALSE(result.drained);
-  ASSERT_EQ(result.failed_workers.size(), 1U);
-  EXPECT_EQ(result.failed_workers[0], 1U);
-  EXPECT_EQ(result.fleet.worker_restarts, 2U);   // budget, fully spent
-  EXPECT_EQ(result.fleet.worker_crashes, 3U);    // initial + 2 respawns
-  for (const std::string& j : result.worker_journals) {
-    std::remove(j.c_str());
-    std::remove((j + ".log").c_str());
-  }
-}
-
-TEST(CampaignSupervisor, HungWorkerIsDetectedByJournalStallAndEscalated) {
-  const std::string base = temp_path("sup_hang");
-  SupervisorOptions options;
-  options.n_workers = 1;
-  options.journal_base = base;
-  options.poll_interval_s = 0.01;
-  options.backoff_base_s = 0.005;
-  options.hang_timeout_s = 0.15;  // journal stops growing -> hung
-  options.term_grace_s = 0.05;
-  options.max_restarts = 1;
-  CampaignRunner::clear_interrupt();
-  // First incarnation writes once then sleeps forever ignoring SIGTERM
-  // (so the TERM->KILL escalation is exercised); the respawn completes.
-  const std::string script =
-      "echo step >> $J; if [ $R = 0 ]; then trap '' TERM; sleep 60; fi; exit 0";
-  CampaignSupervisor supervisor(options, sh_worker(base, script));
-  const FleetResult result = supervisor.run();
-  EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.fleet.worker_restarts, 1U);
-  EXPECT_EQ(result.fleet.worker_crashes, 1U);  // SIGKILLed incarnation
-  for (const std::string& j : result.worker_journals) {
-    std::remove(j.c_str());
-    std::remove((j + ".log").c_str());
-  }
-}
-
-TEST(CampaignSupervisor, DrainRequestTermsTheFleetAndReportsDrains) {
-  const std::string base = temp_path("sup_drain");
-  SupervisorOptions options;
-  options.n_workers = 2;
-  options.journal_base = base;
-  options.poll_interval_s = 0.01;
-  options.term_grace_s = 30.0;  // never escalate to SIGKILL in this test
-  CampaignRunner::clear_interrupt();
-  // Workers drain on SIGTERM with the bench exit code (75), like a real
-  // checkpointed campaign; without a drain they would run for a minute.
-  // `sleep & wait` (not a foreground sleep) so the trap fires immediately
-  // in shells that defer traps until the foreground command returns.
-  const std::string script =
-      "trap 'exit 75' TERM; echo step >> $J; sleep 60 & wait $!; exit 0";
-  CampaignSupervisor supervisor(options, sh_worker(base, script));
-  // Request the drain only once every worker has appended to its journal:
-  // the append happens after the trap is installed, so the broadcast
-  // SIGTERM can't land in the window before the shell set it up.
-  std::thread trigger([&] {
-    for (;;) {
-      bool ready = true;
-      for (std::size_t w = 0; w < options.n_workers; ++w) {
-        ready = ready &&
-                std::ifstream(CampaignSupervisor::worker_journal_path(base, w)).good();
-      }
-      if (ready) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::vector<Mutant> mutants;
+  std::mt19937_64 rng(0x5EED);  // the engine's output is fixed by the standard
+  const auto flipped = [&](std::size_t bits) {
+    std::string bytes = original;
+    for (std::size_t b = 0; b < bits; ++b) {
+      const std::size_t bit = rng() % (bytes.size() * 8);
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
     }
-    CampaignRunner::request_interrupt();
-  });
-  const FleetResult result = supervisor.run();
-  trigger.join();
-  CampaignRunner::clear_interrupt();
-  EXPECT_FALSE(result.completed);
-  EXPECT_TRUE(result.drained);
-  EXPECT_EQ(result.fleet.worker_drains, 2U);
-  EXPECT_EQ(result.fleet.worker_crashes, 0U);
-  for (const std::string& j : result.worker_journals) {
-    std::remove(j.c_str());
-    std::remove((j + ".log").c_str());
+    return bytes;
+  };
+  for (int i = 0; i < 150; ++i) mutants.push_back({flipped(1)});
+  for (int i = 0; i < 150; ++i) mutants.push_back({flipped(2 + rng() % 7)});
+  // Cuts inside the last two lines. A cut on a line boundary is not
+  // corruption: it is the shorter journal a kill between two appends
+  // leaves, and it resumes as exactly that.
+  for (std::size_t cut = starts[n_lines - 2] + 1; cut < original.size(); ++cut) {
+    if (cut != starts[n_lines - 1]) mutants.push_back({original.substr(0, cut), true});
   }
+  for (std::size_t l = 0; l < n_lines; ++l) {
+    const std::string line = original.substr(starts[l], starts[l + 1] - starts[l]);
+    const std::string before = original.substr(0, starts[l]);
+    mutants.push_back({before + line + original.substr(starts[l])});  // duplicated
+    if (l + 1 < n_lines) {
+      const std::string next = original.substr(starts[l + 1], starts[l + 2] - starts[l + 1]);
+      mutants.push_back({before + next + line + original.substr(starts[l + 2])});  // swapped
+    }
+  }
+
+  const std::string path = temp_path("mut");
+  const std::string out = temp_path("mut_out");
+  std::size_t rejected = 0;
+  std::size_t recovered = 0;
+  for (std::size_t m = 0; m < mutants.size(); ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    spit(path, mutants[m].bytes);
+
+    // Resume: throws, or truncates to a prefix that replays fewer
+    // records, or replays exactly the original lookups. A wrong value is
+    // never an option.
+    bool opened = false;
+    {
+      CheckpointJournal journal;
+      try {
+        journal.open(path, "dist", 1, "sha", true);
+        opened = true;
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      }
+      if (opened) {
+        const std::vector<std::string> got = lookups(journal, key);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(got[i] == expected[i] || got[i] == "-") << "lookup " << i;
+        }
+        if (got == expected) {
+          ++recovered;
+        } else {
+          ++rejected;
+          EXPECT_TRUE(journal.tail_truncated());
+          EXPECT_LT(journal.replayed_records(), n_records);
+        }
+        // Appends after a truncating resume start on a line boundary.
+        if (mutants[m].cut) journal.record_shard({"fresh", 1}, 0, sample_stats(9));
+      }
+    }
+    if (opened && mutants[m].cut) {
+      CheckpointJournal again;
+      again.open(path, "dist", 1, "sha", true);
+      EXPECT_FALSE(again.tail_truncated());
+      EXPECT_NE(again.find_shard({"fresh", 1}, 0), nullptr);
+    }
+
+    // Merge: throws, or reports the torn tail and keeps a subset of the
+    // canonical records, or reproduces the canonical journal.
+    spit(path, mutants[m].bytes);
+    try {
+      const MergeReport report = merge_journals({path}, out);
+      const std::string merged = slurp(out);
+      if (merged != canonical) {
+        EXPECT_EQ(report.torn_tails, 1U);
+        std::istringstream lines(merged);
+        for (std::string line; std::getline(lines, line);) {
+          EXPECT_NE(canonical.find(line + "\n"), std::string::npos) << line;
+        }
+      }
+    } catch (const JournalMergeError&) {
+    }
+  }
+  EXPECT_GT(rejected, 0U);
+  EXPECT_GT(recovered, 0U);
+  for (const std::string& p : {src, canonical_path, path, out}) std::remove(p.c_str());
 }
 
 }  // namespace

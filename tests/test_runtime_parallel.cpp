@@ -220,11 +220,11 @@ TEST(ParallelLinkRunner, BisectionRoutesThroughThePool) {
   core::SimConfig cfg = small_sim(core::JammerSpec::Kind::none);
   cfg.n_packets = 6;
   ParallelLinkRunner runner({.n_threads = 4, .n_shards = 6});
-  const double snr = runner.min_snr_for_per(cfg, 0.5, -10.0, 45.0, 2.0);
+  const double snr = runner.min_snr_for_per("pt", cfg, 0.5, -10.0, 45.0, 2.0);
   EXPECT_GE(snr, -10.0);
   EXPECT_LE(snr, 45.0);
   // Deterministic: the same bisection lands on the same answer.
-  EXPECT_EQ(snr, runner.min_snr_for_per(cfg, 0.5, -10.0, 45.0, 2.0));
+  EXPECT_EQ(snr, runner.min_snr_for_per("pt", cfg, 0.5, -10.0, 45.0, 2.0));
 }
 
 }  // namespace

@@ -3,11 +3,11 @@
 //
 //   journal_merge --out=PATH [--base=PATH] worker.w0 worker.w1 ...
 //
-// The bench binaries' --supervise mode runs this fold in-process; the
-// standalone tool exists for operating on journals by hand — merging the
-// output of workers launched across machines, re-merging after replacing
-// a corrupt input, or inspecting what a merge WOULD do (--dry-run parses
-// and validates everything but writes nothing).
+// The distributed path of every bench: run `--worker-id=I --n-workers=N
+// --checkpoint=wI.ckpt` slices on one or many hosts, merge their journals
+// here, then publish with `--resume=merged.ckpt`. Also for re-merging
+// after replacing a corrupt input, or inspecting what a merge WOULD do
+// (--dry-run parses and validates everything but writes nothing).
 //
 // Exit status: 0 on success, 1 on a contract violation (overlapping
 // shard ownership, conflicting records, mismatched headers, unreadable
@@ -26,8 +26,8 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --out=PATH [--base=PATH] [--dry-run] JOURNAL...\n"
                "  --out=PATH   merged journal destination (atomic publish)\n"
-               "  --base=PATH  a previous supervisor journal to fold in; its\n"
-               "               records may coincide with worker records\n"
+               "  --base=PATH  an earlier journal of the campaign to fold in;\n"
+               "               its records may coincide with worker records\n"
                "  --dry-run    validate the merge, write nothing\n",
                argv0);
   return 2;
@@ -75,11 +75,10 @@ int main(int argc, char** argv) {
         "  quarantine records %zu\n"
         "  point records      %zu\n"
         "  duplicates folded  %zu\n"
-        "  heartbeats dropped %zu\n"
         "  torn tails         %zu\n",
         report.inputs, dry_run ? "(dry run)" : target.c_str(), report.shard_records,
         report.obs_records, report.quarantine_records, report.point_records,
-        report.duplicates_folded, report.heartbeats_dropped, report.torn_tails);
+        report.duplicates_folded, report.torn_tails);
     return 0;
   } catch (const bhss::runtime::distributed::JournalMergeError& e) {
     std::fprintf(stderr, "%s\n", e.what());
