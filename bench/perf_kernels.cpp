@@ -237,6 +237,32 @@ void BM_ScalarDespread16(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarDespread16);
 
+// Gaussian noise stream (channel AWGN and every noise jammer), at
+// clean_awgn's mean capture of 38 748 samples.
+void BM_AwgnGenerate(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dsp::simd::Mt19937_64 eng(21);
+  dsp::cvec y(n);
+  for (auto _ : state) {
+    dsp::simd::gaussian_cf(eng, y.data(), n);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_AwgnGenerate)->Arg(38748);
+
+void BM_AwgnGenerateScalar(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dsp::simd::Mt19937_64 eng(21);
+  dsp::cvec y(n);
+  for (auto _ : state) {
+    dsp::simd::scalar::gaussian_cf(eng, y.data(), n);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_AwgnGenerateScalar)->Arg(38748);
+
 void BM_CorrelateSearch(benchmark::State& state) {
   const auto n_ref = static_cast<std::size_t>(state.range(0));
   const dsp::cvec ref = random_signal(n_ref, 14);

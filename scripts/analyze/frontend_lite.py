@@ -79,6 +79,7 @@ RNG_ENGINE_TYPES = {
     "default_random_engine", "ranlux24", "ranlux48", "knuth_b",
     "random_device",
 }
+ACCESS_SPECIFIERS = {"public", "protected", "private"}
 UNORDERED_TYPES = {"unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset"}
 CONTRACT_MACROS = {"BHSS_REQUIRE", "BHSS_ENSURE", "BHSS_DEBUG_ASSERT"}
@@ -306,6 +307,10 @@ class _Parser:
         head = toks[decl_start:semi]
         if not head or any(t.text in ("(", ")") for t in head):
             return
+        # The first member of a section arrives with its access label
+        # (`private: Engine rng_;`); the label's colon is not a bit-field.
+        if len(head) > 2 and head[0].text in ACCESS_SPECIFIERS and head[1].text == ":":
+            head = head[2:]
         # Drop initializers: `int x = 3;` / `cvec v{};` / bitfields.
         for stop_idx, t in enumerate(head):
             if t.text in ("=", "{", ":") and not (t.text == ":" and head[stop_idx - 1].text == ":"):

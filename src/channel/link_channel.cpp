@@ -1,5 +1,6 @@
 #include "channel/link_channel.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/impairments.hpp"
@@ -21,22 +22,23 @@ dsp::cvec transmit(dsp::cspan tx, dsp::cspan jam, const LinkConfig& cfg, AwgnSou
                "transmit: cfo/phase impairments must be finite");
   const std::size_t total_len = cfg.tx_delay + tx.size() + cfg.tail_pad;
 
-  // Signal path: normalise, impair, delay, scale to the requested SNR.
-  dsp::cvec sig(tx.begin(), tx.end());
+  // Signal path: place at the arrival delay, then normalise, impair and
+  // scale to the requested SNR in place.
+  dsp::cvec out(total_len, dsp::cf{0.0F, 0.0F});
+  const dsp::cspan_mut sig = dsp::cspan_mut{out}.subspan(cfg.tx_delay, tx.size());
+  std::copy(tx.begin(), tx.end(), sig.begin());
   dsp::scale_to_power(sig, 1.0);
   if (cfg.phase != 0.0F) apply_phase(sig, cfg.phase);
   if (cfg.cfo != 0.0F) apply_cfo(sig, cfg.cfo);
-  dsp::cvec out = apply_delay(sig, cfg.tx_delay, total_len);
   const auto sig_gain = static_cast<float>(std::sqrt(dsp::db_to_linear(cfg.snr_db)));
   for (dsp::cf& s : out) s *= sig_gain;
 
   // Jammer path: normalise over its own duration, scale to the JNR.
   if (cfg.jnr_db.has_value() && !jam.empty()) {
-    dsp::cvec j(jam.begin(), jam.end());
-    dsp::scale_to_power(j, 1.0);
+    const float norm = dsp::power_gain(jam, 1.0);
     const auto jam_gain = static_cast<float>(std::sqrt(dsp::db_to_linear(*cfg.jnr_db)));
-    const std::size_t n = std::min(total_len, j.size());
-    for (std::size_t i = 0; i < n; ++i) out[i] += jam_gain * j[i];
+    const std::size_t n = std::min(total_len, jam.size());
+    for (std::size_t i = 0; i < n; ++i) out[i] += jam_gain * (jam[i] * norm);
   }
 
   // Thermal noise floor at unit power.

@@ -141,10 +141,12 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
     }
 
     const std::size_t total_len = link.tx_delay + t.samples.size() + link.tail_pad;
-    const dsp::cvec jam =
-        jammer_waveform(jammer, t, cfg.system.pattern.bands(), link.tx_delay, total_len);
-
-    dsp::cvec rx_signal = channel::transmit(t.samples, jam, link, noise);
+    // The jammer waveform is a temporary: only the channel reads it, so it
+    // is freed before the receiver runs.
+    dsp::cvec rx_signal = channel::transmit(
+        t.samples,
+        jammer_waveform(jammer, t, cfg.system.pattern.bands(), link.tx_delay, total_len), link,
+        noise);
 
     // Transient faults between channel and receiver. The plan for packet
     // `pkt` depends only on (faults.seed, pkt), never on the shard, so a

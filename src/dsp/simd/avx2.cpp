@@ -10,13 +10,19 @@
 // std::complex<float> multiplication of finite values.
 //
 // Every kernel vectorizes only across its documented independence axis
-// (outputs / lags / symbols / butterflies) and keeps the reduction index
-// sequential; tails and short inputs fall through to the shared scalar
-// bodies in scalar_kernels.hpp.
+// (outputs / lags / symbols / butterflies / polar attempts) and keeps the
+// reduction index sequential; tails and short inputs fall through to the
+// shared scalar bodies in scalar_kernels.hpp.
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 
 #include "dsp/simd/scalar_kernels.hpp"
 #include "dsp/simd/simd.hpp"
@@ -210,6 +216,180 @@ void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
     _mm256_storeu_ps(fp(out + k), _mm256_mul_ps(ab, pd));
   }
   detail::scale_pulse_scalar(a, b, pulse + k, out + k, n - k);
+}
+
+// ------------------------------------------------ Gaussian noise stream
+
+namespace {
+
+using u64 = std::uint64_t;
+
+/// Accepted attempts finished per pass: fixes the stack scratch below.
+constexpr std::size_t kBlock = 256;
+
+inline __m256i splat(u64 v) { return _mm256_set1_epi64x(static_cast<long long>(v)); }
+inline __m256i load4(const u64* p) { return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)); }
+inline void store4(u64* p, __m256i v) { _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v); }
+
+/// Four twist steps (detail::mt_twist_word lane by lane).
+inline __m256i twist4(__m256i cur, __m256i nxt, __m256i far) {
+  const __m256i y = _mm256_or_si256(_mm256_and_si256(cur, splat(detail::kMtUpper)),
+                                    _mm256_and_si256(nxt, splat(detail::kMtLower)));
+  const __m256i odd = _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_and_si256(y, splat(1)));
+  return _mm256_xor_si256(_mm256_xor_si256(far, _mm256_srli_epi64(y, 1)),
+                          _mm256_and_si256(odd, splat(detail::kMtMatrix)));
+}
+
+/// The whole twist in the standard's order. Four consecutive words are
+/// independent: each reads its old successor (not yet rewritten, it starts
+/// the next group) and a far word that is old below n - m and already
+/// rewritten from there on, exactly as in the scalar walk.
+void twist(std::array<u64, Mt19937_64::kWords>& words) {
+  u64* w = words.data();
+  constexpr std::size_t n = Mt19937_64::kWords;
+  constexpr std::size_t m = detail::kMtShift;
+  static_assert((n - m) % 4 == 0);
+  std::size_t k = 0;
+  for (; k < n - m; k += 4) store4(w + k, twist4(load4(w + k), load4(w + k + 1), load4(w + k + m)));
+  for (; k + 4 < n; k += 4) {
+    store4(w + k, twist4(load4(w + k), load4(w + k + 1), load4(w + k + m - n)));
+  }
+  detail::mt_twist_scalar(words, k);
+}
+
+inline __m256i temper4(__m256i z) {
+  z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_srli_epi64(z, 29), splat(0x5555555555555555ULL)));
+  z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 17), splat(0x71D67FFFEDA60000ULL)));
+  z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 37), splat(0xFFF7EEE000000000ULL)));
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
+}
+
+/// The next `count` engine outputs, in order.
+void draw(Mt19937_64& eng, u64* u, std::size_t count) {
+  while (count > 0) {
+    if (eng.next == Mt19937_64::kWords) {
+      twist(eng.words);
+      eng.next = 0;
+    }
+    const std::size_t take = std::min(count, Mt19937_64::kWords - eng.next);
+    const u64* src = eng.words.data() + eng.next;
+    std::size_t i = 0;
+    for (; i + 4 <= take; i += 4) store4(u + i, temper4(load4(src + i)));
+    for (; i < take; ++i) u[i] = detail::mt_temper(src[i]);
+    eng.next += take;
+    u += take;
+    count -= take;
+  }
+}
+
+/// float(u) of four words, correctly rounded like the scalar conversion.
+/// AVX2 has no uint64 -> float instruction, so the words go through
+/// double. That conversion is exact once a word >= 2^53 has its bits
+/// below 2^11 folded into one sticky bit, and the fold cannot move the
+/// float rounding, whose guard bit sits at 2^29 or higher for such words.
+inline __m128 to_float4(__m256i u) {
+  const __m256i low = splat(0x7FF);
+  const __m256i folded =
+      _mm256_andnot_si256(low, _mm256_or_si256(u, _mm256_add_epi64(_mm256_and_si256(u, low), low)));
+  const __m256i narrow = _mm256_cmpeq_epi64(_mm256_srli_epi64(u, 53), _mm256_setzero_si256());
+  const __m256i v = _mm256_blendv_epi8(folded, u, narrow);
+  // Exact uint64 -> double: 2^84 + hi * 2^32 and 2^52 + lo as bit
+  // patterns, then (2^84 + hi * 2^32 - (2^84 + 2^52)) + (2^52 + lo).
+  const __m256i hi = _mm256_or_si256(_mm256_srli_epi64(v, 32), splat(0x4530000000000000ULL));
+  const __m256i lo = _mm256_blend_epi32(v, splat(0x4330000000000000ULL), 0xAA);
+  const __m256d d = _mm256_add_pd(
+      _mm256_sub_pd(_mm256_castsi256_pd(hi), _mm256_set1_pd(0x1.00000001p84)),
+      _mm256_castsi256_pd(lo));
+  return _mm256_cvtpd_ps(d);
+}
+
+/// detail::polar_coordinate of four words.
+inline __m128 polar_coordinate4(__m256i u) {
+  const __m128 c = _mm_min_ps(_mm_mul_ps(to_float4(u), _mm_set1_ps(0x1p-64F)),
+                              _mm_set1_ps(0x1.fffffep-1F));
+  const __m256d two_c = _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(2.0F), c));
+  return _mm256_cvtpd_ps(_mm256_sub_pd(two_c, _mm256_set1_pd(1.0)));
+}
+
+/// For each 8-lane accept mask, the kept lanes in order, one 4-bit lane
+/// index per output slot: the _mm256_permutevar8x32_ps compaction table.
+constexpr std::array<std::uint32_t, 256> kCompact = [] {
+  std::array<std::uint32_t, 256> t{};
+  for (std::uint32_t mask = 0; mask < 256; ++mask) {
+    std::uint32_t slot = 0;
+    for (std::uint32_t lane = 0; lane < 8; ++lane) {
+      if ((mask >> lane) & 1U) t[mask] |= lane << (4 * slot++);
+    }
+  }
+  return t;
+}();
+
+inline __m256 compact(__m256 v, std::uint32_t mask) {
+  const __m256i idx = _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(kCompact[mask])),
+                                        _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28));
+  return _mm256_permutevar8x32_ps(v, idx);
+}
+
+}  // namespace
+
+void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
+  BHSS_REQUIRE(out != nullptr || n == 0, "gaussian_cf: null buffer");
+  // Eight attempts take 16 words; the compaction stores whole vectors, so
+  // the accepted-attempt arrays carry one vector of slack.
+  alignas(32) u64 u[2 * kBlock + 16];
+  alignas(32) float xs[kBlock + 8];
+  alignas(32) float ys[kBlock + 8];
+  alignas(32) float r2s[kBlock + 8];
+  alignas(32) float logs[kBlock];
+  while (n > 0) {
+    const std::size_t k = std::min(n, kBlock);
+    std::size_t have = 0;
+    while (have < k) {
+      // One attempt per missing sample: the sequential algorithm consumes
+      // every one of them before it can have k, so no word is drawn early.
+      const std::size_t need = k - have;
+      draw(eng, u, 2 * need);
+      const std::size_t groups = (need + 7) / 8;
+      std::fill(u + 2 * need, u + 16 * groups, u64{0});
+      for (std::size_t g = 0; g < groups; ++g) {
+        const u64* w = u + 16 * g;
+        const __m128 p0 = polar_coordinate4(load4(w));       // x0 y0 x1 y1
+        const __m128 p1 = polar_coordinate4(load4(w + 4));   // x2 y2 x3 y3
+        const __m128 p2 = polar_coordinate4(load4(w + 8));   // x4 y4 x5 y5
+        const __m128 p3 = polar_coordinate4(load4(w + 12));  // x6 y6 x7 y7
+        const __m256 a = _mm256_set_m128(p2, p0);
+        const __m256 b = _mm256_set_m128(p3, p1);
+        const __m256 x = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
+        const __m256 y = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1));
+        const __m256 r2 = _mm256_add_ps(_mm256_mul_ps(x, x), _mm256_mul_ps(y, y));
+        const __m256 rejected = _mm256_or_ps(_mm256_cmp_ps(r2, _mm256_set1_ps(1.0F), _CMP_GT_OQ),
+                                             _mm256_cmp_ps(r2, _mm256_setzero_ps(), _CMP_EQ_OQ));
+        const std::size_t valid = std::min<std::size_t>(8, need - 8 * g);
+        const auto mask = static_cast<std::uint32_t>(~_mm256_movemask_ps(rejected)) &
+                          ((1U << valid) - 1U);
+        _mm256_storeu_ps(xs + have, compact(x, mask));
+        _mm256_storeu_ps(ys + have, compact(y, mask));
+        _mm256_storeu_ps(r2s + have, compact(r2, mask));
+        have += static_cast<std::size_t>(std::popcount(mask));
+      }
+    }
+    const std::size_t vec = k - k % 8;
+    for (std::size_t j = 0; j < vec; ++j) logs[j] = std::log(r2s[j]);
+    for (std::size_t j = 0; j < vec; j += 8) {
+      const __m256 r2 = _mm256_load_ps(r2s + j);
+      const __m256 mult =
+          _mm256_sqrt_ps(_mm256_div_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0F), _mm256_load_ps(logs + j)), r2));
+      const __m256 re = _mm256_add_ps(_mm256_mul_ps(_mm256_load_ps(ys + j), mult), _mm256_setzero_ps());
+      const __m256 im = _mm256_add_ps(_mm256_mul_ps(_mm256_load_ps(xs + j), mult), _mm256_setzero_ps());
+      const __m256 lo = _mm256_unpacklo_ps(re, im);  // samples 0 1 | 4 5
+      const __m256 hi = _mm256_unpackhi_ps(re, im);  // samples 2 3 | 6 7
+      _mm256_storeu_ps(fp(out + j), _mm256_permute2f128_ps(lo, hi, 0x20));
+      _mm256_storeu_ps(fp(out + j + 4), _mm256_permute2f128_ps(lo, hi, 0x31));
+    }
+    for (std::size_t j = vec; j < k; ++j) out[j] = detail::polar_sample(xs[j], ys[j], r2s[j]);
+    out += k;
+    n -= k;
+  }
 }
 
 }  // namespace bhss::dsp::simd::avx2

@@ -23,6 +23,7 @@ void cmul_inplace(cf*, const cf*, std::size_t);
 void scale_inplace(cf*, float, std::size_t);
 void window_apply(const cf*, const float*, cf*, std::size_t);
 void scale_pulse(float, float, const float*, cf*, std::size_t);
+void gaussian_cf(Mt19937_64&, cf*, std::size_t);
 }  // namespace avx2
 
 namespace {
@@ -107,6 +108,14 @@ void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
   }
 }
 
+void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
+  if (kUseAvx2) {
+    avx2::gaussian_cf(eng, out, n);
+  } else {
+    detail::gaussian_cf_scalar(eng, out, n);
+  }
+}
+
 #elif defined(BHSS_SIMD_NEON)
 
 namespace neon {
@@ -159,6 +168,11 @@ void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
   neon::scale_pulse(a, b, pulse, out, n);
 }
 
+// No NEON Gaussian kernel yet: the scalar reference runs.
+void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
+  detail::gaussian_cf_scalar(eng, out, n);
+}
+
 #else  // scalar-only build
 
 const char* active_isa() noexcept { return "scalar"; }
@@ -197,6 +211,10 @@ void window_apply(const cf* x, const float* w, cf* out, std::size_t n) {
 
 void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
   detail::scale_pulse_scalar(a, b, pulse, out, n);
+}
+
+void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
+  detail::gaussian_cf_scalar(eng, out, n);
 }
 
 #endif

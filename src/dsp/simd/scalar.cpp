@@ -1,6 +1,19 @@
 #include "dsp/simd/scalar_kernels.hpp"
 #include "dsp/simd/simd.hpp"
 
+namespace bhss::dsp::simd {
+
+Mt19937_64::Mt19937_64(std::uint64_t seed) noexcept : words{}, next(kWords) {
+  words[0] = seed;
+  for (std::size_t i = 1; i < kWords; ++i) {
+    words[i] = 6364136223846793005ULL * (words[i - 1] ^ (words[i - 1] >> 62)) + i;
+  }
+}
+
+std::uint64_t Mt19937_64::operator()() noexcept { return detail::mt_next(*this); }
+
+}  // namespace bhss::dsp::simd
+
 namespace bhss::dsp::simd::scalar {
 
 void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
@@ -36,6 +49,10 @@ void window_apply(const cf* x, const float* w, cf* out, std::size_t n) {
 
 void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
   detail::scale_pulse_scalar(a, b, pulse, out, n);
+}
+
+void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
+  detail::gaussian_cf_scalar(eng, out, n);
 }
 
 }  // namespace bhss::dsp::simd::scalar

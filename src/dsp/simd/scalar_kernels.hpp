@@ -6,10 +6,14 @@
 /// Each body is the bit-exact contract the vector implementations must
 /// match — see simd.hpp for the accumulation-order rules.
 
+#include <array>
+#include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #include "core/contracts.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/types.hpp"
 
 namespace bhss::dsp::simd::detail {
@@ -103,6 +107,86 @@ inline void window_apply_scalar(const cf* x, const float* w, cf* out, std::size_
 inline void scale_pulse_scalar(float a, float b, const float* pulse, cf* out, std::size_t n) {
   BHSS_REQUIRE(pulse != nullptr && out != nullptr, "scale_pulse: null buffer");
   for (std::size_t k = 0; k < n; ++k) out[k] = cf{a * pulse[k], b * pulse[k]};
+}
+
+// ------------------------------------------------ Gaussian noise stream
+//
+// MT19937-64 (n = 312, m = 156, r = 31) as the C++ standard specifies it,
+// and the polar method as libstdc++'s normal_distribution<float> runs it.
+
+inline constexpr std::size_t kMtShift = 156;
+inline constexpr std::uint64_t kMtMatrix = 0xB5026F5AA96619E9ULL;
+inline constexpr std::uint64_t kMtUpper = 0xFFFFFFFF80000000ULL;  ///< top 33 bits
+inline constexpr std::uint64_t kMtLower = 0x7FFFFFFFULL;          ///< low 31 bits
+
+/// One twist step: the new word k from the old words k and k+1 and the
+/// word m places on (`far`).
+inline std::uint64_t mt_twist_word(std::uint64_t cur, std::uint64_t nxt, std::uint64_t far) {
+  const std::uint64_t y = (cur & kMtUpper) | (nxt & kMtLower);
+  return far ^ (y >> 1) ^ ((y & 1U) != 0 ? kMtMatrix : 0U);
+}
+
+/// Finish a twist in place from word `from` on (0 = the whole twist), in
+/// the standard's order: words below n - m take their far word from the
+/// old state, the rest from words already twisted.
+inline void mt_twist_scalar(std::array<std::uint64_t, Mt19937_64::kWords>& w, std::size_t from) {
+  constexpr std::size_t n = Mt19937_64::kWords;
+  for (std::size_t k = from; k + 1 < n; ++k) {
+    w[k] = mt_twist_word(w[k], w[k + 1], k < n - kMtShift ? w[k + kMtShift] : w[k + kMtShift - n]);
+  }
+  w[n - 1] = mt_twist_word(w[n - 1], w[0], w[kMtShift - 1]);
+}
+
+inline std::uint64_t mt_temper(std::uint64_t z) {
+  z ^= (z >> 29) & 0x5555555555555555ULL;
+  z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+  z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+  return z ^ (z >> 43);
+}
+
+inline std::uint64_t mt_next(Mt19937_64& eng) {
+  if (eng.next == Mt19937_64::kWords) {
+    mt_twist_scalar(eng.words, 0);
+    eng.next = 0;
+  }
+  return mt_temper(eng.words[eng.next++]);
+}
+
+/// std::generate_canonical<float, 24> over one 64-bit output: one term,
+/// float(u) correctly rounded, scaled by 2^-64 (exact), and a result that
+/// rounded up to 1 clamped to the largest float below 1.
+inline float canonical_float(std::uint64_t u) {
+  const float c = static_cast<float>(u) * 0x1p-64F;
+  return c >= 1.0F ? 0x1.fffffep-1F : c;
+}
+
+/// One polar coordinate, `float(2) * c - 1.0` with the subtraction in double.
+inline float polar_coordinate(std::uint64_t u) {
+  return static_cast<float>(static_cast<double>(2.0F * canonical_float(u)) - 1.0);
+}
+
+inline bool polar_rejects(float r2) { return r2 > 1.0F || r2 == 0.0F; }
+
+/// The sample an accepted attempt yields; `+ 0.0F` is `* stddev + mean`
+/// with (1, 0), which maps -0 to +0.
+inline cf polar_sample(float x, float y, float r2) {
+  const float mult = std::sqrt(-2.0F * std::log(r2) / r2);
+  return cf{y * mult + 0.0F, x * mult + 0.0F};
+}
+
+inline void gaussian_cf_scalar(Mt19937_64& eng, cf* out, std::size_t n) {
+  BHSS_REQUIRE(out != nullptr || n == 0, "gaussian_cf: null buffer");
+  for (std::size_t i = 0; i < n; ++i) {
+    float x = 0.0F;
+    float y = 0.0F;
+    float r2 = 0.0F;
+    do {
+      x = polar_coordinate(mt_next(eng));
+      y = polar_coordinate(mt_next(eng));
+      r2 = x * x + y * y;
+    } while (polar_rejects(r2));
+    out[i] = polar_sample(x, y, r2);
+  }
 }
 
 }  // namespace bhss::dsp::simd::detail

@@ -28,6 +28,14 @@
 ///    within one (stage, block); each butterfly is elementwise.
 ///  * `cmul_inplace`, `scale_inplace`, `window_apply`, `scale_pulse` —
 ///    elementwise, trivially order-preserving.
+///  * `gaussian_cf`           — the Gaussian noise stream: MT19937-64
+///    twist and tempering four words at a time, then the polar method's
+///    attempts eight at a time, with rejection compacted in order. Every
+///    step is either exact integer work or one correctly rounded IEEE
+///    operation, and the one transcendental, `logf`, stays the scalar
+///    libm call in every build (no vector log, no fast-math), so the
+///    vector stream is the scalar stream bit for bit. NEON builds run
+///    the scalar reference.
 ///
 /// No FMA is used anywhere (a fused multiply-add rounds once where the
 /// scalar code rounds twice, which would break bit-identity between this
@@ -43,7 +51,9 @@
 /// `simd::scalar::*` is always built and is the reference the equivalence
 /// suite (`test_dsp_simd`) compares against on every platform.
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 
 #include "core/contracts.hpp"
 #include "dsp/types.hpp"
@@ -108,6 +118,37 @@ BHSS_HOT void window_apply(const cf* x, const float* w, cf* out, std::size_t n);
 /// Pulse shaping: out[k] = cf{a * pulse[k], b * pulse[k]}.
 BHSS_HOT void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n);
 
+/// MT19937-64 engine state, stepped exactly as std::mt19937_64 steps it
+/// (the engine is fully specified by the C++ standard): the 312-word
+/// array plus the index of the next word to temper, where 312 means
+/// "twist first". Seeding matches std::mt19937_64(seed).
+struct Mt19937_64 {
+  static constexpr std::size_t kWords = 312;
+
+  explicit Mt19937_64(std::uint64_t seed) noexcept;
+
+  /// One tempered output, as std::mt19937_64::operator() returns it.
+  std::uint64_t operator()() noexcept;
+
+  std::array<std::uint64_t, kWords> words;
+  std::size_t next;
+};
+
+/// Standard complex Gaussian samples, the stream libstdc++'s
+/// `std::normal_distribution<float>{0, 1}` draws from `std::mt19937_64`,
+/// two normals per sample. Each polar attempt takes two uniforms
+///   c = min(float(u) * 2^-64, nextafter(1, 0))   (u one engine output,
+///                                                 float(u) correctly rounded)
+///   x = float(double(2c) - 1.0), then y likewise from the next output,
+/// and is rejected while r2 = x*x + y*y is > 1 or == 0. An accepted
+/// attempt gives, with m = sqrt(-2 * logf(r2) / r2),
+///   out[i] = cf{y * m + 0, x * m + 0}
+/// (`+ 0` is the distribution's `* stddev + mean` step: it turns -0 into
+/// +0). The engine is advanced by exactly the outputs the sequential
+/// algorithm consumes for n samples, so any split of a stream into calls
+/// yields the same samples and leaves the engine in the same state.
+BHSS_HOT void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n);
+
 /// Reference implementations — always compiled, on every platform. The
 /// dispatched kernels above must produce bit-identical results; the
 /// equivalence suite asserts exactly that (ulp distance zero).
@@ -126,6 +167,7 @@ BHSS_HOT void cmul_inplace(cf* a, const cf* b, std::size_t n);
 BHSS_HOT void scale_inplace(cf* x, float s, std::size_t n);
 BHSS_HOT void window_apply(const cf* x, const float* w, cf* out, std::size_t n);
 BHSS_HOT void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n);
+BHSS_HOT void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n);
 
 }  // namespace scalar
 

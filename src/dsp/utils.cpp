@@ -29,10 +29,15 @@ double energy(cspan x) noexcept {
   return acc;
 }
 
-void scale_to_power(cspan_mut x, double target_power) noexcept {
+float power_gain(cspan x, double target_power) noexcept {
   const double current = mean_power(x);
-  if (current <= 0.0) return;
-  const auto gain = static_cast<float>(std::sqrt(target_power / current));
+  if (current <= 0.0) return 1.0F;
+  return static_cast<float>(std::sqrt(target_power / current));
+}
+
+void scale_to_power(cspan_mut x, double target_power) noexcept {
+  const float gain = power_gain(x, target_power);
+  if (gain == 1.0F) return;
   for (cf& s : x) s *= gain;
 }
 

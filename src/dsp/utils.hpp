@@ -22,6 +22,10 @@ namespace bhss::dsp {
 /// Total energy (sum of |x|^2) of a complex sample buffer.
 [[nodiscard]] double energy(cspan x) noexcept;
 
+/// The gain scale_to_power(x, target_power) multiplies every sample by:
+/// sqrt(target_power / mean_power(x)), or 1 for a silent buffer.
+[[nodiscard]] float power_gain(cspan x, double target_power) noexcept;
+
 /// Scale `x` in place so its mean power becomes `target_power`.
 /// A silent (all-zero) buffer is left untouched.
 void scale_to_power(cspan_mut x, double target_power) noexcept;

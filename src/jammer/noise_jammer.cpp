@@ -26,9 +26,11 @@ dsp::cvec NoiseJammer::generate(std::size_t n) {
   // Generate with lead-in so the filter transient does not leave a quiet
   // gap at the start of the jamming burst.
   const std::size_t lead = shaper_->num_taps();
-  dsp::cvec raw = noise_.generate(n + lead, 1.0);
-  dsp::cvec shaped = shaper_->filter(raw);
-  dsp::cvec out(shaped.begin() + static_cast<std::ptrdiff_t>(lead), shaped.end());
+  raw_.resize(n + lead);
+  noise_.fill(raw_, 1.0);
+  dsp::cvec out;
+  shaper_->filter(raw_, out);
+  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(lead));
   dsp::scale_to_power(out, 1.0);
   return out;
 }

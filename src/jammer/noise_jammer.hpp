@@ -40,6 +40,7 @@ class NoiseJammer {
   double bandwidth_frac_;
   channel::AwgnSource noise_;
   std::optional<dsp::FftConvolver> shaper_;  ///< absent for full-band noise
+  dsp::cvec raw_;  ///< shaping input, reused: white noise with the filter lead-in
 };
 
 }  // namespace bhss::jammer

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
+#include <random>
 
 #include "channel/awgn.hpp"
 #include "channel/impairments.hpp"
@@ -53,6 +57,97 @@ TEST(Awgn, AddToSuperimposes) {
   noise.add_to(dsp::cspan_mut{x}, 0.5);
   EXPECT_NEAR(dsp::mean_power(x), 1.5, 0.05);
 }
+
+/// Bitwise equality of two sample runs (catches -0 vs +0).
+bool same_bits(const dsp::cf* a, const dsp::cf* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(dsp::cf)) == 0;
+}
+
+TEST(Awgn, StreamIsPinned) {
+  // The first samples at unit variance per rail (power 2, so the scale is
+  // exactly 1), as IEEE-754 bit patterns: real then imaginary. These are
+  // the values libstdc++'s normal_distribution<float> drew from
+  // std::mt19937_64 before the stream moved in-tree.
+  struct Golden {
+    std::uint64_t seed;
+    std::array<std::uint32_t, 8> bits;
+  };
+  const std::array<Golden, 2> goldens = {{
+      {1, {0xBEC60ED3, 0xBD2161DA, 0x3F2FD3AB, 0xBE7EEC2D, 0xBF4B8EB3, 0xBD5FD566, 0x3FF80E9E,
+           0x3F801F39}},
+      {0x5EED, {0xBEB5C6E1, 0x3F434C0C, 0x3E566B55, 0xBFC46BE2, 0x3FD2716F, 0x3CC6F045,
+                0x3E81FB08, 0xC0192D86}},
+  }};
+  for (const Golden& g : goldens) {
+    AwgnSource noise(g.seed);
+    const dsp::cvec x = noise.generate(4, 2.0);
+    std::array<std::uint32_t, 8> got{};
+    std::memcpy(got.data(), x.data(), sizeof(got));
+    EXPECT_EQ(got, g.bits) << "seed " << g.seed;
+  }
+}
+
+#if defined(__GLIBCXX__)
+/// The stream the channel drew before it owned its engine: libstdc++'s
+/// normal_distribution<float>{0, 1} over std::mt19937_64, two normals per
+/// sample, scaled per rail.
+class LibraryNoise {
+ public:
+  explicit LibraryNoise(std::uint64_t seed) : rng_(seed) {}
+
+  dsp::cf next(double power) {
+    const auto sigma = static_cast<float>(std::sqrt(power / 2.0));
+    const float re = sigma * normal_(rng_);
+    const float im = sigma * normal_(rng_);
+    return dsp::cf{re, im};
+  }
+
+ private:
+  std::mt19937_64 rng_;
+  std::normal_distribution<float> normal_{0.0F, 1.0F};
+};
+
+TEST(Awgn, MatchesLibstdcxxNormalDistribution) {
+  for (double power : {1.0, 0.37}) {
+    for (std::size_t n : {0, 1, 3, 255, 256, 257, 311, 312, 313, 40000}) {
+      AwgnSource noise(n + 5);
+      LibraryNoise ref(n + 5);
+      // Two calls per source: the second starts wherever the first left
+      // the engine.
+      for (int call = 0; call < 2; ++call) {
+        const dsp::cvec got = noise.generate(n, power);
+        dsp::cvec want(n);
+        for (dsp::cf& w : want) w = ref.next(power);
+        EXPECT_TRUE(same_bits(got.data(), want.data(), n))
+            << "n=" << n << " power=" << power << " call=" << call;
+      }
+    }
+  }
+}
+
+TEST(Awgn, InterleavedGenerateAndAddToMatchLibstdcxx) {
+  AwgnSource noise(77);
+  LibraryNoise ref(77);
+  std::mt19937 pick(3);
+  for (std::size_t len : {1, 300, 0, 257, 3, 5000, 312, 2, 1024, 313}) {
+    if (pick() % 2 == 0) {
+      const dsp::cvec got = noise.generate(len, 0.8);
+      dsp::cvec want(len);
+      for (dsp::cf& w : want) w = ref.next(0.8);
+      EXPECT_TRUE(same_bits(got.data(), want.data(), len)) << "generate len=" << len;
+    } else {
+      dsp::cvec got(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        got[i] = dsp::cf{0.25F * static_cast<float>(i % 7), -1.5F};
+      }
+      dsp::cvec want = got;
+      noise.add_to(dsp::cspan_mut{got}, 3.0);
+      for (dsp::cf& w : want) w += ref.next(3.0);
+      EXPECT_TRUE(same_bits(got.data(), want.data(), len)) << "add_to len=" << len;
+    }
+  }
+}
+#endif
 
 TEST(Impairments, PhaseRotation) {
   dsp::cvec x = {dsp::cf{1.0F, 0.0F}};

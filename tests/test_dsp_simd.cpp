@@ -11,12 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "dsp/fir.hpp"
+#include "dsp/simd/scalar_kernels.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/types.hpp"
 #include "phy/chip_table.hpp"
@@ -241,6 +245,157 @@ TEST(DspSimd, FirFilterBlockPathMatchesStreamingBitExact) {
                            " len=" + std::to_string(block_len));
     }
   }
+}
+
+// ------------------------------------------------ Gaussian noise stream
+
+TEST(DspSimd, Mt19937_64MatchesTheStandard) {
+  // [rand.predef]: the 10000th output of a default-constructed
+  // mt19937_64 (seed 5489).
+  simd::Mt19937_64 eng(5489);
+  std::uint64_t v = 0;
+  for (int i = 0; i < 10000; ++i) v = eng();
+  EXPECT_EQ(v, 9981545732273789042ULL);
+
+  std::mt19937_64 ref(0x5EED);
+  simd::Mt19937_64 mine(0x5EED);
+  for (int i = 0; i < 2000; ++i) ASSERT_EQ(mine(), ref()) << "output " << i;
+}
+
+void expect_same_engine(const simd::Mt19937_64& a, const simd::Mt19937_64& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.next, b.next) << what;
+  EXPECT_EQ(a.words, b.words) << what;
+}
+
+TEST(DspSimd, GaussianCfMatchesScalarBitExact) {
+  for (std::size_t n : {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 255, 256, 257, 311, 312, 313, 1000,
+                        5000}) {
+    simd::Mt19937_64 a(n + 1);
+    simd::Mt19937_64 b(n + 1);
+    std::vector<cf> got(n);
+    std::vector<cf> want(n);
+    simd::gaussian_cf(a, got.data(), n);
+    simd::scalar::gaussian_cf(b, want.data(), n);
+    expect_same_bits(got.data(), want.data(), n, "gaussian_cf n=" + std::to_string(n));
+    expect_same_engine(a, b, "n=" + std::to_string(n));
+  }
+}
+
+TEST(DspSimd, GaussianCfSplitsLikeOneCall) {
+  // Any split of the stream into calls gives the same samples and leaves
+  // the engine where one call leaves it.
+  const std::vector<std::size_t> splits = {1, 0, 300, 3, 257, 8, 1024, 5, 311, 2};
+  std::size_t total = 0;
+  for (std::size_t s : splits) total += s;
+  simd::Mt19937_64 whole(99);
+  simd::Mt19937_64 parts(99);
+  std::vector<cf> want(total);
+  std::vector<cf> got(total);
+  simd::scalar::gaussian_cf(whole, want.data(), total);
+  std::size_t pos = 0;
+  for (std::size_t s : splits) {
+    simd::gaussian_cf(parts, got.data() + pos, s);
+    pos += s;
+  }
+  expect_same_bits(got.data(), want.data(), total, "gaussian_cf split");
+  expect_same_engine(parts, whole, "split");
+}
+
+/// The state word whose tempered output is `z` (tempering inverted step
+/// by step; the left-shift and right-shift steps by fixed-point iteration).
+std::uint64_t untemper(std::uint64_t z) {
+  z ^= z >> 43;
+  z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+  std::uint64_t y = z;
+  for (int i = 0; i < 4; ++i) y = z ^ ((y << 17) & 0x71D67FFFEDA60000ULL);
+  z = y;
+  for (int i = 0; i < 3; ++i) y = z ^ ((y >> 29) & 0x5555555555555555ULL);
+  return y;
+}
+
+constexpr std::uint64_t kP53 = std::uint64_t{1} << 53;
+constexpr std::uint64_t kP63 = std::uint64_t{1} << 63;
+constexpr std::uint64_t kMax64 = ~std::uint64_t{0};
+
+/// Words at the edges of the canonical step: the double-exact range, the
+/// top of the range (rounds to 2^64 and must clamp), and words >= 2^53
+/// whose rounding is decided by bits below 2^11 alone (sticky bits).
+const std::vector<std::uint64_t> kEdgeWords = {
+    0, kP53 - 1, kP53, kP53 + 1, kP63, kMax64,
+    kP63 | (std::uint64_t{1} << 39) | 1,             // tie + sticky: rounds up
+    kP63 | (std::uint64_t{1} << 39) | 0x400,         // tie + sticky: rounds up
+    kP63 | (std::uint64_t{1} << 39),                 // exact tie: to even (down)
+    (std::uint64_t{1} << 54) | (std::uint64_t{1} << 30) | 1,
+    kP53 | 0x7FF, kP63 | 1, kMax64 - 0x7FF, 0x7FF};
+
+#if defined(__GLIBCXX__)
+/// A URBG that returns one fixed word: feeds generate_canonical directly.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  std::uint64_t word;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return word; }
+};
+#endif
+
+TEST(DspSimd, CanonicalStepAtTheEdges) {
+  const float below_one = std::nextafter(1.0F, 0.0F);
+  EXPECT_EQ(simd::detail::canonical_float(0), 0.0F);
+  EXPECT_EQ(simd::detail::canonical_float(kP53 - 1), 0x1p-11F);  // rounds up to 2^53
+  EXPECT_EQ(simd::detail::canonical_float(kP53), 0x1p-11F);
+  EXPECT_EQ(simd::detail::canonical_float(kP53 + 1), 0x1p-11F);
+  EXPECT_EQ(simd::detail::canonical_float(kP63), 0.5F);
+  EXPECT_EQ(simd::detail::canonical_float(kMax64), below_one);
+  EXPECT_EQ(simd::detail::canonical_float(kP63 | (std::uint64_t{1} << 39) | 1),
+            0.5F + 0x1p-24F);
+  EXPECT_EQ(simd::detail::canonical_float(kP63 | (std::uint64_t{1} << 39)), 0.5F);
+#if defined(__GLIBCXX__)
+  for (std::uint64_t w : kEdgeWords) {
+    FixedWord g{w};
+    const float want =
+        std::generate_canonical<float, std::numeric_limits<float>::digits>(g);
+    EXPECT_EQ(simd::detail::canonical_float(w), want) << std::hex << w;
+  }
+#endif
+}
+
+TEST(DspSimd, GaussianCfEdgeWordsMatchScalarBitExact) {
+  // Plant the edge words at the engine's read position, as x paired with
+  // a y of exactly 0 (word 2^63), with itself and with its neighbour, so
+  // they reach every lane of the vector path. (0, 2^63) gives x = -1,
+  // r2 = 1: m = sqrt(-0.0) = -0, which the `+ 0` step must turn into +0;
+  // (2^63, 2^63) gives r2 = 0 and must be rejected.
+  simd::Mt19937_64 planted(2024);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < kEdgeWords.size(); ++i) {
+    for (std::uint64_t y : {kP63, kEdgeWords[i], kEdgeWords[(i + 1) % kEdgeWords.size()]}) {
+      planted.words[k++] = untemper(kEdgeWords[i]);
+      planted.words[k++] = untemper(y);
+    }
+  }
+  planted.next = 0;
+  simd::Mt19937_64 probe = planted;
+  for (std::size_t i = 0; i < kEdgeWords.size(); ++i) {
+    ASSERT_EQ(probe(), kEdgeWords[i]) << "untemper round trip";
+    (void)probe();
+    for (int j = 0; j < 4; ++j) (void)probe();
+  }
+
+  constexpr std::size_t n = 64;
+  simd::Mt19937_64 a = planted;
+  simd::Mt19937_64 b = planted;
+  std::vector<cf> got(n);
+  std::vector<cf> want(n);
+  simd::gaussian_cf(a, got.data(), n);
+  simd::scalar::gaussian_cf(b, want.data(), n);
+  expect_same_bits(got.data(), want.data(), n, "gaussian_cf edge words");
+  expect_same_engine(a, b, "edge words");
+
+  // The first attempt is (0, 2^63): accepted with r2 = 1, both rails +0.
+  const cf zero{0.0F, 0.0F};
+  EXPECT_EQ(std::memcmp(&want[0], &zero, sizeof(cf)), 0);
 }
 
 }  // namespace

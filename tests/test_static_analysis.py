@@ -115,6 +115,9 @@ def fixture_tests() -> None:
     # --- D2: RNG discipline ---
     expect_fires("d2_bad.cpp", "d2-rng-discipline", min_count=3)
     expect_clean("d2_good.cpp")
+    # An engine declared first after an access label is still a member.
+    expect_fires("d2_member_bad.hpp", "d2-rng-discipline")
+    expect_clean("d2_member_good.hpp")
 
     # --- C1: contract coverage ---
     expect_fires("c1_bad.hpp", "c1-contract-coverage", min_count=3)
