@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <numbers>
 #include <random>
 #include <string>
 #include <vector>
@@ -53,17 +54,60 @@ dsp::cvec random_signal(std::size_t n, unsigned seed) {
   return x;
 }
 
+/// One forward transform of the same finite input per iteration: the input
+/// is restored from a pristine copy first (an n-sample copy, timed with
+/// the transform), since transforming one buffer over and over grows it
+/// to Inf/NaN within a few dozen iterations and then times NaN arithmetic.
+/// 16384 is the plan size of the 2049-tap jammer shaper and of the
+/// 4096-tap excision filters' convolvers.
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   dsp::Fft fft(n);
-  dsp::cvec x = random_signal(n, 1);
+  const dsp::cvec input = random_signal(n, 1);
+  dsp::cvec x(n);
   for (auto _ : state) {
+    std::copy(input.begin(), input.end(), x.begin());
     fft.forward(dsp::cspan_mut{x});
     benchmark::DoNotOptimize(x.data());
   }
+  if (!dsp::all_finite(dsp::cspan{x})) state.SkipWithError("non-finite FFT output");
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Fft)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_Fft)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+
+/// The scalar reference of the butterfly stages (`simd::scalar::fft_stages`)
+/// on the same bit-reversed input and twiddle table `Fft::forward` uses;
+/// the gap to BM_Fft, less the permutation, is what dispatch buys.
+void BM_FftScalar(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::size_t bits = 0;
+  while ((std::size_t{1} << bits) < n) ++bits;
+  const dsp::cvec natural = random_signal(n, 1);
+  dsp::cvec input(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t r = 0;
+    for (std::size_t b = 0; b < bits; ++b) r |= ((i >> b) & 1U) << (bits - 1 - b);
+    input[r] = natural[i];
+  }
+  dsp::cvec tw(n - 1);
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    for (std::size_t k = 0; k < half; ++k) {
+      const double angle = -2.0 * std::numbers::pi * static_cast<double>(k * (n / (2 * half))) /
+                           static_cast<double>(n);
+      tw[half - 1 + k] =
+          dsp::cf(static_cast<float>(std::cos(angle)), static_cast<float>(std::sin(angle)));
+    }
+  }
+  dsp::cvec x(n);
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), x.begin());
+    dsp::simd::scalar::fft_stages(x.data(), n, tw.data(), false);
+    benchmark::DoNotOptimize(x.data());
+  }
+  if (!dsp::all_finite(dsp::cspan{x})) state.SkipWithError("non-finite FFT output");
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FftScalar)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FirDirect(benchmark::State& state) {
   const auto taps = static_cast<std::size_t>(state.range(0));

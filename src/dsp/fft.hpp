@@ -5,11 +5,16 @@
 /// jammer spectral estimator and by the excision-filter design (eq. (3)
 /// in the paper requires an inverse DFT of the desired response).
 ///
-/// Plans (bit-reversal table + twiddle factors) are immutable and shared
-/// through a process-wide cache, so constructing an `Fft` for a size that
-/// has been used before is a cheap shared-pointer copy. The receiver
-/// builds an `FftConvolver` (and hence an `Fft`) per hop; without the
-/// cache that rebuilt the tables at every hop of every packet.
+/// A transform is the bit-reversal permutation, applied as a precomputed
+/// list of swaps, then one dispatched `simd::fft_stages` call that runs
+/// every butterfly stage (vectorised and bit-identical to the scalar
+/// stage-by-stage loop). Plans (the swap list, 8 B per swap for about n/2
+/// swaps, and one flat array of the n - 1 per-stage twiddles, 8 B each:
+/// about 12 B per point) are immutable and shared through a process-wide
+/// cache, so constructing an `Fft` for a size that has been used before
+/// is a cheap shared-pointer copy. The receiver builds an `FftConvolver`
+/// (and hence an `Fft`) per hop; without the cache that rebuilt the
+/// tables at every hop of every packet.
 
 #include <memory>
 
@@ -18,7 +23,7 @@
 
 namespace bhss::dsp {
 
-struct FftPlan;  // bitrev + twiddles, defined in fft.cpp
+struct FftPlan;  // bit-reversal swaps + per-stage twiddles, defined in fft.cpp
 
 /// Radix-2 decimation-in-time FFT plan for a fixed power-of-two size.
 /// Forward transform is unnormalised; inverse divides by N so that

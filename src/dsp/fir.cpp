@@ -117,13 +117,16 @@ void FftConvolver::filter(cspan x, cvec& out) {
   // reuses the previous num_taps-1 samples (zeros before the start).
   const std::size_t overlap = plan_->num_taps - 1;
   for (std::size_t pos = 0; pos < x.size(); pos += block_size) {
-    for (std::size_t i = 0; i < fft_size; ++i) {
-      // Sample index feeding this FFT bin; negative indices are zero.
-      const auto global = static_cast<std::ptrdiff_t>(pos + i) - static_cast<std::ptrdiff_t>(overlap);
-      block[i] = (global >= 0 && global < static_cast<std::ptrdiff_t>(x.size()))
-                     ? x[static_cast<std::size_t>(global)]
-                     : cf{0.0F, 0.0F};
-    }
+    // block[i] = x[pos + i - overlap], zero where that index falls before
+    // the start or past the end of x.
+    const std::size_t lead = overlap > pos ? overlap - pos : 0;
+    const std::size_t first = pos + lead - overlap;
+    const std::size_t count = std::min(fft_size - lead, x.size() - first);
+    std::fill_n(block.begin(), lead, cf{0.0F, 0.0F});
+    std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(first), count,
+                block.begin() + static_cast<std::ptrdiff_t>(lead));
+    std::fill(block.begin() + static_cast<std::ptrdiff_t>(lead + count), block.end(),
+              cf{0.0F, 0.0F});
     plan_->fft.forward(cspan_mut{block});
     simd::cmul_inplace(block.data(), plan_->taps_spectrum.data(), fft_size);
     plan_->fft.inverse(cspan_mut{block});

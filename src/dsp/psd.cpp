@@ -13,15 +13,24 @@
 namespace bhss::dsp {
 namespace {
 
-/// Per-thread window cache: the receiver estimates a PSD per hop with the
-/// same few (window, size) combinations, and recomputing the window costs
-/// as much as the FFT it feeds. Thread-local so the parallel Monte-Carlo
+/// What one (window, size) estimate needs besides the data: the window,
+/// its power and the FFT handle.
+struct WelchSetup {
+  WelchSetup(Window window, std::size_t size)
+      : w(make_window(window, size)), w_power(window_power(w)), fft(size) {}
+  fvec w;
+  double w_power;
+  Fft fft;
+};
+
+/// Per-thread setup cache: the receiver estimates a PSD per hop with the
+/// same few (window, size) combinations, and rebuilding the window costs
+/// as much as the FFT it feeds; a cached handle also skips the plan
+/// cache's lock and refcount. Thread-local so the parallel Monte-Carlo
 /// workers never contend.
-const fvec& cached_window(Window window, std::size_t size) {
-  thread_local std::map<std::pair<int, std::size_t>, fvec> cache;
-  fvec& slot = cache[{static_cast<int>(window), size}];
-  if (slot.size() != size) slot = make_window(window, size);
-  return slot;
+const WelchSetup& cached_setup(Window window, std::size_t size) {
+  thread_local std::map<std::pair<int, std::size_t>, WelchSetup> cache;
+  return cache.try_emplace({static_cast<int>(window), size}, window, size).first->second;
 }
 
 }  // namespace
@@ -31,12 +40,11 @@ fvec welch_psd(cspan x, std::size_t fft_size, double overlap, Window window) {
   BHSS_REQUIRE(overlap >= 0.0 && overlap <= 0.95, "welch_psd: overlap must be in [0, 0.95]");
   BHSS_REQUIRE(!x.empty(), "welch_psd: empty input");
 
-  const fvec& w = cached_window(window, fft_size);
-  const double w_power = window_power(w);
+  const WelchSetup& setup = cached_setup(window, fft_size);
+  const fvec& w = setup.w;
   const auto hop = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::lround(static_cast<double>(fft_size) * (1.0 - overlap))));
 
-  const Fft fft(fft_size);
   fvec psd(fft_size, 0.0F);
   // Segment scratch, reused across calls on this thread (the transform is
   // in place; every element is overwritten before the FFT reads it).
@@ -48,7 +56,7 @@ fvec welch_psd(cspan x, std::size_t fft_size, double overlap, Window window) {
     const std::size_t full = std::min<std::size_t>(chunk.size(), fft_size);
     simd::window_apply(chunk.data(), w.data(), seg.data(), full);
     for (std::size_t i = full; i < fft_size; ++i) seg[i] = cf{0.0F, 0.0F};
-    fft.forward(cspan_mut{seg});
+    setup.fft.forward(cspan_mut{seg});
     for (std::size_t i = 0; i < fft_size; ++i) {
       psd[i] += static_cast<float>(std::norm(seg[i]));
     }
@@ -66,7 +74,7 @@ fvec welch_psd(cspan x, std::size_t fft_size, double overlap, Window window) {
   // Normalise: |X_w(k)|^2 / (N * sum w^2) summed over bins equals the mean
   // power of the windowed signal (Parseval), averaged over segments.
   const auto norm = static_cast<float>(
-      1.0 / (static_cast<double>(n_segments) * static_cast<double>(fft_size) * w_power));
+      1.0 / (static_cast<double>(n_segments) * static_cast<double>(fft_size) * setup.w_power));
   for (float& p : psd) p *= norm;
   BHSS_ENSURE(all_finite(fspan{psd}), "welch_psd: produced non-finite PSD bins");
   return psd;

@@ -154,28 +154,117 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   for (std::size_t s = 0; s < 16; ++s) out[s] = cf{re[s], im[s]};
 }
 
-void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
-  if (half < 4) {
-    detail::fft_butterflies_scalar(a, b, tw, half, inverse);
+// ----------------------------------------------------------------- FFT
+//
+// The same butterflies as detail::fft_stages_scalar, scheduled for
+// registers: the half = 1 and half = 2 stages of each 4-sample block in
+// one pass, then the half >= 4 stages two at a time. Every butterfly
+// computes t = w * b with cmul4's products and single add/sub, then
+// a + t and a - t; where both outputs share a vector, a - t is taken as
+// a + (t ^ sign), which IEEE defines as the same operation (subtraction
+// is addition of the negation, and negation flips only the sign bit).
+
+namespace {
+
+constexpr int kSign = static_cast<int>(0x80000000U);
+
+/// Sign bits of the imaginary lanes: xor-ing a twiddle vector with this
+/// is conj(w) per cf.
+inline __m256 conj_mask(bool inverse) {
+  return inverse ? _mm256_castsi256_ps(_mm256_setr_epi32(0, kSign, 0, kSign, 0, kSign, 0, kSign))
+                 : _mm256_setzero_ps();
+}
+
+/// Stages half = 1 and half = 2, one 4-sample block per vector.
+void first_two_stages(cf* x, std::size_t n, const cf* tw, __m256 conj) {
+  const __m256 w1 = _mm256_xor_ps(_mm256_castpd_ps(_mm256_broadcast_sd(
+                                      reinterpret_cast<const double*>(tw))), conj);
+  const __m256 w2 = _mm256_xor_ps(_mm256_broadcast_ps(reinterpret_cast<const __m128*>(tw + 1)),
+                                  conj);
+  // Negate t for the b output of each butterfly: cf 1 and 3, then cf 2 and 3.
+  const __m256 sign1 =
+      _mm256_castsi256_ps(_mm256_setr_epi32(0, 0, kSign, kSign, 0, 0, kSign, kSign));
+  const __m256 sign2 =
+      _mm256_castsi256_ps(_mm256_setr_epi32(0, 0, 0, 0, kSign, kSign, kSign, kSign));
+  for (std::size_t s = 0; s < n; s += 4) {
+    const __m256 v = _mm256_loadu_ps(fp(x + s));
+    // half = 1: [c0 c0 c2 c2] + ([c1 c1 c3 c3] * tw[0]) ^ sign1.
+    const __m256 a1 = _mm256_permute_ps(v, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 b1 = _mm256_permute_ps(v, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 y = _mm256_add_ps(a1, _mm256_xor_ps(cmul4(w1, b1), sign1));
+    // half = 2: [y0 y1 y0 y1] + ([y2 y3 y2 y3] * [tw1 tw2 tw1 tw2]) ^ sign2.
+    const __m256 a2 = _mm256_permute2f128_ps(y, y, 0x00);
+    const __m256 b2 = _mm256_permute2f128_ps(y, y, 0x11);
+    _mm256_storeu_ps(fp(x + s), _mm256_add_ps(a2, _mm256_xor_ps(cmul4(w2, b2), sign2)));
+  }
+}
+
+/// One stage of half h >= 4, four butterflies per vector.
+void radix2_stage(cf* x, std::size_t n, const cf* tw, std::size_t h, __m256 conj) {
+  const cf* wh = tw + h - 1;
+  for (std::size_t s = 0; s < n; s += 2 * h) {
+    for (std::size_t k = 0; k < h; k += 4) {
+      cf* p = x + s + k;
+      const __m256 t = cmul4(_mm256_xor_ps(_mm256_loadu_ps(fp(wh + k)), conj),
+                             _mm256_loadu_ps(fp(p + h)));
+      const __m256 a = _mm256_loadu_ps(fp(p));
+      _mm256_storeu_ps(fp(p), _mm256_add_ps(a, t));
+      _mm256_storeu_ps(fp(p + h), _mm256_sub_ps(a, t));
+    }
+  }
+}
+
+/// Stages h and 2h (h >= 4) in one pass: for each k, the four samples
+/// k, k + h, k + 2h, k + 3h of a 4h block go through both butterfly
+/// levels in registers. Stage h pairs (k, k+h) and (k+2h, k+3h) with
+/// tw_h[k]; stage 2h pairs (k, k+2h) with tw_2h[k] and (k+h, k+3h) with
+/// tw_2h[k+h].
+void radix4_pass(cf* x, std::size_t n, const cf* tw, std::size_t h, __m256 conj) {
+  const cf* wh = tw + h - 1;
+  const cf* w2h = tw + 2 * h - 1;
+  for (std::size_t s = 0; s < n; s += 4 * h) {
+    for (std::size_t k = 0; k < h; k += 4) {
+      cf* p = x + s + k;
+      const __m256 w1 = _mm256_xor_ps(_mm256_loadu_ps(fp(wh + k)), conj);
+      const __m256 w2 = _mm256_xor_ps(_mm256_loadu_ps(fp(w2h + k)), conj);
+      const __m256 w3 = _mm256_xor_ps(_mm256_loadu_ps(fp(w2h + h + k)), conj);
+      const __m256 a = _mm256_loadu_ps(fp(p));
+      const __m256 b = _mm256_loadu_ps(fp(p + h));
+      const __m256 c = _mm256_loadu_ps(fp(p + 2 * h));
+      const __m256 d = _mm256_loadu_ps(fp(p + 3 * h));
+      const __m256 t1 = cmul4(w1, b);
+      const __m256 t2 = cmul4(w1, d);
+      const __m256 a1 = _mm256_add_ps(a, t1);
+      const __m256 b1 = _mm256_sub_ps(a, t1);
+      const __m256 c1 = _mm256_add_ps(c, t2);
+      const __m256 d1 = _mm256_sub_ps(c, t2);
+      const __m256 t3 = cmul4(w2, c1);
+      const __m256 t4 = cmul4(w3, d1);
+      _mm256_storeu_ps(fp(p), _mm256_add_ps(a1, t3));
+      _mm256_storeu_ps(fp(p + h), _mm256_add_ps(b1, t4));
+      _mm256_storeu_ps(fp(p + 2 * h), _mm256_sub_ps(a1, t3));
+      _mm256_storeu_ps(fp(p + 3 * h), _mm256_sub_ps(b1, t4));
+    }
+  }
+}
+
+}  // namespace
+
+void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
+  BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft_stages: null buffer");
+  if (n < 4) {
+    detail::fft_stages_scalar(x, n, tw, inverse);
     return;
   }
-  // conj(w) == flip the sign bit of the imaginary component.
-  const __m256 conj_mask = inverse ? _mm256_castsi256_ps(_mm256_set_epi32(
-                                         static_cast<int>(0x80000000U), 0,
-                                         static_cast<int>(0x80000000U), 0,
-                                         static_cast<int>(0x80000000U), 0,
-                                         static_cast<int>(0x80000000U), 0))
-                                   : _mm256_setzero_ps();
-  std::size_t k = 0;
-  for (; k + 4 <= half; k += 4) {
-    const __m256 w = _mm256_xor_ps(_mm256_loadu_ps(fp(tw + k)), conj_mask);
-    const __m256 vb = _mm256_loadu_ps(fp(b + k));
-    const __m256 va = _mm256_loadu_ps(fp(a + k));
-    const __m256 t = cmul4(w, vb);
-    _mm256_storeu_ps(fp(a + k), _mm256_add_ps(va, t));
-    _mm256_storeu_ps(fp(b + k), _mm256_sub_ps(va, t));
+  const __m256 conj = conj_mask(inverse);
+  first_two_stages(x, n, tw, conj);
+  // log2(n) - 2 stages remain; an odd count runs its first one alone.
+  std::size_t h = 4;
+  if (std::countr_zero(n) % 2 == 1) {
+    radix2_stage(x, n, tw, h, conj);
+    h *= 2;
   }
-  detail::fft_butterflies_scalar(a + k, b + k, tw + k, half - k, inverse);
+  for (; h < n; h *= 4) radix4_pass(x, n, tw, h, conj);
 }
 
 void cmul_inplace(cf* a, const cf* b, std::size_t n) {

@@ -18,7 +18,7 @@ void fir_filter_block(const cf*, std::size_t, const cf*, cf*, std::size_t);
 void fir_decimate_real(const float*, std::size_t, const cf*, cf*, std::size_t, std::size_t);
 void correlate_lags(const cf*, const cf*, std::size_t, cf*, std::size_t);
 void despread_correlate16(const cf*, std::size_t, const float*, const float*, const float*, cf*);
-void fft_butterflies(cf*, cf*, const cf*, std::size_t, bool);
+void fft_stages(cf*, std::size_t, const cf*, bool);
 void cmul_inplace(cf*, const cf*, std::size_t);
 void scale_inplace(cf*, float, std::size_t);
 void window_apply(const cf*, const float*, cf*, std::size_t);
@@ -68,11 +68,11 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   }
 }
 
-void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
+void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
   if (kUseAvx2) {
-    avx2::fft_butterflies(a, b, tw, half, inverse);
+    avx2::fft_stages(x, n, tw, inverse);
   } else {
-    detail::fft_butterflies_scalar(a, b, tw, half, inverse);
+    detail::fft_stages_scalar(x, n, tw, inverse);
   }
 }
 
@@ -123,7 +123,7 @@ void fir_filter_block(const cf*, std::size_t, const cf*, cf*, std::size_t);
 void fir_decimate_real(const float*, std::size_t, const cf*, cf*, std::size_t, std::size_t);
 void correlate_lags(const cf*, const cf*, std::size_t, cf*, std::size_t);
 void despread_correlate16(const cf*, std::size_t, const float*, const float*, const float*, cf*);
-void fft_butterflies(cf*, cf*, const cf*, std::size_t, bool);
+void fft_stages(cf*, std::size_t, const cf*, bool);
 void cmul_inplace(cf*, const cf*, std::size_t);
 void scale_inplace(cf*, float, std::size_t);
 void window_apply(const cf*, const float*, cf*, std::size_t);
@@ -152,8 +152,8 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   neon::despread_correlate16(pairs, n_pairs, se, so, cols, out);
 }
 
-void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
-  neon::fft_butterflies(a, b, tw, half, inverse);
+void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
+  neon::fft_stages(x, n, tw, inverse);
 }
 
 void cmul_inplace(cf* a, const cf* b, std::size_t n) { neon::cmul_inplace(a, b, n); }
@@ -197,8 +197,8 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   detail::despread_correlate16_scalar(pairs, n_pairs, se, so, cols, out);
 }
 
-void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
-  detail::fft_butterflies_scalar(a, b, tw, half, inverse);
+void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
+  detail::fft_stages_scalar(x, n, tw, inverse);
 }
 
 void cmul_inplace(cf* a, const cf* b, std::size_t n) { detail::cmul_inplace_scalar(a, b, n); }

@@ -121,7 +121,10 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   for (std::size_t s = 0; s < 16; ++s) out[s] = cf{res[s], ims[s]};
 }
 
-void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
+namespace {
+
+/// One stage's butterflies for one block, two at a time.
+void butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
   if (half < 2) {
     detail::fft_butterflies_scalar(a, b, tw, half, inverse);
     return;
@@ -140,6 +143,17 @@ void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse)
     vst1q_f32(fp(b + k), vsubq_f32(va, t));
   }
   detail::fft_butterflies_scalar(a + k, b + k, tw + k, half - k, inverse);
+}
+
+}  // namespace
+
+void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
+  BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft_stages: null buffer");
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    for (std::size_t start = 0; start < n; start += 2 * half) {
+      butterflies(x + start, x + start + half, tw + half - 1, half, inverse);
+    }
+  }
 }
 
 void cmul_inplace(cf* a, const cf* b, std::size_t n) {

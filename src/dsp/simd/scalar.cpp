@@ -35,8 +35,8 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   detail::despread_correlate16_scalar(pairs, n_pairs, se, so, cols, out);
 }
 
-void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
-  detail::fft_butterflies_scalar(a, b, tw, half, inverse);
+void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
+  detail::fft_stages_scalar(x, n, tw, inverse);
 }
 
 void cmul_inplace(cf* a, const cf* b, std::size_t n) { detail::cmul_inplace_scalar(a, b, n); }

@@ -77,6 +77,9 @@ inline void despread_correlate16_scalar(const cf* pairs, std::size_t n_pairs, co
   }
 }
 
+/// One FFT stage's butterflies for one block: for k in [0, half)
+///   w = inverse ? conj(tw[k]) : tw[k];  t = w * b[k];
+///   a[k] = a[k] + t;  b[k] = a[k]_old - t.
 inline void fft_butterflies_scalar(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
   BHSS_REQUIRE(a != nullptr && b != nullptr && tw != nullptr, "fft_butterflies: null buffer");
   for (std::size_t k = 0; k < half; ++k) {
@@ -86,6 +89,18 @@ inline void fft_butterflies_scalar(cf* a, cf* b, const cf* tw, std::size_t half,
     const cf t = w * b[k];
     a[k] = u + t;
     b[k] = u - t;
+  }
+}
+
+/// Every stage of an in-place radix-2 transform of bit-reversed `x`:
+/// stage half h = 1, 2, 4, ..., n/2 in order, its blocks in address order,
+/// with the stage's twiddles at tw[h - 1 .. 2h - 2].
+inline void fft_stages_scalar(cf* x, std::size_t n, const cf* tw, bool inverse) {
+  BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft_stages: null buffer");
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    for (std::size_t start = 0; start < n; start += 2 * half) {
+      fft_butterflies_scalar(x + start, x + start + half, tw + half - 1, half, inverse);
+    }
   }
 }
 

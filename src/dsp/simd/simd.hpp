@@ -24,8 +24,13 @@
 ///    symbols over a structure-of-arrays chip table; the chip-pair index
 ///    m walks sequentially, so each symbol's correlation accumulates in
 ///    the scalar order.
-///  * `fft_butterflies`       — vectorized across the butterfly index k
-///    within one (stage, block); each butterfly is elementwise.
+///  * `fft_stages`            — every radix-2 stage of one transform in
+///    one call. Each butterfly is elementwise and keeps its scalar
+///    products, so any schedule that respects the stage-to-stage data
+///    flow gives the scalar bits: AVX2 runs the half = 1 and half = 2
+///    stages across blocks in one pass (`a - t` as `a + (t ^ sign)`, the
+///    same IEEE addition of the negation) and the half >= 4 stages two
+///    at a time, both levels in registers (radix-2^2).
 ///  * `cmul_inplace`, `scale_inplace`, `window_apply`, `scale_pulse` —
 ///    elementwise, trivially order-preserving.
 ///  * `gaussian_cf`           — the Gaussian noise stream: MT19937-64
@@ -99,12 +104,15 @@ BHSS_HOT void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* 
 BHSS_HOT void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
                                    const float* so, const float* cols, cf* out);
 
-/// One FFT stage's butterflies for one block: for k in [0, half)
-///   w = inverse ? conj(tw[k]) : tw[k];
-///   t = w * b[k];  a[k] = a[k] + t;  b[k] = a[k]_old - t;
-/// `a` and `b` are the two halves of the block (b = a + half in the
-/// caller's layout, but any disjoint arrays are accepted).
-BHSS_HOT void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse);
+/// All butterfly stages of an in-place radix-2 decimation-in-time
+/// transform of `x`, which holds n (a power of two >= 2) samples already
+/// in bit-reversed order. Stage half h = 1, 2, 4, ..., n/2 reads its
+/// twiddles at tw[h - 1 + k], k in [0, h) (n - 1 values in all), and for
+/// every block start s (a multiple of 2h) and k in [0, h) computes
+///   w = inverse ? conj(tw[h - 1 + k]) : tw[h - 1 + k];
+///   t = w * x[s+k+h];  x[s+k] = x[s+k] + t;  x[s+k+h] = x[s+k]_old - t.
+/// No 1/n scaling: the inverse only conjugates the twiddles.
+BHSS_HOT void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse);
 
 /// Pointwise complex multiply in place: a[i] *= b[i].
 BHSS_HOT void cmul_inplace(cf* a, const cf* b, std::size_t n);
@@ -162,7 +170,7 @@ BHSS_HOT void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* 
                              std::size_t n_lags);
 BHSS_HOT void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
                                    const float* so, const float* cols, cf* out);
-BHSS_HOT void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse);
+BHSS_HOT void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse);
 BHSS_HOT void cmul_inplace(cf* a, const cf* b, std::size_t n);
 BHSS_HOT void scale_inplace(cf* x, float s, std::size_t n);
 BHSS_HOT void window_apply(const cf* x, const float* w, cf* out, std::size_t n);

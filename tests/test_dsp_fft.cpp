@@ -1,13 +1,18 @@
 // Unit tests for the radix-2 FFT: impulse/DC responses, linearity against
-// a naive DFT, Parseval's theorem, and round-trip inversion.
+// a naive DFT, Parseval's theorem, round-trip inversion, and the exact
+// output bits on a fixed input.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <random>
+#include <vector>
 
 #include "dsp/fft.hpp"
+#include "dsp/simd/simd.hpp"
 
 namespace bhss::dsp {
 namespace {
@@ -47,6 +52,10 @@ TEST(Fft, ValidSize) {
 TEST(Fft, RejectsInvalidSize) {
   EXPECT_THROW(Fft(0), std::invalid_argument);
   EXPECT_THROW(Fft(7), std::invalid_argument);
+  // A power of two whose indices overflow the plan's 32-bit swap list.
+  if constexpr (sizeof(std::size_t) > 4) {
+    EXPECT_THROW(Fft(std::size_t{1} << 33), std::invalid_argument);
+  }
 }
 
 TEST(Fft, ImpulseIsFlat) {
@@ -139,6 +148,75 @@ TEST(Fft, ForwardCopyZeroPads) {
   const cvec spec = fft.forward_copy(x);
   ASSERT_EQ(spec.size(), 16U);
   EXPECT_NEAR(spec[0].real(), 4.0F, 1e-5);
+}
+
+/// A fixed input that no library distribution shapes: 24-bit words of the
+/// in-tree MT19937-64, each an exact float in [-1, 1).
+cvec pinned_input(std::size_t n) {
+  simd::Mt19937_64 eng(0xF17ED);
+  cvec x(n);
+  for (cf& v : x) {
+    const float re = static_cast<float>(eng() >> 40) * 0x1p-23F - 1.0F;
+    const float im = static_cast<float>(eng() >> 40) * 0x1p-23F - 1.0F;
+    v = cf{re, im};
+  }
+  return x;
+}
+
+std::vector<std::uint32_t> float_words(const cvec& x) {
+  std::vector<std::uint32_t> words(2 * x.size());
+  std::memcpy(words.data(), x.data(), words.size() * sizeof(std::uint32_t));
+  return words;
+}
+
+/// FNV-1a 64 over the float words, least significant byte first.
+std::uint64_t fnv1a(const cvec& x) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::uint32_t w : float_words(x)) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Fft, TransformIsPinned) {
+  // The exact output bits of both directions, so a change to the twiddles,
+  // the permutation or the butterfly arithmetic fails in every build,
+  // scalar or vector: the n = 8 words in full, larger sizes by digest.
+  const std::vector<std::uint32_t> forward8 = {
+      0xBF7F232E, 0xBFB6F653, 0xBE852EB9, 0x3E15D428, 0x3F3D83B6, 0x3F968090,
+      0x3F48DD1A, 0x3FED5581, 0x40589968, 0xBF879723, 0x3D325F88, 0x4011A0D4,
+      0x402ED8F4, 0x3F8EBF5A, 0x3FB6C9C9, 0x3E002DA8};
+  const std::vector<std::uint32_t> inverse8 = {
+      0xBDFF232E, 0xBE36F653, 0x3E36C9C9, 0x3C802DA8, 0x3EAED8F4, 0x3E0EBF5A,
+      0x3BB25F88, 0x3E91A0D4, 0x3ED89968, 0xBE079723, 0x3DC8DD1A, 0x3E6D5581,
+      0x3DBD83B6, 0x3E168090, 0xBD052EB9, 0x3C95D428};
+  struct Pin {
+    std::size_t n;
+    bool inverse;
+    std::uint64_t digest;
+  };
+  const std::vector<Pin> pins = {
+      {8, false, 0xCC97CD7FA612D8F7ULL},    {8, true, 0xA8D3031A9195964CULL},
+      {1024, false, 0x07317FB7CC76F17CULL}, {1024, true, 0x48AB977AC617CF12ULL},
+      {16384, false, 0xF9212589542B0823ULL}, {16384, true, 0xF9081686ED5B3249ULL},
+  };
+  for (const Pin& pin : pins) {
+    cvec x = pinned_input(pin.n);
+    const Fft fft(pin.n);
+    if (pin.inverse) {
+      fft.inverse(cspan_mut{x});
+    } else {
+      fft.forward(cspan_mut{x});
+    }
+    EXPECT_EQ(fnv1a(x), pin.digest)
+        << "n=" << pin.n << " inverse=" << pin.inverse << " isa=" << simd::active_isa();
+    if (pin.n == 8) {
+      EXPECT_EQ(float_words(x), pin.inverse ? inverse8 : forward8);
+    }
+  }
 }
 
 TEST(FftShift, SwapsHalves) {

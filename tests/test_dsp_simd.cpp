@@ -4,7 +4,8 @@
 // layer sits underneath golden decision traces, the shard-merge
 // byte-identity contract and the seed-equivalence 1-ulp pins. Each kernel
 // is swept across lengths 1..3*lane_width+1 (exercising every tail
-// remainder on both AVX2 and NEON) and across unaligned buffer offsets
+// remainder on both AVX2 and NEON; the FFT stages, whose sizes are powers
+// of two, across every n up to 65536) and across unaligned buffer offsets
 // (no kernel may assume 32-byte alignment: callers pass arbitrary
 // subspans of hop slices).
 
@@ -59,12 +60,17 @@ void fill(float* p, std::size_t n) {
 
 /// Bitwise comparison: equal bits, not equal values (catches -0 vs +0 and
 /// would catch any FMA/reassociation drift a tolerance check forgives).
+/// One failure per call, naming the first mismatch and the count.
 void expect_same_bits(const cf* a, const cf* b, std::size_t n, const std::string& what) {
+  std::size_t mismatches = 0;
+  std::size_t first = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(cf)), 0)
-        << what << ": bit mismatch at " << i << " (" << a[i].real() << "," << a[i].imag()
-        << ") vs (" << b[i].real() << "," << b[i].imag() << ")";
+    if (std::memcmp(&a[i], &b[i], sizeof(cf)) != 0 && mismatches++ == 0) first = i;
   }
+  if (mismatches == 0) return;
+  ADD_FAILURE() << what << ": " << mismatches << " of " << n << " differ, first at " << first
+                << " (" << a[first].real() << "," << a[first].imag() << ") vs ("
+                << b[first].real() << "," << b[first].imag() << ")";
 }
 
 TEST(DspSimd, ActiveIsaIsConsistent) {
@@ -157,25 +163,39 @@ TEST(DspSimd, DespreadCorrelate16MatchesScalarBitExact) {
   }
 }
 
-TEST(DspSimd, FftButterfliesMatchesScalarBitExact) {
-  for (bool inverse : {false, true}) {
-    for (std::size_t half = 1; half <= kMaxLen; ++half) {
+/// Overwrite every 5th value from `first` on with one of the inputs IEEE
+/// treats apart: signed zeros (u + t and u - t keep or lose the sign of a
+/// zero) and subnormals (no flush to zero on either path).
+void salt_specials(cf* p, std::size_t n, std::size_t first) {
+  constexpr std::array<float, 6> kSpecials = {0.0F,          -0.0F,           0x1p-149F,
+                                              -0x1.8p-130F, 0x1.fffffcp-127F, -0x1p-140F};
+  for (std::size_t i = first; i < n; i += 5) {
+    p[i] = cf{kSpecials[i % kSpecials.size()], kSpecials[(i / 5) % kSpecials.size()]};
+  }
+}
+
+TEST(DspSimd, FftStagesMatchScalarBitExact) {
+  // Every power of two from 2 to 65536: the n = 2 and n = 4 edges, then
+  // both parities of the number of half >= 4 stages (AVX2 runs an odd
+  // one alone and the rest two per pass). Twiddles are arbitrary values:
+  // the kernel contract holds for any table. The salt starts past tw[0],
+  // which alone drives the half = 1 stage: a zero there would hide that
+  // stage's add/sub lanes behind t = 0.
+  for (std::size_t n = 2; n <= 65536; n *= 2) {
+    for (bool inverse : {false, true}) {
       for (std::size_t off = 0; off <= kMaxOffset; ++off) {
-        Offset<cf> a(half, off);
-        Offset<cf> b(half, off);
-        Offset<cf> tw(half, off);
-        fill(a.p, half);
-        fill(b.p, half);
-        fill(tw.p, half);
-        std::vector<cf> a2(a.p, a.p + half);
-        std::vector<cf> b2(b.p, b.p + half);
-        simd::fft_butterflies(a.p, b.p, tw.p, half, inverse);
-        simd::scalar::fft_butterflies(a2.data(), b2.data(), tw.p, half, inverse);
-        const std::string what = "fft_butterflies half=" + std::to_string(half) +
-                                 " inv=" + std::to_string(inverse) +
-                                 " off=" + std::to_string(off);
-        expect_same_bits(a.p, a2.data(), half, what + " (a)");
-        expect_same_bits(b.p, b2.data(), half, what + " (b)");
+        Offset<cf> x(n, off);
+        Offset<cf> tw(n - 1, off);
+        fill(x.p, n);
+        fill(tw.p, n - 1);
+        salt_specials(x.p, n, off);
+        salt_specials(tw.p, n - 1, off + 1);
+        std::vector<cf> want(x.p, x.p + n);
+        simd::fft_stages(x.p, n, tw.p, inverse);
+        simd::scalar::fft_stages(want.data(), n, tw.p, inverse);
+        expect_same_bits(x.p, want.data(), n,
+                         "fft_stages n=" + std::to_string(n) + " inv=" + std::to_string(inverse) +
+                             " off=" + std::to_string(off));
       }
     }
   }
