@@ -1,13 +1,10 @@
 // Microbenchmarks (google-benchmark) of the hot kernels behind the
 // experiments: FFT, direct vs overlap-save FIR filtering, Welch PSD,
 // excision design, chip modulation/demodulation, despreading, a whole
-// frame reception, and the parallel Monte-Carlo runner at 1/2/4/8
-// threads. Not a paper figure — these quantify what the sample-domain
-// experiments cost and where the time goes.
-//
-// The *Seed variants benchmark verbatim copies of the pre-optimisation
-// kernels (modulo-branch FIR ring buffer, allocate-per-call overlap-save)
-// so the speedup of the allocation-free hot paths stays measurable.
+// frame reception, and the per-op cost of the metrics, trace and
+// adaptation hot paths. Not a paper figure — these quantify what the
+// sample-domain experiments cost and where the time goes. End-to-end
+// link timing is bench/suite's job (BENCHMARK.json).
 //
 // Accepts --json=PATH in addition to the native google-benchmark flags;
 // it expands to --benchmark_out=PATH --benchmark_out_format=json so the
@@ -27,7 +24,6 @@
 #include "adapt/jam_detector.hpp"
 #include "channel/link_channel.hpp"
 #include "core/control_logic.hpp"
-#include "core/link_simulator.hpp"
 #include "core/receiver.hpp"
 #include "core/transmitter.hpp"
 #include "dsp/fft.hpp"
@@ -39,7 +35,6 @@
 #include "phy/chip_table.hpp"
 #include "phy/modulator.hpp"
 #include "phy/spreader.hpp"
-#include "runtime/parallel_link_runner.hpp"
 #include "sync/correlate.hpp"
 
 namespace {
@@ -133,81 +128,6 @@ void BM_FirOverlapSave(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_FirOverlapSave)->Arg(64)->Arg(256)->Arg(1025);
-
-// ------------------------------------------------- seed-kernel comparisons
-
-/// Pre-optimisation FirFilter: modulo-branch ring buffer walk per tap.
-class SeedFirFilter {
- public:
-  explicit SeedFirFilter(dsp::cvec taps) : taps_(std::move(taps)), head_(0) {
-    history_.assign(taps_.size(), dsp::cf{0.0F, 0.0F});
-  }
-
-  dsp::cf process(dsp::cf in) noexcept {
-    history_[head_] = in;
-    dsp::cf acc{0.0F, 0.0F};
-    std::size_t idx = head_;
-    const std::size_t n = taps_.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      acc += taps_[k] * history_[idx];
-      idx = (idx == 0) ? n - 1 : idx - 1;
-    }
-    head_ = (head_ + 1 == n) ? 0 : head_ + 1;
-    return acc;
-  }
-
- private:
-  dsp::cvec taps_;
-  dsp::cvec history_;
-  std::size_t head_;
-};
-
-void BM_FirDirectSeed(benchmark::State& state) {
-  const auto taps = static_cast<std::size_t>(state.range(0));
-  SeedFirFilter fir{random_signal(taps, 2)};
-  const dsp::cvec x = random_signal(4096, 3);
-  dsp::cvec y(x.size());
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = fir.process(x[i]);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_FirDirectSeed)->Arg(16)->Arg(64)->Arg(256);
-
-/// Pre-optimisation FftConvolver: a fresh fft_size block every call.
-void BM_FirOverlapSaveSeed(benchmark::State& state) {
-  const auto n_taps = static_cast<std::size_t>(state.range(0));
-  const dsp::cvec taps = random_signal(n_taps, 4);
-  std::size_t fft_size = 2;
-  while (fft_size < std::max<std::size_t>(4 * n_taps, 1024)) fft_size <<= 1;
-  const std::size_t block_size = fft_size - n_taps + 1;
-  const dsp::Fft fft(fft_size);
-  const dsp::cvec taps_spectrum = fft.forward_copy(dsp::cspan{taps});
-  const dsp::cvec x = random_signal(4096, 5);
-  const std::size_t overlap = n_taps - 1;
-  for (auto _ : state) {
-    dsp::cvec out(x.size());
-    dsp::cvec block(fft_size);  // the per-call allocation under test
-    for (std::size_t pos = 0; pos < x.size(); pos += block_size) {
-      for (std::size_t i = 0; i < fft_size; ++i) {
-        const auto global =
-            static_cast<std::ptrdiff_t>(pos + i) - static_cast<std::ptrdiff_t>(overlap);
-        block[i] = (global >= 0 && global < static_cast<std::ptrdiff_t>(x.size()))
-                       ? x[static_cast<std::size_t>(global)]
-                       : dsp::cf{0.0F, 0.0F};
-      }
-      fft.forward(dsp::cspan_mut{block});
-      for (std::size_t i = 0; i < fft_size; ++i) block[i] *= taps_spectrum[i];
-      fft.inverse(dsp::cspan_mut{block});
-      const std::size_t n_valid = std::min(block_size, x.size() - pos);
-      for (std::size_t i = 0; i < n_valid; ++i) out[pos + i] = block[overlap + i];
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_FirOverlapSaveSeed)->Arg(64)->Arg(256)->Arg(1025);
 
 void BM_WelchPsd(benchmark::State& state) {
   const dsp::cvec x = random_signal(16384, 6);
@@ -436,84 +356,7 @@ void BM_FullFrameReceive(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFrameReceive);
 
-// ----------------------------------------------------- parallel Monte-Carlo
-
-/// End-to-end link simulation through the ParallelLinkRunner; the arg is
-/// the thread count. Fixed 16 shards, so every row computes the identical
-/// statistics — only the wall time may differ.
-void BM_RunLink(benchmark::State& state) {
-  const auto n_threads = static_cast<std::size_t>(state.range(0));
-  runtime::ParallelLinkRunner runner({.n_threads = n_threads, .n_shards = 16});
-  core::SimConfig cfg;
-  cfg.payload_len = 4;
-  cfg.n_packets = 16;
-  cfg.snr_db = 12.0;
-  cfg.jnr_db = 20.0;
-  cfg.jammer.kind = core::JammerSpec::Kind::fixed_bandwidth;
-  cfg.jammer.bandwidth_frac = 0.1;
-  for (auto _ : state) {
-    const core::LinkStats s = runner.run(cfg);
-    benchmark::DoNotOptimize(s.ok);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cfg.n_packets));
-}
-BENCHMARK(BM_RunLink)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
 // ------------------------------------------------------------ observability
-
-/// Same simulation as BM_RunLink with per-shard telemetry collected, so
-/// the enabled-path overhead of the obs layer is the delta to BM_RunLink
-/// at the same thread count. (BM_RunLink itself is left untouched: it is
-/// the telemetry-disabled regression gate against BENCH_kernels.json.)
-void BM_RunLinkTelemetry(benchmark::State& state) {
-  const auto n_threads = static_cast<std::size_t>(state.range(0));
-  runtime::ParallelLinkRunner runner({.n_threads = n_threads, .n_shards = 16});
-  core::SimConfig cfg;
-  cfg.payload_len = 4;
-  cfg.n_packets = 16;
-  cfg.snr_db = 12.0;
-  cfg.jnr_db = 20.0;
-  cfg.jammer.kind = core::JammerSpec::Kind::fixed_bandwidth;
-  cfg.jammer.bandwidth_frac = 0.1;
-  std::vector<obs::ShardTelemetry> telemetry;
-  for (auto _ : state) {
-    const core::LinkStats s = runner.run(cfg, &telemetry);
-    benchmark::DoNotOptimize(s.ok);
-    benchmark::DoNotOptimize(telemetry.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cfg.n_packets));
-}
-BENCHMARK(BM_RunLinkTelemetry)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
-
-/// Same simulation as BM_RunLink with the closed-loop resilience
-/// controller enabled (small detector window so the loop actually trips
-/// and republishes hop plans), so the adaptation overhead — detector
-/// updates, reweighting, pattern rebuilds on epoch change — is the delta
-/// to BM_RunLink at the same thread count.
-void BM_RunLinkAdapt(benchmark::State& state) {
-  const auto n_threads = static_cast<std::size_t>(state.range(0));
-  runtime::ParallelLinkRunner runner({.n_threads = n_threads, .n_shards = 16});
-  core::SimConfig cfg;
-  cfg.payload_len = 4;
-  cfg.n_packets = 16;
-  cfg.snr_db = 12.0;
-  cfg.jnr_db = 20.0;
-  cfg.jammer.kind = core::JammerSpec::Kind::fixed_bandwidth;
-  cfg.jammer.bandwidth_frac = 0.1;
-  cfg.adapt.enabled = true;
-  cfg.adapt.detector.window_packets = 4;
-  cfg.adapt.detector.trip_windows = 1;
-  cfg.adapt.detector.clear_windows = 1;
-  for (auto _ : state) {
-    const core::LinkStats s = runner.run(cfg);
-    benchmark::DoNotOptimize(s.ok);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cfg.n_packets));
-}
-BENCHMARK(BM_RunLinkAdapt)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 /// Raw cost of one counter bump + one histogram observe on the canonical
 /// link schema — the per-site price paid inside the hop loop.

@@ -1,31 +1,36 @@
 #!/usr/bin/env python3
 """Gate kernel benchmark results against the committed baseline.
 
-Compares a fresh google-benchmark JSON export (perf_kernels --json=...)
-against BENCH_kernels.json and fails when any benchmark shared by both
-files regressed by more than the tolerance (default 15 %). Benchmarks
-present on only one side are reported but never fail the gate, so adding
-or retiring a benchmark does not require touching the baseline in the
-same commit.
+Compares a fresh google-benchmark JSON export of perf_kernels against
+BENCH_kernels.json. Both sides are recorded the same way:
+
+  perf_kernels --json=PATH --benchmark_repetitions=5 \\
+               --benchmark_enable_random_interleaving=true \\
+               --benchmark_min_time=2
+
+Each row is judged on its `median` aggregate. A row fails when
+
+  fresh median / baseline median > 1 + max(0.15, 3 * baseline cv)
+
+where `cv` is the baseline row's own coefficient of variation over its
+repetitions, so the recording sets each row's bound: a noisy row gets a
+looser one, and no row gets one tighter than 15 %. A row that called
+SkipWithError (exported as "error_occurred") fails the gate with its
+error message. Rows present on only one side are reported but never
+fail, so adding or retiring a benchmark does not require re-recording
+in the same commit.
 
 Modes:
-  perf_compare.py RESULTS.json                 gate against BENCH_kernels.json
-  perf_compare.py RESULTS.json --baseline P    gate against P
-  perf_compare.py RESULTS.json --calibrate     rewrite the baseline from RESULTS
+  perf_compare.py RESULTS.json              gate against BENCH_kernels.json
+  perf_compare.py RESULTS.json --calibrate  rewrite BENCH_kernels.json from
+                                            RESULTS (median and cv rows only)
 
-`--baseline` may be given several times to gate one results file against
-multiple committed baselines in a single invocation; `--tolerance` is
-then either given once (applied to every baseline) or once per baseline,
-paired in order. CI uses this to gate the kernel baseline at 15 % and
-the observability/adaptation baseline (BENCH_obs.json) at its tighter
-2 % unobserved-hot-path budget in one pass. `--calibrate` refuses to run
-with more than one baseline: recalibration is a deliberate, per-file act.
+Both modes refuse an export whose `bhss_build_flavor` context (stamped by
+perf_kernels' custom main) is not "release", and an export that lacks the
+median/cv aggregates of the repeated recording. --calibrate also refuses
+an export with errored rows.
 
-Both the gate and --calibrate refuse results whose embedded
-`bhss_build_flavor` context (stamped by perf_kernels' custom main) is not
-"release": debug or sanitizer numbers are meaningless as perf data.
-Baselines recorded before the flavour stamp existed are accepted with a
-warning.
+Exit status: 0 pass, 1 a row regressed or errored, 2 unusable input.
 """
 
 from __future__ import annotations
@@ -33,123 +38,126 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_BASELINE = REPO_ROOT / "BENCH_kernels.json"
-DEFAULT_TOLERANCE = 0.15
+BASELINE = REPO_ROOT / "BENCH_kernels.json"
+MIN_BOUND = 0.15
+CV_FACTOR = 3.0
+RECORD_FLAGS = ("--benchmark_repetitions=5 --benchmark_enable_random_interleaving=true "
+                "--benchmark_min_time=2")
+_NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def load_rows(path: Path) -> tuple[dict[str, float], dict]:
+@dataclass
+class Export:
+    medians: dict[str, float]  # row name -> median real time, ns
+    cvs: dict[str, float]      # row name -> coefficient of variation
+    errors: dict[str, str]     # row name -> error_message
+    doc: dict
+
+
+class Refused(Exception):
+    """The export cannot be gated or recorded."""
+
+
+def load_export(path: Path) -> Export:
     with open(path) as f:
         doc = json.load(f)
-    rows: dict[str, float] = {}
-    for row in doc.get("benchmarks", []):
-        # Aggregate rows (mean/median/stddev from --benchmark_repetitions)
-        # would double-count; keep only plain iteration rows.
-        if row.get("run_type", "iteration") != "iteration":
-            continue
-        rows[row["name"]] = float(row["real_time"])
-    return rows, doc.get("context", {})
-
-
-def check_flavor(context: dict, what: str) -> list[str]:
-    flavor = context.get("bhss_build_flavor")
-    if flavor is None:
-        return [f"note: {what} has no bhss_build_flavor stamp (pre-stamp recording?)"]
+    flavor = doc.get("context", {}).get("bhss_build_flavor")
     if flavor != "release":
-        raise SystemExit(
-            f"error: {what} was produced by a '{flavor}' build of perf_kernels; "
-            "only release numbers may be gated or recorded (see EXPERIMENTS.md)")
-    return []
+        raise Refused(f"{path} was produced by a '{flavor}' build of perf_kernels; "
+                      "only release numbers may be gated or recorded (see EXPERIMENTS.md)")
+    exp = Export({}, {}, {}, doc)
+    names: set[str] = set()
+    for row in doc.get("benchmarks", []):
+        name = row.get("run_name", row["name"])
+        if row.get("error_occurred"):
+            exp.errors[name] = row.get("error_message", "")
+            continue
+        names.add(name)
+        aggregate = row.get("aggregate_name")
+        if aggregate == "median":
+            exp.medians[name] = float(row["real_time"]) * _NS_PER_UNIT[row["time_unit"]]
+        elif aggregate == "cv":
+            exp.cvs[name] = float(row["real_time"])
+    bare = sorted(n for n in names if n not in exp.medians or n not in exp.cvs)
+    if bare or not (names or exp.errors):
+        raise Refused(f"{path} has no median/cv aggregates for "
+                      f"{', '.join(bare) or 'any row'}; record with {RECORD_FLAGS}")
+    return exp
 
 
-def gate(fresh: dict[str, float], baseline: Path, tolerance: float) -> int:
-    base, base_ctx = load_rows(baseline)
-    for note in check_flavor(base_ctx, str(baseline)):
-        print(note)
+def bound(base_cv: float) -> float:
+    return 1.0 + max(MIN_BOUND, CV_FACTOR * base_cv)
 
-    shared = sorted(set(fresh) & set(base))
-    only_fresh = sorted(set(fresh) - set(base))
-    only_base = sorted(set(base) - set(fresh))
-    if not shared:
-        print(f"error: {baseline} and results share no benchmark names",
+
+def gate(fresh: Export, base: Export, base_name: str) -> int:
+    shared = sorted(set(fresh.medians) & set(base.medians))
+    if not shared and not fresh.errors:
+        print(f"error: {base_name} and the results share no benchmark names",
               file=sys.stderr)
         return 2
 
-    failures: list[str] = []
-    width = max(len(n) for n in shared)
+    regressed: list[str] = []
+    width = max(len(n) for n in set(fresh.medians) | set(base.medians) | set(fresh.errors))
     for name in shared:
-        ratio = fresh[name] / base[name] if base[name] > 0.0 else float("inf")
+        ratio = fresh.medians[name] / base.medians[name]
+        limit = bound(base.cvs[name])
         verdict = "ok"
-        if ratio > 1.0 + tolerance:
+        if ratio > limit:
             verdict = "REGRESSED"
-            failures.append(name)
-        print(f"  {name:<{width}}  {base[name]:>12.1f} -> {fresh[name]:>12.1f} ns "
-              f"({ratio:6.2f}x)  {verdict}")
-    for name in only_fresh:
+            regressed.append(name)
+        print(f"  {name:<{width}}  {base.medians[name]:>12.1f} -> "
+              f"{fresh.medians[name]:>12.1f} ns ({ratio:5.2f}x, bound {limit:4.2f}x)  "
+              f"{verdict}")
+    for name, message in sorted(fresh.errors.items()):
+        print(f"  {name:<{width}}  ERROR: {message}")
+    for name in sorted(set(fresh.medians) - set(base.medians)):
         print(f"  {name:<{width}}  (new benchmark, not gated)")
-    for name in only_base:
+    for name in sorted(set(base.medians) - set(fresh.medians) - set(fresh.errors)):
         print(f"  {name:<{width}}  (missing from results, not gated)")
 
-    if failures:
-        print(f"\n{len(failures)} benchmark(s) regressed beyond "
-              f"{tolerance:.0%} of {baseline.name}: {', '.join(failures)}",
-              file=sys.stderr)
-        print("If the slowdown is intended, re-record with --calibrate on an "
-              "idle machine and commit the new baseline.", file=sys.stderr)
+    if fresh.errors:
+        print(f"\n{len(fresh.errors)} benchmark(s) reported an error: "
+              f"{', '.join(sorted(fresh.errors))}", file=sys.stderr)
+    if regressed:
+        print(f"\n{len(regressed)} benchmark(s) slower than their bound "
+              f"against {base_name}: {', '.join(regressed)}", file=sys.stderr)
+        print("If a slowdown is intended, re-record with --calibrate on an idle "
+              "machine and commit the new baseline.", file=sys.stderr)
+    if regressed or fresh.errors:
         return 1
-    print(f"\nall {len(shared)} shared benchmarks within {tolerance:.0%} "
-          f"of {baseline.name}")
+    print(f"\nall {len(shared)} shared benchmarks within their bounds of {base_name}")
     return 0
 
 
-def main() -> int:
+def main(argv: list[str] | None = None, baseline: Path = BASELINE) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("results", type=Path, help="fresh perf_kernels JSON export")
-    parser.add_argument("--baseline", type=Path, action="append", default=None,
-                        help="baseline to gate against; repeatable "
-                             f"(default {DEFAULT_BASELINE.name})")
-    parser.add_argument("--tolerance", type=float, action="append", default=None,
-                        help="allowed fractional slowdown before failing; one "
-                             "value for all baselines or one per --baseline, "
-                             f"paired in order (default {DEFAULT_TOLERANCE})")
     parser.add_argument("--calibrate", action="store_true",
-                        help="rewrite the baseline from the results instead of gating")
-    args = parser.parse_args()
+                        help=f"rewrite {baseline.name} from the results instead of gating")
+    args = parser.parse_args(argv)
 
-    baselines: list[Path] = args.baseline or [DEFAULT_BASELINE]
-    tolerances: list[float] = args.tolerance or [DEFAULT_TOLERANCE]
-    if len(tolerances) == 1:
-        tolerances = tolerances * len(baselines)
-    if len(tolerances) != len(baselines):
-        print(f"error: {len(baselines)} baseline(s) but {len(tolerances)} "
-              "tolerance(s); give one tolerance for all or one per baseline",
-              file=sys.stderr)
+    try:
+        fresh = load_export(args.results)
+        if args.calibrate:
+            if fresh.errors:
+                raise Refused(f"{args.results} has errored rows: "
+                              f"{', '.join(sorted(fresh.errors))}")
+            doc = fresh.doc
+            doc["benchmarks"] = [r for r in doc["benchmarks"]
+                                 if r.get("aggregate_name") in ("median", "cv")]
+            baseline.write_text(json.dumps(doc, indent=2) + "\n")
+            print(f"calibrated: {baseline} <- {args.results} "
+                  f"({len(fresh.medians)} rows)")
+            return 0
+        base = load_export(baseline)
+    except Refused as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
-
-    fresh, fresh_ctx = load_rows(args.results)
-    if not fresh:
-        print(f"error: no benchmark rows in {args.results}", file=sys.stderr)
-        return 2
-    for note in check_flavor(fresh_ctx, str(args.results)):
-        print(note)
-
-    if args.calibrate:
-        if len(baselines) != 1:
-            print("error: --calibrate takes exactly one --baseline; "
-                  "recalibrate each file in its own invocation", file=sys.stderr)
-            return 2
-        baselines[0].write_text(Path(args.results).read_text())
-        print(f"calibrated: {baselines[0]} <- {args.results} ({len(fresh)} rows)")
-        return 0
-
-    worst = 0
-    for baseline, tolerance in zip(baselines, tolerances):
-        if len(baselines) > 1:
-            print(f"\n== {baseline.name} (tolerance {tolerance:.0%}) ==")
-        worst = max(worst, gate(fresh, baseline, tolerance))
-    return worst
+    return gate(fresh, base, baseline.name)
 
 
 if __name__ == "__main__":

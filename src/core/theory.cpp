@@ -117,8 +117,13 @@ BhssModel::BhssModel(std::vector<double> hop_bandwidths, std::vector<double> hop
                "BhssModel: bandwidths/probabilities size mismatch");
   const double max_bw = *std::max_element(bw_.begin(), bw_.end());
   BHSS_REQUIRE(std::abs(max_bw - 1.0) <= 1e-9, "BhssModel: bandwidths must be normalised to max 1");
+  BHSS_REQUIRE(l_ > 0.0, "BhssModel: processing gain must be > 0");
+  BHSS_REQUIRE(rho_ >= 0.0, "BhssModel: jammer power must be >= 0");
   double total = 0.0;
-  for (double p : probs_) total += p;
+  for (double p : probs_) {
+    BHSS_REQUIRE(p >= 0.0, "BhssModel: draw probabilities must be >= 0");
+    total += p;
+  }
   BHSS_REQUIRE(total > 0.0, "BhssModel: zero distribution");
   for (double& p : probs_) p /= total;
 }
@@ -180,6 +185,8 @@ double BhssModel::ber_random_jammer(double ebno_linear) const {
 }
 
 double BhssModel::ber_dsss(double ebno_linear, double processing_gain_override) const {
+  BHSS_REQUIRE(ebno_linear > 0.0, "ber_dsss: Eb/N0 must be > 0");
+  BHSS_REQUIRE(processing_gain_override >= 0.0, "ber_dsss: processing gain override must be >= 0");
   const double l = processing_gain_override > 0.0 ? processing_gain_override : l_;
   const double s2 = l / (2.0 * ebno_linear);
   return ber_from_snr(output_snr_unfiltered(l, rho_, s2));

@@ -59,9 +59,11 @@ namespace bhss::core::theory {
 class BhssModel {
  public:
   /// @param hop_bandwidths  normalised hop bandwidths (max must be 1.0)
-  /// @param hop_probs       draw probabilities (normalised internally)
-  /// @param processing_gain L, linear (paper: 100 = 20 dB)
-  /// @param jammer_power    rho_j(0) per chip (paper: SJR = -20 dB -> 100)
+  /// @param hop_probs       draw probabilities, each >= 0 (normalised
+  ///                        internally)
+  /// @param processing_gain L, linear, > 0 (paper: 100 = 20 dB)
+  /// @param jammer_power    rho_j(0) per chip, >= 0 (paper: SJR = -20 dB
+  ///                        -> 100)
   BhssModel(std::vector<double> hop_bandwidths, std::vector<double> hop_probs,
             double processing_gain, double jammer_power);
 
@@ -103,8 +105,11 @@ class BhssModel {
   [[nodiscard]] double ber_random_jammer(double ebno_linear) const;
 
   /// DSSS/FHSS baseline: jammer matched to the (fixed) signal bandwidth,
-  /// no pre-despreading filter, eq. (7). `processing_gain_override` lets
-  /// the caller model the rate-equalised DSSS of Fig. 11 (L = 25.4 dB).
+  /// no pre-despreading filter, eq. (7). Under equal spectral occupancy
+  /// FHSS has the same jamming resistance as DSSS (§5.3), so this one
+  /// curve serves both. `processing_gain_override` (0 = the model's L)
+  /// lets the caller model the rate-equalised DSSS of Fig. 11
+  /// (L = 25.4 dB).
   [[nodiscard]] double ber_dsss(double ebno_linear,
                                 double processing_gain_override = 0.0) const;
 

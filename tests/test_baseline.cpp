@@ -1,15 +1,10 @@
-// Unit tests for the baselines: fixed-bandwidth DSSS configs, the
-// sample-domain FHSS transceiver and the analytical DSSS/FHSS curves.
+// Unit tests for the fixed-bandwidth DSSS baseline configs. The analytical
+// DSSS/FHSS curve is `core::theory::BhssModel::ber_dsss`, tested in
+// test_core_theory.cpp.
 
 #include <gtest/gtest.h>
 
-#include "baseline/analytical.hpp"
 #include "baseline/dsss_baseline.hpp"
-#include "baseline/fhss.hpp"
-#include "channel/awgn.hpp"
-#include "channel/impairments.hpp"
-#include "dsp/psd.hpp"
-#include "dsp/utils.hpp"
 
 namespace bhss::baseline {
 namespace {
@@ -21,94 +16,6 @@ TEST(DsssBaseline, ConfigDisablesHopping) {
   EXPECT_EQ(cfg.filter_policy, core::FilterPolicy::adaptive);
   const core::SystemConfig raw = dsss_config_unfiltered(core::BandwidthSet::paper(), 2);
   EXPECT_EQ(raw.filter_policy, core::FilterPolicy::off);
-}
-
-std::vector<std::uint8_t> test_payload(std::size_t n) {
-  std::vector<std::uint8_t> p(n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(i + 1);
-  return p;
-}
-
-TEST(Fhss, CleanRoundTrip) {
-  FhssConfig cfg;
-  const FhssTransmitter tx(cfg);
-  const FhssReceiver rx(cfg);
-  channel::AwgnSource noise(1);
-  const auto payload = test_payload(12);
-  for (std::uint64_t frame = 0; frame < 5; ++frame) {
-    const FhssTransmission t = tx.transmit(payload, frame);
-    dsp::cvec sig = channel::apply_delay(t.samples, 37, 37 + t.samples.size() + 600);
-    noise.add_to(dsp::cspan_mut{sig}, dsp::db_to_linear(-15.0));  // 15 dB SNR
-    EXPECT_EQ(rx.receive(sig, frame, payload.size(), 37), payload) << "frame " << frame;
-  }
-}
-
-TEST(Fhss, HopSequenceSharedAndFrameDependent) {
-  FhssConfig cfg;
-  const FhssTransmitter tx(cfg);
-  const FhssTransmission a = tx.transmit(test_payload(8), 1);
-  const FhssTransmission b = tx.transmit(test_payload(8), 1);
-  EXPECT_EQ(a.hop_channels, b.hop_channels);
-  const FhssTransmission c = tx.transmit(test_payload(8), 2);
-  EXPECT_NE(a.hop_channels, c.hop_channels);
-}
-
-TEST(Fhss, SpectrumSpreadAcrossChannels) {
-  // The hopped waveform must occupy much more bandwidth than one channel.
-  FhssConfig cfg;
-  cfg.symbols_per_hop = 1;  // hop fast so one frame visits many channels
-  const FhssTransmitter tx(cfg);
-  const FhssTransmission t = tx.transmit(test_payload(64), 3);
-  const dsp::fvec psd = dsp::welch_psd(t.samples, 256);
-  const double occupied = dsp::occupied_bandwidth(psd, 0.95);
-  const double single_channel = 1.0 / static_cast<double>(cfg.sps);
-  EXPECT_GT(occupied, 4.0 * single_channel);
-}
-
-TEST(Fhss, WrongSeedCannotFollowTheHops) {
-  FhssConfig cfg;
-  const FhssTransmitter tx(cfg);
-  FhssConfig wrong = cfg;
-  wrong.seed = cfg.seed + 1;
-  const FhssReceiver eve(wrong);
-  channel::AwgnSource noise(2);
-  const auto payload = test_payload(8);
-  const FhssTransmission t = tx.transmit(payload, 0);
-  dsp::cvec sig = channel::apply_delay(t.samples, 0, t.samples.size() + 600);
-  noise.add_to(dsp::cspan_mut{sig}, 0.01);
-  EXPECT_TRUE(eve.receive(sig, 0, payload.size(), 0).empty());
-}
-
-TEST(Fhss, RejectsOverlappingChannels) {
-  FhssConfig cfg;
-  cfg.n_channels = 32;
-  cfg.sps = 16;
-  EXPECT_THROW(FhssTransmitter{cfg}, std::invalid_argument);
-}
-
-TEST(Analytical, FhssEqualsDsss) {
-  // §5.3: same spectral occupancy -> same jamming resistance.
-  for (double ebno_db : {0.0, 5.0, 10.0, 15.0}) {
-    const double ebno = dsp::db_to_linear(ebno_db);
-    EXPECT_DOUBLE_EQ(dsss_ber(100.0, 100.0, ebno), fhss_ber(100.0, 100.0, ebno));
-  }
-}
-
-TEST(Analytical, NoJammerMatchesMatchedFilterBound) {
-  const double ebno = dsp::db_to_linear(6.0);
-  EXPECT_NEAR(dsss_ber(100.0, 0.0, ebno), 0.5 * std::erfc(std::sqrt(ebno)), 1e-12);
-}
-
-TEST(Analytical, JammingDegradesBerAndThroughput) {
-  const double ebno = dsp::db_to_linear(10.0);
-  EXPECT_GT(dsss_ber(100.0, 100.0, ebno), dsss_ber(100.0, 0.0, ebno));
-  EXPECT_LT(dsss_throughput(100.0, 100.0, ebno, 4000),
-            dsss_throughput(100.0, 0.0, ebno, 4000));
-}
-
-TEST(Analytical, MoreProcessingGainHelpsUnderJamming) {
-  const double ebno = dsp::db_to_linear(10.0);
-  EXPECT_LT(dsss_ber(1000.0, 100.0, ebno), dsss_ber(100.0, 100.0, ebno));
 }
 
 }  // namespace

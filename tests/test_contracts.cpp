@@ -15,7 +15,6 @@
 #include "dsp/fir.hpp"
 #include "phy/spreader.hpp"
 #include "sync/costas.hpp"
-#include "sync/gardner.hpp"
 
 namespace bhss {
 namespace {
@@ -118,10 +117,6 @@ TEST(LibraryContracts, DespreaderRejectsWrongChipCount) {
 TEST(LibraryContracts, CostasRejectsBadLoopBandwidth) {
   EXPECT_THROW(sync::CostasLoop loop(0.0F), contract_violation);
   EXPECT_THROW(sync::CostasLoop loop(1.5F), contract_violation);
-}
-
-TEST(LibraryContracts, GardnerRejectsBadSps) {
-  EXPECT_THROW(sync::GardnerTimingRecovery g(1.0F, 0.01F), contract_violation);
 }
 
 TEST(LibraryContracts, ViolationKindSurvivesLibraryBoundary) {

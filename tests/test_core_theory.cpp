@@ -239,13 +239,68 @@ TEST(BhssModel, Figure11BhssBeatsDsssAgainstRandomJammer) {
   }
 }
 
+// The DSSS/FHSS baseline curve, eq. (7) with a matched jammer. §5.3: at
+// equal spectral occupancy FHSS shares it, so there is no second model.
+
+TEST(BhssModel, DsssWithoutJammerMatchesMatchedFilterBound) {
+  const BhssModel m = BhssModel::log_uniform(100.0, 7, 100.0, 0.0);
+  for (double ebno_db : {0.0, 3.0, 6.0, 10.0}) {
+    const double ebno = dsp::db_to_linear(ebno_db);
+    EXPECT_NEAR(m.ber_dsss(ebno), 0.5 * std::erfc(std::sqrt(ebno)), 1e-12) << ebno_db;
+    // Without a jammer L cancels: more processing gain buys nothing.
+    EXPECT_NEAR(m.ber_dsss(ebno, 1000.0), m.ber_dsss(ebno), 1e-12) << ebno_db;
+  }
+}
+
+TEST(BhssModel, DsssJammingDegradesBerAndThroughput) {
+  const BhssModel clean = BhssModel::log_uniform(100.0, 7, 100.0, 0.0);
+  const BhssModel jammed = paper_model();
+  const double ebno = dsp::db_to_linear(10.0);
+  EXPECT_GT(jammed.ber_dsss(ebno), clean.ber_dsss(ebno));
+  EXPECT_LT(jammed.throughput_dsss(ebno, 4000), clean.throughput_dsss(ebno, 4000));
+}
+
+TEST(BhssModel, DsssMoreProcessingGainHelpsUnderJamming) {
+  const BhssModel m = paper_model();
+  const double ebno = dsp::db_to_linear(10.0);
+  EXPECT_LT(m.ber_dsss(ebno, 1000.0), m.ber_dsss(ebno));
+  // The override is the model's L for this one call.
+  const BhssModel wide = BhssModel::log_uniform(100.0, 7, 1000.0, 100.0);
+  EXPECT_EQ(m.ber_dsss(ebno, 1000.0), wide.ber_dsss(ebno));
+  EXPECT_EQ(m.ber_dsss(ebno, 0.0), m.ber_dsss(ebno));
+}
+
+TEST(BhssModel, DsssThroughputUsesRateEqualisedGain) {
+  // 64-bit packets, so that neither throughput underflows to 0 at SJR -20 dB.
+  const BhssModel m = paper_model();
+  const double ebno = dsp::db_to_linear(20.0);
+  const double l_dsss = m.dsss_equivalent_processing_gain();
+  EXPECT_EQ(m.throughput_dsss(ebno, 64), normalized_throughput(m.ber_dsss(ebno, l_dsss), 64));
+  EXPECT_GT(m.throughput_dsss(ebno, 64), normalized_throughput(m.ber_dsss(ebno), 64));
+}
+
 TEST(BhssModel, ValidatesInputs) {
   EXPECT_THROW(BhssModel({0.5, 0.25}, {1.0, 1.0}, 100.0, 100.0), std::invalid_argument);
   EXPECT_THROW(BhssModel({1.0}, {1.0, 1.0}, 100.0, 100.0), std::invalid_argument);
   EXPECT_THROW(BhssModel({1.0}, {0.0}, 100.0, 100.0), std::invalid_argument);
   EXPECT_THROW(BhssModel::log_uniform(0.5, 7, 100.0, 100.0), std::invalid_argument);
+  // A negative draw probability with a positive total would turn gamma
+  // negative and every BER into NaN.
+  EXPECT_THROW(BhssModel({1.0, 0.5}, {1.0, -0.5}, 100.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BhssModel({1.0, 0.5}, {1.0, std::nan("")}, 100.0, 100.0),
+               std::invalid_argument);
+  EXPECT_THROW(BhssModel({1.0}, {1.0}, 0.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BhssModel({1.0}, {1.0}, -100.0, 100.0), std::invalid_argument);
+  EXPECT_THROW(BhssModel({1.0}, {1.0}, 100.0, -1.0), std::invalid_argument);
+  EXPECT_NO_THROW(BhssModel({1.0}, {1.0}, 100.0, 0.0));
   const BhssModel m = paper_model();
   EXPECT_THROW((void)m.noise_var_for_ebno(0.0), std::invalid_argument);
+  // ber_dsss used to skip the Eb/N0 check: 0 gave 0.5, and a negative
+  // Eb/N0 a negative noise variance and a meaningless BER.
+  EXPECT_THROW((void)m.ber_dsss(0.0), std::invalid_argument);
+  EXPECT_THROW((void)m.ber_dsss(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)m.ber_dsss(1.0, -10.0), std::invalid_argument);
+  EXPECT_THROW((void)m.throughput_dsss(0.0, 4000), std::invalid_argument);
 }
 
 }  // namespace
