@@ -135,8 +135,13 @@ FilterDecision ControlLogic::force_lowpass(std::size_t bw_index) const {
 }
 
 FilterDecision ControlLogic::force_excision(dsp::cspan slice, std::size_t bw_index,
-                                            obs::TraceSink* trace) const {
-  BHSS_TRACE_SCOPE(trace, obs::TraceScopeId::choose_filter);
+                                            const obs::LinkObs& o) const {
+  BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::choose_filter);
+  return design_excision(slice, bw_index, o);
+}
+
+FilterDecision ControlLogic::design_excision(dsp::cspan slice, std::size_t bw_index,
+                                             const obs::LinkObs& o) const {
   const std::size_t n = design_fft(bw_index);
   dsp::fvec psd = smooth_psd(estimate_psd(slice, n), std::max<std::size_t>(1, n / 512));
   const double passband = std::min(1.0, 2.0 * lpf_cutoff_frac(bw_index));
@@ -202,7 +207,7 @@ FilterDecision ControlLogic::force_excision(dsp::cspan slice, std::size_t bw_ind
       d.taps = cached->taps;
       d.group_delay = cached->group_delay;
       d.plan = cached->plan;
-      d.cache = FilterDecision::CacheOutcome::hit;
+      if (o) o.add(obs::link_ids().filter_cache_hits);
       return d;
     }
 
@@ -211,7 +216,7 @@ FilterDecision ControlLogic::force_excision(dsp::cspan slice, std::size_t bw_ind
     d.group_delay = d.taps.size() / 2;
     d.plan = dsp::ConvolverPlan::make(dsp::cspan{d.taps});
     if (design_cache_.capacity() > 0) {
-      d.cache = FilterDecision::CacheOutcome::miss;
+      if (o) o.add(obs::link_ids().filter_cache_misses);
       design_cache_.insert(std::move(key), FilterDesignEntry{d.taps, d.group_delay, d.plan});
     }
     return d;
@@ -226,8 +231,8 @@ FilterDecision ControlLogic::force_excision(dsp::cspan slice, std::size_t bw_ind
 }
 
 FilterDecision ControlLogic::decide(dsp::cspan slice, std::size_t bw_index,
-                                    obs::TraceSink* trace) const {
-  BHSS_TRACE_SCOPE(trace, obs::TraceScopeId::choose_filter);
+                                    const obs::LinkObs& o) const {
+  BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::choose_filter);
   const std::size_t n = detection_fft(slice.size(), bw_index);
   const dsp::fvec psd = estimate_psd(slice, n);
   const double signal_frac = bands_.bandwidth_frac(bw_index);
@@ -316,7 +321,7 @@ FilterDecision ControlLogic::decide(dsp::cspan slice, std::size_t bw_index,
     // Eq. (10) guard: when the jammer occupies almost the whole signal
     // band, excising it removes the signal too — better not to filter.
     if (est_jam_bw > config_.excision_match_guard * signal_frac) return d;
-    FilterDecision ex = force_excision(slice, bw_index);
+    FilterDecision ex = design_excision(slice, bw_index, o);
     ex.est_jammer_bw_frac = d.est_jammer_bw_frac;
     ex.inband_peak_over_median_db = d.inband_peak_over_median_db;
     ex.oob_to_inband_level_db = d.oob_to_inband_level_db;

@@ -20,7 +20,7 @@
 #include "dsp/fir.hpp"
 #include "dsp/psd.hpp"
 #include "dsp/types.hpp"
-#include "obs/trace.hpp"
+#include "obs/link_obs.hpp"
 
 namespace bhss::core {
 
@@ -46,12 +46,6 @@ enum class ExcisionStyle {
 struct FilterDecision {
   enum class Kind { none, lowpass, excision };
 
-  /// Where this decision's design came from, for the obs counters:
-  /// not_cacheable (no filter, low-pass bank, or the non-quantised
-  /// whitening style), a filter-design-cache hit, or a miss (freshly
-  /// designed and stored).
-  enum class CacheOutcome { not_cacheable, hit, miss };
-
   Kind kind = Kind::none;
   dsp::cvec taps;                 ///< empty when kind == none
   std::size_t group_delay = 0;    ///< samples to compensate after filtering
@@ -60,7 +54,6 @@ struct FilterDecision {
   /// == none). Lets the receiver apply the filter without re-transforming
   /// the taps each hop.
   std::shared_ptr<const dsp::ConvolverPlan> plan;
-  CacheOutcome cache = CacheOutcome::not_cacheable;
 
   // Diagnostics (what the estimator saw):
   double est_jammer_bw_frac = 0.0;  ///< estimated jammer occupancy (frac of Rs)
@@ -122,20 +115,20 @@ class ControlLogic {
 
   /// Inspect `slice` (raw received samples of one hop) and choose the
   /// suppression filter for a signal at bandwidth level `bw_index`.
-  /// `trace` (optional) accumulates the choose_filter timing scope; the
-  /// decision itself is unaffected.
+  /// `o` (optional) times the choose_filter scope and counts design-cache
+  /// hits and misses where the cache answers; the decision is unaffected.
   [[nodiscard]] FilterDecision decide(dsp::cspan slice, std::size_t bw_index,
-                                      obs::TraceSink* trace = nullptr) const;
+                                      const obs::LinkObs& o = {}) const;
 
   /// Force a specific filter kind (used by ablation benches):
   /// lowpass from the bank, or excision from the measured PSD.
   [[nodiscard]] FilterDecision force_lowpass(std::size_t bw_index) const;
   [[nodiscard]] FilterDecision force_excision(dsp::cspan slice, std::size_t bw_index,
-                                              obs::TraceSink* trace = nullptr) const;
+                                              const obs::LinkObs& o = {}) const;
 
   [[nodiscard]] const ControlLogicConfig& config() const noexcept { return config_; }
 
-  /// The excision design cache (hit/miss counters feed the obs layer).
+  /// The excision design cache and its lifetime hit/miss counts.
   [[nodiscard]] const FilterDesignCache& design_cache() const noexcept { return design_cache_; }
 
   /// One-sided low-pass cutoff (cycles/sample) used for a bandwidth level.
@@ -143,6 +136,11 @@ class ControlLogic {
 
  private:
   [[nodiscard]] dsp::fvec estimate_psd(dsp::cspan slice, std::size_t fft_size) const;
+
+  /// force_excision without its timing scope, so that decide() does not
+  /// time the design twice.
+  [[nodiscard]] FilterDecision design_excision(dsp::cspan slice, std::size_t bw_index,
+                                               const obs::LinkObs& o) const;
 
   /// FFT size for jammer *detection*: large enough that the signal band
   /// of the given level spans a useful number of bins (narrow hops need

@@ -171,16 +171,12 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
     const bool delivered = res.crc_ok && res.payload == payload;
     if (delivered) ++stats.ok;
 
-    if (obs::tracing(o.trace)) {
-      obs::TraceEvent ev;
-      ev.type = obs::TraceEventType::packet_done;
-      ev.flag = delivered ? 1 : 0;
-      ev.hop = static_cast<std::uint32_t>(res.hops.size());
-      ev.packet = pkt;
-      ev.v0 = static_cast<double>(res.sync_attempts);
-      ev.v1 = static_cast<double>(res.filter_fallbacks);
-      ev.v2 = res.frame_detected ? 1.0 : 0.0;
-      o.trace->push(ev);
+    if (o) {
+      o.record({.type = obs::TraceEventType::packet_done, .flag = delivered,
+                .hop = static_cast<std::uint32_t>(res.hops.size()), .packet = pkt,
+                .v0 = static_cast<double>(res.sync_attempts),
+                .v1 = static_cast<double>(res.filter_fallbacks),
+                .v2 = res.frame_detected ? 1.0 : 0.0});
     }
 
     const std::size_t n = std::min(res.symbols.size(), t.symbols.size());
@@ -221,7 +217,7 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
     stats.throughput_bps =
         static_cast<double>(stats.ok * cfg.payload_len * 8) / stats.airtime_s;
   }
-  if (obs::counting(o.metrics)) obs::add_link_stats(*o.metrics, stats);
+  if (o) obs::add_link_stats(o.telemetry->metrics, stats);
   return stats;
 }
 

@@ -17,7 +17,7 @@ BhssReceiver::BhssReceiver(SystemConfig config)
     : config_(std::move(config)), logic_(config_.logic, config_.pattern.bands()) {}
 
 FilterDecision BhssReceiver::choose_filter(dsp::cspan slice, std::size_t bw_index,
-                                           obs::TraceSink* trace) const {
+                                           const obs::LinkObs& o) const {
   // A NaN/Inf sample reaching the PSD estimator poisons the whole filter
   // decision (every Welch bin becomes NaN, eq. (3) taps become NaN, and
   // the frame decodes to uniformly random symbols) without any error
@@ -28,13 +28,13 @@ FilterDecision BhssReceiver::choose_filter(dsp::cspan slice, std::size_t bw_inde
                "BhssReceiver: bandwidth index outside the hop pattern's band set");
   switch (config_.filter_policy) {
     case FilterPolicy::adaptive:
-      return logic_.decide(slice, bw_index, trace);
+      return logic_.decide(slice, bw_index, o);
     case FilterPolicy::off:
       return FilterDecision{};
     case FilterPolicy::always_lowpass:
       return logic_.force_lowpass(bw_index);
     case FilterPolicy::always_excision:
-      return logic_.force_excision(slice, bw_index, trace);
+      return logic_.force_excision(slice, bw_index, o);
   }
   return FilterDecision{};
 }
@@ -82,7 +82,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
                                std::size_t payload_len, std::size_t search_window,
                                std::size_t genie_frame_start, const obs::LinkObs& o,
                                const HopOverride& ov) const {
-  BHSS_TRACE_SCOPE(o.trace, obs::TraceScopeId::receive);
+  BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::receive);
   RxResult result;
 
   // Mirror the transmitter's per-frame derivations (including any
@@ -145,7 +145,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
           std::min(buffer.size(), max_lag + reference.size() + 2 * config_.logic.psd_fft);
       const dsp::cspan window = dsp::cspan{buffer}.first(window_len);
       const FilterDecision decision =
-          choose_filter(window, schedule.segments.front().bw_index, o.trace);
+          choose_filter(window, schedule.segments.front().bw_index, o);
       if (decision.degenerate_psd) ++result.filter_fallbacks;
 
       dsp::cvec sync_window(window.begin(), window.end());
@@ -157,17 +157,8 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
         sync_window = convolver.filter(sync_window);
         sync_ref = convolver.filter(sync_ref);
       }
-      if (obs::counting(o.metrics)) {
-        const obs::LinkIds& ids = obs::link_ids();
-        if (decision.cache == FilterDecision::CacheOutcome::hit) {
-          o.metrics->add(ids.filter_cache_hits);
-        } else if (decision.cache == FilterDecision::CacheOutcome::miss) {
-          o.metrics->add(ids.filter_cache_misses);
-        }
-      }
-
       const sync::PreambleSync acquirer(std::move(sync_ref), config_.sync_threshold);
-      est = acquirer.acquire(sync_window, max_lag, threshold, o.trace);
+      est = acquirer.acquire(sync_window, max_lag, threshold, o.sink());
       ++result.sync_attempts;
       // A retry runs with a lowered threshold over a widened window, where
       // the largest of K pure-noise lags can clear the bar. Retry peaks
@@ -181,24 +172,18 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
         est.reset();
         outcome = 2;
       }
-      if (obs::tracing(o.trace)) {
-        obs::TraceEvent ev;
-        ev.type = obs::TraceEventType::sync_attempt;
-        ev.flag = outcome;
-        ev.hop = static_cast<std::uint32_t>(attempt);
-        ev.packet = frame_counter;
-        ev.v0 = static_cast<double>(threshold);
-        ev.v1 = static_cast<double>(max_lag);
-        ev.v2 = static_cast<double>(peak_quality);
-        ev.v3 = static_cast<double>(peak_margin);
-        o.trace->push(ev);
+      if (o) {
+        o.record({.type = obs::TraceEventType::sync_attempt, .flag = outcome,
+                  .hop = static_cast<std::uint32_t>(attempt), .packet = frame_counter,
+                  .v0 = static_cast<double>(threshold), .v1 = static_cast<double>(max_lag),
+                  .v2 = static_cast<double>(peak_quality),
+                  .v3 = static_cast<double>(peak_margin)});
       }
-      if (obs::counting(o.metrics)) o.metrics->add(obs::link_ids().sync_attempts);
       if (est.has_value()) {
         // Second pass: regression over the preamble tightens phase and
         // CFO so the per-hop carrier tracking starts inside its pull-in
         // range even for long (narrow-bandwidth) frames.
-        *est = acquirer.refine(sync_window, *est, 8, o.trace);
+        *est = acquirer.refine(sync_window, *est, 8, o.sink());
       } else {
         lag_scale *= reacq.lag_widen;
         threshold = std::max(reacq.min_threshold, threshold * reacq.threshold_decay);
@@ -206,12 +191,10 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     }
     if (!est.has_value()) {
       result.sync_lost = true;  // bounded back-off exhausted
-      if (obs::tracing(o.trace)) {
-        obs::TraceEvent ev;
-        ev.type = obs::TraceEventType::sync_loss;
-        ev.hop = static_cast<std::uint32_t>(result.sync_attempts);
-        ev.packet = frame_counter;
-        o.trace->push(ev);
+      if (o) {
+        o.record({.type = obs::TraceEventType::sync_loss,
+                  .hop = static_cast<std::uint32_t>(result.sync_attempts),
+                  .packet = frame_counter});
       }
       return result;
     }
@@ -220,25 +203,12 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     result.frame_detected = true;
     frame_start = est->frame_start;
     sync::PreambleSync::derotate(dsp::cspan_mut{buffer}, *est);
-    if (obs::tracing(o.trace)) {
-      obs::TraceEvent ev;
-      ev.type = obs::TraceEventType::sync_lock;
-      ev.flag = result.reacquired ? 1 : 0;
-      ev.hop = static_cast<std::uint32_t>(result.sync_attempts);
-      ev.packet = frame_counter;
-      ev.v0 = static_cast<double>(est->frame_start);
-      ev.v1 = static_cast<double>(est->phase);
-      ev.v2 = static_cast<double>(est->cfo);
-      ev.v3 = static_cast<double>(est->quality);
-      ev.v4 = static_cast<double>(est->margin);
-      o.trace->push(ev);
-    }
-    if (obs::counting(o.metrics)) {
-      const obs::LinkIds& ids = obs::link_ids();
-      o.metrics->add(ids.sync_locks);
-      o.metrics->set(ids.last_sync_quality, static_cast<double>(est->quality));
-      o.metrics->set(ids.last_sync_margin, static_cast<double>(est->margin));
-      o.metrics->observe(ids.sync_margin, static_cast<double>(est->margin));
+    if (o) {
+      o.record({.type = obs::TraceEventType::sync_lock, .flag = result.reacquired,
+                .hop = static_cast<std::uint32_t>(result.sync_attempts), .packet = frame_counter,
+                .v0 = static_cast<double>(est->frame_start), .v1 = static_cast<double>(est->phase),
+                .v2 = static_cast<double>(est->cfo), .v3 = static_cast<double>(est->quality),
+                .v4 = static_cast<double>(est->margin)});
     }
   } else {
     result.frame_detected = true;
@@ -270,54 +240,28 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
                                std::min(needed, avail)};
     FilterDecision decision;
     if (!raw_slice.empty()) {
-      decision = choose_filter(raw_slice, seg.bw_index, o.trace);
+      decision = choose_filter(raw_slice, seg.bw_index, o);
     }
-    result.hops.push_back({seg.bw_index, decision.kind, decision.est_jammer_bw_frac,
-                           decision.inband_peak_over_median_db,
-                           decision.oob_to_inband_level_db, decision.degenerate_psd});
+    result.hops.push_back({seg.bw_index, decision.kind, decision.degenerate_psd});
     if (decision.degenerate_psd) ++result.filter_fallbacks;
-    if (obs::tracing(o.trace)) {
-      // One hop_decision event per hop carrying the decision plus every
-      // eq. (10)/(3)/(4) threshold term the control logic compared
-      // against — enough to replay *why* this filter was picked.
+    if (o) {
+      // The decision plus every eq. (10)/(3)/(4) threshold term the control
+      // logic compared against — enough to replay *why* this filter was picked.
       const ControlLogicConfig& lc = logic_.config();
       const double signal_frac = config_.pattern.bands().bandwidth_frac(seg.bw_index);
-      obs::TraceEvent ev;
-      ev.type = obs::TraceEventType::hop_decision;
-      ev.flag = decision.degenerate_psd
-                    ? 3
-                    : static_cast<std::uint8_t>(static_cast<int>(decision.kind));
-      ev.bw_index = static_cast<std::uint16_t>(seg.bw_index);
-      ev.hop = static_cast<std::uint32_t>(result.hops.size() - 1);
-      ev.packet = frame_counter;
-      ev.v0 = decision.est_jammer_bw_frac;
-      ev.v1 = lc.excision_match_guard * signal_frac;  // eq. (10) guard threshold
-      ev.v2 = decision.inband_peak_over_median_db;
-      ev.v3 = lc.peak_over_median_db;
-      ev.v4 = decision.oob_to_inband_level_db;
-      ev.v5 = dsp::linear_to_db(lc.oob_level_ratio);
-      o.trace->push(ev);
-    }
-    if (obs::counting(o.metrics)) {
-      const obs::LinkIds& ids = obs::link_ids();
-      o.metrics->add(ids.hops);
-      switch (decision.kind) {
-        case FilterDecision::Kind::none: o.metrics->add(ids.filter_none); break;
-        case FilterDecision::Kind::lowpass: o.metrics->add(ids.filter_lowpass); break;
-        case FilterDecision::Kind::excision: o.metrics->add(ids.filter_excision); break;
-      }
-      if (decision.degenerate_psd) o.metrics->add(ids.degenerate_psd);
-      if (decision.cache == FilterDecision::CacheOutcome::hit) {
-        o.metrics->add(ids.filter_cache_hits);
-      } else if (decision.cache == FilterDecision::CacheOutcome::miss) {
-        o.metrics->add(ids.filter_cache_misses);
-      }
-      o.metrics->observe(ids.est_jammer_bw, decision.est_jammer_bw_frac);
-      o.metrics->observe(ids.inband_peak_db, decision.inband_peak_over_median_db);
+      o.record({.type = obs::TraceEventType::hop_decision,
+                .flag = static_cast<std::uint8_t>(
+                    decision.degenerate_psd ? 3 : static_cast<int>(decision.kind)),
+                .bw_index = static_cast<std::uint16_t>(seg.bw_index),
+                .hop = static_cast<std::uint32_t>(result.hops.size() - 1), .packet = frame_counter,
+                .v0 = decision.est_jammer_bw_frac, .v1 = lc.excision_match_guard * signal_frac,
+                .v2 = decision.inband_peak_over_median_db, .v3 = lc.peak_over_median_db,
+                .v4 = decision.oob_to_inband_level_db,
+                .v5 = dsp::linear_to_db(lc.oob_level_ratio)});
     }
 
     // Remove the predicted residual rotation for this hop.
-    dsp::cvec clean = filtered_slice(buffer, a0, needed, decision, o.trace);
+    dsp::cvec clean = filtered_slice(buffer, a0, needed, decision, o.sink());
     for (std::size_t i = 0; i < clean.size(); ++i) {
       const double t = static_cast<double>(seg.start_sample + i);
       const auto ang =
@@ -339,11 +283,11 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     const bool track_carrier =
         config_.carrier_tracking && decision.kind != FilterDecision::Kind::excision;
     if (track_carrier) {
-      BHSS_TRACE_SCOPE(o.trace, obs::TraceScopeId::carrier_track);
+      BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::carrier_track);
       costas.process(dsp::cspan_mut{clean});
     }
 
-    BHSS_TRACE_SCOPE(o.trace, obs::TraceScopeId::demod_despread);
+    BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::demod_despread);
     const phy::QpskDemodulator demod(seg.sps);
     const dsp::cvec pairs = demod.demodulate_pairs(clean, seg.n_chips());
 

@@ -23,12 +23,10 @@
 namespace bhss::core {
 
 /// Per-hop diagnostics for tests, benches and the spectrum monitor example.
+/// The estimator's readings for each hop ride in its hop_decision event.
 struct HopDiagnostics {
   std::size_t bw_index = 0;
   FilterDecision::Kind filter = FilterDecision::Kind::none;
-  double est_jammer_bw_frac = 0.0;
-  double inband_peak_over_median_db = 0.0;
-  double oob_to_inband_level_db = -300.0;
   bool degenerate_psd = false;  ///< control logic fell back (validated path)
 };
 
@@ -64,9 +62,9 @@ class BhssReceiver {
   ///                         checked against it)
   /// @param search_window    max lag to search for the preamble
   /// @param genie_frame_start exact frame start, used in SyncMode::genie
-  /// @param o                 optional telemetry hooks (metrics + trace);
-  ///                          decoding is bit-identical with or without
-  ///                          them — instrumentation only observes
+  /// @param o                 optional telemetry handle; decoding is
+  ///                          bit-identical with or without it —
+  ///                          instrumentation only observes
   /// @param ov                optional hop-plan override; must match the
   ///                          override the transmitter used for this frame
   [[nodiscard]] RxResult receive(dsp::cspan rx, std::uint64_t frame_counter,
@@ -81,7 +79,7 @@ class BhssReceiver {
  private:
   /// Apply the configured filter policy to one hop slice.
   [[nodiscard]] FilterDecision choose_filter(dsp::cspan slice, std::size_t bw_index,
-                                             obs::TraceSink* trace) const;
+                                             const obs::LinkObs& o) const;
 
   /// Filter `buffer` around [a0, a0+needed) with `decision`, returning the
   /// group-delay-compensated samples aligned to a0 (zero-padded at edges).

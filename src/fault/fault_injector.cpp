@@ -31,7 +31,7 @@ dsp::cf gaussian_sample(core::SharedRandom& rng, double power) {
 
 FaultLog FaultInjector::apply(const FaultPlan& plan, dsp::cvec& capture,
                               const obs::LinkObs& o) const {
-  BHSS_TRACE_SCOPE(o.trace, obs::TraceScopeId::fault_inject);
+  BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::fault_inject);
   FaultLog log;
   if (plan.events.empty()) return log;
 
@@ -42,16 +42,11 @@ FaultLog FaultInjector::apply(const FaultPlan& plan, dsp::cvec& capture,
   for (const FaultEvent& ev : plan.events) {
     if (capture.empty()) break;
     const std::size_t offset = std::min(ev.offset, capture.size() - 1);
-    if (obs::tracing(o.trace)) {
-      obs::TraceEvent te;
-      te.type = obs::TraceEventType::fault_applied;
-      te.flag = static_cast<std::uint8_t>(ev.kind);
-      te.hop = ordinal;
-      te.packet = plan.packet_index;
-      te.v0 = static_cast<double>(offset);
-      te.v1 = static_cast<double>(ev.length);
-      te.v2 = ev.magnitude;
-      o.trace->push(te);
+    if (o) {
+      o.record({.type = obs::TraceEventType::fault_applied,
+                .flag = static_cast<std::uint8_t>(ev.kind), .hop = ordinal,
+                .packet = plan.packet_index, .v0 = static_cast<double>(offset),
+                .v1 = static_cast<double>(ev.length), .v2 = ev.magnitude});
     }
     ++ordinal;
     switch (ev.kind) {

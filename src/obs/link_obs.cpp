@@ -288,7 +288,7 @@ bool deserialize_telemetry(std::string_view text, ShardTelemetry& out) {
   std::uint64_t retained = 0;
   if (!next(tok) || tok != "t") return false;
   if (!next_u64(capacity) || !next_u64(total) || !next_u64(retained)) return false;
-  if (capacity < 1 || retained > capacity || retained > total) return false;
+  if (capacity != kDefaultTraceCapacity || retained > capacity || retained > total) return false;
   std::vector<TraceEvent> events(retained);
   for (TraceEvent& ev : events) {
     std::uint64_t type = 0;
@@ -313,7 +313,7 @@ bool deserialize_telemetry(std::string_view text, ShardTelemetry& out) {
   }
   if (next(tok)) return false;  // trailing garbage
 
-  out = ShardTelemetry(static_cast<std::size_t>(capacity));
+  out = ShardTelemetry();
   std::size_t ci = 0;
   std::size_t gi = 0;
   std::size_t hi = 0;
@@ -326,31 +326,9 @@ bool deserialize_telemetry(std::string_view text, ShardTelemetry& out) {
         if (gauges[gi].first) out.metrics.set(id, gauges[gi].second);
         ++gi;
         break;
-      case InstrumentKind::histogram: {
-        // Replay bin counts through observe() is impossible (bin -> value
-        // is not invertible); rebuild the raw storage via merge of a
-        // synthetic shard would need the same trick. Keep it simple:
-        // observe a representative value per bin the right number of
-        // times. Representative values: below first edge, each edge, and
-        // NaN for the NaN bin.
-        const std::vector<double>& edges = reg.instruments()[id].bin_edges;
-        const std::vector<std::uint64_t>& bins = hists[hi++];
-        for (std::size_t b = 0; b < bins.size(); ++b) {
-          if (bins[b] == 0) continue;
-          double rep = 0.0;
-          if (b == 0) {
-            rep = edges.front() - 1.0;
-          } else if (b == bins.size() - 1) {
-            rep = std::nan("");
-          } else if (b == edges.size()) {
-            rep = edges.back();
-          } else {
-            rep = edges[b - 1];
-          }
-          for (std::uint64_t k = 0; k < bins[b]; ++k) out.metrics.observe(id, rep);
-        }
+      case InstrumentKind::histogram:
+        out.metrics.add_bins(id, hists[hi++]);
         break;
-      }
     }
   }
   for (const TraceEvent& ev : events) out.trace.push(ev);
@@ -490,6 +468,52 @@ std::string trace_event_json_body(const TraceEvent& ev) {
       break;
   }
   return out;
+}
+
+// The derivation table: every obs-only metric is a function of the one
+// event that records it. sync_loss, fault_applied and packet_done derive
+// none; the two cache counters have no event and go through add().
+void LinkObs::record(const TraceEvent& ev) const noexcept {
+  BHSS_DEBUG_ASSERT(telemetry != nullptr, "LinkObs::record: the handle is off");
+  telemetry->trace.push(ev);
+  MetricsShard& m = telemetry->metrics;
+  const LinkIds& ids = *telemetry->ids;
+  switch (ev.type) {
+    case TraceEventType::hop_decision:
+      m.add(ids.hops);
+      // flag 3 is the degenerate-PSD fallback, which filters nothing.
+      m.add(ev.flag == 1   ? ids.filter_lowpass
+            : ev.flag == 2 ? ids.filter_excision
+                           : ids.filter_none);
+      if (ev.flag == 3) m.add(ids.degenerate_psd);
+      m.observe(ids.est_jammer_bw, ev.v0);
+      m.observe(ids.inband_peak_db, ev.v2);
+      break;
+    case TraceEventType::sync_attempt:
+      m.add(ids.sync_attempts);
+      break;
+    case TraceEventType::sync_lock:
+      m.add(ids.sync_locks);
+      m.set(ids.last_sync_quality, ev.v3);
+      m.set(ids.last_sync_margin, ev.v4);
+      m.observe(ids.sync_margin, ev.v4);
+      break;
+    case TraceEventType::adapt_window:
+      m.add(ids.adapt_windows);
+      break;
+    case TraceEventType::adapt_transition:
+      m.set(ids.adapt_state, static_cast<double>(ev.flag));
+      break;
+    case TraceEventType::sync_loss:
+    case TraceEventType::fault_applied:
+    case TraceEventType::packet_done:
+      break;
+  }
+}
+
+void LinkObs::add(std::size_t counter_id) const noexcept {
+  BHSS_DEBUG_ASSERT(telemetry != nullptr, "LinkObs::add: the handle is off");
+  telemetry->metrics.add(counter_id);
 }
 
 std::string scope_stats_json_body(const TraceSink& t) {

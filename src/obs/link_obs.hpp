@@ -10,6 +10,13 @@
 /// count of the run. `runtime::merge_point_results` BHSS_REQUIREs that
 /// the stats and telemetry vectors agree on that length, so the two
 /// merges can never silently diverge.
+///
+/// Recording contract: an event enters a shard's telemetry only through
+/// `LinkObs::record`, which pushes it into the ring and applies, in one
+/// switch, every obs-only metric derived from it. Each event is counted
+/// once and the metrics restate the events by construction. They are
+/// derived at record time, not from the ring afterwards, because the
+/// ring keeps kDefaultTraceCapacity events and overwrites the oldest.
 
 #include <array>
 #include <cstddef>
@@ -29,8 +36,10 @@ namespace bhss::obs {
 ///
 /// The registry opens with the LinkStats projection: one counter per
 /// `projected` row of `core::kLinkStatsFields`, named after the field and
-/// added once per shard by `add_link_stats`. The counters below it are
-/// events LinkStats does not count.
+/// added once per shard by `add_link_stats`. The instruments below it are
+/// obs-only. Each is derived from one trace event type by
+/// `LinkObs::record`, except the two cache counters, which
+/// `ControlLogic` counts through `LinkObs::add` where the cache answers.
 struct LinkIds {
   /// Counter id of each projected LinkStats row, indexed by table row
   /// (rows that are not projected are never registered; their slot is 0).
@@ -67,29 +76,46 @@ struct LinkIds {
 /// last packet.
 void add_link_stats(MetricsShard& m, const core::LinkStats& s);
 
-/// Borrowed telemetry hooks threaded through the receiver chain. Both
-/// pointers may be null ("off"); all instrumentation sites are null-safe
-/// and compile out entirely under -DBHSS_OBS_DISABLED.
-struct LinkObs {
-  MetricsShard* metrics = nullptr;
-  TraceSink* trace = nullptr;
-};
+struct ShardTelemetry;
 
-/// Guard for metric instrumentation sites: `if (counting(o.metrics))`.
-[[nodiscard]] inline bool counting(const MetricsShard* metrics) noexcept {
-  return obs_enabled() && metrics != nullptr;
-}
+/// The one recording handle threaded through the link chain: a borrowed
+/// pointer to the shard's telemetry, null when nothing observes the run.
+/// Each event site builds its TraceEvent inside one `if (o)` guard and
+/// hands it to record(), so a null handle costs one test per site and
+/// builds nothing.
+struct LinkObs {
+  ShardTelemetry* telemetry = nullptr;
+
+  explicit operator bool() const noexcept { return telemetry != nullptr; }
+
+  /// Push `ev` into the ring and apply every metric derived from it; the
+  /// derivation table sits beside trace_event_json_body in link_obs.cpp.
+  /// The handle must be on.
+  BHSS_HOT void record(const TraceEvent& ev) const noexcept;
+
+  /// Count one of the two events no TraceEvent carries: the filter-design
+  /// cache's `filter_cache_hits` and `filter_cache_misses`, counted where
+  /// the cache answers. The handle must be on.
+  void add(std::size_t counter_id) const noexcept;
+
+  /// The ring whose scope slots BHSS_TRACE_SCOPE times into (null = off).
+  [[nodiscard]] TraceSink* sink() const noexcept;
+};
 
 /// One shard's owned telemetry: canonical-schema metrics + event ring.
 struct ShardTelemetry {
-  explicit ShardTelemetry(std::size_t trace_capacity = kDefaultTraceCapacity)
-      : metrics(&link_registry()), trace(trace_capacity) {}
+  MetricsShard metrics{&link_registry()};
+  TraceSink trace{kDefaultTraceCapacity};
+  /// The schema's ids, bound here so that record() never reaches the
+  /// schema's one-time construction (which allocates).
+  const LinkIds* ids = &link_ids();
 
-  MetricsShard metrics;
-  TraceSink trace;
-
-  [[nodiscard]] LinkObs obs() noexcept { return LinkObs{&metrics, &trace}; }
+  [[nodiscard]] LinkObs obs() noexcept { return LinkObs{this}; }
 };
+
+inline TraceSink* LinkObs::sink() const noexcept {
+  return telemetry != nullptr ? &telemetry->trace : nullptr;
+}
 
 /// Left fold in ascending shard order (the shared merge-order contract).
 /// BHSS_REQUIREs shards.size() == expected_shards. The merged bundle
@@ -107,7 +133,9 @@ struct ShardTelemetry {
 [[nodiscard]] std::string serialize_telemetry(const ShardTelemetry& t);
 
 /// Inverse of serialize_telemetry against the canonical link registry.
-/// Returns false (leaving `out` unspecified) on any malformed input.
+/// Returns false (leaving `out` unspecified) on any malformed input,
+/// including a trace capacity other than kDefaultTraceCapacity — the
+/// only capacity any writer uses.
 [[nodiscard]] bool deserialize_telemetry(std::string_view text, ShardTelemetry& out);
 
 /// JSON body fragments (`"key":value,...` without braces) for the JSONL

@@ -127,6 +127,14 @@ void MetricsShard::observe(std::size_t id, double value) noexcept {
   histograms_[s][MetricsRegistry::bin_of(registry_->instruments()[id].bin_edges, value)] += 1;
 }
 
+void MetricsShard::add_bins(std::size_t id, const std::vector<std::uint64_t>& bins) {
+  BHSS_REQUIRE(registry_ != nullptr && registry_->kind(id) == InstrumentKind::histogram,
+               "MetricsShard::add_bins: not a histogram");
+  std::vector<std::uint64_t>& h = histograms_[registry_->slot(id)];
+  BHSS_REQUIRE(bins.size() == h.size(), "MetricsShard::add_bins: bin count mismatch");
+  for (std::size_t b = 0; b < h.size(); ++b) h[b] += bins[b];
+}
+
 std::uint64_t MetricsShard::counter(std::size_t id) const {
   BHSS_REQUIRE(registry_ != nullptr && registry_->kind(id) == InstrumentKind::counter,
                "MetricsShard::counter: not a counter");

@@ -99,6 +99,9 @@ class MetricsShard {
   BHSS_HOT void add(std::size_t id, std::uint64_t n = 1) noexcept;
   BHSS_HOT void set(std::size_t id, double value) noexcept;
   BHSS_HOT void observe(std::size_t id, double value) noexcept;
+  /// Add `bins` bin-wise into histogram `id` (deserialization: one pass,
+  /// whatever the counts). `bins` must hold histogram_bins(id) entries.
+  void add_bins(std::size_t id, const std::vector<std::uint64_t>& bins);
 
   [[nodiscard]] std::uint64_t counter(std::size_t id) const;
   [[nodiscard]] std::optional<double> gauge(std::size_t id) const;

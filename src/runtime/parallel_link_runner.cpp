@@ -30,9 +30,8 @@ core::LinkStats run_shard(const core::SimConfig& cfg, std::size_t n_shards, std:
                           obs::ShardTelemetry* telemetry) {
   const auto range = ParallelLinkRunner::shard_range(cfg.n_packets, n_shards, shard);
   if (range.count == 0) return {};
-  const obs::LinkObs o = telemetry != nullptr ? telemetry->obs() : obs::LinkObs{};
   return core::run_link_shard(cfg, range.first, range.count,
-                              ParallelLinkRunner::shard_seeds(cfg, shard), o);
+                              ParallelLinkRunner::shard_seeds(cfg, shard), obs::LinkObs{telemetry});
 }
 
 // ------------------------------------------------------------ drain request

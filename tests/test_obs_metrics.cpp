@@ -294,6 +294,21 @@ TEST(ObsMetrics, DeserializeRejectsMalformedInput) {
   const std::string good = obs::serialize_telemetry(obs::ShardTelemetry{});
   ASSERT_TRUE(obs::deserialize_telemetry(good, out));
   EXPECT_FALSE(obs::deserialize_telemetry(good + " trailing", out));
+
+  // A trace capacity no writer uses is refused, never allocated.
+  const std::string cap = " t " + std::to_string(obs::kDefaultTraceCapacity) + " ";
+  std::string big_capacity = good;
+  big_capacity.replace(big_capacity.find(cap), cap.size(), " t 1000000000000 ");
+  EXPECT_FALSE(obs::deserialize_telemetry(big_capacity, out));
+
+  // A histogram bin near 2^64 is restored in one pass, not replayed once
+  // per count, and round-trips.
+  obs::ShardTelemetry one;
+  one.metrics.observe(obs::link_ids().est_jammer_bw, 0.5);
+  std::string big_count = obs::serialize_telemetry(one);
+  big_count.replace(big_count.find(" 1 "), 3, " 18446744073709551615 ");
+  ASSERT_TRUE(obs::deserialize_telemetry(big_count, out));
+  EXPECT_EQ(obs::serialize_telemetry(out), big_count);
 }
 
 TEST(ObsMetrics, MergeTelemetryEnforcesShardCount) {
