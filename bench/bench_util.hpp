@@ -91,7 +91,10 @@ namespace bhss::bench {
 /// v8: one runner, no process supervisor — journal lines are sealed
 /// with CRC-32 (journal format v2) and `H` heartbeat records are gone;
 /// older journals are refused at open instead of half-replayed.
-inline constexpr std::size_t kSchemaVersion = 8;
+/// v9: `adapt_transition` trace events carry the packet that closed
+/// their window (the `pkt` of the shard's preceding `adapt_window`
+/// line) instead of 0, in --trace lines and in `O` records.
+inline constexpr std::size_t kSchemaVersion = 9;
 
 /// Exit status of a gracefully drained (SIGINT/SIGTERM) checkpointed
 /// campaign: the run is incomplete but everything finished is journaled —

@@ -103,7 +103,8 @@ class ResilienceController {
   [[nodiscard]] const JamDetector& detector() const noexcept { return detector_; }
 
  private:
-  void enter(LinkAdaptState next, std::size_t window_ordinal, const obs::LinkObs& o);
+  void enter(LinkAdaptState next, std::size_t window_ordinal, std::uint64_t packet,
+             const obs::LinkObs& o);
   void publish_plan(const std::vector<double>& probs, std::size_t symbols_per_hop);
 
   AdaptConfig config_;
