@@ -29,7 +29,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/psd.hpp"
-#include "dsp/simd/simd.hpp"
+#include "dsp/simd/scalar_kernels.hpp"
 #include "dsp/utils.hpp"
 #include "obs/link_obs.hpp"
 #include "phy/chip_table.hpp"

@@ -75,7 +75,7 @@ void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
     _mm256_storeu_ps(fp(out + i), acc0);
     _mm256_storeu_ps(fp(out + i + 4), acc1);
   }
-  detail::fir_filter_block_scalar(taps, n_taps, x + i, out + i, n_out - i);
+  scalar::fir_filter_block(taps, n_taps, x + i, out + i, n_out - i);
 }
 
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
@@ -96,7 +96,7 @@ void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* o
     }
     _mm256_storeu_ps(fp(out + m), acc);
   }
-  detail::fir_decimate_real_scalar(taps, n_taps, x + m * stride, out + m, n_out - m, stride);
+  scalar::fir_decimate_real(taps, n_taps, x + m * stride, out + m, n_out - m, stride);
 }
 
 void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std::size_t n_lags) {
@@ -117,7 +117,7 @@ void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std:
     _mm256_storeu_ps(fp(out + l), acc0);
     _mm256_storeu_ps(fp(out + l + 4), acc1);
   }
-  detail::correlate_lags_scalar(x + l, ref, n_ref, out + l, n_lags - l);
+  scalar::correlate_lags(x + l, ref, n_ref, out + l, n_lags - l);
 }
 
 void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se, const float* so,
@@ -156,7 +156,7 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
 
 // ----------------------------------------------------------------- FFT
 //
-// The same butterflies as detail::fft_stages_scalar, scheduled for
+// The same butterflies as scalar::fft_stages, scheduled for
 // registers: the half = 1 and half = 2 stages of each 4-sample block in
 // one pass, then the half >= 4 stages two at a time. Every butterfly
 // computes t = w * b with cmul4's products and single add/sub, then
@@ -253,7 +253,7 @@ void radix4_pass(cf* x, std::size_t n, const cf* tw, std::size_t h, __m256 conj)
 void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
   BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft_stages: null buffer");
   if (n < 4) {
-    detail::fft_stages_scalar(x, n, tw, inverse);
+    scalar::fft_stages(x, n, tw, inverse);
     return;
   }
   const __m256 conj = conj_mask(inverse);
@@ -274,7 +274,7 @@ void cmul_inplace(cf* a, const cf* b, std::size_t n) {
     const __m256 vb = _mm256_loadu_ps(fp(b + i));
     _mm256_storeu_ps(fp(a + i), cmul4(va, vb));
   }
-  detail::cmul_inplace_scalar(a + i, b + i, n - i);
+  scalar::cmul_inplace(a + i, b + i, n - i);
 }
 
 void scale_inplace(cf* x, float s, std::size_t n) {
@@ -283,7 +283,7 @@ void scale_inplace(cf* x, float s, std::size_t n) {
   for (; i + 4 <= n; i += 4) {
     _mm256_storeu_ps(fp(x + i), _mm256_mul_ps(_mm256_loadu_ps(fp(x + i)), vs));
   }
-  detail::scale_inplace_scalar(x + i, s, n - i);
+  scalar::scale_inplace(x + i, s, n - i);
 }
 
 void window_apply(const cf* x, const float* w, cf* out, std::size_t n) {
@@ -292,7 +292,7 @@ void window_apply(const cf* x, const float* w, cf* out, std::size_t n) {
     const __m256 wd = dup_pairs(_mm_loadu_ps(w + i));
     _mm256_storeu_ps(fp(out + i), _mm256_mul_ps(_mm256_loadu_ps(fp(x + i)), wd));
   }
-  detail::window_apply_scalar(x + i, w + i, out + i, n - i);
+  scalar::window_apply(x + i, w + i, out + i, n - i);
 }
 
 void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
@@ -304,7 +304,7 @@ void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
     const __m256 pd = dup_pairs(_mm_loadu_ps(pulse + k));
     _mm256_storeu_ps(fp(out + k), _mm256_mul_ps(ab, pd));
   }
-  detail::scale_pulse_scalar(a, b, pulse + k, out + k, n - k);
+  scalar::scale_pulse(a, b, pulse + k, out + k, n - k);
 }
 
 // ------------------------------------------------ Gaussian noise stream
@@ -343,7 +343,7 @@ void twist(std::array<u64, Mt19937_64::kWords>& words) {
   for (; k + 4 < n; k += 4) {
     store4(w + k, twist4(load4(w + k), load4(w + k + 1), load4(w + k + m - n)));
   }
-  detail::mt_twist_scalar(words, k);
+  detail::mt_twist(words, k);
 }
 
 inline __m256i temper4(__m256i z) {

@@ -39,8 +39,7 @@
 ///    step is either exact integer work or one correctly rounded IEEE
 ///    operation, and the one transcendental, `logf`, stays the scalar
 ///    libm call in every build (no vector log, no fast-math), so the
-///    vector stream is the scalar stream bit for bit. NEON builds run
-///    the scalar reference.
+///    vector stream is the scalar stream bit for bit.
 ///
 /// No FMA is used anywhere (a fused multiply-add rounds once where the
 /// scalar code rounds twice, which would break bit-identity between this
@@ -52,9 +51,9 @@
 ///
 /// Dispatch: the AVX2 translation unit is compiled only on x86-64 when
 /// the compiler supports `-mavx2` and `BHSS_SIMD=ON`, and is entered only
-/// when the CPU reports AVX2 at runtime; NEON is compile-time on aarch64.
-/// `simd::scalar::*` is always built and is the reference the equivalence
-/// suite (`test_dsp_simd`) compares against on every platform.
+/// when the CPU reports AVX2 at runtime. Every other build and host runs
+/// the scalar reference, `simd::scalar::*` in scalar_kernels.hpp, which
+/// the equivalence suite (`test_dsp_simd`) compares against everywhere.
 
 #include <array>
 #include <cstddef>
@@ -66,11 +65,8 @@
 namespace bhss::dsp::simd {
 
 /// Name of the instruction set the dispatched kernels actually use at
-/// runtime: "avx2", "neon", or "scalar".
+/// runtime: "avx2" or "scalar".
 [[nodiscard]] const char* active_isa() noexcept;
-
-/// True when active_isa() is a vector ISA.
-[[nodiscard]] bool vectorized() noexcept;
 
 // ------------------------------------------------------------- kernels
 //
@@ -156,27 +152,5 @@ struct Mt19937_64 {
 /// algorithm consumes for n samples, so any split of a stream into calls
 /// yields the same samples and leaves the engine in the same state.
 BHSS_HOT void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n);
-
-/// Reference implementations — always compiled, on every platform. The
-/// dispatched kernels above must produce bit-identical results; the
-/// equivalence suite asserts exactly that (ulp distance zero).
-namespace scalar {
-
-BHSS_HOT void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                               std::size_t n_out);
-BHSS_HOT void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
-                                std::size_t n_out, std::size_t stride);
-BHSS_HOT void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out,
-                             std::size_t n_lags);
-BHSS_HOT void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
-                                   const float* so, const float* cols, cf* out);
-BHSS_HOT void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse);
-BHSS_HOT void cmul_inplace(cf* a, const cf* b, std::size_t n);
-BHSS_HOT void scale_inplace(cf* x, float s, std::size_t n);
-BHSS_HOT void window_apply(const cf* x, const float* w, cf* out, std::size_t n);
-BHSS_HOT void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n);
-BHSS_HOT void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n);
-
-}  // namespace scalar
 
 }  // namespace bhss::dsp::simd
