@@ -40,8 +40,8 @@
 /// Worker journals are folded with tools/journal_merge and published by
 /// an ordinary --resume run over the merged journal.
 ///
-/// An unknown flag, a malformed or negative count, or trailing junk after
-/// a number exits with status 2 and the usage line.
+/// An unknown flag, a malformed or negative count, a zero shard count, or
+/// trailing junk after a number exits with status 2 and the usage line.
 ///
 /// Every JSONL record is stamped with `schema_version` and the build's
 /// git SHA, so journals merged from different binaries are detectable.
@@ -151,8 +151,8 @@ inline void print_usage(std::FILE* out, const char* argv0) {
 }
 
 /// Parse every `--flag=value` strictly: unknown arguments, numbers that
-/// do not parse whole, negative counts and non-finite reals exit with
-/// kExitUsage. `--help` prints the usage line and exits 0.
+/// do not parse whole, negative counts, a zero shard count and non-finite
+/// reals exit with kExitUsage. `--help` prints the usage line and exits 0.
 inline Options parse_options(int argc, char** argv, std::size_t default_packets = 12,
                              double default_jnr_db = 30.0) {
   Options opt;
@@ -198,6 +198,7 @@ inline Options parse_options(int argc, char** argv, std::size_t default_packets 
       count(opt.threads);
     } else if (flag == "--shards=") {
       count(opt.shards);
+      if (opt.shards == 0) fail("expected a positive shard count");
     } else if (flag == "--json=") {
       opt.json_path = value;
     } else if (flag == "--checkpoint=") {
