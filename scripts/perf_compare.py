@@ -27,8 +27,10 @@ Modes:
 
 Both modes refuse an export whose `bhss_build_flavor` context (stamped by
 perf_kernels' custom main) is not "release", and an export that lacks the
-median/cv aggregates of the repeated recording. --calibrate also refuses
-an export with errored rows.
+median/cv aggregates of the repeated recording. The gate also refuses an
+export whose `bhss_simd_isa` context differs from the baseline's: the
+dispatched rows of a scalar run time other kernels than an avx2 baseline
+holds. --calibrate also refuses an export with errored rows.
 
 Exit status: 0 pass, 1 a row regressed or errored, 2 unusable input.
 """
@@ -55,6 +57,7 @@ class Export:
     medians: dict[str, float]  # row name -> median real time, ns
     cvs: dict[str, float]      # row name -> coefficient of variation
     errors: dict[str, str]     # row name -> error_message
+    isa: str | None            # the dispatched kernels' ISA (`bhss_simd_isa`)
     doc: dict
 
 
@@ -65,11 +68,12 @@ class Refused(Exception):
 def load_export(path: Path) -> Export:
     with open(path) as f:
         doc = json.load(f)
-    flavor = doc.get("context", {}).get("bhss_build_flavor")
+    context = doc.get("context", {})
+    flavor = context.get("bhss_build_flavor")
     if flavor != "release":
         raise Refused(f"{path} was produced by a '{flavor}' build of perf_kernels; "
                       "only release numbers may be gated or recorded (see EXPERIMENTS.md)")
-    exp = Export({}, {}, {}, doc)
+    exp = Export({}, {}, {}, context.get("bhss_simd_isa"), doc)
     names: set[str] = set()
     for row in doc.get("benchmarks", []):
         name = row.get("run_name", row["name"])
@@ -154,6 +158,9 @@ def main(argv: list[str] | None = None, baseline: Path = BASELINE) -> int:
                   f"({len(fresh.medians)} rows)")
             return 0
         base = load_export(baseline)
+        if fresh.isa != base.isa:
+            raise Refused(f"{args.results} ran the '{fresh.isa}' kernels but {baseline.name} "
+                          f"was recorded on '{base.isa}'; gate only results of the same ISA")
     except Refused as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

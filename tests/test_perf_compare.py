@@ -34,7 +34,7 @@ def check(cond: bool, label: str, detail: str = "") -> None:
 
 
 def export(rows: dict[str, tuple[float, float]], errors: dict[str, str] | None = None,
-           flavor: str = "release", aggregates: bool = True) -> dict:
+           flavor: str = "release", aggregates: bool = True, isa: str = "avx2") -> dict:
     """rows: name -> (median ns, cv); errors: name -> error_message."""
     benchmarks = []
     for name, (median, cv) in rows.items():
@@ -55,7 +55,8 @@ def export(rows: dict[str, tuple[float, float]], errors: dict[str, str] | None =
                            "repetitions": 5, "repetition_index": 0, "error_occurred": True,
                            "error_message": message, "iterations": 0, "real_time": 0.0,
                            "cpu_time": 0.0, "time_unit": "ns"})
-    return {"context": {"bhss_build_flavor": flavor}, "benchmarks": benchmarks}
+    return {"context": {"bhss_build_flavor": flavor, "bhss_simd_isa": isa},
+            "benchmarks": benchmarks}
 
 
 def run(tmp: Path, results: dict, baseline: dict | None, *flags: str) -> tuple[int, str]:
@@ -112,6 +113,10 @@ def main() -> int:
 
         code, out = run(tmp, export(BASE, aggregates=False), baseline)
         check(code == 2 and "median/cv" in out, "results without aggregates are refused", out)
+
+        code, out = run(tmp, export(BASE, isa="scalar"), baseline)
+        check(code == 2 and "'scalar'" in out and "'avx2'" in out,
+              "results of another ISA are refused, naming both ISAs", out)
 
         code, out = run(tmp, export(BASE), export(BASE, aggregates=False))
         check(code == 2, "baseline without aggregates is refused", out)
