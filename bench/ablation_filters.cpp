@@ -53,8 +53,7 @@ void run_policy_row(const char* slug, const char* name, core::SimConfig cfg,
     const bench::Stopwatch watch;
     const core::LinkStats s = campaign.run_point(point, cfg);
     std::printf("  %6.3f/%-4zu", s.ser(), s.ok);
-    const std::uint64_t hash = runtime::CampaignRunner::params_hash(cfg, campaign.shards());
-    campaign.emit(point, hash,
+    campaign.emit(point,
                   bench::JsonLine()
                       .add("figure", "ablation_filters")
                       .add("section", "policy")
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
       const bench::Stopwatch watch;
       const core::LinkStats s = campaign.run_point(point, cfg);
       std::printf("  %-16s SER %.3f, delivered %zu/%zu\n", style_name, s.ser(), s.ok, s.packets);
-      campaign.emit(point, runtime::CampaignRunner::params_hash(cfg, campaign.shards()),
+      campaign.emit(point,
                     bench::JsonLine()
                         .add("figure", "ablation_filters")
                         .add("section", "excision_jammed")
@@ -128,7 +127,7 @@ int main(int argc, char** argv) {
       const bench::Stopwatch watch;
       const core::LinkStats s = campaign.run_point(point, cfg);
       std::printf("  %-16s SER %.3f, delivered %zu/%zu\n", style_name, s.ser(), s.ok, s.packets);
-      campaign.emit(point, runtime::CampaignRunner::params_hash(cfg, campaign.shards()),
+      campaign.emit(point,
                     bench::JsonLine()
                         .add("figure", "ablation_filters")
                         .add("section", "excision_clean")
@@ -151,7 +150,7 @@ int main(int argc, char** argv) {
       const bench::Stopwatch watch;
       const core::LinkStats s = campaign.run_point(point, cfg);
       std::printf("  %-12s SER %.3f, delivered %zu/%zu\n", name, s.ser(), s.ok, s.packets);
-      campaign.emit(point, runtime::CampaignRunner::params_hash(cfg, campaign.shards()),
+      campaign.emit(point,
                     bench::JsonLine()
                         .add("figure", "ablation_filters")
                         .add("section", "psd")
@@ -165,5 +164,5 @@ int main(int argc, char** argv) {
     std::printf("\n");
     return campaign.abandon_resumable();
   }
-  return campaign.finish();
+  return 0;
 }

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         const core::LinkStats s = campaign.run_point(point, cfg);
         std::printf("  %10.3f", s.ser());
         std::fflush(stdout);
-        campaign.emit(point, runtime::CampaignRunner::params_hash(cfg, campaign.shards()),
+        campaign.emit(point,
                       bench::JsonLine()
                           .add("figure", "ablation_hop_dwell")
                           .add("dwell_symbols", dwell)
@@ -69,5 +69,5 @@ int main(int argc, char** argv) {
               "# matters less than tau here because a 'symbol' dwell lasts 64x\n"
               "# longer at the narrowest bandwidth than at the widest, so the\n"
               "# narrow hops dominate the matched-time budget at every setting.\n");
-  return campaign.finish();
+  return 0;
 }

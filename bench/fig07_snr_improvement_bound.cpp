@@ -25,36 +25,27 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   const bench::Stopwatch total;
-  try {
-    std::size_t step = 0;
-    for (double e = -2.0; e <= 2.0 + 1e-9; e += 0.125, ++step) {
-      const double ratio = std::pow(10.0, e);
-      std::printf("%12.4f", ratio);
-      for (std::size_t p = 0; p < rho_dbm.size(); ++p) {
-        const double r = rho_dbm[p];
-        const bench::Stopwatch watch;
-        const double gamma = core::theory::snr_improvement_bound(
-            ratio, dsp::db_to_linear(r), noise_var);
-        std::printf("  %11.2f", dsp::linear_to_db(gamma));
-        char point[32];
-        std::snprintf(point, sizeof(point), "e%zu_rho%zu", step, p);
-        const std::uint64_t hash =
-            bench::ParamsHash().add(ratio).add(r).add(noise_var).value();
-        if (!campaign.replay_point(point, hash)) {
-          campaign.emit(point, hash,
-                        bench::JsonLine()
-                            .add("figure", "fig07")
-                            .add("bp_over_bj", ratio)
-                            .add("jammer_dbm", r)
-                            .add("gamma_db", dsp::linear_to_db(gamma)),
-                        watch.seconds());
-        }
-      }
-      std::printf("\n");
+  std::size_t step = 0;
+  for (double e = -2.0; e <= 2.0 + 1e-9; e += 0.125, ++step) {
+    const double ratio = std::pow(10.0, e);
+    std::printf("%12.4f", ratio);
+    for (std::size_t p = 0; p < rho_dbm.size(); ++p) {
+      const double r = rho_dbm[p];
+      const bench::Stopwatch watch;
+      const double gamma = core::theory::snr_improvement_bound(
+          ratio, dsp::db_to_linear(r), noise_var);
+      std::printf("  %11.2f", dsp::linear_to_db(gamma));
+      char point[32];
+      std::snprintf(point, sizeof(point), "e%zu_rho%zu", step, p);
+      campaign.emit(point,
+                    bench::JsonLine()
+                        .add("figure", "fig07")
+                        .add("bp_over_bj", ratio)
+                        .add("jammer_dbm", r)
+                        .add("gamma_db", dsp::linear_to_db(gamma)),
+                    watch.seconds());
     }
-  } catch (const runtime::CampaignInterrupted&) {
     std::printf("\n");
-    return campaign.abandon_resumable();
   }
   std::printf("# total wall time: %.3f s\n", total.seconds());
 
@@ -63,5 +54,5 @@ int main(int argc, char** argv) {
               dsp::linear_to_db(core::theory::snr_improvement_bound(0.01, 100.0, noise_var)));
   std::printf("# anchors: gamma(Bp/Bj=100, 30dBm) = %.1f dB (paper: ~30 dB)\n",
               dsp::linear_to_db(core::theory::snr_improvement_bound(100.0, 1000.0, noise_var)));
-  return campaign.finish();
+  return 0;
 }

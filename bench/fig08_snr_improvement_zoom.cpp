@@ -21,39 +21,30 @@ int main(int argc, char** argv) {
   for (double r : rho_dbm) std::printf("  gamma@%2.0fdBm", r);
   std::printf("\n");
 
-  try {
-    std::size_t step = 0;
-    for (double ratio = 0.5; ratio <= 2.0 + 1e-9; ratio += 0.05, ++step) {
-      std::printf("%8.2f", ratio);
-      for (std::size_t p = 0; p < rho_dbm.size(); ++p) {
-        const double r = rho_dbm[p];
-        const bench::Stopwatch watch;
-        const double gamma = core::theory::snr_improvement_bound(
-            ratio, dsp::db_to_linear(r), noise_var);
-        std::printf("  %11.2f", dsp::linear_to_db(gamma));
-        char point[32];
-        std::snprintf(point, sizeof(point), "r%zu_rho%zu", step, p);
-        const std::uint64_t hash =
-            bench::ParamsHash().add(ratio).add(r).add(noise_var).value();
-        if (!campaign.replay_point(point, hash)) {
-          campaign.emit(point, hash,
-                        bench::JsonLine()
-                            .add("figure", "fig08")
-                            .add("bp_over_bj", ratio)
-                            .add("jammer_dbm", r)
-                            .add("gamma_db", dsp::linear_to_db(gamma)),
-                        watch.seconds());
-        }
-      }
-      std::printf("\n");
+  std::size_t step = 0;
+  for (double ratio = 0.5; ratio <= 2.0 + 1e-9; ratio += 0.05, ++step) {
+    std::printf("%8.2f", ratio);
+    for (std::size_t p = 0; p < rho_dbm.size(); ++p) {
+      const double r = rho_dbm[p];
+      const bench::Stopwatch watch;
+      const double gamma = core::theory::snr_improvement_bound(
+          ratio, dsp::db_to_linear(r), noise_var);
+      std::printf("  %11.2f", dsp::linear_to_db(gamma));
+      char point[32];
+      std::snprintf(point, sizeof(point), "r%zu_rho%zu", step, p);
+      campaign.emit(point,
+                    bench::JsonLine()
+                        .add("figure", "fig08")
+                        .add("bp_over_bj", ratio)
+                        .add("jammer_dbm", r)
+                        .add("gamma_db", dsp::linear_to_db(gamma)),
+                    watch.seconds());
     }
-  } catch (const runtime::CampaignInterrupted&) {
     std::printf("\n");
-    return campaign.abandon_resumable();
   }
 
   std::printf("\n# shape check: gamma rises steeply on both sides of Bp/Bj = 1,\n"
               "# with the asymmetry (narrow-band side saturating at the jammer\n"
               "# power) visible already at ratio 2.\n");
-  return campaign.finish();
+  return 0;
 }

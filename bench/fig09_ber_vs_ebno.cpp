@@ -28,32 +28,25 @@ int main(int argc, char** argv) {
   for (double bj : jam_bw) std::printf("  BHSS:Bj=%-5.2f", bj);
   std::printf("  %12s\n", "BHSS:random");
 
-  try {
-    for (double ebno_db = 0.0; ebno_db <= 20.0 + 1e-9; ebno_db += 1.0) {
-      const bench::Stopwatch watch;
-      const double ebno = dsp::db_to_linear(ebno_db);
-      std::printf("%8.1f  %12.3e", ebno_db, model.ber_dsss(ebno));
-      bench::JsonLine line;
-      line.add("figure", "fig09").add("ebno_db", ebno_db).add("ber_dsss", model.ber_dsss(ebno));
-      for (double bj : jam_bw) {
-        const double ber = model.ber_fixed_jammer(bj, ebno);
-        std::printf("  %12.3e", ber);
-        char key[32];
-        std::snprintf(key, sizeof(key), "ber_bj_%g", bj);
-        line.add(key, ber);
-      }
-      const double ber_random = model.ber_random_jammer(ebno);
-      std::printf("  %12.3e\n", ber_random);
-      line.add("ber_random", ber_random);
-      char point[32];
-      std::snprintf(point, sizeof(point), "ebno%.0f", ebno_db);
-      const std::uint64_t hash = bench::ParamsHash().add(ebno_db).add("log_uniform_100_7_20_20").value();
-      if (!campaign.replay_point(point, hash)) {
-        campaign.emit(point, hash, std::move(line), watch.seconds());
-      }
+  for (double ebno_db = 0.0; ebno_db <= 20.0 + 1e-9; ebno_db += 1.0) {
+    const bench::Stopwatch watch;
+    const double ebno = dsp::db_to_linear(ebno_db);
+    std::printf("%8.1f  %12.3e", ebno_db, model.ber_dsss(ebno));
+    bench::JsonLine line;
+    line.add("figure", "fig09").add("ebno_db", ebno_db).add("ber_dsss", model.ber_dsss(ebno));
+    for (double bj : jam_bw) {
+      const double ber = model.ber_fixed_jammer(bj, ebno);
+      std::printf("  %12.3e", ber);
+      char key[32];
+      std::snprintf(key, sizeof(key), "ber_bj_%g", bj);
+      line.add(key, ber);
     }
-  } catch (const runtime::CampaignInterrupted&) {
-    return campaign.abandon_resumable();
+    const double ber_random = model.ber_random_jammer(ebno);
+    std::printf("  %12.3e\n", ber_random);
+    line.add("ber_random", ber_random);
+    char point[32];
+    std::snprintf(point, sizeof(point), "ebno%.0f", ebno_db);
+    campaign.emit(point, std::move(line), watch.seconds());
   }
 
   const double ebno15 = dsp::db_to_linear(15.0);
@@ -68,5 +61,5 @@ int main(int argc, char** argv) {
   std::printf("#   random jammer better than Bj=0.01 for the jammer: %s (paper: yes)\n",
               model.ber_random_jammer(ebno15) > model.ber_fixed_jammer(0.01, ebno15) ? "yes"
                                                                                      : "no");
-  return campaign.finish();
+  return 0;
 }

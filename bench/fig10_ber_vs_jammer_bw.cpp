@@ -39,40 +39,31 @@ int main(int argc, char** argv) {
 
   std::vector<double> peak_bw(sjr_db.size(), 0.0);
   std::vector<double> peak_ber(sjr_db.size(), 0.0);
-  try {
-    std::size_t step = 0;
-    for (double e = -2.0; e <= 0.0 + 1e-9; e += 0.1, ++step) {
-      const double bj = std::pow(10.0, e);
-      std::printf("%14.4f", bj);
-      for (std::size_t i = 0; i < sjr_db.size(); ++i) {
-        const bench::Stopwatch watch;
-        const BhssModel model = BhssModel::log_uniform(100.0, 7, dsp::db_to_linear(20.0),
-                                                       dsp::db_to_linear(-sjr_db[i]));
-        const double ber = model.ber_fixed_jammer(bj, ebno);
-        if (ber > peak_ber[i]) {
-          peak_ber[i] = ber;
-          peak_bw[i] = bj;
-        }
-        std::printf("  %12.3e", ber);
-        char point[32];
-        std::snprintf(point, sizeof(point), "bw%zu_sjr%zu", step, i);
-        const std::uint64_t hash =
-            bench::ParamsHash().add(bj).add(sjr_db[i]).add(15.0).value();
-        if (!campaign.replay_point(point, hash)) {
-          campaign.emit(point, hash,
-                        bench::JsonLine()
-                            .add("figure", "fig10")
-                            .add("bj_over_max_bp", bj)
-                            .add("sjr_db", sjr_db[i])
-                            .add("ber", ber),
-                        watch.seconds());
-        }
+  std::size_t step = 0;
+  for (double e = -2.0; e <= 0.0 + 1e-9; e += 0.1, ++step) {
+    const double bj = std::pow(10.0, e);
+    std::printf("%14.4f", bj);
+    for (std::size_t i = 0; i < sjr_db.size(); ++i) {
+      const bench::Stopwatch watch;
+      const BhssModel model = BhssModel::log_uniform(100.0, 7, dsp::db_to_linear(20.0),
+                                                     dsp::db_to_linear(-sjr_db[i]));
+      const double ber = model.ber_fixed_jammer(bj, ebno);
+      if (ber > peak_ber[i]) {
+        peak_ber[i] = ber;
+        peak_bw[i] = bj;
       }
-      std::printf("\n");
+      std::printf("  %12.3e", ber);
+      char point[32];
+      std::snprintf(point, sizeof(point), "bw%zu_sjr%zu", step, i);
+      campaign.emit(point,
+                    bench::JsonLine()
+                        .add("figure", "fig10")
+                        .add("bj_over_max_bp", bj)
+                        .add("sjr_db", sjr_db[i])
+                        .add("ber", ber),
+                    watch.seconds());
     }
-  } catch (const runtime::CampaignInterrupted&) {
     std::printf("\n");
-    return campaign.abandon_resumable();
   }
 
   // Sample-domain validation: the full link vs a fixed-bandwidth jammer.
@@ -106,8 +97,7 @@ int main(int argc, char** argv) {
           .add("per", s.per())
           .add("detected", s.detected)
           .add("filter_fallback", s.filter_fallback);
-      campaign.emit(point, runtime::CampaignRunner::params_hash(cfg, campaign.shards()),
-                    std::move(line), watch.seconds());
+      campaign.emit(point, std::move(line), watch.seconds());
     }
   } catch (const runtime::CampaignInterrupted&) {
     std::printf("\n");
@@ -121,5 +111,5 @@ int main(int argc, char** argv) {
   }
   std::printf("# paper: 'the bit error curves for the different SJR values all exhibit\n"
               "# a maximum at different jammer bandwidths'\n");
-  return campaign.finish();
+  return 0;
 }

@@ -34,38 +34,27 @@ int main(int argc, char** argv) {
   for (double bj : jam_bw) std::printf("  BHSS:Bj=%-4.2f", bj);
   std::printf("\n");
 
-  try {
-    for (double ebno_db = -5.0; ebno_db <= 30.0 + 1e-9; ebno_db += 1.0) {
-      const bench::Stopwatch watch;
-      const double ebno = dsp::db_to_linear(ebno_db);
-      std::printf("%8.1f  %10.3f  %11.3f", ebno_db, model.throughput_dsss(ebno, n_bits),
-                  model.throughput_random_jammer(ebno, n_bits));
-      bench::JsonLine line;
-      line.add("figure", "fig11")
-          .add("ebno_db", ebno_db)
-          .add("throughput_dsss", model.throughput_dsss(ebno, n_bits))
-          .add("throughput_random", model.throughput_random_jammer(ebno, n_bits));
-      for (double bj : jam_bw) {
-        const double t = model.throughput_fixed_jammer(bj, ebno, n_bits);
-        std::printf("  %12.3f", t);
-        char key[32];
-        std::snprintf(key, sizeof(key), "throughput_bj_%g", bj);
-        line.add(key, t);
-      }
-      std::printf("\n");
-      char point[32];
-      std::snprintf(point, sizeof(point), "ebno%+.0f", ebno_db);
-      const std::uint64_t hash = bench::ParamsHash()
-                                     .add(ebno_db)
-                                     .add(std::uint64_t{n_bits})
-                                     .add("log_uniform_100_7_20_20")
-                                     .value();
-      if (!campaign.replay_point(point, hash)) {
-        campaign.emit(point, hash, std::move(line), watch.seconds());
-      }
+  for (double ebno_db = -5.0; ebno_db <= 30.0 + 1e-9; ebno_db += 1.0) {
+    const bench::Stopwatch watch;
+    const double ebno = dsp::db_to_linear(ebno_db);
+    std::printf("%8.1f  %10.3f  %11.3f", ebno_db, model.throughput_dsss(ebno, n_bits),
+                model.throughput_random_jammer(ebno, n_bits));
+    bench::JsonLine line;
+    line.add("figure", "fig11")
+        .add("ebno_db", ebno_db)
+        .add("throughput_dsss", model.throughput_dsss(ebno, n_bits))
+        .add("throughput_random", model.throughput_random_jammer(ebno, n_bits));
+    for (double bj : jam_bw) {
+      const double t = model.throughput_fixed_jammer(bj, ebno, n_bits);
+      std::printf("  %12.3f", t);
+      char key[32];
+      std::snprintf(key, sizeof(key), "throughput_bj_%g", bj);
+      line.add(key, t);
     }
-  } catch (const runtime::CampaignInterrupted&) {
-    return campaign.abandon_resumable();
+    std::printf("\n");
+    char point[32];
+    std::snprintf(point, sizeof(point), "ebno%+.0f", ebno_db);
+    campaign.emit(point, std::move(line), watch.seconds());
   }
 
   // The paper's "12 dB separation" between the BHSS-vs-random-jammer curve
@@ -95,5 +84,5 @@ int main(int argc, char** argv) {
   } else {
     std::printf("# separation = %.1f dB (paper: 'roughly 12 dB')\n", dsss_half - bhss_half);
   }
-  return campaign.finish();
+  return 0;
 }

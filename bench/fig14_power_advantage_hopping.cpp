@@ -81,15 +81,7 @@ int main(int argc, char** argv) {
         advantage[jam].push_back(adv);
         std::printf("  %12.1f", adv);
         std::fflush(stdout);
-        const std::uint64_t hash = bench::ParamsHash()
-                                       .add(to_string(type).c_str())
-                                       .add(std::uint64_t{jam})
-                                       .add(jnr_db)
-                                       .add(std::uint64_t{opt.packets})
-                                       .add(opt.seed)
-                                       .add(std::uint64_t{campaign.shards()})
-                                       .value();
-        campaign.emit(point, hash,
+        campaign.emit(point,
                       bench::JsonLine()
                           .add("figure", "fig14")
                           .add("section", "advantage")
@@ -136,16 +128,7 @@ int main(int argc, char** argv) {
         const core::LinkStats s = campaign.run_point(point, cfg);
         std::printf("  %12.2f", 1.0 - s.per());
         std::fflush(stdout);
-        const std::uint64_t hash = bench::ParamsHash()
-                                       .add(to_string(type).c_str())
-                                       .add(std::uint64_t{jam})
-                                       .add(probe_snr)
-                                       .add(jnr_db)
-                                       .add(std::uint64_t{opt.packets})
-                                       .add(opt.seed)
-                                       .add(std::uint64_t{campaign.shards()})
-                                       .value();
-        campaign.emit(point, hash,
+        campaign.emit(point,
                       bench::JsonLine()
                           .add("figure", "fig14")
                           .add("section", "delivered")
@@ -165,5 +148,5 @@ int main(int argc, char** argv) {
     std::printf("\n");
     return campaign.abandon_resumable();
   }
-  return campaign.finish();
+  return 0;
 }

@@ -50,59 +50,44 @@ int main(int argc, char** argv) {
       {core::HopPatternType::exponential, 6.72, 840.0},
       {core::HopPatternType::parabolic, 3.77, 471.0},
   };
-  try {
-    for (const auto& f : figs) {
-      const bench::Stopwatch watch;
-      const core::HopPattern p = core::HopPattern::make(f.type, bands);
-      std::printf("#   %-12s avg bandwidth %.2f MHz (%.2f), avg throughput %.0f kb/s (%.0f)\n",
-                  to_string(f.type).c_str(), p.average_bandwidth_hz() / 1e6, f.paper_bw_mhz,
-                  p.average_throughput_bps() / 1e3, f.paper_kbps);
-      const std::string point = std::string("avg_") + to_string(f.type);
-      const std::uint64_t hash = bench::ParamsHash().add(to_string(f.type).c_str()).value();
-      if (!campaign.replay_point(point, hash)) {
-        campaign.emit(point, hash,
-                      bench::JsonLine()
-                          .add("figure", "table1")
-                          .add("pattern", to_string(f.type).c_str())
-                          .add("avg_bandwidth_mhz", p.average_bandwidth_hz() / 1e6)
-                          .add("avg_throughput_kbps", p.average_throughput_bps() / 1e3),
-                      watch.seconds());
-      }
-    }
-
-    // Re-derive the parabolic distribution with our Monte-Carlo optimiser
-    // over the analytical max-min power-advantage objective (§6.4.1).
-    std::printf("\n# Monte-Carlo max-min optimisation (our re-derivation):\n");
-    core::OptimizerConfig ocfg;
+  for (const auto& f : figs) {
     const bench::Stopwatch watch;
-    const core::HopPattern optimum = core::optimize_max_min_advantage(bands, ocfg);
-    std::printf("%-14s", "optimised");
-    for (double prob : optimum.probabilities()) std::printf("  %6.1f%%", 100.0 * prob);
-    std::printf("\n");
-    for (const auto& row : rows) {
-      const core::HopPattern p = core::HopPattern::make(row.type, bands);
-      std::printf("#   min advantage over all jammer bandwidths: %-12s %.2f dB\n",
-                  to_string(row.type).c_str(),
-                  core::min_advantage_db(p, ocfg.jammer_power, ocfg.noise_var));
-    }
-    const double opt_adv = core::min_advantage_db(optimum, ocfg.jammer_power, ocfg.noise_var);
-    std::printf("#   min advantage over all jammer bandwidths: %-12s %.2f dB\n", "optimised",
-                opt_adv);
-    const std::uint64_t hash = bench::ParamsHash()
-                                   .add("optimised")
-                                   .add(ocfg.jammer_power)
-                                   .add(ocfg.noise_var)
-                                   .value();
-    if (!campaign.replay_point("optimised", hash)) {
-      campaign.emit("optimised", hash,
-                    bench::JsonLine()
-                        .add("figure", "table1")
-                        .add("pattern", "optimised")
-                        .add("min_advantage_db", opt_adv),
-                    watch.seconds());
-    }
-  } catch (const runtime::CampaignInterrupted&) {
-    return campaign.abandon_resumable();
+    const core::HopPattern p = core::HopPattern::make(f.type, bands);
+    std::printf("#   %-12s avg bandwidth %.2f MHz (%.2f), avg throughput %.0f kb/s (%.0f)\n",
+                to_string(f.type).c_str(), p.average_bandwidth_hz() / 1e6, f.paper_bw_mhz,
+                p.average_throughput_bps() / 1e3, f.paper_kbps);
+    campaign.emit(std::string("avg_") + to_string(f.type),
+                  bench::JsonLine()
+                      .add("figure", "table1")
+                      .add("pattern", to_string(f.type).c_str())
+                      .add("avg_bandwidth_mhz", p.average_bandwidth_hz() / 1e6)
+                      .add("avg_throughput_kbps", p.average_throughput_bps() / 1e3),
+                  watch.seconds());
   }
-  return campaign.finish();
+
+  // Re-derive the parabolic distribution with our Monte-Carlo optimiser
+  // over the analytical max-min power-advantage objective (§6.4.1).
+  std::printf("\n# Monte-Carlo max-min optimisation (our re-derivation):\n");
+  core::OptimizerConfig ocfg;
+  const bench::Stopwatch watch;
+  const core::HopPattern optimum = core::optimize_max_min_advantage(bands, ocfg);
+  std::printf("%-14s", "optimised");
+  for (double prob : optimum.probabilities()) std::printf("  %6.1f%%", 100.0 * prob);
+  std::printf("\n");
+  for (const auto& row : rows) {
+    const core::HopPattern p = core::HopPattern::make(row.type, bands);
+    std::printf("#   min advantage over all jammer bandwidths: %-12s %.2f dB\n",
+                to_string(row.type).c_str(),
+                core::min_advantage_db(p, ocfg.jammer_power, ocfg.noise_var));
+  }
+  const double opt_adv = core::min_advantage_db(optimum, ocfg.jammer_power, ocfg.noise_var);
+  std::printf("#   min advantage over all jammer bandwidths: %-12s %.2f dB\n", "optimised",
+              opt_adv);
+  campaign.emit("optimised",
+                bench::JsonLine()
+                    .add("figure", "table1")
+                    .add("pattern", "optimised")
+                    .add("min_advantage_db", opt_adv),
+                watch.seconds());
+  return 0;
 }

@@ -77,15 +77,7 @@ int main(int argc, char** argv) {
         worst = std::min(worst, adv);
         std::printf("  %12.1f", adv);
         std::fflush(stdout);
-        const std::uint64_t hash = bench::ParamsHash()
-                                       .add(to_string(sig).c_str())
-                                       .add(to_string(jam).c_str())
-                                       .add(jnr_db)
-                                       .add(std::uint64_t{opt.packets})
-                                       .add(opt.seed)
-                                       .add(std::uint64_t{campaign.shards()})
-                                       .value();
-        campaign.emit(point, hash,
+        campaign.emit(point,
                       bench::JsonLine()
                           .add("figure", "table2")
                           .add("signal_pattern", to_string(sig).c_str())
@@ -109,5 +101,5 @@ int main(int argc, char** argv) {
   std::printf("\n# most robust signal pattern (max-min): %s, worst case %.1f dB\n",
               best_pattern.c_str(), best_worst);
   std::printf("# paper: parabolic is most robust with a worst case of 11.4 dB\n");
-  return campaign.finish();
+  return 0;
 }

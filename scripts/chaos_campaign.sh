@@ -12,8 +12,15 @@
 #   5. tools/journal_merge the worker journals into merged.ckpt; the
 #      merge must fold 0 duplicates (a duplicate means two processes
 #      wrote one worker's journal)
-#   6. publish with --resume=merged.ckpt --json --metrics --trace
+#   6. publish with --resume=merged.ckpt --json --metrics --trace; the
+#      pass must only read merged.ckpt (cmp against a copy), since every
+#      shard it needs is journaled and published records are never
+#      journaled
 #   7. cmp all three streams against the reference
+#
+# The bench must be a run_point sweep (adapt_scenarios, fault_campaign,
+# the ablations): workers skip §6.3 bisections, so a bisection bench
+# journals its probes in the publish pass.
 #
 # Each worker is started directly in the background, so `$!` is the
 # bench process itself and the signals reach it, not a wrapper shell.
@@ -131,14 +138,19 @@ grep -Eq '^ +duplicates folded +0$' merge.out || {
 }
 
 echo "== publish from the merged journal"
+cp merged.ckpt merged.before
 "$BENCH" --packets="$PACKETS" --resume=merged.ckpt --json=fleet.jsonl \
   --metrics=fleet_metrics.jsonl --trace=fleet_trace.jsonl >/dev/null
+cmp merged.before merged.ckpt || {
+  echo "FAIL: the publish pass wrote to merged.ckpt; it must only read it" >&2
+  exit 1
+}
 for stream in "" _metrics _trace; do
   cmp "ref$stream.jsonl" "fleet$stream.jsonl" || {
     echo "FAIL: fleet$stream.jsonl differs from the single-process reference" >&2
     exit 1
   }
 done
-echo "   JSONL + metrics + trace byte-identical to the reference"
+echo "   JSONL + metrics + trace byte-identical to the reference; merged.ckpt unchanged"
 
 echo "PASS: killed, drained and resumed worker slices merge and publish the reference bytes"

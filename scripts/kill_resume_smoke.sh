@@ -7,7 +7,9 @@
 #      clean up) -> journal survives, no published JSONL
 #   3. --resume of the same command                      -> kill.jsonl
 #   4. assert kill.jsonl is BYTE-identical to ref.jsonl (cmp)
-#   5. same again with SIGINT: the graceful drain must exit with the
+#   5. --resume the now finished journal once more: it must only read
+#      it (journal cmp against a copy) and republish the same bytes
+#   6. same again with SIGINT: the graceful drain must exit with the
 #      distinct resumable status (75) and resume to the identical bytes.
 #
 # Every run also carries --metrics/--trace, so the same byte-identity bar
@@ -80,6 +82,22 @@ cmp ref_trace.jsonl kill_trace.jsonl || {
   exit 1
 }
 echo "   resumed JSONL + metrics + trace byte-identical to the reference"
+
+echo "== resume the finished journal again"
+cp kill.ckpt finished.ckpt
+"$BENCH" --packets="$PACKETS" --threads=8 --json=again.jsonl --resume=kill.ckpt \
+  --metrics=again_metrics.jsonl --trace=again_trace.jsonl >/dev/null
+cmp finished.ckpt kill.ckpt || {
+  echo "FAIL: resuming a finished journal wrote to it; it must only read it" >&2
+  exit 1
+}
+for stream in "" _metrics _trace; do
+  cmp "ref$stream.jsonl" "again$stream.jsonl" || {
+    echo "FAIL: again$stream.jsonl differs from the reference" >&2
+    exit 1
+  }
+done
+echo "   journal unchanged, JSONL + metrics + trace republished byte-identical"
 
 echo "== graceful drain (SIGINT) must exit $EXIT_RESUMABLE"
 rm -f int.jsonl int.jsonl.tmp int.ckpt int_metrics.jsonl int_trace.jsonl

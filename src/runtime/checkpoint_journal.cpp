@@ -21,12 +21,6 @@ std::string shard_key(const JournalKey& key, std::size_t shard) {
   return key.point_id + buf;
 }
 
-std::string point_key(const JournalKey& key) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %016" PRIx64, key.params_hash);
-  return key.point_id + buf;
-}
-
 void require_point_id(const JournalKey& key) {
   BHSS_REQUIRE(journal::valid_point_id(key.point_id),
                "CheckpointJournal: point id must be non-empty, whitespace-free and at most "
@@ -144,8 +138,6 @@ void CheckpointJournal::load_existing(const std::string& figure_id, int schema_v
       } else if (std::size_t attempts = 0; head.kind == 'Q') {
         if (std::sscanf(payload, "%zu", &attempts) != 1) break;
         quarantined_[shard_key(key, head.shard)] = attempts;
-      } else {
-        points_[point_key(key)] = payload;
       }
       ++replayed_;
     }
@@ -188,12 +180,6 @@ const std::string* CheckpointJournal::find_shard_obs(const JournalKey& key,
 bool CheckpointJournal::shard_quarantined(const JournalKey& key, std::size_t shard) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return quarantined_.count(shard_key(key, shard)) != 0;
-}
-
-const std::string* CheckpointJournal::find_point(const JournalKey& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = points_.find(point_key(key));
-  return it == points_.end() ? nullptr : &it->second;
 }
 
 void CheckpointJournal::simulate_disk_full_after(std::size_t bytes) {
@@ -269,18 +255,6 @@ void CheckpointJournal::record_quarantine(const JournalKey& key, std::size_t sha
                 key.params_hash, shard, attempts);
   append_line(body);
   quarantined_[shard_key(key, shard)] = attempts;
-}
-
-void CheckpointJournal::record_point(const JournalKey& key, const std::string& payload) {
-  require_point_id(key);
-  BHSS_REQUIRE(payload.find('\n') == std::string::npos,
-               "CheckpointJournal: point payload must be newline-free");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  char prefix[280];
-  std::snprintf(prefix, sizeof(prefix), "P %s %016" PRIx64 " ", key.point_id.c_str(),
-                key.params_hash);
-  append_line(prefix + payload);
-  points_[point_key(key)] = payload;
 }
 
 void CheckpointJournal::flush() {

@@ -13,18 +13,17 @@
 ///   S <point> <params-hash> <shard> <LinkStats fields...> crc=XXXXXXXX
 ///   O <point> <params-hash> <shard> <telemetry blob...> crc=XXXXXXXX
 ///   Q <point> <params-hash> <shard> <attempts> crc=XXXXXXXX
-///   P <point> <params-hash> <payload...> crc=XXXXXXXX
 ///
 /// `S` journals the bit-exact statistics of one finished simulation shard
 /// (doubles stored as IEEE-754 bit patterns, so replay merges to the same
 /// bits), `O` the shard's serialized telemetry when the campaign records
 /// it (written immediately before its `S` line, so a journaled shard with
-/// no blob can only mean telemetry was off), `Q` quarantines a shard the
-/// watchdog gave up on, and `P` stores the published JSONL record of a
-/// completed data point verbatim. A line of unknown kind ends the replay
-/// like a torn tail; the bench schema_version and the header's format
-/// version are bumped alongside format changes so mixed-format resumes
-/// are rejected up front.
+/// no blob can only mean telemetry was off), and `Q` quarantines a shard
+/// the watchdog gave up on. The journal holds only what a shard computes:
+/// published records are recomputed from it on resume, never stored. A
+/// line of unknown kind ends the replay like a torn tail; the bench
+/// schema_version and the header's format version are bumped alongside
+/// format changes so mixed-format resumes are rejected up front.
 ///
 /// Durability contract:
 ///  - The file is *created* by writing the header to `<path>.tmp`,
@@ -117,9 +116,6 @@ class CheckpointJournal {
   /// run: resume accounts it as `shard_timeout` instead of re-hanging.
   [[nodiscard]] bool shard_quarantined(const JournalKey& key, std::size_t shard) const;
 
-  /// Published payload of a completed data point, or nullptr.
-  [[nodiscard]] const std::string* find_point(const JournalKey& key) const;
-
   // -- appends (thread-safe, fsync'd before return) --
 
   /// Every writer BHSS_REQUIREs a valid `key.point_id` (see JournalKey):
@@ -132,10 +128,6 @@ class CheckpointJournal {
   void record_shard(const JournalKey& key, std::size_t shard, const core::LinkStats& stats,
                     const std::string* obs_blob = nullptr);
   void record_quarantine(const JournalKey& key, std::size_t shard, std::size_t attempts);
-  /// `payload` must be newline-free; it is stored verbatim (the campaign
-  /// stores the final stamped JSONL record so resume republishes the
-  /// exact bytes).
-  void record_point(const JournalKey& key, const std::string& payload);
 
   /// Test hook: fail appends as if the disk filled after `bytes` more
   /// bytes reach the file. The partial line that fits is really written
@@ -164,11 +156,10 @@ class CheckpointJournal {
   static constexpr std::size_t kNoWriteBudget = static_cast<std::size_t>(-1);
   std::size_t write_budget_ = kNoWriteBudget;  ///< disk-full simulation hook
 
-  // Keyed by "<point> <hash-hex> <shard>" / "<point> <hash-hex>".
+  // Keyed by "<point> <hash-hex> <shard>".
   std::unordered_map<std::string, core::LinkStats> shards_;
   std::unordered_map<std::string, std::string> shard_obs_;
   std::unordered_map<std::string, std::size_t> quarantined_;
-  std::unordered_map<std::string, std::string> points_;
 };
 
 }  // namespace bhss::runtime

@@ -14,9 +14,8 @@ namespace bhss::runtime::distributed {
 namespace {
 
 // Canonical sort key. Kind ranks put a shard's telemetry blob (O)
-// immediately before its stats (S) — the order record_shard writes them —
-// and published points (P) after every shard of their data point.
-enum KindRank : int { kObs = 0, kStats = 1, kQuarantine = 2, kPoint = 3 };
+// immediately before its stats (S) — the order record_shard writes them.
+enum KindRank : int { kObs = 0, kStats = 1, kQuarantine = 2 };
 
 struct RecordKey {
   std::string point;
@@ -52,10 +51,7 @@ RecordKey classify(const std::string& body, const std::string& path) {
     throw JournalMergeError("unknown record kind in " + path + ": '" + body.substr(0, 32) +
                             "...'");
   }
-  const int rank = head.kind == 'O'   ? kObs
-                   : head.kind == 'S' ? kStats
-                   : head.kind == 'Q' ? kQuarantine
-                                      : kPoint;
+  const int rank = head.kind == 'O' ? kObs : head.kind == 'S' ? kStats : kQuarantine;
   return {head.point, head.params_hash, head.shard, rank};
 }
 
@@ -210,7 +206,6 @@ MergeReport merge_journals(const std::vector<std::string>& inputs,
       case kStats: ++report.shard_records; break;
       case kObs: ++report.obs_records; break;
       case kQuarantine: ++report.quarantine_records; break;
-      case kPoint: ++report.point_records; break;
       default: break;
     }
   }

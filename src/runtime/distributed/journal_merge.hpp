@@ -57,7 +57,6 @@ struct MergeReport {
   std::size_t shard_records = 0;      ///< S records in the output
   std::size_t obs_records = 0;        ///< O records in the output
   std::size_t quarantine_records = 0; ///< Q records in the output
-  std::size_t point_records = 0;      ///< P records in the output
   std::size_t duplicates_folded = 0;  ///< benign exact duplicates removed
   std::size_t torn_tails = 0;         ///< inputs whose tail was torn
 };

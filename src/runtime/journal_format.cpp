@@ -85,8 +85,7 @@ bool parse_record_head(const std::string& body, RecordHead& out) {
       " %" + std::to_string(kMaxPointIdLength) + "s%n";
   if (body.size() < 2 || body[1] != ' ') return false;
   const char kind = body[0];
-  const bool has_shard = kind == 'S' || kind == 'O' || kind == 'Q';
-  if (!has_shard && kind != 'P') return false;
+  if (kind != 'S' && kind != 'O' && kind != 'Q') return false;
 
   char point[kMaxPointIdLength + 1] = {0};
   int consumed = 0;
@@ -101,11 +100,9 @@ bool parse_record_head(const std::string& body, RecordHead& out) {
   std::uint64_t hash = 0;
   std::size_t shard = 0;
   int rest = 0;
-  const bool ok =
-      has_shard
-          ? std::sscanf(body.c_str() + at, " %" SCNx64 " %zu %n", &hash, &shard, &rest) == 2
-          : std::sscanf(body.c_str() + at, " %" SCNx64 " %n", &hash, &rest) == 1;
-  if (!ok) return false;
+  if (std::sscanf(body.c_str() + at, " %" SCNx64 " %zu %n", &hash, &shard, &rest) != 2) {
+    return false;
+  }
   out = {kind, point, hash, shard, at + static_cast<std::size_t>(rest)};
   return true;
 }

@@ -12,7 +12,7 @@
 ///
 ///   bhss-journal v<fmt> schema=<n> figure=<id> git=<sha>
 ///
-/// and record bodies start with a one-letter kind (S/O/Q/P — see
+/// and record bodies start with a one-letter kind (S/O/Q — see
 /// checkpoint_journal.hpp). LinkStats travel as space-separated tokens
 /// with doubles as IEEE-754 bit patterns, so replaying a journal merges
 /// to the same bits as the uninterrupted run.
@@ -76,10 +76,10 @@ struct Header {
 /// it headerless.
 [[nodiscard]] int foreign_format_version(const std::string& line);
 
-/// The fixed head of a record body: `<kind> <point> <hash> [<shard>]`.
-/// `S`, `O` and `Q` records carry a shard; `P` records do not (shard 0).
-/// `payload` is the offset of what follows the head (stats tokens,
-/// telemetry blob, attempt count or published record).
+/// The fixed head of a record body: `<kind> <point> <hash> <shard>`.
+/// Every record kind (`S`, `O`, `Q`) belongs to one shard, so every head
+/// carries one. `payload` is the offset of what follows the head (stats
+/// tokens, telemetry blob or attempt count).
 struct RecordHead {
   char kind = 0;
   std::string point;

@@ -115,23 +115,18 @@ TEST(CheckpointJournal, ParamsHashMismatchIsNotFound) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointJournal, PointAndQuarantineRoundTrip) {
-  const std::string path = temp_path("pointq");
+TEST(CheckpointJournal, QuarantineRoundTrip) {
+  const std::string path = temp_path("quarantine");
   std::remove(path.c_str());
   const JournalKey key{"pt0", 42};
-  const std::string payload = R"({"figure":"unit","value":1.25,"schema_version":2})";
   {
     CheckpointJournal journal;
     journal.open(path, "unit", 2, "abc123", false);
-    journal.record_point(key, payload);
     journal.record_quarantine(key, 3, 2);
   }
   CheckpointJournal resumed;
   resumed.open(path, "unit", 2, "abc123", true);
-  EXPECT_EQ(resumed.replayed_records(), 2U);
-  const std::string* got = resumed.find_point(key);
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(*got, payload);  // byte-for-byte, or resumed JSONL would differ
+  EXPECT_EQ(resumed.replayed_records(), 1U);
   EXPECT_TRUE(resumed.shard_quarantined(key, 3));
   EXPECT_FALSE(resumed.shard_quarantined(key, 2));
   std::remove(path.c_str());
@@ -257,7 +252,6 @@ TEST(CheckpointJournal, LongPointIdsAreRejectedAtTheWriter) {
     journal.record_shard({"before", 1}, 0, salted_stats(0));
     EXPECT_THROW(journal.record_shard({too_long, 1}, 0, salted_stats(1)), std::exception);
     EXPECT_THROW(journal.record_quarantine({too_long, 1}, 0, 2), std::exception);
-    EXPECT_THROW(journal.record_point({too_long, 1}, "{}"), std::exception);
     journal.record_shard({longest, 1}, 0, salted_stats(2));
     journal.record_shard({"after", 1}, 0, salted_stats(3));
   }

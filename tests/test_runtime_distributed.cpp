@@ -312,14 +312,20 @@ TEST(JournalMerge, BaseJournalMayCoincideWithWorkerRecords) {
 TEST(JournalMerge, ForeignRecordKindsReject) {
   // A CRC-valid line of an unknown kind is a foreign/future journal, not
   // bit rot — reject loudly instead of silently dropping it. `H` (the
-  // worker heartbeat of schema v6/v7) is one of them now.
+  // worker heartbeat of schema v6/v7) and `P` (the published record of
+  // schema v9 and older) are two of them now.
   const std::string a = temp_path("foreign");
   write_worker_journal(a, "dist", 1, "sha", {{"pt", 0}});
   const std::string clean = slurp(a);
   const std::string out = temp_path("foreign_out");
-  for (const char* body : {"Z mystery record", "H 0 1"}) {
+  for (const char* body : {"Z mystery record", "H 0 1", "P pt 000000000000abcd {\"per\":0.25}"}) {
     spit(a, clean + journal::seal_line(body) + "\n");
-    EXPECT_THROW((void)merge_journals({a}, out), JournalMergeError) << body;
+    try {
+      (void)merge_journals({a}, out);
+      ADD_FAILURE() << "merged a journal holding '" << body << "'";
+    } catch (const JournalMergeError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown record kind"), std::string::npos) << e.what();
+    }
   }
   for (const std::string& p : {a, out}) std::remove(p.c_str());
 }
@@ -420,14 +426,12 @@ std::vector<std::string> lookups(const CheckpointJournal& journal, const Journal
     out.push_back(blob != nullptr ? *blob : "-");
     out.push_back(journal.shard_quarantined(key, shard) ? "Q" : "-");
   }
-  const std::string* point = journal.find_point(key);
-  out.push_back(point != nullptr ? *point : "-");
   return out;
 }
 
 TEST(JournalMutation, EveryMutationIsRejectedOrRecovered) {
   // One journal holding every record kind: O+S for shard 0, S for shard
-  // 1, Q for shard 2, then the data point's P record.
+  // 1 and Q for shard 2.
   const JournalKey key{"pt", 0xABCD};
   const std::string src = temp_path("mut_src");
   std::remove(src.c_str());
@@ -438,7 +442,6 @@ TEST(JournalMutation, EveryMutationIsRejectedOrRecovered) {
     journal.record_shard(key, 0, sample_stats(0), &blob);
     journal.record_shard(key, 1, sample_stats(1));
     journal.record_quarantine(key, 2, 3);
-    journal.record_point(key, R"({"point":"pt","per":0.25})");
   }
   const std::string original = slurp(src);
   std::vector<std::size_t> starts{0};  // each line's offset, then the file size
@@ -446,7 +449,7 @@ TEST(JournalMutation, EveryMutationIsRejectedOrRecovered) {
     if (original[i] == '\n') starts.push_back(i + 1);
   }
   const std::size_t n_lines = starts.size() - 1;
-  ASSERT_EQ(n_lines, 6U);
+  ASSERT_EQ(n_lines, 5U);
   const std::size_t n_records = n_lines - 1;
 
   std::vector<std::string> expected;

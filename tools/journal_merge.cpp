@@ -73,12 +73,11 @@ int main(int argc, char** argv) {
         "  shard records      %zu\n"
         "  telemetry records  %zu\n"
         "  quarantine records %zu\n"
-        "  point records      %zu\n"
         "  duplicates folded  %zu\n"
         "  torn tails         %zu\n",
         report.inputs, dry_run ? "(dry run)" : target.c_str(), report.shard_records,
-        report.obs_records, report.quarantine_records, report.point_records,
-        report.duplicates_folded, report.torn_tails);
+        report.obs_records, report.quarantine_records, report.duplicates_folded,
+        report.torn_tails);
     return 0;
   } catch (const bhss::runtime::distributed::JournalMergeError& e) {
     std::fprintf(stderr, "%s\n", e.what());
