@@ -17,8 +17,7 @@ void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(out,
                "usage: %s [--packets=N] [--seed=N] [--jnr=dB] [--threads=N] [--shards=N]\n"
                "          [--json=PATH] [--checkpoint=PATH] [--resume=PATH]\n"
-               "          [--shard-timeout=S] [--metrics=PATH] [--trace=PATH]\n"
-               "          [--worker-id=I --n-workers=N]\n",
+               "          [--metrics=PATH] [--trace=PATH] [--worker-id=I --n-workers=N]\n",
                argv0);
 }
 
@@ -67,12 +66,11 @@ Options parse_options(int argc, char** argv, std::size_t default_packets,
         fail("expected a non-negative integer");
       }
     };
-    const auto real = [&](double& out, bool non_negative) {
+    const auto real = [&](double& out) {
       const char* last = value.data() + value.size();
       const auto [end, ec] = std::from_chars(value.data(), last, out);
-      if (value.empty() || ec != std::errc{} || end != last || !std::isfinite(out) ||
-          (non_negative && out < 0.0)) {
-        fail(non_negative ? "expected a non-negative number" : "expected a finite number");
+      if (value.empty() || ec != std::errc{} || end != last || !std::isfinite(out)) {
+        fail("expected a finite number");
       }
     };
 
@@ -81,7 +79,7 @@ Options parse_options(int argc, char** argv, std::size_t default_packets,
     } else if (flag == "--seed=") {
       count(opt.seed);
     } else if (flag == "--jnr=") {
-      real(opt.jnr_db, false);
+      real(opt.jnr_db);
     } else if (flag == "--threads=") {
       count(opt.threads);
     } else if (flag == "--shards=") {
@@ -93,8 +91,6 @@ Options parse_options(int argc, char** argv, std::size_t default_packets,
       opt.checkpoint_path = value;
     } else if (flag == "--resume=") {
       opt.resume_path = value;
-    } else if (flag == "--shard-timeout=") {
-      real(opt.shard_timeout_s, true);
     } else if (flag == "--metrics=") {
       opt.metrics_path = value;
     } else if (flag == "--trace=") {
@@ -257,10 +253,8 @@ Campaign::Campaign(const Options& opt, const char* figure_id)
   runtime::distributed::ShardPartition partition;
   if (worker_mode_) partition = {opt.worker_id, opt.n_workers};
   runner_.emplace(
-      runtime::CampaignOptions{.n_threads = opt.threads,
-                               .n_shards = opt.shards,
-                               .shard_timeout_s = opt.shard_timeout_s,
-                               .partition = partition},
+      runtime::CampaignOptions{
+          .n_threads = opt.threads, .n_shards = opt.shards, .partition = partition},
       journal_.is_open() ? &journal_ : nullptr);
 
   if (worker_mode_) {

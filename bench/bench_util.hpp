@@ -20,10 +20,9 @@
 ///                      to PATH; SIGINT/SIGTERM drain gracefully and exit
 ///                      with status 75 (resumable)
 ///   --resume=PATH      replay the journal at PATH, re-run only missing
-///                      units, keep checkpointing to the same file
-///   --shard-timeout=S  per-shard watchdog budget in seconds (0 = off):
-///                      overrunning shards are retried with backoff, then
-///                      quarantined as `shard_timeout` in the taxonomy
+///                      units, keep checkpointing to the same file; a
+///                      journal holding a line this build cannot read
+///                      (such as an older build's `Q` line) exits 2
 ///   --metrics=PATH     write per-point telemetry metrics (per-shard and
 ///                      merged counter/gauge/histogram records) to PATH
 ///                      (JSONL); merged stage timings go to PATH.timing
@@ -91,9 +90,10 @@ namespace bhss::bench {
 /// v9: `adapt_transition` trace events carry the packet that closed
 /// their window (the `pkt` of the shard's preceding `adapt_window`
 /// line) instead of 0, in --trace lines and in `O` records.
-/// v10: journals hold only shard records (`S`, `O`, `Q`). The `P` record
-/// of a published data point is gone: every published record is
-/// recomputed on resume.
+/// v10: journals hold only shard records (`S`, `O`, and the `Q` line of
+/// the since-removed per-shard watchdog, which current builds refuse).
+/// The `P` record of a published data point is gone: every published
+/// record is recomputed on resume.
 inline constexpr std::size_t kSchemaVersion = 10;
 
 /// Exit status of a gracefully drained (SIGINT/SIGTERM) checkpointed
@@ -118,7 +118,6 @@ struct Options {
   std::string json_path;          ///< empty = JSON output disabled
   std::string checkpoint_path;    ///< empty = checkpointing disabled
   std::string resume_path;        ///< non-empty = resume this journal
-  double shard_timeout_s = 0.0;   ///< watchdog budget per shard; 0 = off
   std::string metrics_path;       ///< empty = telemetry metrics disabled
   std::string trace_path;         ///< empty = trace events disabled
   bool worker = false;            ///< --worker-id given: run one worker slice

@@ -87,9 +87,9 @@ struct SimConfig {
 ///
 ///   The merge is a LEFT FOLD IN ASCENDING SHARD ORDER over a vector
 ///   whose length equals the run's shard count — shard i's contribution
-///   sits at index i, and quarantined shards contribute a
-///   default-constructed element at their index (never a shorter
-///   vector). `obs::merge_telemetry` merges per-shard telemetry under
+///   sits at index i, and shards this process does not own (another
+///   worker's slice) contribute a default-constructed element at their
+///   index (never a shorter vector). `obs::merge_telemetry` merges per-shard telemetry under
 ///   the *same* contract, and `runtime::merge_point_results`
 ///   BHSS_REQUIREs that both vectors agree on the length, so the two
 ///   merges cannot silently diverge.

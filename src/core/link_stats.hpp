@@ -38,12 +38,13 @@ struct LinkStats {
   std::size_t corrupt_input_rejected = 0;  ///< captures with NaN/Inf scrubbed
   std::size_t faults_injected = 0;  ///< fault events applied by the injector
 
-  // Campaign-orchestration taxonomy (runtime::ParallelLinkRunner): shards that
-  // exhausted their watchdog budget and were quarantined (their packets are
-  // missing from the merge — accounted, not silently lost), and shards that
-  // timed out at least once but succeeded on a deterministic retry.
-  std::size_t shard_timeout = 0;  ///< shards quarantined after watchdog timeouts
-  std::size_t shard_retried = 0;  ///< shards recovered by a retry attempt
+  // Campaign-orchestration taxonomy. Nothing sets these two: they counted
+  // the shards a per-shard watchdog quarantined or retried, and the runner
+  // no longer has one. They stay, always 0, only because bench/suite's
+  // digest and goldens name them; the `S` record and fault_campaign's
+  // JSONL keys carry them unchanged.
+  std::size_t shard_timeout = 0;  ///< always 0 (was: shards quarantined)
+  std::size_t shard_retried = 0;  ///< always 0 (was: shards retried)
 
   // Closed-loop adaptation taxonomy (src/adapt): what the resilience
   // controller did, summed across shards like everything above.
@@ -98,8 +99,8 @@ struct LinkStatsField {
 
 /// Every LinkStats member, in journal order. `projected` marks the
 /// per-packet counters that `run_link_shard` also adds into its metrics
-/// shard; `shard_timeout`/`shard_retried` are set by the runner after
-/// the merge, so they are not projected.
+/// shard; `shard_timeout`/`shard_retried` are never set, so they are not
+/// projected.
 inline constexpr std::array kLinkStatsFields = [] {
   const auto counter = [](const char* name, std::size_t LinkStats::* m,
                           bool projected = false) {

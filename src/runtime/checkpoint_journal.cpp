@@ -80,84 +80,40 @@ void CheckpointJournal::open(const std::string& path, const std::string& figure_
 }
 
 void CheckpointJournal::load_existing(const std::string& figure_id, int schema_version) {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) throw std::runtime_error("CheckpointJournal: cannot read " + path_);
-
-  const auto refuse_format = [this](int version) {
-    throw std::runtime_error("CheckpointJournal: " + path_ + " uses journal format v" +
-                             std::to_string(version) + ", this build reads v" +
-                             std::to_string(journal::kFormatVersion) +
-                             " — start a fresh checkpoint");
+  const auto check_header = [&](const journal::Header& header) {
+    if (header.schema_version != schema_version) {
+      throw std::runtime_error(path_ + " was written with schema_version " +
+                               std::to_string(header.schema_version) + ", this build emits " +
+                               std::to_string(schema_version) +
+                               " — resumed records would mix schemas; start a fresh checkpoint");
+    }
+    if (figure_id != header.figure_id) {
+      throw std::runtime_error(path_ + " belongs to campaign '" + header.figure_id +
+                               "', not '" + figure_id + "'");
+    }
   };
+  journal::Scan scan;
+  try {
+    scan = journal::scan(path_, check_header);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string("CheckpointJournal: ") + e.what());
+  }
 
-  std::string line;
-  std::size_t valid_end = 0;  // byte offset just past the last valid record
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    // getline strips the '\n'. A final line without one is a torn append
-    // even when its CRC checks out (the cut fell just before the newline):
-    // keeping it would glue the next append onto the same line.
-    if (in.eof()) break;
-    std::string body;
-    if (!journal::unseal_line(line, body)) {
-      if (const int version = saw_header ? 0 : journal::foreign_format_version(line)) {
-        refuse_format(version);
-      }
-      break;
-    }
-
-    if (!saw_header) {
-      journal::Header header;
-      if (!journal::parse_header(body, header)) {
-        throw std::runtime_error("CheckpointJournal: " + path_ + " has no valid header");
-      }
-      if (header.format_version != journal::kFormatVersion) refuse_format(header.format_version);
-      if (header.schema_version != schema_version) {
-        throw std::runtime_error(
-            "CheckpointJournal: " + path_ + " was written with schema_version " +
-            std::to_string(header.schema_version) + ", this build emits " +
-            std::to_string(schema_version) +
-            " — resumed records would mix schemas; start a fresh checkpoint");
-      }
-      if (figure_id != header.figure_id) {
-        throw std::runtime_error("CheckpointJournal: " + path_ + " belongs to campaign '" +
-                                 header.figure_id + "', not '" + figure_id + "'");
-      }
-      saw_header = true;
+  for (const journal::Record& record : scan.records) {
+    const std::string key = shard_key({record.head.point, record.head.params_hash},
+                                      record.head.shard);
+    if (record.head.kind == 'S') {
+      shards_[key] = record.stats;
     } else {
-      journal::RecordHead head;
-      if (!journal::parse_record_head(body, head)) break;  // unknown kind: a torn tail
-      const JournalKey key{head.point, head.params_hash};
-      const char* payload = body.c_str() + head.payload;
-      if (head.kind == 'S') {
-        core::LinkStats stats;
-        if (!journal::parse_stats(payload, stats)) break;
-        shards_[shard_key(key, head.shard)] = stats;
-      } else if (head.kind == 'O') {
-        shard_obs_[shard_key(key, head.shard)] = payload;
-      } else if (std::size_t attempts = 0; head.kind == 'Q') {
-        if (std::sscanf(payload, "%zu", &attempts) != 1) break;
-        quarantined_[shard_key(key, head.shard)] = attempts;
-      }
-      ++replayed_;
+      shard_obs_[key] = record.body.substr(record.head.payload);
     }
-    valid_end += line.size() + 1;
   }
-
-  if (!saw_header) {
-    throw std::runtime_error("CheckpointJournal: " + path_ + " has no valid header");
-  }
+  replayed_ = scan.records.size();
 
   // Drop a torn tail so the next append starts on a clean line boundary.
-  in.close();
-  std::uintmax_t size = 0;
-  {
-    std::ifstream measure(path_, std::ios::binary | std::ios::ate);
-    size = static_cast<std::uintmax_t>(measure.tellg());
-  }
-  if (size > valid_end) {
+  if (scan.torn) {
     tail_truncated_ = true;
-    if (::truncate(path_.c_str(), static_cast<off_t>(valid_end)) != 0) {
+    if (::truncate(path_.c_str(), static_cast<off_t>(scan.valid_end)) != 0) {
       throw std::runtime_error("CheckpointJournal: cannot truncate torn tail of " + path_);
     }
   }
@@ -175,11 +131,6 @@ const std::string* CheckpointJournal::find_shard_obs(const JournalKey& key,
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = shard_obs_.find(shard_key(key, shard));
   return it == shard_obs_.end() ? nullptr : &it->second;
-}
-
-bool CheckpointJournal::shard_quarantined(const JournalKey& key, std::size_t shard) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return quarantined_.count(shard_key(key, shard)) != 0;
 }
 
 void CheckpointJournal::simulate_disk_full_after(std::size_t bytes) {
@@ -244,17 +195,6 @@ void CheckpointJournal::record_shard(const JournalKey& key, std::size_t shard,
                 key.params_hash, shard);
   append_line(prefix + journal::format_stats(stats));
   shards_[shard_key(key, shard)] = stats;
-}
-
-void CheckpointJournal::record_quarantine(const JournalKey& key, std::size_t shard,
-                                          std::size_t attempts) {
-  require_point_id(key);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  char body[320];
-  std::snprintf(body, sizeof(body), "Q %s %016" PRIx64 " %zu %zu", key.point_id.c_str(),
-                key.params_hash, shard, attempts);
-  append_line(body);
-  quarantined_[shard_key(key, shard)] = attempts;
 }
 
 void CheckpointJournal::flush() {

@@ -12,18 +12,23 @@
 ///   bhss-journal v2 schema=<n> figure=<id> git=<sha> crc=XXXXXXXX
 ///   S <point> <params-hash> <shard> <LinkStats fields...> crc=XXXXXXXX
 ///   O <point> <params-hash> <shard> <telemetry blob...> crc=XXXXXXXX
-///   Q <point> <params-hash> <shard> <attempts> crc=XXXXXXXX
 ///
 /// `S` journals the bit-exact statistics of one finished simulation shard
 /// (doubles stored as IEEE-754 bit patterns, so replay merges to the same
-/// bits), `O` the shard's serialized telemetry when the campaign records
-/// it (written immediately before its `S` line, so a journaled shard with
-/// no blob can only mean telemetry was off), and `Q` quarantines a shard
-/// the watchdog gave up on. The journal holds only what a shard computes:
-/// published records are recomputed from it on resume, never stored. A
-/// line of unknown kind ends the replay like a torn tail; the bench
-/// schema_version and the header's format version are bumped alongside
-/// format changes so mixed-format resumes are rejected up front.
+/// bits), and `O` the shard's serialized telemetry when the campaign
+/// records it (written immediately before its `S` line, so a journaled
+/// shard with no blob can only mean telemetry was off). The journal holds
+/// only what a shard computes: published records are recomputed from it
+/// on resume, never stored. The bench schema_version and the header's
+/// format version are bumped alongside format changes so mixed-format
+/// resumes are rejected up front.
+///
+/// Refusal policy: a resume reads the file through `journal::scan`, the
+/// same scan `journal-merge` uses. A line that unseals and ends in a
+/// newline is what a writer wrote, so one this build cannot read (an
+/// unknown kind such as the `Q` quarantine line of older builds, or `S`
+/// stats that do not parse) makes `open` throw, naming the record, and
+/// leaves the file as it was. Only a torn tail is truncated.
 ///
 /// Durability contract:
 ///  - The file is *created* by writing the header to `<path>.tmp`,
@@ -84,11 +89,12 @@ class CheckpointJournal {
   /// Open `path` for a campaign identified by `figure_id`.
   /// With `resume` set, an existing journal is loaded (records replayed
   /// into the lookup maps, torn tail truncated) — the header's figure id
-  /// must match. Without `resume`, any existing file at `path` is
-  /// replaced. `schema_version`/`build_sha` are stamped into the header of
-  /// a fresh journal so merged journals from different binaries are
-  /// detectable. Throws std::runtime_error on I/O failure or header
-  /// mismatch.
+  /// must match, and every sealed line must be a record this build reads.
+  /// Without `resume`, any existing file at `path` is replaced.
+  /// `schema_version`/`build_sha` are stamped into the header of a fresh
+  /// journal so merged journals from different binaries are detectable.
+  /// Throws std::runtime_error on I/O failure, header mismatch or a
+  /// sealed line it cannot read.
   void open(const std::string& path, const std::string& figure_id, int schema_version,
             const std::string& build_sha, bool resume);
 
@@ -112,14 +118,10 @@ class CheckpointJournal {
   [[nodiscard]] const std::string* find_shard_obs(const JournalKey& key,
                                                   std::size_t shard) const;
 
-  /// True when the shard was quarantined by the watchdog in a previous
-  /// run: resume accounts it as `shard_timeout` instead of re-hanging.
-  [[nodiscard]] bool shard_quarantined(const JournalKey& key, std::size_t shard) const;
-
   // -- appends (thread-safe, fsync'd before return) --
 
-  /// Every writer BHSS_REQUIREs a valid `key.point_id` (see JournalKey):
-  /// a record the reader could not parse back would end the replay there.
+  /// BHSS_REQUIREs a valid `key.point_id` (see JournalKey): a record the
+  /// reader could not parse back would make the journal unresumable.
   ///
   /// `obs_blob` (optional) is the shard's serialized telemetry
   /// (obs::serialize_telemetry); when present its `O` line is written
@@ -127,7 +129,6 @@ class CheckpointJournal {
   /// leaves a shard that will simply be re-run on resume.
   void record_shard(const JournalKey& key, std::size_t shard, const core::LinkStats& stats,
                     const std::string* obs_blob = nullptr);
-  void record_quarantine(const JournalKey& key, std::size_t shard, std::size_t attempts);
 
   /// Test hook: fail appends as if the disk filled after `bytes` more
   /// bytes reach the file. The partial line that fits is really written
@@ -159,7 +160,6 @@ class CheckpointJournal {
   // Keyed by "<point> <hash-hex> <shard>".
   std::unordered_map<std::string, core::LinkStats> shards_;
   std::unordered_map<std::string, std::string> shard_obs_;
-  std::unordered_map<std::string, std::size_t> quarantined_;
 };
 
 }  // namespace bhss::runtime

@@ -4,7 +4,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <tuple>
 
@@ -15,7 +14,7 @@ namespace {
 
 // Canonical sort key. Kind ranks put a shard's telemetry blob (O)
 // immediately before its stats (S) — the order record_shard writes them.
-enum KindRank : int { kObs = 0, kStats = 1, kQuarantine = 2 };
+enum KindRank : int { kObs = 0, kStats = 1 };
 
 struct RecordKey {
   std::string point;
@@ -35,72 +34,19 @@ struct Record {
   bool from_base = false;
 };
 
-struct ParsedInput {
-  journal::Header header;
-  std::vector<std::pair<RecordKey, Record>> records;
-  bool torn = false;
-};
-
-// Split one record body into its canonical key. Throws for bodies that
-// unsealed cleanly but make no sense as any known record kind (a valid
-// CRC guarantees the bytes are what was written, so this is a foreign or
-// future-format file, not rot).
-RecordKey classify(const std::string& body, const std::string& path) {
-  journal::RecordHead head;
-  if (!journal::parse_record_head(body, head)) {
-    throw JournalMergeError("unknown record kind in " + path + ": '" + body.substr(0, 32) +
-                            "...'");
+// Read one journal through the scan resume uses, never mutating it. A
+// refusal (a foreign format, no header, a sealed line this build cannot
+// read) becomes a merge error, so the tool exits 1 instead of aborting.
+journal::Scan read_journal(const std::string& path) {
+  try {
+    return journal::scan(path);
+  } catch (const std::runtime_error& e) {
+    throw JournalMergeError(e.what());
   }
-  const int rank = head.kind == 'O' ? kObs : head.kind == 'S' ? kStats : kQuarantine;
-  return {head.point, head.params_hash, head.shard, rank};
-}
-
-// Read one journal: verify the header, collect the valid CRC prefix and
-// note whether the tail was torn. Mirrors CheckpointJournal::load_existing
-// but never mutates the input file.
-ParsedInput read_journal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw JournalMergeError("cannot read " + path);
-
-  ParsedInput parsed;
-  std::string line;
-  bool saw_header = false;
-  bool clean_end = true;
-  while (std::getline(in, line)) {
-    const bool had_newline = !in.eof();
-    std::string body;
-    if (!journal::unseal_line(line, body) || !had_newline) {
-      if (const int version = saw_header ? 0 : journal::foreign_format_version(line)) {
-        throw JournalMergeError(path + " uses journal format v" + std::to_string(version) +
-                                ", this build reads v" +
-                                std::to_string(journal::kFormatVersion));
-      }
-      // A final line without its newline is a torn append even when the
-      // CRC happens to validate (the write was cut mid-line).
-      clean_end = false;
-      break;
-    }
-    if (!saw_header) {
-      if (!journal::parse_header(body, parsed.header)) {
-        throw JournalMergeError(path + " has no valid journal header");
-      }
-      saw_header = true;
-      continue;
-    }
-    parsed.records.emplace_back(classify(body, path), Record{body, 0, false});
-  }
-  if (!saw_header) throw JournalMergeError(path + " has no valid journal header");
-  parsed.torn = !clean_end || in.peek() != std::ifstream::traits_type::eof();
-  return parsed;
 }
 
 void require_same_header(const journal::Header& ref, const journal::Header& got,
                          const std::string& ref_path, const std::string& path) {
-  if (got.format_version != ref.format_version) {
-    throw JournalMergeError("format version mismatch: " + path + " is v" +
-                            std::to_string(got.format_version) + ", " + ref_path +
-                            " is v" + std::to_string(ref.format_version));
-  }
   if (got.schema_version != ref.schema_version) {
     throw JournalMergeError("schema version mismatch: " + path + " has schema=" +
                             std::to_string(got.schema_version) + ", " + ref_path +
@@ -133,18 +79,20 @@ MergeReport merge_journals(const std::vector<std::string>& inputs,
   journal::Header ref_header;
 
   const auto fold_one = [&](const std::string& path, std::size_t source, bool from_base) {
-    ParsedInput parsed = read_journal(path);
+    journal::Scan scanned = read_journal(path);
     ++report.inputs;
-    if (parsed.torn) ++report.torn_tails;
+    if (scanned.torn) ++report.torn_tails;
     if (ref_path.empty()) {
       ref_path = path;
-      ref_header = parsed.header;
+      ref_header = scanned.header;
     } else {
-      require_same_header(ref_header, parsed.header, ref_path, path);
+      require_same_header(ref_header, scanned.header, ref_path, path);
     }
-    for (auto& [key, record] : parsed.records) {
-      record.source = source;
-      record.from_base = from_base;
+    for (journal::Record& line : scanned.records) {
+      const journal::RecordHead& head = line.head;
+      const RecordKey key{head.point, head.params_hash, head.shard,
+                          head.kind == 'O' ? kObs : kStats};
+      const Record record{std::move(line.body), source, from_base};
 
       // One point id must map to one params hash fleet-wide: two hashes
       // mean two workers simulated different configs under the same name.
@@ -192,6 +140,15 @@ MergeReport merge_journals(const std::vector<std::string>& inputs,
   if (!base.empty()) fold_one(base, static_cast<std::size_t>(-1), true);
   for (std::size_t i = 0; i < inputs.size(); ++i) fold_one(inputs[i], i, false);
 
+  for (const auto& entry : merged) {
+    if (entry.first.rank == kObs) {
+      ++report.obs_records;
+    } else {
+      ++report.shard_records;
+    }
+  }
+  if (out_path.empty()) return report;  // validate only
+
   // Stage + atomic publish, mirroring CheckpointJournal::open's fresh-file
   // path: a crash mid-merge never leaves a half-merged journal visible.
   const std::string tmp = out_path + ".tmp";
@@ -200,14 +157,8 @@ MergeReport merge_journals(const std::vector<std::string>& inputs,
   const std::string header = journal::seal_line(journal::format_header(
       ref_header.schema_version, ref_header.figure_id, ref_header.build_sha));
   bool ok = std::fprintf(out, "%s\n", header.c_str()) > 0;
-  for (const auto& [key, record] : merged) {
-    ok = ok && std::fprintf(out, "%s\n", journal::seal_line(record.body).c_str()) > 0;
-    switch (key.rank) {
-      case kStats: ++report.shard_records; break;
-      case kObs: ++report.obs_records; break;
-      case kQuarantine: ++report.quarantine_records; break;
-      default: break;
-    }
+  for (const auto& entry : merged) {
+    ok = ok && std::fprintf(out, "%s\n", journal::seal_line(entry.second.body).c_str()) > 0;
   }
   ok = ok && std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
   std::fclose(out);

@@ -5,7 +5,7 @@
 ///
 /// A campaign split across worker processes (`--worker-id=I
 /// --n-workers=N`, launched by hand on one or many hosts) leaves one
-/// journal per worker, each holding the S/O/Q records of the shards that
+/// journal per worker, each holding the S/O records of the shards that
 /// worker owns under the mod partition (shard_partition.hpp). The merge
 /// folds them back into a single journal that an ordinary `--resume`
 /// publish pass replays, under the same contract `merge_point_results`
@@ -22,13 +22,16 @@
 ///    that crashed between its O and S lines and replayed), an exact
 ///    duplicate is benign and deduplicated; a duplicate with a differing
 ///    payload means non-deterministic recomputation and rejects.
-///  - Config coherence: all inputs must carry identical headers (format,
-///    schema, figure, build sha), and one point id must map to one params
-///    hash across all inputs — workers that ran different configs cannot
-///    be silently folded. Journals of another line-format version are
+///  - Config coherence: all inputs must carry identical headers (schema,
+///    figure, build sha), and one point id must map to one params hash
+///    across all inputs — workers that ran different configs cannot be
+///    silently folded.
+///  - One reader: every input is read through `journal::scan`, the scan
+///    a resume uses, so merge and resume agree on which lines are valid.
+///    Each input's valid CRC prefix is used and a torn remainder counted;
+///    a journal of another line-format version, or a sealed line this
+///    build cannot read (such as the `Q` line of older builds), is
 ///    refused by name.
-///  - Torn tails: each input's valid CRC prefix is used and the torn
-///    remainder counted, exactly like a single-journal resume.
 ///
 /// `base` (optional) is an earlier journal of the same campaign (a
 /// previous merge, or a single-process run): its records are folded in
@@ -56,7 +59,6 @@ struct MergeReport {
   std::size_t inputs = 0;             ///< journals read (including `base`)
   std::size_t shard_records = 0;      ///< S records in the output
   std::size_t obs_records = 0;        ///< O records in the output
-  std::size_t quarantine_records = 0; ///< Q records in the output
   std::size_t duplicates_folded = 0;  ///< benign exact duplicates removed
   std::size_t torn_tails = 0;         ///< inputs whose tail was torn
 };
@@ -65,8 +67,9 @@ struct MergeReport {
 /// earlier journal of the campaign, "" = none) into a fresh journal at
 /// `out_path`. The output is written to `<out_path>.tmp` and atomically
 /// renamed, so a crash mid-merge never leaves a half-merged journal at
-/// the published path. Throws JournalMergeError on any contract
-/// violation; the output path is untouched in that case.
+/// the published path. An empty `out_path` validates the merge and
+/// writes nothing. Throws JournalMergeError on any contract violation;
+/// the output path is untouched in that case.
 MergeReport merge_journals(const std::vector<std::string>& inputs,
                            const std::string& out_path, const std::string& base = "");
 

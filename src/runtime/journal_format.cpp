@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
+#include <stdexcept>
 #include <string_view>
 #include <system_error>
 
@@ -54,6 +56,10 @@ std::string format_header(int schema_version, const std::string& figure_id,
   return header;
 }
 
+namespace {
+
+/// Parse an unsealed header body; returns false when it is not a journal
+/// header at all (wrong magic / missing fields).
 bool parse_header(const std::string& body, Header& out) {
   char figure[128] = {0};
   char git[128] = {0};
@@ -70,6 +76,11 @@ bool parse_header(const std::string& body, Header& out) {
   return true;
 }
 
+/// The first line of a journal that failed to unseal, read as a header of
+/// another format version: returns that version when the line parses as
+/// a header whose version differs from kFormatVersion, and 0 otherwise.
+/// Lets `scan` refuse an older journal by name instead of calling it
+/// headerless.
 int foreign_format_version(const std::string& line) {
   // A header's fields come before its CRC tail, so an older format's
   // header line parses without being unsealed.
@@ -78,6 +89,9 @@ int foreign_format_version(const std::string& line) {
   return header.format_version;
 }
 
+/// Split a record body into its head. Returns false for an unknown kind
+/// or a malformed head, including a point id longer than
+/// kMaxPointIdLength.
 bool parse_record_head(const std::string& body, RecordHead& out) {
   // " %191s%n": the point-id conversion, its width tied to
   // kMaxPointIdLength so the reader accepts every id a writer accepts.
@@ -85,7 +99,7 @@ bool parse_record_head(const std::string& body, RecordHead& out) {
       " %" + std::to_string(kMaxPointIdLength) + "s%n";
   if (body.size() < 2 || body[1] != ' ') return false;
   const char kind = body[0];
-  if (kind != 'S' && kind != 'O' && kind != 'Q') return false;
+  if (kind != 'S' && kind != 'O') return false;
 
   char point[kMaxPointIdLength + 1] = {0};
   int consumed = 0;
@@ -106,6 +120,8 @@ bool parse_record_head(const std::string& body, RecordHead& out) {
   out = {kind, point, hash, shard, at + static_cast<std::size_t>(rest)};
   return true;
 }
+
+}  // namespace
 
 std::string format_stats(const core::LinkStats& s) {
   std::string out;
@@ -149,6 +165,55 @@ bool parse_stats(const char* text, core::LinkStats& s) {
   if (more) return false;  // trailing token
   s = parsed;
   return true;
+}
+
+Scan scan(const std::string& path, const std::function<void(const Header&)>& check_header) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+
+  const auto refuse_format = [&path](int version) {
+    throw std::runtime_error(path + " uses journal format v" + std::to_string(version) +
+                             ", this build reads v" + std::to_string(kFormatVersion) +
+                             " — start a fresh checkpoint");
+  };
+
+  Scan out;
+  std::string line;
+  bool saw_header = false;
+  for (std::size_t number = 1; std::getline(in, line); ++number) {
+    // getline strips the '\n'. A final line without one is a torn append
+    // even when its CRC checks out (the cut fell just before the newline):
+    // keeping it would glue the next append onto the same line.
+    std::string body;
+    if (in.eof() || !unseal_line(line, body)) {
+      if (const int version = saw_header ? 0 : foreign_format_version(line)) {
+        refuse_format(version);
+      }
+      out.torn = true;
+      break;
+    }
+    if (!saw_header) {
+      if (!parse_header(body, out.header)) break;
+      if (out.header.format_version != kFormatVersion) refuse_format(out.header.format_version);
+      if (check_header) check_header(out.header);
+      saw_header = true;
+    } else {
+      Record record;
+      const bool known = parse_record_head(body, record.head);
+      if (!known || (record.head.kind == 'S' &&
+                     !parse_stats(body.c_str() + record.head.payload, record.stats))) {
+        const std::string shown = body.size() > 64 ? body.substr(0, 64) + "..." : body;
+        throw std::runtime_error((known ? "unreadable stats in " : "unknown record kind in ") +
+                                 path + " line " + std::to_string(number) + ": '" + shown +
+                                 "'");
+      }
+      record.body = std::move(body);
+      out.records.push_back(std::move(record));
+    }
+    out.valid_end += line.size() + 1;
+  }
+  if (!saw_header) throw std::runtime_error(path + " has no valid header");
+  return out;
 }
 
 }  // namespace bhss::runtime::journal

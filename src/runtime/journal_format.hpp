@@ -4,7 +4,8 @@
 /// The checkpoint journal's line format, factored out of CheckpointJournal
 /// so every consumer of journal bytes — the journal itself, the
 /// `journal-merge` fold (src/runtime/distributed) and the tools/ binary —
-/// reads and writes exactly the same sealed lines. One line is
+/// reads and writes exactly the same sealed lines, and reads whole files
+/// through one scan (`scan`). One line is
 ///
 ///   <body> crc=XXXXXXXX
 ///
@@ -12,7 +13,7 @@
 ///
 ///   bhss-journal v<fmt> schema=<n> figure=<id> git=<sha>
 ///
-/// and record bodies start with a one-letter kind (S/O/Q — see
+/// and record bodies start with a one-letter kind (S/O — see
 /// checkpoint_journal.hpp). LinkStats travel as space-separated tokens
 /// with doubles as IEEE-754 bit patterns, so replaying a journal merges
 /// to the same bits as the uninterrupted run.
@@ -22,7 +23,9 @@
 /// journal is refused, not converted.
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "core/link_simulator.hpp"
 
@@ -65,21 +68,10 @@ struct Header {
 [[nodiscard]] std::string format_header(int schema_version, const std::string& figure_id,
                                         const std::string& build_sha);
 
-/// Parse an unsealed header body; returns false when it is not a journal
-/// header at all (wrong magic / missing fields).
-[[nodiscard]] bool parse_header(const std::string& body, Header& out);
-
-/// The first line of a journal that failed to unseal, read as a header of
-/// another format version: returns that version when the line parses as
-/// a header whose version differs from kFormatVersion, and 0 otherwise.
-/// Lets both readers refuse an older journal by name instead of calling
-/// it headerless.
-[[nodiscard]] int foreign_format_version(const std::string& line);
-
 /// The fixed head of a record body: `<kind> <point> <hash> <shard>`.
-/// Every record kind (`S`, `O`, `Q`) belongs to one shard, so every head
+/// Every record kind (`S`, `O`) belongs to one shard, so every head
 /// carries one. `payload` is the offset of what follows the head (stats
-/// tokens, telemetry blob or attempt count).
+/// tokens or telemetry blob).
 struct RecordHead {
   char kind = 0;
   std::string point;
@@ -87,11 +79,6 @@ struct RecordHead {
   std::size_t shard = 0;
   std::size_t payload = 0;
 };
-
-/// Split a record body into its head. Returns false for an unknown kind
-/// or a malformed head, including a point id longer than
-/// kMaxPointIdLength.
-[[nodiscard]] bool parse_record_head(const std::string& body, RecordHead& out);
 
 /// One space-separated token per `core::kLinkStatsFields` row, in table
 /// order: counters in decimal, doubles as their IEEE-754 bit patterns in
@@ -104,5 +91,38 @@ struct RecordHead {
 /// spaces, each token parsed whole (no sign, no overflow, hex tokens
 /// exactly 16 digits). Returns false and leaves `s` untouched otherwise.
 [[nodiscard]] bool parse_stats(const char* text, core::LinkStats& s);
+
+/// One record line as `scan` read it.
+struct Record {
+  RecordHead head;
+  std::string body;       ///< the unsealed body, head included
+  core::LinkStats stats;  ///< the parsed stats of an `S` record
+};
+
+/// A whole journal file as both of its readers see it.
+struct Scan {
+  Header header;
+  std::vector<Record> records;   ///< every valid record, in file order
+  std::uintmax_t valid_end = 0;  ///< byte offset just past the last valid line
+  bool torn = false;             ///< bytes after valid_end form a torn tail
+};
+
+/// Read the journal at `path`, the one reader of journal files: resume
+/// (CheckpointJournal) and merge (journal-merge) both call it. Never
+/// modifies the file.
+///  - A line that fails to unseal, or a final line without its newline,
+///    is a torn tail: the scan stops there and sets `torn`.
+///  - A line that unseals and ends in a newline is what a writer wrote.
+///    When it is not a header or record this build reads (an unknown
+///    kind, a malformed head, `S` stats that do not parse), the scan
+///    throws std::runtime_error naming the record, instead of truncating
+///    it and everything after it.
+///  - It also throws when the file cannot be read, has no valid header,
+///    or uses another line-format version.
+/// `check_header` (optional) sees the header before any record is read,
+/// so a journal of another schema or campaign is refused by that name,
+/// not by the first of its records this build cannot read.
+[[nodiscard]] Scan scan(const std::string& path,
+                        const std::function<void(const Header&)>& check_header = {});
 
 }  // namespace bhss::runtime::journal

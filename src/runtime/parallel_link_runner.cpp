@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <csignal>
-#include <future>
-#include <mutex>
 #include <numeric>
-#include <thread>
 
 #include "core/contracts.hpp"
 #include "core/shared_random.hpp"
@@ -24,8 +20,7 @@ constexpr std::uint64_t kImpairmentStream = 0x22;
 constexpr std::uint64_t kJammerStream = 0x33;
 
 /// The one place a shard is simulated: its packet range, its seed tuple,
-/// `core::run_link_shard`. Empty shards return default stats. The pooled
-/// path, the watchdog path and `run` all go through here.
+/// `core::run_link_shard`. Empty shards return default stats.
 core::LinkStats run_shard(const core::SimConfig& cfg, std::size_t n_shards, std::size_t shard,
                           obs::ShardTelemetry* telemetry) {
   const auto range = ParallelLinkRunner::shard_range(cfg.n_packets, n_shards, shard);
@@ -48,34 +43,6 @@ static_assert(std::atomic<int>::is_always_lock_free,
 
 void handle_drain_signal(int /*signum*/) {
   g_interrupt.store(1, std::memory_order_relaxed);
-}
-
-// ------------------------------------------------------ abandoned threads
-
-/// A shard that overruns its watchdog budget cannot be joined on the
-/// campaign's critical path (it may be genuinely hung), but a plain
-/// detach makes process teardown race whatever shared state the runaway
-/// thread still touches. Park such threads here instead: the campaign
-/// moves on immediately, and join_abandoned_threads() lets tests wait
-/// them out. The vector is deliberately immortal — running its
-/// destructor at exit with a still-hung thread inside would
-/// std::terminate — so it lives in a union whose destructor does
-/// nothing (the no-destruct idiom; keeps the project's no-raw-new rule).
-std::mutex g_abandoned_mu;
-
-std::vector<std::thread>& abandoned_threads() {
-  union Holder {
-    std::vector<std::thread> v;
-    Holder() : v() {}
-    ~Holder() {}  // never destroy v
-  };
-  static Holder holder;
-  return holder.v;
-}
-
-void park_abandoned(std::thread th) {
-  const std::lock_guard<std::mutex> lock(g_abandoned_mu);
-  abandoned_threads().push_back(std::move(th));
 }
 
 // ------------------------------------------------------------- params hash
@@ -113,7 +80,6 @@ class Fnv1a {
 ParallelLinkRunner::ParallelLinkRunner(RunnerOptions options, CheckpointJournal* journal)
     : options_(options), pool_(options.n_threads), journal_(journal) {
   BHSS_REQUIRE(options_.n_shards >= 1, "ParallelLinkRunner: n_shards must be >= 1");
-  BHSS_REQUIRE(options_.max_attempts >= 1, "ParallelLinkRunner: max_attempts must be >= 1");
   options_.partition.validate();
 }
 
@@ -148,18 +114,6 @@ void ParallelLinkRunner::clear_interrupt() noexcept {
 }
 bool ParallelLinkRunner::interrupt_requested() noexcept {
   return g_interrupt.load(std::memory_order_relaxed) != 0;
-}
-
-void ParallelLinkRunner::join_abandoned_threads() {
-  for (;;) {
-    std::vector<std::thread> batch;
-    {
-      const std::lock_guard<std::mutex> lock(g_abandoned_mu);
-      batch.swap(abandoned_threads());
-    }
-    if (batch.empty()) return;
-    for (std::thread& th : batch) th.join();
-  }
 }
 
 // Every field of SimConfig (and of everything it embeds) that influences
@@ -285,7 +239,7 @@ core::LinkStats ParallelLinkRunner::run(const core::SimConfig& cfg,
   std::vector<std::size_t> every(n_shards);
   std::iota(every.begin(), every.end(), std::size_t{0});
   std::vector<core::LinkStats> slots(n_shards);
-  return execute(nullptr, cfg, std::move(every), slots, telemetry, 0);
+  return execute(nullptr, cfg, every, slots, telemetry);
 }
 
 core::LinkStats ParallelLinkRunner::run_point(const std::string& point_id,
@@ -301,7 +255,6 @@ core::LinkStats ParallelLinkRunner::run_point(const std::string& point_id,
   std::vector<obs::ShardTelemetry> telemetry;
   if (want_obs) telemetry.resize(n_shards);
 
-  std::size_t quarantined = 0;
   std::vector<std::size_t> pending;
   for (std::size_t shard = 0; shard < n_shards; ++shard) {
     // Worker slice: shards owned by other workers are neither simulated
@@ -323,38 +276,34 @@ core::LinkStats ParallelLinkRunner::run_point(const std::string& point_id,
         slots[shard] = *done;
         continue;
       }
-      if (journal_->shard_quarantined(key, shard)) {
-        ++quarantined;  // lost in a previous run; stays accounted, not re-hung
-        continue;
-      }
     }
     pending.push_back(shard);
   }
 
-  const core::LinkStats merged = execute(&key, cfg, std::move(pending), slots,
-                                         want_obs ? &telemetry : nullptr, quarantined);
+  const core::LinkStats merged =
+      execute(&key, cfg, pending, slots, want_obs ? &telemetry : nullptr);
   if (want_obs) telemetry_sink(point_id, cfg, merged, telemetry);
   return merged;
 }
 
 core::LinkStats ParallelLinkRunner::execute(const JournalKey* key, const core::SimConfig& cfg,
-                                            std::vector<std::size_t> pending,
+                                            const std::vector<std::size_t>& pending,
                                             std::vector<core::LinkStats>& slots,
-                                            std::vector<obs::ShardTelemetry>* telemetry,
-                                            std::size_t quarantined) {
-  std::size_t retried = 0;
-  if (!pending.empty()) {
-    if (interrupt_requested()) drain();
-    if (options_.shard_timeout_s > 0.0) {
-      execute_watchdogged(key, cfg, std::move(pending), slots, telemetry, retried, quarantined);
-    } else {
-      execute_pooled(key, cfg, pending, slots, telemetry);
+                                            std::vector<obs::ShardTelemetry>* telemetry) {
+  std::vector<std::uint8_t> skipped(pending.size(), 0);
+  pool_.parallel_for_shards(pending.size(), [&](std::size_t i) {
+    if (interrupt_requested()) {  // drain: in-flight shards finish, new ones don't start
+      skipped[i] = 1;
+      return;
     }
-  }
-  core::LinkStats merged = merge_point_results(slots, telemetry, cfg.payload_len, nullptr);
-  merged.shard_timeout += quarantined;
-  merged.shard_retried += retried;
-  return merged;
+    const std::size_t shard = pending[i];
+    if (shard_hook) shard_hook(shard);
+    obs::ShardTelemetry* tele = telemetry != nullptr ? &(*telemetry)[shard] : nullptr;
+    slots[shard] = run_shard(cfg, options_.n_shards, shard, tele);
+    journal_shard(key, shard, slots[shard], tele);
+  });
+  if (std::find(skipped.begin(), skipped.end(), 1) != skipped.end()) drain();
+  return merge_point_results(slots, telemetry, cfg.payload_len, nullptr);
 }
 
 void ParallelLinkRunner::journal_shard(const JournalKey* key, std::size_t shard,
@@ -372,121 +321,6 @@ void ParallelLinkRunner::journal_shard(const JournalKey* key, std::size_t shard,
 void ParallelLinkRunner::drain() {
   if (journal_ != nullptr) journal_->flush();
   throw CampaignInterrupted();
-}
-
-void ParallelLinkRunner::execute_pooled(const JournalKey* key, const core::SimConfig& cfg,
-                                        const std::vector<std::size_t>& pending,
-                                        std::vector<core::LinkStats>& slots,
-                                        std::vector<obs::ShardTelemetry>* telemetry) {
-  std::vector<std::uint8_t> skipped(pending.size(), 0);
-  pool_.parallel_for_shards(pending.size(), [&](std::size_t i) {
-    if (interrupt_requested()) {  // drain: in-flight shards finish, new ones don't start
-      skipped[i] = 1;
-      return;
-    }
-    const std::size_t shard = pending[i];
-    if (shard_hook) shard_hook(shard, 0);
-    obs::ShardTelemetry* tele = telemetry != nullptr ? &(*telemetry)[shard] : nullptr;
-    slots[shard] = run_shard(cfg, options_.n_shards, shard, tele);
-    journal_shard(key, shard, slots[shard], tele);
-  });
-  if (std::find(skipped.begin(), skipped.end(), 1) != skipped.end()) drain();
-}
-
-void ParallelLinkRunner::execute_watchdogged(const JournalKey* key, const core::SimConfig& cfg,
-                                             std::vector<std::size_t> pending,
-                                             std::vector<core::LinkStats>& slots,
-                                             std::vector<obs::ShardTelemetry>* telemetry,
-                                             std::size_t& retried_shards,
-                                             std::size_t& quarantined_shards) {
-  using clock = std::chrono::steady_clock;
-  const auto budget = std::chrono::duration_cast<clock::duration>(
-      std::chrono::duration<double>(options_.shard_timeout_s));
-  const std::size_t width = pool_.size();
-
-  std::vector<std::uint8_t> timed_out_before(options_.n_shards, 0);
-
-  for (std::size_t attempt = 0; attempt < options_.max_attempts && !pending.empty();
-       ++attempt) {
-    if (attempt > 0) {
-      const double backoff =
-          options_.backoff_base_s * static_cast<double>(std::size_t{1} << (attempt - 1));
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-    }
-
-    std::vector<std::size_t> timed_out;
-    for (std::size_t start = 0; start < pending.size(); start += width) {
-      if (interrupt_requested()) drain();
-      const std::size_t end = std::min(start + width, pending.size());
-
-      // One watchdogged thread per shard in this chunk. A shard that
-      // overruns its budget is abandoned (parked in the registry) — its
-      // thread keeps running to completion in the background, but its
-      // result is discarded so a genuinely hung shard cannot stall the
-      // campaign.
-      // The attempt's result travels by value through the future — a
-      // timed-out attempt's telemetry dies with its abandoned thread
-      // instead of racing a retry writing into a shared slot.
-      struct ShardOutcome {
-        core::LinkStats stats;
-        obs::ShardTelemetry telemetry;
-      };
-      struct Flight {
-        std::size_t shard = 0;
-        std::thread thread;
-        std::future<ShardOutcome> result;
-      };
-      std::vector<Flight> flights;
-      flights.reserve(end - start);
-      for (std::size_t i = start; i < end; ++i) {
-        const std::size_t shard = pending[i];
-        std::packaged_task<ShardOutcome()> task(
-            [cfg, shard, attempt, hook = shard_hook, n_shards = options_.n_shards,
-             want_obs = telemetry != nullptr]() {
-              if (hook) hook(shard, attempt);
-              ShardOutcome out;
-              out.stats = run_shard(cfg, n_shards, shard, want_obs ? &out.telemetry : nullptr);
-              return out;
-            });
-        Flight flight;
-        flight.shard = shard;
-        flight.result = task.get_future();
-        flight.thread = std::thread(std::move(task));
-        flights.push_back(std::move(flight));
-      }
-
-      const auto deadline = clock::now() + budget;
-      for (Flight& flight : flights) {
-        if (flight.result.wait_until(deadline) == std::future_status::ready) {
-          flight.thread.join();
-          ShardOutcome out = flight.result.get();
-          slots[flight.shard] = out.stats;
-          obs::ShardTelemetry* tele = nullptr;
-          if (telemetry != nullptr) {
-            tele = &(*telemetry)[flight.shard];
-            *tele = std::move(out.telemetry);
-          }
-          journal_shard(key, flight.shard, slots[flight.shard], tele);
-          if (timed_out_before[flight.shard] != 0) ++retried_shards;
-        } else {
-          park_abandoned(std::move(flight.thread));
-          timed_out_before[flight.shard] = 1;
-          timed_out.push_back(flight.shard);
-        }
-      }
-    }
-    pending = std::move(timed_out);
-  }
-
-  // Out of attempts: quarantine what is left. The merge proceeds without
-  // these shards' packets; the loss is visible as `shard_timeout`.
-  for (const std::size_t shard : pending) {
-    slots[shard] = core::LinkStats{};
-    if (journal_ != nullptr && key != nullptr) {
-      journal_->record_quarantine(*key, shard, options_.max_attempts);
-    }
-    ++quarantined_shards;
-  }
 }
 
 double ParallelLinkRunner::min_snr_for_per(const std::string& point_id,

@@ -28,12 +28,11 @@
 ///    the journal and re-running only the missing units. Because every
 ///    shard is a pure function of its seed tuple, the resumed merge is
 ///    bit-identical to an uninterrupted run at any thread count.
-///  - A per-shard watchdog bounds how long one shard may run. A shard
-///    that overruns is retried with exponential backoff (a deterministic
-///    retry: same seeds, same result) up to `max_attempts`, then
-///    quarantined — the campaign finishes with `shard_timeout` accounted
-///    in the merged failure taxonomy instead of hanging forever or
-///    silently dropping the loss.
+///  - Every shard runs on the pool, and nowhere else. No wall-clock
+///    budget drops a shard: a shard is a pure function of its seed tuple,
+///    so a retry would recompute the same work, and the slowest shards
+///    are the lossiest ones. A hung shard keeps the run visibly stuck;
+///    SIGKILL and `--resume` keep every finished shard.
 ///  - SIGINT/SIGTERM request a graceful drain: in-flight shards finish
 ///    and are journaled, un-started shards are skipped, and the runner
 ///    throws CampaignInterrupted so the caller can exit with a distinct
@@ -58,19 +57,16 @@
 namespace bhss::runtime {
 
 /// Runner knobs. `n_shards` is part of the experiment identity (see the
-/// determinism contract above); everything else only changes wall time or
-/// failure handling. `partition` selects this process's slice of the
-/// shard set when a campaign is split across worker processes
-/// (shard_partition.hpp) — it is NOT part of the experiment identity
-/// either: the params hash covers `n_shards` only, so worker journals
-/// merge cleanly back into the single-process keyspace. The first two
-/// fields come first so `{threads, shards}` initializes positionally.
+/// determinism contract above); `n_threads` only changes wall time.
+/// `partition` selects this process's slice of the shard set when a
+/// campaign is split across worker processes (shard_partition.hpp) — it
+/// is NOT part of the experiment identity either: the params hash covers
+/// `n_shards` only, so worker journals merge cleanly back into the
+/// single-process keyspace. The first two fields come first so
+/// `{threads, shards}` initializes positionally.
 struct RunnerOptions {
-  std::size_t n_threads = 0;     ///< total concurrency; 0 = hardware threads
-  std::size_t n_shards = 16;     ///< fixed shard count (>= 1)
-  double shard_timeout_s = 0.0;  ///< watchdog budget per shard attempt; 0 = off
-  std::size_t max_attempts = 3;  ///< attempts per shard before quarantine
-  double backoff_base_s = 0.05;  ///< retry backoff: base * 2^(attempt-1)
+  std::size_t n_threads = 0;  ///< total concurrency; 0 = hardware threads
+  std::size_t n_shards = 16;  ///< fixed shard count (>= 1)
   distributed::ShardPartition partition{};  ///< this process's shard slice
 };
 
@@ -152,13 +148,6 @@ class ParallelLinkRunner {
   static void clear_interrupt() noexcept;  ///< reset between tests
   [[nodiscard]] static bool interrupt_requested() noexcept;
 
-  /// Timed-out shard threads are parked in a process-wide registry rather
-  /// than detached; this blocks until every parked thread has finished.
-  /// For tests and orderly embedders that tear down state a runaway shard
-  /// may still be reading. Production exit paths should NOT call it — a
-  /// genuinely hung shard is exactly what must not block exit.
-  static void join_abandoned_threads();
-
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
   [[nodiscard]] std::size_t shards() const noexcept { return options_.n_shards; }
 
@@ -181,40 +170,32 @@ class ParallelLinkRunner {
   [[nodiscard]] BHSS_HOT static ShardRange shard_range(std::size_t n_packets, std::size_t n_shards,
                                                        std::size_t shard) noexcept;
 
-  /// Test-only fault hook, run inside every shard attempt before the
-  /// simulation: (shard index, attempt index). A hook that sleeps past
-  /// the watchdog budget simulates a hung shard.
-  std::function<void(std::size_t, std::size_t)> shard_hook;
+  /// Test-only hook, run inside every shard before the simulation with the
+  /// shard index: counts executed shards, or requests a drain mid-run.
+  std::function<void(std::size_t)> shard_hook;
 
   /// Telemetry consumer. When set, every run_point collects per-shard
   /// telemetry (metrics + traces) and invokes the sink after the merge —
   /// including for points satisfied entirely from the journal, whose
   /// bundles are rebuilt from `O` records. A journaled shard *without* an
   /// `O` record (it ran before telemetry was requested) is re-run — a
-  /// deterministic replay, so its stats are unchanged. Quarantined shards
-  /// contribute a default bundle at their index, mirroring their
-  /// default-constructed LinkStats. Arguments: (point id, config, merged
-  /// stats, per-shard bundles in ascending shard order).
+  /// deterministic replay, so its stats are unchanged. Shards another
+  /// worker owns contribute a default bundle at their index, mirroring
+  /// their default-constructed LinkStats. Arguments: (point id, config,
+  /// merged stats, per-shard bundles in ascending shard order).
   std::function<void(const std::string&, const core::SimConfig&, const core::LinkStats&,
                      const std::vector<obs::ShardTelemetry>&)>
       telemetry_sink;
 
  private:
-  /// Run `pending` into `slots` (and `telemetry`, when given), journaling
-  /// each finished shard under `key` unless `key` is null, then merge.
-  /// `quarantined` counts shards already lost before this call.
+  /// Run `pending` on the pool into `slots` (and `telemetry`, when
+  /// given), journaling each finished shard under `key` unless `key` is
+  /// null, then merge. A drain request skips the shards not yet started
+  /// and throws CampaignInterrupted once the started ones are journaled.
   core::LinkStats execute(const JournalKey* key, const core::SimConfig& cfg,
-                          std::vector<std::size_t> pending, std::vector<core::LinkStats>& slots,
-                          std::vector<obs::ShardTelemetry>* telemetry, std::size_t quarantined);
-  void execute_pooled(const JournalKey* key, const core::SimConfig& cfg,
-                      const std::vector<std::size_t>& pending,
-                      std::vector<core::LinkStats>& slots,
-                      std::vector<obs::ShardTelemetry>* telemetry);
-  void execute_watchdogged(const JournalKey* key, const core::SimConfig& cfg,
-                           std::vector<std::size_t> pending,
-                           std::vector<core::LinkStats>& slots,
-                           std::vector<obs::ShardTelemetry>* telemetry,
-                           std::size_t& retried_shards, std::size_t& quarantined_shards);
+                          const std::vector<std::size_t>& pending,
+                          std::vector<core::LinkStats>& slots,
+                          std::vector<obs::ShardTelemetry>* telemetry);
   /// Write one finished shard's `O` (when telemetry is collected) and `S`
   /// records. No-op without a journal or key.
   void journal_shard(const JournalKey* key, std::size_t shard, const core::LinkStats& stats,
@@ -229,10 +210,11 @@ class ParallelLinkRunner {
 
 /// Merge one data point's per-shard results under the shared merge-order
 /// contract (link_simulator.hpp): both vectors are left folds in ascending
-/// shard order, and a quarantined shard contributes a default element at
-/// its index in *both*. BHSS_REQUIREs that `telemetry` (when given) has
-/// exactly `stats.size()` elements — the single enforcement point keeping
-/// the stats merge and the telemetry merge from silently diverging.
+/// shard order, and a shard this process does not own contributes a
+/// default element at its index in *both*. BHSS_REQUIREs that `telemetry`
+/// (when given) has exactly `stats.size()` elements — the single
+/// enforcement point keeping the stats merge and the telemetry merge from
+/// silently diverging.
 /// `merged_telemetry` (optional) receives the merged bundle when
 /// `telemetry` is non-null.
 [[nodiscard]] core::LinkStats merge_point_results(

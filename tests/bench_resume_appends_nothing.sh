@@ -1,7 +1,7 @@
 #!/bin/sh
 # A resume of a finished campaign only reads its journal: the journal stays
 # byte-identical, every stream it republishes equals the first run's, and
-# the journal holds no `P` line (journals hold shard records only).
+# every journal line after the header is an `S` or `O` shard record.
 #
 # Usage: bench_resume_appends_nothing.sh BENCH_DIR
 
@@ -20,8 +20,8 @@ check() {  # check NAME BENCH [ARGS...]
   for f in jsonl metrics trace ckpt; do cp "$work/$name.$f" "$work/$name.first.$f"; done
   "$bench_dir/$bench" "$@" --resume="$work/$name.ckpt" >/dev/null 2>&1
   for f in jsonl metrics trace ckpt; do cmp "$work/$name.first.$f" "$work/$name.$f"; done
-  if grep -q '^P ' "$work/$name.ckpt"; then
-    echo "FAIL: the $name journal holds a P record" >&2
+  if tail -n +2 "$work/$name.ckpt" | grep -qv '^[SO] '; then
+    echo "FAIL: the $name journal holds a line that is not an S or O record" >&2
     exit 1
   fi
 }

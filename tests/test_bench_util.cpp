@@ -15,6 +15,7 @@
 
 #include "bench_util.hpp"
 #include "runtime/checkpoint_journal.hpp"
+#include "runtime/journal_format.hpp"
 
 namespace bhss::bench {
 namespace {
@@ -77,7 +78,6 @@ TEST(ParseOptions, DefaultsAndPerBenchDefaults) {
   EXPECT_EQ(opt.jnr_db, 30.0);
   EXPECT_EQ(opt.threads, 0U);
   EXPECT_EQ(opt.shards, 16U);
-  EXPECT_EQ(opt.shard_timeout_s, 0.0);
   EXPECT_TRUE(opt.json_path.empty());
   EXPECT_TRUE(opt.journal_path().empty());
   EXPECT_FALSE(opt.telemetry_enabled());
@@ -93,8 +93,8 @@ TEST(ParseOptions, DefaultsAndPerBenchDefaults) {
 TEST(ParseOptions, EveryFlagLandsInItsField) {
   const Options opt =
       parse({"--packets=5", "--seed=9", "--jnr=-3.5", "--threads=2", "--shards=4", "--json=a",
-             "--checkpoint=b", "--resume=c", "--shard-timeout=1.5", "--metrics=d", "--trace=e",
-             "--worker-id=1", "--n-workers=3"});
+             "--checkpoint=b", "--resume=c", "--metrics=d", "--trace=e", "--worker-id=1",
+             "--n-workers=3"});
   EXPECT_EQ(opt.packets, 5U);
   EXPECT_EQ(opt.seed, 9U);
   EXPECT_EQ(opt.jnr_db, -3.5);
@@ -104,7 +104,6 @@ TEST(ParseOptions, EveryFlagLandsInItsField) {
   EXPECT_EQ(opt.checkpoint_path, "b");
   EXPECT_EQ(opt.resume_path, "c");
   EXPECT_EQ(opt.journal_path(), "c");  // resume wins over checkpoint
-  EXPECT_EQ(opt.shard_timeout_s, 1.5);
   EXPECT_EQ(opt.metrics_path, "d");
   EXPECT_EQ(opt.trace_path, "e");
   EXPECT_TRUE(opt.telemetry_enabled());
@@ -137,8 +136,7 @@ TEST(ParseOptions, StrictRejectionsExitWithUsageStatus) {
       {"--jnr=inf", "expected a finite number"},
       {"--jnr=nan", "expected a finite number"},
       {"--jnr=3dB", "expected a finite number"},
-      {"--shard-timeout=-1", "expected a non-negative number"},
-      {"--shard-timeout=inf", "expected a non-negative number"},
+      {"--shard-timeout=1", "unknown argument"},
   };
   for (const auto& c : cases) {
     EXPECT_EXIT((void)parse({c.arg}), ::testing::ExitedWithCode(kExitUsage), c.why) << c.arg;
@@ -346,28 +344,38 @@ TEST(Campaign, UnusablePathsExitWithUsageStatusAndLeaveNoFile) {
   const std::string json = temp_path("refused.jsonl");
   const std::string journal = temp_path("refused.ckpt");
 
-  // Journals the campaign may not resume, each left byte-identical.
-  const auto make_journal = [&](const char* figure, int schema) {
+  // Journals the campaign may not resume, each left byte-identical: one
+  // S record, then `extra` (when given) sealed as the next line.
+  const auto make_journal = [&](const char* figure, int schema, const char* extra) {
     std::remove(journal.c_str());
-    runtime::CheckpointJournal j;
-    j.open(journal, figure, schema, "sha", false);
-    j.record_quarantine({"pt", 1}, 0, 3);
+    {
+      runtime::CheckpointJournal j;
+      j.open(journal, figure, schema, "sha", false);
+      j.record_shard({"pt", 1}, 0, core::LinkStats{});
+    }
+    if (extra != nullptr) spit(journal, slurp(journal) + runtime::journal::seal_line(extra) + "\n");
   };
   const int schema = static_cast<int>(kSchemaVersion);
+  // The quarantine record of the removed per-shard watchdog, as a
+  // current-schema build wrote it.
+  const char* quarantine = "Q pt 0000000000000001 0 3";
   const struct {
     const char* figure;
     int schema;
+    const char* extra;
     std::string why;
   } journals[] = {
-      {"unit", schema - 1,
+      {"unit", schema - 1, nullptr,
        "was written with schema_version " + std::to_string(schema - 1) + ", this build emits " +
            std::to_string(schema)},
-      {"other", schema, "belongs to campaign 'other', not 'unit'"},
-      {nullptr, 0, "has no valid header"},
+      {"other", schema, nullptr, "belongs to campaign 'other', not 'unit'"},
+      {"unit", schema, quarantine,
+       "unknown record kind in .* line 3: '" + std::string(quarantine) + "'"},
+      {nullptr, 0, nullptr, "has no valid header"},
   };
   for (const auto& c : journals) {
     if (c.figure != nullptr) {
-      make_journal(c.figure, c.schema);
+      make_journal(c.figure, c.schema, c.extra);
     } else {
       spit(journal, "not a journal\n");
     }

@@ -1,11 +1,12 @@
 // Tests for the distributed campaign layer (src/runtime/distributed):
 // the mod shard partition, worker-sliced runner journaling, journal-merge
 // fold semantics — canonical ordering, byte-determinism against input
-// order, benign-duplicate folding — and every adversarial rejection case
-// (overlapping worker shards, conflicting duplicate payloads, params-hash
-// and schema/figure/build mismatches, torn middle journals, unknown
-// record kinds, older journal formats), the hardened journal write path
-// (disk-full simulation producing a genuine torn tail, typed
+// order, benign-duplicate folding, a validate-only merge that writes
+// nothing — and every adversarial rejection case (overlapping worker
+// shards, conflicting duplicate payloads, params-hash and
+// schema/figure/build mismatches, torn middle journals, unknown record
+// kinds, unreadable stats, older journal formats), the hardened journal
+// write path (disk-full simulation producing a genuine torn tail, typed
 // JournalWriteError, refuse-after-failure), and a seeded mutation sweep
 // proving journal load and merge reject or recover every corrupted file.
 
@@ -312,13 +313,15 @@ TEST(JournalMerge, BaseJournalMayCoincideWithWorkerRecords) {
 TEST(JournalMerge, ForeignRecordKindsReject) {
   // A CRC-valid line of an unknown kind is a foreign/future journal, not
   // bit rot — reject loudly instead of silently dropping it. `H` (the
-  // worker heartbeat of schema v6/v7) and `P` (the published record of
-  // schema v9 and older) are two of them now.
+  // worker heartbeat of schema v6/v7), `P` (the published record of
+  // schema v9 and older) and `Q` (the quarantine record of the removed
+  // per-shard watchdog, as a v10 build wrote it) are three of them now.
   const std::string a = temp_path("foreign");
   write_worker_journal(a, "dist", 1, "sha", {{"pt", 0}});
   const std::string clean = slurp(a);
   const std::string out = temp_path("foreign_out");
-  for (const char* body : {"Z mystery record", "H 0 1", "P pt 000000000000abcd {\"per\":0.25}"}) {
+  for (const char* body : {"Z mystery record", "H 0 1", "P pt 000000000000abcd {\"per\":0.25}",
+                           "Q pt 000000000000abcd 0 3"}) {
     spit(a, clean + journal::seal_line(body) + "\n");
     try {
       (void)merge_journals({a}, out);
@@ -328,6 +331,63 @@ TEST(JournalMerge, ForeignRecordKindsReject) {
     }
   }
   for (const std::string& p : {a, out}) std::remove(p.c_str());
+}
+
+TEST(JournalMerge, UnreadableStatsRejectLikeResume) {
+  // A CRC-valid S line whose stats do not parse, before a valid S. Merge
+  // and resume read through one scan, so both refuse it by name: a merge
+  // that kept it would publish a journal whose resume stops there.
+  const std::string a = temp_path("badstats");
+  write_worker_journal(a, "dist", 1, "sha", {{"pt", 0}});
+  const std::string stats = journal::format_stats(sample_stats(1));
+  spit(a, slurp(a) +
+              journal::seal_line("S pt 000000000000abcd 1 " + stats.substr(0, stats.rfind(' '))) +
+              "\n" +
+              journal::seal_line("S pt 000000000000abcd 2 " +
+                                 journal::format_stats(sample_stats(2))) +
+              "\n");
+  const std::string before = slurp(a);
+  const std::string out = temp_path("badstats_out");
+  std::remove(out.c_str());
+  try {
+    (void)merge_journals({a}, out);
+    ADD_FAILURE() << "merged a journal holding unreadable stats";
+  } catch (const JournalMergeError& e) {
+    EXPECT_NE(std::string(e.what()).find("unreadable stats in " + a + " line 3"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(slurp(out), "");  // nothing published
+
+  CheckpointJournal journal;
+  EXPECT_THROW(journal.open(a, "dist", 1, "sha", true), std::runtime_error);
+  EXPECT_EQ(slurp(a), before);
+  std::remove(a.c_str());
+}
+
+TEST(JournalMerge, ValidateOnlyMergeWritesNothing) {
+  // An empty output path validates the fold and reports it (the tool's
+  // --dry-run) without creating any file, a staging file included.
+  const std::string a = temp_path("validate_a");
+  const std::string b = temp_path("validate_b");
+  write_worker_journal(a, "dist", 1, "sha", {{"pt", 0}});
+  write_worker_journal(b, "dist", 1, "sha", {{"pt", 1}});
+  const std::string bytes_a = slurp(a);
+  const std::string bytes_b = slurp(b);
+  // An output path of "" would stage at ".tmp" in the working directory.
+  const bool had_tmp = std::ifstream(".tmp").good();
+  const MergeReport report = merge_journals({a, b}, "");
+  EXPECT_EQ(report.inputs, 2U);
+  EXPECT_EQ(report.shard_records, 2U);
+  EXPECT_EQ(std::ifstream(".tmp").good(), had_tmp);
+  EXPECT_EQ(slurp(a), bytes_a);
+  EXPECT_EQ(slurp(b), bytes_b);
+
+  // A refused merge stays a refusal without an output path.
+  const std::string other = temp_path("validate_other");
+  write_worker_journal(other, "other", 1, "sha", {{"pt", 2}});
+  EXPECT_THROW((void)merge_journals({a, other}, ""), JournalMergeError);
+  for (const std::string& p : {a, b, other}) std::remove(p.c_str());
 }
 
 TEST(JournalMerge, MergedJournalResumesLikeASingleProcessJournal) {
@@ -424,14 +484,13 @@ std::vector<std::string> lookups(const CheckpointJournal& journal, const Journal
     out.push_back(stats != nullptr ? journal::format_stats(*stats) : "-");
     const std::string* blob = journal.find_shard_obs(key, shard);
     out.push_back(blob != nullptr ? *blob : "-");
-    out.push_back(journal.shard_quarantined(key, shard) ? "Q" : "-");
   }
   return out;
 }
 
 TEST(JournalMutation, EveryMutationIsRejectedOrRecovered) {
-  // One journal holding every record kind: O+S for shard 0, S for shard
-  // 1 and Q for shard 2.
+  // One journal holding every record kind: O+S for shard 0 and S for
+  // shard 1.
   const JournalKey key{"pt", 0xABCD};
   const std::string src = temp_path("mut_src");
   std::remove(src.c_str());
@@ -441,7 +500,6 @@ TEST(JournalMutation, EveryMutationIsRejectedOrRecovered) {
     const std::string blob = "c 3 7 h 2 1 0";
     journal.record_shard(key, 0, sample_stats(0), &blob);
     journal.record_shard(key, 1, sample_stats(1));
-    journal.record_quarantine(key, 2, 3);
   }
   const std::string original = slurp(src);
   std::vector<std::size_t> starts{0};  // each line's offset, then the file size
@@ -449,7 +507,7 @@ TEST(JournalMutation, EveryMutationIsRejectedOrRecovered) {
     if (original[i] == '\n') starts.push_back(i + 1);
   }
   const std::size_t n_lines = starts.size() - 1;
-  ASSERT_EQ(n_lines, 5U);
+  ASSERT_EQ(n_lines, 4U);
   const std::size_t n_records = n_lines - 1;
 
   std::vector<std::string> expected;

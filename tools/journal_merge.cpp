@@ -11,7 +11,7 @@
 //
 // Exit status: 0 on success, 1 on a contract violation (overlapping
 // shard ownership, conflicting records, mismatched headers, unreadable
-// input), 2 on usage errors.
+// input, a sealed line this build cannot read), 2 on usage errors.
 
 #include <cstdio>
 #include <cstring>
@@ -60,24 +60,20 @@ int main(int argc, char** argv) {
   if (inputs.empty() || (out.empty() && !dry_run)) return usage(argv[0]);
 
   // A dry run still exercises the full fold (headers, overlap, conflict
-  // and torn-tail handling) — it just stages the output under /dev/null's
-  // directory-free sibling: we merge to a throwaway path and delete it.
-  const std::string target = dry_run ? (out.empty() ? inputs.front() + ".dryrun" : out + ".dryrun")
-                                     : out;
+  // and torn-tail handling); an empty output path makes the merge write
+  // nothing at all.
+  const std::string target = dry_run ? std::string() : out;
   try {
     const bhss::runtime::distributed::MergeReport report =
         bhss::runtime::distributed::merge_journals(inputs, target, base);
-    if (dry_run) std::remove(target.c_str());
     std::printf(
         "journal-merge: %zu inputs -> %s\n"
         "  shard records      %zu\n"
         "  telemetry records  %zu\n"
-        "  quarantine records %zu\n"
         "  duplicates folded  %zu\n"
         "  torn tails         %zu\n",
         report.inputs, dry_run ? "(dry run)" : target.c_str(), report.shard_records,
-        report.obs_records, report.quarantine_records, report.duplicates_folded,
-        report.torn_tails);
+        report.obs_records, report.duplicates_folded, report.torn_tails);
     return 0;
   } catch (const bhss::runtime::distributed::JournalMergeError& e) {
     std::fprintf(stderr, "%s\n", e.what());
