@@ -227,6 +227,64 @@ void BM_AwgnGenerateScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_AwgnGenerateScalar)->Arg(38748);
 
+// ------------------------------------------------------ libm replicas
+//
+// The rotation phasors and the noise's log, dispatched and reference: the
+// receiver's per-sample angles (a phase plus a CFO ramp, |x| < 120) and
+// the polar method's r2 in (0, 1].
+
+std::vector<float> rotation_angles(std::size_t n) {
+  std::vector<float> a(n);
+  for (std::size_t i = 0; i < n; ++i) a[i] = -(1.3F + 0.01F * static_cast<float>(i));
+  return a;
+}
+
+std::vector<float> polar_radii(std::size_t n) {
+  std::vector<float> r(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = static_cast<float>(i + 1) / static_cast<float>(n + 1);
+  }
+  return r;
+}
+
+template <void (*Kernel)(const float*, dsp::cf*, std::size_t)>
+void sincos_rows(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<float> x = rotation_angles(n);
+  dsp::cvec out(n);
+  for (auto _ : state) {
+    Kernel(x.data(), out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
+template <void (*Kernel)(const float*, float*, std::size_t)>
+void log_rows(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<float> x = polar_radii(n);
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    Kernel(x.data(), out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
+void BM_SincosF32(benchmark::State& state) { sincos_rows<dsp::simd::sincos_f32>(state); }
+BENCHMARK(BM_SincosF32)->Arg(4096);
+
+void BM_SincosF32Scalar(benchmark::State& state) {
+  sincos_rows<dsp::simd::scalar::sincos_f32>(state);
+}
+BENCHMARK(BM_SincosF32Scalar)->Arg(4096);
+
+void BM_LogF32(benchmark::State& state) { log_rows<dsp::simd::log_f32>(state); }
+BENCHMARK(BM_LogF32)->Arg(4096);
+
+void BM_LogF32Scalar(benchmark::State& state) { log_rows<dsp::simd::scalar::log_f32>(state); }
+BENCHMARK(BM_LogF32Scalar)->Arg(4096);
+
 void BM_CorrelateSearch(benchmark::State& state) {
   const auto n_ref = static_cast<std::size_t>(state.range(0));
   const dsp::cvec ref = random_signal(n_ref, 14);

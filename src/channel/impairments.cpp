@@ -1,15 +1,22 @@
 #include "channel/impairments.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
+#include "dsp/simd/simd.hpp"
 
 namespace bhss::channel {
 
 void apply_phase(dsp::cspan_mut x, float phase) noexcept {
-  const dsp::cf rot{std::cos(phase), std::sin(phase)};
-  for (dsp::cf& s : x) s *= rot;
+  constexpr std::size_t kChunk = 256;
+  std::array<dsp::cf, kChunk> rot;
+  rot.fill(dsp::cf{std::cos(phase), std::sin(phase)});
+  for (std::size_t pos = 0; pos < x.size(); pos += kChunk) {
+    dsp::simd::cmul_inplace(x.data() + pos, rot.data(), std::min(kChunk, x.size() - pos));
+  }
 }
 
 void apply_cfo(dsp::cspan_mut x, float cfo) noexcept {

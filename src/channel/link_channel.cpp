@@ -5,6 +5,7 @@
 
 #include "channel/impairments.hpp"
 #include "core/contracts.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/utils.hpp"
 
 namespace bhss::channel {
@@ -31,7 +32,7 @@ dsp::cvec transmit(dsp::cspan tx, dsp::cspan jam, const LinkConfig& cfg, AwgnSou
   if (cfg.phase != 0.0F) apply_phase(sig, cfg.phase);
   if (cfg.cfo != 0.0F) apply_cfo(sig, cfg.cfo);
   const auto sig_gain = static_cast<float>(std::sqrt(dsp::db_to_linear(cfg.snr_db)));
-  for (dsp::cf& s : out) s *= sig_gain;
+  dsp::simd::scale_inplace(out.data(), sig_gain, out.size());
 
   // Jammer path: normalise over its own duration, scale to the JNR.
   if (cfg.jnr_db.has_value() && !jam.empty()) {

@@ -262,12 +262,10 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
 
     // Remove the predicted residual rotation for this hop.
     dsp::cvec clean = filtered_slice(buffer, a0, needed, decision, o.sink());
-    for (std::size_t i = 0; i < clean.size(); ++i) {
+    dsp::rotate(clean, [&](std::size_t i) {
       const double t = static_cast<double>(seg.start_sample + i);
-      const auto ang =
-          static_cast<float>(-(model_phase + model_cfo * (t - t_anchor)));
-      clean[i] *= dsp::cf{std::cos(ang), std::sin(ang)};
-    }
+      return static_cast<float>(-(model_phase + model_cfo * (t - t_anchor)));
+    });
 
     // Carrier tracking runs after the suppression filter and before the
     // matched filter, exactly as in the paper's chain (§6.1): without the

@@ -1,6 +1,12 @@
-// AVX2 implementations of the simd.hpp kernels. Compiled with -mavx2 (and
-// nothing more: no -mfma — a fused multiply-add rounds once where the
-// scalar reference rounds twice and would break bit-identity).
+// AVX2 implementations of the simd.hpp kernels. The unit is compiled for
+// the baseline ISA; only the avx2:: bodies below are compiled for AVX2,
+// through `#pragma GCC target("avx2")` (and nothing more: no FMA — a
+// fused multiply-add rounds once where the scalar reference rounds twice
+// and would break bit-identity). A file-wide -mavx2 would also compile
+// every inline function the unit instantiates (the contract failure path,
+// libstdc++ templates) for AVX2, as weak symbols the linker may keep for
+// the whole program; ctest avx2_weak_symbols_baseline_isa checks there
+// is no such copy.
 //
 // Layout convention: complex samples stay interleaved in memory
 // ([re0 im0 re1 im1 ...]); one __m256 holds four cf values. The complex
@@ -10,11 +16,9 @@
 // std::complex<float> multiplication of finite values.
 //
 // Every kernel vectorizes only across its documented independence axis
-// (outputs / lags / symbols / butterflies / polar attempts) and keeps the
-// reduction index sequential; tails and short inputs fall through to the
-// shared scalar bodies in scalar_kernels.hpp.
-
-#if defined(__AVX2__)
+// (outputs / lags / symbols / butterflies / polar attempts / elements)
+// and keeps the reduction index sequential; tails and short inputs fall
+// through to the shared scalar bodies in scalar_kernels.hpp.
 
 #include <immintrin.h>
 
@@ -26,6 +30,10 @@
 
 #include "dsp/simd/scalar_kernels.hpp"
 #include "dsp/simd/simd.hpp"
+
+// Every header above is compiled for the baseline ISA.
+#pragma GCC push_options
+#pragma GCC target("avx2")
 
 namespace bhss::dsp::simd::avx2 {
 
@@ -307,6 +315,129 @@ void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
   scalar::scale_pulse(a, b, pulse + k, out + k, n - k);
 }
 
+// ------------------------------------------------ libm replicas
+//
+// detail::sincos and detail::log four lanes at a time, every step the
+// reference's double operation in a __m256d lane. A group holding a lane
+// the fast path does not cover (|x| >= 120 or non-finite for sincos,
+// anything but a positive normal float for log) runs the reference.
+
+namespace {
+
+inline __m128i splat4(std::uint32_t v) { return _mm_set1_epi32(static_cast<int>(v)); }
+
+/// Bit 1 of each quadrant (n + 1 for the argument's sign, n for the
+/// cosine's) moved to a double lane's sign bit.
+inline __m256d sign_of_bit1(__m256i n) {
+  return _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_and_si256(n, _mm256_set1_epi64x(2)), 62));
+}
+
+/// cf{cosf, sinf} of four floats with |x| < 120.
+inline __m256 sincos4(__m128 xf) {
+  const __m128i abits = _mm_and_si128(_mm_castps_si128(xf), splat4(0x7fffffffU));
+  const __m256d x = _mm256_cvtps_pd(xf);
+  // detail::sincos_reduce; |x| < 0.75 gets n = 0 and r = x exactly.
+  const __m128i n = _mm_srai_epi32(
+      _mm_add_epi32(_mm256_cvttpd_epi32(_mm256_mul_pd(x, _mm256_set1_pd(detail::kHalfPiInv))),
+                    splat4(0x800000)),
+      24);
+  const __m256d nd = _mm256_cvtepi32_pd(n);
+  const __m256d r =
+      _mm256_sub_pd(_mm256_sub_pd(x, _mm256_mul_pd(nd, _mm256_set1_pd(detail::kHalfPiHi))),
+                    _mm256_mul_pd(nd, _mm256_set1_pd(detail::kHalfPiLo)));
+  const __m256i n64 = _mm256_cvtepi32_epi64(n);
+  const __m256d xs = _mm256_xor_pd(r, sign_of_bit1(_mm256_add_epi64(n64, _mm256_set1_epi64x(1))));
+  const __m256d x2 = _mm256_mul_pd(r, r);
+  // detail::sin_poly(xs, x2) and detail::cos_poly(x2).
+  const __m256d x3 = _mm256_mul_pd(xs, x2);
+  const __m256d s1 = _mm256_add_pd(_mm256_set1_pd(detail::kS2),
+                                   _mm256_mul_pd(x2, _mm256_set1_pd(detail::kS3)));
+  const __m256d x5 = _mm256_mul_pd(x3, x2);
+  const __m256d sv = _mm256_add_pd(xs, _mm256_mul_pd(x3, _mm256_set1_pd(detail::kS1)));
+  const __m256d sp = _mm256_add_pd(sv, _mm256_mul_pd(x5, s1));
+  const __m256d x4 = _mm256_mul_pd(x2, x2);
+  const __m256d c2 = _mm256_add_pd(_mm256_set1_pd(detail::kC3),
+                                   _mm256_mul_pd(x2, _mm256_set1_pd(detail::kC4)));
+  const __m256d c1 = _mm256_add_pd(_mm256_set1_pd(detail::kC0),
+                                   _mm256_mul_pd(x2, _mm256_set1_pd(detail::kC1)));
+  const __m256d x6 = _mm256_mul_pd(x4, x2);
+  const __m256d cv = _mm256_add_pd(c1, _mm256_mul_pd(x4, _mm256_set1_pd(detail::kC2)));
+  const __m256d cp = _mm256_xor_pd(_mm256_add_pd(cv, _mm256_mul_pd(x6, c2)), sign_of_bit1(n64));
+  // Odd quadrants swap the two; |x| < 2^-12 gives (1, x).
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256d odd = _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(n64, one), one));
+  const __m256d tiny =
+      _mm256_castsi256_pd(_mm256_cvtepi32_epi64(_mm_cmplt_epi32(abits, splat4(detail::kTinyBits))));
+  const __m256d sn = _mm256_blendv_pd(_mm256_blendv_pd(sp, cp, odd), x, tiny);
+  const __m256d cs = _mm256_blendv_pd(_mm256_blendv_pd(cp, sp, odd), _mm256_set1_pd(1.0), tiny);
+  const __m128 sf = _mm256_cvtpd_ps(sn);
+  const __m128 cf4 = _mm256_cvtpd_ps(cs);
+  return _mm256_set_m128(_mm_unpackhi_ps(cf4, sf), _mm_unpacklo_ps(cf4, sf));
+}
+
+/// logf of four positive normal floats (detail::log_normal lane by lane).
+inline __m128 log4(__m128i ix) {
+  const __m128i tmp = _mm_sub_epi32(ix, splat4(detail::kLogOff));
+  const __m128i i = _mm_and_si128(_mm_srli_epi32(tmp, 19), splat4(15));
+  const __m128i k = _mm_srai_epi32(tmp, 23);
+  const __m128i iz = _mm_sub_epi32(ix, _mm_and_si128(tmp, splat4(0xff800000U)));
+  const __m256d z = _mm256_cvtps_pd(_mm_castsi128_ps(iz));
+  // The masked gather with a zero source: the unmasked form reads an
+  // undefined source, which GCC 12 reports as maybe-uninitialized.
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  const __m256d invc =
+      _mm256_mask_i32gather_pd(_mm256_setzero_pd(), detail::kLogInvc.data(), i, all, 8);
+  const __m256d logc =
+      _mm256_mask_i32gather_pd(_mm256_setzero_pd(), detail::kLogLogc.data(), i, all, 8);
+  const __m256d r = _mm256_sub_pd(_mm256_mul_pd(z, invc), _mm256_set1_pd(1.0));
+  const __m256d y0 =
+      _mm256_add_pd(logc, _mm256_mul_pd(_mm256_cvtepi32_pd(k), _mm256_set1_pd(detail::kLn2)));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(detail::kLogA1), r),
+                            _mm256_set1_pd(detail::kLogA2));
+  y = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(detail::kLogA0), r2), y);
+  y = _mm256_add_pd(_mm256_mul_pd(y, r2), _mm256_add_pd(y0, r));
+  return _mm256_cvtpd_ps(y);
+}
+
+}  // namespace
+
+void sincos_f32(const float* x, cf* out, std::size_t n) {
+  BHSS_REQUIRE(x != nullptr && out != nullptr, "sincos_f32: null buffer");
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 xf = _mm_loadu_ps(x + i);
+    const __m128i abits = _mm_and_si128(_mm_castps_si128(xf), splat4(0x7fffffffU));
+    if (_mm_movemask_epi8(_mm_cmpgt_epi32(abits, splat4(detail::kLargeBits - 1))) != 0) {
+      // The reference is baseline (SSE) code: clear the upper halves
+      // first, or every SSE instruction in it pays the AVX transition.
+      _mm256_zeroupper();
+      scalar::sincos_f32(x + i, out + i, 4);
+    } else {
+      _mm256_storeu_ps(fp(out + i), sincos4(xf));
+    }
+  }
+  scalar::sincos_f32(x + i, out + i, n - i);
+}
+
+void log_f32(const float* x, float* out, std::size_t n) {
+  BHSS_REQUIRE(x != nullptr && out != nullptr, "log_f32: null buffer");
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128i ix = _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
+    // Positive normal: 0x00800000 <= bits < 0x7f800000 as signed integers.
+    const __m128i special = _mm_or_si128(_mm_cmplt_epi32(ix, splat4(0x00800000)),
+                                         _mm_cmpgt_epi32(ix, splat4(detail::kInfBits - 1)));
+    if (_mm_movemask_epi8(special) != 0) {
+      _mm256_zeroupper();
+      scalar::log_f32(x + i, out + i, 4);
+    } else {
+      _mm_storeu_ps(out + i, log4(ix));
+    }
+  }
+  scalar::log_f32(x + i, out + i, n - i);
+}
+
 // ------------------------------------------------ Gaussian noise stream
 
 namespace {
@@ -463,7 +594,7 @@ void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
       }
     }
     const std::size_t vec = k - k % 8;
-    for (std::size_t j = 0; j < vec; ++j) logs[j] = std::log(r2s[j]);
+    log_f32(r2s, logs, vec);
     for (std::size_t j = 0; j < vec; j += 8) {
       const __m256 r2 = _mm256_load_ps(r2s + j);
       const __m256 mult =
@@ -483,4 +614,4 @@ void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
 
 }  // namespace bhss::dsp::simd::avx2
 
-#endif  // __AVX2__
+#pragma GCC pop_options

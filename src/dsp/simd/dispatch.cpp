@@ -1,7 +1,7 @@
 // Runtime ISA dispatch for the simd.hpp kernels: one dispatcher per
-// kernel, serving every build. The AVX2 TU is compiled (with -mavx2) only
-// on x86-64 when the toolchain supports it and BHSS_SIMD is ON; whether
-// it is *entered* is decided once at startup from
+// kernel, serving every build. The AVX2 TU is compiled only on x86-64
+// when the toolchain supports it and BHSS_SIMD is ON; whether it is
+// *entered* is decided once at startup from
 // __builtin_cpu_supports("avx2"). Every other build names the scalar
 // reference `avx2` and never takes that branch.
 
@@ -23,6 +23,8 @@ void scale_inplace(cf*, float, std::size_t);
 void window_apply(const cf*, const float*, cf*, std::size_t);
 void scale_pulse(float, float, const float*, cf*, std::size_t);
 void gaussian_cf(Mt19937_64&, cf*, std::size_t);
+void sincos_f32(const float*, cf*, std::size_t);
+void log_f32(const float*, float*, std::size_t);
 }  // namespace avx2
 
 const bool kUseAvx2 = __builtin_cpu_supports("avx2") != 0;
@@ -116,6 +118,22 @@ void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
     avx2::gaussian_cf(eng, out, n);
   } else {
     scalar::gaussian_cf(eng, out, n);
+  }
+}
+
+void sincos_f32(const float* x, cf* out, std::size_t n) {
+  if (kUseAvx2) {
+    avx2::sincos_f32(x, out, n);
+  } else {
+    scalar::sincos_f32(x, out, n);
+  }
+}
+
+void log_f32(const float* x, float* out, std::size_t n) {
+  if (kUseAvx2) {
+    avx2::log_f32(x, out, n);
+  } else {
+    scalar::log_f32(x, out, n);
   }
 }
 

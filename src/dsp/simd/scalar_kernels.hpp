@@ -3,17 +3,18 @@
 /// @file scalar_kernels.hpp
 /// Internal: the scalar reference of every simd.hpp kernel, under
 /// `simd::scalar`, and the Gaussian stream's building blocks under
-/// `simd::detail`. The dispatcher runs these bodies when no vector unit
-/// runs, the AVX2 unit reuses them for tails and short inputs, and the
-/// equivalence suite (`test_dsp_simd`) compares every dispatched kernel
-/// with them. Each body is the bit-exact contract its vector version must
-/// match — see simd.hpp for the accumulation-order rules.
+/// `simd::detail` (the libm replicas' are in libm.hpp). The dispatcher
+/// runs these bodies when no vector unit runs, the AVX2 unit reuses them
+/// for tails and short inputs, and the equivalence suite
+/// (`test_dsp_simd`) compares every dispatched kernel with them. Each
+/// body is the bit-exact contract its vector version must match — see
+/// simd.hpp for the accumulation-order rules.
 ///
 /// Everything here has internal linkage (the unnamed namespaces): each
-/// unit that includes this header compiles its own copy with its own ISA
-/// flags. An ordinary `inline` body is a weak symbol, and the linker may
-/// keep the copy compiled with -mavx2 for the scalar fallback, which
-/// would then run AVX2 instructions on a CPU without them.
+/// unit that includes this header compiles its own copy, and no copy can
+/// stand in for another unit's. The AVX2 unit includes it before its
+/// `#pragma GCC target("avx2")`, so even its copies are baseline code,
+/// except where an avx2:: body inlines them.
 
 #include <array>
 #include <cmath>
@@ -22,6 +23,7 @@
 #include <cstdint>
 
 #include "core/contracts.hpp"
+#include "dsp/simd/libm.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/types.hpp"
 
@@ -89,7 +91,7 @@ inline bool polar_rejects(float r2) { return r2 > 1.0F || r2 == 0.0F; }
 /// The sample an accepted attempt yields; `+ 0.0F` is `* stddev + mean`
 /// with (1, 0), which maps -0 to +0.
 inline cf polar_sample(float x, float y, float r2) {
-  const float mult = std::sqrt(-2.0F * std::log(r2) / r2);
+  const float mult = std::sqrt(-2.0F * detail::log(r2) / r2);
   return cf{y * mult + 0.0F, x * mult + 0.0F};
 }
 
@@ -217,6 +219,16 @@ inline void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
     } while (detail::polar_rejects(r2));
     out[i] = detail::polar_sample(x, y, r2);
   }
+}
+
+inline void sincos_f32(const float* x, cf* out, std::size_t n) {
+  BHSS_REQUIRE(x != nullptr && out != nullptr, "sincos_f32: null buffer");
+  for (std::size_t i = 0; i < n; ++i) out[i] = detail::sincos(x[i]);
+}
+
+inline void log_f32(const float* x, float* out, std::size_t n) {
+  BHSS_REQUIRE(x != nullptr && out != nullptr, "log_f32: null buffer");
+  for (std::size_t i = 0; i < n; ++i) out[i] = detail::log(x[i]);
 }
 
 }  // namespace

@@ -37,9 +37,15 @@
 ///    twist and tempering four words at a time, then the polar method's
 ///    attempts eight at a time, with rejection compacted in order. Every
 ///    step is either exact integer work or one correctly rounded IEEE
-///    operation, and the one transcendental, `logf`, stays the scalar
-///    libm call in every build (no vector log, no fast-math), so the
-///    vector stream is the scalar stream bit for bit.
+///    operation, and the one transcendental is `log_f32`, so the vector
+///    stream is the scalar stream bit for bit.
+///  * `sincos_f32`, `log_f32` — in-tree replicas of glibc 2.36's `sinf`,
+///    `cosf` (its FMA build) and `logf`, four lanes per vector in double.
+///    These are not approximations: the scalar reference equals glibc on
+///    every finite input (ctest `LibmReplica.*`), so the per-sample
+///    rotations and the noise no longer call libm, and their bits no
+///    longer depend on which libm build a host picks. The single-value
+///    `sincos` and `abs` (glibc's `cabsf`) are inline in libm.hpp.
 ///
 /// No FMA is used anywhere (a fused multiply-add rounds once where the
 /// scalar code rounds twice, which would break bit-identity between this
@@ -50,10 +56,12 @@
 /// every kernel input is guarded by BHSS_REQUIRE upstream).
 ///
 /// Dispatch: the AVX2 translation unit is compiled only on x86-64 when
-/// the compiler supports `-mavx2` and `BHSS_SIMD=ON`, and is entered only
-/// when the CPU reports AVX2 at runtime. Every other build and host runs
-/// the scalar reference, `simd::scalar::*` in scalar_kernels.hpp, which
-/// the equivalence suite (`test_dsp_simd`) compares against everywhere.
+/// the compiler supports `-mavx2` and `BHSS_SIMD=ON`, for the baseline ISA
+/// with `#pragma GCC target("avx2")` around its `avx2::` bodies only, and
+/// is entered only when the CPU reports AVX2 at runtime. Every other build
+/// and host runs the scalar reference, `simd::scalar::*` in
+/// scalar_kernels.hpp, which the equivalence suite (`test_dsp_simd`)
+/// compares against everywhere.
 
 #include <array>
 #include <cstddef>
@@ -152,5 +160,17 @@ struct Mt19937_64 {
 /// algorithm consumes for n samples, so any split of a stream into calls
 /// yields the same samples and leaves the engine in the same state.
 BHSS_HOT void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n);
+
+/// Unit phasors: out[i] = cf{cosf(x[i]), sinf(x[i])}, bit for bit as
+/// glibc 2.36's sinf and cosf return them where glibc picks its FMA build
+/// (any CPU with FMA), on every finite x; a non-finite x gives NaN. Both
+/// come from one range reduction and two polynomials in double (see
+/// libm.hpp), so `a * out[i]` is the old per-sample rotation
+/// `a * cf{std::cos(x), std::sin(x)}` on that host, and on every host.
+BHSS_HOT void sincos_f32(const float* x, cf* out, std::size_t n);
+
+/// out[i] = logf(x[i]), bit for bit as glibc 2.36's logf on every
+/// positive finite x; like it, -inf at +-0, +inf at +inf, NaN below 0.
+BHSS_HOT void log_f32(const float* x, float* out, std::size_t n);
 
 }  // namespace bhss::dsp::simd

@@ -1,6 +1,8 @@
 #include "dsp/utils.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 namespace bhss::dsp {
@@ -38,21 +40,28 @@ float power_gain(cspan x, double target_power) noexcept {
 void scale_to_power(cspan_mut x, double target_power) noexcept {
   const float gain = power_gain(x, target_power);
   if (gain == 1.0F) return;
-  for (cf& s : x) s *= gain;
+  simd::scale_inplace(x.data(), gain, x.size());
 }
+
+namespace {
+
+/// True iff no value has all exponent bits set (Inf or NaN). The scan has
+/// no branch and no early exit, so GCC vectorises it at the baseline ISA.
+bool all_finite_floats(const float* v, std::size_t n) noexcept {
+  std::uint32_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bad |= static_cast<std::uint32_t>((std::bit_cast<std::uint32_t>(v[i]) & 0x7f800000U) ==
+                                      0x7f800000U);
+  }
+  return bad == 0;
+}
+
+}  // namespace
 
 bool all_finite(cspan x) noexcept {
-  for (const cf& s : x) {
-    if (!std::isfinite(s.real()) || !std::isfinite(s.imag())) return false;
-  }
-  return true;
+  return all_finite_floats(reinterpret_cast<const float*>(x.data()), 2 * x.size());
 }
 
-bool all_finite(fspan x) noexcept {
-  for (float v : x) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
+bool all_finite(fspan x) noexcept { return all_finite_floats(x.data(), x.size()); }
 
 }  // namespace bhss::dsp

@@ -1,8 +1,13 @@
 #pragma once
 
 /// @file utils.hpp
-/// Small numeric helpers: dB conversions, power measurement, sinc.
+/// Small numeric helpers: dB conversions, power measurement, sinc, and
+/// per-sample rotation.
 
+#include <algorithm>
+#include <array>
+
+#include "dsp/simd/simd.hpp"
 #include "dsp/types.hpp"
 
 namespace bhss::dsp {
@@ -37,5 +42,22 @@ void scale_to_power(cspan_mut x, double target_power) noexcept;
 
 /// True iff every value in `x` is finite.
 [[nodiscard]] bool all_finite(fspan x) noexcept;
+
+/// Rotate each sample by its own angle: x[i] *= cf{cos(a), sin(a)} with
+/// a = angle(i), a float, and cos/sin as simd::sincos_f32 computes them
+/// (glibc's bits on every host). The angles are filled a stack chunk at a
+/// time, then one phasor kernel and one complex multiply run per chunk.
+template <class AngleFn>
+void rotate(cspan_mut x, AngleFn&& angle) {
+  constexpr std::size_t kChunk = 256;
+  std::array<float, kChunk> ang;
+  std::array<cf, kChunk> rot;
+  for (std::size_t pos = 0; pos < x.size(); pos += kChunk) {
+    const std::size_t len = std::min(kChunk, x.size() - pos);
+    for (std::size_t i = 0; i < len; ++i) ang[i] = angle(pos + i);
+    simd::sincos_f32(ang.data(), rot.data(), len);
+    simd::cmul_inplace(x.data() + pos, rot.data(), len);
+  }
+}
 
 }  // namespace bhss::dsp

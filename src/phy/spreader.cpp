@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "core/contracts.hpp"
+#include "dsp/simd/libm.hpp"
 #include "dsp/simd/simd.hpp"
 
 namespace bhss::phy {
@@ -80,7 +81,7 @@ DespreadPairsResult Despreader::despread_pairs(dsp::cspan pairs) {
   for (std::size_t m = 0; m < pairs.size(); ++m) {
     se[m] = scrambling_ ? pn_.next_chip() : 1.0F;
     so[m] = scrambling_ ? pn_.next_chip() : 1.0F;
-    max_corr += static_cast<double>(std::abs(pairs[m])) * std::numbers::sqrt2;
+    max_corr += static_cast<double>(dsp::simd::abs(pairs[m])) * std::numbers::sqrt2;
   }
 
   // All 16 candidate correlations at once over the column-major chip
@@ -102,7 +103,7 @@ DespreadPairsResult Despreader::despread_pairs(dsp::cspan pairs) {
   }
   if (max_corr > 0.0) {
     result.coherence =
-        static_cast<float>(static_cast<double>(std::abs(result.correlation)) / max_corr);
+        static_cast<float>(static_cast<double>(dsp::simd::abs(result.correlation)) / max_corr);
   }
   return result;
 }

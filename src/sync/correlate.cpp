@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/contracts.hpp"
+#include "dsp/simd/libm.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/utils.hpp"
 
@@ -40,7 +41,7 @@ CorrelationPeak correlate_search(dsp::cspan x, dsp::cspan ref, std::size_t max_l
       const std::size_t lag = lag0 + j;
       const dsp::cf c = corr[j];
       const double denom = std::sqrt(std::max(ref_energy * win_energy, 1e-30));
-      const float norm = static_cast<float>(static_cast<double>(std::abs(c)) / denom);
+      const float norm = static_cast<float>(static_cast<double>(dsp::simd::abs(c)) / denom);
       norm_sum += static_cast<double>(norm);
       if (norm > best.normalized) {
         best.normalized = norm;

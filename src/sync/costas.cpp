@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "core/contracts.hpp"
+#include "dsp/simd/libm.hpp"
 
 namespace bhss::sync {
 namespace {
@@ -37,7 +38,7 @@ CostasLoop::CostasLoop(float loop_bandwidth, float damping, float max_freq)
 }
 
 dsp::cf CostasLoop::process(dsp::cf in) noexcept {
-  const dsp::cf nco{std::cos(-phase_), std::sin(-phase_)};
+  const dsp::cf nco = dsp::simd::sincos(-phase_);
   const dsp::cf out = in * nco;
 
   // Decision-directed QPSK phase error, normalised by signal power to make
@@ -61,7 +62,10 @@ dsp::cf CostasLoop::process(dsp::cf in) noexcept {
   return out;
 }
 
-void CostasLoop::process(dsp::cspan_mut x) noexcept {
+// Flattened so the per-sample step inlines: returned across a call, its
+// cf goes through the stack as two float stores and one 64-bit load,
+// which defeats store forwarding on every sample of this serial loop.
+[[gnu::flatten]] void CostasLoop::process(dsp::cspan_mut x) noexcept {
   for (dsp::cf& s : x) s = process(s);
 }
 

@@ -5,6 +5,8 @@
 #include <stdexcept>
 
 #include "core/contracts.hpp"
+#include "dsp/simd/libm.hpp"
+#include "dsp/utils.hpp"
 #include "sync/correlate.hpp"
 
 namespace bhss::sync {
@@ -71,7 +73,7 @@ SyncEstimate PreambleSync::refine(dsp::cspan x, const SyncEstimate& coarse,
     const double predicted =
         static_cast<double>(coarse.phase) + static_cast<double>(coarse.cfo) * centre;
     const double residual =
-        std::arg(acc * std::polar(1.0F, static_cast<float>(-predicted)));
+        std::arg(acc * dsp::simd::sincos(static_cast<float>(-predicted)));
     const double w = mag;  // stronger blocks (less jammed) weigh more
     sw += w;
     swn += w * centre;
@@ -91,11 +93,10 @@ SyncEstimate PreambleSync::refine(dsp::cspan x, const SyncEstimate& coarse,
 }
 
 void PreambleSync::derotate(dsp::cspan_mut x, const SyncEstimate& est) noexcept {
-  for (std::size_t n = 0; n < x.size(); ++n) {
+  dsp::rotate(x, [&est](std::size_t n) {
     const float dn = static_cast<float>(n) - static_cast<float>(est.frame_start);
-    const float ang = -(est.phase + est.cfo * dn);
-    x[n] *= dsp::cf{std::cos(ang), std::sin(ang)};
-  }
+    return -(est.phase + est.cfo * dn);
+  });
 }
 
 }  // namespace bhss::sync

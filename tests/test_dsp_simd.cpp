@@ -252,6 +252,159 @@ TEST(DspSimd, ElementwiseKernelsMatchScalarBitExact) {
   }
 }
 
+void expect_same_bits(const float* a, const float* b, std::size_t n, const std::string& what) {
+  std::size_t mismatches = 0;
+  std::size_t first = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0 && mismatches++ == 0) first = i;
+  }
+  if (mismatches == 0) return;
+  ADD_FAILURE() << what << ": " << mismatches << " of " << n << " differ, first at " << first
+                << " (" << a[first] << " vs " << b[first] << ")";
+}
+
+/// Inputs at the libm replicas' branch bounds: signed zeros, subnormals,
+/// the 2^-12, 0.75 and 120 bounds of sincos with their float neighbours,
+/// values around the normal range's ends, and a few ordinary ones.
+std::vector<float> libm_edges() {
+  std::vector<float> v;
+  for (float b : {0.0F, 0x1p-149F, 0x1p-127F, 0x1p-126F, 0x1p-12F, 0.75F, 1.0F, 120.0F,
+                  std::numeric_limits<float>::max()}) {
+    for (float e : {std::nextafter(b, 0.0F), b, std::nextafter(b, 1e30F)}) {
+      v.push_back(e);
+      v.push_back(-e);
+    }
+  }
+  for (float f : {0.3F, 2.0F, 17.3F, 100.0F, 1e6F}) v.push_back(f);
+  return v;
+}
+
+/// Each edge planted at every position of a run of ordinary values, so it
+/// reaches every lane of a vector group and the tail.
+template <class Check>
+void for_each_planted_edge(float scale, Check check) {
+  for (float edge : libm_edges()) {
+    for (std::size_t pos = 0; pos < 9; ++pos) {
+      std::vector<float> x(9);
+      for (float& v : x) v = scale * rand_float();
+      x[pos] = edge;
+      check(x, "edge " + std::to_string(edge) + " at " + std::to_string(pos));
+    }
+  }
+}
+
+TEST(DspSimd, SincosF32MatchesScalarBitExact) {
+  const auto compare = [](const float* x, std::size_t n, const std::string& what) {
+    std::vector<cf> got(n);
+    std::vector<cf> want(n);
+    simd::sincos_f32(x, got.data(), n);
+    simd::scalar::sincos_f32(x, want.data(), n);
+    expect_same_bits(got.data(), want.data(), n, "sincos_f32 " + what);
+    for (std::size_t i = 0; i < n; ++i) {
+      const cf one = simd::sincos(x[i]);
+      ASSERT_EQ(std::memcmp(&one, &want[i], sizeof(cf)), 0) << "sincos " << what;
+    }
+  };
+  // Scales that keep every lane below 0.75, below 120, or mix in lanes
+  // >= 120, which send their group to the reference.
+  for (float scale : {0.2F, 1.0F, 30.0F, 400.0F}) {
+    for (std::size_t n = 1; n <= kMaxLen; ++n) {
+      for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+        Offset<float> x(n, off);
+        for (std::size_t i = 0; i < n; ++i) x.p[i] = scale * rand_float();
+        compare(x.p, n,
+                "scale=" + std::to_string(scale) + " n=" + std::to_string(n) +
+                    " off=" + std::to_string(off));
+      }
+    }
+    for_each_planted_edge(scale, [&](const std::vector<float>& x, const std::string& what) {
+      compare(x.data(), x.size(), what);
+    });
+  }
+  // sin(-0) = -0 and cos(-0) = 1; sin keeps a subnormal's bits.
+  const cf z = simd::sincos(-0.0F);
+  EXPECT_TRUE(std::signbit(z.imag()) && z.imag() == 0.0F);
+  EXPECT_EQ(z.real(), 1.0F);
+  EXPECT_EQ(simd::sincos(0x1p-140F).imag(), 0x1p-140F);
+  // Non-finite inputs give NaN on both rails, in every lane.
+  for (float bad : {std::numeric_limits<float>::infinity(), -std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+    std::vector<float> x(9, 1.0F);
+    for (std::size_t pos = 0; pos < x.size(); ++pos) {
+      x[pos] = bad;
+      std::vector<cf> got(x.size());
+      simd::sincos_f32(x.data(), got.data(), x.size());
+      EXPECT_TRUE(std::isnan(got[pos].real()) && std::isnan(got[pos].imag()))
+          << bad << " at " << pos;
+      x[pos] = 1.0F;
+    }
+  }
+}
+
+TEST(DspSimd, LogF32MatchesScalarBitExact) {
+  const auto compare = [](const float* x, std::size_t n, const std::string& what) {
+    std::vector<float> got(n);
+    std::vector<float> want(n);
+    simd::log_f32(x, got.data(), n);
+    simd::scalar::log_f32(x, want.data(), n);
+    expect_same_bits(got.data(), want.data(), n, "log_f32 " + what);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float one = simd::detail::log(x[i]);
+      ASSERT_EQ(std::memcmp(&one, &want[i], sizeof(float)), 0) << "log " << what;
+    }
+  };
+  for (std::size_t n = 1; n <= kMaxLen; ++n) {
+    for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+      Offset<float> x(n, off);
+      // Positive values across many binades, as the polar method's r2.
+      for (std::size_t i = 0; i < n; ++i) x.p[i] = std::exp(8.0F * rand_float());
+      compare(x.p, n, "n=" + std::to_string(n) + " off=" + std::to_string(off));
+    }
+  }
+  // Zeros, subnormals and negative edges send their group to the reference.
+  for_each_planted_edge(1.0F, [&](std::vector<float> x, const std::string& what) {
+    for (float& v : x) v = v == 0.0F || std::signbit(v) ? v : std::abs(v);
+    compare(x.data(), x.size(), what);
+  });
+  EXPECT_EQ(simd::detail::log(1.0F), 0.0F);
+  EXPECT_FALSE(std::signbit(simd::detail::log(1.0F)));
+  EXPECT_EQ(simd::detail::log(0.0F), -std::numeric_limits<float>::infinity());
+  EXPECT_EQ(simd::detail::log(-0.0F), -std::numeric_limits<float>::infinity());
+  EXPECT_EQ(simd::detail::log(std::numeric_limits<float>::infinity()),
+            std::numeric_limits<float>::infinity());
+  for (float bad : {-1.0F, -0x1p-149F, -std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+    std::vector<float> x(9, 2.0F);
+    for (std::size_t pos = 0; pos < x.size(); ++pos) {
+      x[pos] = bad;
+      std::vector<float> got(x.size());
+      simd::log_f32(x.data(), got.data(), x.size());
+      EXPECT_TRUE(std::isnan(got[pos])) << bad << " at " << pos;
+      x[pos] = 2.0F;
+    }
+  }
+}
+
+// simd::abs is std::abs of a std::complex<float> where that is glibc's
+// cabsf: float(sqrt(double(re)^2 + double(im)^2)), +inf for an infinite
+// rail, NaN for a NaN rail.
+TEST(DspSimd, AbsMatchesHypotf) {
+  for (int i = 0; i < 4096; ++i) {
+    const float scale = std::ldexp(1.0F, static_cast<int>(rng()() % 120) - 60);
+    const cf z{scale * rand_float(), scale * rand_float()};
+    const float want = std::hypot(z.real(), z.imag());
+    const float got = simd::abs(z);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0) << z.real() << "," << z.imag();
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(simd::abs(cf{inf, nan}), inf);
+  EXPECT_EQ(simd::abs(cf{nan, -inf}), inf);
+  EXPECT_TRUE(std::isnan(simd::abs(cf{nan, 1.0F})));
+  EXPECT_EQ(simd::abs(cf{0x1p100F, 0x1p100F}), std::hypot(0x1p100F, 0x1p100F));
+  EXPECT_EQ(simd::abs(cf{3e38F, 3e38F}), inf);
+}
+
 /// The block path of FirFilter (which feeds fir_filter_block and rebuilds
 /// the doubled delay line afterwards) must be indistinguishable from the
 /// per-sample streaming path — including across a *sequence* of blocks of
