@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the hot kernels behind the
-// experiments: FFT, direct vs overlap-save FIR filtering, Welch PSD,
+// experiments: FFT, overlap-save FIR filtering, Welch PSD,
 // excision design, chip modulation/demodulation, despreading, a whole
 // frame reception, and the per-op cost of the metrics, trace and
 // adaptation hot paths. Not a paper figure — these quantify what the
@@ -104,18 +104,6 @@ void BM_FftScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_FftScalar)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
-void BM_FirDirect(benchmark::State& state) {
-  const auto taps = static_cast<std::size_t>(state.range(0));
-  dsp::FirFilter fir{random_signal(taps, 2)};
-  const dsp::cvec x = random_signal(4096, 3);
-  for (auto _ : state) {
-    auto y = fir.process(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_FirDirect)->Arg(16)->Arg(64)->Arg(256);
-
 void BM_FirOverlapSave(benchmark::State& state) {
   const auto taps = static_cast<std::size_t>(state.range(0));
   dsp::FftConvolver conv{dsp::cspan{random_signal(taps, 4)}};
@@ -144,32 +132,6 @@ BENCHMARK(BM_WelchPsd);
 // Each vector kernel is benchmarked against its always-built scalar
 // reference under the same name prefix, so one JSONL documents the ISA
 // speedup on the machine that produced it.
-
-void BM_SimdFirBlock(benchmark::State& state) {
-  const auto n_taps = static_cast<std::size_t>(state.range(0));
-  const dsp::cvec taps = random_signal(n_taps, 11);
-  const dsp::cvec x = random_signal(4096 + n_taps - 1, 12);
-  dsp::cvec y(4096);
-  for (auto _ : state) {
-    dsp::simd::fir_filter_block(taps.data(), n_taps, x.data(), y.data(), y.size());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_SimdFirBlock)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_ScalarFirBlock(benchmark::State& state) {
-  const auto n_taps = static_cast<std::size_t>(state.range(0));
-  const dsp::cvec taps = random_signal(n_taps, 11);
-  const dsp::cvec x = random_signal(4096 + n_taps - 1, 12);
-  dsp::cvec y(4096);
-  for (auto _ : state) {
-    dsp::simd::scalar::fir_filter_block(taps.data(), n_taps, x.data(), y.data(), y.size());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_ScalarFirBlock)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_SimdDespread16(benchmark::State& state) {
   const dsp::cvec pairs = random_signal(16, 13);
@@ -323,7 +285,7 @@ void BM_FilterDesignCached(benchmark::State& state) {
   const dsp::cvec slice = tone_jammed_slice(16384);
   for (auto _ : state) {
     const core::FilterDecision d = logic.force_excision(slice, level);
-    benchmark::DoNotOptimize(d.taps.data());
+    benchmark::DoNotOptimize(d.plan->taps.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -338,7 +300,7 @@ void BM_FilterDesignUncached(benchmark::State& state) {
   const dsp::cvec slice = tone_jammed_slice(16384);
   for (auto _ : state) {
     const core::FilterDecision d = logic.force_excision(slice, level);
-    benchmark::DoNotOptimize(d.taps.data());
+    benchmark::DoNotOptimize(d.plan->taps.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -500,9 +462,10 @@ void warn_if_not_release() {
                "\n"
                "********************************************************************\n"
                "** WARNING: perf_kernels was built as '%s', not 'release'.\n"
-               "** These numbers are meaningless for regression gating. Rebuild\n"
-               "** with -DCMAKE_BUILD_TYPE=Release (see EXPERIMENTS.md) before\n"
-               "** recording BENCH_kernels.json or comparing against it.\n"
+               "** These numbers are meaningless for regression gating. Build with\n"
+               "** `cmake --preset release` before recording BENCH_kernels.json or\n"
+               "** comparing against it: that preset recorded it, and CI gates\n"
+               "** with it (see EXPERIMENTS.md).\n"
                "********************************************************************\n"
                "\n",
                build_flavor());

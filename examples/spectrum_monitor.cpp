@@ -76,49 +76,31 @@ void inspect(const char* name, const dsp::cvec& rx, const core::BandwidthSet& ba
               d.est_jammer_bw_frac);
 
   if (d.kind != core::FilterDecision::Kind::none) {
-    draw(dsp::fft_shift(dsp::power_response(d.taps, 512)), "designed filter |H(f)|^2");
+    draw(dsp::fft_shift(dsp::power_response(d.plan->taps, 512)), "designed filter |H(f)|^2");
   }
 }
 
-void scenario(const char* name, double jam_bw, double jnr_db) {
-  const core::BandwidthSet bands = core::BandwidthSet::paper();
-  const std::size_t level = 2;  // 2.5 MHz signal
+constexpr std::size_t kLevel = 2;  // 2.5 MHz signal
 
+/// One transmitted frame at bandwidth level kLevel, at 15 dB SNR.
+dsp::cvec transmitted(const core::BandwidthSet& bands) {
   core::SystemConfig sys;
-  sys.pattern = core::HopPattern::fixed(bands, level);
+  sys.pattern = core::HopPattern::fixed(bands, kLevel);
   sys.hopping = false;
-  sys.fixed_bw_index = level;
+  sys.fixed_bw_index = kLevel;
   const core::BhssTransmitter tx(sys);
   const std::vector<std::uint8_t> payload(24, 0x5A);
   dsp::cvec rx = tx.transmit(payload, 1).samples;
   dsp::scale_to_power(dsp::cspan_mut{rx}, dsp::db_to_linear(15.0));
+  return rx;
+}
 
-  if (jnr_db > -100.0) {
-    jammer::NoiseJammer jam(jam_bw, 11);
-    const dsp::cvec j = jam.generate(rx.size());
-    const auto g = static_cast<float>(std::sqrt(dsp::db_to_linear(jnr_db)));
-    for (std::size_t i = 0; i < rx.size(); ++i) rx[i] += g * j[i];
-  }
-  channel::AwgnSource noise(3);
-  noise.add_to(dsp::cspan_mut{rx}, 1.0);
-
-  std::printf("\n=== %s ===\n", name);
-  draw(dsp::fft_shift(dsp::welch_psd(rx, 512)), "received spectrum");
-
-  const core::ControlLogic logic({}, bands);
-  const core::FilterDecision d = logic.decide(rx, level);
-  const char* kind = d.kind == core::FilterDecision::Kind::none ? "no filter"
-                     : d.kind == core::FilterDecision::Kind::lowpass ? "low-pass filter"
-                                                                     : "excision filter";
-  std::printf("control logic: %s (in-band peak/floor %.1f dB, out-of-band/in-band %.1f dB,\n"
-              "               estimated jammer occupancy %.3f of Rs)\n",
-              kind, d.inband_peak_over_median_db, d.oob_to_inband_level_db,
-              d.est_jammer_bw_frac);
-
-  if (d.kind != core::FilterDecision::Kind::none) {
-    draw(dsp::fft_shift(dsp::power_response(d.taps, 512)),
-         "designed filter |H(f)|^2");
-  }
+void scenario(const char* name, double jam_bw, double jnr_db) {
+  const core::BandwidthSet bands = core::BandwidthSet::paper();
+  dsp::cvec rx = transmitted(bands);
+  dsp::cvec jam_wave;  // none for the clean channel
+  if (jnr_db > -100.0) jam_wave = jammer::NoiseJammer(jam_bw, 11).generate(rx.size());
+  inspect(name, received_with(jam_wave, jnr_db, std::move(rx)), bands, kLevel);
 }
 
 }  // namespace
@@ -130,21 +112,10 @@ int main() {
   scenario("wide-band jammer: 10 MHz at JNR 25 dB", 0.5, 25.0);
 
   // CW tone — the classic excision target ([3]-[7] in the paper).
-  {
-    const core::BandwidthSet bands = core::BandwidthSet::paper();
-    const std::size_t level = 2;
-    core::SystemConfig sys;
-    sys.pattern = core::HopPattern::fixed(bands, level);
-    sys.hopping = false;
-    sys.fixed_bw_index = level;
-    const core::BhssTransmitter tx(sys);
-    const std::vector<std::uint8_t> payload(24, 0x5A);
-    dsp::cvec rx = tx.transmit(payload, 1).samples;
-    dsp::scale_to_power(dsp::cspan_mut{rx}, dsp::db_to_linear(15.0));
-    jammer::ToneJammer tone(0.02, 13);
-    const dsp::cvec jam_wave = tone.generate(rx.size());
-    inspect("CW tone jammer at +400 kHz, JNR 25 dB",
-            received_with(jam_wave, 25.0, std::move(rx)), bands, level);
-  }
+  const core::BandwidthSet bands = core::BandwidthSet::paper();
+  dsp::cvec rx = transmitted(bands);
+  const dsp::cvec jam_wave = jammer::ToneJammer(0.02, 13).generate(rx.size());
+  inspect("CW tone jammer at +400 kHz, JNR 25 dB", received_with(jam_wave, 25.0, std::move(rx)),
+          bands, kLevel);
   return 0;
 }

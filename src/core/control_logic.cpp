@@ -68,22 +68,17 @@ ControlLogic::ControlLogic(ControlLogicConfig config, const BandwidthSet& bands)
 
   // Pre-compute the low-pass bank, one filter per bandwidth level, exactly
   // as the paper's implementation does ("we pre-compute the taps of all
-  // possible low-pass filters in advance", §6.1) — and, with the taps,
-  // the frequency-domain convolution plan each one will be applied with.
-  lpf_bank_.reserve(bands_.size());
-  lpf_delay_.reserve(bands_.size());
+  // possible low-pass filters in advance", §6.1) — as the
+  // frequency-domain convolution plan each one will be applied with.
   lpf_plan_.reserve(bands_.size());
   for (std::size_t i = 0; i < bands_.size(); ++i) {
     const double cutoff = lpf_cutoff_frac(i);
     const double transition = std::max(0.25 * cutoff, 1e-4);
     const std::size_t n_taps =
         dsp::lowpass_num_taps(transition, config_.lpf_atten_db, config_.max_lpf_taps);
-    const dsp::fvec taps = dsp::design_lowpass(n_taps, cutoff, dsp::Window::blackman);
-    lpf_bank_.push_back(dsp::to_complex(taps));
-    lpf_delay_.push_back((n_taps - 1) / 2);
-    lpf_plan_.push_back(dsp::ConvolverPlan::make(dsp::cspan{lpf_bank_.back()}));
+    lpf_plan_.push_back(dsp::ConvolverPlan::make(
+        dsp::to_complex(dsp::design_lowpass(n_taps, cutoff, dsp::Window::blackman))));
   }
-
 }
 
 double ControlLogic::lpf_cutoff_frac(std::size_t bw_index) const {
@@ -128,9 +123,8 @@ std::size_t ControlLogic::design_fft(std::size_t bw_index) const {
 FilterDecision ControlLogic::force_lowpass(std::size_t bw_index) const {
   FilterDecision d;
   d.kind = FilterDecision::Kind::lowpass;
-  d.taps = lpf_bank_.at(bw_index);
-  d.group_delay = lpf_delay_.at(bw_index);
   d.plan = lpf_plan_.at(bw_index);
+  d.group_delay = (d.plan->taps.size() - 1) / 2;
   return d;
 }
 
@@ -204,7 +198,6 @@ FilterDecision ControlLogic::design_excision(dsp::cspan slice, std::size_t bw_in
       if (dilated[k]) key.mask[k / 64] |= std::uint64_t{1} << (k % 64);
     }
     if (const FilterDesignEntry* cached = design_cache_.find(key)) {
-      d.taps = cached->taps;
       d.group_delay = cached->group_delay;
       d.plan = cached->plan;
       if (o) o.add(obs::link_ids().filter_cache_hits);
@@ -212,21 +205,21 @@ FilterDecision ControlLogic::design_excision(dsp::cspan slice, std::size_t bw_in
     }
 
     for (std::size_t k = 0; k < n; ++k) psd[k] = dilated[k] ? 1e12F : 1.0F;
-    d.taps = dsp::design_excision_whitening(psd, config_.excision_floor_rel, passband);
-    d.group_delay = d.taps.size() / 2;
-    d.plan = dsp::ConvolverPlan::make(dsp::cspan{d.taps});
+    d.plan = dsp::ConvolverPlan::make(
+        dsp::design_excision_whitening(psd, config_.excision_floor_rel, passband));
+    d.group_delay = d.plan->taps.size() / 2;
     if (design_cache_.capacity() > 0) {
       if (o) o.add(obs::link_ids().filter_cache_misses);
-      design_cache_.insert(std::move(key), FilterDesignEntry{d.taps, d.group_delay, d.plan});
+      design_cache_.insert(std::move(key), FilterDesignEntry{d.group_delay, d.plan});
     }
     return d;
   }
 
   // Whitening style: the taps depend on the raw (un-quantised) PSD, so no
   // finite key captures them — design fresh every hop, plan included.
-  d.taps = dsp::design_excision_whitening(psd, config_.excision_floor_rel, passband);
-  d.group_delay = d.taps.size() / 2;
-  d.plan = dsp::ConvolverPlan::make(dsp::cspan{d.taps});
+  d.plan = dsp::ConvolverPlan::make(
+      dsp::design_excision_whitening(psd, config_.excision_floor_rel, passband));
+  d.group_delay = d.plan->taps.size() / 2;
   return d;
 }
 
@@ -301,34 +294,24 @@ FilterDecision ControlLogic::decide(dsp::cspan slice, std::size_t bw_index,
   const double est_jam_bw = (static_cast<double>(hot_bins) / static_cast<double>(core.size())) *
                             (kDetectionCore * signal_frac);
 
-  FilterDecision d;
-  d.est_jammer_bw_frac = est_jam_bw;
-  d.inband_peak_over_median_db = dsp::linear_to_db(in_peak / in_floor);
-  d.oob_to_inband_level_db = dsp::linear_to_db(std::max(out_level, 1e-30) / in_level);
+  const double peak_over_median_db = dsp::linear_to_db(in_peak / in_floor);
 
-  // Wide-band jammer: significant energy outside the signal band (the PN
-  // spectrum is confined in-band, so out-of-band level is jam + noise).
+  FilterDecision d;  // none: bandwidths matched or jammer weak, despreading gain suffices
   if (n_out > 0 && out_level > config_.oob_level_ratio * in_level) {
-    d.kind = FilterDecision::Kind::lowpass;
-    d.taps = lpf_bank_[bw_index];
-    d.group_delay = lpf_delay_[bw_index];
-    d.plan = lpf_plan_[bw_index];
-    return d;
+    // Wide-band jammer: significant energy outside the signal band (the PN
+    // spectrum is confined in-band, so out-of-band level is jam + noise).
+    d = force_lowpass(bw_index);
+  } else if (peak_over_median_db > config_.peak_over_median_db &&
+             est_jam_bw <= config_.excision_match_guard * signal_frac) {
+    // Narrow-band jammer: a strong peak inside the signal band. Eq. (10)
+    // guard: when the jammer occupies almost the whole signal band,
+    // excising it removes the signal too — better not to filter.
+    d = design_excision(slice, bw_index, o);
   }
-
-  // Narrow-band jammer: a strong peak inside the signal band.
-  if (d.inband_peak_over_median_db > config_.peak_over_median_db) {
-    // Eq. (10) guard: when the jammer occupies almost the whole signal
-    // band, excising it removes the signal too — better not to filter.
-    if (est_jam_bw > config_.excision_match_guard * signal_frac) return d;
-    FilterDecision ex = design_excision(slice, bw_index, o);
-    ex.est_jammer_bw_frac = d.est_jammer_bw_frac;
-    ex.inband_peak_over_median_db = d.inband_peak_over_median_db;
-    ex.oob_to_inband_level_db = d.oob_to_inband_level_db;
-    return ex;
-  }
-
-  return d;  // bandwidths matched or jammer weak: despreading gain suffices
+  d.est_jammer_bw_frac = est_jam_bw;
+  d.inband_peak_over_median_db = peak_over_median_db;
+  d.oob_to_inband_level_db = dsp::linear_to_db(std::max(out_level, 1e-30) / in_level);
+  return d;
 }
 
 }  // namespace bhss::core

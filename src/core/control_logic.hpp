@@ -47,12 +47,11 @@ struct FilterDecision {
   enum class Kind { none, lowpass, excision };
 
   Kind kind = Kind::none;
-  dsp::cvec taps;                 ///< empty when kind == none
   std::size_t group_delay = 0;    ///< samples to compensate after filtering
 
-  /// Shared frequency-domain convolution plan for `taps` (null when kind
-  /// == none). Lets the receiver apply the filter without re-transforming
-  /// the taps each hop.
+  /// The designed filter: its taps and their shared frequency-domain
+  /// convolution plan, null exactly when kind == none. Lets the receiver
+  /// apply the filter without re-transforming the taps each hop.
   std::shared_ptr<const dsp::ConvolverPlan> plan;
 
   // Diagnostics (what the estimator saw):
@@ -156,10 +155,8 @@ class ControlLogic {
 
   ControlLogicConfig config_;
   BandwidthSet bands_;
-  std::vector<dsp::cvec> lpf_bank_;         ///< one low-pass per bandwidth level
-  std::vector<std::size_t> lpf_delay_;
-  /// Convolution plans for the low-pass bank, precomputed with the taps
-  /// (the bank is fixed, so these never churn the design cache).
+  /// The low-pass bank, one plan per bandwidth level, taps included (the
+  /// bank is fixed, so it never churns the design cache).
   std::vector<std::shared_ptr<const dsp::ConvolverPlan>> lpf_plan_;
   /// Excision design cache; mutable because `decide` is logically const
   /// (the cache changes which work runs, never which decision comes out).

@@ -56,11 +56,10 @@ struct FilterDesignKeyHash {
   }
 };
 
-/// A completed design: the taps, their group delay, and the shared
-/// frequency-domain convolution plan (so a cache hit also skips the
+/// A completed design: the group delay and the shared frequency-domain
+/// convolution plan, which holds the taps (so a cache hit also skips the
 /// per-hop taps-spectrum FFT, the expensive part).
 struct FilterDesignEntry {
-  dsp::cvec taps;
   std::size_t group_delay = 0;
   std::shared_ptr<const dsp::ConvolverPlan> plan;
 };

@@ -242,39 +242,4 @@ LinkStats merge_link_stats(const std::vector<LinkStats>& shards, std::size_t pay
   return total;
 }
 
-double min_snr_for_per(const SimConfig& cfg, const PerEvaluator& per_of, double target_per,
-                       double lo_db, double hi_db, double tol_db) {
-  auto per_at = [&cfg, &per_of](double snr_db) {
-    SimConfig c = cfg;
-    c.snr_db = snr_db;
-    return per_of(c);
-  };
-
-  if (per_at(hi_db) > target_per) return hi_db;  // unreachable even at max power
-  if (per_at(lo_db) <= target_per) return lo_db;
-
-  double lo = lo_db;
-  double hi = hi_db;
-  while (hi - lo > tol_db) {
-    const double mid = 0.5 * (lo + hi);
-    if (per_at(mid) <= target_per) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
-}
-
-double min_snr_for_per(const SimConfig& cfg, double target_per, double lo_db, double hi_db,
-                       double tol_db) {
-  return min_snr_for_per(
-      cfg, [](const SimConfig& c) { return run_link(c).per(); }, target_per, lo_db, hi_db,
-      tol_db);
-}
-
-double power_advantage_db(const SimConfig& a, const SimConfig& b, double target_per) {
-  return min_snr_for_per(b, target_per) - min_snr_for_per(a, target_per);
-}
-
 }  // namespace bhss::core

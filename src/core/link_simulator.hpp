@@ -2,12 +2,11 @@
 
 /// @file link_simulator.hpp
 /// End-to-end link experiments: transmitter -> (jammer + AWGN channel) ->
-/// receiver, with packet-loss statistics and the paper's "power
-/// advantage" measurement procedure (§6.3: the ratio of minimum SNRs
-/// needed to stay below 50 % packet loss).
+/// receiver, with packet-loss statistics. The paper's "power advantage"
+/// measurement procedure (§6.3: the ratio of minimum SNRs needed to stay
+/// below 50 % packet loss) is `runtime::ParallelLinkRunner::min_snr_for_per`.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "adapt/resilience_controller.hpp"
@@ -122,30 +121,5 @@ struct ShardSeeds {
 
 /// Run `cfg.n_packets` packets through the link.
 [[nodiscard]] LinkStats run_link(const SimConfig& cfg);
-
-/// Packet-error-rate oracle for the bisection below: maps a SimConfig to
-/// its measured PER. The default evaluates `run_link(cfg).per()`
-/// sequentially; `runtime::ParallelLinkRunner` plugs itself in here so the
-/// bisection inherits the parallel speedup.
-using PerEvaluator = std::function<double(const SimConfig&)>;
-
-/// Paper §6.3 measurement: the minimum SNR (dB) at which the packet loss
-/// stays below `target_per`, found by bisection over [lo_db, hi_db].
-/// Returns hi_db when even the highest SNR cannot reach the target.
-[[nodiscard]] double min_snr_for_per(const SimConfig& cfg, double target_per = 0.5,
-                                     double lo_db = -10.0, double hi_db = 45.0,
-                                     double tol_db = 0.5);
-
-/// Same bisection with a custom PER oracle (parallel runner, cached or
-/// analytic models, ...).
-[[nodiscard]] double min_snr_for_per(const SimConfig& cfg, const PerEvaluator& per_of,
-                                     double target_per = 0.5, double lo_db = -10.0,
-                                     double hi_db = 45.0, double tol_db = 0.5);
-
-/// Power advantage of configuration `a` over configuration `b` in dB:
-/// min-SNR(b) - min-SNR(a). Positive = `a` tolerates that much more
-/// jamming for the same error performance.
-[[nodiscard]] double power_advantage_db(const SimConfig& a, const SimConfig& b,
-                                        double target_per = 0.5);
 
 }  // namespace bhss::core

@@ -43,7 +43,7 @@ dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::s
                                        const FilterDecision& decision,
                                        obs::TraceSink* trace) const {
   BHSS_TRACE_SCOPE(trace, obs::TraceScopeId::filter_apply);
-  if (decision.kind == FilterDecision::Kind::none || decision.taps.empty()) {
+  if (decision.kind == FilterDecision::Kind::none) {
     dsp::cvec out(needed, dsp::cf{0.0F, 0.0F});
     for (std::size_t i = 0; i < needed && a0 + i < buffer.size(); ++i) out[i] = buffer[a0 + i];
     return out;
@@ -52,8 +52,10 @@ dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::s
   // Filter a window with lead-in (so the filter is warmed up by real
   // samples where they exist) and a zero-padded lead-out (so every
   // group-delay-shifted read is defined even at the end of the capture),
-  // then pick the delay-compensated samples aligned with a0.
-  const std::size_t k_taps = decision.taps.size();
+  // then pick the delay-compensated samples aligned with a0. The decision
+  // carries the shared convolution plan: no taps FFT here.
+  dsp::FftConvolver convolver{decision.plan};
+  const std::size_t k_taps = convolver.num_taps();
   const std::size_t lead = std::min(a0, k_taps);
   const std::size_t begin = a0 - lead;
   const std::size_t in_len = lead + needed + k_taps;
@@ -63,10 +65,6 @@ dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::s
     padded[i] = buffer[begin + i];
   }
 
-  // A cached decision (or a low-pass from the bank) carries the shared
-  // convolution plan; only a plan-less decision pays the taps FFT here.
-  dsp::FftConvolver convolver = decision.plan ? dsp::FftConvolver{decision.plan}
-                                              : dsp::FftConvolver{dsp::cspan{decision.taps}};
   const dsp::cvec filtered = convolver.filter(padded);
 
   dsp::cvec out(needed);
@@ -151,9 +149,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
       dsp::cvec sync_window(window.begin(), window.end());
       dsp::cvec sync_ref = reference;
       if (decision.kind != FilterDecision::Kind::none) {
-        dsp::FftConvolver convolver = decision.plan
-                                          ? dsp::FftConvolver{decision.plan}
-                                          : dsp::FftConvolver{dsp::cspan{decision.taps}};
+        dsp::FftConvolver convolver{decision.plan};
         sync_window = convolver.filter(sync_window);
         sync_ref = convolver.filter(sync_ref);
       }

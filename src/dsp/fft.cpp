@@ -123,15 +123,6 @@ cvec Fft::forward_copy(cspan x) const {
   return out;
 }
 
-void Fft::forward_into(cspan x, cspan_mut out) const {
-  BHSS_REQUIRE(x.size() <= n_, "Fft::forward_into: input longer than the transform size");
-  BHSS_REQUIRE(out.size() == n_, "Fft::forward_into: output length must equal the transform size");
-  std::size_t i = 0;
-  for (; i < x.size(); ++i) out[i] = x[i];
-  for (; i < n_; ++i) out[i] = cf{0.0F, 0.0F};
-  forward(out);
-}
-
 fvec fft_shift(fspan x) {
   fvec out(x.size());
   const std::size_t half = x.size() / 2;

@@ -44,10 +44,6 @@ class Fft {
   /// Out-of-place convenience: returns FFT of `x`.
   [[nodiscard]] cvec forward_copy(cspan x) const;
 
-  /// Zero-pad `x` into `out` (whose size must equal size()) and transform
-  /// in place — `forward_copy` without the per-call allocation.
-  BHSS_HOT void forward_into(cspan x, cspan_mut out) const;
-
   /// True if `n` is a power of two >= 2.
   [[nodiscard]] static bool valid_size(std::size_t n) noexcept;
 

@@ -10,63 +10,6 @@
 
 namespace bhss::dsp {
 
-// ---------------------------------------------------------------- FirFilter
-
-FirFilter::FirFilter(cvec taps) : taps_(std::move(taps)), head_(0) {
-  BHSS_REQUIRE(!taps_.empty(), "FirFilter: taps must be non-empty");
-  BHSS_REQUIRE(all_finite(cspan{taps_}), "FirFilter: taps must be finite");
-  history_.assign(2 * taps_.size(), cf{0.0F, 0.0F});
-}
-
-FirFilter::FirFilter(fspan real_taps) : FirFilter(to_complex(real_taps)) {}
-
-void FirFilter::reset() noexcept {
-  std::fill(history_.begin(), history_.end(), cf{0.0F, 0.0F});
-  head_ = 0;
-}
-
-cf FirFilter::process(cf in) noexcept {
-  const std::size_t n = taps_.size();
-  history_[head_] = in;
-  history_[head_ + n] = in;
-  // Sample x[t-k] lives at slot head_ + n - k of the doubled history:
-  // a linear, branch-free walk over [head_ + 1, head_ + n].
-  const cf* hist = history_.data() + head_ + n;
-  const cf* taps = taps_.data();
-  cf acc{0.0F, 0.0F};
-  for (std::size_t k = 0; k < n; ++k) {
-    acc += taps[k] * *(hist - static_cast<std::ptrdiff_t>(k));
-  }
-  head_ = (head_ + 1 == n) ? 0 : head_ + 1;
-  return acc;
-}
-
-cvec FirFilter::process(cspan in) {
-  cvec out(in.size());
-  if (in.empty()) return out;
-  // Block path: same arithmetic and accumulation order as the per-sample
-  // overload, but laid out for the vectorized block kernel. At entry the
-  // previous n-1 samples sit contiguously, oldest first, at
-  // history_[head_+1 .. head_+n-1]; copying them in front of the input
-  // gives the kernel one flat buffer with no wrap logic.
-  const std::size_t n = taps_.size();
-  ext_.resize(n - 1 + in.size());
-  std::copy_n(history_.data() + head_ + 1, n - 1, ext_.begin());
-  std::copy(in.begin(), in.end(), ext_.begin() + static_cast<std::ptrdiff_t>(n - 1));
-  simd::fir_filter_block(taps_.data(), n, ext_.data(), out.data(), in.size());
-  // Rebuild the delay line: the last n samples of ext_ are the new
-  // history in ascending time order. With head_ = 0 the next per-sample
-  // call reads x[t-k] from slot n-k, so slot i must hold tail[i] (and its
-  // double at i+n keeps the doubled-history invariant for later heads).
-  const cf* tail = ext_.data() + ext_.size() - n;
-  for (std::size_t i = 0; i < n; ++i) {
-    history_[i] = tail[i];
-    history_[i + n] = tail[i];
-  }
-  head_ = 0;
-  return out;
-}
-
 // ------------------------------------------------------------- FftConvolver
 
 namespace {
@@ -79,22 +22,24 @@ std::size_t next_pow2(std::size_t n) {
 
 }  // namespace
 
-std::shared_ptr<const ConvolverPlan> ConvolverPlan::make(cspan taps) {
+std::shared_ptr<const ConvolverPlan> ConvolverPlan::make(cvec taps) {
   BHSS_REQUIRE(!taps.empty(), "ConvolverPlan: taps must be non-empty");
-  BHSS_REQUIRE(all_finite(taps), "ConvolverPlan: taps must be finite");
+  BHSS_REQUIRE(all_finite(cspan{taps}), "ConvolverPlan: taps must be finite");
   const std::size_t fft_size = next_pow2(std::max<std::size_t>(4 * taps.size(), 1024));
+  const std::size_t block_size = fft_size - taps.size() + 1;
   auto plan = std::make_shared<ConvolverPlan>(ConvolverPlan{
-      .num_taps = taps.size(),
+      .taps = std::move(taps),
       .fft_size = fft_size,
-      .block_size = fft_size - taps.size() + 1,
+      .block_size = block_size,
       .fft = Fft(fft_size),
       .taps_spectrum = {},
   });
-  plan->taps_spectrum = plan->fft.forward_copy(taps);
+  plan->taps_spectrum = plan->fft.forward_copy(plan->taps);
   return plan;
 }
 
-FftConvolver::FftConvolver(cspan taps) : FftConvolver(ConvolverPlan::make(taps)) {}
+FftConvolver::FftConvolver(cspan taps)
+    : FftConvolver(ConvolverPlan::make(cvec(taps.begin(), taps.end()))) {}
 
 FftConvolver::FftConvolver(std::shared_ptr<const ConvolverPlan> plan)
     : plan_(std::move(plan)), work_(plan_->fft_size) {
@@ -115,7 +60,7 @@ void FftConvolver::filter(cspan x, cvec& out) {
   const std::size_t block_size = plan_->block_size;
   // Overlap-save: each iteration consumes block_size fresh samples and
   // reuses the previous num_taps-1 samples (zeros before the start).
-  const std::size_t overlap = plan_->num_taps - 1;
+  const std::size_t overlap = plan_->taps.size() - 1;
   for (std::size_t pos = 0; pos < x.size(); pos += block_size) {
     // block[i] = x[pos + i - overlap], zero where that index falls before
     // the start or past the end of x.
@@ -221,13 +166,8 @@ cvec design_excision_whitening(fspan psd, double floor_rel, double passband_frac
   return h_spec;
 }
 
-cvec frequency_response(cspan taps, std::size_t nfft) {
-  Fft fft(nfft);
-  return fft.forward_copy(taps);
-}
-
 fvec power_response(cspan taps, std::size_t nfft) {
-  const cvec h = frequency_response(taps, nfft);
+  const cvec h = Fft(nfft).forward_copy(taps);
   fvec out(nfft);
   for (std::size_t i = 0; i < nfft; ++i) out[i] = std::norm(h[i]);
   return out;

@@ -1,14 +1,14 @@
 #pragma once
 
 /// @file fir.hpp
-/// FIR filtering and filter design. This is the heart of the BHSS
+/// FIR filter design and application. This is the heart of the BHSS
 /// receiver's pre-despreading interference suppression:
 ///  * windowed-sinc low-pass design (used against wide-band jammers,
 ///    eq. (4) of the paper),
 ///  * frequency-sampling "whitening" excision design (used against
 ///    narrow-band jammers, eq. (3) of the paper),
-///  * a stateful direct-form filter for streaming use and an
-///    overlap-save FFT convolver for fast block processing.
+///  * an overlap-save FFT convolver, the one way a designed filter is
+///    applied (the suppression filters and the noise jammer's shaper).
 
 #include <memory>
 
@@ -19,62 +19,28 @@
 
 namespace bhss::dsp {
 
-/// Streaming direct-form FIR filter with complex taps.
-/// y[n] = sum_k taps[k] * x[n-k], with zero initial state.
-///
-/// The delay line is stored twice, back to back ("doubled history"), so
-/// the accumulation over the last N samples is a single linear walk —
-/// no per-tap wrap branch, and the compiler can vectorise the dot
-/// product. Each write costs two stores; each of the N reads costs
-/// nothing extra.
-class FirFilter {
- public:
-  /// Construct from complex taps; must be non-empty.
-  explicit FirFilter(cvec taps);
-
-  /// Construct from real taps (most designed filters are linear-phase real).
-  explicit FirFilter(fspan real_taps);
-
-  /// Clear the delay line.
-  void reset() noexcept;
-
-  /// Filter a single sample.
-  [[nodiscard]] BHSS_HOT cf process(cf in) noexcept;
-
-  /// Filter a block; output has the same length as input.
-  [[nodiscard]] cvec process(cspan in);
-
-  [[nodiscard]] const cvec& taps() const noexcept { return taps_; }
-  [[nodiscard]] std::size_t order() const noexcept { return taps_.size() - 1; }
-
- private:
-  cvec taps_;
-  cvec history_;      ///< doubled delay line: slot i and i + N hold the same sample
-  std::size_t head_;  ///< slot (in [0, N)) of the most recent sample
-  cvec ext_;          ///< block-path scratch: history prefix + input, contiguous
-};
-
-/// Immutable, shareable frequency-domain convolution plan: the tap
-/// spectrum plus the FFT geometry derived from the tap count. Building
+/// Immutable, shareable frequency-domain convolution plan: a designed
+/// filter's taps, their spectrum, and the FFT geometry derived from the
+/// tap count. It is the one representation of a designed filter. Building
 /// one costs a forward FFT of the taps; `FftConvolver`s constructed from
 /// the same plan share it by pointer, which is what makes the per-hop
 /// filter-design cache effective — a cache hit re-uses the taps spectrum
 /// instead of re-transforming the taps every packet.
 struct ConvolverPlan {
-  std::size_t num_taps;
+  cvec taps;
   std::size_t fft_size;
   std::size_t block_size;
   Fft fft;
   cvec taps_spectrum;
 
-  /// Build a plan for a tap set (non-empty, finite).
-  [[nodiscard]] static std::shared_ptr<const ConvolverPlan> make(cspan taps);
+  /// Build a plan for a tap set (non-empty, finite); the plan keeps it.
+  [[nodiscard]] static std::shared_ptr<const ConvolverPlan> make(cvec taps);
 };
 
-/// Overlap-save block convolver. Produces exactly the same output as a
-/// freshly reset FirFilter (causal, zero initial state, output length ==
-/// input length) but in O(N log N) — essential for the high filter orders
-/// the paper uses (up to 3181 taps).
+/// Overlap-save block convolver: causal filtering with zero initial state
+/// and output length == input length, y[n] = sum_k taps[k] * x[n-k], in
+/// O(N log N) — essential for the high filter orders the paper uses (up
+/// to 3181 taps).
 ///
 /// A reusable FFT workspace lives in the convolver, so `filter` performs
 /// exactly one allocation (the output buffer) regardless of how many
@@ -95,7 +61,7 @@ class FftConvolver {
   /// allocation-free once `out` has capacity.
   BHSS_HOT void filter(cspan x, cvec& out);
 
-  [[nodiscard]] std::size_t num_taps() const noexcept { return plan_->num_taps; }
+  [[nodiscard]] std::size_t num_taps() const noexcept { return plan_->taps.size(); }
 
  private:
   std::shared_ptr<const ConvolverPlan> plan_;
@@ -139,11 +105,8 @@ class FftConvolver {
 [[nodiscard]] cvec design_excision_whitening(fspan psd, double floor_rel = 1e-6,
                                              double passband_frac = 1.0);
 
-/// Complex frequency response of a tap set evaluated at `nfft` points
-/// (natural FFT order). For tests and plotting.
-[[nodiscard]] cvec frequency_response(cspan taps, std::size_t nfft);
-
-/// |H(f)|^2 of a tap set at `nfft` points, natural FFT order.
+/// |H(f)|^2 of a tap set at `nfft` points, natural FFT order. For tests
+/// and plotting.
 [[nodiscard]] fvec power_response(cspan taps, std::size_t nfft);
 
 /// Widen real taps into complex ones.

@@ -13,7 +13,6 @@ namespace bhss::dsp::simd {
 #if defined(BHSS_SIMD_AVX2)
 
 namespace avx2 {
-void fir_filter_block(const cf*, std::size_t, const cf*, cf*, std::size_t);
 void fir_decimate_real(const float*, std::size_t, const cf*, cf*, std::size_t, std::size_t);
 void correlate_lags(const cf*, const cf*, std::size_t, cf*, std::size_t);
 void despread_correlate16(const cf*, std::size_t, const float*, const float*, const float*, cf*);
@@ -37,15 +36,6 @@ constexpr bool kUseAvx2 = false;
 #endif
 
 const char* active_isa() noexcept { return kUseAvx2 ? "avx2" : "scalar"; }
-
-void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                      std::size_t n_out) {
-  if (kUseAvx2) {
-    avx2::fir_filter_block(taps, n_taps, x, out, n_out);
-  } else {
-    scalar::fir_filter_block(taps, n_taps, x, out, n_out);
-  }
-}
 
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {

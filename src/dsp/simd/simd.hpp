@@ -11,9 +11,6 @@
 /// vectorization axis of each kernel is chosen so the per-output
 /// accumulation order is exactly the scalar order.
 ///
-///  * `fir_filter_block`      — vectorized across *outputs*; the tap
-///    index k walks sequentially, so each output accumulates in the same
-///    order as the streaming `FirFilter::process(cf)` path.
 ///  * `fir_decimate_real`     — matched-filter output at the sampling
 ///    instants only (the demodulator discards everything between them);
 ///    vectorized across outputs via gathers, k sequential per output.
@@ -80,13 +77,6 @@ namespace bhss::dsp::simd {
 //
 // All pointers must be valid over the documented ranges; in-place aliasing
 // is only allowed where a parameter is documented as in/out.
-
-/// Block FIR: out[i] = sum_{k=0}^{n_taps-1} taps[k] * x[i + n_taps-1 - k]
-/// for i in [0, n_out). `x` must hold n_out + n_taps - 1 samples: the
-/// n_taps-1 history samples first, then the fresh input. Accumulation is
-/// k-ascending (newest sample first), matching FirFilter's streaming path.
-BHSS_HOT void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                               std::size_t n_out);
 
 /// Decimating real-tap FIR (matched-filter sampling instants only):
 /// out[m] = sum_{k=0}^{n_taps-1} taps[k] * x[m*stride + n_taps-1 - k]

@@ -331,12 +331,26 @@ double ParallelLinkRunner::min_snr_for_per(const std::string& point_id,
                "partial-shard PER would steer each worker down a different bisection "
                "path; compute bisections in the publish pass");
   std::size_t probe = 0;
-  return core::min_snr_for_per(
-      cfg,
-      [this, &point_id, &probe](const core::SimConfig& c) {
-        return run_point(point_id + "/p" + std::to_string(probe++), c).per();
-      },
-      target_per, lo_db, hi_db, tol_db);
+  auto per_at = [&](double snr_db) {
+    core::SimConfig c = cfg;
+    c.snr_db = snr_db;
+    return run_point(point_id + "/p" + std::to_string(probe++), c).per();
+  };
+
+  if (per_at(hi_db) > target_per) return hi_db;  // unreachable even at max power
+  if (per_at(lo_db) <= target_per) return lo_db;
+
+  double lo = lo_db;
+  double hi = hi_db;
+  while (hi - lo > tol_db) {
+    const double mid = 0.5 * (lo + hi);
+    if (per_at(mid) <= target_per) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
 }
 
 core::LinkStats merge_point_results(const std::vector<core::LinkStats>& stats,

@@ -117,10 +117,15 @@ class ParallelLinkRunner {
   [[nodiscard]] core::LinkStats run_point(const std::string& point_id,
                                           const core::SimConfig& cfg);
 
-  /// Paper §6.3 bisection with every PER probe checkpointed as its own
-  /// work unit (`<point_id>/p<n>`). The probe sequence is deterministic
-  /// because every probe's PER is, so a resumed bisection walks the same
-  /// SNR path and reuses the journaled probes.
+  /// Paper §6.3 measurement: the minimum SNR (dB) at which the packet
+  /// loss stays at or below `target_per`, found by bisection over
+  /// [lo_db, hi_db] to within `tol_db`. Returns hi_db when even the
+  /// highest SNR misses the target, lo_db when the lowest already meets
+  /// it. Probes run in the order hi_db, lo_db, then the midpoints, each
+  /// checkpointed as its own work unit (`<point_id>/p<n>`, n counting
+  /// from 0). The probe sequence is deterministic because every probe's
+  /// PER is, so a resumed bisection walks the same SNR path and reuses
+  /// the journaled probes.
   ///
   /// Refuses to run under a distributing partition: each probe's PER
   /// would be computed from a partial shard slice, so different workers

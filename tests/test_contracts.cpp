@@ -94,13 +94,13 @@ TEST(LibraryContracts, FftRejectsNonPowerOfTwo) {
   EXPECT_THROW(dsp::Fft fft(100), contract_violation);
 }
 
-TEST(LibraryContracts, FirFilterRejectsEmptyTaps) {
-  EXPECT_THROW(dsp::FirFilter f(dsp::cvec{}), contract_violation);
+TEST(LibraryContracts, ConvolverPlanRejectsEmptyTaps) {
+  EXPECT_THROW(auto p = dsp::ConvolverPlan::make(dsp::cvec{}), contract_violation);
 }
 
-TEST(LibraryContracts, FirFilterRejectsNonFiniteTaps) {
+TEST(LibraryContracts, ConvolverPlanRejectsNonFiniteTaps) {
   dsp::cvec taps{{1.0F, 0.0F}, {std::numeric_limits<float>::quiet_NaN(), 0.0F}};
-  EXPECT_THROW(dsp::FirFilter f(std::move(taps)), contract_violation);
+  EXPECT_THROW(auto p = dsp::ConvolverPlan::make(std::move(taps)), contract_violation);
 }
 
 TEST(LibraryContracts, DesignLowpassRejectsBadCutoff) {

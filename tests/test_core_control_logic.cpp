@@ -57,8 +57,8 @@ TEST(ControlLogic, NarrowbandJammerTriggersExcision) {
   const dsp::cvec slice = make_slice(bands, 0, 15.0, 25.0, 1.0 / 32.0, 20);
   const FilterDecision d = logic.decide(slice, 0);
   EXPECT_EQ(d.kind, FilterDecision::Kind::excision);
-  EXPECT_FALSE(d.taps.empty());
-  EXPECT_EQ(d.group_delay, d.taps.size() / 2);
+  ASSERT_NE(d.plan, nullptr);
+  EXPECT_EQ(d.group_delay, d.plan->taps.size() / 2);
   EXPECT_GT(d.inband_peak_over_median_db, 7.0);
 }
 
@@ -70,7 +70,8 @@ TEST(ControlLogic, WidebandJammerTriggersLowpass) {
   const dsp::cvec slice = make_slice(bands, 2, 15.0, 25.0, 0.5, 30);
   const FilterDecision d = logic.decide(slice, 2);
   EXPECT_EQ(d.kind, FilterDecision::Kind::lowpass);
-  EXPECT_FALSE(d.taps.empty());
+  ASSERT_NE(d.plan, nullptr);
+  EXPECT_FALSE(d.plan->taps.empty());
 }
 
 TEST(ControlLogic, MatchedJammerMeansNoFilter) {
@@ -98,10 +99,12 @@ TEST(ControlLogic, ForcedPathsAlwaysProduceTaps) {
   const dsp::cvec slice = make_slice(bands, 1, 10.0, -300.0, 1.0, 60);
   const FilterDecision lp = logic.force_lowpass(1);
   EXPECT_EQ(lp.kind, FilterDecision::Kind::lowpass);
-  EXPECT_FALSE(lp.taps.empty());
+  ASSERT_NE(lp.plan, nullptr);
+  EXPECT_FALSE(lp.plan->taps.empty());
   const FilterDecision ex = logic.force_excision(slice, 1);
   EXPECT_EQ(ex.kind, FilterDecision::Kind::excision);
-  EXPECT_EQ(ex.taps.size(), logic.config().psd_fft);
+  ASSERT_NE(ex.plan, nullptr);
+  EXPECT_EQ(ex.plan->taps.size(), logic.config().psd_fft);
 }
 
 TEST(ControlLogic, LowpassBankCutoffTracksBandwidth) {
@@ -147,7 +150,7 @@ TEST(ControlLogic, DegeneratePsdFallsBackToNoFilterInsteadOfThrowing) {
   const FilterDecision adaptive = logic.decide(silence, 0);
   EXPECT_EQ(adaptive.kind, FilterDecision::Kind::none);
   EXPECT_TRUE(adaptive.degenerate_psd);
-  EXPECT_TRUE(adaptive.taps.empty());
+  EXPECT_EQ(adaptive.plan, nullptr);
 
   const FilterDecision forced = logic.force_excision(silence, 0);
   EXPECT_EQ(forced.kind, FilterDecision::Kind::none);

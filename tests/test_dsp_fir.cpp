@@ -1,6 +1,6 @@
-// Unit tests for FIR filtering and design: streaming filter semantics, the
-// overlap-save convolver's equivalence to the direct form, windowed-sinc
-// low-pass specs, and the eq. (3) excision filter's notch behaviour.
+// Unit tests for FIR filtering and design: the overlap-save convolver's
+// equivalence to a direct-form convolution, windowed-sinc low-pass specs,
+// and the eq. (3) excision filter's notch behaviour.
 
 #include <gtest/gtest.h>
 
@@ -22,44 +22,14 @@ cvec random_signal(std::size_t n, unsigned seed) {
   return x;
 }
 
-TEST(FirFilter, IdentityTap) {
-  FirFilter f{cvec{cf{1.0F, 0.0F}}};
-  const cvec x = random_signal(32, 1);
-  const cvec y = f.process(x);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(FirFilter, PureDelay) {
-  cvec taps(4, cf{0.0F, 0.0F});
-  taps[3] = cf{1.0F, 0.0F};
-  FirFilter f{std::move(taps)};
-  const cvec x = random_signal(16, 2);
-  const cvec y = f.process(x);
-  for (std::size_t i = 3; i < x.size(); ++i) {
-    EXPECT_NEAR(std::abs(y[i] - x[i - 3]), 0.0F, 1e-6F);
+/// y[n] = sum_k taps[k] * x[n-k] with zero initial state, output length
+/// == input length: the direct form the overlap-save convolver computes.
+cvec direct_convolution(const cvec& taps, const cvec& x) {
+  cvec y(x.size(), cf{0.0F, 0.0F});
+  for (std::size_t n = 0; n < x.size(); ++n) {
+    for (std::size_t k = 0; k < taps.size() && k <= n; ++k) y[n] += taps[k] * x[n - k];
   }
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(std::abs(y[i]), 0.0F, 1e-6F);
-}
-
-TEST(FirFilter, MovingAverage) {
-  FirFilter f{cvec{cf{0.5F, 0.0F}, cf{0.5F, 0.0F}}};
-  const cvec x = {cf{2.0F, 0.0F}, cf{4.0F, 0.0F}, cf{6.0F, 0.0F}};
-  const cvec y = f.process(x);
-  EXPECT_NEAR(y[0].real(), 1.0F, 1e-6F);  // history starts at zero
-  EXPECT_NEAR(y[1].real(), 3.0F, 1e-6F);
-  EXPECT_NEAR(y[2].real(), 5.0F, 1e-6F);
-}
-
-TEST(FirFilter, ResetClearsHistory) {
-  FirFilter f{cvec{cf{0.0F, 0.0F}, cf{1.0F, 0.0F}}};
-  (void)f.process(cf{5.0F, 0.0F});
-  f.reset();
-  EXPECT_NEAR(std::abs(f.process(cf{1.0F, 0.0F})), 0.0F, 1e-7F);
-}
-
-TEST(FirFilter, RejectsEmptyTaps) {
-  EXPECT_THROW(FirFilter{cvec{}}, std::invalid_argument);
+  return y;
 }
 
 struct ConvolverCase {
@@ -71,11 +41,10 @@ class ConvolverVsDirect : public ::testing::TestWithParam<ConvolverCase> {};
 
 TEST_P(ConvolverVsDirect, IdenticalOutput) {
   const auto [n_taps, n_sig] = GetParam();
-  cvec taps = random_signal(n_taps, 11);
+  const cvec taps = random_signal(n_taps, 11);
   const cvec x = random_signal(n_sig, 12);
 
-  FirFilter direct{taps};
-  const cvec expected = direct.process(x);
+  const cvec expected = direct_convolution(taps, x);
 
   FftConvolver fast{cspan{taps}};
   const cvec got = fast.filter(x);

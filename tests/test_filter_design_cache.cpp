@@ -37,7 +37,7 @@ FilterDesignKey key_of(std::size_t bw, std::uint64_t word) {
 
 FilterDesignEntry entry_of(float tap) {
   FilterDesignEntry e;
-  e.taps = {dsp::cf{tap, 0.0F}};
+  e.plan = dsp::ConvolverPlan::make({dsp::cf{tap, 0.0F}});
   e.group_delay = 0;
   return e;
 }
@@ -49,7 +49,7 @@ TEST(FilterDesignCache, CountsHitsAndMisses) {
   cache.insert(key_of(0, 1), entry_of(2.0F));
   const FilterDesignEntry* e = cache.find(key_of(0, 1));
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->taps[0].real(), 2.0F);
+  EXPECT_EQ(e->plan->taps[0].real(), 2.0F);
   EXPECT_EQ(cache.hits(), 1U);
   EXPECT_EQ(cache.misses(), 1U);
   // Same mask at a different bandwidth level is a different design.
@@ -119,7 +119,8 @@ TEST(FilterDesignCache, RepeatDesignIsAHitAndBitIdentical) {
   ASSERT_NE(first.plan, nullptr);
 
   const FilterDecision second = logic.force_excision(slice, 0);
-  expect_same_taps(first.taps, second.taps);
+  ASSERT_NE(second.plan, nullptr);
+  expect_same_taps(first.plan->taps, second.plan->taps);
   EXPECT_EQ(second.group_delay, first.group_delay);
   EXPECT_EQ(second.plan, first.plan);  // the plan itself is shared, not rebuilt
   EXPECT_EQ(logic.design_cache().hits(), 1U);
@@ -138,8 +139,10 @@ TEST(FilterDesignCache, DisabledCacheYieldsBitIdenticalTaps) {
   const FilterDecision a2 = cached.force_excision(slice, 0);  // from the cache
   const FilterDecision b = fresh.force_excision(slice, 0);
   ASSERT_NE(b.plan, nullptr);  // a plan still ships with an uncached design
-  expect_same_taps(a1.taps, b.taps);
-  expect_same_taps(a2.taps, b.taps);
+  ASSERT_NE(a1.plan, nullptr);
+  ASSERT_NE(a2.plan, nullptr);
+  expect_same_taps(a1.plan->taps, b.plan->taps);
+  expect_same_taps(a2.plan->taps, b.plan->taps);
   EXPECT_EQ(fresh.design_cache().hits(), 0U);
   EXPECT_EQ(fresh.design_cache().misses(), 0U);
 }
