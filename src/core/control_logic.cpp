@@ -69,15 +69,15 @@ ControlLogic::ControlLogic(ControlLogicConfig config, const BandwidthSet& bands)
   // Pre-compute the low-pass bank, one filter per bandwidth level, exactly
   // as the paper's implementation does ("we pre-compute the taps of all
   // possible low-pass filters in advance", §6.1) — as the
-  // frequency-domain convolution plan each one will be applied with.
+  // frequency-domain convolution plan each one will be applied with,
+  // shared with every other ControlLogic of the same configuration.
   lpf_plan_.reserve(bands_.size());
   for (std::size_t i = 0; i < bands_.size(); ++i) {
     const double cutoff = lpf_cutoff_frac(i);
     const double transition = std::max(0.25 * cutoff, 1e-4);
     const std::size_t n_taps =
         dsp::lowpass_num_taps(transition, config_.lpf_atten_db, config_.max_lpf_taps);
-    lpf_plan_.push_back(dsp::ConvolverPlan::make(
-        dsp::to_complex(dsp::design_lowpass(n_taps, cutoff, dsp::Window::blackman))));
+    lpf_plan_.push_back(dsp::lowpass_plan(n_taps, cutoff, dsp::Window::blackman));
   }
 }
 
@@ -131,13 +131,13 @@ FilterDecision ControlLogic::force_lowpass(std::size_t bw_index) const {
 FilterDecision ControlLogic::force_excision(dsp::cspan slice, std::size_t bw_index,
                                             const obs::LinkObs& o) const {
   BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::choose_filter);
-  return design_excision(slice, bw_index, o);
+  return design_excision(estimate_psd(slice, design_fft(bw_index)), bw_index, o);
 }
 
-FilterDecision ControlLogic::design_excision(dsp::cspan slice, std::size_t bw_index,
+FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size_t bw_index,
                                              const obs::LinkObs& o) const {
-  const std::size_t n = design_fft(bw_index);
-  dsp::fvec psd = smooth_psd(estimate_psd(slice, n), std::max<std::size_t>(1, n / 512));
+  const std::size_t n = raw_psd.size();
+  dsp::fvec psd = smooth_psd(raw_psd, std::max<std::size_t>(1, n / 512));
   const double passband = std::min(1.0, 2.0 * lpf_cutoff_frac(bw_index));
 
   // Eq. (3) divides by sqrt(P): a degenerate estimate — every bin zero
@@ -305,8 +305,13 @@ FilterDecision ControlLogic::decide(dsp::cspan slice, std::size_t bw_index,
              est_jam_bw <= config_.excision_match_guard * signal_frac) {
     // Narrow-band jammer: a strong peak inside the signal band. Eq. (10)
     // guard: when the jammer occupies almost the whole signal band,
-    // excising it removes the signal too — better not to filter.
-    d = design_excision(slice, bw_index, o);
+    // excising it removes the signal too — better not to filter. The
+    // design estimates the same PSD again unless its size is this one's,
+    // which it is on every paper level once the slice holds eight
+    // segments of it.
+    const std::size_t n_design = design_fft(bw_index);
+    d = n == n_design ? design_excision(psd, bw_index, o)
+                      : design_excision(estimate_psd(slice, n_design), bw_index, o);
   }
   d.est_jammer_bw_frac = est_jam_bw;
   d.inband_peak_over_median_db = peak_over_median_db;

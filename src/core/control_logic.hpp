@@ -137,8 +137,8 @@ class ControlLogic {
   [[nodiscard]] dsp::fvec estimate_psd(dsp::cspan slice, std::size_t fft_size) const;
 
   /// force_excision without its timing scope, so that decide() does not
-  /// time the design twice.
-  [[nodiscard]] FilterDecision design_excision(dsp::cspan slice, std::size_t bw_index,
+  /// time the design twice, from the slice's PSD at design_fft(bw_index).
+  [[nodiscard]] FilterDecision design_excision(const dsp::fvec& raw_psd, std::size_t bw_index,
                                                const obs::LinkObs& o) const;
 
   /// FFT size for jammer *detection*: large enough that the signal band

@@ -117,8 +117,11 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     // preamble symbols are fixed, the scrambler and the schedule come
     // from the shared random source).
     const std::vector<std::uint8_t> preamble_syms(phy::FrameSpec::preamble_symbols, 0);
-    const dsp::cvec reference = BhssTransmitter::modulate_symbols(
-        preamble_syms, preamble_syms.size(), schedule, scrambler_seed);
+    const sync::PreambleSync unfiltered(
+        BhssTransmitter::modulate_symbols(preamble_syms, preamble_syms.size(), schedule,
+                                          scrambler_seed),
+        config_.sync_threshold);
+    const dsp::cvec& reference = unfiltered.reference();
 
     // Bounded re-acquisition state machine. Attempt 1 is the paper's
     // chain (Fig. 6): decide a filter from the acquisition window, apply
@@ -146,14 +149,17 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
           choose_filter(window, schedule.segments.front().bw_index, o);
       if (decision.degenerate_psd) ++result.filter_fallbacks;
 
-      dsp::cvec sync_window(window.begin(), window.end());
-      dsp::cvec sync_ref = reference;
+      // With a filter, the window and the reference are filtered straight
+      // from the capture; without one, both are searched as they are.
+      dsp::cvec filtered_window;
+      std::optional<sync::PreambleSync> filtered;
       if (decision.kind != FilterDecision::Kind::none) {
         dsp::FftConvolver convolver{decision.plan};
-        sync_window = convolver.filter(sync_window);
-        sync_ref = convolver.filter(sync_ref);
+        convolver.filter(window, filtered_window);
+        filtered.emplace(convolver.filter(reference), config_.sync_threshold);
       }
-      const sync::PreambleSync acquirer(std::move(sync_ref), config_.sync_threshold);
+      const dsp::cspan sync_window = filtered ? dsp::cspan{filtered_window} : window;
+      const sync::PreambleSync& acquirer = filtered ? *filtered : unfiltered;
       est = acquirer.acquire(sync_window, max_lag, threshold, o.sink());
       ++result.sync_attempts;
       // A retry runs with a lowered threshold over a widened window, where

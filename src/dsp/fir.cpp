@@ -1,8 +1,13 @@
 #include "dsp/fir.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <numbers>
+#include <tuple>
 
 #include "core/contracts.hpp"
 #include "dsp/simd/simd.hpp"
@@ -100,6 +105,17 @@ fvec design_lowpass(std::size_t num_taps, double cutoff, Window window) {
   }
   BHSS_ENSURE(all_finite(fspan{taps}), "design_lowpass: produced non-finite taps");
   return taps;
+}
+
+std::shared_ptr<const ConvolverPlan> lowpass_plan(std::size_t num_taps, double cutoff,
+                                                  Window window) {
+  using Key = std::tuple<std::size_t, std::uint64_t, Window>;
+  static std::mutex mutex;
+  static std::map<Key, std::shared_ptr<const ConvolverPlan>> memo;
+  const std::scoped_lock lock(mutex);
+  auto& slot = memo[Key{num_taps, std::bit_cast<std::uint64_t>(cutoff), window}];
+  if (!slot) slot = ConvolverPlan::make(to_complex(design_lowpass(num_taps, cutoff, window)));
+  return slot;
 }
 
 std::size_t lowpass_num_taps(double transition_width, double atten_db, std::size_t max_taps) {

@@ -76,6 +76,18 @@ class FftConvolver {
 [[nodiscard]] fvec design_lowpass(std::size_t num_taps, double cutoff,
                                   Window window = Window::hamming);
 
+/// The plan of design_lowpass(num_taps, cutoff, window) with its taps
+/// widened to complex, built once per process: a mutex-guarded memo keyed
+/// on (num_taps, the bits of cutoff, window), like the FFT plan cache,
+/// hands every later call the same immutable plan. The low-pass bank of
+/// every ControlLogic and the shaper of every NoiseJammer come from here,
+/// so shards and jammers that ask for one design share one plan. The memo
+/// keeps each distinct design for the life of the process (a 2049-tap
+/// shaper's plan is about 144 KB: its 16384-point taps spectrum and the
+/// taps themselves).
+[[nodiscard]] std::shared_ptr<const ConvolverPlan> lowpass_plan(std::size_t num_taps,
+                                                                double cutoff, Window window);
+
 /// Kaiser estimate of the number of taps needed for a given transition
 /// width (normalised, cycles/sample) and stop-band attenuation in dB.
 /// Result is forced odd and clamped to [3, max_taps].

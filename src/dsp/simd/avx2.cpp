@@ -50,10 +50,15 @@ inline __m256 cmul4(__m256 w, __m256 z) {
   return _mm256_addsub_ps(_mm256_mul_ps(wr, z), _mm256_mul_ps(wi, zs));
 }
 
-/// Broadcast-times-vector complex product: t * z for scalar t = (tr, ti).
-inline __m256 cmul_bcast4(__m256 tr, __m256 ti, __m256 z) {
-  const __m256 zs = _mm256_permute_ps(z, 0xB1);
+/// Broadcast-times-vector complex product t * z for scalar t = (tr, ti),
+/// given zs, z with re and im exchanged.
+inline __m256 cmul_bcast4(__m256 tr, __m256 ti, __m256 z, __m256 zs) {
   return _mm256_addsub_ps(_mm256_mul_ps(tr, z), _mm256_mul_ps(ti, zs));
+}
+
+/// The same product, exchanging z's re and im itself.
+inline __m256 cmul_bcast4(__m256 tr, __m256 ti, __m256 z) {
+  return cmul_bcast4(tr, ti, z, _mm256_permute_ps(z, 0xB1));
 }
 
 /// Duplicate four packed floats pairwise into a __m256: [w0 w0 w1 w1 w2 w2 w3 w3].
@@ -85,14 +90,79 @@ void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* o
 }
 
 void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std::size_t n_lags) {
+  // Blocks of 32 lags: one sweep of the reference feeds eight independent
+  // accumulators, so the adds of one k overlap instead of each waiting on
+  // the previous k's add; every lag still sums its products in k order.
+  // The accumulators are named registers on purpose: at -O2 GCC keeps an
+  // array of __m256 in memory, and that loop ran slower than the
+  // two-accumulator one below. A block's sweep loads each sample 32
+  // times, so instead of exchanging re and im after every load, each strip
+  // of up to kStrip steps of k gets one exchanged copy on the stack, and
+  // the sweep loads both.
+  constexpr std::size_t kStrip = 256;
+  alignas(32) float swapped[2 * (kStrip + 32)] = {};
   std::size_t l = 0;
+  for (; l + 32 <= n_lags; l += 32) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    __m256 acc4 = _mm256_setzero_ps();
+    __m256 acc5 = _mm256_setzero_ps();
+    __m256 acc6 = _mm256_setzero_ps();
+    __m256 acc7 = _mm256_setzero_ps();
+    for (std::size_t k0 = 0; k0 < n_ref; k0 += kStrip) {
+      const std::size_t n_k = std::min(kStrip, n_ref - k0);
+      const float* base = fp(x + l + k0);
+      // The strip's loads reach samples [0, n_k + 31) from base.
+      const std::size_t n_swap = n_k + 31;
+      std::size_t i = 0;
+      for (; i + 4 <= n_swap; i += 4) {
+        _mm256_store_ps(swapped + 2 * i, _mm256_permute_ps(_mm256_loadu_ps(base + 2 * i), 0xB1));
+      }
+      for (; i < n_swap; ++i) {
+        swapped[2 * i] = base[2 * i + 1];
+        swapped[2 * i + 1] = base[2 * i];
+      }
+      for (std::size_t k = 0; k < n_k; ++k) {
+        // conj(ref[k]) broadcast: negating the float imag flips exactly the
+        // sign bit, matching std::conj.
+        const __m256 cr = _mm256_set1_ps(ref[k0 + k].real());
+        const __m256 ci = _mm256_set1_ps(-ref[k0 + k].imag());
+        const float* p = base + 2 * k;
+        const float* q = swapped + 2 * k;
+        acc0 = _mm256_add_ps(acc0, cmul_bcast4(cr, ci, _mm256_loadu_ps(p), _mm256_loadu_ps(q)));
+        acc1 = _mm256_add_ps(acc1, cmul_bcast4(cr, ci, _mm256_loadu_ps(p + 8),
+                                               _mm256_loadu_ps(q + 8)));
+        acc2 = _mm256_add_ps(acc2, cmul_bcast4(cr, ci, _mm256_loadu_ps(p + 16),
+                                               _mm256_loadu_ps(q + 16)));
+        acc3 = _mm256_add_ps(acc3, cmul_bcast4(cr, ci, _mm256_loadu_ps(p + 24),
+                                               _mm256_loadu_ps(q + 24)));
+        acc4 = _mm256_add_ps(acc4, cmul_bcast4(cr, ci, _mm256_loadu_ps(p + 32),
+                                               _mm256_loadu_ps(q + 32)));
+        acc5 = _mm256_add_ps(acc5, cmul_bcast4(cr, ci, _mm256_loadu_ps(p + 40),
+                                               _mm256_loadu_ps(q + 40)));
+        acc6 = _mm256_add_ps(acc6, cmul_bcast4(cr, ci, _mm256_loadu_ps(p + 48),
+                                               _mm256_loadu_ps(q + 48)));
+        acc7 = _mm256_add_ps(acc7, cmul_bcast4(cr, ci, _mm256_loadu_ps(p + 56),
+                                               _mm256_loadu_ps(q + 56)));
+      }
+    }
+    float* o = fp(out + l);
+    _mm256_storeu_ps(o, acc0);
+    _mm256_storeu_ps(o + 8, acc1);
+    _mm256_storeu_ps(o + 16, acc2);
+    _mm256_storeu_ps(o + 24, acc3);
+    _mm256_storeu_ps(o + 32, acc4);
+    _mm256_storeu_ps(o + 40, acc5);
+    _mm256_storeu_ps(o + 48, acc6);
+    _mm256_storeu_ps(o + 56, acc7);
+  }
   for (; l + 8 <= n_lags; l += 8) {
     __m256 acc0 = _mm256_setzero_ps();
     __m256 acc1 = _mm256_setzero_ps();
     const float* base = fp(x + l);
     for (std::size_t k = 0; k < n_ref; ++k) {
-      // conj(ref[k]) broadcast: negating the float imag flips exactly the
-      // sign bit, matching std::conj.
       const __m256 cr = _mm256_set1_ps(ref[k].real());
       const __m256 ci = _mm256_set1_ps(-ref[k].imag());
       const float* p = base + 2 * k;

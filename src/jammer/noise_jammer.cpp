@@ -13,10 +13,8 @@ NoiseJammer::NoiseJammer(double bandwidth_frac, std::uint64_t seed, std::size_t 
                "NoiseJammer: bandwidth_frac must be in (0, 1]");
   if (bandwidth_frac < 1.0) {
     // Low-pass at half the two-sided bandwidth; complex baseband noise then
-    // occupies [-bw/2, +bw/2].
-    const dsp::fvec taps =
-        dsp::design_lowpass(num_taps | 1, bandwidth_frac / 2.0, dsp::Window::blackman);
-    shaper_.emplace(dsp::cspan{dsp::to_complex(taps)});
+    // occupies [-bw/2, +bw/2]. Jammers of one bandwidth share the plan.
+    shaper_.emplace(dsp::lowpass_plan(num_taps | 1, bandwidth_frac / 2.0, dsp::Window::blackman));
   }
 }
 

@@ -3,13 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "channel/awgn.hpp"
 #include "core/control_logic.hpp"
 #include "core/transmitter.hpp"
 #include "dsp/utils.hpp"
 #include "jammer/noise_jammer.hpp"
+#include "phy/frame.hpp"
 
 namespace bhss::core {
 namespace {
@@ -129,6 +132,63 @@ TEST(ControlLogic, EstimatorAblationStillDetects) {
     EXPECT_EQ(d.kind, FilterDecision::Kind::excision)
         << "method " << static_cast<int>(method);
   }
+}
+
+// decide() hands its detection PSD to the excision design when the two
+// FFT sizes agree, as they do on a slice of eight design-size segments,
+// and estimates the design PSD itself when they differ, as on a slice of
+// two. Either way the taps must be force_excision's on the same slice.
+TEST(ControlLogic, ExcisionFromDecideIsForceExcisionBitForBit) {
+  const BandwidthSet bands = BandwidthSet::paper();
+  ControlLogicConfig cfg;
+  cfg.design_cache_capacity = 0;
+  const ControlLogic logic(cfg, bands);
+  std::size_t short_excisions = 0;
+  for (std::size_t level = 0; level < bands.size(); ++level) {
+    // A BHSS waveform of at least eight design-size segments at 15 dB
+    // SNR, with a 25 dB tone inside the signal band.
+    SystemConfig sys;
+    sys.pattern = HopPattern::fixed(bands, level);
+    sys.hopping = false;
+    sys.fixed_bw_index = level;
+    const std::size_t symbol_len = 32 * bands.sps(level);
+    const std::vector<std::uint8_t> payload(
+        std::min(phy::FrameSpec::max_payload, 8 + 32768 / (2 * symbol_len)), 0x5A);
+    dsp::cvec wave = BhssTransmitter(sys).transmit(payload, 90 + level).samples;
+    dsp::scale_to_power(dsp::cspan_mut{wave}, dsp::db_to_linear(15.0));
+    const double f_tone = 0.2 * bands.bandwidth_frac(level);
+    const auto g = static_cast<float>(std::sqrt(dsp::db_to_linear(25.0)));
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      const double ph = 2.0 * 3.141592653589793 * f_tone * static_cast<double>(i);
+      wave[i] += dsp::cf{g * static_cast<float>(std::cos(ph)), g * static_cast<float>(std::sin(ph))};
+    }
+    channel::AwgnSource noise(190 + level);
+    noise.add_to(dsp::cspan_mut{wave}, 1.0);
+
+    const std::size_t design_fft = logic.force_excision(wave, level).plan->taps.size();
+    ASSERT_GE(wave.size(), 8 * design_fft) << "level " << level;
+    for (const std::size_t segments : {std::size_t{8}, std::size_t{2}}) {
+      const dsp::cspan slice = dsp::cspan{wave}.first(segments * design_fft);
+      const FilterDecision d = logic.decide(slice, level);
+      if (d.kind != FilterDecision::Kind::excision) {
+        ASSERT_NE(segments, 8U) << "level " << level << ": the long slice must pick excision";
+        continue;
+      }
+      if (segments == 2) ++short_excisions;
+      const FilterDecision forced = logic.force_excision(slice, level);
+      ASSERT_NE(d.plan, nullptr);
+      ASSERT_NE(forced.plan, nullptr);
+      ASSERT_EQ(d.plan->taps.size(), forced.plan->taps.size())
+          << "level " << level << ", " << segments << " segments";
+      EXPECT_EQ(std::memcmp(d.plan->taps.data(), forced.plan->taps.data(),
+                            d.plan->taps.size() * sizeof(dsp::cf)),
+                0)
+          << "level " << level << ", " << segments << " segments";
+      EXPECT_EQ(d.group_delay, forced.group_delay);
+    }
+  }
+  // The short slices must reach the path where the sizes differ.
+  EXPECT_GT(short_excisions, 0U);
 }
 
 TEST(ControlLogic, RejectsBadPsdSize) {

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <latch>
+#include <memory>
 #include <numbers>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include "dsp/fir.hpp"
 #include "dsp/utils.hpp"
@@ -91,6 +96,50 @@ TEST(DesignLowpass, RejectsBadArgs) {
   EXPECT_THROW(design_lowpass(0, 0.1), std::invalid_argument);
   EXPECT_THROW(design_lowpass(11, 0.0), std::invalid_argument);
   EXPECT_THROW(design_lowpass(11, 0.5), std::invalid_argument);
+}
+
+TEST(LowpassPlan, RepeatCallsShareOnePlan) {
+  const auto a = lowpass_plan(101, 0.2, Window::blackman);
+  const auto b = lowpass_plan(101, 0.2, Window::blackman);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a, b);
+  // Any part of the key that differs is another design.
+  EXPECT_NE(lowpass_plan(103, 0.2, Window::blackman), a);
+  EXPECT_NE(lowpass_plan(101, std::nextafter(0.2, 1.0), Window::blackman), a);
+  EXPECT_NE(lowpass_plan(101, 0.2, Window::hamming), a);
+}
+
+TEST(LowpassPlan, TapsAreTheDesignBits) {
+  const fvec taps = design_lowpass(257, 0.05, Window::blackman);
+  const auto plan = lowpass_plan(257, 0.05, Window::blackman);
+  ASSERT_EQ(plan->taps.size(), taps.size());
+  for (std::size_t i = 0; i < taps.size(); ++i) {
+    const cf want{taps[i], 0.0F};
+    EXPECT_EQ(std::memcmp(&plan->taps[i], &want, sizeof(cf)), 0) << "tap " << i;
+  }
+  const auto fresh = ConvolverPlan::make(to_complex(taps));
+  ASSERT_EQ(plan->taps_spectrum.size(), fresh->taps_spectrum.size());
+  EXPECT_EQ(std::memcmp(plan->taps_spectrum.data(), fresh->taps_spectrum.data(),
+                        fresh->taps_spectrum.size() * sizeof(cf)),
+            0);
+}
+
+// Threads that ask for a design no call has asked for yet, all at once,
+// get one plan between them (run under TSan as well).
+TEST(LowpassPlan, ConcurrentFirstUseSharesOnePlan) {
+  constexpr std::size_t kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::shared_ptr<const ConvolverPlan>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&start, &got, t] {
+      start.arrive_and_wait();
+      got[t] = lowpass_plan(1023, 0.0123, Window::hann);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& plan : got) EXPECT_EQ(plan, got[0]);
 }
 
 TEST(LowpassNumTaps, MonotonicInSpecs) {

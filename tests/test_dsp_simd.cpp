@@ -110,9 +110,14 @@ TEST(DspSimd, FirDecimateRealMatchesScalarBitExact) {
   }
 }
 
+// Lags 1..72 reach two 32-lag blocks, the 8-lag loop and the scalar
+// tail; references of 257 and 2049 samples end on a one-step strip of the
+// AVX2 body's stack copy (256 steps of k per strip).
 TEST(DspSimd, CorrelateLagsMatchesScalarBitExact) {
-  for (std::size_t n_ref : {std::size_t{1}, std::size_t{5}, std::size_t{16}}) {
-    for (std::size_t n_lags = 1; n_lags <= kMaxLen; ++n_lags) {
+  constexpr std::size_t kMaxLags = 72;
+  for (std::size_t n_ref : {std::size_t{1}, std::size_t{5}, std::size_t{16}, std::size_t{257},
+                            std::size_t{2049}}) {
+    for (std::size_t n_lags = 1; n_lags <= kMaxLags; ++n_lags) {
       for (std::size_t off = 0; off <= kMaxOffset; ++off) {
         Offset<cf> x(n_lags - 1 + n_ref, off);
         Offset<cf> ref(n_ref, off);
