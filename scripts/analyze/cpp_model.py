@@ -53,7 +53,7 @@ class Param:
 
 @dataclass
 class FunctionInfo:
-    qname: str  # e.g. 'bhss::dsp::FftConvolver::filter'
+    qname: str  # e.g. 'bhss::dsp::ConvolverPlan::filter'
     file: str  # repo-relative posix path
     line: int
     params: list[Param] = field(default_factory=list)

@@ -9,10 +9,13 @@
 /// The stream is defined in-tree: MT19937-64 (the engine the C++ standard
 /// specifies) feeding the polar-method sequence of libstdc++'s
 /// `std::normal_distribution<float>`, drawn by `dsp::simd::gaussian_cf`.
-/// Only `logf` comes from libm, so the samples no longer depend on the
-/// C++ standard library. The kernel keeps `logf` a scalar libm call in
-/// every build: no vector log approximation and no fast-math, or the
-/// stream (and every golden downstream of it) would change.
+/// Its `logf` is the in-tree replica `dsp::simd::log_f32`, which returns
+/// glibc 2.36's bits on every positive normal float, so the samples
+/// depend on neither the C++ standard library nor the host's libm. The
+/// AVX2 kernel takes the logs of a block's accepted attempts four lanes
+/// at a time in double, the scalar reference one at a time; both give
+/// the same bits. No approximation and no fast-math, or the stream (and
+/// every golden downstream of it) would change.
 
 #include <cstdint>
 

@@ -40,8 +40,7 @@ FilterDecision BhssReceiver::choose_filter(dsp::cspan slice, std::size_t bw_inde
 }
 
 dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::size_t needed,
-                                       const FilterDecision& decision,
-                                       obs::TraceSink* trace) const {
+                                       const FilterDecision& decision, obs::TraceSink* trace) {
   BHSS_TRACE_SCOPE(trace, obs::TraceScopeId::filter_apply);
   if (decision.kind == FilterDecision::Kind::none) {
     dsp::cvec out(needed, dsp::cf{0.0F, 0.0F});
@@ -49,28 +48,19 @@ dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::s
     return out;
   }
 
-  // Filter a window with lead-in (so the filter is warmed up by real
-  // samples where they exist) and a zero-padded lead-out (so every
-  // group-delay-shifted read is defined even at the end of the capture),
-  // then pick the delay-compensated samples aligned with a0. The decision
-  // carries the shared convolution plan: no taps FFT here.
-  dsp::FftConvolver convolver{decision.plan};
-  const std::size_t k_taps = convolver.num_taps();
+  // Filter from a lead-in (so the filter is warmed up by real samples
+  // where they exist) and read the group-delay-compensated samples aligned
+  // with a0. The input stops at in_len samples, zero past the capture's
+  // end: a block that read real samples beyond it would change the bits.
+  // The decision carries the shared convolution plan: no taps FFT here.
+  const dsp::ConvolverPlan& plan = *decision.plan;
+  const std::size_t k_taps = plan.taps.size();
   const std::size_t lead = std::min(a0, k_taps);
-  const std::size_t begin = a0 - lead;
+  const std::size_t begin = std::min(a0 - lead, buffer.size());
   const std::size_t in_len = lead + needed + k_taps;
-
-  dsp::cvec padded(in_len, dsp::cf{0.0F, 0.0F});
-  for (std::size_t i = 0; i < in_len && begin + i < buffer.size(); ++i) {
-    padded[i] = buffer[begin + i];
-  }
-
-  const dsp::cvec filtered = convolver.filter(padded);
-
   dsp::cvec out(needed);
-  for (std::size_t i = 0; i < needed; ++i) {
-    out[i] = filtered[lead + decision.group_delay + i];
-  }
+  plan.filter(buffer.subspan(begin, std::min(in_len, buffer.size() - begin)),
+              lead + decision.group_delay, out);
   BHSS_ENSURE(dsp::all_finite(dsp::cspan{out}),
               "BhssReceiver: suppression filter produced non-finite samples");
   return out;
@@ -154,9 +144,11 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
       dsp::cvec filtered_window;
       std::optional<sync::PreambleSync> filtered;
       if (decision.kind != FilterDecision::Kind::none) {
-        dsp::FftConvolver convolver{decision.plan};
-        convolver.filter(window, filtered_window);
-        filtered.emplace(convolver.filter(reference), config_.sync_threshold);
+        filtered_window.resize(window.size());
+        decision.plan->filter(window, 0, filtered_window);
+        dsp::cvec filtered_reference(reference.size());
+        decision.plan->filter(reference, 0, filtered_reference);
+        filtered.emplace(std::move(filtered_reference), config_.sync_threshold);
       }
       const dsp::cspan sync_window = filtered ? dsp::cspan{filtered_window} : window;
       const sync::PreambleSync& acquirer = filtered ? *filtered : unfiltered;

@@ -12,9 +12,10 @@
 /// swaps, and one flat array of the n - 1 per-stage twiddles, 8 B each:
 /// about 12 B per point) are immutable and shared through a process-wide
 /// cache, so constructing an `Fft` for a size that has been used before
-/// is a cheap shared-pointer copy. The receiver builds an `FftConvolver`
-/// (and hence an `Fft`) per hop; without the cache that rebuilt the
-/// tables at every hop of every packet.
+/// is a cheap shared-pointer copy. Every `ConvolverPlan` holds an `Fft`,
+/// and the control logic makes a plan for each excision design it does
+/// not find in its cache, up to one per hop; without the plan cache that
+/// rebuilt the tables at every such hop of every packet.
 
 #include <memory>
 

@@ -15,7 +15,7 @@
 
 namespace bhss::dsp {
 
-// ------------------------------------------------------------- FftConvolver
+// ------------------------------------------------------------ ConvolverPlan
 
 namespace {
 
@@ -43,45 +43,36 @@ std::shared_ptr<const ConvolverPlan> ConvolverPlan::make(cvec taps) {
   return plan;
 }
 
-FftConvolver::FftConvolver(cspan taps)
-    : FftConvolver(ConvolverPlan::make(cvec(taps.begin(), taps.end()))) {}
-
-FftConvolver::FftConvolver(std::shared_ptr<const ConvolverPlan> plan)
-    : plan_(std::move(plan)), work_(plan_->fft_size) {
-  BHSS_REQUIRE(plan_ != nullptr, "FftConvolver: plan must be non-null");
-}
-
-cvec FftConvolver::filter(cspan x) {
-  cvec out;
-  filter(x, out);
-  return out;
-}
-
-void FftConvolver::filter(cspan x, cvec& out) {
-  // BHSS_ANALYZE_SUPPRESS(h1-hot-path-purity): resize to the documented output length; allocation-free once the caller's buffer has capacity (see header contract)
-  out.resize(x.size());
-  cvec& block = work_;
-  const std::size_t fft_size = plan_->fft_size;
-  const std::size_t block_size = plan_->block_size;
-  // Overlap-save: each iteration consumes block_size fresh samples and
-  // reuses the previous num_taps-1 samples (zeros before the start).
-  const std::size_t overlap = plan_->taps.size() - 1;
-  for (std::size_t pos = 0; pos < x.size(); pos += block_size) {
-    // block[i] = x[pos + i - overlap], zero where that index falls before
-    // the start or past the end of x.
+void ConvolverPlan::filter(cspan x, std::size_t skip, cspan_mut out) const {
+  if (out.empty()) return;
+  // Per-thread block scratch, the idiom of welch_psd's segment scratch:
+  // every element is overwritten before the FFT reads it.
+  thread_local cvec scratch;
+  // BHSS_ANALYZE_SUPPRESS(h1-hot-path-purity): grow-once per-thread scratch; allocation-free once this thread has run an FFT of this size (see header contract)
+  if (scratch.size() < fft_size) scratch.resize(fft_size);
+  const cspan_mut block{scratch.data(), fft_size};
+  // Overlap-save: the block at pos holds x[pos - overlap, pos + block_size)
+  // (zeros before the start and past the end of x) and yields
+  // y[pos, pos + block_size).
+  const std::size_t overlap = taps.size() - 1;
+  const std::size_t end = skip + out.size();
+  for (std::size_t pos = skip - skip % block_size; pos < end; pos += block_size) {
     const std::size_t lead = overlap > pos ? overlap - pos : 0;
-    const std::size_t first = pos + lead - overlap;
+    const std::size_t first = std::min(pos + lead - overlap, x.size());
     const std::size_t count = std::min(fft_size - lead, x.size() - first);
     std::fill_n(block.begin(), lead, cf{0.0F, 0.0F});
     std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(first), count,
                 block.begin() + static_cast<std::ptrdiff_t>(lead));
     std::fill(block.begin() + static_cast<std::ptrdiff_t>(lead + count), block.end(),
               cf{0.0F, 0.0F});
-    plan_->fft.forward(cspan_mut{block});
-    simd::cmul_inplace(block.data(), plan_->taps_spectrum.data(), fft_size);
-    plan_->fft.inverse(cspan_mut{block});
-    const std::size_t n_valid = std::min(block_size, x.size() - pos);
-    for (std::size_t i = 0; i < n_valid; ++i) out[pos + i] = block[overlap + i];
+    fft.forward(block);
+    simd::cmul_inplace(block.data(), taps_spectrum.data(), fft_size);
+    fft.inverse(block);
+    const std::size_t lo = std::max(pos, skip);
+    const std::size_t hi = std::min(pos + block_size, end);
+    std::copy(block.begin() + static_cast<std::ptrdiff_t>(overlap + lo - pos),
+              block.begin() + static_cast<std::ptrdiff_t>(overlap + hi - pos),
+              out.begin() + static_cast<std::ptrdiff_t>(lo - skip));
   }
 }
 

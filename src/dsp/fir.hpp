@@ -7,8 +7,9 @@
 ///    eq. (4) of the paper),
 ///  * frequency-sampling "whitening" excision design (used against
 ///    narrow-band jammers, eq. (3) of the paper),
-///  * an overlap-save FFT convolver, the one way a designed filter is
-///    applied (the suppression filters and the noise jammer's shaper).
+///  * overlap-save FFT convolution through `ConvolverPlan::filter`, the
+///    one way a designed filter is applied (the suppression filters and
+///    the noise jammer's shaper).
 
 #include <memory>
 
@@ -21,10 +22,10 @@ namespace bhss::dsp {
 
 /// Immutable, shareable frequency-domain convolution plan: a designed
 /// filter's taps, their spectrum, and the FFT geometry derived from the
-/// tap count. It is the one representation of a designed filter. Building
-/// one costs a forward FFT of the taps; `FftConvolver`s constructed from
-/// the same plan share it by pointer, which is what makes the per-hop
-/// filter-design cache effective — a cache hit re-uses the taps spectrum
+/// tap count. It is the one representation of a designed filter, and it
+/// applies itself: `filter` is const and keeps its block scratch per
+/// thread, so one plan serves every shard and jammer that holds it. A
+/// cache hit in the per-hop filter-design cache re-uses the taps spectrum
 /// instead of re-transforming the taps every packet.
 struct ConvolverPlan {
   cvec taps;
@@ -35,37 +36,21 @@ struct ConvolverPlan {
 
   /// Build a plan for a tap set (non-empty, finite); the plan keeps it.
   [[nodiscard]] static std::shared_ptr<const ConvolverPlan> make(cvec taps);
-};
 
-/// Overlap-save block convolver: causal filtering with zero initial state
-/// and output length == input length, y[n] = sum_k taps[k] * x[n-k], in
-/// O(N log N) — essential for the high filter orders the paper uses (up
-/// to 3181 taps).
-///
-/// A reusable FFT workspace lives in the convolver, so `filter` performs
-/// exactly one allocation (the output buffer) regardless of how many
-/// overlap-save blocks the input spans. One convolver therefore serves
-/// one thread at a time; give each worker its own instance.
-class FftConvolver {
- public:
-  explicit FftConvolver(cspan taps);
-
-  /// Construct from a shared plan (e.g. from the filter-design cache);
-  /// skips the tap-spectrum FFT entirely.
-  explicit FftConvolver(std::shared_ptr<const ConvolverPlan> plan);
-
-  /// Causal filtering of a whole buffer.
-  [[nodiscard]] cvec filter(cspan x);
-
-  /// Causal filtering into a caller-provided buffer (resized to x.size());
-  /// allocation-free once `out` has capacity.
-  BHSS_HOT void filter(cspan x, cvec& out);
-
-  [[nodiscard]] std::size_t num_taps() const noexcept { return plan_->taps.size(); }
-
- private:
-  std::shared_ptr<const ConvolverPlan> plan_;
-  cvec work_;  ///< overlap-save block scratch, reused across calls
+  /// A window of the causal convolution y[n] = sum_k taps[k] * x[n-k] of
+  /// `x`, taken as zero before its start and past its end:
+  /// out[i] = y[skip + i] for every i < out.size(), which may run past
+  /// the end of x. Overlap-save in O(N log N), essential for the high
+  /// filter orders the paper uses (up to 3181 taps). Block starts stay at
+  /// multiples of `block_size` from x[0] whatever `skip` is, so y[n] has
+  /// the same bits in every call whose window covers it, and only the
+  /// blocks that overlap the window are computed. Where x ends is part of
+  /// the input: a block reads zeros past it, and through the FFT every
+  /// output of a block depends on every sample in it, so a longer x
+  /// changes the bits of y even before its old end. The FFT block lives
+  /// in a thread-local scratch that grows once per thread to the largest
+  /// fft_size it has run; no other allocation.
+  BHSS_HOT void filter(cspan x, std::size_t skip, cspan_mut out) const;
 };
 
 /// Windowed-sinc linear-phase low-pass design.

@@ -14,21 +14,20 @@ NoiseJammer::NoiseJammer(double bandwidth_frac, std::uint64_t seed, std::size_t 
   if (bandwidth_frac < 1.0) {
     // Low-pass at half the two-sided bandwidth; complex baseband noise then
     // occupies [-bw/2, +bw/2]. Jammers of one bandwidth share the plan.
-    shaper_.emplace(dsp::lowpass_plan(num_taps | 1, bandwidth_frac / 2.0, dsp::Window::blackman));
+    shaper_ = dsp::lowpass_plan(num_taps | 1, bandwidth_frac / 2.0, dsp::Window::blackman);
   }
 }
 
 dsp::cvec NoiseJammer::generate(std::size_t n) {
-  if (!shaper_.has_value()) return noise_.generate(n, 1.0);
+  if (shaper_ == nullptr) return noise_.generate(n, 1.0);
 
-  // Generate with lead-in so the filter transient does not leave a quiet
-  // gap at the start of the jamming burst.
-  const std::size_t lead = shaper_->num_taps();
+  // Generate with lead-in and keep what follows it, so the filter
+  // transient does not leave a quiet gap at the start of the jamming burst.
+  const std::size_t lead = shaper_->taps.size();
   raw_.resize(n + lead);
   noise_.fill(raw_, 1.0);
-  dsp::cvec out;
-  shaper_->filter(raw_, out);
-  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(lead));
+  dsp::cvec out(n);
+  shaper_->filter(raw_, lead, out);
   dsp::scale_to_power(out, 1.0);
   return out;
 }

@@ -8,7 +8,7 @@
 /// jammer's best generic strategy.
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 
 #include "channel/awgn.hpp"
 #include "dsp/fir.hpp"
@@ -39,7 +39,7 @@ class NoiseJammer {
  private:
   double bandwidth_frac_;
   channel::AwgnSource noise_;
-  std::optional<dsp::FftConvolver> shaper_;  ///< absent for full-band noise
+  std::shared_ptr<const dsp::ConvolverPlan> shaper_;  ///< null for full-band noise
   dsp::cvec raw_;  ///< shaping input, reused: white noise with the filter lead-in
 };
 

@@ -8,11 +8,29 @@
 /// faster than tau; this model lets us reproduce that arms race.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "jammer/noise_jammer.hpp"
 
 namespace bhss::jammer {
+
+// What the sensing jammers (this one and EstimatingJammer) share: a bank
+// of one noise source per band they can produce, the snap of an observed
+// bandwidth onto that set, and the band they start on.
+
+/// Index of the band of `bws` (non-empty) nearest to `bw` on a log scale;
+/// ties go to the lower index.
+[[nodiscard]] std::size_t closest_bw_index(std::span<const double> bws, double bw);
+
+/// Index of the widest band of `bws` (non-empty), the first on ties: a
+/// sensing jammer starts there, before it has observed anything.
+[[nodiscard]] std::size_t widest_bw_index(std::span<const double> bws) noexcept;
+
+/// One unit-power NoiseJammer per band of `bws`, band i seeded
+/// seed * 0xD1B54A32D192ED03 + i + 1.
+[[nodiscard]] std::vector<NoiseJammer> noise_bank(std::span<const double> bws,
+                                                  std::uint64_t seed);
 
 /// One bandwidth interval the jammer observes over the air.
 struct ObservedHop {
@@ -56,8 +74,6 @@ class ReactiveJammer {
   [[nodiscard]] std::size_t estimation_samples() const noexcept { return estimation_samples_; }
 
  private:
-  [[nodiscard]] std::size_t closest_bw_index(double bw) const noexcept;
-
   std::vector<double> available_bws_;
   std::size_t reaction_delay_;
   std::size_t estimation_samples_;

@@ -1,11 +1,12 @@
 #include "obs/link_obs.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <system_error>
 
 #include "core/contracts.hpp"
 
@@ -209,24 +210,25 @@ std::string serialize_telemetry(const ShardTelemetry& t) {
   return out;
 }
 
+bool parse_token(std::string_view tok, bool hex_bits, std::uint64_t& v) {
+  if (hex_bits && tok.size() != 16) return false;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v, hex_bits ? 16 : 10);
+  return ec == std::errc{} && ptr == end;
+}
+
 bool deserialize_telemetry(std::string_view text, ShardTelemetry& out) {
   std::istringstream in{std::string(text)};
   std::string tok;
   const auto next = [&](std::string& t) -> bool { return static_cast<bool>(in >> t); };
   const auto next_u64 = [&](std::uint64_t& v) -> bool {
     std::string t;
-    if (!next(t)) return false;
-    char* end = nullptr;
-    v = std::strtoull(t.c_str(), &end, 10);
-    return end != nullptr && *end == '\0' && end != t.c_str();
+    return next(t) && parse_token(t, false, v);
   };
   const auto next_hex_bits = [&](double& v) -> bool {
     std::string t;
-    if (!next(t)) return false;
-    if (t.size() != 16) return false;
-    char* end = nullptr;
-    const std::uint64_t bits = std::strtoull(t.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0') return false;
+    std::uint64_t bits = 0;
+    if (!next(t) || !parse_token(t, true, bits)) return false;
     v = bits_double(bits);
     return true;
   };
@@ -258,14 +260,13 @@ bool deserialize_telemetry(std::string_view text, ShardTelemetry& out) {
       }
       case InstrumentKind::gauge: {
         if (!next(tok)) return false;
+        std::uint64_t bits = 0;
         if (tok == "u") {
           gauges.emplace_back(false, 0.0);
-        } else {
-          if (tok.size() != 16) return false;
-          char* end = nullptr;
-          const std::uint64_t bits = std::strtoull(tok.c_str(), &end, 16);
-          if (end == nullptr || *end != '\0') return false;
+        } else if (parse_token(tok, true, bits)) {
           gauges.emplace_back(true, bits_double(bits));
+        } else {
+          return false;
         }
         break;
       }

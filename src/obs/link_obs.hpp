@@ -135,8 +135,14 @@ inline TraceSink* LinkObs::sink() const noexcept {
 /// Inverse of serialize_telemetry against the canonical link registry.
 /// Returns false (leaving `out` unspecified) on any malformed input,
 /// including a trace capacity other than kDefaultTraceCapacity — the
-/// only capacity any writer uses.
+/// only capacity any writer uses — and any token parse_token refuses.
 [[nodiscard]] bool deserialize_telemetry(std::string_view text, ShardTelemetry& out);
+
+/// One whole token of a telemetry blob or a checkpoint journal's stats
+/// line: a count in decimal with no sign and no overflow, or a double's
+/// bit pattern as exactly 16 hex digits. Anything else is refused, since
+/// it would not re-serialize to the token it came from.
+[[nodiscard]] bool parse_token(std::string_view tok, bool hex_bits, std::uint64_t& v);
 
 /// JSON body fragments (`"key":value,...` without braces) for the JSONL
 /// emitters. Deterministic: fixed key order, integers verbatim, doubles

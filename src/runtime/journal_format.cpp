@@ -9,6 +9,7 @@
 #include <system_error>
 
 #include "core/contracts.hpp"
+#include "obs/link_obs.hpp"
 
 namespace bhss::runtime::journal {
 
@@ -135,19 +136,6 @@ std::string format_stats(const core::LinkStats& s) {
   return out;
 }
 
-namespace {
-
-/// One stats token: a decimal count, or a double's bit pattern as exactly
-/// 16 hex digits. The whole token must parse; no sign, no overflow.
-bool parse_token(std::string_view tok, bool hex_bits, std::uint64_t& v) {
-  if (hex_bits && tok.size() != 16) return false;
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, v, hex_bits ? 16 : 10);
-  return ec == std::errc{} && ptr == end;
-}
-
-}  // namespace
-
 bool parse_stats(const char* text, core::LinkStats& s) {
   BHSS_REQUIRE(text != nullptr, "journal::parse_stats: null text");
   core::LinkStats parsed;
@@ -158,7 +146,7 @@ bool parse_stats(const char* text, core::LinkStats& s) {
     const std::size_t space = rest.find(' ');
     more = space != std::string_view::npos;
     std::uint64_t v = 0;
-    if (!parse_token(rest.substr(0, space), f.count == nullptr, v)) return false;
+    if (!obs::parse_token(rest.substr(0, space), f.count == nullptr, v)) return false;
     f.set_bits(parsed, v);
     rest.remove_prefix(more ? space + 1 : rest.size());
   }

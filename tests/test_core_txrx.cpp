@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numbers>
 
 #include "channel/link_channel.hpp"
 #include "core/receiver.hpp"
 #include "core/transmitter.hpp"
+#include "dsp/fir.hpp"
 #include "phy/frame.hpp"
 #include "dsp/utils.hpp"
 
@@ -212,6 +214,62 @@ TEST(Receiver, HopDiagnosticsMatchSchedule) {
   ASSERT_EQ(res.hops.size(), t.schedule.segments.size());
   for (std::size_t i = 0; i < res.hops.size(); ++i) {
     EXPECT_EQ(res.hops[i].bw_index, t.schedule.segments[i].bw_index);
+  }
+}
+
+/// The hop filter as it was written before it read the capture in place:
+/// the capture from a0 - lead copied and zero-padded to lead + needed + K
+/// samples, filtered whole, then trimmed at lead + group_delay.
+dsp::cvec padded_copy_slice(dsp::cspan buffer, std::size_t a0, std::size_t needed,
+                            const FilterDecision& decision) {
+  const std::size_t k_taps = decision.plan->taps.size();
+  const std::size_t lead = std::min(a0, k_taps);
+  const std::size_t begin = a0 - lead;
+  const std::size_t in_len = lead + needed + k_taps;
+  dsp::cvec padded(in_len, dsp::cf{0.0F, 0.0F});
+  for (std::size_t i = 0; i < in_len && begin + i < buffer.size(); ++i) {
+    padded[i] = buffer[begin + i];
+  }
+  dsp::cvec filtered(in_len);
+  decision.plan->filter(padded, 0, filtered);
+  dsp::cvec out(needed);
+  for (std::size_t i = 0; i < needed; ++i) out[i] = filtered[lead + decision.group_delay + i];
+  return out;
+}
+
+// filtered_slice filters the capture where it lies, clipped where the
+// padded copy ended: reading on past that end would move the last bits of
+// nearly every filtered sample, which no decoded symbol may show.
+TEST(Receiver, FilteredSliceMatchesThePaddedCopy) {
+  dsp::cvec capture(40000);
+  channel::AwgnSource(5).fill(capture, 1.0);
+  std::vector<FilterDecision> decisions(3);
+  decisions[0].kind = FilterDecision::Kind::lowpass;
+  decisions[0].plan = dsp::lowpass_plan(2049, 0.05, dsp::Window::blackman);  // 16384-point FFT
+  decisions[0].group_delay = 1024;
+  for (const std::size_t k : {std::size_t{256}, std::size_t{4096}}) {
+    dsp::fvec psd(k, 1.0F);
+    for (std::size_t b = k / 16; b < k / 8; ++b) psd[b] = 1e4F;
+    FilterDecision& d = decisions[k == 256 ? 1 : 2];
+    d.kind = FilterDecision::Kind::excision;
+    d.plan = dsp::ConvolverPlan::make(dsp::design_excision_whitening(psd));
+    d.group_delay = k / 2;
+  }
+  struct Hop {
+    std::size_t a0;
+    std::size_t needed;
+  };
+  // From the start, inside the lead-in, mid-capture across FFT blocks, and
+  // running over the end of the capture and past it.
+  for (const Hop& hop : {Hop{0, 3000}, Hop{700, 500}, Hop{5000, 2000}, Hop{20000, 16000},
+                         Hop{38000, 5000}, Hop{41000, 100}}) {
+    for (const FilterDecision& d : decisions) {
+      const dsp::cvec got = BhssReceiver::filtered_slice(capture, hop.a0, hop.needed, d);
+      const dsp::cvec want = padded_copy_slice(capture, hop.a0, hop.needed, d);
+      ASSERT_EQ(got.size(), hop.needed);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), hop.needed * sizeof(dsp::cf)), 0)
+          << "a0 " << hop.a0 << " needed " << hop.needed << " taps " << d.plan->taps.size();
+    }
   }
 }
 

@@ -1,12 +1,14 @@
-// Unit tests for FIR filtering and design: the overlap-save convolver's
-// equivalence to a direct-form convolution, windowed-sinc low-pass specs,
-// and the eq. (3) excision filter's notch behaviour.
+// Unit tests for FIR filtering and design: ConvolverPlan::filter's
+// equivalence to a direct-form convolution, its windows against the full
+// output, its per-thread scratch, windowed-sinc low-pass specs, and the
+// eq. (3) excision filter's notch behaviour.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <numbers>
 #include <random>
@@ -51,8 +53,9 @@ TEST_P(ConvolverVsDirect, IdenticalOutput) {
 
   const cvec expected = direct_convolution(taps, x);
 
-  FftConvolver fast{cspan{taps}};
-  const cvec got = fast.filter(x);
+  const auto plan = ConvolverPlan::make(taps);
+  cvec got(x.size());
+  plan->filter(x, 0, got);
 
   ASSERT_EQ(got.size(), expected.size());
   double scale = 0.0;
@@ -68,6 +71,137 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ConvolverVsDirect,
                                            ConvolverCase{64, 1000}, ConvolverCase{257, 300},
                                            ConvolverCase{513, 5000},
                                            ConvolverCase{1025, 1024}));
+
+/// The skip = 0 call over `x` zero-padded to at least `len` samples: the
+/// full output every window of x is cut from.
+cvec full_output(const ConvolverPlan& plan, const cvec& x, std::size_t len) {
+  cvec padded = x;
+  if (padded.size() < len) padded.resize(len, cf{0.0F, 0.0F});
+  cvec y(padded.size());
+  plan.filter(padded, 0, y);
+  return y;
+}
+
+/// The window [skip, skip + len) of y must carry the bits of the same
+/// samples of the full output, and every sample of it must be written.
+void expect_window_is_full_slice(const ConvolverPlan& plan, const cvec& x, std::size_t skip,
+                                 std::size_t len) {
+  const cvec full = full_output(plan, x, skip + len);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  cvec out(len, cf{nan, nan});
+  plan.filter(x, skip, out);
+  EXPECT_EQ(std::memcmp(out.data(), full.data() + skip, len * sizeof(cf)), 0)
+      << "skip " << skip << " len " << len << " x " << x.size();
+}
+
+TEST(ConvolverPlan, WindowInsideTheFirstBlockIsTheFullSlice) {
+  const auto plan = ConvolverPlan::make(random_signal(257, 21));
+  ASSERT_EQ(plan->block_size, 1792U);  // 2048-point FFT
+  const cvec x = random_signal(5000, 22);
+  for (const std::size_t skip : {std::size_t{1}, std::size_t{256}, std::size_t{1000}}) {
+    expect_window_is_full_slice(*plan, x, skip, 700);
+  }
+  expect_window_is_full_slice(*plan, x, 0, 1);
+}
+
+TEST(ConvolverPlan, WindowAcrossBlockBoundariesIsTheFullSlice) {
+  const auto plan = ConvolverPlan::make(random_signal(257, 23));
+  const std::size_t b = plan->block_size;
+  const cvec x = random_signal(5000, 24);
+  expect_window_is_full_slice(*plan, x, b - 100, 300);    // into the second block
+  expect_window_is_full_slice(*plan, x, b, b + 10);       // from a block start, over two ends
+  expect_window_is_full_slice(*plan, x, 2 * b + 5, 500);  // inside the third block only
+  expect_window_is_full_slice(*plan, x, 7, x.size());     // all blocks, past the end
+}
+
+TEST(ConvolverPlan, WindowPastTheEndOfTheInputIsTheFullSlice) {
+  const auto plan = ConvolverPlan::make(random_signal(257, 25));
+  const std::size_t b = plan->block_size;
+  const cvec x = random_signal(1000, 26);
+  expect_window_is_full_slice(*plan, x, 900, 600);     // over the end of x and of y
+  expect_window_is_full_slice(*plan, x, 3 * b, 100);   // a block of zeros only
+  expect_window_is_full_slice(*plan, cvec{}, 0, 50);   // an empty input
+}
+
+TEST(ConvolverPlan, EmptyWindowWritesNothing) {
+  const auto plan = ConvolverPlan::make(random_signal(33, 27));
+  const cvec x = random_signal(3000, 28);
+  cvec buf(4, cf{1.0F, 2.0F});
+  for (const std::size_t skip : {std::size_t{0}, std::size_t{5}, plan->block_size + 3}) {
+    plan->filter(x, skip, cspan_mut{buf}.first(0));
+    plan->filter(cspan{}, skip, cspan_mut{buf}.first(0));
+  }
+  EXPECT_EQ(buf, cvec(4, cf{1.0F, 2.0F}));
+  expect_window_is_full_slice(*plan, x, 0, x.size());
+}
+
+// The block scratch is one per thread, shared by every plan it runs: a
+// small plan after a large one must not read the large one's samples.
+TEST(ConvolverPlan, InterleavedPlanSizesMatchFreshThreads) {
+  struct Case {
+    std::shared_ptr<const ConvolverPlan> plan;
+    cvec x;
+    std::size_t skip;
+    cvec want;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t n_taps : {std::size_t{2049}, std::size_t{7}, std::size_t{300},
+                                   std::size_t{1025}, std::size_t{7}}) {
+    const auto seed = static_cast<unsigned>(n_taps + cases.size());
+    cases.push_back({ConvolverPlan::make(random_signal(n_taps, seed)),
+                     random_signal(9000 + 97 * cases.size(), seed + 1), 3 * cases.size(), {}});
+  }
+  ASSERT_EQ(cases[0].plan->fft_size, 16384U);
+  ASSERT_EQ(cases[1].plan->fft_size, 1024U);
+  // Each reference on a thread of its own, whose scratch is fresh.
+  for (Case& c : cases) {
+    c.want.resize(c.x.size());
+    std::thread([&c] { c.plan->filter(c.x, c.skip, c.want); }).join();
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const Case& c : cases) {
+      cvec got(c.x.size());
+      c.plan->filter(c.x, c.skip, got);
+      EXPECT_EQ(std::memcmp(got.data(), c.want.data(), got.size() * sizeof(cf)), 0)
+          << "taps " << c.plan->taps.size() << " round " << round;
+    }
+  }
+}
+
+// Four threads on one shared plan (run under TSan as well) get what a
+// serial run gets.
+TEST(ConvolverPlan, SharedPlanAcrossThreadsMatchesASerialRun) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCalls = 6;
+  const auto plan = ConvolverPlan::make(random_signal(1025, 29));
+  std::vector<cvec> inputs;
+  for (std::size_t i = 0; i < kThreads * kCalls; ++i) {
+    inputs.push_back(random_signal(4000 + 333 * i, static_cast<unsigned>(30 + i)));
+  }
+  auto run = [&plan, &inputs](std::size_t i) {
+    cvec y(inputs[i].size() / 2);
+    plan->filter(inputs[i], i * 17, y);
+    return y;
+  };
+  std::vector<cvec> serial;
+  for (std::size_t i = 0; i < inputs.size(); ++i) serial.push_back(run(i));
+
+  std::vector<cvec> parallel(inputs.size());
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t c = 0; c < kCalls; ++c) parallel[c * kThreads + t] = run(c * kThreads + t);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    ASSERT_EQ(parallel[i].size(), serial[i].size());
+    EXPECT_EQ(std::memcmp(parallel[i].data(), serial[i].data(), serial[i].size() * sizeof(cf)), 0)
+        << "call " << i;
+  }
+}
 
 TEST(DesignLowpass, UnityDcGain) {
   for (double cutoff : {0.05, 0.1, 0.25, 0.4}) {

@@ -1,8 +1,9 @@
 // Equivalence tests pinning the optimised overlap-save path to the seed
-// implementation it replaced: the workspace-reusing FftConvolver against
-// the original allocate-per-call overlap-save. The rewrite performs the
-// same arithmetic in the same order, so the tolerance is 1 ulp (and in
-// practice the outputs are bit-identical).
+// implementation it replaced: ConvolverPlan::filter, whose block scratch
+// is reused per thread, against the original allocate-per-call
+// overlap-save. The rewrite performs the same arithmetic in the same
+// order, so the tolerance is 1 ulp (and in practice the outputs are
+// bit-identical).
 
 #include <gtest/gtest.h>
 
@@ -99,33 +100,37 @@ class SeedFftConvolver {
   cvec taps_spectrum_;
 };
 
-// --------------------------------------------------------------- FftConvolver
+// -------------------------------------------------------------- ConvolverPlan
 
 class ConvolverEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ConvolverEquivalence, WorkspaceReuseMatchesSeedPerCallAllocation) {
   const std::size_t n_taps = GetParam();
   const cvec taps = random_signal(n_taps, 100U + static_cast<unsigned>(n_taps));
-  FftConvolver fast{cspan{taps}};
+  const auto plan = ConvolverPlan::make(taps);
   const SeedFftConvolver seed{cspan{taps}};
-  // Several lengths through the SAME convolver: a stale workspace would
-  // leak one call's tail into the next.
+  // Several lengths through the SAME plan and thread scratch: a stale
+  // workspace would leak one call's tail into the next.
   for (const std::size_t len : {std::size_t{1}, std::size_t{63}, std::size_t{1024},
                                 std::size_t{4097}, std::size_t{300}}) {
     const cvec x = random_signal(len, 200U + static_cast<unsigned>(len));
-    expect_within_one_ulp(fast.filter(x), seed.filter(x));
+    cvec out(len);
+    plan->filter(x, 0, out);
+    expect_within_one_ulp(out, seed.filter(x));
   }
 }
 
 TEST_P(ConvolverEquivalence, CallerBufferOverloadMatches) {
+  // A window into a caller's buffer: the seed's samples from 100 on.
   const std::size_t n_taps = GetParam();
   const cvec taps = random_signal(n_taps, 42);
-  FftConvolver fast{cspan{taps}};
+  const auto plan = ConvolverPlan::make(taps);
   const SeedFftConvolver seed{cspan{taps}};
   const cvec x = random_signal(2000, 43);
-  cvec out;
-  fast.filter(x, out);
-  expect_within_one_ulp(out, seed.filter(x));
+  cvec out(x.size() - 100);
+  plan->filter(x, 100, out);
+  const cvec want = seed.filter(x);
+  expect_within_one_ulp(out, cvec(want.begin() + 100, want.end()));
 }
 
 INSTANTIATE_TEST_SUITE_P(TapCounts, ConvolverEquivalence,

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <map>
 
 #include "dsp/psd.hpp"
@@ -48,6 +51,54 @@ TEST(NoiseJammer, FullBandIsWhite) {
   const dsp::fvec psd = dsp::welch_psd(x, 64);
   const double mean_bin = dsp::psd_total_power(psd) / 64.0;
   for (float p : psd) EXPECT_NEAR(p / mean_bin, 1.0, 0.4);
+}
+
+/// FNV-1a 64 over the float words, least significant byte first.
+std::uint64_t fnv1a(const dsp::cvec& x) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t i = 0; i < 2 * x.size(); ++i) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, reinterpret_cast<const float*>(x.data()) + i, sizeof(w));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(NoiseJammer, StreamIsPinned) {
+  // The exact output bits, by digest, of three successive calls on one
+  // instance: the second spans two overlap-save blocks of the 2049-tap
+  // shaper, the third is a single sample. Band-occupancy and power tests
+  // pass a shaper change that moves the last bit of the noise; this one
+  // does not, in any build, scalar or vector.
+  struct Pin {
+    double bw;
+    std::array<std::uint64_t, 3> digests;
+  };
+  const std::array<Pin, 3> pins = {{
+      {1.0 / 128, {0x8FBFF78D1C3D1D8FULL, 0x8FC302DDA42C9F08ULL, 0x9D96196D78172D10ULL}},
+      {0.35, {0xB21E7E79C7D5D8E2ULL, 0x754C96EF0C28678BULL, 0xB5EE28AF29D3AC91ULL}},
+      {1.0, {0x5555E1CA25AA2B38ULL, 0x9EED89DB5A7CC0B9ULL, 0x6D9A40D6F7E4CA43ULL}},
+  }};
+  const std::array<std::size_t, 3> lengths = {3000, 20000, 1};
+  for (const Pin& pin : pins) {
+    NoiseJammer jam(pin.bw, 0x5EED);
+    for (std::size_t call = 0; call < lengths.size(); ++call) {
+      const dsp::cvec x = jam.generate(lengths[call]);
+      ASSERT_EQ(x.size(), lengths[call]);
+      EXPECT_EQ(fnv1a(x), pin.digests[call]) << "bw " << pin.bw << " call " << call;
+    }
+  }
+  // One reactive call that switches from the widest band to the narrowest
+  // 1024 samples after the hop at 4096, each segment drawn from its band's
+  // own source.
+  ReactiveJammer reactive({1.0, 0.35, 1.0 / 128}, 1024, 0x5EED);
+  const std::vector<ObservedHop> hops = {{0, 1.0}, {4096, 1.0 / 128}};
+  const dsp::cvec x = reactive.generate(hops, 12000);
+  ASSERT_EQ(x.size(), 12000U);
+  EXPECT_EQ(fnv1a(x), 0x248151CF85DD786EULL);
 }
 
 TEST(NoiseJammer, RejectsBadBandwidth) {

@@ -309,6 +309,26 @@ TEST(ObsMetrics, DeserializeRejectsMalformedInput) {
   big_count.replace(big_count.find(" 1 "), 3, " 18446744073709551615 ");
   ASSERT_TRUE(obs::deserialize_telemetry(big_count, out));
   EXPECT_EQ(obs::serialize_telemetry(out), big_count);
+
+  // Each token is read whole: a count in decimal with no sign and no
+  // overflow, a gauge's bits as exactly 16 hex digits. None of these
+  // would re-serialize to the line it came from.
+  const std::string bin = obs::serialize_telemetry(one);
+  for (const char* count : {" -1 ", " +1 ", " 99999999999999999999999 "}) {
+    std::string bad = bin;
+    bad.replace(bad.find(" 1 "), 3, count);
+    EXPECT_FALSE(obs::deserialize_telemetry(bad, out)) << count;
+  }
+  obs::ShardTelemetry gauge;
+  gauge.metrics.set(obs::link_ids().last_sync_quality, 0.25);
+  const std::string bits = obs::serialize_telemetry(gauge);
+  ASSERT_NE(bits.find(" 3fd0000000000000 "), std::string::npos);
+  ASSERT_TRUE(obs::deserialize_telemetry(bits, out));
+  for (const char* word : {" 0x3fd00000000000 ", " -000000000000001 "}) {
+    std::string bad = bits;
+    bad.replace(bad.find(" 3fd0000000000000 "), 18, word);
+    EXPECT_FALSE(obs::deserialize_telemetry(bad, out)) << word;
+  }
 }
 
 TEST(ObsMetrics, MergeTelemetryEnforcesShardCount) {
