@@ -4,7 +4,7 @@
 // corruption). Sweeps a uniform per-packet fault rate and reports, for
 // each intensity, the full failure taxonomy next to PER/throughput —
 // once with the bounded re-acquisition chain enabled and once in
-// single-shot mode (reacquisition.max_attempts = 1), so the value of the
+// single-shot mode (max_sync_attempts = 1), so the value of the
 // recovery machinery is measured, not asserted.
 //
 // Expected shape: PER degrades smoothly with intensity (no cliff), the
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       for (const bool recovery : {true, false}) {
         core::SimConfig c = cfg;
         c.faults.set_uniform_rate(p);
-        if (!recovery) c.system.reacquisition.max_attempts = 1;
+        if (!recovery) c.system.max_sync_attempts = 1;
 
         const char* mode = recovery ? "recovery" : "single_shot";
         char point[48];

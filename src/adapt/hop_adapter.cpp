@@ -3,14 +3,18 @@
 #include <cmath>
 
 namespace bhss::adapt {
+namespace {
+
+constexpr double kRecoverStep = 0.5;     ///< per-step blend back toward base, in (0, 1]
+constexpr double kSnapTolerance = 1e-9;  ///< max |p - base| before snapping exactly
+
+}  // namespace
 
 HopAdapter::HopAdapter(const HopAdapterConfig& config, std::vector<double> base_probs)
     : config_(config), base_(std::move(base_probs)) {
   BHSS_REQUIRE(!base_.empty(), "HopAdapter: need at least one bandwidth level");
   BHSS_REQUIRE(config_.deweight > 0.0 && config_.deweight < 1.0,
                "HopAdapter: deweight must lie in (0, 1)");
-  BHSS_REQUIRE(config_.recover_step > 0.0 && config_.recover_step <= 1.0,
-               "HopAdapter: recover_step must lie in (0, 1]");
   BHSS_REQUIRE(config_.min_occupancy >= 0.0, "HopAdapter: occupancy floor must be >= 0");
   BHSS_REQUIRE(config_.min_occupancy * static_cast<double>(base_.size()) < 1.0,
                "HopAdapter: occupancy floors must leave probability to distribute");
@@ -60,11 +64,11 @@ bool HopAdapter::recover_toward_base() noexcept {
   if (at_base_) return true;
   double max_gap = 0.0;
   for (std::size_t i = 0; i < probs_.size(); ++i) {
-    probs_[i] += config_.recover_step * (base_[i] - probs_[i]);
+    probs_[i] += kRecoverStep * (base_[i] - probs_[i]);
     const double gap = std::abs(probs_[i] - base_[i]);
     if (gap > max_gap) max_gap = gap;
   }
-  if (max_gap <= config_.snap_tolerance) {
+  if (max_gap <= kSnapTolerance) {
     probs_ = base_;
     at_base_ = true;
   }

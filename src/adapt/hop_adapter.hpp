@@ -28,8 +28,6 @@ struct HopAdapterConfig {
   double deweight = 0.25;      ///< multiplier per suspicion hit, in (0, 1)
   std::size_t deweight_cap = 4;  ///< max suspicion hits that count per band
   double min_occupancy = 0.02;   ///< occupancy floor per band (n * floor < 1)
-  double recover_step = 0.5;     ///< per-step blend back toward base, in (0, 1]
-  double snap_tolerance = 1e-9;  ///< max |p - base| before snapping exactly
 };
 
 /// Stateful distribution re-weighter over a fixed bandwidth set.

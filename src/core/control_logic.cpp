@@ -23,6 +23,13 @@ double bin_freq(std::size_t k, std::size_t n) {
 /// would masquerade as structure.
 constexpr double kDetectionCore = 0.7;
 
+/// Segment overlap of the Welch PSD estimate.
+constexpr double kWelchOverlap = 0.5;
+
+constexpr std::size_t kMaxLpfTaps = 1025;   ///< low-pass length cap (paper: 3181)
+constexpr double kLpfAttenDb = 70.0;        ///< paper: 70 dB stop-band
+constexpr double kExcisionFloorRel = 1e-6;  ///< PSD floor clamp for eq. (3)
+
 /// Circular moving-average smoothing of a PSD (frequency-domain averaging
 /// complements the time-domain Welch averaging when the slice is short).
 dsp::fvec smooth_psd(const dsp::fvec& psd, std::size_t half_width) {
@@ -75,8 +82,7 @@ ControlLogic::ControlLogic(ControlLogicConfig config, const BandwidthSet& bands)
   for (std::size_t i = 0; i < bands_.size(); ++i) {
     const double cutoff = lpf_cutoff_frac(i);
     const double transition = std::max(0.25 * cutoff, 1e-4);
-    const std::size_t n_taps =
-        dsp::lowpass_num_taps(transition, config_.lpf_atten_db, config_.max_lpf_taps);
+    const std::size_t n_taps = dsp::lowpass_num_taps(transition, kLpfAttenDb, kMaxLpfTaps);
     lpf_plan_.push_back(dsp::lowpass_plan(n_taps, cutoff, dsp::Window::blackman));
   }
 }
@@ -84,19 +90,19 @@ ControlLogic::ControlLogic(ControlLogicConfig config, const BandwidthSet& bands)
 double ControlLogic::lpf_cutoff_frac(std::size_t bw_index) const {
   // One-sided cutoff slightly beyond the nominal half-bandwidth so the
   // half-sine main lobe is not clipped too aggressively.
-  return std::min(0.49, config_.lpf_cutoff_factor * bands_.bandwidth_frac(bw_index));
+  return std::min(0.49, kLpfCutoffFactor * bands_.bandwidth_frac(bw_index));
 }
 
 dsp::fvec ControlLogic::estimate_psd(dsp::cspan slice, std::size_t fft_size) const {
   switch (config_.psd_method) {
     case PsdMethod::welch:
-      return dsp::welch_psd(slice, fft_size, config_.welch_overlap, dsp::Window::hann);
+      return dsp::welch_psd(slice, fft_size, kWelchOverlap, dsp::Window::hann);
     case PsdMethod::bartlett:
       return dsp::bartlett_psd(slice, fft_size);
     case PsdMethod::periodogram:
       return dsp::periodogram(slice, fft_size);
   }
-  return dsp::welch_psd(slice, fft_size, config_.welch_overlap, dsp::Window::hann);
+  return dsp::welch_psd(slice, fft_size, kWelchOverlap, dsp::Window::hann);
 }
 
 std::size_t ControlLogic::detection_fft(std::size_t slice_len, std::size_t bw_index) const {
@@ -206,7 +212,7 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
 
     for (std::size_t k = 0; k < n; ++k) psd[k] = dilated[k] ? 1e12F : 1.0F;
     d.plan = dsp::ConvolverPlan::make(
-        dsp::design_excision_whitening(psd, config_.excision_floor_rel, passband));
+        dsp::design_excision_whitening(psd, kExcisionFloorRel, passband));
     d.group_delay = d.plan->taps.size() / 2;
     if (design_cache_.capacity() > 0) {
       if (o) o.add(obs::link_ids().filter_cache_misses);
@@ -218,7 +224,7 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
   // Whitening style: the taps depend on the raw (un-quantised) PSD, so no
   // finite key captures them — design fresh every hop, plan included.
   d.plan = dsp::ConvolverPlan::make(
-      dsp::design_excision_whitening(psd, config_.excision_floor_rel, passband));
+      dsp::design_excision_whitening(psd, kExcisionFloorRel, passband));
   d.group_delay = d.plan->taps.size() / 2;
   return d;
 }
@@ -297,12 +303,12 @@ FilterDecision ControlLogic::decide(dsp::cspan slice, std::size_t bw_index,
   const double peak_over_median_db = dsp::linear_to_db(in_peak / in_floor);
 
   FilterDecision d;  // none: bandwidths matched or jammer weak, despreading gain suffices
-  if (n_out > 0 && out_level > config_.oob_level_ratio * in_level) {
+  if (n_out > 0 && out_level > kOobLevelRatio * in_level) {
     // Wide-band jammer: significant energy outside the signal band (the PN
     // spectrum is confined in-band, so out-of-band level is jam + noise).
     d = force_lowpass(bw_index);
-  } else if (peak_over_median_db > config_.peak_over_median_db &&
-             est_jam_bw <= config_.excision_match_guard * signal_frac) {
+  } else if (peak_over_median_db > kPeakOverMedianDb &&
+             est_jam_bw <= kExcisionMatchGuard * signal_frac) {
     // Narrow-band jammer: a strong peak inside the signal band. Eq. (10)
     // guard: when the jammer occupies almost the whole signal band,
     // excising it removes the signal too — better not to filter. The

@@ -65,39 +65,34 @@ struct FilterDecision {
   bool degenerate_psd = false;
 };
 
-/// Configuration of the estimator and the decision thresholds.
+/// One-sided low-pass cutoff as a multiple of the signal bandwidth
+/// fraction. 0.5 clips the half-sine main lobe at the nominal band edge;
+/// slightly above trades a little less jammer rejection for much less
+/// signal distortion.
+inline constexpr double kLpfCutoffFactor = 0.6;
+
+/// Wide-band detection: declare a wide-band jammer when the average
+/// out-of-band PSD level exceeds this fraction of the in-band level.
+/// Must be small: a strong desired signal inflates the in-band level and
+/// masks a wide-band jammer of comparable power. A false positive only
+/// applies a low-pass matched to the known signal band, which is
+/// harmless.
+inline constexpr double kOobLevelRatio = 0.06;
+
+/// Narrow-band detection: declare a narrow-band jammer when the top
+/// quartile of template-normalised in-band bins exceeds the bottom
+/// quartile by this many dB (clean signals measure ~1-3 dB).
+inline constexpr double kPeakOverMedianDb = 5.5;
+
+/// Eq. (10) guard: skip the excision filter when the estimated jammer
+/// bandwidth exceeds this fraction of the signal bandwidth.
+inline constexpr double kExcisionMatchGuard = 0.7;
+
+/// Configuration of the estimator and the filter design. The decision
+/// thresholds above are design constants of the receiver.
 struct ControlLogicConfig {
   std::size_t psd_fft = 256;          ///< PSD resolution (and excision tap count)
-  double welch_overlap = 0.5;
   PsdMethod psd_method = PsdMethod::welch;
-
-  std::size_t max_lpf_taps = 1025;    ///< low-pass length cap (paper: 3181)
-  double lpf_atten_db = 70.0;         ///< paper: 70 dB stop-band
-
-  /// One-sided low-pass cutoff as a multiple of the signal bandwidth
-  /// fraction. 0.5 clips the half-sine main lobe at the nominal band edge;
-  /// slightly above trades a little less jammer rejection for much less
-  /// signal distortion.
-  double lpf_cutoff_factor = 0.6;
-
-  /// Wide-band detection: declare a wide-band jammer when the average
-  /// out-of-band PSD level exceeds this fraction of the in-band level.
-  /// Must be small: a strong desired signal inflates the in-band level and
-  /// masks a wide-band jammer of comparable power. A false positive only
-  /// applies a low-pass matched to the known signal band, which is
-  /// harmless.
-  double oob_level_ratio = 0.06;
-
-  /// Narrow-band detection: declare a narrow-band jammer when the top
-  /// quartile of template-normalised in-band bins exceeds the bottom
-  /// quartile by this many dB (clean signals measure ~1-3 dB).
-  double peak_over_median_db = 5.5;
-
-  /// Eq. (10) guard: skip the excision filter when the estimated jammer
-  /// bandwidth exceeds this fraction of the signal bandwidth.
-  double excision_match_guard = 0.7;
-
-  double excision_floor_rel = 1e-6;   ///< PSD floor clamp for eq. (3)
   ExcisionStyle excision_style = ExcisionStyle::template_notch;
 
   /// Capacity of the per-receiver excision design cache (0 disables it).

@@ -12,6 +12,31 @@
 #include "sync/costas.hpp"
 
 namespace bhss::core {
+namespace {
+
+constexpr float kSyncThreshold = 0.18F;  ///< preamble acceptance threshold
+
+// Bounded re-acquisition (SystemConfig::max_sync_attempts): each retry
+// widens the lag window and decays the acceptance threshold.
+constexpr double kLagWiden = 2.0;         ///< search-window growth factor per retry
+constexpr float kThresholdDecay = 0.75F;  ///< acceptance-threshold decay per retry
+constexpr float kMinThreshold = 0.08F;    ///< floor the decayed threshold clamps to
+
+/// CFAR-style validation for retry acquisitions only: a peak accepted
+/// below the nominal threshold must also stand this far above the
+/// correlation noise floor (mean normalised magnitude over the searched
+/// lags). Pure noise over K lags peaks near sqrt(2 ln K) ~ 3-3.5x its
+/// own floor, so 4.5 rejects lucky noise while a real (even badly
+/// degraded) preamble clears it comfortably.
+constexpr float kMinMargin = 4.5F;
+
+/// Normalised loop bandwidth of the decision-directed Costas loop after
+/// the suppression filter (§6.1). It tracks residual carrier
+/// phase/frequency; under unfiltered strong jamming it loses lock, which
+/// is part of the paper's measured effect.
+constexpr float kCostasBandwidth = 0.002F;
+
+}  // namespace
 
 BhssReceiver::BhssReceiver(SystemConfig config)
     : config_(std::move(config)), logic_(config_.logic, config_.pattern.bands()) {}
@@ -75,18 +100,9 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
 
   // Mirror the transmitter's per-frame derivations (including any
   // adaptation-layer override — both ends hold the same plan).
-  SharedRandom rng = SharedRandom::for_frame(config_.seed, frame_counter);
-  const std::uint32_t scrambler_seed = rng.derive_scrambler_seed();
   const std::size_t total_symbols = phy::FrameSpec::total_symbols(payload_len);
-  const HopPattern& pattern = ov.pattern != nullptr ? *ov.pattern : config_.pattern;
-  const std::size_t symbols_per_hop =
-      ov.symbols_per_hop != 0 ? ov.symbols_per_hop : config_.symbols_per_hop;
-  BHSS_REQUIRE(pattern.bands().size() == config_.pattern.bands().size(),
-               "BhssReceiver: hop override must cover the configured bandwidth set");
-  const HopSchedule schedule =
-      config_.hopping
-          ? HopSchedule::make(total_symbols, symbols_per_hop, pattern, rng)
-          : HopSchedule::fixed(total_symbols, config_.pattern.bands(), config_.fixed_bw_index);
+  const FramePlan plan = plan_frame(config_, frame_counter, total_symbols, ov);
+  const HopSchedule& schedule = plan.schedule;
 
   // Front-end boundary: a corrupted capture (NaN/Inf words from a faulted
   // or saturated ADC) must not reach the PSD estimator or the correlators
@@ -109,8 +125,8 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     const std::vector<std::uint8_t> preamble_syms(phy::FrameSpec::preamble_symbols, 0);
     const sync::PreambleSync unfiltered(
         BhssTransmitter::modulate_symbols(preamble_syms, preamble_syms.size(), schedule,
-                                          scrambler_seed),
-        config_.sync_threshold);
+                                          plan.scrambler_seed),
+        kSyncThreshold);
     const dsp::cvec& reference = unfiltered.reference();
 
     // Bounded re-acquisition state machine. Attempt 1 is the paper's
@@ -121,13 +137,12 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     // the frame beyond the search window, a sync-targeting burst drowning
     // the correlation peak — fails that attempt; instead of declaring the
     // frame lost, retry with a geometrically widened lag window and a
-    // decayed threshold, and back off for good after max_attempts,
+    // decayed threshold, and back off for good after max_sync_attempts,
     // classifying the frame as sync_lost (never decoding garbage).
-    const ReacquisitionConfig& reacq = config_.reacquisition;
-    const std::size_t max_attempts = std::max<std::size_t>(reacq.max_attempts, 1);
+    const std::size_t max_attempts = std::max<std::size_t>(config_.max_sync_attempts, 1);
     std::optional<sync::SyncEstimate> est;
     double lag_scale = 1.0;
-    float threshold = config_.sync_threshold;
+    float threshold = kSyncThreshold;
     for (std::size_t attempt = 0; attempt < max_attempts && !est.has_value(); ++attempt) {
       const std::size_t max_lag = std::min(
           buffer.size(),
@@ -148,7 +163,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
         decision.plan->filter(window, 0, filtered_window);
         dsp::cvec filtered_reference(reference.size());
         decision.plan->filter(reference, 0, filtered_reference);
-        filtered.emplace(std::move(filtered_reference), config_.sync_threshold);
+        filtered.emplace(std::move(filtered_reference), kSyncThreshold);
       }
       const dsp::cspan sync_window = filtered ? dsp::cspan{filtered_window} : window;
       const sync::PreambleSync& acquirer = filtered ? *filtered : unfiltered;
@@ -162,7 +177,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
       const float peak_quality = est.has_value() ? est->quality : 0.0F;
       const float peak_margin = est.has_value() ? est->margin : 0.0F;
       std::uint8_t outcome = est.has_value() ? 1 : 0;  // miss/lock/cfar_reject
-      if (attempt > 0 && est.has_value() && est->margin < reacq.min_margin) {
+      if (attempt > 0 && est.has_value() && est->margin < kMinMargin) {
         est.reset();
         outcome = 2;
       }
@@ -179,8 +194,8 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
         // range even for long (narrow-bandwidth) frames.
         *est = acquirer.refine(sync_window, *est, 8, o.sink());
       } else {
-        lag_scale *= reacq.lag_widen;
-        threshold = std::max(reacq.min_threshold, threshold * reacq.threshold_decay);
+        lag_scale *= kLagWiden;
+        threshold = std::max(kMinThreshold, threshold * kThresholdDecay);
       }
     }
     if (!est.has_value()) {
@@ -209,7 +224,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
   }
 
   // Per-hop: decide filter, filter, track carrier, demodulate, despread.
-  phy::Despreader despreader(scrambler_seed);
+  phy::Despreader despreader(plan.scrambler_seed);
   result.symbols.reserve(total_symbols);
   result.hops.reserve(schedule.segments.size());
 
@@ -241,17 +256,16 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     if (o) {
       // The decision plus every eq. (10)/(3)/(4) threshold term the control
       // logic compared against — enough to replay *why* this filter was picked.
-      const ControlLogicConfig& lc = logic_.config();
       const double signal_frac = config_.pattern.bands().bandwidth_frac(seg.bw_index);
       o.record({.type = obs::TraceEventType::hop_decision,
                 .flag = static_cast<std::uint8_t>(
                     decision.degenerate_psd ? 3 : static_cast<int>(decision.kind)),
                 .bw_index = static_cast<std::uint16_t>(seg.bw_index),
                 .hop = static_cast<std::uint32_t>(result.hops.size() - 1), .packet = frame_counter,
-                .v0 = decision.est_jammer_bw_frac, .v1 = lc.excision_match_guard * signal_frac,
-                .v2 = decision.inband_peak_over_median_db, .v3 = lc.peak_over_median_db,
+                .v0 = decision.est_jammer_bw_frac, .v1 = kExcisionMatchGuard * signal_frac,
+                .v2 = decision.inband_peak_over_median_db, .v3 = kPeakOverMedianDb,
                 .v4 = decision.oob_to_inband_level_db,
-                .v5 = dsp::linear_to_db(lc.oob_level_ratio)});
+                .v5 = dsp::linear_to_db(kOobLevelRatio)});
     }
 
     // Remove the predicted residual rotation for this hop.
@@ -271,9 +285,8 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     // longer matches the decision-directed QPSK model and the loop would
     // wander; carrier tracking is bypassed there and the despread-level
     // phase feedback carries the hop instead.
-    sync::CostasLoop costas(config_.costas_bandwidth);
-    const bool track_carrier =
-        config_.carrier_tracking && decision.kind != FilterDecision::Kind::excision;
+    sync::CostasLoop costas(kCostasBandwidth);
+    const bool track_carrier = decision.kind != FilterDecision::Kind::excision;
     if (track_carrier) {
       BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::carrier_track);
       costas.process(dsp::cspan_mut{clean});

@@ -27,28 +27,6 @@ enum class FilterPolicy {
   always_excision,  ///< ablation: excision regardless of the jammer
 };
 
-/// Bounded re-acquisition policy. A transient that hits the acquisition
-/// window — a sync-targeting burst, a clock glitch that shifts the frame
-/// beyond the nominal search window — would otherwise turn into a silent
-/// frame loss (or worse, a decode of garbage). The receiver instead
-/// retries the preamble search with a geometrically widened lag window
-/// and a decayed threshold, backs off after `max_attempts`, and
-/// classifies an exhausted search as `sync_lost`.
-struct ReacquisitionConfig {
-  std::size_t max_attempts = 3;   ///< total search passes; 1 = single shot
-  double lag_widen = 2.0;         ///< search-window growth factor per retry
-  float threshold_decay = 0.75F;  ///< acceptance-threshold decay per retry
-  float min_threshold = 0.08F;    ///< floor the decayed threshold clamps to
-
-  /// CFAR-style validation for retry acquisitions only: a peak accepted
-  /// below the nominal threshold must also stand this far above the
-  /// correlation noise floor (mean normalised magnitude over the searched
-  /// lags). Pure noise over K lags peaks near sqrt(2 ln K) ~ 3-3.5x its
-  /// own floor, so 4.5 rejects lucky noise while a real (even badly
-  /// degraded) preamble clears it comfortably.
-  float min_margin = 4.5F;
-};
-
 /// Complete link configuration shared by both ends.
 struct SystemConfig {
   std::uint64_t seed = 0xB1155ULL;  ///< shared random seed (pre-shared key)
@@ -68,14 +46,15 @@ struct SystemConfig {
   FilterPolicy filter_policy = FilterPolicy::adaptive;
   ControlLogicConfig logic{};
 
-  float sync_threshold = 0.18F;     ///< preamble acceptance threshold
-  ReacquisitionConfig reacquisition{};  ///< bounded retry of a failed search
-
-  /// Decision-directed Costas loop after the suppression filter (§6.1).
-  /// Tracks residual carrier phase/frequency; under unfiltered strong
-  /// jamming it loses lock, which is part of the paper's measured effect.
-  bool carrier_tracking = true;
-  float costas_bandwidth = 0.002F;  ///< normalised loop bandwidth
+  /// Bounded re-acquisition: total preamble search passes (1 = single
+  /// shot). A transient that hits the acquisition window — a
+  /// sync-targeting burst, a clock glitch that shifts the frame beyond the
+  /// nominal search window — would otherwise turn into a silent frame loss
+  /// (or worse, a decode of garbage). The receiver instead retries the
+  /// search with a geometrically widened lag window and a decayed
+  /// threshold, backs off after this many passes, and classifies an
+  /// exhausted search as `sync_lost`.
+  std::size_t max_sync_attempts = 3;
 };
 
 }  // namespace bhss::core

@@ -9,6 +9,24 @@
 
 namespace bhss::core {
 
+FramePlan plan_frame(const SystemConfig& config, std::uint64_t frame_counter,
+                     std::size_t n_symbols, const HopOverride& ov) {
+  SharedRandom rng = SharedRandom::for_frame(config.seed, frame_counter);
+  FramePlan plan;
+  plan.scrambler_seed = rng.derive_scrambler_seed();
+
+  const HopPattern& pattern = ov.pattern != nullptr ? *ov.pattern : config.pattern;
+  const std::size_t symbols_per_hop =
+      ov.symbols_per_hop != 0 ? ov.symbols_per_hop : config.symbols_per_hop;
+  BHSS_REQUIRE(pattern.bands().size() == config.pattern.bands().size(),
+               "plan_frame: hop override must cover the configured bandwidth set");
+  plan.schedule =
+      config.hopping
+          ? HopSchedule::make(n_symbols, symbols_per_hop, pattern, rng)
+          : HopSchedule::fixed(n_symbols, config.pattern.bands(), config.fixed_bw_index);
+  return plan;
+}
+
 BhssTransmitter::BhssTransmitter(SystemConfig config) : config_(std::move(config)) {}
 
 dsp::cvec BhssTransmitter::modulate_symbols(std::span<const std::uint8_t> symbols,
@@ -53,23 +71,12 @@ dsp::cvec BhssTransmitter::modulate_symbols(std::span<const std::uint8_t> symbol
 Transmission BhssTransmitter::transmit(std::span<const std::uint8_t> payload,
                                        std::uint64_t frame_counter,
                                        const HopOverride& ov) const {
-  SharedRandom rng = SharedRandom::for_frame(config_.seed, frame_counter);
-  const std::uint32_t scrambler_seed = rng.derive_scrambler_seed();
-
-  const HopPattern& pattern = ov.pattern != nullptr ? *ov.pattern : config_.pattern;
-  const std::size_t symbols_per_hop =
-      ov.symbols_per_hop != 0 ? ov.symbols_per_hop : config_.symbols_per_hop;
-  BHSS_REQUIRE(pattern.bands().size() == config_.pattern.bands().size(),
-               "BhssTransmitter: hop override must cover the configured bandwidth set");
-
   Transmission tx;
   tx.frame_counter = frame_counter;
   tx.symbols = phy::build_frame_symbols(payload);
-  tx.schedule = config_.hopping
-                    ? HopSchedule::make(tx.symbols.size(), symbols_per_hop, pattern, rng)
-                    : HopSchedule::fixed(tx.symbols.size(), config_.pattern.bands(),
-                                         config_.fixed_bw_index);
-  tx.samples = modulate_symbols(tx.symbols, tx.symbols.size(), tx.schedule, scrambler_seed);
+  FramePlan plan = plan_frame(config_, frame_counter, tx.symbols.size(), ov);
+  tx.schedule = std::move(plan.schedule);
+  tx.samples = modulate_symbols(tx.symbols, tx.symbols.size(), tx.schedule, plan.scrambler_seed);
   return tx;
 }
 

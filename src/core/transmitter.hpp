@@ -26,6 +26,20 @@ struct Transmission {
   std::uint64_t frame_counter = 0;
 };
 
+/// The per-frame derivations both ends make from the shared random source
+/// (§4.1): the PN scrambler seed and the hop schedule.
+struct FramePlan {
+  std::uint32_t scrambler_seed = 0;
+  HopSchedule schedule;
+};
+
+/// Plan frame `frame_counter` of `n_symbols` symbols from (config.seed,
+/// frame_counter). `ov` optionally replaces the configured hop
+/// pattern/dwell (adaptation layer); its pattern must cover the
+/// configured bandwidth set (BHSS_REQUIREd).
+[[nodiscard]] FramePlan plan_frame(const SystemConfig& config, std::uint64_t frame_counter,
+                                   std::size_t n_symbols, const HopOverride& ov = {});
+
 /// Stateless frame transmitter; all randomness is derived per frame from
 /// (config.seed, frame_counter) so the receiver can mirror it.
 class BhssTransmitter {

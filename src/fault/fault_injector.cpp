@@ -99,17 +99,8 @@ FaultLog FaultInjector::apply(const FaultPlan& plan, dsp::cvec& capture,
         break;
       }
       case FaultKind::cfo_step: {
-        const auto step = static_cast<float>(ev.magnitude);
-        dsp::cf osc{1.0F, 0.0F};
-        const dsp::cf rot{std::cos(step), std::sin(step)};
-        for (std::size_t i = offset; i < capture.size(); ++i) {
-          capture[i] *= osc;
-          osc *= rot;
-          if ((i - offset) % 4096 == 4095) {
-            const float mag = std::abs(osc);
-            if (mag > 0.0F) osc /= mag;
-          }
-        }
+        channel::apply_cfo(dsp::cspan_mut{capture}.subspan(offset),
+                           static_cast<float>(ev.magnitude));
         ++log.cfo_steps;
         break;
       }

@@ -15,6 +15,7 @@
 /// sequential one — PR 2's bit-identical determinism contract extends to
 /// faulted runs unchanged.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,38 +46,24 @@ struct FaultEvent {
                             ///< fractional delay, or NaN-vs-Inf selector)
 };
 
-/// Per-kind fault probabilities and intensities. Each probability is the
-/// chance that one packet capture receives one event of that kind; all
-/// default to 0 so a default-constructed config is fault-free and existing
-/// experiments are untouched.
+/// Clock glitches land in the first min(capture/4, kJumpOffsetMax)
+/// samples of a capture — the acquisition region.
+inline constexpr std::size_t kJumpOffsetMax = 512;
+
+/// Per-kind fault probabilities. Each is the chance that one packet
+/// capture receives one event of that kind; all default to 0 so a
+/// default-constructed config is fault-free and existing experiments are
+/// untouched. The intensity of each kind is a constant of the planner.
 struct FaultConfig {
   std::uint64_t seed = 0xFA017ULL;  ///< fault-private randomness root
 
-  double p_burst = 0.0;             ///< jammer power burst
-  double burst_power_db = 30.0;     ///< burst power over the unit noise floor
-  double burst_len_frac = 0.08;     ///< burst span as a fraction of the capture
-
-  double p_fade = 0.0;              ///< deep fade / gain step
-  double fade_depth_db = 25.0;      ///< attenuation inside the fade
-  double fade_len_frac = 0.2;       ///< fade span as a fraction of the capture
-
-  double p_drop = 0.0;              ///< sample drop
-  std::size_t drop_max = 48;        ///< max dropped samples per event
-
-  double p_dup = 0.0;               ///< sample duplication
-  std::size_t dup_max = 48;         ///< max duplicated samples per event
-
-  double p_clock_jump = 0.0;        ///< clock glitch (integer + fractional)
-  std::size_t jump_max = 256;       ///< max integer delay step [samples]
-  std::size_t jump_offset_max = 512; ///< jump lands in the first
-                                     ///< min(capture/4, this) samples —
-                                     ///< the acquisition region
-
-  double p_cfo_step = 0.0;          ///< oscillator step
-  double cfo_step_max = 4e-4;       ///< |extra CFO| bound [rad/sample]
-
-  double p_corrupt = 0.0;           ///< NaN/Inf corruption
-  std::size_t corrupt_max = 12;     ///< max corrupted samples per event
+  double p_burst = 0.0;       ///< jammer power burst
+  double p_fade = 0.0;        ///< deep fade / gain step
+  double p_drop = 0.0;        ///< sample drop
+  double p_dup = 0.0;         ///< sample duplication
+  double p_clock_jump = 0.0;  ///< clock glitch (integer + fractional)
+  double p_cfo_step = 0.0;    ///< oscillator step
+  double p_corrupt = 0.0;     ///< NaN/Inf corruption
 
   /// True when any fault kind has a non-zero probability.
   [[nodiscard]] bool any() const noexcept;

@@ -1,5 +1,6 @@
 #include "jammer/hopping_jammer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
@@ -23,15 +24,12 @@ HoppingJammer::HoppingJammer(std::vector<double> bandwidth_fracs,
 }
 
 dsp::cvec HoppingJammer::generate(std::size_t n) {
-  dsp::cvec out;
-  out.reserve(n);
+  dsp::cvec out(n);
   last_hops_.clear();
-  while (out.size() < n) {
+  for (std::size_t pos = 0; pos < n; pos += dwell_samples_) {
     const std::size_t idx = pick_(rng_);
     last_hops_.push_back(bandwidth_fracs_[idx]);
-    const std::size_t chunk = std::min(dwell_samples_, n - out.size());
-    const dsp::cvec seg = sources_[idx].generate(chunk);
-    out.insert(out.end(), seg.begin(), seg.end());
+    sources_[idx].fill(dsp::cspan_mut{out}.subspan(pos, std::min(dwell_samples_, n - pos)));
   }
   return out;
 }

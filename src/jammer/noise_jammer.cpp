@@ -18,17 +18,24 @@ NoiseJammer::NoiseJammer(double bandwidth_frac, std::uint64_t seed, std::size_t 
   }
 }
 
-dsp::cvec NoiseJammer::generate(std::size_t n) {
-  if (shaper_ == nullptr) return noise_.generate(n, 1.0);
+void NoiseJammer::fill(dsp::cspan_mut out) {
+  if (shaper_ == nullptr) {
+    noise_.fill(out, 1.0);
+    return;
+  }
 
   // Generate with lead-in and keep what follows it, so the filter
   // transient does not leave a quiet gap at the start of the jamming burst.
   const std::size_t lead = shaper_->taps.size();
-  raw_.resize(n + lead);
+  raw_.resize(out.size() + lead);
   noise_.fill(raw_, 1.0);
-  dsp::cvec out(n);
   shaper_->filter(raw_, lead, out);
   dsp::scale_to_power(out, 1.0);
+}
+
+dsp::cvec NoiseJammer::generate(std::size_t n) {
+  dsp::cvec out(n);
+  fill(out);
   return out;
 }
 

@@ -31,7 +31,12 @@ class NoiseJammer {
   ///                        would.
   NoiseJammer(double bandwidth_frac, std::uint64_t seed, std::size_t num_taps = 2049);
 
-  /// Generate `n` samples of unit-power jamming noise.
+  /// Overwrite `out` with unit-power jamming noise, normalised over its
+  /// own samples.
+  void fill(dsp::cspan_mut out);
+
+  /// Generate `n` samples of unit-power jamming noise: what `fill` writes
+  /// into a span of `n` samples.
   [[nodiscard]] dsp::cvec generate(std::size_t n);
 
   [[nodiscard]] double bandwidth_frac() const noexcept { return bandwidth_frac_; }

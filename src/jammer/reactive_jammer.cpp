@@ -67,6 +67,7 @@ dsp::cvec ReactiveJammer::generate(std::span<const ObservedHop> hops, std::size_
     std::size_t bw_index;
   };
   std::vector<Segment> timeline;
+  timeline.reserve(hops.size() + 1);
   timeline.push_back({0, idle});
   std::size_t last_estimated = idle;
   bool any_estimated = false;
@@ -82,19 +83,17 @@ dsp::cvec ReactiveJammer::generate(std::span<const ObservedHop> hops, std::size_
   std::stable_sort(timeline.begin(), timeline.end(),
                    [](const Segment& a, const Segment& b) { return a.start < b.start; });
 
-  dsp::cvec out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < timeline.size() && out.size() < n; ++i) {
-    const std::size_t seg_start = std::max(timeline[i].start, out.size());
+  // Each segment runs from its own start (the first from 0) to the next
+  // one's, the last to n; a segment that a later one at the same sample
+  // replaces writes nothing.
+  dsp::cvec out(n);
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < timeline.size() && pos < n; ++i) {
     const std::size_t seg_end =
         (i + 1 < timeline.size()) ? std::min<std::size_t>(timeline[i + 1].start, n) : n;
-    if (seg_end <= seg_start) continue;
-    const dsp::cvec seg = sources_[timeline[i].bw_index].generate(seg_end - seg_start);
-    out.insert(out.end(), seg.begin(), seg.end());
-  }
-  if (out.size() < n) {
-    const dsp::cvec tail = sources_[idle].generate(n - out.size());
-    out.insert(out.end(), tail.begin(), tail.end());
+    if (seg_end <= pos) continue;
+    sources_[timeline[i].bw_index].fill(dsp::cspan_mut{out}.subspan(pos, seg_end - pos));
+    pos = seg_end;
   }
   // The jammer eventually reacts to the last thing it *finished
   // estimating*, even when that reaction lands after this transmission

@@ -47,7 +47,7 @@ inline constexpr std::size_t kNumTraceEventTypes = 8;
 ///  - hop_decision: flag = filter kind (0 none / 1 lowpass / 2 excision /
 ///    3 degenerate-PSD fallback), bw_index = hop bandwidth level,
 ///    v0 = est_jammer_bw_frac, v1 = eq. (10) guard threshold
-///    (excision_match_guard * signal bandwidth fraction), v2/v3 = in-band
+///    (kExcisionMatchGuard * signal bandwidth fraction), v2/v3 = in-band
 ///    peak-over-median dB and its threshold, v4/v5 = out-of-band level dB
 ///    and its threshold.
 ///  - sync_attempt: flag = outcome (0 miss / 1 lock / 2 CFAR reject),

@@ -138,24 +138,9 @@ std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
   h.enm(sys.filter_policy);
   const core::ControlLogicConfig& logic = sys.logic;
   h.u64(logic.psd_fft);
-  h.f64(logic.welch_overlap);
   h.enm(logic.psd_method);
-  h.u64(logic.max_lpf_taps);
-  h.f64(logic.lpf_atten_db);
-  h.f64(logic.lpf_cutoff_factor);
-  h.f64(logic.oob_level_ratio);
-  h.f64(logic.peak_over_median_db);
-  h.f64(logic.excision_match_guard);
-  h.f64(logic.excision_floor_rel);
   h.enm(logic.excision_style);
-  h.f32(sys.sync_threshold);
-  h.u64(sys.reacquisition.max_attempts);
-  h.f64(sys.reacquisition.lag_widen);
-  h.f32(sys.reacquisition.threshold_decay);
-  h.f32(sys.reacquisition.min_threshold);
-  h.f32(sys.reacquisition.min_margin);
-  h.u64(sys.carrier_tracking ? 1 : 0);
-  h.f32(sys.costas_bandwidth);
+  h.u64(sys.max_sync_attempts);
 
   const core::JammerSpec& jam = cfg.jammer;
   h.enm(jam.kind);
@@ -187,22 +172,12 @@ std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
   const fault::FaultConfig& f = cfg.faults;
   h.u64(f.seed);
   h.f64(f.p_burst);
-  h.f64(f.burst_power_db);
-  h.f64(f.burst_len_frac);
   h.f64(f.p_fade);
-  h.f64(f.fade_depth_db);
-  h.f64(f.fade_len_frac);
   h.f64(f.p_drop);
-  h.u64(f.drop_max);
   h.f64(f.p_dup);
-  h.u64(f.dup_max);
   h.f64(f.p_clock_jump);
-  h.u64(f.jump_max);
-  h.u64(f.jump_offset_max);
   h.f64(f.p_cfo_step);
-  h.f64(f.cfo_step_max);
   h.f64(f.p_corrupt);
-  h.u64(f.corrupt_max);
 
   const adapt::AdaptConfig& a = cfg.adapt;
   h.u64(a.enabled ? 1 : 0);
@@ -214,8 +189,6 @@ std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
   h.f64(a.adapter.deweight);
   h.u64(a.adapter.deweight_cap);
   h.f64(a.adapter.min_occupancy);
-  h.f64(a.adapter.recover_step);
-  h.f64(a.adapter.snap_tolerance);
   h.u64(a.fallback_windows);
   h.u64(a.recovery_windows);
   h.u64(a.min_symbols_per_hop);

@@ -114,8 +114,7 @@ TEST(ControlLogic, LowpassBankCutoffTracksBandwidth) {
   const BandwidthSet bands = BandwidthSet::paper();
   const ControlLogic logic({}, bands);
   for (std::size_t i = 0; i < bands.size(); ++i) {
-    EXPECT_NEAR(logic.lpf_cutoff_frac(i),
-                logic.config().lpf_cutoff_factor * bands.bandwidth_frac(i), 1e-12);
+    EXPECT_NEAR(logic.lpf_cutoff_frac(i), kLpfCutoffFactor * bands.bandwidth_frac(i), 1e-12);
   }
 }
 

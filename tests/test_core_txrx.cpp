@@ -8,6 +8,7 @@
 #include <numbers>
 
 #include "channel/link_channel.hpp"
+#include "core/contracts.hpp"
 #include "core/receiver.hpp"
 #include "core/transmitter.hpp"
 #include "dsp/fir.hpp"
@@ -72,6 +73,36 @@ TEST(Transmitter, ChipStreamUnpredictableAcrossFrames) {
     if (std::abs(a.samples[i] - b.samples[i]) < 1e-6F) ++same;
   }
   EXPECT_LT(same, a.samples.size() / 2);
+}
+
+TEST(FramePlan, OverrideOfAnotherBandCountIsRefusedByBothEnds) {
+  // Both ends plan the frame through plan_frame, so an override pattern
+  // over another band set (here 4 levels against the paper's 7) is
+  // refused by the transmitter and the receiver alike.
+  const SystemConfig cfg = hopping_config();
+  const HopPattern other = HopPattern::make(HopPatternType::linear, BandwidthSet::small());
+  ASSERT_NE(other.bands().size(), cfg.pattern.bands().size());
+  const HopOverride ov{&other, 0};
+  const BhssTransmitter tx(cfg);
+  const BhssReceiver rx(cfg);
+  const auto payload = test_payload(8);
+  EXPECT_THROW((void)tx.transmit(payload, 3, ov), contract_violation);
+  const Transmission t = tx.transmit(payload, 3);
+  EXPECT_THROW((void)rx.receive(t.samples, 3, payload.size(), 96, 0, {}, ov),
+               contract_violation);
+
+  // An override over the same set is taken, dwell included, and the
+  // transmitted schedule is the plan's.
+  const HopPattern same = HopPattern::make(HopPatternType::parabolic, BandwidthSet::paper());
+  const HopOverride taken{&same, 2};
+  const Transmission o = tx.transmit(payload, 3, taken);
+  const FramePlan plan = plan_frame(cfg, 3, o.symbols.size(), taken);
+  ASSERT_EQ(o.schedule.segments.size(), plan.schedule.segments.size());
+  for (std::size_t i = 0; i < plan.schedule.segments.size(); ++i) {
+    EXPECT_EQ(o.schedule.segments[i].bw_index, plan.schedule.segments[i].bw_index);
+    EXPECT_EQ(o.schedule.segments[i].start_sample, plan.schedule.segments[i].start_sample);
+    EXPECT_LE(plan.schedule.segments[i].n_symbols, 2U);
+  }
 }
 
 TEST(Receiver, GenieRoundTripOnCleanChannel) {

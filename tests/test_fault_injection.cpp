@@ -93,7 +93,7 @@ TEST(FaultPlan, ClockJumpStaysInsideTheAcquisitionRegion) {
     const FaultPlan plan = plan_faults(cfg, pkt, 20000);
     ASSERT_EQ(plan.events.size(), 1U);
     EXPECT_EQ(plan.events[0].kind, FaultKind::clock_jump);
-    EXPECT_LT(plan.events[0].offset, cfg.jump_offset_max);
+    EXPECT_LT(plan.events[0].offset, kJumpOffsetMax);
     EXPECT_GE(plan.events[0].magnitude, 0.0);
     EXPECT_LT(plan.events[0].magnitude, 1.0);
   }
@@ -220,7 +220,7 @@ TEST(FaultedLink, ClockJumpsAreReacquiredAndRecoveryBeatsSingleShot) {
   const core::LinkStats with_recovery = core::run_link(cfg);
 
   core::SimConfig single = cfg;
-  single.system.reacquisition.max_attempts = 1;
+  single.system.max_sync_attempts = 1;
   const core::LinkStats single_shot = core::run_link(single);
 
   // Identical fault exposure on both sides.

@@ -72,7 +72,8 @@ TEST(NoiseJammer, StreamIsPinned) {
   // instance: the second spans two overlap-save blocks of the 2049-tap
   // shaper, the third is a single sample. Band-occupancy and power tests
   // pass a shaper change that moves the last bit of the noise; this one
-  // does not, in any build, scalar or vector.
+  // does not, in any build, scalar or vector. The reactive and hopping
+  // jammers write their segments from these sources.
   struct Pin {
     double bw;
     std::array<std::uint64_t, 3> digests;
@@ -99,6 +100,14 @@ TEST(NoiseJammer, StreamIsPinned) {
   const dsp::cvec x = reactive.generate(hops, 12000);
   ASSERT_EQ(x.size(), 12000U);
   EXPECT_EQ(fnv1a(x), 0x248151CF85DD786EULL);
+  // One hopping call whose length is not a multiple of the dwell: four
+  // full dwells (two of them back to back on the full band) and a
+  // 500-sample remainder, each normalised over its own samples.
+  HoppingJammer hopping({1.0, 0.35, 1.0 / 128}, {0.4, 0.3, 0.3}, 1000, 0x5EED);
+  const dsp::cvec h = hopping.generate(4500);
+  ASSERT_EQ(h.size(), 4500U);
+  EXPECT_EQ(hopping.last_hop_bandwidths(), (std::vector<double>{1.0 / 128, 1.0, 1.0, 0.35, 0.35}));
+  EXPECT_EQ(fnv1a(h), 0x37E4A1CC1B6C267BULL);
 }
 
 TEST(NoiseJammer, RejectsBadBandwidth) {

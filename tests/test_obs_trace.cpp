@@ -216,12 +216,11 @@ TEST(GoldenTrace, HopDecisionCarriesStableThresholdTerms) {
                                cfg.jammer.seed};
   (void)core::run_link_shard(cfg, 0, 4, seeds, tele.obs());
 
-  const core::ControlLogicConfig logic;  // defaults used by golden_config
   std::size_t n_hops = 0;
   for (const obs::TraceEvent& ev : tele.trace.events()) {
     if (ev.type != obs::TraceEventType::hop_decision) continue;
     ++n_hops;
-    EXPECT_EQ(ev.v3, logic.peak_over_median_db);   // in-band peak threshold
+    EXPECT_EQ(ev.v3, core::kPeakOverMedianDb);     // in-band peak threshold
     EXPECT_GT(ev.v1, 0.0);                         // eq. (10) guard term
     EXPECT_LE(ev.v0, 1.0);                         // occupancy is a fraction
     EXPECT_GE(ev.v0, 0.0);

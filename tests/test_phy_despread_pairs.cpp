@@ -13,18 +13,23 @@
 namespace bhss::phy {
 namespace {
 
-/// Chip pairs of one spread symbol, optionally rotated and noisy.
+/// Chip pairs of one spread symbol, optionally rotated and noisy
+/// (noise_sigma 0 draws no noise: a normal distribution needs a positive
+/// standard deviation).
 dsp::cvec make_pairs(std::uint8_t symbol, std::uint32_t seed, float phase,
                      float noise_sigma, unsigned noise_seed) {
   Spreader spread(seed);
   std::vector<float> chips;
   spread.spread_symbol(symbol, chips);
   dsp::cvec pairs(kChipsPerSymbol / 2);
-  std::mt19937 rng(noise_seed);
-  std::normal_distribution<float> dist(0.0F, noise_sigma);
   const dsp::cf rot{std::cos(phase), std::sin(phase)};
   for (std::size_t m = 0; m < pairs.size(); ++m) {
-    pairs[m] = dsp::cf{chips[2 * m], chips[2 * m + 1]} * rot + dsp::cf{dist(rng), dist(rng)};
+    pairs[m] = dsp::cf{chips[2 * m], chips[2 * m + 1]} * rot;
+  }
+  if (noise_sigma > 0.0F) {
+    std::mt19937 rng(noise_seed);
+    std::normal_distribution<float> dist(0.0F, noise_sigma);
+    for (dsp::cf& p : pairs) p += dsp::cf{dist(rng), dist(rng)};
   }
   return pairs;
 }

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/link_simulator.hpp"
@@ -376,6 +377,50 @@ TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
   changed = cfg;
   changed.system.symbols_per_hop += 1;
   EXPECT_NE(base, CampaignRunner::params_hash(changed, 8));
+
+  // Every field of SystemConfig, ControlLogicConfig, FaultConfig and
+  // HopAdapterConfig moves the hash on its own...
+  using Edit = void (*)(core::SimConfig&);
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"seed", [](core::SimConfig& c) { c.system.seed += 1; }},
+      {"pattern",
+       [](core::SimConfig& c) {
+         c.system.pattern =
+             core::HopPattern::make(core::HopPatternType::parabolic, core::BandwidthSet::paper());
+       }},
+      {"symbols_per_hop", [](core::SimConfig& c) { c.system.symbols_per_hop += 1; }},
+      {"hopping", [](core::SimConfig& c) { c.system.hopping = !c.system.hopping; }},
+      {"fixed_bw_index", [](core::SimConfig& c) { c.system.fixed_bw_index += 1; }},
+      {"sync", [](core::SimConfig& c) { c.system.sync = core::SyncMode::genie; }},
+      {"filter_policy",
+       [](core::SimConfig& c) { c.system.filter_policy = core::FilterPolicy::off; }},
+      {"max_sync_attempts", [](core::SimConfig& c) { c.system.max_sync_attempts = 1; }},
+      {"psd_fft", [](core::SimConfig& c) { c.system.logic.psd_fft *= 2; }},
+      {"psd_method",
+       [](core::SimConfig& c) { c.system.logic.psd_method = core::PsdMethod::bartlett; }},
+      {"excision_style",
+       [](core::SimConfig& c) { c.system.logic.excision_style = core::ExcisionStyle::whitening; }},
+      {"faults.seed", [](core::SimConfig& c) { c.faults.seed += 1; }},
+      {"p_burst", [](core::SimConfig& c) { c.faults.p_burst = 0.1; }},
+      {"p_fade", [](core::SimConfig& c) { c.faults.p_fade = 0.1; }},
+      {"p_drop", [](core::SimConfig& c) { c.faults.p_drop = 0.1; }},
+      {"p_dup", [](core::SimConfig& c) { c.faults.p_dup = 0.1; }},
+      {"p_clock_jump", [](core::SimConfig& c) { c.faults.p_clock_jump = 0.1; }},
+      {"p_cfo_step", [](core::SimConfig& c) { c.faults.p_cfo_step = 0.1; }},
+      {"p_corrupt", [](core::SimConfig& c) { c.faults.p_corrupt = 0.1; }},
+      {"deweight", [](core::SimConfig& c) { c.adapt.adapter.deweight /= 2; }},
+      {"deweight_cap", [](core::SimConfig& c) { c.adapt.adapter.deweight_cap += 1; }},
+      {"min_occupancy", [](core::SimConfig& c) { c.adapt.adapter.min_occupancy /= 2; }},
+  };
+  for (const auto& [name, edit] : edits) {
+    changed = cfg;
+    edit(changed);
+    EXPECT_NE(base, CampaignRunner::params_hash(changed, 8)) << name;
+  }
+  // ...but the design cache changes which work runs, not what comes out.
+  changed = cfg;
+  changed.system.logic.design_cache_capacity = 0;
+  EXPECT_EQ(base, CampaignRunner::params_hash(changed, 8));
 }
 
 // --------------------------------------------------------- campaign running
