@@ -131,16 +131,11 @@ int main(int argc, char** argv) {
 
     core::JammerSpec sweep;
     sweep.kind = core::JammerSpec::Kind::band_sweep;
-    sweep.sweep_lo = -0.2;
-    sweep.sweep_hi = 0.2;
-    sweep.sweep_steps = 8;
     sweep.dwell_samples = 4096;
-    sweep.sweep_bw_frac = 0.08;
     scenarios.push_back({"band_sweep", sweep});
 
     core::JammerSpec est;
     est.kind = core::JammerSpec::Kind::estimating;
-    est.estimation_hops = 32;
     scenarios.push_back({"estimating", est});
   }
 

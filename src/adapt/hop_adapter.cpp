@@ -5,18 +5,20 @@
 namespace bhss::adapt {
 namespace {
 
-constexpr double kRecoverStep = 0.5;     ///< per-step blend back toward base, in (0, 1]
-constexpr double kSnapTolerance = 1e-9;  ///< max |p - base| before snapping exactly
+constexpr double kDeweight = 0.25;        ///< multiplier per suspicion hit, in (0, 1)
+constexpr std::uint32_t kDeweightCap = 4;  ///< max suspicion hits that count per band
+constexpr double kMinOccupancy = 0.02;     ///< occupancy floor per band (n * floor < 1)
+constexpr double kRecoverStep = 0.5;       ///< per-step blend back toward base, in (0, 1]
+constexpr double kSnapTolerance = 1e-9;    ///< max |p - base| before snapping exactly
+
+static_assert(kDeweight > 0.0 && kDeweight < 1.0, "kDeweight must lie in (0, 1)");
+static_assert(kMinOccupancy >= 0.0, "the occupancy floor must be >= 0");
 
 }  // namespace
 
-HopAdapter::HopAdapter(const HopAdapterConfig& config, std::vector<double> base_probs)
-    : config_(config), base_(std::move(base_probs)) {
+HopAdapter::HopAdapter(std::vector<double> base_probs) : base_(std::move(base_probs)) {
   BHSS_REQUIRE(!base_.empty(), "HopAdapter: need at least one bandwidth level");
-  BHSS_REQUIRE(config_.deweight > 0.0 && config_.deweight < 1.0,
-               "HopAdapter: deweight must lie in (0, 1)");
-  BHSS_REQUIRE(config_.min_occupancy >= 0.0, "HopAdapter: occupancy floor must be >= 0");
-  BHSS_REQUIRE(config_.min_occupancy * static_cast<double>(base_.size()) < 1.0,
+  BHSS_REQUIRE(kMinOccupancy * static_cast<double>(base_.size()) < 1.0,
                "HopAdapter: occupancy floors must leave probability to distribute");
 
   double sum = 0.0;
@@ -33,23 +35,19 @@ HopAdapter::HopAdapter(const HopAdapterConfig& config, std::vector<double> base_
 void HopAdapter::reweight(std::span<const std::uint32_t> suspicion) {
   BHSS_REQUIRE(suspicion.size() == base_.size(),
                "HopAdapter: suspicion vector must cover every bandwidth index");
+  // Every weight keeps at least base_i * kDeweight^kDeweightCap and some
+  // base_i >= 1/n, so the sum is positive.
   double sum = 0.0;
   for (std::size_t i = 0; i < base_.size(); ++i) {
-    const std::uint32_t hits =
-        std::min<std::uint32_t>(suspicion[i], static_cast<std::uint32_t>(config_.deweight_cap));
+    const std::uint32_t hits = std::min(suspicion[i], kDeweightCap);
     double w = base_[i];
-    for (std::uint32_t k = 0; k < hits; ++k) w *= config_.deweight;
+    for (std::uint32_t k = 0; k < hits; ++k) w *= kDeweight;
     weights_[i] = w;
     sum += w;
   }
-  // All-suspect degenerate case: every band equally poisoned, spread wide.
-  if (sum <= 0.0) {
-    fall_back_uniform();
-    return;
-  }
-  const double span = 1.0 - config_.min_occupancy * static_cast<double>(base_.size());
+  const double span = 1.0 - kMinOccupancy * static_cast<double>(base_.size());
   for (std::size_t i = 0; i < base_.size(); ++i) {
-    probs_[i] = config_.min_occupancy + span * weights_[i] / sum;
+    probs_[i] = kMinOccupancy + span * weights_[i] / sum;
   }
   at_base_ = false;
 }
@@ -73,11 +71,6 @@ bool HopAdapter::recover_toward_base() noexcept {
     at_base_ = true;
   }
   return at_base_;
-}
-
-void HopAdapter::reset() noexcept {
-  probs_ = base_;
-  at_base_ = true;
 }
 
 }  // namespace bhss::adapt

@@ -5,7 +5,7 @@
 /// (configured) draw probabilities and the detector's per-bandwidth
 /// suspicion counts, the adapter down-weights suspected bandwidth
 /// indices multiplicatively while guaranteeing an ExpressLRS-style
-/// occupancy floor — every bandwidth keeps at least `min_occupancy`
+/// occupancy floor — every bandwidth keeps at least `kMinOccupancy`
 /// probability, so no level starves and the jammer can never force the
 /// link into a predictable residual set. Recovery walks the adapted
 /// distribution back toward the base geometrically and snaps exactly
@@ -24,20 +24,14 @@
 
 namespace bhss::adapt {
 
-struct HopAdapterConfig {
-  double deweight = 0.25;      ///< multiplier per suspicion hit, in (0, 1)
-  std::size_t deweight_cap = 4;  ///< max suspicion hits that count per band
-  double min_occupancy = 0.02;   ///< occupancy floor per band (n * floor < 1)
-};
-
 /// Stateful distribution re-weighter over a fixed bandwidth set.
 class HopAdapter {
  public:
-  HopAdapter(const HopAdapterConfig& config, std::vector<double> base_probs);
+  explicit HopAdapter(std::vector<double> base_probs);
 
   /// Re-weight away from suspected bands: p_i = floor + span * w_i / sum w
-  /// with w_i = base_i * deweight^min(suspicion_i, cap). The result sums
-  /// to 1 and honours the occupancy floor exactly.
+  /// with w_i = base_i * kDeweight^min(suspicion_i, kDeweightCap). The
+  /// result sums to 1 and honours the occupancy floor exactly.
   void reweight(std::span<const std::uint32_t> suspicion);
 
   /// Replace the distribution with the widest-spreading (maximum-entropy)
@@ -48,15 +42,11 @@ class HopAdapter {
   /// the distribution has snapped exactly back onto the base.
   bool recover_toward_base() noexcept;
 
-  /// Reset to the base distribution exactly.
-  void reset() noexcept;
-
   [[nodiscard]] const std::vector<double>& probs() const noexcept { return probs_; }
   [[nodiscard]] const std::vector<double>& base() const noexcept { return base_; }
   [[nodiscard]] bool at_base() const noexcept { return at_base_; }
 
  private:
-  HopAdapterConfig config_;
   std::vector<double> base_;   ///< normalised configured distribution
   std::vector<double> probs_;  ///< current adapted distribution
   std::vector<double> weights_;  ///< reweight scratch (no per-call allocation)

@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace bhss::adapt {
+namespace {
+
+constexpr std::size_t kMinSymbolsPerHop = 1;    ///< dwell floor for DEGRADED/FALLBACK
+constexpr std::size_t kDegradedDwellShift = 1;  ///< dwell halvings applied in DEGRADED
+
+}  // namespace
 
 const char* to_string(LinkAdaptState s) noexcept {
   switch (s) {
@@ -19,18 +25,15 @@ ResilienceController::ResilienceController(const AdaptConfig& config,
                                            std::size_t base_symbols_per_hop)
     : config_(config),
       detector_(config.detector, base_probs.size()),
-      adapter_(config.adapter, std::move(base_probs)),
+      adapter_(std::move(base_probs)),
       base_symbols_per_hop_(base_symbols_per_hop) {
   BHSS_REQUIRE(base_symbols_per_hop_ >= 1, "ResilienceController: dwell must be >= 1 symbol");
-  BHSS_REQUIRE(config_.min_symbols_per_hop >= 1 &&
-                   config_.min_symbols_per_hop <= base_symbols_per_hop_,
-               "ResilienceController: dwell floor must lie in [1, base dwell]");
   BHSS_REQUIRE(config_.fallback_windows >= 1,
                "ResilienceController: fallback debounce must be >= 1 window");
   BHSS_REQUIRE(config_.recovery_windows >= 1,
                "ResilienceController: recovery debounce must be >= 1 window");
   degraded_symbols_per_hop_ =
-      std::max(base_symbols_per_hop_ >> config_.degraded_dwell_shift, config_.min_symbols_per_hop);
+      std::max(base_symbols_per_hop_ >> kDegradedDwellShift, kMinSymbolsPerHop);
   plan_.probs = adapter_.base();
   plan_.symbols_per_hop = base_symbols_per_hop_;
   plan_.epoch = 0;
@@ -95,7 +98,7 @@ void ResilienceController::on_packet(const PacketOutcome& outcome, const obs::Li
           ++counters_.fallbacks;
           fallback_clean_windows_ = 0;
           adapter_.fall_back_uniform();
-          publish_plan(adapter_.probs(), config_.min_symbols_per_hop);
+          publish_plan(adapter_.probs(), kMinSymbolsPerHop);
           enter(LinkAdaptState::fallback, v.ordinal, outcome.packet, o);
         } else {
           // Track the adversary: suspicion has moved, so re-weight again.

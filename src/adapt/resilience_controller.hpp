@@ -49,11 +49,8 @@ enum class LinkAdaptState : std::uint8_t { nominal = 0, degraded, fallback, reco
 struct AdaptConfig {
   bool enabled = false;          ///< off = static link, controller never built
   JamDetectorConfig detector{};
-  HopAdapterConfig adapter{};
   std::size_t fallback_windows = 3;  ///< jammed windows in DEGRADED before FALLBACK
   std::size_t recovery_windows = 2;  ///< clean windows in FALLBACK before RECOVERING
-  std::size_t min_symbols_per_hop = 1;  ///< dwell floor for DEGRADED/FALLBACK
-  std::size_t degraded_dwell_shift = 1; ///< dwell halvings applied in DEGRADED
 };
 
 /// The hop plan the PHY should draw schedules from. `epoch` increments

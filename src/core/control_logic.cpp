@@ -70,9 +70,6 @@ double msk_psd_shape(double f_norm, double sps) noexcept {
 
 ControlLogic::ControlLogic(ControlLogicConfig config, const BandwidthSet& bands)
     : config_(config), bands_(bands), design_cache_(config.design_cache_capacity) {
-  BHSS_REQUIRE(dsp::Fft::valid_size(config_.psd_fft),
-               "ControlLogic: psd_fft must be a power of two");
-
   // Pre-compute the low-pass bank, one filter per bandwidth level, exactly
   // as the paper's implementation does ("we pre-compute the taps of all
   // possible low-pass filters in advance", §6.1) — as the
@@ -112,7 +109,7 @@ std::size_t ControlLogic::detection_fft(std::size_t slice_len, std::size_t bw_in
   // jammer peak.
   const std::size_t want = 24 * bands_.sps(bw_index);
   std::size_t fft = 32;
-  while (fft * 2 <= 4096 && (fft < want || fft * 2 <= config_.psd_fft) && fft * 8 <= slice_len) {
+  while (fft * 2 <= 4096 && (fft < want || fft * 2 <= kPsdFft) && fft * 8 <= slice_len) {
     fft *= 2;
   }
   return fft;
@@ -121,7 +118,7 @@ std::size_t ControlLogic::detection_fft(std::size_t slice_len, std::size_t bw_in
 std::size_t ControlLogic::design_fft(std::size_t bw_index) const {
   // Notch resolution of ~1/32 of the signal bandwidth, capped at 4096 taps
   // (the paper's receiver was capped at order 3181).
-  std::size_t fft = config_.psd_fft;
+  std::size_t fft = kPsdFft;
   while (fft < 32 * bands_.sps(bw_index) && fft < 4096) fft *= 2;
   return fft;
 }
@@ -130,7 +127,6 @@ FilterDecision ControlLogic::force_lowpass(std::size_t bw_index) const {
   FilterDecision d;
   d.kind = FilterDecision::Kind::lowpass;
   d.plan = lpf_plan_.at(bw_index);
-  d.group_delay = (d.plan->taps.size() - 1) / 2;
   return d;
 }
 
@@ -203,9 +199,8 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
     for (std::size_t k = 0; k < n; ++k) {
       if (dilated[k]) key.mask[k / 64] |= std::uint64_t{1} << (k % 64);
     }
-    if (const FilterDesignEntry* cached = design_cache_.find(key)) {
-      d.group_delay = cached->group_delay;
-      d.plan = cached->plan;
+    if (auto cached = design_cache_.find(key)) {
+      d.plan = std::move(cached);
       if (o) o.add(obs::link_ids().filter_cache_hits);
       return d;
     }
@@ -213,10 +208,9 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
     for (std::size_t k = 0; k < n; ++k) psd[k] = dilated[k] ? 1e12F : 1.0F;
     d.plan = dsp::ConvolverPlan::make(
         dsp::design_excision_whitening(psd, kExcisionFloorRel, passband));
-    d.group_delay = d.plan->taps.size() / 2;
     if (design_cache_.capacity() > 0) {
       if (o) o.add(obs::link_ids().filter_cache_misses);
-      design_cache_.insert(std::move(key), FilterDesignEntry{d.group_delay, d.plan});
+      design_cache_.insert(std::move(key), d.plan);
     }
     return d;
   }
@@ -225,7 +219,6 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
   // finite key captures them — design fresh every hop, plan included.
   d.plan = dsp::ConvolverPlan::make(
       dsp::design_excision_whitening(psd, kExcisionFloorRel, passband));
-  d.group_delay = d.plan->taps.size() / 2;
   return d;
 }
 

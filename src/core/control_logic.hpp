@@ -11,6 +11,7 @@
 ///    matter -> no filter (eq. (10): excising a near-matched band costs
 ///    more signal than jammer).
 
+#include <bit>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -47,11 +48,12 @@ struct FilterDecision {
   enum class Kind { none, lowpass, excision };
 
   Kind kind = Kind::none;
-  std::size_t group_delay = 0;    ///< samples to compensate after filtering
 
   /// The designed filter: its taps and their shared frequency-domain
   /// convolution plan, null exactly when kind == none. Lets the receiver
-  /// apply the filter without re-transforming the taps each hop.
+  /// apply the filter without re-transforming the taps each hop. Its
+  /// group delay is `taps.size() / 2` samples: low-pass tap counts are odd
+  /// and excision tap counts are powers of two.
   std::shared_ptr<const dsp::ConvolverPlan> plan;
 
   // Diagnostics (what the estimator saw):
@@ -64,6 +66,11 @@ struct FilterDecision {
   /// synthesising Inf/NaN taps from eq. (3)'s 1/sqrt(P).
   bool degenerate_psd = false;
 };
+
+/// PSD resolution (and excision tap count). The receiver's acquisition
+/// window also reaches two of these past the preamble's last lag.
+inline constexpr std::size_t kPsdFft = 256;
+static_assert(std::has_single_bit(kPsdFft), "kPsdFft must be a power of two");
 
 /// One-sided low-pass cutoff as a multiple of the signal bandwidth
 /// fraction. 0.5 clips the half-sine main lobe at the nominal band edge;
@@ -91,7 +98,6 @@ inline constexpr double kExcisionMatchGuard = 0.7;
 /// Configuration of the estimator and the filter design. The decision
 /// thresholds above are design constants of the receiver.
 struct ControlLogicConfig {
-  std::size_t psd_fft = 256;          ///< PSD resolution (and excision tap count)
   PsdMethod psd_method = PsdMethod::welch;
   ExcisionStyle excision_style = ExcisionStyle::template_notch;
 
@@ -120,8 +126,6 @@ class ControlLogic {
   [[nodiscard]] FilterDecision force_excision(dsp::cspan slice, std::size_t bw_index,
                                               const obs::LinkObs& o = {}) const;
 
-  [[nodiscard]] const ControlLogicConfig& config() const noexcept { return config_; }
-
   /// The excision design cache and its lifetime hit/miss counts.
   [[nodiscard]] const FilterDesignCache& design_cache() const noexcept { return design_cache_; }
 
@@ -144,7 +148,7 @@ class ControlLogic {
   [[nodiscard]] std::size_t detection_fft(std::size_t slice_len, std::size_t bw_index) const;
 
   /// FFT size (= tap count) for the excision design at a level: at least
-  /// psd_fft, more for narrow bands so the notch resolution stays a small
+  /// kPsdFft, more for narrow bands so the notch resolution stays a small
   /// fraction of the signal bandwidth.
   [[nodiscard]] std::size_t design_fft(std::size_t bw_index) const;
 

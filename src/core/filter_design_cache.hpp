@@ -56,23 +56,19 @@ struct FilterDesignKeyHash {
   }
 };
 
-/// A completed design: the group delay and the shared frequency-domain
-/// convolution plan, which holds the taps (so a cache hit also skips the
-/// per-hop taps-spectrum FFT, the expensive part).
-struct FilterDesignEntry {
-  std::size_t group_delay = 0;
-  std::shared_ptr<const dsp::ConvolverPlan> plan;
-};
-
 /// Exact-key design cache with deterministic flush-when-full eviction.
-/// Capacity 0 disables caching (find always misses, nothing is stored).
+/// A completed design is its shared frequency-domain convolution plan,
+/// which holds the taps (so a cache hit also skips the per-hop
+/// taps-spectrum FFT, the expensive part). Capacity 0 disables caching
+/// (find always misses, nothing is stored).
 class FilterDesignCache {
  public:
+  using Plan = std::shared_ptr<const dsp::ConvolverPlan>;
+
   explicit FilterDesignCache(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Lookup; bumps the hit/miss counter. Returns nullptr on miss. The
-  /// returned pointer stays valid until the next insert().
-  [[nodiscard]] BHSS_HOT const FilterDesignEntry* find(const FilterDesignKey& key) const {
+  /// Lookup; bumps the hit/miss counter. Returns null on miss.
+  [[nodiscard]] BHSS_HOT Plan find(const FilterDesignKey& key) const {
     if (capacity_ == 0) return nullptr;
     const auto it = map_.find(key);
     if (it == map_.end()) {
@@ -80,16 +76,16 @@ class FilterDesignCache {
       return nullptr;
     }
     ++hits_;
-    return &it->second;
+    return it->second;
   }
 
   /// Store a design. When the cache is full it is flushed entirely first —
   /// a deterministic policy (no recency state), so a resumed campaign
   /// replays the same hit/miss sequence as an uninterrupted one.
-  void insert(FilterDesignKey key, FilterDesignEntry entry) {
+  void insert(FilterDesignKey key, Plan plan) {
     if (capacity_ == 0) return;
     if (map_.size() >= capacity_) map_.clear();
-    map_.emplace(std::move(key), std::move(entry));
+    map_.emplace(std::move(key), std::move(plan));
   }
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
@@ -101,7 +97,7 @@ class FilterDesignCache {
   std::size_t capacity_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
-  std::unordered_map<FilterDesignKey, FilterDesignEntry, FilterDesignKeyHash> map_;
+  std::unordered_map<FilterDesignKey, Plan, FilterDesignKeyHash> map_;
 };
 
 }  // namespace bhss::core

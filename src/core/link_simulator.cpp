@@ -28,6 +28,14 @@ using AnyJammer =
                  jammer::DutyCycleJammer, jammer::BandSweepJammer, jammer::EstimatingJammer>;
 
 AnyJammer make_jammer(const JammerSpec& spec, std::uint64_t seed, const BandwidthSet& bands) {
+  constexpr double kToneFreq = 0.01;            ///< tone: cycles/sample
+  constexpr double kSweepLo = -0.2;             ///< swept/band_sweep: band edges [cycles/sample]
+  constexpr double kSweepHi = 0.2;
+  constexpr std::size_t kSweepSamples = 65536;  ///< swept: samples per full sweep
+  constexpr std::size_t kSweepSteps = 8;        ///< band_sweep: dwell positions per sweep
+  constexpr double kSweepBwFrac = 0.08;         ///< band_sweep: occupied bandwidth per dwell
+  constexpr std::size_t kEstimationHops = 32;   ///< estimating: observations before targeting
+
   using Kind = JammerSpec::Kind;
   switch (spec.kind) {
     case Kind::none:
@@ -44,19 +52,19 @@ AnyJammer make_jammer(const JammerSpec& spec, std::uint64_t seed, const Bandwidt
       return AnyJammer(std::in_place_type<jammer::ReactiveJammer>, bands.bandwidth_fracs(),
                        spec.reaction_delay, seed, spec.estimation_samples);
     case Kind::tone:
-      return AnyJammer(std::in_place_type<jammer::ToneJammer>, spec.tone_freqs, seed);
+      return AnyJammer(std::in_place_type<jammer::ToneJammer>, kToneFreq, seed);
     case Kind::swept:
-      return AnyJammer(std::in_place_type<jammer::SweptJammer>, spec.sweep_lo, spec.sweep_hi,
-                       spec.sweep_samples, seed);
+      return AnyJammer(std::in_place_type<jammer::SweptJammer>, kSweepLo, kSweepHi, kSweepSamples,
+                       seed);
     case Kind::duty_cycle:
       return AnyJammer(std::in_place_type<jammer::DutyCycleJammer>, spec.bandwidth_frac,
                        spec.duty_period, spec.duty_fraction, seed);
     case Kind::band_sweep:
-      return AnyJammer(std::in_place_type<jammer::BandSweepJammer>, spec.sweep_lo, spec.sweep_hi,
-                       spec.sweep_steps, spec.dwell_samples, spec.sweep_bw_frac, seed);
+      return AnyJammer(std::in_place_type<jammer::BandSweepJammer>, kSweepLo, kSweepHi,
+                       kSweepSteps, spec.dwell_samples, kSweepBwFrac, seed);
     case Kind::estimating:
       return AnyJammer(std::in_place_type<jammer::EstimatingJammer>, bands.bandwidth_fracs(),
-                       spec.estimation_hops, seed);
+                       kEstimationHops, seed);
   }
   return std::monostate{};
 }

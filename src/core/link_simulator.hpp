@@ -19,7 +19,8 @@
 
 namespace bhss::core {
 
-/// Which adversary the link faces.
+/// Which adversary the link faces. The tone, sweep and estimation
+/// parameters are constants of `make_jammer` (link_simulator.cpp).
 struct JammerSpec {
   enum class Kind {
     none,             ///< thermal noise only
@@ -37,17 +38,10 @@ struct JammerSpec {
   double bandwidth_frac = 0.5;       ///< fixed_bandwidth/duty_cycle: fraction of Rs
   std::vector<double> hop_probs;     ///< hopping: distribution over the
                                      ///< system's bandwidth set
-  std::size_t dwell_samples = 8192;  ///< hopping: samples per jammer hop
+  std::size_t dwell_samples = 8192;  ///< hopping/band_sweep: samples per jammer hop
   std::size_t reaction_delay = 4096; ///< reactive: tau in samples
-  std::vector<double> tone_freqs = {0.01};  ///< tone: cycles/sample
-  double sweep_lo = -0.25;           ///< swept/band_sweep: band edges [cycles/sample]
-  double sweep_hi = 0.25;
-  std::size_t sweep_samples = 65536; ///< swept: samples per full sweep
   std::size_t duty_period = 16384;   ///< duty_cycle: samples per on/off period
   double duty_fraction = 0.5;        ///< duty_cycle: on-fraction, in (0, 1]
-  std::size_t sweep_steps = 8;       ///< band_sweep: dwell positions per sweep
-  double sweep_bw_frac = 0.05;       ///< band_sweep: occupied bandwidth per dwell
-  std::size_t estimation_hops = 64;  ///< estimating: observations before targeting
   std::size_t estimation_samples = 0;  ///< reactive: sensing latency per hop
                                        ///< (0 = ideal instantaneous sensing)
   std::uint64_t seed = 99;           ///< jammer-private randomness

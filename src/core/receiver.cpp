@@ -75,9 +75,10 @@ dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::s
 
   // Filter from a lead-in (so the filter is warmed up by real samples
   // where they exist) and read the group-delay-compensated samples aligned
-  // with a0. The input stops at in_len samples, zero past the capture's
-  // end: a block that read real samples beyond it would change the bits.
-  // The decision carries the shared convolution plan: no taps FFT here.
+  // with a0; every designed filter delays by K/2 samples. The input stops
+  // at in_len samples, zero past the capture's end: a block that read real
+  // samples beyond it would change the bits. The decision carries the
+  // shared convolution plan: no taps FFT here.
   const dsp::ConvolverPlan& plan = *decision.plan;
   const std::size_t k_taps = plan.taps.size();
   const std::size_t lead = std::min(a0, k_taps);
@@ -85,7 +86,7 @@ dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::s
   const std::size_t in_len = lead + needed + k_taps;
   dsp::cvec out(needed);
   plan.filter(buffer.subspan(begin, std::min(in_len, buffer.size() - begin)),
-              lead + decision.group_delay, out);
+              lead + k_taps / 2, out);
   BHSS_ENSURE(dsp::all_finite(dsp::cspan{out}),
               "BhssReceiver: suppression filter produced non-finite samples");
   return out;
@@ -148,7 +149,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
           buffer.size(),
           static_cast<std::size_t>(static_cast<double>(search_window) * lag_scale));
       const std::size_t window_len =
-          std::min(buffer.size(), max_lag + reference.size() + 2 * config_.logic.psd_fft);
+          std::min(buffer.size(), max_lag + reference.size() + 2 * kPsdFft);
       const dsp::cspan window = dsp::cspan{buffer}.first(window_len);
       const FilterDecision decision =
           choose_filter(window, schedule.segments.front().bw_index, o);

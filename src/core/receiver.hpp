@@ -74,13 +74,12 @@ class BhssReceiver {
                                  const HopOverride& ov = {}) const;
 
   [[nodiscard]] const SystemConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const ControlLogic& control_logic() const noexcept { return logic_; }
 
   /// Filter `buffer` around [a0, a0+needed) with `decision`, returning the
   /// group-delay-compensated samples aligned to a0 (zero-padded at edges).
   /// With a filter of K taps these are the bits of a copy of the capture
   /// from a0 - lead, lead = min(a0, K), zero-padded to lead + needed + K
-  /// samples and filtered whole, read from lead + group_delay on.
+  /// samples and filtered whole, read from lead + K/2 (the group delay) on.
   [[nodiscard]] static dsp::cvec filtered_slice(dsp::cspan buffer, std::size_t a0,
                                                 std::size_t needed,
                                                 const FilterDecision& decision,

@@ -163,15 +163,6 @@ double BhssModel::ber_fixed_jammer(double bj, double ebno_linear) const {
   return ber_from_snr(snr);
 }
 
-double BhssModel::ber_fixed_jammer_hop_averaged(double bj, double ebno_linear) const {
-  const double s2 = noise_var_for_ebno(ebno_linear);
-  double ber = 0.0;
-  for (std::size_t k = 0; k < bw_.size(); ++k) {
-    ber += probs_[k] * ber_from_snr(snr_at_hop(bw_[k], bj, s2));
-  }
-  return ber;
-}
-
 double BhssModel::ber_random_jammer(double ebno_linear) const {
   const double s2 = noise_var_for_ebno(ebno_linear);
   double gamma = 0.0;

@@ -89,15 +89,8 @@ class BhssModel {
   /// paper's method, the BER is evaluated at the hop-expected output SNR
   /// (gamma averaged over the hop distribution, then one Q-function) —
   /// this is what lets Fig. 9 reach 1e-10 even though individual matched
-  /// hops would be error-prone. See ber_fixed_jammer_hop_averaged() for
-  /// the uncoded per-hop alternative.
+  /// hops would be error-prone.
   [[nodiscard]] double ber_fixed_jammer(double bj, double ebno_linear) const;
-
-  /// Per-hop-averaged BER: E_p[Pb(SNR(alpha))] — what an uncoded system
-  /// without interleaving across hops actually experiences (our
-  /// sample-domain link shows this behaviour). More pessimistic: the
-  /// worst hop's errors floor the average.
-  [[nodiscard]] double ber_fixed_jammer_hop_averaged(double bj, double ebno_linear) const;
 
   /// BER when the jammer hops uniformly over the same bandwidth set
   /// ("Bj = random" curve of Fig. 9), evaluated at the expected gamma over

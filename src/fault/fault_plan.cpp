@@ -25,26 +25,6 @@ constexpr std::size_t kCorruptMax = 12;   ///< max corrupted samples per event
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::jammer_burst:
-      return "jammer_burst";
-    case FaultKind::gain_step:
-      return "gain_step";
-    case FaultKind::sample_drop:
-      return "sample_drop";
-    case FaultKind::sample_dup:
-      return "sample_dup";
-    case FaultKind::clock_jump:
-      return "clock_jump";
-    case FaultKind::cfo_step:
-      return "cfo_step";
-    case FaultKind::corrupt:
-      return "corrupt";
-  }
-  return "unknown";
-}
-
 bool FaultConfig::any() const noexcept {
   return p_burst > 0.0 || p_fade > 0.0 || p_drop > 0.0 || p_dup > 0.0 ||
          p_clock_jump > 0.0 || p_cfo_step > 0.0 || p_corrupt > 0.0;

@@ -34,9 +34,6 @@ enum class FaultKind : std::uint8_t {
   corrupt,       ///< NaN/Inf samples (saturated or faulted ADC words)
 };
 
-/// Human-readable kind name for logs and bench output.
-[[nodiscard]] const char* fault_kind_name(FaultKind kind) noexcept;
-
 /// One planned transient inside a packet capture.
 struct FaultEvent {
   FaultKind kind = FaultKind::jammer_burst;

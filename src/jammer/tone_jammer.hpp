@@ -30,8 +30,6 @@ class ToneJammer {
   /// across calls.
   [[nodiscard]] dsp::cvec generate(std::size_t n);
 
-  [[nodiscard]] const std::vector<double>& frequencies() const noexcept { return freqs_; }
-
  private:
   std::vector<double> freqs_;
   std::vector<double> phases_;  ///< current phase per tone [rad]
@@ -48,8 +46,6 @@ class SweptJammer {
 
   /// Generate `n` samples; sweep state is continuous across calls.
   [[nodiscard]] dsp::cvec generate(std::size_t n);
-
-  [[nodiscard]] double sweep_rate() const noexcept { return rate_; }
 
  private:
   double f_lo_;

@@ -119,7 +119,8 @@ bool ParallelLinkRunner::interrupt_requested() noexcept {
 // Every field of SimConfig (and of everything it embeds) that influences
 // the simulated statistics goes into the fingerprint, in declaration
 // order. When SimConfig grows a field, add it here — a missed field means
-// resume can silently reuse work computed under different parameters.
+// resume can silently reuse work computed under different parameters
+// (CampaignRunner.ParamsHashCoversConfigAndShardCount counts the fields).
 std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
                                               std::size_t n_shards) noexcept {
   Fnv1a h;
@@ -137,7 +138,6 @@ std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
   h.enm(sys.sync);
   h.enm(sys.filter_policy);
   const core::ControlLogicConfig& logic = sys.logic;
-  h.u64(logic.psd_fft);
   h.enm(logic.psd_method);
   h.enm(logic.excision_style);
   h.u64(sys.max_sync_attempts);
@@ -148,15 +148,8 @@ std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
   h.vec(jam.hop_probs);
   h.u64(jam.dwell_samples);
   h.u64(jam.reaction_delay);
-  h.vec(jam.tone_freqs);
-  h.f64(jam.sweep_lo);
-  h.f64(jam.sweep_hi);
-  h.u64(jam.sweep_samples);
   h.u64(jam.duty_period);
   h.f64(jam.duty_fraction);
-  h.u64(jam.sweep_steps);
-  h.f64(jam.sweep_bw_frac);
-  h.u64(jam.estimation_hops);
   h.u64(jam.estimation_samples);
   h.u64(jam.seed);
 
@@ -186,13 +179,8 @@ std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
   h.u64(a.detector.min_bad);
   h.u64(a.detector.trip_windows);
   h.u64(a.detector.clear_windows);
-  h.f64(a.adapter.deweight);
-  h.u64(a.adapter.deweight_cap);
-  h.f64(a.adapter.min_occupancy);
   h.u64(a.fallback_windows);
   h.u64(a.recovery_windows);
-  h.u64(a.min_symbols_per_hop);
-  h.u64(a.degraded_dwell_shift);
 
   h.u64(n_shards);
   return h.digest();

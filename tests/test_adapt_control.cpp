@@ -141,7 +141,7 @@ TEST(AdaptDetector, RejectsDegenerateConfig) {
 // ----------------------------------------------------------- HopAdapter
 
 TEST(HopAdapter, NormalisesBaseDistribution) {
-  HopAdapter a(HopAdapterConfig{}, {2.0, 1.0, 1.0});
+  HopAdapter a({2.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(a.base()[0], 0.5);
   EXPECT_DOUBLE_EQ(a.base()[1], 0.25);
   EXPECT_DOUBLE_EQ(a.base()[2], 0.25);
@@ -149,14 +149,13 @@ TEST(HopAdapter, NormalisesBaseDistribution) {
 }
 
 TEST(HopAdapter, ReweightMovesMassAwayButHonoursFloor) {
-  HopAdapterConfig cfg;
-  cfg.min_occupancy = 0.05;
-  HopAdapter a(cfg, {0.25, 0.25, 0.25, 0.25});
+  constexpr double kFloor = 0.02;  // hop_adapter.cpp's kMinOccupancy
+  HopAdapter a({0.25, 0.25, 0.25, 0.25});
   const std::vector<std::uint32_t> suspicion = {4, 0, 0, 0};
   a.reweight(suspicion);
   double sum = 0.0;
   for (const double p : a.probs()) {
-    EXPECT_GE(p, cfg.min_occupancy);  // nothing starves
+    EXPECT_GE(p, kFloor);  // nothing starves
     sum += p;
   }
   EXPECT_NEAR(sum, 1.0, 1e-12);
@@ -166,33 +165,25 @@ TEST(HopAdapter, ReweightMovesMassAwayButHonoursFloor) {
 }
 
 TEST(HopAdapter, DeweightCapBoundsThePunishment) {
-  HopAdapterConfig cfg;
-  cfg.deweight_cap = 2;
-  HopAdapter capped(cfg, {0.5, 0.5});
-  HopAdapter flooded(cfg, {0.5, 0.5});
-  capped.reweight(std::vector<std::uint32_t>{2, 0});
+  HopAdapter capped({0.5, 0.5});
+  HopAdapter flooded({0.5, 0.5});
+  HopAdapter below({0.5, 0.5});
+  capped.reweight(std::vector<std::uint32_t>{4, 0});  // hop_adapter.cpp's kDeweightCap
   flooded.reweight(std::vector<std::uint32_t>{1000000, 0});
+  below.reweight(std::vector<std::uint32_t>{3, 0});
   EXPECT_EQ(capped.probs(), flooded.probs());  // bitwise: same fold
-}
-
-TEST(HopAdapter, AllBandsSuspectFallsBackToUniform) {
-  HopAdapterConfig cfg;
-  cfg.deweight = 1e-200;  // underflows to 0 at cap on every band
-  cfg.deweight_cap = 2;
-  HopAdapter a(cfg, {0.5, 0.3, 0.2});
-  a.reweight(std::vector<std::uint32_t>{5, 5, 5});
-  for (const double p : a.probs()) EXPECT_DOUBLE_EQ(p, 1.0 / 3.0);
+  EXPECT_GT(below.probs()[0], capped.probs()[0]);  // hits below the cap still count
 }
 
 TEST(HopAdapter, FallbackIsUniform) {
-  HopAdapter a(HopAdapterConfig{}, {0.7, 0.2, 0.1, 0.0});
+  HopAdapter a({0.7, 0.2, 0.1, 0.0});
   a.fall_back_uniform();
   for (const double p : a.probs()) EXPECT_DOUBLE_EQ(p, 0.25);
   EXPECT_FALSE(a.at_base());
 }
 
 TEST(HopAdapter, RecoverySnapsExactlyOntoBase) {
-  HopAdapter a(HopAdapterConfig{}, {0.6, 0.3, 0.1});
+  HopAdapter a({0.6, 0.3, 0.1});
   const std::vector<double> base = a.base();
   a.fall_back_uniform();
   std::size_t steps = 0;
@@ -206,14 +197,11 @@ TEST(HopAdapter, RecoverySnapsExactlyOntoBase) {
 }
 
 TEST(HopAdapter, RejectsDegenerateConfig) {
-  EXPECT_THROW(HopAdapter(HopAdapterConfig{}, {}), contract_violation);
-  EXPECT_THROW(HopAdapter(HopAdapterConfig{}, {0.0, 0.0}), contract_violation);
-  HopAdapterConfig cfg;
-  cfg.min_occupancy = 0.5;  // 3 bands * 0.5 >= 1: nothing left to distribute
-  EXPECT_THROW(HopAdapter(cfg, {0.4, 0.3, 0.3}), contract_violation);
-  cfg = HopAdapterConfig{};
-  cfg.deweight = 1.0;
-  EXPECT_THROW(HopAdapter(cfg, {0.5, 0.5}), contract_violation);
+  EXPECT_THROW(HopAdapter({}), contract_violation);
+  EXPECT_THROW(HopAdapter({0.0, 0.0}), contract_violation);
+  // 50 bands * the 0.02 floor >= 1: nothing left to distribute.
+  EXPECT_THROW(HopAdapter(std::vector<double>(50, 1.0)), contract_violation);
+  EXPECT_NO_THROW(HopAdapter(std::vector<double>(49, 1.0)));
 }
 
 // ------------------------------------------------ ResilienceController
@@ -228,8 +216,6 @@ AdaptConfig fast_loop() {
   a.detector.clear_windows = 1;
   a.fallback_windows = 2;
   a.recovery_windows = 1;
-  a.min_symbols_per_hop = 1;
-  a.degraded_dwell_shift = 1;
   return a;
 }
 
@@ -254,18 +240,17 @@ TEST(ResilienceController, TripsToDegradedAndShortensDwell) {
   feed_window(c, /*delivered=*/false);
   EXPECT_EQ(c.state(), LinkAdaptState::degraded);
   EXPECT_NE(c.plan().epoch, 0U);
-  EXPECT_EQ(c.plan().symbols_per_hop, 2U);  // 4 >> degraded_dwell_shift
+  EXPECT_EQ(c.plan().symbols_per_hop, 2U);  // 4 >> kDegradedDwellShift
   EXPECT_EQ(c.counters().jam_episodes, 1U);
   EXPECT_EQ(c.counters().windows_jammed, 1U);
   EXPECT_EQ(c.counters().transitions, 1U);
 }
 
 TEST(ResilienceController, DegradedDwellRespectsFloor) {
-  AdaptConfig a = fast_loop();
-  a.min_symbols_per_hop = 3;
-  ResilienceController c(a, {0.5, 0.5}, 4);
+  ResilienceController c(fast_loop(), {0.5, 0.5}, 1);
   feed_window(c, false);
-  EXPECT_EQ(c.plan().symbols_per_hop, 3U);  // max(4 >> 1, floor)
+  ASSERT_EQ(c.state(), LinkAdaptState::degraded);
+  EXPECT_EQ(c.plan().symbols_per_hop, 1U);  // max(1 >> 1, floor of 1 symbol)
 }
 
 TEST(ResilienceController, PersistentJammingEscalatesToUniformFallback) {
@@ -364,9 +349,6 @@ TEST(ResilienceController, IdenticalInputsGiveBitIdenticalOutcomes) {
 TEST(ResilienceController, RejectsDegenerateConfig) {
   AdaptConfig a = fast_loop();
   EXPECT_THROW(ResilienceController(a, {0.5, 0.5}, 0), contract_violation);
-  a.min_symbols_per_hop = 5;  // floor above the base dwell
-  EXPECT_THROW(ResilienceController(a, {0.5, 0.5}, 4), contract_violation);
-  a = fast_loop();
   a.fallback_windows = 0;
   EXPECT_THROW(ResilienceController(a, {0.5, 0.5}, 4), contract_violation);
 }

@@ -195,17 +195,12 @@ std::vector<Adversary> adversaries() {
   {
     core::JammerSpec sweep;
     sweep.kind = core::JammerSpec::Kind::band_sweep;
-    sweep.sweep_lo = -0.2;
-    sweep.sweep_hi = 0.2;
-    sweep.sweep_steps = 8;
     sweep.dwell_samples = 4096;
-    sweep.sweep_bw_frac = 0.08;
     out.push_back({"band_sweep", 22.0, sweep});
   }
   {
     core::JammerSpec est;
     est.kind = core::JammerSpec::Kind::estimating;
-    est.estimation_hops = 32;
     out.push_back({"estimating", 20.0, est});
   }
   return out;

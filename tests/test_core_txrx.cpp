@@ -252,7 +252,7 @@ TEST(Receiver, HopDiagnosticsMatchSchedule) {
 /// the capture from a0 - lead copied and zero-padded to lead + needed + K
 /// samples, filtered whole, then trimmed at lead + group_delay.
 dsp::cvec padded_copy_slice(dsp::cspan buffer, std::size_t a0, std::size_t needed,
-                            const FilterDecision& decision) {
+                            const FilterDecision& decision, std::size_t group_delay) {
   const std::size_t k_taps = decision.plan->taps.size();
   const std::size_t lead = std::min(a0, k_taps);
   const std::size_t begin = a0 - lead;
@@ -264,7 +264,7 @@ dsp::cvec padded_copy_slice(dsp::cspan buffer, std::size_t a0, std::size_t neede
   dsp::cvec filtered(in_len);
   decision.plan->filter(padded, 0, filtered);
   dsp::cvec out(needed);
-  for (std::size_t i = 0; i < needed; ++i) out[i] = filtered[lead + decision.group_delay + i];
+  for (std::size_t i = 0; i < needed; ++i) out[i] = filtered[lead + group_delay + i];
   return out;
 }
 
@@ -274,17 +274,18 @@ dsp::cvec padded_copy_slice(dsp::cspan buffer, std::size_t a0, std::size_t neede
 TEST(Receiver, FilteredSliceMatchesThePaddedCopy) {
   dsp::cvec capture(40000);
   channel::AwgnSource(5).fill(capture, 1.0);
+  // Each filter with the group delay the padded copy trimmed by: (K-1)/2
+  // for the odd low-pass, K/2 for the power-of-two excision filters.
   std::vector<FilterDecision> decisions(3);
+  const std::vector<std::size_t> group_delays = {1024, 128, 2048};
   decisions[0].kind = FilterDecision::Kind::lowpass;
   decisions[0].plan = dsp::lowpass_plan(2049, 0.05, dsp::Window::blackman);  // 16384-point FFT
-  decisions[0].group_delay = 1024;
   for (const std::size_t k : {std::size_t{256}, std::size_t{4096}}) {
     dsp::fvec psd(k, 1.0F);
     for (std::size_t b = k / 16; b < k / 8; ++b) psd[b] = 1e4F;
     FilterDecision& d = decisions[k == 256 ? 1 : 2];
     d.kind = FilterDecision::Kind::excision;
     d.plan = dsp::ConvolverPlan::make(dsp::design_excision_whitening(psd));
-    d.group_delay = k / 2;
   }
   struct Hop {
     std::size_t a0;
@@ -294,9 +295,10 @@ TEST(Receiver, FilteredSliceMatchesThePaddedCopy) {
   // running over the end of the capture and past it.
   for (const Hop& hop : {Hop{0, 3000}, Hop{700, 500}, Hop{5000, 2000}, Hop{20000, 16000},
                          Hop{38000, 5000}, Hop{41000, 100}}) {
-    for (const FilterDecision& d : decisions) {
+    for (std::size_t f = 0; f < decisions.size(); ++f) {
+      const FilterDecision& d = decisions[f];
       const dsp::cvec got = BhssReceiver::filtered_slice(capture, hop.a0, hop.needed, d);
-      const dsp::cvec want = padded_copy_slice(capture, hop.a0, hop.needed, d);
+      const dsp::cvec want = padded_copy_slice(capture, hop.a0, hop.needed, d, group_delays[f]);
       ASSERT_EQ(got.size(), hop.needed);
       EXPECT_EQ(std::memcmp(got.data(), want.data(), hop.needed * sizeof(dsp::cf)), 0)
           << "a0 " << hop.a0 << " needed " << hop.needed << " taps " << d.plan->taps.size();

@@ -35,21 +35,18 @@ FilterDesignKey key_of(std::size_t bw, std::uint64_t word) {
   return k;
 }
 
-FilterDesignEntry entry_of(float tap) {
-  FilterDesignEntry e;
-  e.plan = dsp::ConvolverPlan::make({dsp::cf{tap, 0.0F}});
-  e.group_delay = 0;
-  return e;
+FilterDesignCache::Plan plan_of(float tap) {
+  return dsp::ConvolverPlan::make({dsp::cf{tap, 0.0F}});
 }
 
 TEST(FilterDesignCache, CountsHitsAndMisses) {
   FilterDesignCache cache(4);
   EXPECT_EQ(cache.find(key_of(0, 1)), nullptr);
   EXPECT_EQ(cache.misses(), 1U);
-  cache.insert(key_of(0, 1), entry_of(2.0F));
-  const FilterDesignEntry* e = cache.find(key_of(0, 1));
+  cache.insert(key_of(0, 1), plan_of(2.0F));
+  const FilterDesignCache::Plan e = cache.find(key_of(0, 1));
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->plan->taps[0].real(), 2.0F);
+  EXPECT_EQ(e->taps[0].real(), 2.0F);
   EXPECT_EQ(cache.hits(), 1U);
   EXPECT_EQ(cache.misses(), 1U);
   // Same mask at a different bandwidth level is a different design.
@@ -60,7 +57,7 @@ TEST(FilterDesignCache, CountsHitsAndMisses) {
 TEST(FilterDesignCache, CapacityZeroDisablesEverything) {
   FilterDesignCache cache(0);
   EXPECT_EQ(cache.find(key_of(0, 1)), nullptr);
-  cache.insert(key_of(0, 1), entry_of(1.0F));
+  cache.insert(key_of(0, 1), plan_of(1.0F));
   EXPECT_EQ(cache.find(key_of(0, 1)), nullptr);
   EXPECT_EQ(cache.size(), 0U);
   EXPECT_EQ(cache.hits(), 0U);    // a disabled cache never counts:
@@ -69,10 +66,10 @@ TEST(FilterDesignCache, CapacityZeroDisablesEverything) {
 
 TEST(FilterDesignCache, FlushWhenFullIsDeterministic) {
   FilterDesignCache cache(2);
-  cache.insert(key_of(0, 1), entry_of(1.0F));
-  cache.insert(key_of(0, 2), entry_of(2.0F));
+  cache.insert(key_of(0, 1), plan_of(1.0F));
+  cache.insert(key_of(0, 2), plan_of(2.0F));
   EXPECT_EQ(cache.size(), 2U);
-  cache.insert(key_of(0, 3), entry_of(3.0F));  // full -> flush, then insert
+  cache.insert(key_of(0, 3), plan_of(3.0F));  // full -> flush, then insert
   EXPECT_EQ(cache.size(), 1U);
   EXPECT_EQ(cache.find(key_of(0, 1)), nullptr);
   EXPECT_NE(cache.find(key_of(0, 3)), nullptr);
@@ -121,7 +118,6 @@ TEST(FilterDesignCache, RepeatDesignIsAHitAndBitIdentical) {
   const FilterDecision second = logic.force_excision(slice, 0);
   ASSERT_NE(second.plan, nullptr);
   expect_same_taps(first.plan->taps, second.plan->taps);
-  EXPECT_EQ(second.group_delay, first.group_delay);
   EXPECT_EQ(second.plan, first.plan);  // the plan itself is shared, not rebuilt
   EXPECT_EQ(logic.design_cache().hits(), 1U);
   EXPECT_EQ(logic.design_cache().misses(), 1U);

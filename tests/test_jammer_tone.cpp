@@ -105,8 +105,7 @@ TEST(ToneJammerIntegration, ExcisionDigsOutAStrongTone) {
   cfg.n_packets = 12;
   cfg.snr_db = 12.0;
   cfg.jnr_db = 30.0;
-  cfg.jammer.kind = core::JammerSpec::Kind::tone;
-  cfg.jammer.tone_freqs = {0.03};  // inside the 10 MHz band
+  cfg.jammer.kind = core::JammerSpec::Kind::tone;  // 0.01 cycles/sample: inside the 10 MHz band
 
   const core::LinkStats with = core::run_link(cfg);
   cfg.system.filter_policy = core::FilterPolicy::off;
@@ -125,9 +124,6 @@ TEST(SweptJammerIntegration, LinkRunsEndToEnd) {
   cfg.snr_db = 18.0;
   cfg.jnr_db = 25.0;
   cfg.jammer.kind = core::JammerSpec::Kind::swept;
-  cfg.jammer.sweep_lo = -0.2;
-  cfg.jammer.sweep_hi = 0.2;
-  cfg.jammer.sweep_samples = 32768;
   const core::LinkStats s = core::run_link(cfg);  // must not throw
   EXPECT_EQ(s.packets, cfg.n_packets);
 }

@@ -195,8 +195,7 @@ TEST(GoldenTrace, ReactiveJammerFilterDecisions) {
 
 TEST(GoldenTrace, ToneJammerFilterDecisions) {
   core::SimConfig cfg = golden_config();
-  cfg.jammer.kind = core::JammerSpec::Kind::tone;
-  cfg.jammer.tone_freqs = {0.01};
+  cfg.jammer.kind = core::JammerSpec::Kind::tone;  // 0.01 cycles/sample
 
   // Golden, pinned 2026-08: the classic excision target — the decision
   // alternates between excising the tone and low-passing, never "none".

@@ -359,27 +359,31 @@ TEST(CheckpointJournal, ResumeOfMissingFileStartsFresh) {
 
 // ------------------------------------------------------------ params hash
 
+/// Converts to any field type, so `T{AnyField{}...}` compiles for up to as
+/// many initialisers as the aggregate T has fields (never defined: it is
+/// only named in unevaluated requires-expressions).
+struct AnyField {
+  template <class U>
+  operator U() const;
+};
+
+/// Number of fields of the aggregate T.
+template <class T, class... Fields>
+constexpr std::size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return field_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
 TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
   const core::SimConfig cfg = small_sim();
   const std::uint64_t base = CampaignRunner::params_hash(cfg, 8);
   EXPECT_EQ(base, CampaignRunner::params_hash(cfg, 8));  // pure function
-
   EXPECT_NE(base, CampaignRunner::params_hash(cfg, 9));  // shards are identity
-  core::SimConfig changed = cfg;
-  changed.snr_db += 0.5;
-  EXPECT_NE(base, CampaignRunner::params_hash(changed, 8));
-  changed = cfg;
-  changed.jammer.kind = core::JammerSpec::Kind::reactive;
-  EXPECT_NE(base, CampaignRunner::params_hash(changed, 8));
-  changed = cfg;
-  changed.faults.p_drop += 0.01;
-  EXPECT_NE(base, CampaignRunner::params_hash(changed, 8));
-  changed = cfg;
-  changed.system.symbols_per_hop += 1;
-  EXPECT_NE(base, CampaignRunner::params_hash(changed, 8));
 
-  // Every field of SystemConfig, ControlLogicConfig, FaultConfig and
-  // HopAdapterConfig moves the hash on its own...
+  // Every field of the SimConfig tree moves the hash on its own...
   using Edit = void (*)(core::SimConfig&);
   const std::vector<std::pair<const char*, Edit>> edits = {
       {"seed", [](core::SimConfig& c) { c.system.seed += 1; }},
@@ -395,11 +399,28 @@ TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
       {"filter_policy",
        [](core::SimConfig& c) { c.system.filter_policy = core::FilterPolicy::off; }},
       {"max_sync_attempts", [](core::SimConfig& c) { c.system.max_sync_attempts = 1; }},
-      {"psd_fft", [](core::SimConfig& c) { c.system.logic.psd_fft *= 2; }},
       {"psd_method",
        [](core::SimConfig& c) { c.system.logic.psd_method = core::PsdMethod::bartlett; }},
       {"excision_style",
        [](core::SimConfig& c) { c.system.logic.excision_style = core::ExcisionStyle::whitening; }},
+      {"jammer.kind",
+       [](core::SimConfig& c) { c.jammer.kind = core::JammerSpec::Kind::reactive; }},
+      {"bandwidth_frac", [](core::SimConfig& c) { c.jammer.bandwidth_frac /= 2; }},
+      {"hop_probs", [](core::SimConfig& c) { c.jammer.hop_probs = {1.0, 2.0}; }},
+      {"dwell_samples", [](core::SimConfig& c) { c.jammer.dwell_samples += 1; }},
+      {"reaction_delay", [](core::SimConfig& c) { c.jammer.reaction_delay += 1; }},
+      {"duty_period", [](core::SimConfig& c) { c.jammer.duty_period += 1; }},
+      {"duty_fraction", [](core::SimConfig& c) { c.jammer.duty_fraction /= 2; }},
+      {"estimation_samples", [](core::SimConfig& c) { c.jammer.estimation_samples += 1; }},
+      {"jammer.seed", [](core::SimConfig& c) { c.jammer.seed += 1; }},
+      {"snr_db", [](core::SimConfig& c) { c.snr_db += 0.5; }},
+      {"jnr_db", [](core::SimConfig& c) { c.jnr_db += 0.5; }},
+      {"payload_len", [](core::SimConfig& c) { c.payload_len += 1; }},
+      {"n_packets", [](core::SimConfig& c) { c.n_packets += 1; }},
+      {"channel_seed", [](core::SimConfig& c) { c.channel_seed += 1; }},
+      {"impairments", [](core::SimConfig& c) { c.impairments = !c.impairments; }},
+      {"max_delay", [](core::SimConfig& c) { c.max_delay += 1; }},
+      {"max_cfo", [](core::SimConfig& c) { c.max_cfo *= 2; }},
       {"faults.seed", [](core::SimConfig& c) { c.faults.seed += 1; }},
       {"p_burst", [](core::SimConfig& c) { c.faults.p_burst = 0.1; }},
       {"p_fade", [](core::SimConfig& c) { c.faults.p_fade = 0.1; }},
@@ -408,10 +429,16 @@ TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
       {"p_clock_jump", [](core::SimConfig& c) { c.faults.p_clock_jump = 0.1; }},
       {"p_cfo_step", [](core::SimConfig& c) { c.faults.p_cfo_step = 0.1; }},
       {"p_corrupt", [](core::SimConfig& c) { c.faults.p_corrupt = 0.1; }},
-      {"deweight", [](core::SimConfig& c) { c.adapt.adapter.deweight /= 2; }},
-      {"deweight_cap", [](core::SimConfig& c) { c.adapt.adapter.deweight_cap += 1; }},
-      {"min_occupancy", [](core::SimConfig& c) { c.adapt.adapter.min_occupancy /= 2; }},
+      {"adapt.enabled", [](core::SimConfig& c) { c.adapt.enabled = !c.adapt.enabled; }},
+      {"window_packets", [](core::SimConfig& c) { c.adapt.detector.window_packets += 1; }},
+      {"bad_fraction", [](core::SimConfig& c) { c.adapt.detector.bad_fraction /= 2; }},
+      {"min_bad", [](core::SimConfig& c) { c.adapt.detector.min_bad += 1; }},
+      {"trip_windows", [](core::SimConfig& c) { c.adapt.detector.trip_windows += 1; }},
+      {"clear_windows", [](core::SimConfig& c) { c.adapt.detector.clear_windows += 1; }},
+      {"fallback_windows", [](core::SimConfig& c) { c.adapt.fallback_windows += 1; }},
+      {"recovery_windows", [](core::SimConfig& c) { c.adapt.recovery_windows += 1; }},
   };
+  core::SimConfig changed;
   for (const auto& [name, edit] : edits) {
     changed = cfg;
     edit(changed);
@@ -421,6 +448,18 @@ TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
   changed = cfg;
   changed.system.logic.design_cache_capacity = 0;
   EXPECT_EQ(base, CampaignRunner::params_hash(changed, 8));
+
+  // The edits reach every leaf of the tree: a field added to any of these
+  // structs breaks its count here until it has an edit above, and that
+  // edit fails until params_hash reads the field.
+  EXPECT_EQ(field_count<core::SimConfig>(), 8U + 4);  // + system, jammer, faults, adapt
+  EXPECT_EQ(field_count<core::SystemConfig>(), 8U + 1);  // + logic
+  EXPECT_EQ(field_count<core::ControlLogicConfig>(), 3U);
+  EXPECT_EQ(field_count<core::JammerSpec>(), 9U);
+  EXPECT_EQ(field_count<fault::FaultConfig>(), 8U);
+  EXPECT_EQ(field_count<adapt::AdaptConfig>(), 3U + 1);  // + detector
+  EXPECT_EQ(field_count<adapt::JamDetectorConfig>(), 5U);
+  EXPECT_EQ(edits.size() + 1, 8U + 8 + 3 + 9 + 8 + 3 + 5);  // + design_cache_capacity
 }
 
 // --------------------------------------------------------- campaign running
