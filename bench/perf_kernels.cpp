@@ -384,7 +384,7 @@ BENCHMARK(BM_FullFrameReceive);
 /// Raw cost of one counter bump + one histogram observe on the canonical
 /// link schema — the per-site price paid inside the hop loop.
 void BM_MetricsShardObserve(benchmark::State& state) {
-  obs::MetricsShard shard(&obs::link_registry());
+  obs::MetricsShard shard;
   const obs::LinkIds& ids = obs::link_ids();
   double v = 0.0;
   for (auto _ : state) {

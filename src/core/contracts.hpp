@@ -11,52 +11,24 @@
 ///
 ///   BHSS_REQUIRE(cond, msg)       precondition  — always checked
 ///   BHSS_ENSURE(cond, msg)        postcondition — always checked
-///   BHSS_DEBUG_ASSERT(cond, msg)  internal invariant — checked only in
-///                                 debug builds (compiles out, including
-///                                 the condition expression, when
-///                                 disabled)
+///   BHSS_DEBUG_ASSERT(cond, msg)  internal invariant — checked only
+///                                 when NDEBUG is not defined (compiles
+///                                 out, including the condition
+///                                 expression, otherwise)
 ///
-/// Failure mode is selected at compile time via BHSS_CONTRACT_MODE:
-///
-///   BHSS_CONTRACT_MODE_ABORT (0)  print diagnostics to stderr, abort()
-///   BHSS_CONTRACT_MODE_THROW (1)  throw bhss::contract_violation
-///                                 [default]
-///   BHSS_CONTRACT_MODE_LOG   (2)  print diagnostics to stderr, continue
-///
-/// The default is THROW: `bhss::contract_violation` derives from
-/// `std::invalid_argument`, so precondition failures stay catchable by
-/// callers (and by tests) exactly as the hand-written `throw
+/// A violated contract throws `bhss::contract_violation`, which derives
+/// from `std::invalid_argument`, so precondition failures stay catchable
+/// by callers (and by tests) exactly as the hand-written `throw
 /// std::invalid_argument` checks the contracts replaced.
-///
-/// BHSS_DEBUG_ASSERT is enabled when NDEBUG is not defined; define
-/// BHSS_CONTRACT_DEBUG=0/1 to force it off/on independently of NDEBUG.
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
-#define BHSS_CONTRACT_MODE_ABORT 0
-#define BHSS_CONTRACT_MODE_THROW 1
-#define BHSS_CONTRACT_MODE_LOG 2
-
-#ifndef BHSS_CONTRACT_MODE
-#define BHSS_CONTRACT_MODE BHSS_CONTRACT_MODE_THROW
-#endif
-
-#ifndef BHSS_CONTRACT_DEBUG
-#ifdef NDEBUG
-#define BHSS_CONTRACT_DEBUG 0
-#else
-#define BHSS_CONTRACT_DEBUG 1
-#endif
-#endif
-
 namespace bhss {
 
-/// Thrown by violated contracts in BHSS_CONTRACT_MODE_THROW. Derives
-/// from std::invalid_argument so callers that caught the pre-contracts
-/// exceptions keep working unchanged.
+/// Thrown by every violated contract. Derives from std::invalid_argument
+/// so callers that caught the pre-contracts exceptions keep working
+/// unchanged.
 class contract_violation : public std::invalid_argument {
  public:
   contract_violation(const char* kind, const char* condition, const char* message,
@@ -97,19 +69,9 @@ namespace detail {
 
 /// Central contract-failure handler. Kept out of line of the macro so a
 /// violated check costs one predictable branch at the call site.
-#if BHSS_CONTRACT_MODE == BHSS_CONTRACT_MODE_ABORT
-[[noreturn]]
-#endif
-inline void contract_fail(const char* kind, const char* condition, const char* message,
-                          const char* file, int line) {
-#if BHSS_CONTRACT_MODE == BHSS_CONTRACT_MODE_THROW
+[[noreturn]] inline void contract_fail(const char* kind, const char* condition,
+                                       const char* message, const char* file, int line) {
   throw contract_violation(kind, condition, message, file, line);
-#else
-  std::fprintf(stderr, "%s:%d: BHSS_%s failed: %s [%s]\n", file, line, kind, message, condition);
-#if BHSS_CONTRACT_MODE == BHSS_CONTRACT_MODE_ABORT
-  std::abort();
-#endif
-#endif
 }
 
 }  // namespace detail
@@ -130,10 +92,10 @@ inline void contract_fail(const char* kind, const char* condition, const char* m
 
 /// Internal invariant, checked in debug builds only. The condition is
 /// NOT evaluated when disabled — it must be free of needed side effects.
-#if BHSS_CONTRACT_DEBUG
-#define BHSS_DEBUG_ASSERT(cond, msg) BHSS_CONTRACT_CHECK_("DEBUG_ASSERT", cond, msg)
-#else
+#ifdef NDEBUG
 #define BHSS_DEBUG_ASSERT(cond, msg) static_cast<void>(0)
+#else
+#define BHSS_DEBUG_ASSERT(cond, msg) BHSS_CONTRACT_CHECK_("DEBUG_ASSERT", cond, msg)
 #endif
 
 /// Marks a function as being on the per-sample hot path of the receiver

@@ -38,9 +38,6 @@ class BandSweepJammer {
   /// sequence, not from sample-level call-splitting invariance.)
   [[nodiscard]] dsp::cvec generate(std::size_t n);
 
-  [[nodiscard]] std::size_t n_steps() const noexcept { return n_steps_; }
-  [[nodiscard]] std::size_t dwell_samples() const noexcept { return dwell_samples_; }
-
  private:
   [[nodiscard]] double centre_freq(std::size_t step) const noexcept;
 

@@ -25,8 +25,8 @@ DutyCycleJammer::DutyCycleJammer(double bandwidth_frac, std::size_t period_sampl
       on_samples_(quantised_on_samples(period_samples, duty)),
       // Gain from the *realised* duty so quantised burst edges still
       // leave the average power exactly unit.
-      duty_(static_cast<double>(on_samples_) / static_cast<double>(period_samples_)),
-      burst_gain_(1.0 / std::sqrt(duty_)),
+      burst_gain_(1.0 / std::sqrt(static_cast<double>(on_samples_) /
+                                  static_cast<double>(period_samples_))),
       source_(bandwidth_frac, seed) {}
 
 dsp::cvec DutyCycleJammer::generate(std::size_t n) {

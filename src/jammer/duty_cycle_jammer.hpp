@@ -34,14 +34,10 @@ class DutyCycleJammer {
   /// sequence on resume, which is what its determinism rests on.)
   [[nodiscard]] dsp::cvec generate(std::size_t n);
 
-  [[nodiscard]] std::size_t period_samples() const noexcept { return period_samples_; }
-  [[nodiscard]] double duty() const noexcept { return duty_; }
-
  private:
   std::size_t period_samples_;
   std::size_t on_samples_;  ///< burst length: round(period * duty), >= 1
-  double duty_;             ///< realised on-fraction after quantisation
-  double burst_gain_;       ///< 1/sqrt(duty): average power stays unit
+  double burst_gain_;       ///< 1/sqrt(realised duty): average power stays unit
   NoiseJammer source_;
   std::size_t pos_ = 0;  ///< position within the current period
 };

@@ -14,53 +14,6 @@ namespace bhss::obs {
 
 namespace {
 
-struct LinkSchema {
-  MetricsRegistry registry;
-  LinkIds ids;
-};
-
-LinkSchema build_link_schema() {
-  LinkSchema s;
-  MetricsRegistry& r = s.registry;
-  LinkIds& id = s.ids;
-  for (std::size_t row = 0; row < core::kLinkStatsFields.size(); ++row) {
-    const core::LinkStatsField& f = core::kLinkStatsFields[row];
-    if (f.projected) id.stats[row] = r.add_counter(f.name);
-  }
-  id.sync_attempts = r.add_counter("sync_attempts");
-  id.sync_locks = r.add_counter("sync_locks");
-  id.hops = r.add_counter("hops");
-  id.filter_none = r.add_counter("filter_none");
-  id.filter_lowpass = r.add_counter("filter_lowpass");
-  id.filter_excision = r.add_counter("filter_excision");
-  id.degenerate_psd = r.add_counter("degenerate_psd");
-  id.filter_cache_hits = r.add_counter("filter_cache_hits");
-  id.filter_cache_misses = r.add_counter("filter_cache_misses");
-  id.adapt_windows = r.add_counter("adapt_windows");
-  id.last_sync_quality = r.add_gauge("last_sync_quality");
-  id.last_sync_margin = r.add_gauge("last_sync_margin");
-  id.adapt_state = r.add_gauge("adapt_state");
-  // Occupancy fraction of the slice bandwidth, eq. (10)'s left-hand side.
-  id.est_jammer_bw = r.add_histogram(
-      "est_jammer_bw", {0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0});
-  id.inband_peak_db = r.add_histogram("inband_peak_db", {0.0, 2.0, 4.0, 5.5, 8.0, 12.0, 20.0, 40.0});
-  id.sync_margin = r.add_histogram("sync_margin", {0.0, 2.0, 4.5, 7.0, 10.0, 15.0, 25.0, 50.0});
-  return s;
-}
-
-const LinkSchema& link_schema() {
-  // Immortal (never destroyed) so shards bound to it stay valid through
-  // static teardown in any translation unit; the union suppresses the
-  // destructor without a raw-new leak (no-destruct idiom).
-  union Holder {
-    LinkSchema schema;
-    Holder() : schema(build_link_schema()) {}
-    ~Holder() {}  // never destroy schema
-  };
-  static const Holder holder;
-  return holder.schema;
-}
-
 std::uint64_t double_bits(double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -73,65 +26,44 @@ double bits_double(std::uint64_t bits) {
   return v;
 }
 
-void append_double(std::string& out, const char* key, double v) {
-  char buf[64];
-  if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof(buf), "\"%s\":%.17g", key, v);
-  } else {
-    // NaN/Inf are not JSON numbers; quote them so the line stays parseable.
-    std::snprintf(buf, sizeof(buf), "\"%s\":\"%s\"", key,
-                  std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf"));
-  }
-  out += buf;
+void append_key(std::string& out, const char* key) {
+  out += '"';
+  out += key;
+  out += "\":";
 }
 
 void append_u64(std::string& out, const char* key, std::uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64, key, v);
+  append_key(out, key);
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   out += buf;
 }
 
-const char* filter_flag_name(std::uint8_t flag) noexcept {
-  switch (flag) {
-    case 0: return "none";
-    case 1: return "lowpass";
-    case 2: return "excision";
-    case 3: return "degenerate";
-    default: return "unknown";
+void append_double(std::string& out, const char* key, double v) {
+  append_key(out, key);
+  if (std::isfinite(v)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out += buf;
+  } else {
+    // NaN/Inf are not JSON numbers; quote them so the line stays parseable.
+    out += std::isnan(v) ? "\"nan\"" : (v > 0 ? "\"inf\"" : "\"-inf\"");
   }
 }
 
-const char* sync_outcome_name(std::uint8_t flag) noexcept {
-  switch (flag) {
-    case 0: return "miss";
-    case 1: return "lock";
-    case 2: return "cfar_reject";
-    default: return "unknown";
-  }
-}
-
-const char* adapt_state_name(std::uint8_t flag) noexcept {
-  switch (flag) {
-    case 0: return "nominal";
-    case 1: return "degraded";
-    case 2: return "fallback";
-    case 3: return "recovering";
-    default: return "unknown";
-  }
+void append_name(std::string& out, const char* key, const char* name) {
+  append_key(out, key);
+  out += '"';
+  out += name;
+  out += '"';
 }
 
 }  // namespace
 
-const MetricsRegistry& link_registry() { return link_schema().registry; }
-const LinkIds& link_ids() { return link_schema().ids; }
-
 void add_link_stats(MetricsShard& m, const core::LinkStats& s) {
-  BHSS_REQUIRE(m.registry() == &link_registry(),
-               "add_link_stats: shard must use the canonical link registry");
-  const LinkIds& ids = link_ids();
-  for (std::size_t row = 0; row < core::kLinkStatsFields.size(); ++row) {
-    const core::LinkStatsField& f = core::kLinkStatsFields[row];
-    if (f.projected) m.add(ids.stats[row], f.bits(s));
+  std::size_t id = 0;  // the projected rows open kLinkInstruments, in field order
+  for (const core::LinkStatsField& f : core::kLinkStatsFields) {
+    if (f.projected) m.add(id++, f.bits(s));
   }
 }
 
@@ -149,9 +81,6 @@ ShardTelemetry merge_telemetry(const std::vector<ShardTelemetry>& shards,
 }
 
 std::string serialize_telemetry(const ShardTelemetry& t) {
-  const MetricsRegistry& reg = link_registry();
-  BHSS_REQUIRE(t.metrics.registry() == &reg,
-               "serialize_telemetry: shard must use the canonical link registry");
   std::string out = "obs1";
   char buf[64];
   const auto put_u64 = [&](std::uint64_t v) {
@@ -164,30 +93,25 @@ std::string serialize_telemetry(const ShardTelemetry& t) {
   };
 
   out += " c";
-  put_u64(reg.n_counters());
+  put_u64(kNumCounters);
   out += " g";
-  put_u64(reg.n_gauges());
+  put_u64(kNumGauges);
   out += " h";
-  put_u64(reg.n_histograms());
-  for (std::size_t id = 0; id < reg.size(); ++id) {
-    switch (reg.kind(id)) {
-      case InstrumentKind::counter: put_u64(t.metrics.counter(id)); break;
-      case InstrumentKind::gauge: {
-        const std::optional<double> v = t.metrics.gauge(id);
-        if (v.has_value()) {
-          put_bits(*v);
-        } else {
-          out += " u";
-        }
-        break;
-      }
-      case InstrumentKind::histogram: {
-        const std::vector<std::uint64_t>& bins = t.metrics.histogram(id);
-        put_u64(bins.size());
-        for (std::uint64_t b : bins) put_u64(b);
-        break;
-      }
+  put_u64(kNumHistograms);
+  const MetricsShard& m = t.metrics;
+  for (std::size_t id = 0; id < kFirstGauge; ++id) put_u64(m.counter(id));
+  for (std::size_t id = kFirstGauge; id < kFirstHistogram; ++id) {
+    const std::optional<double> v = m.gauge(id);
+    if (v.has_value()) {
+      put_bits(*v);
+    } else {
+      out += " u";
     }
+  }
+  for (std::size_t id = kFirstHistogram; id < kNumInstruments; ++id) {
+    const std::vector<std::uint64_t>& bins = m.histogram(id);
+    put_u64(bins.size());
+    for (std::uint64_t b : bins) put_u64(b);
   }
   out += " t";
   put_u64(t.trace.capacity());
@@ -234,54 +158,40 @@ bool deserialize_telemetry(std::string_view text, ShardTelemetry& out) {
   };
 
   if (!next(tok) || tok != "obs1") return false;
-  const MetricsRegistry& reg = link_registry();
   std::uint64_t n_counters = 0;
   std::uint64_t n_gauges = 0;
   std::uint64_t n_hists = 0;
   if (!next(tok) || tok != "c" || !next_u64(n_counters)) return false;
   if (!next(tok) || tok != "g" || !next_u64(n_gauges)) return false;
   if (!next(tok) || tok != "h" || !next_u64(n_hists)) return false;
-  if (n_counters != reg.n_counters() || n_gauges != reg.n_gauges() ||
-      n_hists != reg.n_histograms()) {
+  if (n_counters != kNumCounters || n_gauges != kNumGauges || n_hists != kNumHistograms) {
     return false;  // schema drift: refuse rather than misattribute slots
   }
 
-  // Parse metric values first, then rebuild `out` only on full success.
-  std::vector<std::uint64_t> counters;
-  std::vector<std::pair<bool, double>> gauges;
-  std::vector<std::vector<std::uint64_t>> hists;
-  for (std::size_t id = 0; id < reg.size(); ++id) {
-    switch (reg.kind(id)) {
-      case InstrumentKind::counter: {
-        std::uint64_t v = 0;
-        if (!next_u64(v)) return false;
-        counters.push_back(v);
-        break;
-      }
-      case InstrumentKind::gauge: {
-        if (!next(tok)) return false;
-        std::uint64_t bits = 0;
-        if (tok == "u") {
-          gauges.emplace_back(false, 0.0);
-        } else if (parse_token(tok, true, bits)) {
-          gauges.emplace_back(true, bits_double(bits));
-        } else {
-          return false;
-        }
-        break;
-      }
-      case InstrumentKind::histogram: {
-        std::uint64_t n_bins = 0;
-        if (!next_u64(n_bins)) return false;
-        if (n_bins != reg.histogram_bins(id)) return false;
-        std::vector<std::uint64_t> bins(n_bins, 0);
-        for (std::uint64_t& b : bins) {
-          if (!next_u64(b)) return false;
-        }
-        hists.push_back(std::move(bins));
-        break;
-      }
+  // Parse into a fresh bundle; `out` changes only on full success.
+  ShardTelemetry parsed;
+  MetricsShard& m = parsed.metrics;
+  for (std::size_t id = 0; id < kFirstGauge; ++id) {
+    std::uint64_t v = 0;
+    if (!next_u64(v)) return false;
+    m.add(id, v);
+  }
+  for (std::size_t id = kFirstGauge; id < kFirstHistogram; ++id) {
+    std::uint64_t bits = 0;
+    if (!next(tok)) return false;
+    if (tok == "u") continue;  // unset
+    if (!parse_token(tok, true, bits)) return false;
+    m.set(id, bits_double(bits));
+  }
+  std::vector<std::uint64_t> bins;
+  for (std::size_t id = kFirstHistogram; id < kNumInstruments; ++id) {
+    std::uint64_t n_bins = 0;
+    if (!next_u64(n_bins) || n_bins != m.histogram(id).size()) return false;
+    bins.assign(n_bins, 0);
+    for (std::uint64_t& b : bins) {
+      if (!next_u64(b)) return false;
     }
+    m.add_bins(id, bins);
   }
 
   std::uint64_t capacity = 0;
@@ -290,8 +200,8 @@ bool deserialize_telemetry(std::string_view text, ShardTelemetry& out) {
   if (!next(tok) || tok != "t") return false;
   if (!next_u64(capacity) || !next_u64(total) || !next_u64(retained)) return false;
   if (capacity != kDefaultTraceCapacity || retained > capacity || retained > total) return false;
-  std::vector<TraceEvent> events(retained);
-  for (TraceEvent& ev : events) {
+  for (std::uint64_t i = 0; i < retained; ++i) {
+    TraceEvent ev;
     std::uint64_t type = 0;
     std::uint64_t flag = 0;
     std::uint64_t bw = 0;
@@ -311,162 +221,73 @@ bool deserialize_telemetry(std::string_view text, ShardTelemetry& out) {
         !next_hex_bits(ev.v3) || !next_hex_bits(ev.v4) || !next_hex_bits(ev.v5)) {
       return false;
     }
+    parsed.trace.push(ev);
   }
   if (next(tok)) return false;  // trailing garbage
 
-  out = ShardTelemetry();
-  std::size_t ci = 0;
-  std::size_t gi = 0;
-  std::size_t hi = 0;
-  for (std::size_t id = 0; id < reg.size(); ++id) {
-    switch (reg.kind(id)) {
-      case InstrumentKind::counter:
-        out.metrics.add(id, counters[ci++]);
-        break;
-      case InstrumentKind::gauge:
-        if (gauges[gi].first) out.metrics.set(id, gauges[gi].second);
-        ++gi;
-        break;
-      case InstrumentKind::histogram:
-        out.metrics.add_bins(id, hists[hi++]);
-        break;
-    }
-  }
-  for (const TraceEvent& ev : events) out.trace.push(ev);
   // Dropped events are gone but their count must survive the round trip
   // (the emitters' drop accounting depends on it).
-  if (total > retained) out.trace.restore_total(total);
+  if (total > retained) parsed.trace.restore_total(total);
+  out = std::move(parsed);
   return true;
 }
 
 std::string metrics_json_body(const MetricsShard& m) {
-  const MetricsRegistry& reg = *m.registry();
   std::string out;
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) out += ',';
-    first = false;
-  };
-  for (std::size_t id = 0; id < reg.size(); ++id) {
-    const InstrumentSpec& spec = reg.instruments()[id];
-    switch (spec.kind) {
-      case InstrumentKind::counter:
-        sep();
-        append_u64(out, spec.name.c_str(), m.counter(id));
-        break;
-      case InstrumentKind::gauge: {
-        sep();
-        const std::optional<double> v = m.gauge(id);
-        if (v.has_value()) {
-          append_double(out, spec.name.c_str(), *v);
-        } else {
-          out += '"';
-          out += spec.name;
-          out += "\":null";
-        }
-        break;
-      }
-      case InstrumentKind::histogram: {
-        sep();
-        out += '"';
-        out += spec.name;
-        out += "\":[";
-        const std::vector<std::uint64_t>& bins = m.histogram(id);
-        for (std::size_t b = 0; b < bins.size(); ++b) {
-          if (b > 0) out += ',';
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%" PRIu64, bins[b]);
-          out += buf;
-        }
-        out += ']';
-        break;
-      }
+  for (std::size_t id = 0; id < kFirstGauge; ++id) {
+    if (id > 0) out += ',';
+    append_u64(out, kLinkInstruments[id].name, m.counter(id));
+  }
+  for (std::size_t id = kFirstGauge; id < kFirstHistogram; ++id) {
+    out += ',';
+    const std::optional<double> v = m.gauge(id);
+    if (v.has_value()) {
+      append_double(out, kLinkInstruments[id].name, *v);
+    } else {
+      append_key(out, kLinkInstruments[id].name);
+      out += "null";
     }
+  }
+  for (std::size_t id = kFirstHistogram; id < kNumInstruments; ++id) {
+    out += ',';
+    append_key(out, kLinkInstruments[id].name);
+    out += '[';
+    const std::vector<std::uint64_t>& bins = m.histogram(id);
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      if (b > 0) out += ',';
+      char buf[24];
+      std::snprintf(buf, sizeof(buf), "%" PRIu64, bins[b]);
+      out += buf;
+    }
+    out += ']';
   }
   return out;
 }
 
 std::string trace_event_json_body(const TraceEvent& ev) {
+  const TraceEventFormat& f = kTraceEventFormats[static_cast<std::size_t>(ev.type)];
   std::string out;
-  out += "\"event\":\"";
-  out += trace_event_name(ev.type);
-  out += '"';
-  const auto field_u64 = [&](const char* key, std::uint64_t v) {
+  append_name(out, "event", f.name);
+  out += ',';
+  append_u64(out, "pkt", ev.packet);
+  out += ',';
+  append_u64(out, f.hop, ev.hop);
+  if (f.bw) {
     out += ',';
-    append_u64(out, key, v);
-  };
-  const auto field_d = [&](const char* key, double v) {
+    append_u64(out, "bw", ev.bw_index);
+  }
+  if (f.flag != nullptr) {
     out += ',';
-    append_double(out, key, v);
-  };
-  field_u64("pkt", ev.packet);
-  switch (ev.type) {
-    case TraceEventType::hop_decision:
-      field_u64("hop", ev.hop);
-      field_u64("bw", ev.bw_index);
-      out += ",\"filter\":\"";
-      out += filter_flag_name(ev.flag);
-      out += '"';
-      field_d("est_jam_bw", ev.v0);
-      field_d("jam_bw_guard", ev.v1);
-      field_d("peak_db", ev.v2);
-      field_d("peak_thresh_db", ev.v3);
-      field_d("oob_db", ev.v4);
-      field_d("oob_thresh_db", ev.v5);
-      break;
-    case TraceEventType::sync_attempt:
-      field_u64("attempt", ev.hop);
-      out += ",\"outcome\":\"";
-      out += sync_outcome_name(ev.flag);
-      out += '"';
-      field_d("threshold", ev.v0);
-      field_d("max_lag", ev.v1);
-      field_d("quality", ev.v2);
-      field_d("margin", ev.v3);
-      break;
-    case TraceEventType::sync_lock:
-      field_u64("attempts", ev.hop);
-      field_u64("reacquired", ev.flag);
-      field_d("frame_start", ev.v0);
-      field_d("phase", ev.v1);
-      field_d("cfo", ev.v2);
-      field_d("quality", ev.v3);
-      field_d("margin", ev.v4);
-      break;
-    case TraceEventType::sync_loss:
-      field_u64("attempts", ev.hop);
-      break;
-    case TraceEventType::fault_applied:
-      field_u64("ordinal", ev.hop);
-      field_u64("kind", ev.flag);
-      field_d("offset", ev.v0);
-      field_d("len", ev.v1);
-      field_d("magnitude", ev.v2);
-      break;
-    case TraceEventType::packet_done:
-      field_u64("hops", ev.hop);
-      field_u64("delivered", ev.flag);
-      field_d("sync_attempts", ev.v0);
-      field_d("filter_fallbacks", ev.v1);
-      field_d("detected", ev.v2);
-      break;
-    case TraceEventType::adapt_window:
-      field_u64("window", ev.hop);
-      field_u64("jammed", ev.flag);
-      field_d("bad_frac", ev.v0);
-      field_d("threshold", ev.v1);
-      field_d("bad", ev.v2);
-      field_d("streak", ev.v3);
-      break;
-    case TraceEventType::adapt_transition:
-      field_u64("window", ev.hop);
-      out += ",\"to\":\"";
-      out += adapt_state_name(ev.flag);
-      out += '"';
-      field_d("from", ev.v0);
-      field_d("symbols_per_hop", ev.v1);
-      field_d("epoch", ev.v2);
-      break;
+    if (f.flag_names.empty()) {
+      append_u64(out, f.flag, ev.flag);
+    } else {
+      append_name(out, f.flag, ev.flag < f.flag_names.size() ? f.flag_names[ev.flag] : "unknown");
+    }
+  }
+  const std::array<double, 6> v = {ev.v0, ev.v1, ev.v2, ev.v3, ev.v4, ev.v5};
+  for (std::size_t i = 0; i < v.size() && f.v[i] != nullptr; ++i) {
+    out += ',';
+    append_double(out, f.v[i], v[i]);
   }
   return out;
 }
@@ -478,7 +299,7 @@ void LinkObs::record(const TraceEvent& ev) const noexcept {
   BHSS_DEBUG_ASSERT(telemetry != nullptr, "LinkObs::record: the handle is off");
   telemetry->trace.push(ev);
   MetricsShard& m = telemetry->metrics;
-  const LinkIds& ids = *telemetry->ids;
+  const LinkIds& ids = kLinkIds;
   switch (ev.type) {
     case TraceEventType::hop_decision:
       m.add(ids.hops);

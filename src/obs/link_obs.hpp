@@ -1,8 +1,10 @@
 #pragma once
 
 /// @file link_obs.hpp
-/// Canonical telemetry schema for the link pipeline + the per-shard
-/// bundle that rides alongside LinkStats through `run_link_shard`.
+/// The link pipeline's recording handle, the per-shard telemetry bundle
+/// that rides alongside LinkStats through `run_link_shard`, and their
+/// wire formats. The schema itself is `kLinkInstruments` (metrics.hpp)
+/// and `kTraceEventFormats` (trace.hpp).
 ///
 /// Merge-order contract (shared with `core::merge_link_stats`, see
 /// link_simulator.hpp): per-shard telemetry is merged as a left fold in
@@ -18,7 +20,6 @@
 /// derived at record time, not from the ring afterwards, because the
 /// ring keeps kDefaultTraceCapacity events and overwrites the oldest.
 
-#include <array>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -30,50 +31,47 @@
 
 namespace bhss::obs {
 
-/// Stable instrument ids of the canonical link registry. Counters sum
-/// across shards; gauges keep the value of the highest shard that set
-/// them; histograms sum bin-wise.
-///
-/// The registry opens with the LinkStats projection: one counter per
-/// `projected` row of `core::kLinkStatsFields`, named after the field and
-/// added once per shard by `add_link_stats`. The instruments below it are
-/// obs-only. Each is derived from one trace event type by
-/// `LinkObs::record`, except the two cache counters, which
-/// `ControlLogic` counts through `LinkObs::add` where the cache answers.
+/// Row of the link instrument named `name`; a name with no row fails the
+/// build.
+consteval std::size_t instrument_id(std::string_view name) {
+  for (std::size_t id = 0; id < kNumInstruments; ++id) {
+    if (name == kLinkInstruments[id].name) return id;
+  }
+  throw "no link instrument has this name";
+}
+
+/// Ids of the obs-only rows of kLinkInstruments, by name.
 struct LinkIds {
-  /// Counter id of each projected LinkStats row, indexed by table row
-  /// (rows that are not projected are never registered; their slot is 0).
-  std::array<std::size_t, core::kLinkStatsFields.size()> stats{};
-  // obs-only counters
-  std::size_t sync_attempts = 0;    ///< preamble acquisition attempts
-  std::size_t sync_locks = 0;       ///< accepted acquisitions
-  std::size_t hops = 0;             ///< hop slices demodulated
-  std::size_t filter_none = 0;      ///< per-hop decision: no filtering
-  std::size_t filter_lowpass = 0;   ///< per-hop decision: low-pass (eq. (3))
-  std::size_t filter_excision = 0;  ///< per-hop decision: excision (eq. (4))
+  // counters
+  std::size_t sync_attempts = instrument_id("sync_attempts");  ///< acquisition attempts
+  std::size_t sync_locks = instrument_id("sync_locks");        ///< accepted acquisitions
+  std::size_t hops = instrument_id("hops");                    ///< hop slices demodulated
+  /// Per-hop decisions: no filtering, low-pass (eq. (3)), excision (eq. (4)).
+  std::size_t filter_none = instrument_id("filter_none");
+  std::size_t filter_lowpass = instrument_id("filter_lowpass");
+  std::size_t filter_excision = instrument_id("filter_excision");
   /// Per-hop degenerate-PSD decisions. Not LinkStats::filter_fallback,
   /// which also counts the acquisition-window decisions.
-  std::size_t degenerate_psd = 0;
-  std::size_t filter_cache_hits = 0;    ///< excision designs replayed from the cache
-  std::size_t filter_cache_misses = 0;  ///< excision designs computed and stored
-  std::size_t adapt_windows = 0;        ///< jam-detector windows closed
+  std::size_t degenerate_psd = instrument_id("degenerate_psd");
+  /// Excision designs replayed from the cache, and computed and stored.
+  std::size_t filter_cache_hits = instrument_id("filter_cache_hits");
+  std::size_t filter_cache_misses = instrument_id("filter_cache_misses");
+  std::size_t adapt_windows = instrument_id("adapt_windows");  ///< detector windows closed
   // gauges
-  std::size_t last_sync_quality = 0;
-  std::size_t last_sync_margin = 0;
-  std::size_t adapt_state = 0;  ///< current LinkAdaptState ordinal
+  std::size_t last_sync_quality = instrument_id("last_sync_quality");
+  std::size_t last_sync_margin = instrument_id("last_sync_margin");
+  std::size_t adapt_state = instrument_id("adapt_state");  ///< LinkAdaptState ordinal
   // histograms
-  std::size_t est_jammer_bw = 0;  ///< estimated jammer occupancy (fraction of band)
-  std::size_t inband_peak_db = 0; ///< in-band peak-over-median (dB)
-  std::size_t sync_margin = 0;    ///< CFAR margin of accepted locks
+  std::size_t est_jammer_bw = instrument_id("est_jammer_bw");
+  std::size_t inband_peak_db = instrument_id("inband_peak_db");
+  std::size_t sync_margin = instrument_id("sync_margin");
 };
 
-/// Process-wide canonical schema (built once, immortal) and its ids.
-[[nodiscard]] const MetricsRegistry& link_registry();
-[[nodiscard]] const LinkIds& link_ids();
+inline constexpr LinkIds kLinkIds{};
+[[nodiscard]] constexpr const LinkIds& link_ids() noexcept { return kLinkIds; }
 
-/// Add one shard's projected LinkStats counters into `m` (bound to the
-/// canonical link registry). `run_link_shard` calls this once, after its
-/// last packet.
+/// Add one shard's projected LinkStats counters into `m`. `run_link_shard`
+/// calls this once, after its last packet.
 void add_link_stats(MetricsShard& m, const core::LinkStats& s);
 
 struct ShardTelemetry;
@@ -89,7 +87,7 @@ struct LinkObs {
   explicit operator bool() const noexcept { return telemetry != nullptr; }
 
   /// Push `ev` into the ring and apply every metric derived from it; the
-  /// derivation table sits beside trace_event_json_body in link_obs.cpp.
+  /// derivation sits beside trace_event_json_body in link_obs.cpp.
   /// The handle must be on.
   BHSS_HOT void record(const TraceEvent& ev) const noexcept;
 
@@ -102,13 +100,10 @@ struct LinkObs {
   [[nodiscard]] TraceSink* sink() const noexcept;
 };
 
-/// One shard's owned telemetry: canonical-schema metrics + event ring.
+/// One shard's owned telemetry: link-schema metrics + event ring.
 struct ShardTelemetry {
-  MetricsShard metrics{&link_registry()};
+  MetricsShard metrics;
   TraceSink trace{kDefaultTraceCapacity};
-  /// The schema's ids, bound here so that record() never reaches the
-  /// schema's one-time construction (which allocates).
-  const LinkIds* ids = &link_ids();
 
   [[nodiscard]] LinkObs obs() noexcept { return LinkObs{this}; }
 };
@@ -132,10 +127,10 @@ inline TraceSink* LinkObs::sink() const noexcept {
 /// excluded (non-deterministic by nature).
 [[nodiscard]] std::string serialize_telemetry(const ShardTelemetry& t);
 
-/// Inverse of serialize_telemetry against the canonical link registry.
-/// Returns false (leaving `out` unspecified) on any malformed input,
-/// including a trace capacity other than kDefaultTraceCapacity — the
-/// only capacity any writer uses — and any token parse_token refuses.
+/// Inverse of serialize_telemetry. Returns false (leaving `out`
+/// untouched) on any malformed input, including a trace capacity other
+/// than kDefaultTraceCapacity — the only capacity any writer uses — and
+/// any token parse_token refuses.
 [[nodiscard]] bool deserialize_telemetry(std::string_view text, ShardTelemetry& out);
 
 /// One whole token of a telemetry blob or a checkpoint journal's stats

@@ -4,20 +4,6 @@
 
 namespace bhss::obs {
 
-const char* trace_event_name(TraceEventType type) noexcept {
-  switch (type) {
-    case TraceEventType::hop_decision: return "hop_decision";
-    case TraceEventType::sync_attempt: return "sync_attempt";
-    case TraceEventType::sync_lock: return "sync_lock";
-    case TraceEventType::sync_loss: return "sync_loss";
-    case TraceEventType::fault_applied: return "fault";
-    case TraceEventType::packet_done: return "packet_done";
-    case TraceEventType::adapt_window: return "adapt_window";
-    case TraceEventType::adapt_transition: return "adapt_transition";
-  }
-  return "unknown";
-}
-
 const char* trace_scope_name(TraceScopeId id) noexcept {
   switch (id) {
     case TraceScopeId::receive: return "receive";

@@ -20,7 +20,9 @@
 
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bhss::obs {
@@ -37,36 +39,10 @@ enum class TraceEventType : std::uint8_t {
 };
 inline constexpr std::size_t kNumTraceEventTypes = 8;
 
-/// Stable lowercase name used as the JSONL "event" value.
-[[nodiscard]] const char* trace_event_name(TraceEventType type) noexcept;
-
 /// One structured event. Fixed-size POD so the ring never allocates.
-/// `flag`/`v0..v5` are type-specific (see trace_event_json_body in
-/// link_obs.cpp for the authoritative field mapping, and LinkObs::record
-/// beside it for the metrics each type derives):
-///  - hop_decision: flag = filter kind (0 none / 1 lowpass / 2 excision /
-///    3 degenerate-PSD fallback), bw_index = hop bandwidth level,
-///    v0 = est_jammer_bw_frac, v1 = eq. (10) guard threshold
-///    (kExcisionMatchGuard * signal bandwidth fraction), v2/v3 = in-band
-///    peak-over-median dB and its threshold, v4/v5 = out-of-band level dB
-///    and its threshold.
-///  - sync_attempt: flag = outcome (0 miss / 1 lock / 2 CFAR reject),
-///    hop = attempt ordinal, v0 = threshold, v1 = max lag, v2 = quality,
-///    v3 = margin.
-///  - sync_lock: flag = reacquired, hop = attempts used, v0 = frame
-///    start, v1 = phase, v2 = cfo, v3 = quality, v4 = margin.
-///  - sync_loss: hop = attempts used.
-///  - fault_applied: flag = FaultKind ordinal, hop = event ordinal in the
-///    packet's plan, v0 = offset, v1 = length, v2 = magnitude.
-///  - packet_done: flag = delivered (CRC ok), hop = hops demodulated,
-///    v0 = sync attempts, v1 = filter fallbacks, v2 = frame detected.
-///  - adapt_window: flag = window jammed, hop = window ordinal, packet =
-///    closing packet, v0 = bad fraction, v1 = trip threshold, v2 = bad
-///    packets, v3 = jammed-window streak.
-///  - adapt_transition: flag = new LinkAdaptState ordinal (0 nominal /
-///    1 degraded / 2 fallback / 3 recovering), hop = window ordinal,
-///    packet = closing packet of that window, v0 = previous state
-///    ordinal, v1 = new symbols_per_hop, v2 = new plan epoch.
+/// `flag`, `hop` and `v0..v5` are type-specific; kTraceEventFormats below
+/// names each of them, and LinkObs::record (link_obs.cpp) derives the
+/// metrics of each type.
 struct TraceEvent {
   TraceEventType type = TraceEventType::hop_decision;
   std::uint8_t flag = 0;
@@ -75,6 +51,68 @@ struct TraceEvent {
   std::uint64_t packet = 0;
   double v0 = 0.0, v1 = 0.0, v2 = 0.0, v3 = 0.0, v4 = 0.0, v5 = 0.0;
 };
+
+/// How one event type renders as a JSONL body: `"event"`, `"pkt"`, then
+/// the keys below in this order. A null key is not printed.
+struct TraceEventFormat {
+  const char* name = nullptr;  ///< the "event" value
+  const char* hop = nullptr;   ///< key of `hop`
+  bool bw = false;             ///< whether `bw_index` is printed, as "bw"
+  const char* flag = nullptr;  ///< key of `flag`
+  /// Names of the flag values, printed instead of the number when set;
+  /// a flag past the end prints "unknown".
+  std::span<const char* const> flag_names{};
+  std::array<const char*, 6> v{};  ///< keys of v0..v5
+};
+
+inline constexpr std::array<const char*, 4> kFilterFlagNames{"none", "lowpass", "excision",
+                                                             "degenerate"};
+inline constexpr std::array<const char*, 3> kSyncOutcomeNames{"miss", "lock", "cfar_reject"};
+/// LinkAdaptState ordinals.
+inline constexpr std::array<const char*, 4> kAdaptStateNames{"nominal", "degraded", "fallback",
+                                                             "recovering"};
+
+/// One row per TraceEventType, in enum order. What the keys do not say:
+///  - hop_decision: bw = hop bandwidth level; est_jam_bw = estimated
+///    jammer occupancy as a fraction of the band; jam_bw_guard = the
+///    eq. (10) guard, kExcisionMatchGuard times the signal bandwidth
+///    fraction; "degenerate" is the degenerate-PSD fallback, which
+///    filters nothing.
+///  - fault: kind = FaultKind ordinal; ordinal = the event's place in the
+///    packet's plan.
+///  - packet_done: delivered = CRC ok; detected = frame detected.
+///  - adapt_window and adapt_transition: pkt = the window's closing
+///    packet; from = previous LinkAdaptState ordinal; epoch = new plan
+///    epoch.
+inline constexpr std::array<TraceEventFormat, kNumTraceEventTypes> kTraceEventFormats{{
+    {"hop_decision", "hop", true, "filter", kFilterFlagNames,
+     {"est_jam_bw", "jam_bw_guard", "peak_db", "peak_thresh_db", "oob_db", "oob_thresh_db"}},
+    {"sync_attempt", "attempt", false, "outcome", kSyncOutcomeNames,
+     {"threshold", "max_lag", "quality", "margin"}},
+    {"sync_lock", "attempts", false, "reacquired", {},
+     {"frame_start", "phase", "cfo", "quality", "margin"}},
+    {"sync_loss", "attempts"},
+    {"fault", "ordinal", false, "kind", {}, {"offset", "len", "magnitude"}},
+    {"packet_done", "hops", false, "delivered", {},
+     {"sync_attempts", "filter_fallbacks", "detected"}},
+    {"adapt_window", "window", false, "jammed", {}, {"bad_frac", "threshold", "bad", "streak"}},
+    {"adapt_transition", "window", false, "to", kAdaptStateNames,
+     {"from", "symbols_per_hop", "epoch"}},
+}};
+
+static_assert(
+    [] {
+      for (const TraceEventFormat& f : kTraceEventFormats) {
+        if (f.name == nullptr || f.hop == nullptr) return false;
+      }
+      return true;
+    }(),
+    "kTraceEventFormats: every event type needs a row with a name and a hop key");
+
+/// Stable lowercase name used as the JSONL "event" value.
+[[nodiscard]] constexpr const char* trace_event_name(TraceEventType type) noexcept {
+  return kTraceEventFormats[static_cast<std::size_t>(type)].name;
+}
 
 /// Receiver pipeline stages timed by BHSS_TRACE_SCOPE.
 enum class TraceScopeId : std::uint8_t {

@@ -264,7 +264,7 @@ core::LinkStats ParallelLinkRunner::execute(const JournalKey* key, const core::S
     journal_shard(key, shard, slots[shard], tele);
   });
   if (std::find(skipped.begin(), skipped.end(), 1) != skipped.end()) drain();
-  return merge_point_results(slots, telemetry, cfg.payload_len, nullptr);
+  return merge_point_results(slots, telemetry, cfg.payload_len);
 }
 
 void ParallelLinkRunner::journal_shard(const JournalKey* key, std::size_t shard,
@@ -316,15 +316,10 @@ double ParallelLinkRunner::min_snr_for_per(const std::string& point_id,
 
 core::LinkStats merge_point_results(const std::vector<core::LinkStats>& stats,
                                     const std::vector<obs::ShardTelemetry>* telemetry,
-                                    std::size_t payload_len,
-                                    obs::ShardTelemetry* merged_telemetry) {
+                                    std::size_t payload_len) {
   BHSS_REQUIRE(telemetry == nullptr || telemetry->size() == stats.size(),
                "merge_point_results: stats and telemetry must cover the same shards");
-  core::LinkStats merged = core::merge_link_stats(stats, payload_len);
-  if (telemetry != nullptr && merged_telemetry != nullptr) {
-    *merged_telemetry = obs::merge_telemetry(*telemetry, stats.size());
-  }
-  return merged;
+  return core::merge_link_stats(stats, payload_len);
 }
 
 }  // namespace bhss::runtime

@@ -219,12 +219,10 @@ class ParallelLinkRunner {
 /// default element at its index in *both*. BHSS_REQUIREs that `telemetry`
 /// (when given) has exactly `stats.size()` elements — the single
 /// enforcement point keeping the stats merge and the telemetry merge from
-/// silently diverging.
-/// `merged_telemetry` (optional) receives the merged bundle when
-/// `telemetry` is non-null.
+/// silently diverging. The merged telemetry itself comes from
+/// `obs::merge_telemetry`.
 [[nodiscard]] core::LinkStats merge_point_results(
     const std::vector<core::LinkStats>& stats,
-    const std::vector<obs::ShardTelemetry>* telemetry, std::size_t payload_len,
-    obs::ShardTelemetry* merged_telemetry = nullptr);
+    const std::vector<obs::ShardTelemetry>* telemetry, std::size_t payload_len);
 
 }  // namespace bhss::runtime

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -152,6 +153,10 @@ struct Adversary {
   double jnr_db;  ///< contested operating point: degraded but not dead
   core::JammerSpec jammer;
 };
+
+// Test listings print the parameter by name, not as its bytes (which hold
+// a pointer and padding that differ from build to build).
+void PrintTo(const Adversary& a, std::ostream* os) { *os << a.name; }
 
 class AdaptiveVsStatic : public ::testing::TestWithParam<Adversary> {};
 

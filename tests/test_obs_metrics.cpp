@@ -1,13 +1,15 @@
-// Property tests for the observability metrics layer: registry schema
-// validation, deterministic histogram bin routing (NaN, ±inf, exact
-// edges), merge algebra (associativity, commutativity where promised,
+// Property tests for the observability metrics layer: the link schema's
+// ids, deterministic histogram bin routing (NaN, ±inf, exact edges),
+// merge algebra (associativity, commutativity where promised,
 // rightmost-set-wins gauges), thread-count bit-identity of merged
-// telemetry, the serialize/deserialize round trip, and the shared
-// merge-order contract enforced by runtime::merge_point_results.
+// telemetry, the serialize/deserialize round trip, byte pins of both
+// wire formats, and the shared merge-order contract enforced by
+// runtime::merge_point_results.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -25,106 +27,79 @@ using namespace bhss;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-obs::MetricsRegistry small_registry() {
-  obs::MetricsRegistry reg;
-  (void)reg.add_counter("events");
-  (void)reg.add_gauge("level");
-  (void)reg.add_histogram("width", {0.0, 1.0, 2.0});
-  return reg;
-}
+// Three instruments of the link schema, one of each kind.
+constexpr std::size_t kEvents = obs::kLinkIds.hops;
+constexpr std::size_t kLevel = obs::kLinkIds.last_sync_quality;
+constexpr std::size_t kWidth = obs::kLinkIds.est_jammer_bw;
 
-TEST(ObsMetrics, RegistryAssignsIdsAndSlots) {
-  obs::MetricsRegistry reg;
-  const std::size_t c0 = reg.add_counter("a");
-  const std::size_t g0 = reg.add_gauge("b");
-  const std::size_t c1 = reg.add_counter("c");
-  const std::size_t h0 = reg.add_histogram("d", {0.0, 1.0});
-  EXPECT_EQ(reg.size(), 4u);
-  EXPECT_EQ(reg.n_counters(), 2u);
-  EXPECT_EQ(reg.n_gauges(), 1u);
-  EXPECT_EQ(reg.n_histograms(), 1u);
-  EXPECT_EQ(reg.kind(c0), obs::InstrumentKind::counter);
-  EXPECT_EQ(reg.kind(g0), obs::InstrumentKind::gauge);
-  EXPECT_EQ(reg.slot(c0), 0u);
-  EXPECT_EQ(reg.slot(c1), 1u);
-  EXPECT_EQ(reg.slot(h0), 0u);
-  // underflow + 1 interior + overflow + NaN
-  EXPECT_EQ(reg.histogram_bins(h0), 4u);
-  EXPECT_EQ(reg.find("c"), c1);
-  EXPECT_FALSE(reg.find("missing").has_value());
-}
-
-TEST(ObsMetrics, RegistryRejectsInvalidDeclarations) {
-  obs::MetricsRegistry reg;
-  (void)reg.add_counter("ok");
-  EXPECT_THROW((void)reg.add_counter("ok"), contract_violation);       // duplicate
-  EXPECT_THROW((void)reg.add_counter(""), contract_violation);        // empty
-  EXPECT_THROW((void)reg.add_counter("has space"), contract_violation);
-  EXPECT_THROW((void)reg.add_counter("quo\"te"), contract_violation);
-  EXPECT_THROW((void)reg.add_histogram("h1", {}), contract_violation);         // no edges
-  EXPECT_THROW((void)reg.add_histogram("h2", {1.0}), contract_violation);      // one edge
-  EXPECT_THROW((void)reg.add_histogram("h3", {1.0, 1.0}), contract_violation); // not increasing
-  EXPECT_THROW((void)reg.add_histogram("h4", {2.0, 1.0}), contract_violation);
-  EXPECT_THROW((void)reg.add_histogram("h5", {0.0, kInf}), contract_violation);  // non-finite
-  EXPECT_THROW((void)reg.add_histogram("h6", {kNaN, 1.0}), contract_violation);
+TEST(ObsMetrics, LinkSchemaIdsFollowTheTable) {
+  // Ten projected LinkStats rows, ten obs-only counters, three gauges and
+  // three histograms, grouped by kind.
+  EXPECT_EQ(obs::kNumInstruments, 26U);
+  EXPECT_EQ(obs::kNumCounters, 20U);
+  EXPECT_EQ(obs::kNumGauges, 3U);
+  EXPECT_EQ(obs::kNumHistograms, 3U);
+  std::size_t id = 0;
+  for (const core::LinkStatsField& f : core::kLinkStatsFields) {
+    if (f.projected) {
+      EXPECT_STREQ(obs::kLinkInstruments[id++].name, f.name);
+    }
+  }
+  EXPECT_EQ(obs::instrument_kind(kEvents), obs::InstrumentKind::counter);
+  EXPECT_EQ(obs::instrument_kind(kLevel), obs::InstrumentKind::gauge);
+  EXPECT_EQ(obs::instrument_kind(kWidth), obs::InstrumentKind::histogram);
+  EXPECT_STREQ(obs::kLinkInstruments[obs::kLinkIds.filter_cache_hits].name, "filter_cache_hits");
+  EXPECT_STREQ(obs::kLinkInstruments[kWidth].name, "est_jammer_bw");
+  // underflow + 9 interior + overflow + NaN
+  EXPECT_EQ(obs::MetricsShard().histogram(kWidth).size(), 12U);
 }
 
 TEST(ObsMetrics, BinRoutingCoversEveryInput) {
   const std::vector<double> edges = {0.0, 1.0, 2.5};
   // Bins: 0 = underflow, 1 = [0,1), 2 = [1,2.5), 3 = overflow, 4 = NaN.
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, -0.001), 0u);
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, -kInf), 0u);
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, 0.0), 1u);  // edge opens its bin
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, 0.999), 1u);
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, 1.0), 2u);  // exact interior edge
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, 2.499), 2u);
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, 2.5), 3u);  // last edge -> overflow
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, 1e12), 3u);
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, kInf), 3u);
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, kNaN), 4u);
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, -kNaN), 4u);
+  EXPECT_EQ(obs::bin_of(edges, -0.001), 0u);
+  EXPECT_EQ(obs::bin_of(edges, -kInf), 0u);
+  EXPECT_EQ(obs::bin_of(edges, 0.0), 1u);  // edge opens its bin
+  EXPECT_EQ(obs::bin_of(edges, 0.999), 1u);
+  EXPECT_EQ(obs::bin_of(edges, 1.0), 2u);  // exact interior edge
+  EXPECT_EQ(obs::bin_of(edges, 2.499), 2u);
+  EXPECT_EQ(obs::bin_of(edges, 2.5), 3u);  // last edge -> overflow
+  EXPECT_EQ(obs::bin_of(edges, 1e12), 3u);
+  EXPECT_EQ(obs::bin_of(edges, kInf), 3u);
+  EXPECT_EQ(obs::bin_of(edges, kNaN), 4u);
+  EXPECT_EQ(obs::bin_of(edges, -kNaN), 4u);
   // Negative zero compares equal to zero: same bin as +0.0.
-  EXPECT_EQ(obs::MetricsRegistry::bin_of(edges, -0.0), 1u);
+  EXPECT_EQ(obs::bin_of(edges, -0.0), 1u);
 }
 
 TEST(ObsMetrics, ShardRecordsAndReads) {
-  const obs::MetricsRegistry reg = small_registry();
-  obs::MetricsShard s(&reg);
-  const std::size_t events = *reg.find("events");
-  const std::size_t level = *reg.find("level");
-  const std::size_t width = *reg.find("width");
-
-  EXPECT_EQ(s.counter(events), 0u);
-  EXPECT_FALSE(s.gauge(level).has_value());
-  s.add(events);
-  s.add(events, 4);
-  s.set(level, 2.5);
-  s.set(level, -1.0);  // last write wins
-  s.observe(width, 0.5);
-  s.observe(width, kNaN);
-  s.observe(width, 3.0);
-  EXPECT_EQ(s.counter(events), 5u);
-  EXPECT_EQ(s.gauge(level), -1.0);
-  // Bins: underflow, [0,1), [1,2), overflow, NaN.
-  const std::vector<std::uint64_t> expected = {0, 1, 0, 1, 1};
-  EXPECT_EQ(s.histogram(width), expected);
+  obs::MetricsShard s;
+  EXPECT_EQ(s.counter(kEvents), 0u);
+  EXPECT_FALSE(s.gauge(kLevel).has_value());
+  s.add(kEvents);
+  s.add(kEvents, 4);
+  s.set(kLevel, 2.5);
+  s.set(kLevel, -1.0);  // last write wins
+  s.observe(kWidth, 0.5);
+  s.observe(kWidth, kNaN);
+  s.observe(kWidth, 3.0);
+  EXPECT_EQ(s.counter(kEvents), 5u);
+  EXPECT_EQ(s.gauge(kLevel), -1.0);
+  // Bins: underflow, nine interior ([0.5,0.7) is the eighth), overflow, NaN.
+  const std::vector<std::uint64_t> expected = {0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1};
+  EXPECT_EQ(s.histogram(kWidth), expected);
 }
 
 TEST(ObsMetrics, MergeIsAssociative) {
-  const obs::MetricsRegistry reg = small_registry();
-  const std::size_t events = *reg.find("events");
-  const std::size_t level = *reg.find("level");
-  const std::size_t width = *reg.find("width");
-
-  obs::MetricsShard a(&reg), b(&reg), c(&reg);
-  a.add(events, 1);
-  a.observe(width, -5.0);
-  b.add(events, 10);
-  b.set(level, 1.0);
-  b.observe(width, 0.5);
-  c.add(events, 100);
-  c.set(level, 7.0);
-  c.observe(width, kNaN);
+  obs::MetricsShard a, b, c;
+  a.add(kEvents, 1);
+  a.observe(kWidth, -5.0);
+  b.add(kEvents, 10);
+  b.set(kLevel, 1.0);
+  b.observe(kWidth, 0.5);
+  c.add(kEvents, 100);
+  c.set(kLevel, 7.0);
+  c.observe(kWidth, kNaN);
 
   // (a ⊕ b) ⊕ c
   obs::MetricsShard left = a;
@@ -137,43 +112,30 @@ TEST(ObsMetrics, MergeIsAssociative) {
   right.merge_from(bc);
 
   EXPECT_TRUE(left == right);
-  EXPECT_EQ(left.counter(events), 111u);
-  EXPECT_EQ(left.gauge(level), 7.0);  // rightmost set gauge wins
+  EXPECT_EQ(left.counter(kEvents), 111u);
+  EXPECT_EQ(left.gauge(kLevel), 7.0);  // rightmost set gauge wins
 }
 
 TEST(ObsMetrics, CountersAndHistogramsCommuteGaugesAreOrderSensitive) {
-  const obs::MetricsRegistry reg = small_registry();
-  const std::size_t events = *reg.find("events");
-  const std::size_t level = *reg.find("level");
-  const std::size_t width = *reg.find("width");
-
-  obs::MetricsShard a(&reg), b(&reg);
-  a.add(events, 3);
-  a.set(level, 1.0);
-  a.observe(width, 0.25);
-  b.add(events, 9);
-  b.set(level, 2.0);
-  b.observe(width, 1.75);
+  obs::MetricsShard a, b;
+  a.add(kEvents, 3);
+  a.set(kLevel, 1.0);
+  a.observe(kWidth, 0.25);
+  b.add(kEvents, 9);
+  b.set(kLevel, 2.0);
+  b.observe(kWidth, 1.75);
 
   obs::MetricsShard ab = a;
   ab.merge_from(b);
   obs::MetricsShard ba = b;
   ba.merge_from(a);
 
-  EXPECT_EQ(ab.counter(events), ba.counter(events));
-  EXPECT_EQ(ab.histogram(width), ba.histogram(width));
+  EXPECT_EQ(ab.counter(kEvents), ba.counter(kEvents));
+  EXPECT_EQ(ab.histogram(kWidth), ba.histogram(kWidth));
   // Gauges keep the right operand's value — the reason the contract pins
   // a left fold in ascending shard order rather than "any order".
-  EXPECT_EQ(ab.gauge(level), 2.0);
-  EXPECT_EQ(ba.gauge(level), 1.0);
-}
-
-TEST(ObsMetrics, MergeRejectsForeignRegistry) {
-  const obs::MetricsRegistry reg_a = small_registry();
-  const obs::MetricsRegistry reg_b = small_registry();
-  obs::MetricsShard a(&reg_a);
-  obs::MetricsShard b(&reg_b);
-  EXPECT_THROW(a.merge_from(b), contract_violation);
+  EXPECT_EQ(ab.gauge(kLevel), 2.0);
+  EXPECT_EQ(ba.gauge(kLevel), 1.0);
 }
 
 core::SimConfig telemetry_sim_config() {
@@ -193,10 +155,10 @@ core::SimConfig telemetry_sim_config() {
 std::size_t expect_projection_matches(const obs::ShardTelemetry& merged,
                                       const core::LinkStats& stats) {
   std::size_t nonzero = 0;
-  for (std::size_t row = 0; row < core::kLinkStatsFields.size(); ++row) {
-    const core::LinkStatsField& f = core::kLinkStatsFields[row];
+  std::size_t id = 0;  // the projected rows open the schema, in field order
+  for (const core::LinkStatsField& f : core::kLinkStatsFields) {
     if (!f.projected) continue;
-    EXPECT_EQ(merged.metrics.counter(obs::link_ids().stats[row]), f.bits(stats)) << f.name;
+    EXPECT_EQ(merged.metrics.counter(id++), f.bits(stats)) << f.name;
     if (f.bits(stats) != 0) ++nonzero;
   }
   return nonzero;
@@ -331,6 +293,112 @@ TEST(ObsMetrics, DeserializeRejectsMalformedInput) {
   }
 }
 
+// ------------------------------------------------------------ byte pins
+
+/// 64-bit FNV-1a over the bytes of `s`.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The JSONL body of an empty shard names every instrument of the link
+// schema in its order, prints unset gauges as null and each histogram as
+// its full bin count.
+TEST(ObsMetrics, EmptyShardJsonBodyIsPinned) {
+  const obs::ShardTelemetry empty;
+  EXPECT_EQ(obs::metrics_json_body(empty.metrics),
+            "\"packets\":0,\"detected\":0,\"ok\":0,\"sync_lost\":0,\"reacquired\":0,"
+            "\"corrupt_input_rejected\":0,\"faults_injected\":0,\"adapt_transitions\":0,"
+            "\"adapt_windows_jammed\":0,\"adapt_packets_adapted\":0,\"sync_attempts\":0,"
+            "\"sync_locks\":0,\"hops\":0,\"filter_none\":0,\"filter_lowpass\":0,"
+            "\"filter_excision\":0,\"degenerate_psd\":0,\"filter_cache_hits\":0,"
+            "\"filter_cache_misses\":0,\"adapt_windows\":0,\"last_sync_quality\":null,"
+            "\"last_sync_margin\":null,\"adapt_state\":null,"
+            "\"est_jammer_bw\":[0,0,0,0,0,0,0,0,0,0,0,0],"
+            "\"inband_peak_db\":[0,0,0,0,0,0,0,0,0,0],"
+            "\"sync_margin\":[0,0,0,0,0,0,0,0,0,0]");
+}
+
+// One shard filled through every recording path: LinkObs::record (every
+// event type), LinkObs::add (the cache counters) and add_link_stats.
+// Both wire formats are pinned byte for byte.
+TEST(ObsMetrics, FilledShardBytesArePinned) {
+  obs::ShardTelemetry t;
+  const obs::LinkObs o = t.obs();
+  using T = obs::TraceEventType;
+  const auto record = [&](T type, std::uint8_t flag, double v0, double v2, double v3, double v4) {
+    obs::TraceEvent ev;
+    ev.type = type;
+    ev.flag = flag;
+    ev.bw_index = 2;
+    ev.hop = 3;
+    ev.packet = 5;
+    ev.v0 = v0;
+    ev.v1 = 0.25;
+    ev.v2 = v2;
+    ev.v3 = v3;
+    ev.v4 = v4;
+    ev.v5 = -0.5;
+    o.record(ev);
+  };
+  record(T::hop_decision, 0, 0.0, 1.0, 5.5, -12.0);
+  record(T::hop_decision, 1, 0.125, 4.0, 5.5, -12.0);
+  record(T::hop_decision, 2, 0.5, 12.0, 5.5, -12.0);
+  record(T::hop_decision, 3, kNaN, -kInf, 5.5, -12.0);
+  record(T::hop_decision, 2, 2.0, 40.0, 5.5, -12.0);
+  record(T::sync_attempt, 0, 0.5, 0.125, 0.0, 0.0);
+  record(T::sync_attempt, 1, 0.5, 0.75, 4.5, 0.0);
+  record(T::sync_lock, 1, 100.0, 0.0, 0.75, 4.5);
+  record(T::sync_lock, 0, 200.0, 0.0, 0.875, 60.0);
+  record(T::sync_loss, 0, 0.0, 0.0, 0.0, 0.0);
+  record(T::fault_applied, 4, 16.0, 2.0, 0.0, 0.0);
+  record(T::packet_done, 1, 2.0, 1.0, 0.0, 0.0);
+  record(T::adapt_window, 1, 0.5, 2.0, 1.0, 0.0);
+  record(T::adapt_window, 0, 0.25, 1.0, 0.0, 0.0);
+  record(T::adapt_transition, 2, 1.0, 0.0, 3.0, 0.0);
+  o.add(obs::link_ids().filter_cache_hits);
+  o.add(obs::link_ids().filter_cache_misses);
+  o.add(obs::link_ids().filter_cache_misses);
+  core::LinkStats s;
+  s.packets = 12;
+  s.detected = 11;
+  s.ok = 9;
+  s.symbol_errors = 100;  // not projected: no metric carries it
+  s.airtime_s = 0.125;
+  s.sync_lost = 1;
+  s.reacquired = 2;
+  s.filter_fallback = 7;  // not projected either
+  s.corrupt_input_rejected = 3;
+  s.faults_injected = 4;
+  s.adapt_transitions = 5;
+  s.adapt_windows_jammed = 6;
+  s.adapt_packets_adapted = 8;
+  obs::add_link_stats(t.metrics, s);
+
+  EXPECT_EQ(obs::metrics_json_body(t.metrics),
+            "\"packets\":12,\"detected\":11,\"ok\":9,\"sync_lost\":1,\"reacquired\":2,"
+            "\"corrupt_input_rejected\":3,\"faults_injected\":4,\"adapt_transitions\":5,"
+            "\"adapt_windows_jammed\":6,\"adapt_packets_adapted\":8,\"sync_attempts\":2,"
+            "\"sync_locks\":2,\"hops\":5,\"filter_none\":2,\"filter_lowpass\":1,"
+            "\"filter_excision\":2,\"degenerate_psd\":1,\"filter_cache_hits\":1,"
+            "\"filter_cache_misses\":2,\"adapt_windows\":2,\"last_sync_quality\":0.875,"
+            "\"last_sync_margin\":60,\"adapt_state\":2,"
+            "\"est_jammer_bw\":[0,1,0,1,0,0,0,0,1,0,1,1],"
+            "\"inband_peak_db\":[1,1,0,1,0,0,1,0,1,0],"
+            "\"sync_margin\":[0,0,0,1,0,0,0,0,1,0]");
+  const std::string blob = obs::serialize_telemetry(t);
+  EXPECT_EQ(blob.substr(0, blob.find(" t ")),
+            "obs1 c 20 g 3 h 3 12 11 9 1 2 3 4 5 6 8 2 2 5 2 1 2 1 1 2 2 "
+            "3fec000000000000 404e000000000000 4000000000000000 "
+            "12 0 1 0 1 0 0 0 0 1 0 1 1 10 1 1 0 1 0 0 1 0 1 0 10 0 0 0 1 0 0 0 0 1 0");
+  EXPECT_EQ(blob.size(), 1876u);
+  EXPECT_EQ(fnv1a(blob), 0x4726c4c78fecda8aULL) << std::hex << "0x" << fnv1a(blob);
+}
+
 TEST(ObsMetrics, MergeTelemetryEnforcesShardCount) {
   std::vector<obs::ShardTelemetry> three(3);
   EXPECT_THROW((void)obs::merge_telemetry(three, 4), contract_violation);
@@ -343,13 +411,11 @@ TEST(ObsMetrics, MergeTelemetryEnforcesShardCount) {
 TEST(ObsMetrics, MergePointResultsRejectsMismatchedShardCounts) {
   std::vector<core::LinkStats> stats(4);
   std::vector<obs::ShardTelemetry> telemetry(3);
-  EXPECT_THROW((void)runtime::merge_point_results(stats, &telemetry, 8, nullptr),
-               contract_violation);
+  EXPECT_THROW((void)runtime::merge_point_results(stats, &telemetry, 8), contract_violation);
 
   telemetry.resize(4);
-  obs::ShardTelemetry merged;
-  EXPECT_NO_THROW((void)runtime::merge_point_results(stats, &telemetry, 8, &merged));
-  EXPECT_NO_THROW((void)runtime::merge_point_results(stats, nullptr, 8, nullptr));
+  EXPECT_NO_THROW((void)runtime::merge_point_results(stats, &telemetry, 8));
+  EXPECT_NO_THROW((void)runtime::merge_point_results(stats, nullptr, 8));
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -136,6 +138,108 @@ TEST(ObsTrace, EventJsonRenderingIsDeterministic) {
   loss.hop = 2;
   EXPECT_EQ(obs::trace_event_json_body(loss),
             "\"event\":\"sync_loss\",\"pkt\":3,\"attempts\":2");
+}
+
+/// 64-bit FNV-1a over the bytes of `s`.
+std::uint64_t fnv1a_bytes(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A synthetic event whose fields all differ, so each key shows which
+/// field it prints.
+obs::TraceEvent pin_event(obs::TraceEventType type, std::uint8_t flag) {
+  obs::TraceEvent ev;
+  ev.type = type;
+  ev.flag = flag;
+  ev.bw_index = 3;
+  ev.hop = 5;
+  ev.packet = 42;
+  ev.v0 = 0.125;
+  ev.v1 = -2.5;
+  ev.v2 = 6.0;
+  ev.v3 = 1024.0;
+  ev.v4 = std::numeric_limits<double>::quiet_NaN();
+  ev.v5 = -std::numeric_limits<double>::infinity();
+  return ev;
+}
+
+// The JSON body of every event type, byte for byte: its name, the key of
+// each field it prints, the names of its flag values, and the quoting of
+// non-finite doubles.
+TEST(ObsTrace, EveryEventTypeJsonBodyIsPinned) {
+  using T = obs::TraceEventType;
+  const std::array<std::pair<T, const char*>, obs::kNumTraceEventTypes> bodies = {{
+      {T::hop_decision,
+       "\"event\":\"hop_decision\",\"pkt\":42,\"hop\":5,\"bw\":3,\"filter\":\"lowpass\","
+       "\"est_jam_bw\":0.125,\"jam_bw_guard\":-2.5,\"peak_db\":6,\"peak_thresh_db\":1024,"
+       "\"oob_db\":\"nan\",\"oob_thresh_db\":\"-inf\""},
+      {T::sync_attempt,
+       "\"event\":\"sync_attempt\",\"pkt\":42,\"attempt\":5,\"outcome\":\"lock\","
+       "\"threshold\":0.125,\"max_lag\":-2.5,\"quality\":6,\"margin\":1024"},
+      {T::sync_lock,
+       "\"event\":\"sync_lock\",\"pkt\":42,\"attempts\":5,\"reacquired\":1,"
+       "\"frame_start\":0.125,\"phase\":-2.5,\"cfo\":6,\"quality\":1024,\"margin\":\"nan\""},
+      {T::sync_loss,
+       "\"event\":\"sync_loss\",\"pkt\":42,\"attempts\":5"},
+      {T::fault_applied,
+       "\"event\":\"fault\",\"pkt\":42,\"ordinal\":5,\"kind\":1,\"offset\":0.125,"
+       "\"len\":-2.5,\"magnitude\":6"},
+      {T::packet_done,
+       "\"event\":\"packet_done\",\"pkt\":42,\"hops\":5,\"delivered\":1,"
+       "\"sync_attempts\":0.125,\"filter_fallbacks\":-2.5,\"detected\":6"},
+      {T::adapt_window,
+       "\"event\":\"adapt_window\",\"pkt\":42,\"window\":5,\"jammed\":1,"
+       "\"bad_frac\":0.125,\"threshold\":-2.5,\"bad\":6,\"streak\":1024"},
+      {T::adapt_transition,
+       "\"event\":\"adapt_transition\",\"pkt\":42,\"window\":5,\"to\":\"degraded\","
+       "\"from\":0.125,\"symbols_per_hop\":-2.5,\"epoch\":6"},
+  }};
+  for (const auto& [type, body] : bodies) {
+    EXPECT_EQ(obs::trace_event_json_body(pin_event(type, 1)), body);
+  }
+
+  // Every named flag value, and the first value past each name table.
+  struct Named {
+    T type;
+    std::uint8_t flag;
+    const char* field;
+  };
+  const std::array<Named, 14> named = {{
+      {T::hop_decision, 0, "\"filter\":\"none\""},
+      {T::hop_decision, 1, "\"filter\":\"lowpass\""},
+      {T::hop_decision, 2, "\"filter\":\"excision\""},
+      {T::hop_decision, 3, "\"filter\":\"degenerate\""},
+      {T::hop_decision, 4, "\"filter\":\"unknown\""},
+      {T::sync_attempt, 0, "\"outcome\":\"miss\""},
+      {T::sync_attempt, 1, "\"outcome\":\"lock\""},
+      {T::sync_attempt, 2, "\"outcome\":\"cfar_reject\""},
+      {T::sync_attempt, 3, "\"outcome\":\"unknown\""},
+      {T::adapt_transition, 0, "\"to\":\"nominal\""},
+      {T::adapt_transition, 1, "\"to\":\"degraded\""},
+      {T::adapt_transition, 2, "\"to\":\"fallback\""},
+      {T::adapt_transition, 3, "\"to\":\"recovering\""},
+      {T::adapt_transition, 4, "\"to\":\"unknown\""},
+  }};
+  for (const Named& n : named) {
+    const std::string body = obs::trace_event_json_body(pin_event(n.type, n.flag));
+    EXPECT_NE(body.find(n.field), std::string::npos) << body;
+  }
+
+  // Every byte of every type at flags 0..4 and 255.
+  std::string all;
+  for (std::size_t type = 0; type < obs::kNumTraceEventTypes; ++type) {
+    for (const int f : {0, 1, 2, 3, 4, 255}) {
+      all += obs::trace_event_json_body(
+          pin_event(static_cast<T>(type), static_cast<std::uint8_t>(f)));
+      all += '\n';
+    }
+  }
+  EXPECT_EQ(fnv1a_bytes(all), 0xe1bb4a53151a4e67ULL) << std::hex << "0x" << fnv1a_bytes(all);
 }
 
 // ------------------------------------------------------------ golden traces
@@ -278,15 +382,14 @@ TEST(GoldenTrace, EveryMetricIsDerivedFromItsEvent) {
   (void)core::run_link_shard(cfg, 0, 32, seeds, tele.obs());
   ASSERT_EQ(tele.trace.dropped(), 0u) << "the recount needs every event";
 
-  const obs::MetricsRegistry& reg = obs::link_registry();
   const obs::LinkIds& ids = obs::link_ids();
-  const auto edges = [&](std::size_t id) { return reg.instruments()[id].bin_edges; };
+  const auto edges = [](std::size_t id) { return obs::kLinkInstruments[id].edges; };
   std::array<std::size_t, obs::kNumTraceEventTypes> seen{};
   std::uint64_t filter[3] = {0, 0, 0};
   std::uint64_t degenerate = 0;
-  std::vector<std::uint64_t> est_bw(reg.histogram_bins(ids.est_jammer_bw), 0);
-  std::vector<std::uint64_t> peak(reg.histogram_bins(ids.inband_peak_db), 0);
-  std::vector<std::uint64_t> margin(reg.histogram_bins(ids.sync_margin), 0);
+  std::vector<std::uint64_t> est_bw(edges(ids.est_jammer_bw).size() + 2, 0);
+  std::vector<std::uint64_t> peak(edges(ids.inband_peak_db).size() + 2, 0);
+  std::vector<std::uint64_t> margin(edges(ids.sync_margin).size() + 2, 0);
   std::optional<double> quality;
   std::optional<double> last_margin;
   std::optional<double> state;
@@ -297,13 +400,13 @@ TEST(GoldenTrace, EveryMetricIsDerivedFromItsEvent) {
       case obs::TraceEventType::hop_decision:
         ++filter[ev.flag == 3 ? 0 : ev.flag];
         if (ev.flag == 3) ++degenerate;
-        ++est_bw[obs::MetricsRegistry::bin_of(edges(ids.est_jammer_bw), ev.v0)];
-        ++peak[obs::MetricsRegistry::bin_of(edges(ids.inband_peak_db), ev.v2)];
+        ++est_bw[obs::bin_of(edges(ids.est_jammer_bw), ev.v0)];
+        ++peak[obs::bin_of(edges(ids.inband_peak_db), ev.v2)];
         break;
       case obs::TraceEventType::sync_lock:
         quality = ev.v3;
         last_margin = ev.v4;
-        ++margin[obs::MetricsRegistry::bin_of(edges(ids.sync_margin), ev.v4)];
+        ++margin[obs::bin_of(edges(ids.sync_margin), ev.v4)];
         break;
       case obs::TraceEventType::adapt_window:
         window_packet = ev.packet;
@@ -339,11 +442,9 @@ TEST(GoldenTrace, EveryMetricIsDerivedFromItsEvent) {
   EXPECT_EQ(m.gauge(ids.adapt_state), state);
 
   Fnv1a fnv;
-  for (std::size_t id = 0; id < reg.size(); ++id) {
-    if (reg.kind(id) == obs::InstrumentKind::counter) fnv.add(m.counter(id));
-    if (reg.kind(id) == obs::InstrumentKind::histogram) {
-      for (std::uint64_t bin : m.histogram(id)) fnv.add(bin);
-    }
+  for (std::size_t id = 0; id < obs::kFirstGauge; ++id) fnv.add(m.counter(id));
+  for (std::size_t id = obs::kFirstHistogram; id < obs::kNumInstruments; ++id) {
+    for (std::uint64_t bin : m.histogram(id)) fnv.add(bin);
   }
   for (const obs::TraceEvent& ev : tele.trace.events()) {
     fnv.add(static_cast<std::uint64_t>(ev.type));
