@@ -163,12 +163,8 @@ JsonLine& JsonLine::raw(const char* key, const char* value) {
 
 JsonLog::~JsonLog() {
   if (file_ == nullptr) return;
-  std::fclose(file_);
-  file_ = nullptr;
-  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    std::fprintf(stderr, "bench: cannot publish %s to %s\n", tmp_path_.c_str(),
-                 path_.c_str());
-  }
+  if (std::fclose(std::exchange(file_, nullptr)) != 0) fail("cannot close");
+  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) fail("cannot publish");
 }
 
 bool JsonLog::open(const std::string& path) {
@@ -188,8 +184,9 @@ void JsonLog::write(JsonLine line) {
 
 void JsonLog::write_raw(const std::string& record) {
   if (file_ == nullptr) return;
-  std::fprintf(file_, "%s\n", record.c_str());
-  std::fflush(file_);
+  if (std::fprintf(file_, "%s\n", record.c_str()) < 0 || std::fflush(file_) != 0) {
+    fail("cannot write");
+  }
 }
 
 void JsonLog::abandon() {
@@ -201,6 +198,14 @@ void JsonLog::abandon() {
 void JsonLog::discard() {
   abandon();
   if (!tmp_path_.empty()) std::remove(tmp_path_.c_str());
+}
+
+void JsonLog::fail(const char* what) {
+  const int err = errno;
+  discard();
+  std::fprintf(stderr, "bench: %s %s (%s); the stream is not published\n", what,
+               path_.c_str(), std::strerror(err));
+  std::exit(kExitIoError);
 }
 
 // ------------------------------------------------------------- Campaign

@@ -105,6 +105,11 @@ inline constexpr int kExitResumable = 75;
 /// of a path the bench cannot use.
 inline constexpr int kExitUsage = 2;
 
+/// Exit status of a run whose output stream could not be written (a full
+/// disk, a file-size limit): that stream is not published. 74 = BSD
+/// EX_IOERR.
+inline constexpr int kExitIoError = 74;
+
 /// Short git SHA baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.
 [[nodiscard]] const char* build_git_sha() noexcept;
@@ -185,7 +190,9 @@ class JsonLine {
 /// log is destroyed (normal bench completion). An aborted run therefore
 /// leaves only the .tmp file behind (cleaned up at the next bench start):
 /// the published path never holds a truncated half-written log that a
-/// downstream consumer would misread as a complete sweep.
+/// downstream consumer would misread as a complete sweep. Every write,
+/// flush, close and the rename are checked: the first that fails deletes
+/// the .tmp, names the stream on stderr and exits kExitIoError.
 class JsonLog {
  public:
   JsonLog() = default;
@@ -218,6 +225,10 @@ class JsonLog {
   void discard();
 
  private:
+  /// Delete the staged file, print `what` and the stream's path with
+  /// errno's reason, and exit kExitIoError.
+  [[noreturn]] void fail(const char* what);
+
   std::string path_;
   std::string tmp_path_;
   std::FILE* file_ = nullptr;

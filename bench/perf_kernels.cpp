@@ -313,7 +313,7 @@ void BM_ExcisionDesign(benchmark::State& state) {
   dsp::fvec psd(256, 1.0F);
   for (std::size_t k = 10; k < 20; ++k) psd[k] = 300.0F;
   for (auto _ : state) {
-    auto taps = dsp::design_excision_whitening(psd, 1e-6, 0.6);
+    auto taps = dsp::design_excision_whitening(psd, 0.6);
     benchmark::DoNotOptimize(taps.data());
   }
 }

@@ -68,19 +68,17 @@ int main(int argc, char** argv) {
   // Re-derive the parabolic distribution with our Monte-Carlo optimiser
   // over the analytical max-min power-advantage objective (§6.4.1).
   std::printf("\n# Monte-Carlo max-min optimisation (our re-derivation):\n");
-  core::OptimizerConfig ocfg;
   const bench::Stopwatch watch;
-  const core::HopPattern optimum = core::optimize_max_min_advantage(bands, ocfg);
+  const core::HopPattern optimum = core::optimize_max_min_advantage(bands);
   std::printf("%-14s", "optimised");
   for (double prob : optimum.probabilities()) std::printf("  %6.1f%%", 100.0 * prob);
   std::printf("\n");
   for (const auto& row : rows) {
     const core::HopPattern p = core::HopPattern::make(row.type, bands);
     std::printf("#   min advantage over all jammer bandwidths: %-12s %.2f dB\n",
-                to_string(row.type).c_str(),
-                core::min_advantage_db(p, ocfg.jammer_power, ocfg.noise_var));
+                to_string(row.type).c_str(), core::min_advantage_db(p));
   }
-  const double opt_adv = core::min_advantage_db(optimum, ocfg.jammer_power, ocfg.noise_var);
+  const double opt_adv = core::min_advantage_db(optimum);
   std::printf("#   min advantage over all jammer bandwidths: %-12s %.2f dB\n", "optimised",
               opt_adv);
   campaign.emit("optimised",

@@ -52,7 +52,7 @@ int main() {
   link.phase = 1.1F;
   link.cfo = 5e-5F;
 
-  jammer::NoiseJammer jammer(1.0 / 128.0, /*seed=*/42, /*num_taps=*/1025);
+  jammer::NoiseJammer jammer(1.0 / 128.0, /*seed=*/42);
   const dsp::cvec jam = jammer.generate(link.tx_delay + t.samples.size() + link.tail_pad);
   channel::AwgnSource noise(7);
   const dsp::cvec received = channel::transmit(t.samples, jam, link, noise);

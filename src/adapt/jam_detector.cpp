@@ -2,15 +2,6 @@
 
 namespace bhss::adapt {
 
-const char* to_string(JamState s) noexcept {
-  switch (s) {
-    case JamState::clear: return "clear";
-    case JamState::suspect: return "suspect";
-    case JamState::jammed: return "jammed";
-  }
-  return "unknown";
-}
-
 JamDetector::JamDetector(const JamDetectorConfig& config, std::size_t n_bands)
     : config_(config), suspicion_(n_bands, 0) {
   BHSS_REQUIRE(config_.window_packets >= 1, "JamDetector: window must hold >= 1 packet");

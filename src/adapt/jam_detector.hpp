@@ -42,9 +42,6 @@ struct JamDetectorConfig {
 /// and the debounced trip so callers can observe the latency explicitly.
 enum class JamState : std::uint8_t { clear = 0, suspect, jammed };
 
-/// Name of a jam state ("clear" / "suspect" / "jammed").
-[[nodiscard]] const char* to_string(JamState s) noexcept;
-
 /// What closed when a packet completed a window. `closed == false` means
 /// the packet landed mid-window and every other field is unspecified.
 struct WindowVerdict {

@@ -10,16 +10,6 @@ constexpr std::size_t kDegradedDwellShift = 1;  ///< dwell halvings applied in D
 
 }  // namespace
 
-const char* to_string(LinkAdaptState s) noexcept {
-  switch (s) {
-    case LinkAdaptState::nominal: return "nominal";
-    case LinkAdaptState::degraded: return "degraded";
-    case LinkAdaptState::fallback: return "fallback";
-    case LinkAdaptState::recovering: return "recovering";
-  }
-  return "unknown";
-}
-
 ResilienceController::ResilienceController(const AdaptConfig& config,
                                            std::vector<double> base_probs,
                                            std::size_t base_symbols_per_hop)

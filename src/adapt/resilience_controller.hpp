@@ -42,9 +42,6 @@ namespace bhss::adapt {
 /// Degradation state of the adaptive link layer.
 enum class LinkAdaptState : std::uint8_t { nominal = 0, degraded, fallback, recovering };
 
-/// Name of a state ("nominal" / "degraded" / "fallback" / "recovering").
-[[nodiscard]] const char* to_string(LinkAdaptState s) noexcept;
-
 /// Controller knobs, embedded in core::SimConfig as `cfg.adapt`.
 struct AdaptConfig {
   bool enabled = false;          ///< off = static link, controller never built

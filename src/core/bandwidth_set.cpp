@@ -5,6 +5,12 @@
 #include "core/contracts.hpp"
 
 namespace bhss::core {
+namespace {
+
+/// The paper's front-end sampling rate Rs (§6.2), shared by both presets.
+constexpr double kPaperSampleRateHz = 20e6;
+
+}  // namespace
 
 BandwidthSet::BandwidthSet(double sample_rate_hz, std::vector<std::size_t> sps_levels)
     : sample_rate_hz_(sample_rate_hz), sps_levels_(std::move(sps_levels)) {
@@ -19,12 +25,10 @@ BandwidthSet::BandwidthSet(double sample_rate_hz, std::vector<std::size_t> sps_l
 }
 
 BandwidthSet BandwidthSet::paper() {
-  return BandwidthSet(20e6, {2, 4, 8, 16, 32, 64, 128});
+  return BandwidthSet(kPaperSampleRateHz, {2, 4, 8, 16, 32, 64, 128});
 }
 
-BandwidthSet BandwidthSet::small(double sample_rate_hz) {
-  return BandwidthSet(sample_rate_hz, {2, 4, 8, 16});
-}
+BandwidthSet BandwidthSet::small() { return BandwidthSet(kPaperSampleRateHz, {2, 4, 8, 16}); }
 
 double BandwidthSet::hopping_range() const noexcept {
   return static_cast<double>(sps_levels_.back()) / static_cast<double>(sps_levels_.front());

@@ -23,8 +23,8 @@ class BandwidthSet {
   /// The paper's configuration: 20 MS/s, sps in {2,4,8,16,32,64,128}.
   [[nodiscard]] static BandwidthSet paper();
 
-  /// A reduced configuration for fast tests: {2, 4, 8, 16}.
-  [[nodiscard]] static BandwidthSet small(double sample_rate_hz = 20e6);
+  /// A reduced configuration for fast tests: 20 MS/s, sps in {2,4,8,16}.
+  [[nodiscard]] static BandwidthSet small();
 
   [[nodiscard]] std::size_t size() const noexcept { return sps_levels_.size(); }
   [[nodiscard]] double sample_rate_hz() const noexcept { return sample_rate_hz_; }

@@ -26,10 +26,6 @@ constexpr double kDetectionCore = 0.7;
 /// Segment overlap of the Welch PSD estimate.
 constexpr double kWelchOverlap = 0.5;
 
-constexpr std::size_t kMaxLpfTaps = 1025;   ///< low-pass length cap (paper: 3181)
-constexpr double kLpfAttenDb = 70.0;        ///< paper: 70 dB stop-band
-constexpr double kExcisionFloorRel = 1e-6;  ///< PSD floor clamp for eq. (3)
-
 /// Circular moving-average smoothing of a PSD (frequency-domain averaging
 /// complements the time-domain Welch averaging when the slice is short).
 dsp::fvec smooth_psd(const dsp::fvec& psd, std::size_t half_width) {
@@ -79,8 +75,7 @@ ControlLogic::ControlLogic(ControlLogicConfig config, const BandwidthSet& bands)
   for (std::size_t i = 0; i < bands_.size(); ++i) {
     const double cutoff = lpf_cutoff_frac(i);
     const double transition = std::max(0.25 * cutoff, 1e-4);
-    const std::size_t n_taps = dsp::lowpass_num_taps(transition, kLpfAttenDb, kMaxLpfTaps);
-    lpf_plan_.push_back(dsp::lowpass_plan(n_taps, cutoff, dsp::Window::blackman));
+    lpf_plan_.push_back(dsp::lowpass_plan(dsp::lowpass_num_taps(transition), cutoff));
   }
 }
 
@@ -206,8 +201,7 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
     }
 
     for (std::size_t k = 0; k < n; ++k) psd[k] = dilated[k] ? 1e12F : 1.0F;
-    d.plan = dsp::ConvolverPlan::make(
-        dsp::design_excision_whitening(psd, kExcisionFloorRel, passband));
+    d.plan = dsp::ConvolverPlan::make(dsp::design_excision_whitening(psd, passband));
     if (design_cache_.capacity() > 0) {
       if (o) o.add(obs::link_ids().filter_cache_misses);
       design_cache_.insert(std::move(key), d.plan);
@@ -217,8 +211,7 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
 
   // Whitening style: the taps depend on the raw (un-quantised) PSD, so no
   // finite key captures them — design fresh every hop, plan included.
-  d.plan = dsp::ConvolverPlan::make(
-      dsp::design_excision_whitening(psd, kExcisionFloorRel, passband));
+  d.plan = dsp::ConvolverPlan::make(dsp::design_excision_whitening(psd, passband));
   return d;
 }
 

@@ -27,7 +27,7 @@ struct JammerSpec {
     fixed_bandwidth,  ///< constant-bandwidth Gaussian noise (§6.4.2)
     hopping,          ///< bandwidth-hopping jammer (§6.4.3)
     reactive,         ///< matches the observed bandwidth after a delay (§2)
-    tone,             ///< CW tone(s) — the classic excision target [3]-[7]
+    tone,             ///< one CW tone — the classic excision target [3]-[7]
     swept,            ///< carrier sweeping across the band
     duty_cycle,       ///< pulsed bursts, unit average power
     band_sweep,       ///< shaped-noise band stepping across the channel

@@ -8,20 +8,9 @@
 /// bandwidth. This module reproduces that computation against the
 /// analytical SNR-improvement bound.
 
-#include <cstdint>
-
 #include "core/hop_pattern.hpp"
 
 namespace bhss::core {
-
-/// Optimiser knobs.
-struct OptimizerConfig {
-  double jammer_power = 100.0;    ///< rho_j(0), paper-scale strong jammer
-  double noise_var = 0.01;        ///< sigma_n^2 (paper uses 0.01)
-  std::size_t random_draws = 20000;   ///< Dirichlet-style global search
-  std::size_t refine_steps = 20000;   ///< local perturbation refinement
-  std::uint64_t seed = 42;
-};
 
 /// Expected SNR improvement (linear) of a pattern against a fixed jammer
 /// bandwidth `bj_frac`, averaged over the pattern's hop distribution with
@@ -30,13 +19,13 @@ struct OptimizerConfig {
                                           double jammer_power, double noise_var);
 
 /// Worst-case (over the jammer bandwidths in the set) expected improvement
-/// of a pattern, in dB. This is the objective the parabolic pattern
+/// of a pattern, in dB, against a paper-scale strong jammer (rho_j(0) =
+/// 100, sigma_n^2 = 0.01). This is the objective the parabolic pattern
 /// maximises.
-[[nodiscard]] double min_advantage_db(const HopPattern& pattern, double jammer_power,
-                                      double noise_var);
+[[nodiscard]] double min_advantage_db(const HopPattern& pattern);
 
-/// Monte-Carlo max-min optimisation over hop distributions.
-[[nodiscard]] HopPattern optimize_max_min_advantage(const BandwidthSet& bands,
-                                                    const OptimizerConfig& cfg = {});
+/// Monte-Carlo max-min optimisation of min_advantage_db over hop
+/// distributions: 20000 Dirichlet draws, then 20000 local steps.
+[[nodiscard]] HopPattern optimize_max_min_advantage(const BandwidthSet& bands);
 
 }  // namespace bhss::core

@@ -124,10 +124,8 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     // preamble symbols are fixed, the scrambler and the schedule come
     // from the shared random source).
     const std::vector<std::uint8_t> preamble_syms(phy::FrameSpec::preamble_symbols, 0);
-    const sync::PreambleSync unfiltered(
-        BhssTransmitter::modulate_symbols(preamble_syms, preamble_syms.size(), schedule,
-                                          plan.scrambler_seed),
-        kSyncThreshold);
+    const sync::PreambleSync unfiltered(BhssTransmitter::modulate_symbols(
+        preamble_syms, preamble_syms.size(), schedule, plan.scrambler_seed));
     const dsp::cvec& reference = unfiltered.reference();
 
     // Bounded re-acquisition state machine. Attempt 1 is the paper's
@@ -164,7 +162,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
         decision.plan->filter(window, 0, filtered_window);
         dsp::cvec filtered_reference(reference.size());
         decision.plan->filter(reference, 0, filtered_reference);
-        filtered.emplace(std::move(filtered_reference), kSyncThreshold);
+        filtered.emplace(std::move(filtered_reference));
       }
       const dsp::cspan sync_window = filtered ? dsp::cspan{filtered_window} : window;
       const sync::PreambleSync& acquirer = filtered ? *filtered : unfiltered;
@@ -193,7 +191,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
         // Second pass: regression over the preamble tightens phase and
         // CFO so the per-hop carrier tracking starts inside its pull-in
         // range even for long (narrow-bandwidth) frames.
-        *est = acquirer.refine(sync_window, *est, 8, o.sink());
+        *est = acquirer.refine(sync_window, *est, o.sink());
       } else {
         lag_scale *= kLagWiden;
         threshold = std::max(kMinThreshold, threshold * kThresholdDecay);

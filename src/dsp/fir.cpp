@@ -7,11 +7,12 @@
 #include <map>
 #include <mutex>
 #include <numbers>
-#include <tuple>
+#include <utility>
 
 #include "core/contracts.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/utils.hpp"
+#include "dsp/window.hpp"
 
 namespace bhss::dsp {
 
@@ -78,10 +79,31 @@ void ConvolverPlan::filter(cspan x, std::size_t skip, cspan_mut out) const {
 
 // ------------------------------------------------------------ filter design
 
-fvec design_lowpass(std::size_t num_taps, double cutoff, Window window) {
+namespace {
+
+/// Window of every low-pass design: the receiver's bank and the noise
+/// jammer's shaper.
+constexpr Window kLowpassWindow = Window::blackman;
+
+/// Stop-band attenuation lowpass_num_taps sizes a low-pass for (paper:
+/// 70 dB).
+constexpr double kLowpassAttenDb = 70.0;
+static_assert(kLowpassAttenDb >= 9.0, "Kaiser's estimate holds from 9 dB up");
+
+/// Longest low-pass lowpass_num_taps returns (the paper's receiver went
+/// to 3181 taps); odd, so a clamped design keeps an integer group delay.
+constexpr std::size_t kMaxLowpassTaps = 1025;
+static_assert(kMaxLowpassTaps % 2 == 1 && kMaxLowpassTaps >= 3, "odd and >= 3");
+
+/// PSD floor clamp of eq. (3), relative to the PSD's maximum.
+constexpr double kExcisionFloorRel = 1e-6;
+
+}  // namespace
+
+fvec design_lowpass(std::size_t num_taps, double cutoff) {
   BHSS_REQUIRE(num_taps > 0, "design_lowpass: num_taps must be > 0");
   BHSS_REQUIRE(cutoff > 0.0 && cutoff < 0.5, "design_lowpass: cutoff must be in (0, 0.5)");
-  const fvec w = make_window(window, num_taps);
+  const fvec w = make_window(kLowpassWindow, num_taps);
   fvec taps(num_taps);
   const double mid = (static_cast<double>(num_taps) - 1.0) / 2.0;
   double dc_gain = 0.0;
@@ -98,29 +120,28 @@ fvec design_lowpass(std::size_t num_taps, double cutoff, Window window) {
   return taps;
 }
 
-std::shared_ptr<const ConvolverPlan> lowpass_plan(std::size_t num_taps, double cutoff,
-                                                  Window window) {
-  using Key = std::tuple<std::size_t, std::uint64_t, Window>;
+std::shared_ptr<const ConvolverPlan> lowpass_plan(std::size_t num_taps, double cutoff) {
+  using Key = std::pair<std::size_t, std::uint64_t>;
   static std::mutex mutex;
   static std::map<Key, std::shared_ptr<const ConvolverPlan>> memo;
   const std::scoped_lock lock(mutex);
-  auto& slot = memo[Key{num_taps, std::bit_cast<std::uint64_t>(cutoff), window}];
-  if (!slot) slot = ConvolverPlan::make(to_complex(design_lowpass(num_taps, cutoff, window)));
+  auto& slot = memo[Key{num_taps, std::bit_cast<std::uint64_t>(cutoff)}];
+  if (!slot) slot = ConvolverPlan::make(to_complex(design_lowpass(num_taps, cutoff)));
   return slot;
 }
 
-std::size_t lowpass_num_taps(double transition_width, double atten_db, std::size_t max_taps) {
+std::size_t lowpass_num_taps(double transition_width) {
   BHSS_REQUIRE(transition_width > 0.0 && transition_width < 0.5,
                "lowpass_num_taps: transition width must be in (0, 0.5)");
   // Kaiser's empirical formula: N ~= (A - 7.95) / (2.285 * 2*pi*df).
-  const double a = std::max(atten_db, 9.0);
-  const double n = (a - 7.95) / (2.285 * 2.0 * std::numbers::pi * transition_width);
+  const double n =
+      (kLowpassAttenDb - 7.95) / (2.285 * 2.0 * std::numbers::pi * transition_width);
   auto taps = static_cast<std::size_t>(std::ceil(n)) + 1;
   if (taps % 2 == 0) ++taps;
-  return std::clamp<std::size_t>(taps, 3, max_taps | 1);
+  return std::clamp<std::size_t>(taps, 3, kMaxLowpassTaps);
 }
 
-cvec design_excision_whitening(fspan psd, double floor_rel, double passband_frac) {
+cvec design_excision_whitening(fspan psd, double passband_frac) {
   const std::size_t k_taps = psd.size();
   BHSS_REQUIRE(Fft::valid_size(k_taps),
                "design_excision_whitening: psd size must be a power of two");
@@ -129,7 +150,7 @@ cvec design_excision_whitening(fspan psd, double floor_rel, double passband_frac
   BHSS_REQUIRE(all_finite(psd), "design_excision_whitening: psd must be finite");
   const float max_p = *std::max_element(psd.begin(), psd.end());
   BHSS_REQUIRE(max_p > 0.0F, "design_excision_whitening: psd is all zero");
-  const double floor = static_cast<double>(max_p) * floor_rel;
+  const double floor = static_cast<double>(max_p) * kExcisionFloorRel;
 
   // Frequency of bin k in cycles/sample, wrapped into [-0.5, 0.5).
   auto bin_freq = [k_taps](std::size_t k) {

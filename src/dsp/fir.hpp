@@ -16,7 +16,6 @@
 #include "core/contracts.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/types.hpp"
-#include "dsp/window.hpp"
 
 namespace bhss::dsp {
 
@@ -53,31 +52,28 @@ struct ConvolverPlan {
   BHSS_HOT void filter(cspan x, std::size_t skip, cspan_mut out) const;
 };
 
-/// Windowed-sinc linear-phase low-pass design.
+/// Blackman-windowed-sinc linear-phase low-pass design.
 /// @param num_taps   filter length (odd recommended for symmetric delay)
 /// @param cutoff     normalised cutoff in cycles/sample, 0 < cutoff < 0.5
-/// @param window     window applied to the ideal impulse response
 /// @returns real taps with unity DC gain.
-[[nodiscard]] fvec design_lowpass(std::size_t num_taps, double cutoff,
-                                  Window window = Window::hamming);
+[[nodiscard]] fvec design_lowpass(std::size_t num_taps, double cutoff);
 
-/// The plan of design_lowpass(num_taps, cutoff, window) with its taps
-/// widened to complex, built once per process: a mutex-guarded memo keyed
-/// on (num_taps, the bits of cutoff, window), like the FFT plan cache,
-/// hands every later call the same immutable plan. The low-pass bank of
-/// every ControlLogic and the shaper of every NoiseJammer come from here,
-/// so shards and jammers that ask for one design share one plan. The memo
+/// The plan of design_lowpass(num_taps, cutoff) with its taps widened to
+/// complex, built once per process: a mutex-guarded memo keyed on
+/// (num_taps, the bits of cutoff), like the FFT plan cache, hands every
+/// later call the same immutable plan. The low-pass bank of every
+/// ControlLogic and the shaper of every NoiseJammer come from here, so
+/// shards and jammers that ask for one design share one plan. The memo
 /// keeps each distinct design for the life of the process (a 2049-tap
 /// shaper's plan is about 144 KB: its 16384-point taps spectrum and the
 /// taps themselves).
 [[nodiscard]] std::shared_ptr<const ConvolverPlan> lowpass_plan(std::size_t num_taps,
-                                                                double cutoff, Window window);
+                                                                double cutoff);
 
-/// Kaiser estimate of the number of taps needed for a given transition
-/// width (normalised, cycles/sample) and stop-band attenuation in dB.
-/// Result is forced odd and clamped to [3, max_taps].
-[[nodiscard]] std::size_t lowpass_num_taps(double transition_width, double atten_db,
-                                           std::size_t max_taps = 3181);
+/// Kaiser estimate of the number of taps a low-pass needs for a given
+/// transition width (normalised, cycles/sample) at the receiver's 70 dB
+/// stop-band attenuation. Result is forced odd and clamped to [3, 1025].
+[[nodiscard]] std::size_t lowpass_num_taps(double transition_width);
 
 /// Frequency-sampling excision ("whitening") filter from eq. (3):
 ///   H(k) = 1 / sqrt(P(k)) * exp(-j pi (K-1) k / K)
@@ -87,10 +83,9 @@ struct ConvolverPlan {
 /// integer group delay of K/2 samples (eq. (3)'s (K-1)/2 is fractional
 /// for even K); the magnitude response is unchanged and the receiver can
 /// compensate the delay exactly.
+/// Bins below 1e-6 * max(P) are clamped to avoid huge gains in empty bins.
 /// @param psd            PSD estimate, natural FFT order; size must be a
 ///                       power of two (it sets the number of taps K).
-/// @param floor_rel      bins below floor_rel * max(P) are clamped to
-///                       avoid huge gains in empty bins.
 /// @param passband_frac  two-sided width (fraction of the sampling rate)
 ///                       outside which the response is forced to zero.
 ///                       Default 1.0 whitens the whole band (the paper's
@@ -99,8 +94,7 @@ struct ConvolverPlan {
 ///                       whitening gain is normalised in-band and
 ///                       out-of-band noise is rejected as well.
 /// @returns K complex taps with group delay K/2.
-[[nodiscard]] cvec design_excision_whitening(fspan psd, double floor_rel = 1e-6,
-                                             double passband_frac = 1.0);
+[[nodiscard]] cvec design_excision_whitening(fspan psd, double passband_frac = 1.0);
 
 /// |H(f)|^2 of a tap set at `nfft` points, natural FFT order. For tests
 /// and plotting.

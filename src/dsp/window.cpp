@@ -4,26 +4,8 @@
 #include <numbers>
 
 namespace bhss::dsp {
-namespace {
 
-/// Zeroth-order modified Bessel function of the first kind (series form),
-/// needed by the Kaiser window. Converges quickly for the beta range used
-/// in filter design.
-double bessel_i0(double x) {
-  double sum = 1.0;
-  double term = 1.0;
-  const double half_x = x / 2.0;
-  for (int k = 1; k < 64; ++k) {
-    term *= (half_x / k) * (half_x / k);
-    sum += term;
-    if (term < 1e-16 * sum) break;
-  }
-  return sum;
-}
-
-}  // namespace
-
-fvec make_window(Window type, std::size_t n, double kaiser_beta) {
+fvec make_window(Window type, std::size_t n) {
   fvec w(n, 1.0F);
   if (n <= 1) return w;
   const double m = static_cast<double>(n - 1);
@@ -35,26 +17,12 @@ fvec make_window(Window type, std::size_t n, double kaiser_beta) {
       case Window::rectangular:
         v = 1.0;
         break;
-      case Window::hamming:
-        v = 0.54 - 0.46 * std::cos(two_pi * x);
-        break;
       case Window::hann:
         v = 0.5 - 0.5 * std::cos(two_pi * x);
         break;
       case Window::blackman:
         v = 0.42 - 0.5 * std::cos(two_pi * x) + 0.08 * std::cos(2.0 * two_pi * x);
         break;
-      case Window::blackman_harris:
-        v = 0.35875 - 0.48829 * std::cos(two_pi * x) +
-            0.14128 * std::cos(2.0 * two_pi * x) -
-            0.01168 * std::cos(3.0 * two_pi * x);
-        break;
-      case Window::kaiser: {
-        const double r = 2.0 * x - 1.0;  // -1..1
-        v = bessel_i0(kaiser_beta * std::sqrt(std::max(0.0, 1.0 - r * r))) /
-            bessel_i0(kaiser_beta);
-        break;
-      }
     }
     w[i] = static_cast<float>(v);
   }

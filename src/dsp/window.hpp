@@ -7,19 +7,17 @@
 
 namespace bhss::dsp {
 
-/// Supported window shapes.
+/// The window shapes the chain uses: rectangular for the Bartlett and
+/// periodogram PSD estimates, hann for Welch, blackman for every low-pass
+/// design.
 enum class Window {
   rectangular,
-  hamming,
   hann,
   blackman,
-  blackman_harris,
-  kaiser,
 };
 
-/// Build a window of length `n`. `kaiser_beta` is only used for
-/// Window::kaiser. Lengths 0 and 1 return trivial windows.
-[[nodiscard]] fvec make_window(Window type, std::size_t n, double kaiser_beta = 8.6);
+/// Build a window of length `n`. Lengths 0 and 1 return trivial windows.
+[[nodiscard]] fvec make_window(Window type, std::size_t n);
 
 /// Sum of squared window coefficients (used for PSD normalisation).
 [[nodiscard]] double window_power(fspan w) noexcept;

@@ -6,15 +6,25 @@
 #include "dsp/utils.hpp"
 
 namespace bhss::jammer {
+namespace {
 
-NoiseJammer::NoiseJammer(double bandwidth_frac, std::uint64_t seed, std::size_t num_taps)
+/// Shaping filter length (odd); higher = steeper band edges. 2049 keeps
+/// the transition skirts narrow relative to even the narrowest paper
+/// bandwidth (0.156 MHz at 20 MS/s), as a jammer spending its power
+/// budget efficiently would.
+constexpr std::size_t kShaperTaps = 2049;
+static_assert(kShaperTaps % 2 == 1, "the shaper's length must be odd");
+
+}  // namespace
+
+NoiseJammer::NoiseJammer(double bandwidth_frac, std::uint64_t seed)
     : bandwidth_frac_(bandwidth_frac), noise_(seed) {
   BHSS_REQUIRE(bandwidth_frac > 0.0 && bandwidth_frac <= 1.0,
                "NoiseJammer: bandwidth_frac must be in (0, 1]");
   if (bandwidth_frac < 1.0) {
     // Low-pass at half the two-sided bandwidth; complex baseband noise then
     // occupies [-bw/2, +bw/2]. Jammers of one bandwidth share the plan.
-    shaper_ = dsp::lowpass_plan(num_taps | 1, bandwidth_frac / 2.0, dsp::Window::blackman);
+    shaper_ = dsp::lowpass_plan(kShaperTaps, bandwidth_frac / 2.0);
   }
 }
 

@@ -23,13 +23,7 @@ class NoiseJammer {
   ///                        of the sampling rate, in (0, 1]. 1 = full-band
   ///                        white noise (no shaping filter).
   /// @param seed            noise generator seed
-  /// @param num_taps        shaping filter length (odd); higher = steeper
-  ///                        band edges. The default keeps the transition
-  ///                        skirts narrow relative to even the narrowest
-  ///                        paper bandwidth (0.156 MHz at 20 MS/s), as a
-  ///                        jammer spending its power budget efficiently
-  ///                        would.
-  NoiseJammer(double bandwidth_frac, std::uint64_t seed, std::size_t num_taps = 2049);
+  NoiseJammer(double bandwidth_frac, std::uint64_t seed);
 
   /// Overwrite `out` with unit-power jamming noise, normalised over its
   /// own samples.

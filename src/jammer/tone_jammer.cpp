@@ -9,33 +9,22 @@
 
 namespace bhss::jammer {
 
-ToneJammer::ToneJammer(std::vector<double> freqs, std::uint64_t seed)
-    : freqs_(std::move(freqs)) {
-  BHSS_REQUIRE(!freqs_.empty(), "ToneJammer: need at least one tone");
-  for (double f : freqs_) {
-    BHSS_REQUIRE(f > -0.5 && f < 0.5, "ToneJammer: frequency must be in (-0.5, 0.5)");
-  }
+ToneJammer::ToneJammer(double freq, std::uint64_t seed) : freq_(freq) {
+  BHSS_REQUIRE(freq > -0.5 && freq < 0.5, "ToneJammer: frequency must be in (-0.5, 0.5)");
   // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): adversary-domain phase randomization, explicitly seeded per instance
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
-  phases_.resize(freqs_.size());
-  for (double& p : phases_) p = uniform(rng) * 2.0 * std::numbers::pi;
+  phase_ = uniform(rng) * 2.0 * std::numbers::pi;
 }
 
 dsp::cvec ToneJammer::generate(std::size_t n) {
-  dsp::cvec out(n, dsp::cf{0.0F, 0.0F});
-  const double amp = 1.0 / std::sqrt(static_cast<double>(freqs_.size()));
-  for (std::size_t t = 0; t < freqs_.size(); ++t) {
-    double phase = phases_[t];
-    const double step = 2.0 * std::numbers::pi * freqs_[t];
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] += dsp::cf{static_cast<float>(amp * std::cos(phase)),
-                        static_cast<float>(amp * std::sin(phase))};
-      phase += step;
-      if (phase > std::numbers::pi) phase -= 2.0 * std::numbers::pi;
-      if (phase < -std::numbers::pi) phase += 2.0 * std::numbers::pi;
-    }
-    phases_[t] = phase;
+  dsp::cvec out(n);
+  const double step = 2.0 * std::numbers::pi * freq_;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = dsp::cf{static_cast<float>(std::cos(phase_)), static_cast<float>(std::sin(phase_))};
+    phase_ += step;
+    if (phase_ > std::numbers::pi) phase_ -= 2.0 * std::numbers::pi;
+    if (phase_ < -std::numbers::pi) phase_ += 2.0 * std::numbers::pi;
   }
   return out;
 }

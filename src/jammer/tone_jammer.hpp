@@ -9,30 +9,25 @@
 /// that line across the band faster than a per-hop estimate can follow.
 
 #include <cstdint>
-#include <vector>
 
 #include "dsp/types.hpp"
 
 namespace bhss::jammer {
 
-/// Multi-tone CW jammer: a sum of unit-total-power complex exponentials.
+/// CW jammer: one unit-power complex exponential.
 class ToneJammer {
  public:
-  /// @param freqs  tone frequencies in cycles/sample, each in (-0.5, 0.5)
-  /// @param seed   randomises the initial phases
-  explicit ToneJammer(std::vector<double> freqs, std::uint64_t seed = 1);
+  /// @param freq  tone frequency in cycles/sample, in (-0.5, 0.5)
+  /// @param seed  randomises the initial phase
+  explicit ToneJammer(double freq, std::uint64_t seed = 1);
 
-  /// Single-tone convenience.
-  explicit ToneJammer(double freq, std::uint64_t seed = 1)
-      : ToneJammer(std::vector<double>{freq}, seed) {}
-
-  /// Generate `n` samples with unit total power; phase is continuous
-  /// across calls.
+  /// Generate `n` samples with unit power; phase is continuous across
+  /// calls.
   [[nodiscard]] dsp::cvec generate(std::size_t n);
 
  private:
-  std::vector<double> freqs_;
-  std::vector<double> phases_;  ///< current phase per tone [rad]
+  double freq_;
+  double phase_;  ///< current phase [rad]
 };
 
 /// Swept-carrier (chirp) jammer: a unit-power tone sweeping linearly

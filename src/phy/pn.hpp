@@ -14,15 +14,12 @@
 
 namespace bhss::phy {
 
-/// Maximal-length Galois LFSR over GF(2). Default taps implement
+/// Maximal-length 16-bit Galois LFSR over GF(2) with the taps of
 /// x^16 + x^14 + x^13 + x^11 + 1 (period 65535).
 class LfsrPn {
  public:
   /// @param seed  non-zero initial register state (zero is re-mapped to 1).
-  /// @param taps  Galois tap mask xor-ed into the state when the output
-  ///              bit is 1.
-  explicit LfsrPn(std::uint32_t seed, std::uint32_t taps = 0xB400U,
-                  unsigned length = 16) noexcept;
+  explicit LfsrPn(std::uint32_t seed) noexcept;
 
   /// Next chip as 0/1.
   [[nodiscard]] BHSS_HOT bool next_bit() noexcept;
@@ -38,8 +35,6 @@ class LfsrPn {
 
  private:
   std::uint32_t state_;
-  std::uint32_t taps_;
-  std::uint32_t mask_;
 };
 
 }  // namespace bhss::phy

@@ -78,7 +78,10 @@ class Fnv1a {
 }  // namespace
 
 ParallelLinkRunner::ParallelLinkRunner(RunnerOptions options, CheckpointJournal* journal)
-    : options_(options), pool_(options.n_threads), journal_(journal) {
+    : options_(options),
+      pool_(std::min(options.n_threads == 0 ? ThreadPool::hardware_threads() : options.n_threads,
+                     options.n_shards)),
+      journal_(journal) {
   BHSS_REQUIRE(options_.n_shards >= 1, "ParallelLinkRunner: n_shards must be >= 1");
   options_.partition.validate();
 }

@@ -153,6 +153,8 @@ class ParallelLinkRunner {
   static void clear_interrupt() noexcept;  ///< reset between tests
   [[nodiscard]] static bool interrupt_requested() noexcept;
 
+  /// Lanes the pool runs: `n_threads` (0 = hardware threads), capped at
+  /// `n_shards`, since a lane past the shard count would never run one.
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
   [[nodiscard]] std::size_t shards() const noexcept { return options_.n_shards; }
 

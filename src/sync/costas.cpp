@@ -10,6 +10,16 @@
 namespace bhss::sync {
 namespace {
 
+/// Loop damping factor: 1/sqrt(2), the usual compromise between settling
+/// time and overshoot.
+constexpr float kDamping = 0.7071F;
+static_assert(kDamping > 0.0F, "the damping factor must be > 0");
+
+/// Clamp of the frequency integrator [rad/sample].
+constexpr float kMaxFreq = 0.5F;
+static_assert(kMaxFreq > 0.0F && kMaxFreq <= std::numbers::pi_v<float>,
+              "the frequency clamp must be in (0, pi] rad/sample");
+
 float wrap_phase(float phi) noexcept {
   constexpr float two_pi = 2.0F * std::numbers::pi_v<float>;
   while (phi > std::numbers::pi_v<float>) phi -= two_pi;
@@ -19,20 +29,15 @@ float wrap_phase(float phi) noexcept {
 
 }  // namespace
 
-CostasLoop::CostasLoop(float loop_bandwidth, float damping, float max_freq)
-    : max_freq_(max_freq) {
-  // A loop bandwidth outside (0, 1) rad/sample or a non-positive damping
-  // factor yields gains that either never pull in or oscillate — both
-  // look like "jamming wins" in BER sweeps while actually being a
-  // receiver misconfiguration.
+CostasLoop::CostasLoop(float loop_bandwidth) {
+  // A loop bandwidth outside (0, 1) rad/sample yields gains that either
+  // never pull in or oscillate — both look like "jamming wins" in BER
+  // sweeps while actually being a receiver misconfiguration.
   BHSS_REQUIRE(loop_bandwidth > 0.0F && loop_bandwidth < 1.0F,
                "CostasLoop: loop_bandwidth must be in (0, 1) rad/sample");
-  BHSS_REQUIRE(damping > 0.0F, "CostasLoop: damping must be > 0");
-  BHSS_REQUIRE(max_freq > 0.0F && max_freq <= std::numbers::pi_v<float>,
-               "CostasLoop: max_freq must be in (0, pi] rad/sample");
   // Standard 2nd-order loop gain mapping (Rice, "Digital Communications").
-  const float denom = 1.0F + 2.0F * damping * loop_bandwidth + loop_bandwidth * loop_bandwidth;
-  alpha_ = (4.0F * damping * loop_bandwidth) / denom;
+  const float denom = 1.0F + 2.0F * kDamping * loop_bandwidth + loop_bandwidth * loop_bandwidth;
+  alpha_ = (4.0F * kDamping * loop_bandwidth) / denom;
   beta_ = (4.0F * loop_bandwidth * loop_bandwidth) / denom;
   BHSS_ENSURE(alpha_ > 0.0F && beta_ > 0.0F, "CostasLoop: derived loop gains must be positive");
 }
@@ -57,7 +62,7 @@ dsp::cf CostasLoop::process(dsp::cf in) noexcept {
     error *= weight;
   }
 
-  freq_ = std::clamp(freq_ + beta_ * error, -max_freq_, max_freq_);
+  freq_ = std::clamp(freq_ + beta_ * error, -kMaxFreq, kMaxFreq);
   phase_ = wrap_phase(phase_ + freq_ + alpha_ * error);
   return out;
 }

@@ -16,10 +16,7 @@ class CostasLoop {
  public:
   /// @param loop_bandwidth  normalised loop bandwidth (rad/sample),
   ///                        typical 0.005..0.05.
-  /// @param damping         loop damping factor, typical 0.707.
-  /// @param max_freq        clamp for the frequency integrator [rad/sample].
-  explicit CostasLoop(float loop_bandwidth, float damping = 0.7071F,
-                      float max_freq = 0.5F);
+  explicit CostasLoop(float loop_bandwidth);
 
   /// Rotate one sample by the current NCO phase and update the loop.
   [[nodiscard]] BHSS_HOT dsp::cf process(dsp::cf in) noexcept;
@@ -35,7 +32,6 @@ class CostasLoop {
  private:
   float alpha_;  ///< proportional gain
   float beta_;   ///< integral gain
-  float max_freq_;
   float phase_ = 0.0F;
   float freq_ = 0.0F;
   float avg_power_ = 0.0F;  ///< running mean input power (error weighting)

@@ -10,19 +10,25 @@
 #include "sync/correlate.hpp"
 
 namespace bhss::sync {
+namespace {
 
-PreambleSync::PreambleSync(dsp::cvec reference, float threshold)
-    : ref_(std::move(reference)), threshold_(threshold) {
+/// Blocks refine() regresses the residual phase over.
+constexpr std::size_t kRefineBlocks = 8;
+static_assert(kRefineBlocks >= 2, "a regression needs two blocks");
+
+}  // namespace
+
+PreambleSync::PreambleSync(dsp::cvec reference) : ref_(std::move(reference)) {
   BHSS_REQUIRE(ref_.size() >= 8, "PreambleSync: reference too short");
 }
 
 std::optional<SyncEstimate> PreambleSync::acquire(dsp::cspan x, std::size_t max_lag,
-                                                  std::optional<float> threshold,
+                                                  float threshold,
                                                   obs::TraceSink* trace) const {
   BHSS_TRACE_SCOPE(trace, obs::TraceScopeId::preamble_acquire);
   if (x.size() < ref_.size()) return std::nullopt;
   const CorrelationPeak peak = correlate_search(x, ref_, max_lag);
-  if (peak.normalized < threshold.value_or(threshold_)) return std::nullopt;
+  if (peak.normalized < threshold) return std::nullopt;
 
   SyncEstimate est;
   est.frame_start = peak.offset;
@@ -48,10 +54,9 @@ std::optional<SyncEstimate> PreambleSync::acquire(dsp::cspan x, std::size_t max_
 }
 
 SyncEstimate PreambleSync::refine(dsp::cspan x, const SyncEstimate& coarse,
-                                  std::size_t n_blocks, obs::TraceSink* trace) const {
+                                  obs::TraceSink* trace) const {
   BHSS_TRACE_SCOPE(trace, obs::TraceScopeId::preamble_acquire);
-  if (n_blocks < 2) return coarse;
-  const std::size_t block = ref_.size() / n_blocks;
+  const std::size_t block = ref_.size() / kRefineBlocks;
   if (block < 8 || coarse.frame_start + ref_.size() > x.size()) return coarse;
 
   // Weighted least squares of residual phase vs block centre.
@@ -60,7 +65,7 @@ SyncEstimate PreambleSync::refine(dsp::cspan x, const SyncEstimate& coarse,
   double swnn = 0.0;
   double swp = 0.0;
   double swnp = 0.0;
-  for (std::size_t b = 0; b < n_blocks; ++b) {
+  for (std::size_t b = 0; b < kRefineBlocks; ++b) {
     const std::size_t begin = b * block;
     dsp::cf acc{0.0F, 0.0F};
     for (std::size_t i = begin; i < begin + block; ++i) {

@@ -33,21 +33,20 @@ class PreambleSync {
   /// @param reference  the clean modulated preamble waveform, as the
   ///                   transmitter emits it (receiver can regenerate it
   ///                   from the shared random source).
-  /// @param threshold  minimum normalised correlation to accept a frame.
-  explicit PreambleSync(dsp::cvec reference, float threshold = 0.25F);
+  explicit PreambleSync(dsp::cvec reference);
 
   /// Search `x` over lags [0, max_lag] for the preamble. Returns nullopt
   /// when no lag reaches the acceptance threshold (frame lost).
-  /// @param threshold  optional per-call acceptance threshold override;
+  /// @param threshold  minimum normalised correlation to accept a frame;
   ///                   the receiver's bounded re-acquisition lowers it on
   ///                   retries without rebuilding the synchroniser.
   /// @param trace      optional sink for the preamble_acquire timing scope
-  [[nodiscard]] std::optional<SyncEstimate> acquire(
-      dsp::cspan x, std::size_t max_lag, std::optional<float> threshold = std::nullopt,
-      obs::TraceSink* trace = nullptr) const;
+  [[nodiscard]] std::optional<SyncEstimate> acquire(dsp::cspan x, std::size_t max_lag,
+                                                    float threshold,
+                                                    obs::TraceSink* trace = nullptr) const;
 
   /// Refine a coarse estimate by regressing block-wise data-aided phase
-  /// measurements over the whole preamble. The coarse two-half CFO
+  /// measurements over 8 blocks of the preamble. The coarse two-half CFO
   /// estimate leaves a residual that, extrapolated over a long frame,
   /// exceeds the pull-in range of decision-directed tracking; the
   /// regression shrinks both the phase intercept and the CFO error by
@@ -55,7 +54,6 @@ class PreambleSync {
   /// the coarse estimate, so no phase unwrapping is needed as long as the
   /// coarse error stays below pi per block.
   [[nodiscard]] SyncEstimate refine(dsp::cspan x, const SyncEstimate& coarse,
-                                    std::size_t n_blocks = 8,
                                     obs::TraceSink* trace = nullptr) const;
 
   /// Remove the estimated phase and CFO from `x` in place:
@@ -66,7 +64,6 @@ class PreambleSync {
 
  private:
   dsp::cvec ref_;
-  float threshold_;
 };
 
 }  // namespace bhss::sync

@@ -3,7 +3,9 @@
 # another campaign, a file without a valid journal header, and a
 # --checkpoint, --json or --metrics/--trace path in a missing directory.
 # A refused run publishes nothing, leaves no staged stream behind and
-# leaves a refused journal byte-identical.
+# leaves a refused journal byte-identical. A stream whose write fails
+# mid-run (a file-size limit, set in a subshell so it binds the bench
+# alone) exits 74 and publishes nothing either.
 #
 # Usage: bench_refuses_unusable_paths.sh BENCH_DIR
 
@@ -45,4 +47,15 @@ refused "--checkpoint in a missing directory" fig07_snr_improvement_bound \
 refused "--json in a missing directory" fig07_snr_improvement_bound --json="$missing/x.jsonl"
 refused "--metrics/--trace in a missing directory" ablation_hop_dwell --packets=1 \
   --json="$work/out.jsonl" --metrics="$missing/m.jsonl" --trace="$missing/t.jsonl"
-echo "PASS: every unusable path exits 2 and leaves nothing behind"
+rc=0
+(
+  trap '' XFSZ  # a write past the limit then fails with EFBIG instead of killing
+  ulimit -f 4
+  exec "$bench_dir/fig10_ber_vs_jammer_bw" --packets=2 --json="$work/out.jsonl"
+) >/dev/null 2>"$work/err" || rc=$?
+if [ "$rc" -ne 74 ] || [ -e "$work/out.jsonl" ]; then
+  echo "FAIL: a JSONL write past the file-size limit: exit $rc, want 74 and no file" >&2
+  cat "$work/err" >&2
+  exit 1
+fi
+echo "PASS: every unusable path exits 2, a failed write exits 74, and nothing is published"

@@ -353,15 +353,5 @@ TEST(ResilienceController, RejectsDegenerateConfig) {
   EXPECT_THROW(ResilienceController(a, {0.5, 0.5}, 4), contract_violation);
 }
 
-TEST(ResilienceController, StateNamesAreStable) {
-  EXPECT_STREQ(to_string(LinkAdaptState::nominal), "nominal");
-  EXPECT_STREQ(to_string(LinkAdaptState::degraded), "degraded");
-  EXPECT_STREQ(to_string(LinkAdaptState::fallback), "fallback");
-  EXPECT_STREQ(to_string(LinkAdaptState::recovering), "recovering");
-  EXPECT_STREQ(to_string(JamState::clear), "clear");
-  EXPECT_STREQ(to_string(JamState::suspect), "suspect");
-  EXPECT_STREQ(to_string(JamState::jammed), "jammed");
-}
-
 }  // namespace
 }  // namespace bhss::adapt

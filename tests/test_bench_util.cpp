@@ -1,13 +1,16 @@
 // Tests for the bench harness library (bench/bench_util.hpp, `bhss_bench`):
 // strict flag parsing, JsonLine formatting, the staged-then-renamed JSONL
-// sink, and the checkpointed Campaign — record stamping, the timing
+// sink (a failed write publishes nothing), and the checkpointed Campaign — record stamping, the timing
 // sidecar, a resume that only reads its journal, worker slices that
 // publish nothing, and every path the bench refuses with exit 2.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <initializer_list>
 #include <string>
@@ -239,6 +242,33 @@ TEST(JsonLog, EmptyPathIsDisabledAndAnUnwritablePathFails) {
   JsonLog unwritable;
   EXPECT_FALSE(unwritable.open(temp_path("no_such_dir") + "/x.jsonl"));
   EXPECT_FALSE(unwritable.enabled());
+}
+
+// A file-size limit fails a write mid-stream. The child lowers its own
+// RLIMIT_FSIZE and ignores SIGXFSZ, so the write returns EFBIG instead of
+// killing it: the log must exit kExitIoError naming the stream, and leave
+// neither the published path nor the staged .tmp behind.
+TEST(JsonLog, AFailedWriteIsNeverPublished) {
+  const std::string path = temp_path("fsize.jsonl");
+  remove_all({path});
+  EXPECT_EXIT(
+      {
+        rlimit limit{};
+        ::getrlimit(RLIMIT_FSIZE, &limit);
+        limit.rlim_cur = 4096;
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        std::signal(SIGXFSZ, SIG_IGN);
+        {
+          JsonLog log;
+          if (!log.open(path)) std::exit(1);
+          for (std::size_t i = 0; i < 512; ++i) log.write(JsonLine().add("record", i));
+        }
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(kExitIoError), "cannot write .*fsize.jsonl");
+  EXPECT_FALSE(exists(path));
+  EXPECT_FALSE(exists(path + ".tmp"));
+  remove_all({path});
 }
 
 // ----------------------------------------------------------------- Campaign

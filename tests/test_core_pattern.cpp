@@ -129,38 +129,27 @@ TEST(PatternOptimizer, ObjectiveRanksParabolicAboveOthers) {
   // advantage over all jammer bandwidths. Under the analytical objective
   // it must beat linear and exponential.
   const BandwidthSet bands = BandwidthSet::paper();
-  const double rho = 100.0;
-  const double s2 = 0.01;
-  const double lin = min_advantage_db(HopPattern::make(HopPatternType::linear, bands), rho, s2);
-  const double exp_ =
-      min_advantage_db(HopPattern::make(HopPatternType::exponential, bands), rho, s2);
-  const double par =
-      min_advantage_db(HopPattern::make(HopPatternType::parabolic, bands), rho, s2);
+  const double lin = min_advantage_db(HopPattern::make(HopPatternType::linear, bands));
+  const double exp_ = min_advantage_db(HopPattern::make(HopPatternType::exponential, bands));
+  const double par = min_advantage_db(HopPattern::make(HopPatternType::parabolic, bands));
   EXPECT_GT(par, lin);
   EXPECT_GT(par, exp_);
 }
 
 TEST(PatternOptimizer, OptimizedBeatsNamedPatterns) {
   const BandwidthSet bands = BandwidthSet::paper();
-  OptimizerConfig cfg;
-  cfg.random_draws = 4000;
-  cfg.refine_steps = 4000;
-  const HopPattern best = optimize_max_min_advantage(bands, cfg);
-  const double best_score = min_advantage_db(best, cfg.jammer_power, cfg.noise_var);
+  const HopPattern best = optimize_max_min_advantage(bands);
+  const double best_score = min_advantage_db(best);
   for (auto type : {HopPatternType::linear, HopPatternType::exponential,
                     HopPatternType::parabolic}) {
-    const double score = min_advantage_db(HopPattern::make(type, bands), cfg.jammer_power,
-                                          cfg.noise_var);
+    const double score = min_advantage_db(HopPattern::make(type, bands));
     EXPECT_GE(best_score + 1e-9, score) << to_string(type);
   }
 }
 
 TEST(PatternOptimizer, OptimumFavoursBandEdges) {
   // The qualitative property behind the "parabolic" name.
-  OptimizerConfig cfg;
-  cfg.random_draws = 4000;
-  cfg.refine_steps = 4000;
-  const HopPattern best = optimize_max_min_advantage(BandwidthSet::paper(), cfg);
+  const HopPattern best = optimize_max_min_advantage(BandwidthSet::paper());
   const auto& p = best.probabilities();
   const double edges = p.front() + p.back();
   const double middle = p[2] + p[3] + p[4];

@@ -279,7 +279,7 @@ TEST(Receiver, FilteredSliceMatchesThePaddedCopy) {
   std::vector<FilterDecision> decisions(3);
   const std::vector<std::size_t> group_delays = {1024, 128, 2048};
   decisions[0].kind = FilterDecision::Kind::lowpass;
-  decisions[0].plan = dsp::lowpass_plan(2049, 0.05, dsp::Window::blackman);  // 16384-point FFT
+  decisions[0].plan = dsp::lowpass_plan(2049, 0.05);  // 16384-point FFT
   for (const std::size_t k : {std::size_t{256}, std::size_t{4096}}) {
     dsp::fvec psd(k, 1.0F);
     for (std::size_t b = k / 16; b < k / 8; ++b) psd[b] = 1e4F;

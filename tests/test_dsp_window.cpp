@@ -34,9 +34,8 @@ TEST_P(AllWindows, TrivialLengths) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, AllWindows,
-                         ::testing::Values(Window::rectangular, Window::hamming,
-                                           Window::hann, Window::blackman,
-                                           Window::blackman_harris, Window::kaiser));
+                         ::testing::Values(Window::rectangular, Window::hann,
+                                           Window::blackman));
 
 TEST(Window, RectangularIsAllOnes) {
   const fvec w = make_window(Window::rectangular, 17);
@@ -47,20 +46,6 @@ TEST(Window, HannEndpointsAreZero) {
   const fvec w = make_window(Window::hann, 33);
   EXPECT_NEAR(w.front(), 0.0F, 1e-6F);
   EXPECT_NEAR(w.back(), 0.0F, 1e-6F);
-}
-
-TEST(Window, HammingEndpointsAreNonZero) {
-  const fvec w = make_window(Window::hamming, 33);
-  EXPECT_NEAR(w.front(), 0.08F, 1e-3F);
-}
-
-TEST(Window, KaiserBetaControlsTaper) {
-  // Higher beta -> narrower effective width -> smaller endpoint value.
-  const fvec gentle = make_window(Window::kaiser, 65, 2.0);
-  const fvec sharp = make_window(Window::kaiser, 65, 12.0);
-  EXPECT_GT(gentle.front(), sharp.front());
-  EXPECT_NEAR(gentle[32], 1.0F, 1e-5F);
-  EXPECT_NEAR(sharp[32], 1.0F, 1e-5F);
 }
 
 TEST(WindowPower, MatchesDirectSum) {

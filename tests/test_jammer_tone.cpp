@@ -44,22 +44,7 @@ TEST(ToneJammer, PhaseContinuousAcrossCalls) {
   }
 }
 
-TEST(ToneJammer, MultiToneSplitsPower) {
-  ToneJammer jam(std::vector<double>{-0.2, 0.05, 0.3}, 4);
-  const dsp::cvec x = jam.generate(1 << 14);
-  EXPECT_NEAR(dsp::mean_power(x), 1.0, 0.05);
-  const dsp::fvec psd = dsp::welch_psd(x, 512);
-  // Three distinct lines, each carrying roughly a third of the power.
-  for (double f : {-0.2, 0.05, 0.3}) {
-    const auto bin = static_cast<std::size_t>(std::lround((f < 0 ? f + 1.0 : f) * 512.0));
-    double near = 0.0;
-    for (std::size_t k = bin - 2; k <= bin + 2; ++k) near += psd[k];
-    EXPECT_NEAR(near, 1.0 / 3.0, 0.1) << "f=" << f;
-  }
-}
-
 TEST(ToneJammer, RejectsBadFrequencies) {
-  EXPECT_THROW(ToneJammer(std::vector<double>{}), std::invalid_argument);
   EXPECT_THROW(ToneJammer(0.5), std::invalid_argument);
   EXPECT_THROW(ToneJammer(-0.6), std::invalid_argument);
 }

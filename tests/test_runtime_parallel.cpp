@@ -2,14 +2,17 @@
 // pool's fork-join semantics, the cross-platform stability of the
 // per-shard seed split (golden values), and the determinism contract —
 // LinkStats from a ParallelLinkRunner are bit-identical for a fixed
-// (seed, n_shards) no matter how many threads execute the shards.
+// (seed, n_shards) no matter how many threads execute the shards, and a
+// runner starts no more lanes than it has shards.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/link_simulator.hpp"
@@ -214,6 +217,29 @@ TEST(ParallelLinkRunner, ShardCountIsPartOfTheContract) {
   // airtime is RNG-independent (same frames transmitted), so it must agree
   // even across shard counts.
   EXPECT_DOUBLE_EQ(sa.airtime_s, sb.airtime_s);
+}
+
+/// Threads of this process, as /proc/self/task lists them.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ParallelLinkRunner, LanesNeverExceedShards) {
+  // Two shards can keep two lanes busy: the calling thread and one
+  // worker. The other six threads asked for would never run a shard.
+  // TSan starts a helper thread with the process's first thread, so one
+  // throwaway thread runs first and `before` counts the helper.
+  std::thread([] {}).join();
+  const std::size_t before = live_threads();
+  ParallelLinkRunner runner({.n_threads = 8, .n_shards = 2});
+  EXPECT_EQ(runner.threads(), 2U);
+  EXPECT_LE(live_threads(), before + 1);
+  const core::SimConfig cfg = small_sim();
+  EXPECT_EQ(runner.run(cfg).packets, cfg.n_packets);
 }
 
 TEST(ParallelLinkRunner, BisectionRoutesThroughThePool) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <random>
@@ -119,13 +120,18 @@ TEST(CostasLoop, ResetClearsState) {
 }
 
 TEST(CostasLoop, FrequencyClamped) {
-  CostasLoop loop(0.2F, 0.7071F, 0.01F);
+  // A wide loop on pure noise random-walks its frequency integrator into
+  // the 0.5 rad/sample clamp, and never past it.
+  CostasLoop loop(0.2F);
   std::mt19937 rng(8);
   std::normal_distribution<float> dist(0.0F, 1.0F);
+  float widest = 0.0F;
   for (int i = 0; i < 10000; ++i) {
     (void)loop.process(dsp::cf{dist(rng), dist(rng)});
-    ASSERT_LE(std::abs(loop.frequency()), 0.01F);
+    ASSERT_LE(std::abs(loop.frequency()), 0.5F);
+    widest = std::max(widest, std::abs(loop.frequency()));
   }
+  EXPECT_EQ(widest, 0.5F);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST_P(AcquisitionSweep, RecoversTimingPhaseCfo) {
   noise.add_to(dsp::cspan_mut{rx}, 0.01);  // 20 dB SNR
 
   const PreambleSync sync(ref);
-  const auto est = sync.acquire(rx, 512);
+  const auto est = sync.acquire(rx, 512, 0.25F);
   ASSERT_TRUE(est.has_value());
   EXPECT_EQ(est->frame_start, delay);
   EXPECT_GT(est->quality, 0.8F);
@@ -63,22 +63,22 @@ TEST(PreambleSync, NoSignalReturnsNullopt) {
   const dsp::cvec ref = random_reference(1024, 2);
   channel::AwgnSource noise(3);
   dsp::cvec rx = noise.generate(4096, 1.0);
-  const PreambleSync sync(ref, 0.3F);
-  EXPECT_FALSE(sync.acquire(rx, 2048).has_value());
+  const PreambleSync sync(ref);
+  EXPECT_FALSE(sync.acquire(rx, 2048, 0.3F).has_value());
 }
 
 TEST(PreambleSync, BelowThresholdReturnsNulloptAndOverrideRules) {
   // The same capture, the same synchroniser: acceptance is decided purely
-  // by the effective threshold. The per-call override is what the
-  // receiver's bounded re-acquisition leans on, so both directions are
-  // pinned — a raise rejects a genuine peak, a lower keeps accepting it.
+  // by the per-call threshold. The receiver's bounded re-acquisition leans
+  // on it, so both directions are pinned — a raise rejects a genuine
+  // peak, a lower keeps accepting it.
   const dsp::cvec ref = random_reference(1024, 5);
   dsp::cvec rx = channel::apply_delay(ref, 64, 64 + ref.size() + 256);
   channel::AwgnSource noise(11);
   noise.add_to(dsp::cspan_mut{rx}, 0.25);
 
-  const PreambleSync sync(ref, 0.3F);
-  const auto est = sync.acquire(rx, 512);
+  const PreambleSync sync(ref);
+  const auto est = sync.acquire(rx, 512, 0.3F);
   ASSERT_TRUE(est.has_value());
   EXPECT_EQ(est->frame_start, 64U);
   ASSERT_LT(est->quality, 0.999F);
@@ -100,8 +100,8 @@ TEST(PreambleSync, MarginSeparatesRealPeaksFromLuckyNoise) {
   channel::AwgnSource noise(13);
   noise.add_to(dsp::cspan_mut{rx}, 0.1);
 
-  const PreambleSync sync(ref, 0.3F);
-  const auto real_peak = sync.acquire(rx, 512);
+  const PreambleSync sync(ref);
+  const auto real_peak = sync.acquire(rx, 512, 0.3F);
   ASSERT_TRUE(real_peak.has_value());
   EXPECT_GT(real_peak->margin, 4.5F);
 
@@ -130,7 +130,7 @@ TEST(PreambleSync, RefinementReducesResidualAtFrameEnd) {
   noise.add_to(dsp::cspan_mut{rx}, 0.05);
 
   const PreambleSync sync(ref);
-  auto coarse = sync.acquire(rx, 256);
+  auto coarse = sync.acquire(rx, 256, 0.25F);
   ASSERT_TRUE(coarse.has_value());
   const SyncEstimate fine = sync.refine(rx, *coarse);
 
@@ -170,12 +170,12 @@ TEST(PreambleSync, QualityDegradesWithJamming) {
   dsp::cvec rx = channel::apply_delay(ref, 10, 10 + ref.size() + 64);
   channel::AwgnSource jammer(11);
   dsp::cvec clean = rx;
-  const PreambleSync sync(ref, 0.05F);
-  const auto clean_est = sync.acquire(clean, 128);
+  const PreambleSync sync(ref);
+  const auto clean_est = sync.acquire(clean, 128, 0.05F);
   ASSERT_TRUE(clean_est.has_value());
 
   jammer.add_to(dsp::cspan_mut{rx}, 10.0);  // -10 dB SJR
-  const auto jammed_est = sync.acquire(rx, 128);
+  const auto jammed_est = sync.acquire(rx, 128, 0.05F);
   ASSERT_TRUE(jammed_est.has_value());
   EXPECT_LT(jammed_est->quality, clean_est->quality);
 }
