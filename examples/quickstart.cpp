@@ -57,7 +57,9 @@ int main() {
   channel::AwgnSource noise(7);
   const dsp::cvec received = channel::transmit(t.samples, jam, link, noise);
 
-  // 4a. Adaptive receiver (the paper's §4.2 control logic).
+  // 4a. Adaptive receiver (the paper's §4.2 control logic). receive()
+  // takes the capture by value, so passing `received` decodes a copy and
+  // 4b can decode the same samples again.
   const core::RxResult good = rx.receive(received, 0, payload.size(), 256);
   std::printf("adaptive filters : detected=%d crc_ok=%d payload=\"%s\"\n",
               good.frame_detected, good.crc_ok,

@@ -1,7 +1,7 @@
 #include "channel/link_channel.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "channel/impairments.hpp"
 #include "core/contracts.hpp"
@@ -10,7 +10,7 @@
 
 namespace bhss::channel {
 
-dsp::cvec transmit(dsp::cspan tx, dsp::cspan jam, const LinkConfig& cfg, AwgnSource& noise) {
+dsp::cvec transmit(dsp::cvec tx, dsp::cvec jam, const LinkConfig& cfg, AwgnSource& noise) {
   // The channel is the junction where every waveform source (modulator,
   // jammer, impairment models) meets; a non-finite sample here would be
   // amplified into a fully corrupted capture downstream.
@@ -23,24 +23,29 @@ dsp::cvec transmit(dsp::cspan tx, dsp::cspan jam, const LinkConfig& cfg, AwgnSou
                "transmit: cfo/phase impairments must be finite");
   const std::size_t total_len = cfg.tx_delay + tx.size() + cfg.tail_pad;
 
-  // Signal path: place at the arrival delay, then normalise, impair and
-  // scale to the requested SNR in place.
-  dsp::cvec out(total_len, dsp::cf{0.0F, 0.0F});
-  const dsp::cspan_mut sig = dsp::cspan_mut{out}.subspan(cfg.tx_delay, tx.size());
-  std::copy(tx.begin(), tx.end(), sig.begin());
-  dsp::scale_to_power(sig, 1.0);
-  if (cfg.phase != 0.0F) apply_phase(sig, cfg.phase);
-  if (cfg.cfo != 0.0F) apply_cfo(sig, cfg.cfo);
+  // Signal path: normalise, impair and scale to the requested SNR in place.
+  dsp::scale_to_power(tx, 1.0);
+  if (cfg.phase != 0.0F) apply_phase(tx, cfg.phase);
+  if (cfg.cfo != 0.0F) apply_cfo(tx, cfg.cfo);
   const auto sig_gain = static_cast<float>(std::sqrt(dsp::db_to_linear(cfg.snr_db)));
-  dsp::simd::scale_inplace(out.data(), sig_gain, out.size());
+  if (!tx.empty()) dsp::simd::scale_inplace(tx.data(), sig_gain, tx.size());
 
   // Jammer path: normalise over its own duration, scale to the JNR.
-  if (cfg.jnr_db.has_value() && !jam.empty()) {
-    const float norm = dsp::power_gain(jam, 1.0);
-    const auto jam_gain = static_cast<float>(std::sqrt(dsp::db_to_linear(*cfg.jnr_db)));
-    const std::size_t n = std::min(total_len, jam.size());
-    for (std::size_t i = 0; i < n; ++i) out[i] += jam_gain * (jam[i] * norm);
-  }
+  const bool jammed = cfg.jnr_db.has_value() && !jam.empty();
+  const float norm = jammed ? dsp::power_gain(jam, 1.0) : 1.0F;
+  const float jam_gain =
+      jammed ? static_cast<float>(std::sqrt(dsp::db_to_linear(*cfg.jnr_db))) : 0.0F;
+
+  // The capture is built in the jammer's storage, its excess clipped and a
+  // shortfall (or no jammer at all) zero-padded: the scaled jammer, plus
+  // the signal at its arrival delay. A zero here may carry either sign;
+  // the noise added below is never -0, so that sign never reaches the
+  // capture's bits.
+  if (!jammed) jam.clear();
+  jam.resize(total_len);
+  dsp::cvec out = std::move(jam);
+  for (dsp::cf& s : out) s = jam_gain * (s * norm);
+  for (std::size_t i = 0; i < tx.size(); ++i) out[cfg.tx_delay + i] += tx[i];
 
   // Thermal noise floor at unit power.
   noise.add_to(out, 1.0);

@@ -32,12 +32,16 @@ struct LinkConfig {
 /// One-shot channel: y = g_s * delay(rot(tx)) + g_j * jam + awgn(1.0).
 /// The transmitter waveform is normalised to unit mean power over its own
 /// duration before applying the SNR gain; the jammer waveform likewise.
+/// Both waveforms are taken by value and used as scratch: a caller that
+/// moves them in holds no copy, and the capture (tx_delay + tx.size() +
+/// tail_pad samples) is built in the jammer waveform's storage, so a
+/// jammer that covers it costs no allocation that long.
 /// @param tx   transmitter baseband waveform
-/// @param jam  jammer baseband waveform; must cover tx_delay + tx.size()
-///             samples if present (excess is clipped, shortfall zero-padded)
+/// @param jam  jammer baseband waveform; should cover the capture if
+///             present (excess is clipped, shortfall zero-padded)
 /// @param cfg  power levels and impairments
 /// @param noise seeded noise source (advanced by the call)
-[[nodiscard]] dsp::cvec transmit(dsp::cspan tx, dsp::cspan jam, const LinkConfig& cfg,
+[[nodiscard]] dsp::cvec transmit(dsp::cvec tx, dsp::cvec jam, const LinkConfig& cfg,
                                  AwgnSource& noise);
 
 }  // namespace bhss::channel

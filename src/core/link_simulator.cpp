@@ -5,6 +5,7 @@
 #include <numbers>
 #include <optional>
 #include <type_traits>
+#include <utility>
 #include <variant>
 
 #include "channel/link_channel.hpp"
@@ -132,7 +133,8 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
       ov.symbols_per_hop = ctrl->plan().symbols_per_hop;
     }
 
-    const Transmission t = tx.transmit(payload, pkt, ov);
+    Transmission t = tx.transmit(payload, pkt, ov);
+    const std::size_t frame_len = t.samples.size();
 
     // Channel realisation.
     channel::LinkConfig link;
@@ -148,13 +150,14 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
                                     static_cast<double>(cfg.max_cfo));
     }
 
-    const std::size_t total_len = link.tx_delay + t.samples.size() + link.tail_pad;
-    // The jammer waveform is a temporary: only the channel reads it, so it
-    // is freed before the receiver runs.
-    dsp::cvec rx_signal = channel::transmit(
-        t.samples,
-        jammer_waveform(jammer, t, cfg.system.pattern.bands(), link.tx_delay, total_len), link,
-        noise);
+    const std::size_t total_len = link.tx_delay + frame_len + link.tail_pad;
+    // Each whole-packet waveform exists once: the channel takes the frame
+    // and the jammer waveform and builds the capture in the jammer's
+    // storage, and the receiver decodes the capture in place. Of the
+    // transmission only the frame's length and symbols stay.
+    dsp::cvec jam =
+        jammer_waveform(jammer, t, cfg.system.pattern.bands(), link.tx_delay, total_len);
+    dsp::cvec rx_signal = channel::transmit(std::move(t.samples), std::move(jam), link, noise);
 
     // Transient faults between channel and receiver. The plan for packet
     // `pkt` depends only on (faults.seed, pkt), never on the shard, so a
@@ -167,10 +170,10 @@ LinkStats run_link_shard(const SimConfig& cfg, std::size_t first_packet,
 
     const std::size_t search_window = link.tx_delay + cfg.max_delay / 4 + 64;
     const RxResult res =
-        rx.receive(rx_signal, pkt, cfg.payload_len, search_window, link.tx_delay, o, ov);
+        rx.receive(std::move(rx_signal), pkt, cfg.payload_len, search_window, link.tx_delay, o, ov);
 
     ++stats.packets;
-    stats.airtime_s += static_cast<double>(t.samples.size()) / sample_rate;
+    stats.airtime_s += static_cast<double>(frame_len) / sample_rate;
     if (res.frame_detected) ++stats.detected;
     if (res.sync_lost) ++stats.sync_lost;
     if (res.reacquired) ++stats.reacquired;

@@ -45,17 +45,6 @@ std::vector<double> normalise(std::vector<double> p) {
 
 }  // namespace
 
-double expected_improvement(const HopPattern& pattern, double bj_frac, double jammer_power,
-                            double noise_var) {
-  const std::vector<double> fracs = pattern.bands().bandwidth_fracs();
-  double expectation = 0.0;
-  for (std::size_t i = 0; i < fracs.size(); ++i) {
-    expectation += pattern.probabilities()[i] *
-                   theory::snr_improvement_bound(fracs[i] / bj_frac, jammer_power, noise_var);
-  }
-  return expectation;
-}
-
 double min_advantage_db(const HopPattern& pattern) {
   return evaluate(pattern.probabilities(), pattern.bands().bandwidth_fracs());
 }

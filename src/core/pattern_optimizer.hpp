@@ -12,12 +12,6 @@
 
 namespace bhss::core {
 
-/// Expected SNR improvement (linear) of a pattern against a fixed jammer
-/// bandwidth `bj_frac`, averaged over the pattern's hop distribution with
-/// the ideal-filter bound (eqs. (11)/(12)).
-[[nodiscard]] double expected_improvement(const HopPattern& pattern, double bj_frac,
-                                          double jammer_power, double noise_var);
-
 /// Worst-case (over the jammer bandwidths in the set) expected improvement
 /// of a pattern, in dB, against a paper-scale strong jammer (rho_j(0) =
 /// 100, sigma_n^2 = 0.01). This is the objective the parabolic pattern

@@ -92,7 +92,7 @@ dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::s
   return out;
 }
 
-RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
+RxResult BhssReceiver::receive(dsp::cvec capture, std::uint64_t frame_counter,
                                std::size_t payload_len, std::size_t search_window,
                                std::size_t genie_frame_start, const obs::LinkObs& o,
                                const HopOverride& ov) const {
@@ -110,8 +110,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
   // — one bad sample poisons every downstream statistic. Scrub such
   // samples to zero (an erasure the despreader absorbs) and record the
   // rejection instead of refusing the whole frame.
-  dsp::cvec buffer(rx.begin(), rx.end());
-  for (dsp::cf& s : buffer) {
+  for (dsp::cf& s : capture) {
     if (!std::isfinite(s.real()) || !std::isfinite(s.imag())) {
       s = dsp::cf{0.0F, 0.0F};
       result.input_scrubbed = true;
@@ -144,11 +143,11 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     float threshold = kSyncThreshold;
     for (std::size_t attempt = 0; attempt < max_attempts && !est.has_value(); ++attempt) {
       const std::size_t max_lag = std::min(
-          buffer.size(),
+          capture.size(),
           static_cast<std::size_t>(static_cast<double>(search_window) * lag_scale));
       const std::size_t window_len =
-          std::min(buffer.size(), max_lag + reference.size() + 2 * kPsdFft);
-      const dsp::cspan window = dsp::cspan{buffer}.first(window_len);
+          std::min(capture.size(), max_lag + reference.size() + 2 * kPsdFft);
+      const dsp::cspan window = dsp::cspan{capture}.first(window_len);
       const FilterDecision decision =
           choose_filter(window, schedule.segments.front().bw_index, o);
       if (decision.degenerate_psd) ++result.filter_fallbacks;
@@ -210,7 +209,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     result.sync = *est;
     result.frame_detected = true;
     frame_start = est->frame_start;
-    sync::PreambleSync::derotate(dsp::cspan_mut{buffer}, *est);
+    sync::PreambleSync::derotate(dsp::cspan_mut{capture}, *est);
     if (o) {
       o.record({.type = obs::TraceEventType::sync_lock, .flag = result.reacquired,
                 .hop = static_cast<std::uint32_t>(result.sync_attempts), .packet = frame_counter,
@@ -243,8 +242,8 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     const std::size_t needed = seg.n_samples;
 
     // Jammer estimation on the raw (unfiltered) slice of this hop.
-    const std::size_t avail = (a0 < buffer.size()) ? buffer.size() - a0 : 0;
-    const dsp::cspan raw_slice{buffer.data() + std::min(a0, buffer.size()),
+    const std::size_t avail = (a0 < capture.size()) ? capture.size() - a0 : 0;
+    const dsp::cspan raw_slice{capture.data() + std::min(a0, capture.size()),
                                std::min(needed, avail)};
     FilterDecision decision;
     if (!raw_slice.empty()) {
@@ -268,7 +267,7 @@ RxResult BhssReceiver::receive(dsp::cspan rx, std::uint64_t frame_counter,
     }
 
     // Remove the predicted residual rotation for this hop.
-    dsp::cvec clean = filtered_slice(buffer, a0, needed, decision, o.sink());
+    dsp::cvec clean = filtered_slice(capture, a0, needed, decision, o.sink());
     dsp::rotate(clean, [&](std::size_t i) {
       const double t = static_cast<double>(seg.start_sample + i);
       return static_cast<float>(-(model_phase + model_cfo * (t - t_anchor)));

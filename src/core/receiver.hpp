@@ -54,8 +54,11 @@ class BhssReceiver {
  public:
   explicit BhssReceiver(SystemConfig config);
 
-  /// Attempt to decode one frame from `rx`.
-  /// @param rx               received baseband stream
+  /// Attempt to decode one frame from `capture`.
+  /// @param capture          received baseband stream, taken by value:
+  ///                         the receiver scrubs and derotates it in
+  ///                         place, so a caller that moves it in holds
+  ///                         no copy
   /// @param frame_counter    shared frame index (drives seed derivation)
   /// @param payload_len      expected payload length in bytes (link-layer
   ///                         knowledge; the header length byte is still
@@ -67,7 +70,7 @@ class BhssReceiver {
   ///                          instrumentation only observes
   /// @param ov                optional hop-plan override; must match the
   ///                          override the transmitter used for this frame
-  [[nodiscard]] RxResult receive(dsp::cspan rx, std::uint64_t frame_counter,
+  [[nodiscard]] RxResult receive(dsp::cvec capture, std::uint64_t frame_counter,
                                  std::size_t payload_len, std::size_t search_window,
                                  std::size_t genie_frame_start = 0,
                                  const obs::LinkObs& o = {},

@@ -44,28 +44,42 @@ std::shared_ptr<const ConvolverPlan> ConvolverPlan::make(cvec taps) {
   return plan;
 }
 
-void ConvolverPlan::filter(cspan x, std::size_t skip, cspan_mut out) const {
+void ConvolverPlan::filter(std::size_t x_size, const Source& source, std::size_t skip,
+                          cspan_mut out) const {
   if (out.empty()) return;
-  // Per-thread block scratch, the idiom of welch_psd's segment scratch:
-  // every element is overwritten before the FFT reads it.
+  const std::size_t overlap = taps.size() - 1;
+  // Per-thread scratch, the idiom of welch_psd's segment scratch: the FFT
+  // block, then the last `overlap` inputs of the block before. Every
+  // element of the block is written before the FFT reads it.
   thread_local cvec scratch;
   // BHSS_ANALYZE_SUPPRESS(h1-hot-path-purity): grow-once per-thread scratch; allocation-free once this thread has run an FFT of this size (see header contract)
-  if (scratch.size() < fft_size) scratch.resize(fft_size);
+  if (scratch.size() < fft_size + overlap) scratch.resize(fft_size + overlap);
   const cspan_mut block{scratch.data(), fft_size};
+  const cspan_mut kept{scratch.data() + fft_size, overlap};
   // Overlap-save: the block at pos holds x[pos - overlap, pos + block_size)
   // (zeros before the start and past the end of x) and yields
   // y[pos, pos + block_size).
-  const std::size_t overlap = taps.size() - 1;
   const std::size_t end = skip + out.size();
-  for (std::size_t pos = skip - skip % block_size; pos < end; pos += block_size) {
-    const std::size_t lead = overlap > pos ? overlap - pos : 0;
-    const std::size_t first = std::min(pos + lead - overlap, x.size());
-    const std::size_t count = std::min(fft_size - lead, x.size() - first);
-    std::fill_n(block.begin(), lead, cf{0.0F, 0.0F});
-    std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(first), count,
-                block.begin() + static_cast<std::ptrdiff_t>(lead));
-    std::fill(block.begin() + static_cast<std::ptrdiff_t>(lead + count), block.end(),
+  const std::size_t start = skip - skip % block_size;
+  for (std::size_t pos = start; pos < end; pos += block_size) {
+    // The first block starts with zeros where it reaches before x[0],
+    // every later one with the inputs the block before kept.
+    std::size_t held = 0;
+    if (pos == start) {
+      held = overlap > pos ? overlap - pos : 0;
+      std::fill_n(block.begin(), held, cf{0.0F, 0.0F});
+    } else {
+      std::copy(kept.begin(), kept.end(), block.begin());
+      held = overlap;
+    }
+    const std::size_t first = std::min(pos + held - overlap, x_size);
+    const std::size_t count = std::min(fft_size - held, x_size - first);
+    if (count > 0) source(first, block.subspan(held, count));
+    std::fill(block.begin() + static_cast<std::ptrdiff_t>(held + count), block.end(),
               cf{0.0F, 0.0F});
+    if (pos + block_size < end) {
+      std::copy(block.end() - static_cast<std::ptrdiff_t>(overlap), block.end(), kept.begin());
+    }
     fft.forward(block);
     simd::cmul_inplace(block.data(), taps_spectrum.data(), fft_size);
     fft.inverse(block);
@@ -75,6 +89,15 @@ void ConvolverPlan::filter(cspan x, std::size_t skip, cspan_mut out) const {
               block.begin() + static_cast<std::ptrdiff_t>(overlap + hi - pos),
               out.begin() + static_cast<std::ptrdiff_t>(lo - skip));
   }
+}
+
+void ConvolverPlan::filter(cspan x, std::size_t skip, cspan_mut out) const {
+  filter(
+      x.size(),
+      [x](std::size_t first, cspan_mut dest) {
+        std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(first), dest.size(), dest.begin());
+      },
+      skip, out);
 }
 
 // ------------------------------------------------------------ filter design

@@ -11,6 +11,7 @@
 ///    one way a designed filter is applied (the suppression filters and
 ///    the noise jammer's shaper).
 
+#include <functional>
 #include <memory>
 
 #include "core/contracts.hpp"
@@ -33,22 +34,39 @@ struct ConvolverPlan {
   Fft fft;
   cvec taps_spectrum;
 
+  /// Writes x[first, first + dest.size()) into `dest`, a span of the FFT
+  /// block (see `filter`).
+  using Source = std::function<void(std::size_t first, cspan_mut dest)>;
+
   /// Build a plan for a tap set (non-empty, finite); the plan keeps it.
   [[nodiscard]] static std::shared_ptr<const ConvolverPlan> make(cvec taps);
 
   /// A window of the causal convolution y[n] = sum_k taps[k] * x[n-k] of
-  /// `x`, taken as zero before its start and past its end:
-  /// out[i] = y[skip + i] for every i < out.size(), which may run past
-  /// the end of x. Overlap-save in O(N log N), essential for the high
-  /// filter orders the paper uses (up to 3181 taps). Block starts stay at
-  /// multiples of `block_size` from x[0] whatever `skip` is, so y[n] has
-  /// the same bits in every call whose window covers it, and only the
-  /// blocks that overlap the window are computed. Where x ends is part of
-  /// the input: a block reads zeros past it, and through the FFT every
+  /// an input x of `x_size` samples, taken as zero before its start and
+  /// past its end: out[i] = y[skip + i] for every i < out.size(), which
+  /// may run past the end of x. Overlap-save in O(N log N), essential for
+  /// the high filter orders the paper uses (up to 3181 taps). Block starts
+  /// stay at multiples of `block_size` from x[0] whatever `skip` is, so
+  /// y[n] has the same bits in every call whose window covers it, and only
+  /// the blocks that overlap the window are computed. Where x ends is part
+  /// of the input: a block reads zeros past it, and through the FFT every
   /// output of a block depends on every sample in it, so a longer x
-  /// changes the bits of y even before its old end. The FFT block lives
-  /// in a thread-local scratch that grows once per thread to the largest
-  /// fft_size it has run; no other allocation.
+  /// changes the bits of y even before its old end.
+  ///
+  /// `source` writes x straight into the FFT block, and each sample of x
+  /// is requested once, in order: the first block asks for its whole
+  /// input, every later block only for the samples past the one before,
+  /// since the filter keeps each block's last taps - 1 inputs for the
+  /// next. No request reaches past x_size, and none is made for an empty
+  /// `out`. With skip < block_size and x_size <= skip + out.size(), the
+  /// requests cover all of x. `source` must not run a filter itself: the
+  /// block and the kept inputs live in a thread-local scratch that grows
+  /// once per thread to the largest fft_size + taps - 1 it has run; no
+  /// other allocation.
+  BHSS_HOT void filter(std::size_t x_size, const Source& source, std::size_t skip,
+                       cspan_mut out) const;
+
+  /// `filter` of the samples in `x`, copied into each block.
   BHSS_HOT void filter(cspan x, std::size_t skip, cspan_mut out) const;
 };
 

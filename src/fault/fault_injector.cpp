@@ -77,6 +77,7 @@ FaultLog FaultInjector::apply(const FaultPlan& plan, dsp::cvec& capture,
         const std::size_t end = std::min(offset + ev.length, capture.size());
         const dsp::cvec repeat(capture.begin() + static_cast<std::ptrdiff_t>(offset),
                                capture.begin() + static_cast<std::ptrdiff_t>(end));
+        capture.reserve(capture.size() + repeat.size());  // exact: insert would double it
         capture.insert(capture.begin() + static_cast<std::ptrdiff_t>(end), repeat.begin(),
                        repeat.end());
         ++log.dups;
@@ -86,7 +87,10 @@ FaultLog FaultInjector::apply(const FaultPlan& plan, dsp::cvec& capture,
         // Integer part: the receiver's sample counter slips, so everything
         // from `offset` on arrives `length` samples late (zeros fill the
         // gap). Fractional part: a sampling-phase step over the whole
-        // remainder, via the channel's fractional-delay interpolator.
+        // remainder, via the channel's fractional-delay interpolator. The
+        // slip reserves the exact new length (insert would double the
+        // capacity), which the fractional step keeps.
+        capture.reserve(capture.size() + ev.length);
         capture.insert(capture.begin() + static_cast<std::ptrdiff_t>(offset), ev.length,
                        dsp::cf{0.0F, 0.0F});
         if (ev.magnitude > 0.0) {

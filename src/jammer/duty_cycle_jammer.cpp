@@ -35,13 +35,18 @@ dsp::cvec DutyCycleJammer::generate(std::size_t n) {
   // the burst phase happens to sit.
   dsp::cvec out = source_.generate(n);
   const float gain = static_cast<float>(burst_gain_);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pos_ < on_samples_) {
-      out[i] *= gain;
+  // Gate run by run: the rest of the burst or of the gap, cut at n.
+  for (std::size_t i = 0; i < n;) {
+    const bool on = pos_ < on_samples_;
+    const std::size_t run = std::min((on ? on_samples_ : period_samples_) - pos_, n - i);
+    if (on) {
+      for (std::size_t k = i; k < i + run; ++k) out[k] *= gain;
     } else {
-      out[i] = dsp::cf{0.0F, 0.0F};
+      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(i), run, dsp::cf{0.0F, 0.0F});
     }
-    pos_ = (pos_ + 1) % period_samples_;
+    i += run;
+    pos_ += run;
+    if (pos_ == period_samples_) pos_ = 0;
   }
   return out;
 }

@@ -34,12 +34,16 @@ void NoiseJammer::fill(dsp::cspan_mut out) {
     return;
   }
 
-  // Generate with lead-in and keep what follows it, so the filter
-  // transient does not leave a quiet gap at the start of the jamming burst.
+  // Shape n + lead white samples and keep what follows the lead-in, so
+  // the filter transient does not leave a quiet gap at the start of the
+  // jamming burst. The filter asks for the white samples once each, in
+  // order, and they are drawn straight into its FFT block: a draw split
+  // into calls gives the samples of one draw (simd::gaussian_cf), so these
+  // are the bits of shaping one buffer of n + lead samples.
   const std::size_t lead = shaper_->taps.size();
-  raw_.resize(out.size() + lead);
-  noise_.fill(raw_, 1.0);
-  shaper_->filter(raw_, lead, out);
+  shaper_->filter(
+      out.size() + lead, [this](std::size_t, dsp::cspan_mut white) { noise_.fill(white, 1.0); },
+      lead, out);
   dsp::scale_to_power(out, 1.0);
 }
 

@@ -26,7 +26,7 @@ class NoiseJammer {
   NoiseJammer(double bandwidth_frac, std::uint64_t seed);
 
   /// Overwrite `out` with unit-power jamming noise, normalised over its
-  /// own samples.
+  /// own samples. An empty `out` draws no noise.
   void fill(dsp::cspan_mut out);
 
   /// Generate `n` samples of unit-power jamming noise: what `fill` writes
@@ -39,7 +39,6 @@ class NoiseJammer {
   double bandwidth_frac_;
   channel::AwgnSource noise_;
   std::shared_ptr<const dsp::ConvolverPlan> shaper_;  ///< null for full-band noise
-  dsp::cvec raw_;  ///< shaping input, reused: white noise with the filter lead-in
 };
 
 }  // namespace bhss::jammer

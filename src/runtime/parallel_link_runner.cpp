@@ -75,13 +75,23 @@ class Fnv1a {
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
+/// Lanes worth starting: the threads asked for (0 = hardware threads), at
+/// most one per shard this process owns, and at least one, since
+/// ThreadPool(0) would mean hardware threads.
+std::size_t lanes(const RunnerOptions& options) {
+  std::size_t owned = 0;
+  for (std::size_t shard = 0; shard < options.n_shards; ++shard) {
+    if (options.partition.owns(shard)) ++owned;
+  }
+  const std::size_t wanted =
+      options.n_threads == 0 ? ThreadPool::hardware_threads() : options.n_threads;
+  return std::max<std::size_t>(std::min(wanted, owned), 1);
+}
+
 }  // namespace
 
 ParallelLinkRunner::ParallelLinkRunner(RunnerOptions options, CheckpointJournal* journal)
-    : options_(options),
-      pool_(std::min(options.n_threads == 0 ? ThreadPool::hardware_threads() : options.n_threads,
-                     options.n_shards)),
-      journal_(journal) {
+    : options_(options), pool_(lanes(options)), journal_(journal) {
   BHSS_REQUIRE(options_.n_shards >= 1, "ParallelLinkRunner: n_shards must be >= 1");
   options_.partition.validate();
 }

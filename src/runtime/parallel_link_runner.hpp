@@ -154,7 +154,8 @@ class ParallelLinkRunner {
   [[nodiscard]] static bool interrupt_requested() noexcept;
 
   /// Lanes the pool runs: `n_threads` (0 = hardware threads), capped at
-  /// `n_shards`, since a lane past the shard count would never run one.
+  /// the number of shards the partition owns (at least 1), since a lane
+  /// past that count would never run one.
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
   [[nodiscard]] std::size_t shards() const noexcept { return options_.n_shards; }
 

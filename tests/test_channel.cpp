@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -274,6 +275,37 @@ TEST(LinkChannel, NoJammerSpanIgnored) {
   AwgnSource noise2(9);
   const dsp::cvec without = channel::transmit(tx, {}, cfg, noise2);
   EXPECT_EQ(with_spec, without);
+}
+
+TEST(LinkChannel, CaptureHasTheZeroPaddedBits) {
+  // The capture is built in the jammer's storage, which a short or absent
+  // jammer leaves zero-padded; it must keep the bits of the zero-padded
+  // sum, even at a -0 signal component no jammer sample reaches.
+  dsp::cvec tx(100, dsp::cf{0.5F, -1.0F});
+  tx[90] = dsp::cf{-0.0F, 1.0F};
+  AwgnSource jam_src(11);
+  const dsp::cvec short_jam = jam_src.generate(90, 2.0);
+  for (const dsp::cvec& jam : {dsp::cvec{}, short_jam}) {
+    LinkConfig cfg;
+    cfg.snr_db = 6.0;
+    cfg.jnr_db = 3.0;
+    cfg.tx_delay = 20;
+    cfg.tail_pad = 30;
+    dsp::cvec sig = tx;
+    dsp::scale_to_power(sig, 1.0);
+    dsp::cvec ref(150, dsp::cf{0.0F, 0.0F});
+    std::copy(sig.begin(), sig.end(), ref.begin() + 20);
+    for (dsp::cf& s : ref) s *= static_cast<float>(std::sqrt(dsp::db_to_linear(6.0)));
+    const float norm = jam.empty() ? 1.0F : dsp::power_gain(jam, 1.0);
+    const auto jam_gain = static_cast<float>(std::sqrt(dsp::db_to_linear(3.0)));
+    for (std::size_t i = 0; i < jam.size(); ++i) ref[i] += jam_gain * (jam[i] * norm);
+    AwgnSource noise(12);
+    AwgnSource noise2(12);
+    noise2.add_to(ref, 1.0);
+    const dsp::cvec rx = channel::transmit(tx, jam, cfg, noise);
+    ASSERT_EQ(rx.size(), ref.size());
+    EXPECT_TRUE(same_bits(rx.data(), ref.data(), rx.size())) << "jammer samples " << jam.size();
+  }
 }
 
 }  // namespace

@@ -156,12 +156,5 @@ TEST(PatternOptimizer, OptimumFavoursBandEdges) {
   EXPECT_GT(edges, middle);
 }
 
-TEST(ExpectedImprovement, MatchedJammerGivesNoGainAtThatHop) {
-  const BandwidthSet bands = BandwidthSet::paper();
-  const HopPattern fixed = HopPattern::fixed(bands, 0);
-  // Jammer matched to the only hop bandwidth: expected improvement == 1.
-  EXPECT_NEAR(expected_improvement(fixed, bands.bandwidth_frac(0), 100.0, 0.01), 1.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace bhss::core

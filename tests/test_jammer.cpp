@@ -10,6 +10,7 @@
 
 #include "dsp/psd.hpp"
 #include "dsp/utils.hpp"
+#include "jammer/duty_cycle_jammer.hpp"
 #include "jammer/hopping_jammer.hpp"
 #include "jammer/noise_jammer.hpp"
 #include "jammer/reactive_jammer.hpp"
@@ -108,6 +109,50 @@ TEST(NoiseJammer, StreamIsPinned) {
   ASSERT_EQ(h.size(), 4500U);
   EXPECT_EQ(hopping.last_hop_bandwidths(), (std::vector<double>{1.0 / 128, 1.0, 1.0, 0.35, 0.35}));
   EXPECT_EQ(fnv1a(h), 0x37E4A1CC1B6C267BULL);
+}
+
+TEST(NoiseJammer, BlockEdgesArePinned) {
+  // The 2049-tap shaper runs 14336-sample overlap-save blocks over n + 2049
+  // white samples, so n = 12287, 12288 and 12289 put the end of the input
+  // at, one past and two past the first block's end; 40000 spans three
+  // blocks. Successive calls on one instance, so each digest also pins
+  // that the call before drew exactly n + 2049 noise samples.
+  struct Pin {
+    double bw;
+    std::array<std::uint64_t, 4> digests;
+  };
+  const std::array<Pin, 2> pins = {{
+      {1.0 / 128,
+       {0x9F639CED26932BF5ULL, 0xF87F79752C3EDBA1ULL, 0x72AF52E09A82F1D8ULL,
+        0xF9B9634109563255ULL}},
+      {0.35,
+       {0x6867CE7C23CD3FA2ULL, 0xEFD1A15B55A62214ULL, 0x34C6DDDC5D56F7FFULL,
+        0x49F78C52C2E8AA9EULL}},
+  }};
+  const std::array<std::size_t, 4> lengths = {12287, 12288, 12289, 40000};
+  for (const Pin& pin : pins) {
+    NoiseJammer jam(pin.bw, 0xB10C);
+    for (std::size_t call = 0; call < lengths.size(); ++call) {
+      const dsp::cvec x = jam.generate(lengths[call]);
+      ASSERT_EQ(x.size(), lengths[call]);
+      EXPECT_EQ(fnv1a(x), pin.digests[call]) << "bw " << pin.bw << " n " << lengths[call];
+    }
+  }
+}
+
+TEST(DutyCycleJammer, GatingIsPinned) {
+  // Period 1000, 300 samples on. The second call starts at 650, in the
+  // gap, and ends at 120, inside a burst; the third call's digest pins
+  // the phase the second left behind.
+  DutyCycleJammer jam(0.35, 1000, 0.3, 0xD07);
+  (void)jam.generate(650);
+  const dsp::cvec x = jam.generate(2470);
+  ASSERT_EQ(x.size(), 2470U);
+  EXPECT_EQ(fnv1a(x), 0x18ED056B2D114190ULL);
+  const dsp::cvec next = jam.generate(500);
+  EXPECT_EQ(fnv1a(next), 0x03F521CC8C4CB7C6ULL);
+  EXPECT_NE(next[179], dsp::cf{});
+  EXPECT_EQ(next[180], dsp::cf{});
 }
 
 TEST(NoiseJammer, RejectsBadBandwidth) {

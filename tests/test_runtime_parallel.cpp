@@ -242,6 +242,18 @@ TEST(ParallelLinkRunner, LanesNeverExceedShards) {
   EXPECT_EQ(runner.run(cfg).packets, cfg.n_packets);
 }
 
+TEST(ParallelLinkRunner, LanesNeverExceedOwnedShards) {
+  // A worker slice runs only the shards its partition owns: worker 0 of 4
+  // owns 4 of 16, so 4 of the 8 threads asked for could ever run one.
+  ParallelLinkRunner slice({.n_threads = 8, .n_shards = 16,
+                            .partition = {.worker_id = 0, .n_workers = 4}});
+  EXPECT_EQ(slice.threads(), 4U);
+  // Worker 3 of 4 owns none of 3 shards; the pool still has its one lane.
+  ParallelLinkRunner idle({.n_threads = 8, .n_shards = 3,
+                           .partition = {.worker_id = 3, .n_workers = 4}});
+  EXPECT_EQ(idle.threads(), 1U);
+}
+
 TEST(ParallelLinkRunner, BisectionRoutesThroughThePool) {
   core::SimConfig cfg = small_sim(core::JammerSpec::Kind::none);
   cfg.n_packets = 6;
