@@ -33,7 +33,7 @@
 #include "dsp/utils.hpp"
 #include "obs/link_obs.hpp"
 #include "phy/chip_table.hpp"
-#include "phy/modulator.hpp"
+#include "phy/modem.hpp"
 #include "phy/spreader.hpp"
 #include "sync/correlate.hpp"
 
@@ -321,12 +321,15 @@ BENCHMARK(BM_ExcisionDesign);
 
 void BM_Modulate(benchmark::State& state) {
   const auto sps = static_cast<std::size_t>(state.range(0));
-  const phy::QpskModulator mod(sps);
+  const phy::QpskModem modem(sps);
   std::vector<float> chips(1024);
   std::mt19937 rng(7);
   for (float& c : chips) c = (rng() & 1U) ? 1.0F : -1.0F;
   for (auto _ : state) {
-    auto wave = mod.modulate(chips);
+    // The output is allocated and zero-filled inside the loop: the work of
+    // the rows recorded in BENCH_kernels.json.
+    dsp::cvec wave(chips.size() * sps, dsp::cf{0.0F, 0.0F});
+    modem.modulate(chips, wave);
     benchmark::DoNotOptimize(wave.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(1024 * sps));
@@ -335,16 +338,21 @@ BENCHMARK(BM_Modulate)->Arg(2)->Arg(16)->Arg(128);
 
 void BM_DemodulateAndDespread(benchmark::State& state) {
   const auto sps = static_cast<std::size_t>(state.range(0));
-  const phy::QpskModulator mod(sps);
-  const phy::QpskDemodulator demod(sps);
+  const phy::QpskModem modem(sps);
   phy::Spreader spreader(0x1234);
   std::vector<std::uint8_t> symbols(32);
   for (std::size_t i = 0; i < symbols.size(); ++i) symbols[i] = i % 16;
-  const std::vector<float> chips = spreader.spread(symbols);
-  const dsp::cvec wave = mod.modulate(chips);
+  std::vector<float> chips(symbols.size() * phy::kChipsPerSymbol);
+  for (std::size_t s = 0; s < symbols.size(); ++s) {
+    spreader.spread_symbol(symbols[s], std::span<float, phy::kChipsPerSymbol>{
+                                           chips.data() + s * phy::kChipsPerSymbol,
+                                           phy::kChipsPerSymbol});
+  }
+  dsp::cvec wave(chips.size() * sps);
+  modem.modulate(chips, wave);
   for (auto _ : state) {
     phy::Despreader despreader(0x1234);
-    const dsp::cvec pairs = demod.demodulate_pairs(wave, chips.size());
+    const dsp::cvec pairs = modem.demodulate_pairs(wave, chips.size());
     std::uint32_t acc = 0;
     for (std::size_t s = 0; s < symbols.size(); ++s) {
       acc += despreader

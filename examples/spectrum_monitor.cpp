@@ -87,7 +87,6 @@ dsp::cvec transmitted(const core::BandwidthSet& bands) {
   core::SystemConfig sys;
   sys.pattern = core::HopPattern::fixed(bands, kLevel);
   sys.hopping = false;
-  sys.fixed_bw_index = kLevel;
   const core::BhssTransmitter tx(sys);
   const std::vector<std::uint8_t> payload(24, 0x5A);
   dsp::cvec rx = tx.transmit(payload, 1).samples;

@@ -2,20 +2,11 @@
 
 namespace bhss::baseline {
 
-core::SystemConfig dsss_config(const core::BandwidthSet& bands, std::size_t level,
-                               std::uint64_t seed) {
+core::SystemConfig dsss_config(const core::BandwidthSet& bands, std::size_t level) {
   core::SystemConfig cfg;
-  cfg.seed = seed;
+  cfg.seed = 0xD555ULL;
   cfg.pattern = core::HopPattern::fixed(bands, level);
   cfg.hopping = false;
-  cfg.fixed_bw_index = level;
-  return cfg;
-}
-
-core::SystemConfig dsss_config_unfiltered(const core::BandwidthSet& bands, std::size_t level,
-                                          std::uint64_t seed) {
-  core::SystemConfig cfg = dsss_config(bands, level, seed);
-  cfg.filter_policy = core::FilterPolicy::off;
   return cfg;
 }
 

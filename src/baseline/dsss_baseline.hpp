@@ -16,13 +16,6 @@ namespace bhss::baseline {
 /// fixed-offset experiments keep the filters, §6.4's reference receiver
 /// faces a matched jammer where they cannot help.
 [[nodiscard]] core::SystemConfig dsss_config(const core::BandwidthSet& bands,
-                                             std::size_t level = 0,
-                                             std::uint64_t seed = 0xD555ULL);
-
-/// Same, with the pre-despreading filters turned off (the pure eq. (7)
-/// spread-spectrum receiver).
-[[nodiscard]] core::SystemConfig dsss_config_unfiltered(const core::BandwidthSet& bands,
-                                                        std::size_t level = 0,
-                                                        std::uint64_t seed = 0xD555ULL);
+                                             std::size_t level = 0);
 
 }  // namespace bhss::baseline

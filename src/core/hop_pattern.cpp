@@ -1,5 +1,6 @@
 #include "core/hop_pattern.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -79,6 +80,14 @@ HopPattern HopPattern::fixed(const BandwidthSet& bands, std::size_t level) {
   std::vector<double> p(bands.size(), 0.0);
   p[level] = 1.0;
   return HopPattern(bands, std::move(p));
+}
+
+std::size_t HopPattern::fixed_level() const {
+  const auto drawn = [](double p) { return p > 0.0; };
+  BHSS_REQUIRE(std::count_if(probs_.begin(), probs_.end(), drawn) == 1,
+               "HopPattern: a link with hopping off needs a pattern of one level");
+  return static_cast<std::size_t>(std::find_if(probs_.begin(), probs_.end(), drawn) -
+                                  probs_.begin());
 }
 
 std::size_t HopPattern::draw(SharedRandom& rng) const noexcept { return rng.pick(probs_); }

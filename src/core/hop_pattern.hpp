@@ -39,6 +39,11 @@ class HopPattern {
   /// A degenerate "pattern" that always picks one level (hopping off).
   [[nodiscard]] static HopPattern fixed(const BandwidthSet& bands, std::size_t level);
 
+  /// The one level a fixed pattern picks: where a link with hopping off
+  /// transmits. BHSS_REQUIREs that exactly one level has a nonzero
+  /// probability.
+  [[nodiscard]] std::size_t fixed_level() const;
+
   [[nodiscard]] const BandwidthSet& bands() const noexcept { return bands_; }
   [[nodiscard]] const std::vector<double>& probabilities() const noexcept { return probs_; }
 

@@ -27,18 +27,14 @@ struct HopSegment {
   [[nodiscard]] std::size_t n_chips() const noexcept {
     return n_symbols * phy::kChipsPerSymbol;
   }
-  [[nodiscard]] std::size_t end_sample() const noexcept { return start_sample + n_samples; }
 };
 
 /// Complete schedule covering every symbol of a frame.
 struct HopSchedule {
   std::vector<HopSegment> segments;
   std::size_t total_symbols = 0;
-  std::size_t total_samples = 0;
-
-  /// Frame waveform length (half-sine pulses end exactly at segment
-  /// boundaries, so this equals total_samples).
-  [[nodiscard]] std::size_t waveform_samples() const noexcept { return total_samples; }
+  std::size_t total_samples = 0;  ///< frame waveform length (pulses end
+                                  ///< exactly at segment boundaries)
 
   /// Hops as a jammer would observe them over the air (bandwidths and
   /// start samples), optionally shifted by the propagation delay.

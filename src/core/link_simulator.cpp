@@ -25,14 +25,13 @@ namespace {
 /// across packets so the jammer's own randomness does not repeat.
 using AnyJammer =
     std::variant<std::monostate, jammer::NoiseJammer, jammer::HoppingJammer,
-                 jammer::ReactiveJammer, jammer::ToneJammer, jammer::SweptJammer,
-                 jammer::DutyCycleJammer, jammer::BandSweepJammer, jammer::EstimatingJammer>;
+                 jammer::ReactiveJammer, jammer::ToneJammer, jammer::DutyCycleJammer,
+                 jammer::BandSweepJammer, jammer::EstimatingJammer>;
 
 AnyJammer make_jammer(const JammerSpec& spec, std::uint64_t seed, const BandwidthSet& bands) {
   constexpr double kToneFreq = 0.01;            ///< tone: cycles/sample
-  constexpr double kSweepLo = -0.2;             ///< swept/band_sweep: band edges [cycles/sample]
+  constexpr double kSweepLo = -0.2;             ///< band_sweep: band edges [cycles/sample]
   constexpr double kSweepHi = 0.2;
-  constexpr std::size_t kSweepSamples = 65536;  ///< swept: samples per full sweep
   constexpr std::size_t kSweepSteps = 8;        ///< band_sweep: dwell positions per sweep
   constexpr double kSweepBwFrac = 0.08;         ///< band_sweep: occupied bandwidth per dwell
   constexpr std::size_t kEstimationHops = 32;   ///< estimating: observations before targeting
@@ -54,9 +53,6 @@ AnyJammer make_jammer(const JammerSpec& spec, std::uint64_t seed, const Bandwidt
                        spec.reaction_delay, seed, spec.estimation_samples);
     case Kind::tone:
       return AnyJammer(std::in_place_type<jammer::ToneJammer>, kToneFreq, seed);
-    case Kind::swept:
-      return AnyJammer(std::in_place_type<jammer::SweptJammer>, kSweepLo, kSweepHi, kSweepSamples,
-                       seed);
     case Kind::duty_cycle:
       return AnyJammer(std::in_place_type<jammer::DutyCycleJammer>, spec.bandwidth_frac,
                        spec.duty_period, spec.duty_fraction, seed);

@@ -28,8 +28,9 @@ struct JammerSpec {
     hopping,          ///< bandwidth-hopping jammer (§6.4.3)
     reactive,         ///< matches the observed bandwidth after a delay (§2)
     tone,             ///< one CW tone — the classic excision target [3]-[7]
-    swept,            ///< carrier sweeping across the band
-    duty_cycle,       ///< pulsed bursts, unit average power
+    // 5 was a swept carrier. params_hash hashes each kind's value, so the
+    // kinds after it keep theirs and journals keep their keys.
+    duty_cycle = 6,   ///< pulsed bursts, unit average power
     band_sweep,       ///< shaped-noise band stepping across the channel
     estimating,       ///< learns the hop distribution, jams the mode
   };

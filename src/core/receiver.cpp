@@ -7,7 +7,7 @@
 #include "core/transmitter.hpp"
 #include "dsp/utils.hpp"
 #include "phy/frame.hpp"
-#include "phy/modulator.hpp"
+#include "phy/modem.hpp"
 #include "phy/spreader.hpp"
 #include "sync/costas.hpp"
 
@@ -291,8 +291,7 @@ RxResult BhssReceiver::receive(dsp::cvec capture, std::uint64_t frame_counter,
     }
 
     BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::demod_despread);
-    const phy::QpskDemodulator demod(seg.sps);
-    const dsp::cvec pairs = demod.demodulate_pairs(clean, seg.n_chips());
+    const dsp::cvec pairs = phy::QpskModem::of(seg.sps).demodulate_pairs(clean, seg.n_chips());
 
     dsp::cf corr_sum{0.0F, 0.0F};
     std::size_t healthy = 0;

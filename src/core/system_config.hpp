@@ -39,8 +39,9 @@ struct SystemConfig {
   /// reaction time.
   std::size_t symbols_per_hop = 4;
 
-  bool hopping = true;              ///< false = fixed-bandwidth baseline
-  std::size_t fixed_bw_index = 0;   ///< level used when hopping is off
+  /// false = fixed-bandwidth baseline, at the one level of `pattern`
+  /// (HopPattern::fixed; HopPattern::fixed_level).
+  bool hopping = true;
 
   SyncMode sync = SyncMode::preamble;
   FilterPolicy filter_policy = FilterPolicy::adaptive;

@@ -1,10 +1,12 @@
 #include "core/transmitter.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "core/contracts.hpp"
+#include "dsp/simd/simd.hpp"
 #include "phy/frame.hpp"
-#include "phy/modulator.hpp"
+#include "phy/modem.hpp"
 #include "phy/spreader.hpp"
 
 namespace bhss::core {
@@ -23,7 +25,7 @@ FramePlan plan_frame(const SystemConfig& config, std::uint64_t frame_counter,
   plan.schedule =
       config.hopping
           ? HopSchedule::make(n_symbols, symbols_per_hop, pattern, rng)
-          : HopSchedule::fixed(n_symbols, config.pattern.bands(), config.fixed_bw_index);
+          : HopSchedule::fixed(n_symbols, config.pattern.bands(), config.pattern.fixed_level());
   return plan;
 }
 
@@ -32,38 +34,39 @@ BhssTransmitter::BhssTransmitter(SystemConfig config) : config_(std::move(config
 dsp::cvec BhssTransmitter::modulate_symbols(std::span<const std::uint8_t> symbols,
                                             std::size_t n_symbols, const HopSchedule& schedule,
                                             std::uint32_t scrambler_seed) {
-  phy::Spreader spreader(scrambler_seed);
   n_symbols = std::min(n_symbols, symbols.size());
+  const auto covered = [&](const HopSegment& seg) {
+    return std::min(seg.n_symbols, n_symbols - seg.first_symbol);
+  };
 
   // Waveform spans the samples of the covered symbols.
   std::size_t wave_len = 0;
   for (const HopSegment& seg : schedule.segments) {
     if (seg.first_symbol >= n_symbols) break;
-    const std::size_t syms_here = std::min(seg.n_symbols, n_symbols - seg.first_symbol);
-    wave_len = seg.start_sample + syms_here * phy::kChipsPerSymbol * seg.sps;
+    wave_len = seg.start_sample + covered(seg) * phy::kChipsPerSymbol * seg.sps;
   }
   dsp::cvec wave(wave_len, dsp::cf{0.0F, 0.0F});
 
+  // Each symbol is spread on the stack and modulated straight into its
+  // hop's span of the frame.
+  phy::Spreader spreader(scrambler_seed);
+  std::array<float, phy::kChipsPerSymbol> chips{};
   for (const HopSegment& seg : schedule.segments) {
     if (seg.first_symbol >= n_symbols) break;
-    const std::size_t syms_here = std::min(seg.n_symbols, n_symbols - seg.first_symbol);
-
-    std::vector<float> chips;
-    chips.reserve(syms_here * phy::kChipsPerSymbol);
-    for (std::size_t s = 0; s < syms_here; ++s) {
+    const phy::QpskModem& modem = phy::QpskModem::of(seg.sps);
+    const std::size_t symbol_samples = phy::kChipsPerSymbol * seg.sps;
+    const dsp::cspan_mut hop =
+        dsp::cspan_mut{wave}.subspan(seg.start_sample, covered(seg) * symbol_samples);
+    for (std::size_t s = 0; s < covered(seg); ++s) {
       spreader.spread_symbol(symbols[seg.first_symbol + s], chips);
+      modem.modulate(chips, hop.subspan(s * symbol_samples, symbol_samples));
     }
-
-    const phy::QpskModulator mod(seg.sps);
-    const dsp::cvec seg_wave = mod.modulate(chips);
 
     // Unit-energy pulses give a mean power of 1/sps; rescale so every hop
     // transmits at the same power (the power budget of §2 is constant —
     // hopping trades bandwidth, not power).
     const auto gain = static_cast<float>(std::sqrt(static_cast<double>(seg.sps)));
-    for (std::size_t i = 0; i < seg_wave.size(); ++i) {
-      wave[seg.start_sample + i] = gain * seg_wave[i];
-    }
+    dsp::simd::scale_inplace(hop.data(), gain, hop.size());
   }
   return wave;
 }

@@ -23,10 +23,4 @@ fvec half_sine_pulse(std::size_t samples_per_chip) {
   return g;
 }
 
-fvec half_sine_matched(std::size_t samples_per_chip) {
-  // Unit-energy pulse correlated with itself gives 1 at the optimum lag, so
-  // the matched filter is simply the (symmetric) pulse again.
-  return half_sine_pulse(samples_per_chip);
-}
-
 }  // namespace bhss::dsp

@@ -14,12 +14,8 @@ namespace bhss::dsp {
 ///   g[i] = sin(pi * i / sps), i = 0..sps-1.
 /// Scaling sps by 1/alpha is exactly the g(alpha t) bandwidth hop of the
 /// paper. The pulse is normalised to unit energy per chip so that hopping
-/// does not change transmit power.
+/// does not change transmit power. It is symmetric, so it is also its own
+/// matched filter, with unit gain at the optimum instant.
 [[nodiscard]] fvec half_sine_pulse(std::size_t samples_per_chip);
-
-/// Matched filter taps for the half-sine pulse (time-reversed pulse; the
-/// half-sine is symmetric so this equals the pulse itself), normalised so
-/// that the matched-filter output at the optimum instant has unit gain.
-[[nodiscard]] fvec half_sine_matched(std::size_t samples_per_chip);
 
 }  // namespace bhss::dsp

@@ -3,9 +3,9 @@
 /// @file band_sweep_jammer.hpp
 /// Stepped band-sweeping noise jammer: a non-stationary adversary that
 /// parks a narrow shaped-noise band at a sequence of centre frequencies
-/// marching across the channel and wrapping around. Unlike the CW chirp
-/// (SweptJammer in tone_jammer.hpp) this sweeps *noise of finite
-/// bandwidth*, so each dwell looks exactly like a partial-band jammer to
+/// marching across the channel and wrapping around. It sweeps *noise of
+/// finite bandwidth*, so each dwell looks exactly like a partial-band
+/// jammer to
 /// the receiver's PSD estimator — the excision filter can win each dwell,
 /// but the jammed region keeps moving, which exercises the suspicion
 /// decay in the adaptation loop (stale evidence must fade or the adapted

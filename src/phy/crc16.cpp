@@ -2,7 +2,8 @@
 
 namespace bhss::phy {
 
-std::uint16_t crc16_ccitt_update(std::uint16_t crc, std::span<const std::uint8_t> data) noexcept {
+std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) noexcept {
+  std::uint16_t crc = 0xFFFFU;
   for (std::uint8_t byte : data) {
     crc ^= static_cast<std::uint16_t>(static_cast<unsigned>(byte) << 8);
     for (int bit = 0; bit < 8; ++bit) {
@@ -14,10 +15,6 @@ std::uint16_t crc16_ccitt_update(std::uint16_t crc, std::span<const std::uint8_t
     }
   }
   return crc;
-}
-
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) noexcept {
-  return crc16_ccitt_update(0xFFFFU, data);
 }
 
 }  // namespace bhss::phy

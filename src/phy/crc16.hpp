@@ -15,8 +15,4 @@ namespace bhss::phy {
 /// no final xor) over `data`. check("123456789") == 0x29B1.
 [[nodiscard]] std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) noexcept;
 
-/// Incremental variant: continue a CRC with more data.
-[[nodiscard]] std::uint16_t crc16_ccitt_update(std::uint16_t crc,
-                                               std::span<const std::uint8_t> data) noexcept;
-
 }  // namespace bhss::phy

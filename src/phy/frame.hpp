@@ -26,11 +26,6 @@ struct FrameSpec {
   [[nodiscard]] static constexpr std::size_t total_symbols(std::size_t payload_len) noexcept {
     return preamble_symbols + sfd_symbols + length_symbols + 2 * payload_len + crc_symbols;
   }
-
-  /// Symbols that follow the preamble (what remains to decode after sync).
-  [[nodiscard]] static constexpr std::size_t post_preamble_symbols(std::size_t payload_len) noexcept {
-    return total_symbols(payload_len) - preamble_symbols;
-  }
 };
 
 /// Build the full symbol stream for a payload: preamble, SFD, length,

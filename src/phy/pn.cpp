@@ -29,8 +29,4 @@ bool LfsrPn::next_bit() noexcept {
 
 float LfsrPn::next_chip() noexcept { return next_bit() ? -1.0F : 1.0F; }
 
-void LfsrPn::fill_chips(std::span<float> out) noexcept {
-  for (float& c : out) c = next_chip();
-}
-
 }  // namespace bhss::phy

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "core/contracts.hpp"
-#include "dsp/types.hpp"
 
 namespace bhss::phy {
 
@@ -26,9 +25,6 @@ class LfsrPn {
 
   /// Next chip as +1.0f / -1.0f (bit 0 -> +1, bit 1 -> -1).
   [[nodiscard]] BHSS_HOT float next_chip() noexcept;
-
-  /// Fill a buffer with +-1 chips.
-  BHSS_HOT void fill_chips(std::span<float> out) noexcept;
 
   /// Current register state (for tests).
   [[nodiscard]] std::uint32_t state() const noexcept { return state_; }

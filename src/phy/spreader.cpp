@@ -15,27 +15,15 @@ static_assert((kChipsPerSymbol & (kChipsPerSymbol - 1)) == 0,
               "kChipsPerSymbol must be a power of two");
 static_assert((kNumSymbols & (kNumSymbols - 1)) == 0, "kNumSymbols must be a power of two");
 
-Spreader::Spreader(std::uint32_t scrambler_seed)
-    : scrambling_(scrambler_seed != 0), pn_(scrambler_seed) {}
+Spreader::Spreader(std::uint32_t scrambler_seed) : pn_(scrambler_seed) {}
 
-void Spreader::spread_symbol(std::uint8_t symbol, std::vector<float>& out) {
+void Spreader::spread_symbol(std::uint8_t symbol, std::span<float, kChipsPerSymbol> out) {
   BHSS_REQUIRE(symbol < kNumSymbols, "spread_symbol: symbol must be 0..15");
   const ChipSequence& row = ChipTable::instance().sequence(symbol);
-  for (std::size_t c = 0; c < kChipsPerSymbol; ++c) {
-    const float s = scrambling_ ? pn_.next_chip() : 1.0F;
-    out.push_back(row[c] * s);
-  }
+  for (std::size_t c = 0; c < out.size(); ++c) out[c] = row[c] * pn_.next_chip();
 }
 
-std::vector<float> Spreader::spread(std::span<const std::uint8_t> symbols) {
-  std::vector<float> out;
-  out.reserve(symbols.size() * kChipsPerSymbol);
-  for (std::uint8_t s : symbols) spread_symbol(s, out);
-  return out;
-}
-
-Despreader::Despreader(std::uint32_t scrambler_seed)
-    : scrambling_(scrambler_seed != 0), pn_(scrambler_seed) {}
+Despreader::Despreader(std::uint32_t scrambler_seed) : pn_(scrambler_seed) {}
 
 DespreadResult Despreader::despread_symbol(std::span<const float> soft_chips) {
   BHSS_REQUIRE(soft_chips.size() == kChipsPerSymbol, "despread_symbol: need exactly 32 soft chips");
@@ -43,8 +31,7 @@ DespreadResult Despreader::despread_symbol(std::span<const float> soft_chips) {
   // Undo the scrambler once, then correlate with every candidate row.
   std::array<float, kChipsPerSymbol> descrambled{};
   for (std::size_t c = 0; c < kChipsPerSymbol; ++c) {
-    const float s = scrambling_ ? pn_.next_chip() : 1.0F;
-    descrambled[c] = soft_chips[c] * s;
+    descrambled[c] = soft_chips[c] * pn_.next_chip();
   }
 
   DespreadResult result;
@@ -79,8 +66,8 @@ DespreadPairsResult Despreader::despread_pairs(dsp::cspan pairs) {
   std::array<float, kChipsPerSymbol / 2> so;
   double max_corr = 0.0;
   for (std::size_t m = 0; m < pairs.size(); ++m) {
-    se[m] = scrambling_ ? pn_.next_chip() : 1.0F;
-    so[m] = scrambling_ ? pn_.next_chip() : 1.0F;
+    se[m] = pn_.next_chip();
+    so[m] = pn_.next_chip();
     max_corr += static_cast<double>(dsp::simd::abs(pairs[m])) * std::numbers::sqrt2;
   }
 

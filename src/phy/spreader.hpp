@@ -1,9 +1,9 @@
 #pragma once
 
 /// @file spreader.hpp
-/// DSSS spreading / despreading on top of the 16-ary chip table, with an
-/// optional PN scrambler so the over-the-air chip stream is unpredictable
-/// to the jammer (the "PN sequence" box of Fig. 4/6 in the paper).
+/// DSSS spreading / despreading on top of the 16-ary chip table, with a
+/// PN scrambler so the over-the-air chip stream is unpredictable to the
+/// jammer (the "PN sequence" box of Fig. 4/6 in the paper).
 ///
 /// Spreading: 4-bit symbol -> 32 chips from the table, each multiplied by
 /// a +-1 scrambler chip drawn from a seeded LFSR. Despreading: multiply
@@ -22,20 +22,17 @@ namespace bhss::phy {
 
 /// Streaming spreader: converts a symbol stream into antipodal chips.
 /// The scrambler LFSR advances 32 chips per symbol; transmitter and
-/// receiver must construct their Spreader/Despreader from the same seed.
+/// receiver must construct their Spreader/Despreader from the same seed
+/// (a link derives it per frame, SharedRandom::derive_scrambler_seed).
 class Spreader {
  public:
-  /// @param scrambler_seed  shared PN seed; 0 disables scrambling.
-  explicit Spreader(std::uint32_t scrambler_seed = 0);
+  /// @param scrambler_seed  shared PN seed (LfsrPn maps 0 to state 1)
+  explicit Spreader(std::uint32_t scrambler_seed);
 
-  /// Spread one 4-bit symbol into 32 chips appended to `out`.
-  void spread_symbol(std::uint8_t symbol, std::vector<float>& out);
-
-  /// Spread a symbol sequence; returns 32 * symbols.size() chips.
-  [[nodiscard]] std::vector<float> spread(std::span<const std::uint8_t> symbols);
+  /// Spread one 4-bit symbol into its 32 scrambled chips.
+  void spread_symbol(std::uint8_t symbol, std::span<float, kChipsPerSymbol> out);
 
  private:
-  bool scrambling_;
   LfsrPn pn_;
 };
 
@@ -61,19 +58,18 @@ struct DespreadPairsResult {
 /// scrambler stays aligned with the transmitter's).
 class Despreader {
  public:
-  explicit Despreader(std::uint32_t scrambler_seed = 0);
+  explicit Despreader(std::uint32_t scrambler_seed);
 
   /// Correlate 32 received soft chips against all table rows.
   [[nodiscard]] BHSS_HOT DespreadResult despread_symbol(std::span<const float> soft_chips);
 
-  /// Correlate 16 complex chip pairs (from
-  /// QpskDemodulator::demodulate_pairs) against all table rows. The
+  /// Correlate 16 complex chip pairs (from QpskModem::demodulate_pairs)
+  /// against all table rows. The
   /// decision maximises the coherent (real) correlation; the returned
   /// complex value additionally measures the residual carrier phase.
   [[nodiscard]] BHSS_HOT DespreadPairsResult despread_pairs(dsp::cspan pairs);
 
  private:
-  bool scrambling_;
   LfsrPn pn_;
 };
 

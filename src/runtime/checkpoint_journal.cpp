@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstring>
@@ -133,11 +132,6 @@ const std::string* CheckpointJournal::find_shard_obs(const JournalKey& key,
   return it == shard_obs_.end() ? nullptr : &it->second;
 }
 
-void CheckpointJournal::simulate_disk_full_after(std::size_t bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  write_budget_ = bytes;
-}
-
 void CheckpointJournal::append_line(const std::string& body) {
   const std::string line = journal::seal_line(body) + "\n";
   BHSS_DEBUG_ASSERT(line.find('\n') == line.size() - 1,
@@ -152,19 +146,11 @@ void CheckpointJournal::append_line(const std::string& body) {
   // caller must not report the work unit as journaled, and whatever
   // half-line landed on disk is exactly the torn tail the CRC scan
   // truncates on the next resume.
-  std::size_t writable = line.size();
-  bool simulated_full = false;
-  if (write_budget_ != kNoWriteBudget) {
-    writable = std::min(writable, write_budget_);
-    write_budget_ -= writable;
-    simulated_full = writable < line.size();
-  }
-  const std::size_t written =
-      writable == 0 ? 0 : std::fwrite(line.data(), 1, writable, file_);
+  const std::size_t written = std::fwrite(line.data(), 1, line.size(), file_);
   if (std::fflush(file_) != 0 || written < line.size()) {
+    const int err = errno;
     write_failed_ = true;
     ::fsync(::fileno(file_));  // persist the torn prefix; the CRC scan drops it
-    const int err = simulated_full ? ENOSPC : errno;
     throw JournalWriteError("short write on " + path_ + " (" + std::to_string(written) +
                             "/" + std::to_string(line.size()) + " bytes, " +
                             std::strerror(err) + ")");

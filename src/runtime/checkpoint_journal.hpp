@@ -56,8 +56,8 @@
 
 namespace bhss::runtime {
 
-/// A journal append could not be made durable (ENOSPC, short write, fsync
-/// failure). The record is NOT on disk — or is a torn half-line the next
+/// A journal append could not be made durable (ENOSPC, EFBIG, short
+/// write, fsync failure). The record is NOT on disk — or is a torn half-line the next
 /// resume's CRC scan will truncate — so the caller must not account the
 /// work unit as checkpointed. The journal refuses further appends after
 /// the first write failure: interleaving records after a hole would leave
@@ -130,12 +130,6 @@ class CheckpointJournal {
   void record_shard(const JournalKey& key, std::size_t shard, const core::LinkStats& stats,
                     const std::string* obs_blob = nullptr);
 
-  /// Test hook: fail appends as if the disk filled after `bytes` more
-  /// bytes reach the file. The partial line that fits is really written
-  /// (producing a genuine torn tail for resume tests); the append that
-  /// exceeds the budget throws JournalWriteError.
-  void simulate_disk_full_after(std::size_t bytes);
-
   /// Flush + fsync any buffered bytes (appends already fsync; this is for
   /// the graceful-shutdown drain path to be explicit).
   void flush();
@@ -153,9 +147,6 @@ class CheckpointJournal {
   std::size_t replayed_ = 0;
   bool tail_truncated_ = false;
   bool write_failed_ = false;
-
-  static constexpr std::size_t kNoWriteBudget = static_cast<std::size_t>(-1);
-  std::size_t write_budget_ = kNoWriteBudget;  ///< disk-full simulation hook
 
   // Keyed by "<point> <hash-hex> <shard>".
   std::unordered_map<std::string, core::LinkStats> shards_;

@@ -135,7 +135,7 @@ bool ParallelLinkRunner::interrupt_requested() noexcept {
 // resume can silently reuse work computed under different parameters
 // (CampaignRunner.ParamsHashCoversConfigAndShardCount counts the fields).
 std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
-                                              std::size_t n_shards) noexcept {
+                                              std::size_t n_shards) {
   Fnv1a h;
 
   const core::SystemConfig& sys = cfg.system;
@@ -147,7 +147,9 @@ std::uint64_t ParallelLinkRunner::params_hash(const core::SimConfig& cfg,
   h.vec(sys.pattern.probabilities());
   h.u64(sys.symbols_per_hop);
   h.u64(sys.hopping ? 1 : 0);
-  h.u64(sys.fixed_bw_index);
+  // Where the field that named a hopping-off link's level was hashed, so
+  // every journal keeps its keys.
+  h.u64(sys.hopping ? 0 : sys.pattern.fixed_level());
   h.enm(sys.sync);
   h.enm(sys.filter_policy);
   const core::ControlLogicConfig& logic = sys.logic;

@@ -139,9 +139,11 @@ class ParallelLinkRunner {
 
   /// Fingerprint of every SimConfig field that can change the merged
   /// statistics, plus `n_shards`. Journal records carry it so a resumed
-  /// run never reuses work computed under different parameters.
+  /// run never reuses work computed under different parameters. Refuses
+  /// (BHSS_REQUIRE) what plan_frame refuses: hopping off on a pattern of
+  /// more than one level.
   [[nodiscard]] static std::uint64_t params_hash(const core::SimConfig& cfg,
-                                                 std::size_t n_shards) noexcept;
+                                                 std::size_t n_shards);
 
   // -- graceful shutdown ------------------------------------------------
   /// Route SIGINT/SIGTERM to a drain request (process-wide; call once

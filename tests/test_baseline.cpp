@@ -12,10 +12,8 @@ namespace {
 TEST(DsssBaseline, ConfigDisablesHopping) {
   const core::SystemConfig cfg = dsss_config(core::BandwidthSet::paper(), 2);
   EXPECT_FALSE(cfg.hopping);
-  EXPECT_EQ(cfg.fixed_bw_index, 2U);
+  EXPECT_EQ(cfg.pattern.fixed_level(), 2U);
   EXPECT_EQ(cfg.filter_policy, core::FilterPolicy::adaptive);
-  const core::SystemConfig raw = dsss_config_unfiltered(core::BandwidthSet::paper(), 2);
-  EXPECT_EQ(raw.filter_policy, core::FilterPolicy::off);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@ dsp::cvec make_slice(const BandwidthSet& bands, std::size_t level, double snr_db
   SystemConfig sys;
   sys.pattern = HopPattern::fixed(bands, level);
   sys.hopping = false;
-  sys.fixed_bw_index = level;
   const BhssTransmitter tx(sys);
   const std::vector<std::uint8_t> payload(16, 0x5A);
   dsp::cvec wave = tx.transmit(payload, seed).samples;
@@ -148,7 +147,6 @@ TEST(ControlLogic, ExcisionFromDecideIsForceExcisionBitForBit) {
     SystemConfig sys;
     sys.pattern = HopPattern::fixed(bands, level);
     sys.hopping = false;
-    sys.fixed_bw_index = level;
     const std::size_t symbol_len = 32 * bands.sps(level);
     const std::vector<std::uint8_t> payload(
         std::min(phy::FrameSpec::max_payload, 8 + 32768 / (2 * symbol_len)), 0x5A);

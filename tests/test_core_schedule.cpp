@@ -35,11 +35,9 @@ TEST(HopSchedule, SamplesAreContiguous) {
     EXPECT_EQ(seg.start_sample, sample);
     EXPECT_EQ(seg.n_samples, seg.n_symbols * 32 * seg.sps);
     EXPECT_EQ(seg.n_chips(), seg.n_symbols * 32);
-    EXPECT_EQ(seg.end_sample(), seg.start_sample + seg.n_samples);
     sample += seg.n_samples;
   }
   EXPECT_EQ(s.total_samples, sample);
-  EXPECT_EQ(s.waveform_samples(), sample);
 }
 
 TEST(HopSchedule, DeterministicGivenSameRandomState) {

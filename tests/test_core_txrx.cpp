@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <numbers>
 
@@ -33,7 +34,7 @@ SystemConfig hopping_config(HopPatternType type = HopPatternType::linear) {
 TEST(Transmitter, WaveformLengthMatchesSchedule) {
   const BhssTransmitter tx(hopping_config());
   const Transmission t = tx.transmit(test_payload(8), 1);
-  EXPECT_EQ(t.samples.size(), t.schedule.waveform_samples());
+  EXPECT_EQ(t.samples.size(), t.schedule.total_samples);
   EXPECT_EQ(t.symbols.size(), phy::FrameSpec::total_symbols(8));
   EXPECT_EQ(t.schedule.total_symbols, t.symbols.size());
 }
@@ -64,6 +65,7 @@ TEST(Transmitter, ChipStreamUnpredictableAcrossFrames) {
   // where the schedules coincide (PN scrambling, §3).
   SystemConfig cfg = hopping_config();
   cfg.hopping = false;  // fix the schedule so only the scrambler differs
+  cfg.pattern = HopPattern::fixed(cfg.pattern.bands(), 0);
   const BhssTransmitter tx(cfg);
   const Transmission a = tx.transmit(test_payload(8), 1);
   const Transmission b = tx.transmit(test_payload(8), 2);
@@ -73,6 +75,65 @@ TEST(Transmitter, ChipStreamUnpredictableAcrossFrames) {
     if (std::abs(a.samples[i] - b.samples[i]) < 1e-6F) ++same;
   }
   EXPECT_LT(same, a.samples.size() / 2);
+}
+
+/// FNV-1a 64 over the float words, least significant byte first.
+std::uint64_t fnv1a(const dsp::cvec& x) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t i = 0; i < 2 * x.size(); ++i) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, reinterpret_cast<const float*>(x.data()) + i, sizeof(w));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(BhssTransmitter, FrameIsPinned) {
+  // The exact bits, by digest, of transmitted frames on the paper's
+  // bandwidth set: the three Table 1 patterns at one, four and 1024
+  // symbols per hop (one hop per symbol, the link's default, and one hop
+  // per frame, at levels 6, 3 and 5), one frame under a hop override, and
+  // the preamble reference the receiver correlates against. Power and
+  // round-trip tests pass a modulator change that moves the last bit of a
+  // sample; this one does not, in any build, scalar or vector.
+  const auto payload = test_payload(8);
+  const std::array<HopPatternType, 3> types = {
+      HopPatternType::linear, HopPatternType::exponential, HopPatternType::parabolic};
+  const std::array<std::size_t, 3> dwells = {1, 4, 1024};
+  const std::array<std::array<std::uint64_t, 3>, 3> pins = {{
+      {0x943849557C49B5A5ULL, 0xEF579CA943151225ULL, 0xE24FB1A82CB80B25ULL},
+      {0xEF68E044F4C375A5ULL, 0x8C95EBA3ED973C25ULL, 0x8DB6ADA308B73425ULL},
+      {0x0E5AB1A3A791CDA5ULL, 0xF2DC7A5F1FEE2725ULL, 0x48B9792DCC38FB25ULL},
+  }};
+  for (std::size_t p = 0; p < types.size(); ++p) {
+    for (std::size_t d = 0; d < dwells.size(); ++d) {
+      SystemConfig cfg = hopping_config(types[p]);
+      cfg.symbols_per_hop = dwells[d];
+      const Transmission t = BhssTransmitter(cfg).transmit(payload, 11 + 3 * p + d);
+      ASSERT_EQ(t.samples.size(), t.schedule.total_samples);
+      EXPECT_EQ(fnv1a(t.samples), pins[p][d])
+          << to_string(types[p]) << " at " << dwells[d] << " symbols per hop";
+    }
+  }
+
+  // An override: the exponential pattern at two symbols per hop on a
+  // linear link.
+  const SystemConfig cfg = hopping_config();
+  const HopPattern exponential = HopPattern::make(HopPatternType::exponential,
+                                                  cfg.pattern.bands());
+  const Transmission over = BhssTransmitter(cfg).transmit(payload, 12, {&exponential, 2});
+  EXPECT_EQ(fnv1a(over.samples), 0xD42B83FBE0521725ULL);
+
+  // The receiver's reference: the eight preamble symbols over the first
+  // hops of frame 13's schedule.
+  const FramePlan plan = plan_frame(cfg, 13, phy::FrameSpec::total_symbols(payload.size()));
+  const std::vector<std::uint8_t> preamble(phy::FrameSpec::preamble_symbols, 0);
+  const dsp::cvec reference = BhssTransmitter::modulate_symbols(
+      preamble, preamble.size(), plan.schedule, plan.scrambler_seed);
+  EXPECT_EQ(fnv1a(reference), 0x5BA644008E807C25ULL);
 }
 
 TEST(FramePlan, OverrideOfAnotherBandCountIsRefusedByBothEnds) {
@@ -132,7 +193,7 @@ class FixedLevelRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(FixedLevelRoundTrip, EveryBandwidthDecodes) {
   SystemConfig cfg = hopping_config();
   cfg.hopping = false;
-  cfg.fixed_bw_index = GetParam();
+  cfg.pattern = HopPattern::fixed(cfg.pattern.bands(), GetParam());
   const BhssTransmitter tx(cfg);
   const BhssReceiver rx(cfg);
   channel::AwgnSource noise(44);

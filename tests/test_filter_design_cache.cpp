@@ -81,7 +81,6 @@ dsp::cvec jammed_slice(const BandwidthSet& bands, std::size_t level, std::uint64
   SystemConfig sys;
   sys.pattern = HopPattern::fixed(bands, level);
   sys.hopping = false;
-  sys.fixed_bw_index = level;
   const BhssTransmitter tx(sys);
   const std::vector<std::uint8_t> payload(16, 0x5A);
   dsp::cvec wave = tx.transmit(payload, seed).samples;

@@ -96,6 +96,30 @@ void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcep
 namespace bhss::core {
 namespace {
 
+TEST(HeapBudget, TransmitHoldsOneFrame) {
+  // One frame at the paper's narrowest level in one 1024-symbol hop: the
+  // transmitter modulates each hop straight into the frame, so what it
+  // holds beyond the frame it returns is the frame's symbols and schedule.
+  const BandwidthSet bands = BandwidthSet::paper();
+  SystemConfig sys;
+  sys.pattern = HopPattern::fixed(bands, bands.narrowest_index());
+  sys.symbols_per_hop = 1024;
+  const BhssTransmitter tx(sys);
+  const std::vector<std::uint8_t> payload(6);
+  // The first frame builds the process-wide chip table.
+  ASSERT_EQ(tx.transmit(payload, 0).schedule.segments.size(), 1U);
+  const std::size_t live_before = t_live;
+  t_high = t_live;
+  const Transmission t = tx.transmit(payload, 1);
+  const std::size_t high_water = t_high - live_before;
+  const std::size_t frame_bytes = t.samples.size() * sizeof(dsp::cf);
+  ASSERT_GT(frame_bytes, std::size_t{100'000} * sizeof(dsp::cf));
+  EXPECT_LT(4 * high_water, 5 * frame_bytes)
+      << "transmit high-water " << high_water << " B = "
+      << static_cast<double>(high_water) / static_cast<double>(frame_bytes)
+      << " frames of " << frame_bytes << " B";
+}
+
 TEST(HeapBudget, NarrowestFrameHoldsUnderThreeFrames) {
   // The Fig. 14 point at the paper's narrowest level (0.156 MHz at
   // 20 MS/s): a 6-byte frame is about 115 k samples, and the 1/128 noise

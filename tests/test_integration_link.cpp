@@ -146,8 +146,9 @@ TEST(LinkIntegration, HoppingDefeatsReactiveJammer) {
   // transmitter that hops faster than the reaction time, many hops escape
   // with a large bandwidth offset and survive.
   SimConfig fixed = base_config();
+  const HopPattern hop_pattern = fixed.system.pattern;
   fixed.system.hopping = false;
-  fixed.system.fixed_bw_index = 1;
+  fixed.system.pattern = HopPattern::fixed(hop_pattern.bands(), 1);
   fixed.jammer.kind = JammerSpec::Kind::reactive;
   fixed.jammer.reaction_delay = 4096;  // ~200 us at 20 MS/s
   fixed.jnr_db = 30.0;
@@ -156,6 +157,7 @@ TEST(LinkIntegration, HoppingDefeatsReactiveJammer) {
 
   SimConfig hopping = fixed;
   hopping.system.hopping = true;
+  hopping.system.pattern = hop_pattern;
   hopping.system.symbols_per_hop = 2;
 
   const LinkStats s_fixed = run_link(fixed);

@@ -30,17 +30,6 @@ TEST(Crc16, KnownSingleBytes) {
   EXPECT_EQ(crc16_ccitt(zero), 0xE1F0);
 }
 
-TEST(Crc16, IncrementalMatchesOneShot) {
-  const auto data = bytes("the quick brown fox jumps over the lazy dog");
-  const std::uint16_t one_shot = crc16_ccitt(data);
-  for (std::size_t split = 0; split <= data.size(); split += 5) {
-    std::uint16_t crc = 0xFFFF;
-    crc = crc16_ccitt_update(crc, std::span<const std::uint8_t>{data}.first(split));
-    crc = crc16_ccitt_update(crc, std::span<const std::uint8_t>{data}.subspan(split));
-    EXPECT_EQ(crc, one_shot) << "split=" << split;
-  }
-}
-
 class CrcBitFlipSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CrcBitFlipSweep, DetectsEverySingleBitError) {

@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <random>
 
-#include "phy/modulator.hpp"
 #include "phy/spreader.hpp"
 
 namespace bhss::phy {
@@ -19,7 +19,7 @@ namespace {
 dsp::cvec make_pairs(std::uint8_t symbol, std::uint32_t seed, float phase,
                      float noise_sigma, unsigned noise_seed) {
   Spreader spread(seed);
-  std::vector<float> chips;
+  std::array<float, kChipsPerSymbol> chips;
   spread.spread_symbol(symbol, chips);
   dsp::cvec pairs(kChipsPerSymbol / 2);
   const dsp::cf rot{std::cos(phase), std::sin(phase)};
@@ -109,7 +109,7 @@ TEST(DespreadPairs, ScramblerStreamsStayAligned) {
   Despreader despread(0xF00D);
   const std::vector<std::uint8_t> symbols = {1, 14, 7, 0, 9, 9, 2, 15};
   for (std::uint8_t sym : symbols) {
-    std::vector<float> chips;
+    std::array<float, kChipsPerSymbol> chips;
     spread.spread_symbol(sym, chips);
     dsp::cvec pairs(kChipsPerSymbol / 2);
     for (std::size_t m = 0; m < pairs.size(); ++m) {

@@ -18,8 +18,6 @@ std::vector<std::uint8_t> test_payload(std::size_t n) {
 TEST(FrameSpec, SymbolAccounting) {
   EXPECT_EQ(FrameSpec::total_symbols(0), 8U + 2U + 2U + 0U + 4U);
   EXPECT_EQ(FrameSpec::total_symbols(10), 16U + 20U);
-  EXPECT_EQ(FrameSpec::post_preamble_symbols(10),
-            FrameSpec::total_symbols(10) - FrameSpec::preamble_symbols);
 }
 
 TEST(Frame, LayoutStartsWithPreambleAndSfd) {

@@ -1,5 +1,5 @@
-// Unit tests for the half-sine QPSK chip modulator/demodulator — the block
-// whose pulse duration realises bandwidth hopping (eq. (1)).
+// Unit tests for the half-sine QPSK chip modem — the block whose pulse
+// duration realises bandwidth hopping (eq. (1)).
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 
 #include "dsp/psd.hpp"
 #include "dsp/utils.hpp"
-#include "phy/modulator.hpp"
+#include "phy/modem.hpp"
 
 namespace bhss::phy {
 namespace {
@@ -19,32 +19,56 @@ std::vector<float> random_chips(std::size_t n, unsigned seed) {
   return chips;
 }
 
+/// The waveform of `chips` at `sps` samples per chip.
+dsp::cvec modulated(std::size_t sps, std::span<const float> chips) {
+  dsp::cvec wave(chips.size() * sps);
+  QpskModem(sps).modulate(chips, wave);
+  return wave;
+}
+
+/// Soft chips: the even chip of each matched-filter pair on the real
+/// part, the odd one on the imaginary part.
+std::vector<float> soft_chips(std::size_t sps, dsp::cspan wave, std::size_t n_chips) {
+  const dsp::cvec pairs = QpskModem(sps).demodulate_pairs(wave, n_chips);
+  std::vector<float> soft;
+  for (const dsp::cf& p : pairs) {
+    soft.push_back(p.real());
+    soft.push_back(p.imag());
+  }
+  return soft;
+}
+
 class ModulatorSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ModulatorSweep, OutputLengthIsExact) {
+  // Every one of the chips * sps output samples carries pulse energy
+  // (midpoint sampling), and nothing past them is written.
   const std::size_t sps = GetParam();
-  const QpskModulator mod(sps);
+  const QpskModem modem(sps);
   const auto chips = random_chips(64, 1);
-  const dsp::cvec wave = mod.modulate(chips);
-  EXPECT_EQ(wave.size(), 64 * sps);
-  EXPECT_EQ(mod.segment_samples(64), 64 * sps);
+  const dsp::cf sentinel{9.0F, 9.0F};
+  dsp::cvec wave(64 * sps + 1, sentinel);
+  modem.modulate(chips, dsp::cspan_mut{wave}.first(64 * sps));
+  for (std::size_t i = 0; i < 64 * sps; ++i) {
+    ASSERT_NE(wave[i], sentinel) << "sample " << i;
+    ASSERT_GT(std::abs(wave[i]), 0.0F) << "sample " << i;
+  }
+  EXPECT_EQ(wave.back(), sentinel);
+  EXPECT_THROW(modem.modulate(chips, wave), std::invalid_argument);
 }
 
 TEST_P(ModulatorSweep, NominalPowerIsOneOverSps) {
+  // Two unit-energy rails per 2 * sps samples.
   const std::size_t sps = GetParam();
-  const QpskModulator mod(sps);
-  const auto chips = random_chips(256, 2);
-  const dsp::cvec wave = mod.modulate(chips);
-  EXPECT_NEAR(dsp::mean_power(wave), mod.nominal_power(), mod.nominal_power() * 1e-4);
+  const dsp::cvec wave = modulated(sps, random_chips(256, 2));
+  const double nominal = 1.0 / static_cast<double>(sps);
+  EXPECT_NEAR(dsp::mean_power(wave), nominal, nominal * 1e-4);
 }
 
 TEST_P(ModulatorSweep, CleanRoundTrip) {
   const std::size_t sps = GetParam();
-  const QpskModulator mod(sps);
-  const QpskDemodulator demod(sps);
   const auto chips = random_chips(128, 3);
-  const dsp::cvec wave = mod.modulate(chips);
-  const std::vector<float> soft = demod.demodulate(wave, chips.size());
+  const std::vector<float> soft = soft_chips(sps, modulated(sps, chips), chips.size());
   ASSERT_EQ(soft.size(), chips.size());
   for (std::size_t c = 0; c < chips.size(); ++c) {
     EXPECT_GT(soft[c] * chips[c], 0.0F) << "chip " << c;  // correct sign
@@ -55,10 +79,8 @@ TEST_P(ModulatorSweep, SoftChipsAreUniformMagnitude) {
   // Matched filtering unit-energy pulses at the peak: every soft chip has
   // the same magnitude (no inter-pair interference).
   const std::size_t sps = GetParam();
-  const QpskModulator mod(sps);
-  const QpskDemodulator demod(sps);
   const auto chips = random_chips(64, 4);
-  const std::vector<float> soft = demod.demodulate(mod.modulate(chips), chips.size());
+  const std::vector<float> soft = soft_chips(sps, modulated(sps, chips), chips.size());
   const float ref = std::abs(soft[0]);
   for (float s : soft) EXPECT_NEAR(std::abs(s), ref, ref * 1e-4F);
 }
@@ -68,9 +90,8 @@ INSTANTIATE_TEST_SUITE_P(SpsLevels, ModulatorSweep, ::testing::Values(2, 4, 8, 1
 TEST(Modulator, PhaseIsConstantWithinAPair) {
   // Non-offset QPSK with a common envelope: the instantaneous phase within
   // one chip pair never changes — the property the Costas loop relies on.
-  const QpskModulator mod(8);
   const std::vector<float> chips = {1.0F, -1.0F};
-  const dsp::cvec wave = mod.modulate(chips);
+  const dsp::cvec wave = modulated(8, chips);
   const float ref = std::arg(wave[8]);
   for (std::size_t i = 0; i < wave.size(); ++i) {
     if (std::abs(wave[i]) > 1e-3F) {
@@ -83,9 +104,7 @@ TEST(Modulator, BandwidthScalesInverselyWithSps) {
   // Eq. (1): stretching the pulse by alpha shrinks the spectrum by alpha.
   // Measured as the 99 % occupied bandwidth of long random-chip waveforms.
   auto measured_bw = [](std::size_t sps) {
-    const QpskModulator mod(sps);
-    const auto chips = random_chips(8192, 7);
-    const dsp::cvec wave = mod.modulate(chips);
+    const dsp::cvec wave = modulated(sps, random_chips(8192, 7));
     return dsp::occupied_bandwidth(dsp::welch_psd(wave, 512), 0.99);
   };
   const double bw2 = measured_bw(2);
@@ -98,22 +117,28 @@ TEST(Modulator, BandwidthScalesInverselyWithSps) {
 }
 
 TEST(Modulator, RejectsInvalidSps) {
-  EXPECT_THROW(QpskModulator(0), std::invalid_argument);
-  EXPECT_THROW(QpskModulator(1), std::invalid_argument);
-  EXPECT_THROW(QpskModulator(3), std::invalid_argument);
-  EXPECT_THROW(QpskDemodulator(5), std::invalid_argument);
+  EXPECT_THROW(QpskModem(0), std::invalid_argument);
+  EXPECT_THROW(QpskModem(1), std::invalid_argument);
+  EXPECT_THROW(QpskModem(3), std::invalid_argument);
+  EXPECT_THROW((void)QpskModem::of(5), std::invalid_argument);
+}
+
+TEST(Modulator, OneModemPerSpsIsShared) {
+  EXPECT_EQ(&QpskModem::of(8), &QpskModem::of(8));
+  EXPECT_NE(&QpskModem::of(8), &QpskModem::of(16));
 }
 
 TEST(Modulator, RejectsOddChipCount) {
-  const QpskModulator mod(4);
+  const QpskModem modem(4);
   const std::vector<float> chips(3, 1.0F);
-  EXPECT_THROW((void)mod.modulate(chips), std::invalid_argument);
+  dsp::cvec wave(12);
+  EXPECT_THROW(modem.modulate(chips, wave), std::invalid_argument);
 }
 
 TEST(Demodulator, RejectsShortInput) {
-  const QpskDemodulator demod(4);
+  const QpskModem modem(4);
   const dsp::cvec wave(10);
-  EXPECT_THROW((void)demod.demodulate(wave, 4), std::invalid_argument);
+  EXPECT_THROW((void)modem.demodulate_pairs(wave, 4), std::invalid_argument);
 }
 
 }  // namespace

@@ -53,9 +53,8 @@ TEST(LfsrPn, ZeroSeedRemapped) {
 
 TEST(LfsrPn, ChipsAreAntipodal) {
   LfsrPn pn(7);
-  std::vector<float> chips(1000);
-  pn.fill_chips(chips);
-  for (float c : chips) {
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const float c = pn.next_chip();
     EXPECT_TRUE(c == 1.0F || c == -1.0F);
   }
 }
@@ -72,7 +71,7 @@ TEST(LfsrPn, LowAutocorrelation) {
   LfsrPn a(0x5555);
   LfsrPn b(0x5555);
   std::vector<float> seq(65535);
-  a.fill_chips(seq);
+  for (float& c : seq) c = a.next_chip();
   for (std::size_t lag : {1UL, 7UL, 100UL, 30000UL}) {
     double corr = 0.0;
     for (std::size_t i = 0; i < seq.size(); ++i) {

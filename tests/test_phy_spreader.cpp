@@ -1,9 +1,10 @@
-// Unit tests for DSSS spreading/despreading with and without the PN
-// scrambler, including noise tolerance (the 9 dB processing gain of the
-// paper's spreading factor 8).
+// Unit tests for DSSS spreading/despreading through the PN scrambler,
+// including noise tolerance (the 9 dB processing gain of the paper's
+// spreading factor 8).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 #include "phy/spreader.hpp"
@@ -11,14 +12,30 @@
 namespace bhss::phy {
 namespace {
 
+using Chips = std::array<float, kChipsPerSymbol>;
+
+/// The chips of `symbols`, spread one after another.
+std::vector<float> spread_all(Spreader& spread, const std::vector<std::uint8_t>& symbols) {
+  std::vector<float> out(symbols.size() * kChipsPerSymbol);
+  for (std::size_t s = 0; s < symbols.size(); ++s) {
+    spread.spread_symbol(symbols[s],
+                         std::span<float, kChipsPerSymbol>{out.data() + s * kChipsPerSymbol,
+                                                           kChipsPerSymbol});
+  }
+  return out;
+}
+
 class SymbolRoundTrip : public ::testing::TestWithParam<std::uint8_t> {};
 
 TEST_P(SymbolRoundTrip, CleanRoundTripWithoutScrambler) {
+  // Seed 0 once switched the scrambler off. The scrambler is always on
+  // now and the LFSR maps seed 0 to state 1, so the chips on air are not
+  // the table row, and the round trip still holds.
   Spreader spread(0);
   Despreader despread(0);
-  std::vector<float> chips;
+  Chips chips;
   spread.spread_symbol(GetParam(), chips);
-  ASSERT_EQ(chips.size(), kChipsPerSymbol);
+  EXPECT_NE(chips, ChipTable::instance().sequence(GetParam()));
   const DespreadResult r = despread.despread_symbol(chips);
   EXPECT_EQ(r.symbol, GetParam());
   EXPECT_FLOAT_EQ(r.correlation, 32.0F);
@@ -28,7 +45,7 @@ TEST_P(SymbolRoundTrip, CleanRoundTripWithoutScrambler) {
 TEST_P(SymbolRoundTrip, CleanRoundTripWithScrambler) {
   Spreader spread(0xC0DE);
   Despreader despread(0xC0DE);
-  std::vector<float> chips;
+  Chips chips;
   spread.spread_symbol(GetParam(), chips);
   const DespreadResult r = despread.despread_symbol(chips);
   EXPECT_EQ(r.symbol, GetParam());
@@ -42,7 +59,7 @@ TEST(Spreader, StreamRoundTrip) {
   const std::vector<std::uint8_t> symbols = {0, 15, 7, 8, 3, 3, 12, 1};
   Spreader spread(0xBEEF);
   Despreader despread(0xBEEF);
-  const std::vector<float> chips = spread.spread(symbols);
+  const std::vector<float> chips = spread_all(spread, symbols);
   ASSERT_EQ(chips.size(), symbols.size() * kChipsPerSymbol);
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     const auto chunk =
@@ -55,26 +72,23 @@ TEST(Spreader, ScramblerWhitensChips) {
   // The same symbol repeated must produce different over-the-air chips
   // when scrambled (otherwise the jammer could learn the waveform).
   Spreader spread(0x1337);
-  std::vector<float> first;
-  std::vector<float> second;
+  Chips first;
+  Chips second;
   spread.spread_symbol(5, first);
   spread.spread_symbol(5, second);
   EXPECT_NE(first, second);
 
-  // And without scrambling they are identical.
-  Spreader plain(0);
-  first.clear();
-  second.clear();
-  plain.spread_symbol(5, first);
-  plain.spread_symbol(5, second);
-  EXPECT_EQ(first, second);
+  // And neither is the table row that an unscrambled link would send
+  // every time.
+  EXPECT_NE(first, ChipTable::instance().sequence(5));
+  EXPECT_NE(second, ChipTable::instance().sequence(5));
 }
 
 TEST(Spreader, MismatchedScramblerBreaksDespreading) {
   const std::vector<std::uint8_t> symbols = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
   Spreader spread(0xAAAA);
   Despreader wrong(0xBBBB);
-  const std::vector<float> chips = spread.spread(symbols);
+  const std::vector<float> chips = spread_all(spread, symbols);
   std::size_t correct = 0;
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     const auto chunk =
@@ -94,7 +108,7 @@ TEST(Despreader, ToleratesChipNoise) {
   std::size_t errors = 0;
   for (std::uint8_t sym = 0; sym < 16; ++sym) {
     for (int trial = 0; trial < 50; ++trial) {
-      std::vector<float> chips;
+      Chips chips;
       spread.spread_symbol(sym, chips);
       for (float& c : chips) c += noise(rng);
       if (despread.despread_symbol(chips).symbol != sym) ++errors;
@@ -108,7 +122,7 @@ TEST(Despreader, ToleratesChipNoise) {
 TEST(Despreader, ToleratesChipErasures) {
   Spreader spread(0x55);
   Despreader despread(0x55);
-  std::vector<float> chips;
+  Chips chips;
   spread.spread_symbol(9, chips);
   for (std::size_t i = 0; i < 8; ++i) chips[i * 4] = 0.0F;  // erase 8 of 32
   EXPECT_EQ(despread.despread_symbol(chips).symbol, 9);
@@ -122,7 +136,7 @@ TEST(Despreader, RejectsWrongChipCount) {
 
 TEST(Spreader, RejectsInvalidSymbol) {
   Spreader s(0);
-  std::vector<float> chips;
+  Chips chips;
   EXPECT_THROW(s.spread_symbol(16, chips), std::invalid_argument);
 }
 

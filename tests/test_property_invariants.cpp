@@ -109,7 +109,6 @@ TEST_P(ReceiverRobustness, DecodesOrFailsCleanlyAcrossJammerGrid) {
   SimConfig cfg;
   cfg.system.pattern = HopPattern::fixed(BandwidthSet::small(), level);
   cfg.system.hopping = false;
-  cfg.system.fixed_bw_index = level;
   cfg.payload_len = 4;
   cfg.n_packets = 3;
   cfg.snr_db = 12.0;
@@ -137,7 +136,7 @@ TEST_P(ScheduleFuzz, AnySeedYieldsConsistentTransmissions) {
   const BhssTransmitter tx(sys);
   const std::vector<std::uint8_t> payload(5, 0x42);
   const Transmission t = tx.transmit(payload, GetParam() * 13);
-  EXPECT_EQ(t.samples.size(), t.schedule.waveform_samples());
+  EXPECT_EQ(t.samples.size(), t.schedule.total_samples);
   EXPECT_EQ(t.schedule.total_symbols, phy::FrameSpec::total_symbols(5));
   // Mean power within a few percent of 1 regardless of schedule.
   EXPECT_NEAR(dsp::mean_power(t.samples), 1.0, 0.02);

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/dsss_baseline.hpp"
 #include "core/link_simulator.hpp"
 #include "link_stats_testing.hpp"
 #include "obs/link_obs.hpp"
@@ -378,7 +379,10 @@ constexpr std::size_t field_count() {
 }
 
 TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
-  const core::SimConfig cfg = small_sim();
+  // A pattern of one level, so that the hopping edit below (a link with
+  // hopping off, at that level) is one plan_frame accepts.
+  core::SimConfig cfg = small_sim();
+  cfg.system.pattern = core::HopPattern::fixed(cfg.system.pattern.bands(), 0);
   const std::uint64_t base = CampaignRunner::params_hash(cfg, 8);
   EXPECT_EQ(base, CampaignRunner::params_hash(cfg, 8));  // pure function
   EXPECT_NE(base, CampaignRunner::params_hash(cfg, 9));  // shards are identity
@@ -394,7 +398,6 @@ TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
        }},
       {"symbols_per_hop", [](core::SimConfig& c) { c.system.symbols_per_hop += 1; }},
       {"hopping", [](core::SimConfig& c) { c.system.hopping = !c.system.hopping; }},
-      {"fixed_bw_index", [](core::SimConfig& c) { c.system.fixed_bw_index += 1; }},
       {"sync", [](core::SimConfig& c) { c.system.sync = core::SyncMode::genie; }},
       {"filter_policy",
        [](core::SimConfig& c) { c.system.filter_policy = core::FilterPolicy::off; }},
@@ -444,6 +447,14 @@ TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
     edit(changed);
     EXPECT_NE(base, CampaignRunner::params_hash(changed, 8)) << name;
   }
+  // A link with hopping off hashes its pattern's level in the slot that
+  // once held a config field naming the level, so a fixed-bandwidth
+  // campaign keeps its journal keys (this value was recorded when the
+  // level was that field).
+  changed = small_sim();
+  changed.system = baseline::dsss_config(core::BandwidthSet::paper(), 2);
+  EXPECT_EQ(CampaignRunner::params_hash(changed, 8), 0xE43BB81BA45B4265ULL);
+
   // ...but the design cache changes which work runs, not what comes out.
   changed = cfg;
   changed.system.logic.design_cache_capacity = 0;
@@ -453,13 +464,13 @@ TEST(CampaignRunner, ParamsHashCoversConfigAndShardCount) {
   // structs breaks its count here until it has an edit above, and that
   // edit fails until params_hash reads the field.
   EXPECT_EQ(field_count<core::SimConfig>(), 8U + 4);  // + system, jammer, faults, adapt
-  EXPECT_EQ(field_count<core::SystemConfig>(), 8U + 1);  // + logic
+  EXPECT_EQ(field_count<core::SystemConfig>(), 7U + 1);  // + logic
   EXPECT_EQ(field_count<core::ControlLogicConfig>(), 3U);
   EXPECT_EQ(field_count<core::JammerSpec>(), 9U);
   EXPECT_EQ(field_count<fault::FaultConfig>(), 8U);
   EXPECT_EQ(field_count<adapt::AdaptConfig>(), 3U + 1);  // + detector
   EXPECT_EQ(field_count<adapt::JamDetectorConfig>(), 5U);
-  EXPECT_EQ(edits.size() + 1, 8U + 8 + 3 + 9 + 8 + 3 + 5);  // + design_cache_capacity
+  EXPECT_EQ(edits.size() + 1, 8U + 7 + 3 + 9 + 8 + 3 + 5);  // + design_cache_capacity
 }
 
 // --------------------------------------------------------- campaign running

@@ -11,10 +11,15 @@
 // proving journal load and merge reject or recover every corrupted file.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <span>
@@ -412,20 +417,36 @@ TEST(JournalMerge, MergedJournalResumesLikeASingleProcessJournal) {
 // ------------------------------------------------- hardened journal appends
 
 TEST(JournalWritePath, DiskFullFailsTypedAndLeavesAResumableTornTail) {
-  const std::string path = temp_path("enospc");
+  const std::string path = temp_path("efbig");
   std::remove(path.c_str());
-  CheckpointJournal journal;
-  journal.open(path, "dist", 1, "sha", false);
-  journal.record_shard({"pt", 1}, 0, sample_stats(0));
-
-  // Budget covers half the next record: the append must throw and the
-  // half-line must look exactly like a crash-torn tail on resume.
-  journal.simulate_disk_full_after(20);
-  EXPECT_THROW(journal.record_shard({"pt", 1}, 1, sample_stats(1)), JournalWriteError);
-  // The journal refuses further appends after a write failure: records
-  // after a hole would misrepresent campaign progress.
-  EXPECT_THROW(journal.record_shard({"pt", 1}, 2, sample_stats(2)), JournalWriteError);
-  journal.close();
+  // A child records one shard, then lowers its own file-size limit to 20
+  // bytes past the journal: the next append really fails, as on a full
+  // disk, with part of its line on disk. It exits with kBothRefused only
+  // if that append throws, naming the errno, and the one after it throws
+  // too (records after a hole would misrepresent campaign progress).
+  constexpr int kBothRefused = 42;
+  EXPECT_EXIT(
+      {
+        CheckpointJournal journal;
+        journal.open(path, "dist", 1, "sha", false);
+        journal.record_shard({"pt", 1}, 0, sample_stats(0));
+        rlimit limit{};
+        ::getrlimit(RLIMIT_FSIZE, &limit);
+        limit.rlim_cur = static_cast<rlim_t>(slurp(path).size() + 20);
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        std::signal(SIGXFSZ, SIG_IGN);
+        int refused = 0;
+        for (std::size_t shard : {1, 2}) {
+          try {
+            journal.record_shard({"pt", 1}, shard, sample_stats(shard));
+          } catch (const JournalWriteError& e) {
+            const std::string what = e.what();
+            if (shard == 2 || what.find(std::strerror(EFBIG)) != std::string::npos) ++refused;
+          }
+        }
+        std::_Exit(refused == 2 ? kBothRefused : 1);
+      },
+      ::testing::ExitedWithCode(kBothRefused), "");
 
   CheckpointJournal resumed;
   resumed.open(path, "dist", 1, "sha", true);

@@ -11,7 +11,7 @@
 #include "channel/awgn.hpp"
 #include "channel/impairments.hpp"
 #include "dsp/pulse.hpp"
-#include "phy/modulator.hpp"
+#include "phy/modem.hpp"
 #include "sync/costas.hpp"
 
 namespace bhss::sync {
@@ -22,8 +22,9 @@ dsp::cvec qpsk_waveform(std::size_t n_chips, std::size_t sps, unsigned seed) {
   std::mt19937 rng(seed);
   std::vector<float> chips(n_chips);
   for (float& c : chips) c = (rng() & 1U) ? 1.0F : -1.0F;
-  const phy::QpskModulator mod(sps);
-  return mod.modulate(chips);
+  dsp::cvec wave(n_chips * sps);
+  phy::QpskModem(sps).modulate(chips, wave);
+  return wave;
 }
 
 class PhaseOffsetSweep : public ::testing::TestWithParam<float> {};
