@@ -68,35 +68,31 @@ void BM_Fft(benchmark::State& state) {
   if (!dsp::all_finite(dsp::cspan{x})) state.SkipWithError("non-finite FFT output");
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Fft)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_Fft)->Arg(32)->Arg(256)->Arg(1024)->Arg(4096)->Arg(8192)->Arg(16384);
 
-/// The scalar reference of the butterfly stages (`simd::scalar::fft_stages`)
-/// on the same bit-reversed input and twiddle table `Fft::forward` uses;
-/// the gap to BM_Fft, less the permutation, is what dispatch buys.
+/// The scalar reference of the whole transform (`simd::scalar::fft`: the
+/// bit reversal, then `scalar::fft_stages`) on the same input and with
+/// twiddle tables of the same values and layout `Fft::forward` uses; the
+/// gap to BM_Fft is what dispatch buys.
 void BM_FftScalar(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  std::size_t bits = 0;
-  while ((std::size_t{1} << bits) < n) ++bits;
-  const dsp::cvec natural = random_signal(n, 1);
-  dsp::cvec input(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t r = 0;
-    for (std::size_t b = 0; b < bits; ++b) r |= ((i >> b) & 1U) << (bits - 1 - b);
-    input[r] = natural[i];
-  }
-  dsp::cvec tw(n - 1);
+  const dsp::cvec input = random_signal(n, 1);
+  std::vector<dsp::fvec> tables;
+  std::vector<const float*> tw;
   for (std::size_t half = 1; half < n; half <<= 1) {
+    dsp::fvec& t = tables.emplace_back(4 * half);
     for (std::size_t k = 0; k < half; ++k) {
-      const double angle = -2.0 * std::numbers::pi * static_cast<double>(k * (n / (2 * half))) /
-                           static_cast<double>(n);
-      tw[half - 1 + k] =
-          dsp::cf(static_cast<float>(std::cos(angle)), static_cast<float>(std::sin(angle)));
+      const double angle =
+          -2.0 * std::numbers::pi * static_cast<double>(k) / static_cast<double>(2 * half);
+      t[2 * k] = t[2 * k + 1] = static_cast<float>(std::cos(angle));
+      t[2 * half + 2 * k] = t[2 * half + 2 * k + 1] = static_cast<float>(std::sin(angle));
     }
+    tw.push_back(t.data());
   }
   dsp::cvec x(n);
   for (auto _ : state) {
     std::copy(input.begin(), input.end(), x.begin());
-    dsp::simd::scalar::fft_stages(x.data(), n, tw.data(), false);
+    dsp::simd::scalar::fft(x.data(), n, tw.data(), false, nullptr, 0, n);
     benchmark::DoNotOptimize(x.data());
   }
   if (!dsp::all_finite(dsp::cspan{x})) state.SkipWithError("non-finite FFT output");
@@ -118,15 +114,21 @@ void BM_FirOverlapSave(benchmark::State& state) {
 }
 BENCHMARK(BM_FirOverlapSave)->Arg(64)->Arg(256)->Arg(1025);
 
+/// Welch estimates of the filter decision, by fft size: 32 over 256
+/// samples (the narrowest detection estimate of a short hop, where a
+/// kernel that returns with dirty upper vector halves shows), 256 and
+/// 2048 over 16384.
 void BM_WelchPsd(benchmark::State& state) {
-  const dsp::cvec x = random_signal(16384, 6);
+  const auto fft = static_cast<std::size_t>(state.range(0));
+  const std::size_t samples = fft == 32 ? 256 : 16384;
+  const dsp::cvec x = random_signal(samples, 6);
   for (auto _ : state) {
-    auto psd = dsp::welch_psd(x, 256);
+    auto psd = dsp::welch_psd(x, fft);
     benchmark::DoNotOptimize(psd.data());
   }
-  state.SetItemsProcessed(state.iterations() * 16384);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(samples));
 }
-BENCHMARK(BM_WelchPsd);
+BENCHMARK(BM_WelchPsd)->Arg(32)->Arg(256)->Arg(2048);
 
 // ------------------------------------------------------------ SIMD kernels
 //

@@ -1,7 +1,11 @@
 #include "core/control_logic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -64,6 +68,22 @@ double msk_psd_shape(double f_norm, double sps) noexcept {
   return g * g;
 }
 
+std::shared_ptr<const dsp::fvec> excision_template(std::size_t n, double sps) {
+  using Key = std::pair<std::size_t, std::uint64_t>;
+  static std::mutex mutex;
+  static std::map<Key, std::shared_ptr<const dsp::fvec>> memo;
+  const std::scoped_lock lock(mutex);
+  auto& slot = memo[Key{n, std::bit_cast<std::uint64_t>(sps)}];
+  if (!slot) {
+    dsp::fvec table(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      table[k] = static_cast<float>(std::max(msk_psd_shape(bin_freq(k, n), sps), 1e-3));
+    }
+    slot = std::make_shared<const dsp::fvec>(std::move(table));
+  }
+  return slot;
+}
+
 ControlLogic::ControlLogic(ControlLogicConfig config, const BandwidthSet& bands)
     : config_(config), bands_(bands), design_cache_(config.design_cache_capacity) {
   // Pre-compute the low-pass bank, one filter per bandwidth level, exactly
@@ -76,6 +96,12 @@ ControlLogic::ControlLogic(ControlLogicConfig config, const BandwidthSet& bands)
     const double cutoff = lpf_cutoff_frac(i);
     const double transition = std::max(0.25 * cutoff, 1e-4);
     lpf_plan_.push_back(dsp::lowpass_plan(dsp::lowpass_num_taps(transition), cutoff));
+  }
+  // The template_notch design's divisor, one table per level, shared the
+  // same way.
+  template_.reserve(bands_.size());
+  for (std::size_t i = 0; i < bands_.size(); ++i) {
+    template_.push_back(excision_template(design_fft(i), static_cast<double>(bands_.sps(i))));
   }
 }
 
@@ -152,13 +178,12 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
     // at its in-band median: bins where only the signal sits become 1
     // (unity filter gain), jammer bins keep their excess and get the full
     // whitening attenuation.
-    const auto sps = static_cast<double>(bands_.sps(bw_index));
+    const dsp::fvec& tmpl = *template_.at(bw_index);
+    BHSS_REQUIRE(tmpl.size() == n, "design_excision: PSD size must be design_fft(bw_index)");
     std::vector<float> inband;
     for (std::size_t k = 0; k < n; ++k) {
-      const double f = bin_freq(k, n);
-      const auto tmpl = static_cast<float>(std::max(msk_psd_shape(f, sps), 1e-3));
-      psd[k] /= tmpl;
-      if (std::abs(f) <= passband / 2.0) inband.push_back(psd[k]);
+      psd[k] /= tmpl[k];
+      if (std::abs(bin_freq(k, n)) <= passband / 2.0) inband.push_back(psd[k]);
     }
     std::nth_element(inband.begin(),
                      inband.begin() + static_cast<std::ptrdiff_t>(inband.size() / 2),

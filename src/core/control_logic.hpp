@@ -157,6 +157,8 @@ class ControlLogic {
   /// The low-pass bank, one plan per bandwidth level, taps included (the
   /// bank is fixed, so it never churns the design cache).
   std::vector<std::shared_ptr<const dsp::ConvolverPlan>> lpf_plan_;
+  /// excision_template(design_fft(i), sps(i)) for each level i.
+  std::vector<std::shared_ptr<const dsp::fvec>> template_;
   /// Excision design cache; mutable because `decide` is logically const
   /// (the cache changes which work runs, never which decision comes out).
   mutable FilterDesignCache design_cache_;
@@ -166,5 +168,13 @@ class ControlLogic {
 /// normalised to 1 at DC. @param f_norm frequency in cycles/sample,
 /// @param sps chip duration in samples.
 [[nodiscard]] double msk_psd_shape(double f_norm, double sps) noexcept;
+
+/// The own-signal template the template_notch excision design divides an
+/// n-bin PSD (natural FFT order) by: float(max(msk_psd_shape(f_k, sps),
+/// 1e-3)) at bin k's frequency f_k in [-0.5, 0.5). Built once per process
+/// for each (n, sps): a mutex-guarded memo, like dsp::lowpass_plan, hands
+/// every later call the same immutable table, and each ControlLogic
+/// fetches its levels' tables at construction.
+[[nodiscard]] std::shared_ptr<const dsp::fvec> excision_template(std::size_t n, double sps);
 
 }  // namespace bhss::core

@@ -2,90 +2,59 @@
 
 #include <array>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <mutex>
 #include <numbers>
-#include <unordered_map>
 
 #include "core/contracts.hpp"
 #include "dsp/simd/simd.hpp"
 
 namespace bhss::dsp {
-
-/// Immutable per-size tables. Built once per size, shared by every Fft of
-/// that size (across threads: the tables are read-only after publication).
-struct FftPlan {
-  /// The bit-reversal permutation as its swaps (i, j), i < j, so applying
-  /// it takes no per-point compare. The swaps are disjoint, so their order
-  /// does not change the result; build_plan orders them for the cache.
-  std::vector<std::array<std::uint32_t, 2>> swaps;
-  /// Every stage's twiddles, one run per stage (simd::fft_stages layout):
-  /// stage half h at offset h - 1, twiddles[h - 1 + k] = exp(-j 2 pi k
-  /// step / n) with step = n / 2h, each value computed from its angle on
-  /// the n-point grid.
-  cvec twiddles;
-};
-
 namespace {
 
-std::size_t reverse_bits(std::size_t i, std::size_t bits) {
-  std::size_t r = 0;
-  for (std::size_t b = 0; b < bits; ++b) {
-    if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (bits - 1 - b);
+constexpr std::size_t kMaxStages = std::numeric_limits<std::size_t>::digits;
+
+/// The twiddle tables of every stage any transform has needed so far.
+/// `stage[s]` is written once, under the mutex, before any Fft that reads
+/// it exists, and never changes; `owned` keeps the tables for the life of
+/// the process.
+struct StageTables {
+  std::mutex mutex;
+  std::array<fvec, kMaxStages> owned;
+  std::array<const float*, kMaxStages> stage{};
+};
+
+/// Stage s (half h = 2^s) in the simd::fft layout: the real parts of
+/// exp(-j 2 pi k / 2h), k in [0, h), each twice, then the imaginary parts
+/// each twice. The angle is the one the n-point grid gives,
+/// -2 pi (k n/2h) / n: both scale -2 pi k by a power of two, so the value
+/// does not depend on n.
+fvec build_stage(std::size_t half) {
+  fvec table(4 * half);
+  for (std::size_t k = 0; k < half; ++k) {
+    const double angle =
+        -2.0 * std::numbers::pi * static_cast<double>(k) / static_cast<double>(2 * half);
+    const auto re = static_cast<float>(std::cos(angle));
+    const auto im = static_cast<float>(std::sin(angle));
+    table[2 * k] = re;
+    table[2 * k + 1] = re;
+    table[2 * half + 2 * k] = im;
+    table[2 * half + 2 * k + 1] = im;
   }
-  return r;
+  return table;
 }
 
-std::shared_ptr<const FftPlan> build_plan(std::size_t n) {
-  auto plan = std::make_shared<FftPlan>();
-
-  // Swaps in tiles: the index bits split into high, middle and low fields,
-  // the outer two kTile bits wide. For one middle value the low field walks
-  // 8 contiguous samples under each of 8 high values, and their partners
-  // (low and high fields reversed and exchanged) are again 8 runs of 8
-  // contiguous samples: 16 cache lines per tile. In ascending order the
-  // partners of neighbouring samples lie n/2 apart and, once the buffer
-  // outgrows L1, keep evicting each other.
-  constexpr std::size_t kTile = 3;
-  std::size_t bits = 0;
-  while ((std::size_t{1} << bits) < n) ++bits;
-  const std::size_t edge = bits >= 2 * kTile ? kTile : 0;
-  plan->swaps.reserve(n / 2);
-  for (std::size_t mid = 0; mid < (n >> (2 * edge)); ++mid) {
-    for (std::size_t hi = 0; hi < (std::size_t{1} << edge); ++hi) {
-      for (std::size_t lo = 0; lo < (std::size_t{1} << edge); ++lo) {
-        const std::size_t i = (hi << (bits - edge)) | (mid << edge) | lo;
-        const std::size_t r = reverse_bits(i, bits);
-        if (i < r) {
-          plan->swaps.push_back({static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(r)});
-        }
-      }
-    }
+/// The stage tables of an n-point transform, built where missing.
+const float* const* stage_tables(std::size_t n) {
+  static StageTables tables;
+  const std::scoped_lock lock(tables.mutex);
+  std::size_t s = 0;
+  for (std::size_t half = 1; half < n; half <<= 1, ++s) {
+    if (tables.stage[s] != nullptr) continue;
+    tables.owned[s] = build_stage(half);
+    tables.stage[s] = tables.owned[s].data();
   }
-
-  plan->twiddles.resize(n - 1);
-  for (std::size_t half = 1; half < n; half <<= 1) {
-    const std::size_t step = n / (2 * half);
-    for (std::size_t k = 0; k < half; ++k) {
-      const double angle =
-          -2.0 * std::numbers::pi * static_cast<double>(k * step) / static_cast<double>(n);
-      plan->twiddles[half - 1 + k] =
-          cf(static_cast<float>(std::cos(angle)), static_cast<float>(std::sin(angle)));
-    }
-  }
-  return plan;
-}
-
-/// Process-wide plan cache. Guarded by a mutex: lookups happen once per
-/// Fft construction (per hop at worst), never per sample.
-std::shared_ptr<const FftPlan> plan_for(std::size_t n) {
-  static std::mutex mutex;
-  static std::unordered_map<std::size_t, std::shared_ptr<const FftPlan>> cache;
-  const std::scoped_lock lock(mutex);
-  auto& slot = cache[n];
-  if (!slot) slot = build_plan(n);
-  return slot;
+  return tables.stage.data();
 }
 
 }  // namespace
@@ -94,26 +63,28 @@ bool Fft::valid_size(std::size_t n) noexcept {
   return n >= 2 && (n & (n - 1)) == 0;
 }
 
-Fft::Fft(std::size_t n) : n_(n) {
+Fft::Fft(std::size_t n) : n_(n), twiddles_(nullptr) {
   BHSS_REQUIRE(valid_size(n), "Fft: size must be a power of two >= 2");
-  BHSS_REQUIRE(n - 1 <= std::numeric_limits<std::uint32_t>::max(),
-               "Fft: size must fit the plan's 32-bit swap indices");
-  plan_ = plan_for(n);
+  twiddles_ = stage_tables(n);
 }
 
-void Fft::transform(cspan_mut x, bool inverse) const {
+void Fft::forward(cspan_mut x) const {
   BHSS_REQUIRE(x.size() == n_, "Fft: buffer length must equal the transform size");
-  for (const auto& [i, j] : plan_->swaps) std::swap(x[i], x[j]);
-  simd::fft_stages(x.data(), n_, plan_->twiddles.data(), inverse);
-  if (inverse) {
-    const float inv_n = 1.0F / static_cast<float>(n_);
-    simd::scale_inplace(x.data(), inv_n, n_);
-  }
+  simd::fft(x.data(), n_, twiddles_, false, nullptr, 0, n_);
 }
 
-void Fft::forward(cspan_mut x) const { transform(x, false); }
+void Fft::inverse(cspan_mut x) const {
+  BHSS_REQUIRE(x.size() == n_, "Fft: buffer length must equal the transform size");
+  simd::fft(x.data(), n_, twiddles_, true, nullptr, 0, n_);
+  simd::scale_inplace(x.data(), 1.0F / static_cast<float>(n_), n_);
+}
 
-void Fft::inverse(cspan_mut x) const { transform(x, true); }
+void Fft::inverse_of_product(cspan_mut x, cspan spectrum, std::size_t keep,
+                             std::size_t keep_len) const {
+  BHSS_REQUIRE(x.size() == n_ && spectrum.size() == n_,
+               "Fft: buffer length must equal the transform size");
+  simd::fft(x.data(), n_, twiddles_, true, spectrum.data(), keep, keep_len);
+}
 
 cvec Fft::forward_copy(cspan x) const {
   BHSS_REQUIRE(x.size() <= n_, "Fft::forward_copy: input longer than the transform size");

@@ -1,34 +1,31 @@
 #pragma once
 
 /// @file fft.hpp
-/// Iterative radix-2 FFT with a precomputed plan. Used by the receiver's
-/// jammer spectral estimator and by the excision-filter design (eq. (3)
-/// in the paper requires an inverse DFT of the desired response).
+/// Iterative radix-2 FFT. Used by the receiver's jammer spectral
+/// estimator, by the excision-filter design (eq. (3) in the paper requires
+/// an inverse DFT of the desired response) and by every overlap-save
+/// convolver.
 ///
-/// A transform is the bit-reversal permutation, applied as a precomputed
-/// list of swaps, then one dispatched `simd::fft_stages` call that runs
-/// every butterfly stage (vectorised and bit-identical to the scalar
-/// stage-by-stage loop). Plans (the swap list, 8 B per swap for about n/2
-/// swaps, and one flat array of the n - 1 per-stage twiddles, 8 B each:
-/// about 12 B per point) are immutable and shared through a process-wide
-/// cache, so constructing an `Fft` for a size that has been used before
-/// is a cheap shared-pointer copy. Every `ConvolverPlan` holds an `Fft`,
-/// and the control logic makes a plan for each excision design it does
-/// not find in its cache, up to one per hop; without the plan cache that
-/// rebuilt the tables at every such hop of every packet.
-
-#include <memory>
+/// A transform is one dispatched `simd::fft` call: the bit-reversal
+/// permutation and every butterfly stage (vectorised and bit-identical to
+/// the scalar reversal and stage-by-stage loop). Its twiddles come from
+/// process-wide tables, one per stage: stage half h's twiddles
+/// exp(-j 2 pi k / 2h) are the same values at every transform size, so
+/// one table serves every size. A table is built the first time a size
+/// needs it (16 B per twiddle, 8 B per point of the size that adds it) and
+/// is immutable from then on, so constructing an `Fft` takes one mutex
+/// and allocates nothing once its stages exist. Every `ConvolverPlan`
+/// holds an `Fft`, and the control logic makes one for each excision
+/// design it does not find in its cache, up to one per hop.
 
 #include "core/contracts.hpp"
 #include "dsp/types.hpp"
 
 namespace bhss::dsp {
 
-struct FftPlan;  // bit-reversal swaps + per-stage twiddles, defined in fft.cpp
-
-/// Radix-2 decimation-in-time FFT plan for a fixed power-of-two size.
+/// Radix-2 decimation-in-time FFT for a fixed power-of-two size.
 /// Forward transform is unnormalised; inverse divides by N so that
-/// inverse(forward(x)) == x. Copying an Fft only copies a plan handle.
+/// inverse(forward(x)) == x. Copying an Fft copies a pointer.
 class Fft {
  public:
   /// @param n transform size; must be a power of two >= 2.
@@ -42,6 +39,16 @@ class Fft {
   /// In-place inverse transform of `x` (normalised by 1/N).
   BHSS_HOT void inverse(cspan_mut x) const;
 
+  /// In place, N times the inverse transform of x[i] * spectrum[i], at
+  /// x[keep, keep + keep_len) only (the rest of x is left unspecified):
+  /// the overlap-save step, with the product folded into the transform's
+  /// first pass, the butterflies no kept output depends on skipped, and
+  /// the 1/N left to the caller, which scales only the outputs it keeps
+  /// (`x * (1.0F / N)` gives inverse()'s bits). Both spans must hold
+  /// size() values.
+  BHSS_HOT void inverse_of_product(cspan_mut x, cspan spectrum, std::size_t keep,
+                                   std::size_t keep_len) const;
+
   /// Out-of-place convenience: returns FFT of `x`.
   [[nodiscard]] cvec forward_copy(cspan x) const;
 
@@ -49,10 +56,9 @@ class Fft {
   [[nodiscard]] static bool valid_size(std::size_t n) noexcept;
 
  private:
-  void transform(cspan_mut x, bool inverse) const;
-
   std::size_t n_;
-  std::shared_ptr<const FftPlan> plan_;  ///< shared via the process-wide cache
+  /// The process-wide stage tables (simd::fft layout), stage s at [s].
+  const float* const* twiddles_;
 };
 
 /// Rotate a PSD / spectrum from natural FFT order (DC first) to a

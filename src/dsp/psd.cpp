@@ -25,8 +25,8 @@ struct WelchSetup {
 
 /// Per-thread setup cache: the receiver estimates a PSD per hop with the
 /// same few (window, size) combinations, and rebuilding the window costs
-/// as much as the FFT it feeds; a cached handle also skips the plan
-/// cache's lock and refcount. Thread-local so the parallel Monte-Carlo
+/// as much as the FFT it feeds; a cached handle also skips the twiddle
+/// tables' lock. Thread-local so the parallel Monte-Carlo
 /// workers never contend.
 const WelchSetup& cached_setup(Window window, std::size_t size) {
   thread_local std::map<std::pair<int, std::size_t>, WelchSetup> cache;

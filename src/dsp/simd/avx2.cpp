@@ -50,8 +50,10 @@ inline __m256 cmul4(__m256 w, __m256 z) {
   return _mm256_addsub_ps(_mm256_mul_ps(wr, z), _mm256_mul_ps(wi, zs));
 }
 
-/// Broadcast-times-vector complex product t * z for scalar t = (tr, ti),
-/// given zs, z with re and im exchanged.
+/// Complex product t * z, four per vector, with t's real parts in tr and
+/// its imaginary parts in ti, each duplicated over its cf's two floats (a
+/// broadcast scalar, or a duplicated twiddle table), given zs, z with re
+/// and im exchanged.
 inline __m256 cmul_bcast4(__m256 tr, __m256 ti, __m256 z, __m256 zs) {
   return _mm256_addsub_ps(_mm256_mul_ps(tr, z), _mm256_mul_ps(ti, zs));
 }
@@ -211,57 +213,149 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
 
 // ----------------------------------------------------------------- FFT
 //
-// The same butterflies as scalar::fft_stages, scheduled for
-// registers: the half = 1 and half = 2 stages of each 4-sample block in
-// one pass, then the half >= 4 stages two at a time. Every butterfly
-// computes t = w * b with cmul4's products and single add/sub, then
-// a + t and a - t; where both outputs share a vector, a - t is taken as
+// The same butterflies as scalar::bit_reverse then scalar::fft_stages,
+// scheduled for registers and the cache. Every butterfly computes
+// t = w * b with cmul_bcast4's products and single add/sub, then a + t
+// and a - t; where both outputs share a vector, a - t is taken as
 // a + (t ^ sign), which IEEE defines as the same operation (subtraction
 // is addition of the negation, and negation flips only the sign bit).
+// Which butterflies share a pass, a register or a cache block changes
+// no value.
 
 namespace {
 
 constexpr int kSign = static_cast<int>(0x80000000U);
 
-/// Sign bits of the imaginary lanes: xor-ing a twiddle vector with this
-/// is conj(w) per cf.
+/// Points per L1 block: stages of half < kFftBlock run block by block
+/// (a 16 KB block and its twiddles stay in a 48 KB L1 data cache).
+constexpr std::size_t kFftBlock = 2048;
+
+/// Every sign bit when inverse: xor-ing a duplicated imaginary twiddle
+/// vector with this is conj(w) per cf.
 inline __m256 conj_mask(bool inverse) {
-  return inverse ? _mm256_castsi256_ps(_mm256_setr_epi32(0, kSign, 0, kSign, 0, kSign, 0, kSign))
-                 : _mm256_setzero_ps();
+  return inverse ? _mm256_castsi256_ps(_mm256_set1_epi32(kSign)) : _mm256_setzero_ps();
 }
 
-/// Stages half = 1 and half = 2, one 4-sample block per vector.
-void first_two_stages(cf* x, std::size_t n, const cf* tw, __m256 conj) {
-  const __m256 w1 = _mm256_xor_ps(_mm256_castpd_ps(_mm256_broadcast_sd(
-                                      reinterpret_cast<const double*>(tw))), conj);
-  const __m256 w2 = _mm256_xor_ps(_mm256_broadcast_ps(reinterpret_cast<const __m128*>(tw + 1)),
-                                  conj);
-  // Negate t for the b output of each butterfly: cf 1 and 3, then cf 2 and 3.
-  const __m256 sign1 =
-      _mm256_castsi256_ps(_mm256_setr_epi32(0, 0, kSign, kSign, 0, 0, kSign, kSign));
-  const __m256 sign2 =
-      _mm256_castsi256_ps(_mm256_setr_epi32(0, 0, 0, 0, kSign, kSign, kSign, kSign));
-  for (std::size_t s = 0; s < n; s += 4) {
-    const __m256 v = _mm256_loadu_ps(fp(x + s));
-    // half = 1: [c0 c0 c2 c2] + ([c1 c1 c3 c3] * tw[0]) ^ sign1.
-    const __m256 a1 = _mm256_permute_ps(v, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 b1 = _mm256_permute_ps(v, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 y = _mm256_add_ps(a1, _mm256_xor_ps(cmul4(w1, b1), sign1));
-    // half = 2: [y0 y1 y0 y1] + ([y2 y3 y2 y3] * [tw1 tw2 tw1 tw2]) ^ sign2.
-    const __m256 a2 = _mm256_permute2f128_ps(y, y, 0x00);
-    const __m256 b2 = _mm256_permute2f128_ps(y, y, 0x11);
-    _mm256_storeu_ps(fp(x + s), _mm256_add_ps(a2, _mm256_xor_ps(cmul4(w2, b2), sign2)));
+/// Twiddles k .. k + 3 of a stage of half h, from its duplicated table.
+struct Twiddles4 {
+  __m256 re;
+  __m256 im;
+};
+
+inline Twiddles4 load_twiddles(const float* table, std::size_t h, std::size_t k, __m256 conj) {
+  return {_mm256_loadu_ps(table + 2 * k),
+          _mm256_xor_ps(_mm256_loadu_ps(table + 2 * h + 2 * k), conj)};
+}
+
+/// One twiddle of a stage table in every lane.
+inline Twiddles4 broadcast_twiddle(const float* table, std::size_t h, std::size_t k,
+                                   __m256 conj) {
+  return {_mm256_set1_ps(table[2 * k]), _mm256_xor_ps(_mm256_set1_ps(table[2 * h + 2 * k]), conj)};
+}
+
+inline __m256 cmul_tw(const Twiddles4& w, __m256 z) { return cmul_bcast4(w.re, w.im, z); }
+
+inline __m256d as_pd(__m256 v) { return _mm256_castps_pd(v); }
+
+/// Bit reversal of the cell-index bits of a (bits wide).
+inline std::size_t reverse_bits(std::size_t a, int bits) {
+  std::size_t r = 0;
+  for (int b = 0; b < bits; ++b, a >>= 1) r = (r << 1) | (a & 1U);
+  return r;
+}
+
+/// The half = 1 and half = 2 stages of four bit-reversed groups, read
+/// from natural order at r = `first`. Lane i of a, b, c, d holds
+/// x[r + i + j n/4] for j = 0, 1, 2, 3 (times mul[r + i + j n/4] with
+/// kMul); in bit-reversed order these are the group
+/// [x[r+i], x[r+i+n/2], x[r+i+n/4], x[r+i+3n/4]] that starts at
+/// 4 rev(r + i). The four outputs of that group come back transposed, one
+/// vector per lane, in o[i].
+template <bool kMul>
+inline void first_two_cell(const cf* x, const cf* mul, std::size_t first, std::size_t q,
+                           const Twiddles4& w1, const Twiddles4& w20, const Twiddles4& w21,
+                           __m256 (&o)[4]) {
+  const cf* src = x + first;
+  __m256 a = _mm256_loadu_ps(fp(src));
+  __m256 b = _mm256_loadu_ps(fp(src + q));
+  __m256 c = _mm256_loadu_ps(fp(src + 2 * q));
+  __m256 d = _mm256_loadu_ps(fp(src + 3 * q));
+  if constexpr (kMul) {
+    const cf* m = mul + first;
+    a = cmul4(a, _mm256_loadu_ps(fp(m)));
+    b = cmul4(b, _mm256_loadu_ps(fp(m + q)));
+    c = cmul4(c, _mm256_loadu_ps(fp(m + 2 * q)));
+    d = cmul4(d, _mm256_loadu_ps(fp(m + 3 * q)));
+  }
+  // half = 1: (a, c) and (b, d) with tw_1[0].
+  const __m256 t1 = cmul_tw(w1, c);
+  const __m256 t2 = cmul_tw(w1, d);
+  const __m256 p = _mm256_add_ps(a, t1);
+  const __m256 r = _mm256_sub_ps(a, t1);
+  const __m256 u = _mm256_add_ps(b, t2);
+  const __m256 v = _mm256_sub_ps(b, t2);
+  // half = 2: (p, u) with tw_2[0], (r, v) with tw_2[1].
+  const __m256 t3 = cmul_tw(w20, u);
+  const __m256 t4 = cmul_tw(w21, v);
+  const __m256 y0 = _mm256_add_ps(p, t3);
+  const __m256 y1 = _mm256_add_ps(r, t4);
+  const __m256 y2 = _mm256_sub_ps(p, t3);
+  const __m256 y3 = _mm256_sub_ps(r, t4);
+  // Transpose the 4 x 4 cf block: lane i's [y0 y1 y2 y3].
+  const __m256d l0 = _mm256_unpacklo_pd(as_pd(y0), as_pd(y1));  // lanes 0, 2 of y0, y1
+  const __m256d h0 = _mm256_unpackhi_pd(as_pd(y0), as_pd(y1));  // lanes 1, 3
+  const __m256d l1 = _mm256_unpacklo_pd(as_pd(y2), as_pd(y3));
+  const __m256d h1 = _mm256_unpackhi_pd(as_pd(y2), as_pd(y3));
+  o[0] = _mm256_castpd_ps(_mm256_permute2f128_pd(l0, l1, 0x20));
+  o[1] = _mm256_castpd_ps(_mm256_permute2f128_pd(h0, h1, 0x20));
+  o[2] = _mm256_castpd_ps(_mm256_permute2f128_pd(l0, l1, 0x31));
+  o[3] = _mm256_castpd_ps(_mm256_permute2f128_pd(h0, h1, 0x31));
+}
+
+/// Lane i's group belongs at 4 rev(r + i) = 4 rev(r) + rev2(i) n/4.
+inline void store_cell(cf* dst, std::size_t q, const __m256 (&o)[4]) {
+  _mm256_storeu_ps(fp(dst), o[0]);
+  _mm256_storeu_ps(fp(dst + 2 * q), o[1]);
+  _mm256_storeu_ps(fp(dst + q), o[2]);
+  _mm256_storeu_ps(fp(dst + 3 * q), o[3]);
+}
+
+/// The bit reversal fused into stages half = 1 and 2, n >= 16, in place.
+/// The cell {r + i + j n/4 : i, j < 4} (r = 4a) lands on the cell of
+/// r' = 4 rev(a), and r' lands on r, so each cell is read together with
+/// its partner and the two are written over each other.
+template <bool kMul>
+void reverse_first_two(cf* x, std::size_t n, const float* const* tw, __m256 conj,
+                       const cf* mul) {
+  const std::size_t q = n / 4;
+  const Twiddles4 w1 = broadcast_twiddle(tw[0], 1, 0, conj);
+  const Twiddles4 w20 = broadcast_twiddle(tw[1], 2, 0, conj);
+  const Twiddles4 w21 = broadcast_twiddle(tw[1], 2, 1, conj);
+  const int bits = std::countr_zero(n) - 4;
+  for (std::size_t a = 0; a < n / 16; ++a) {
+    const std::size_t partner = reverse_bits(a, bits);
+    if (partner < a) continue;
+    __m256 oa[4];
+    first_two_cell<kMul>(x, mul, 4 * a, q, w1, w20, w21, oa);
+    if (partner == a) {
+      store_cell(x + 4 * a, q, oa);
+      continue;
+    }
+    __m256 ob[4];
+    first_two_cell<kMul>(x, mul, 4 * partner, q, w1, w20, w21, ob);
+    store_cell(x + 4 * partner, q, oa);
+    store_cell(x + 4 * a, q, ob);
   }
 }
 
-/// One stage of half h >= 4, four butterflies per vector.
-void radix2_stage(cf* x, std::size_t n, const cf* tw, std::size_t h, __m256 conj) {
-  const cf* wh = tw + h - 1;
+/// The butterflies k in [k0, k1) of every block of one stage of half
+/// h >= 4 over x[0, n), four butterflies per vector.
+void radix2_stage(cf* x, std::size_t n, const float* table, std::size_t h, __m256 conj,
+                  std::size_t k0, std::size_t k1) {
   for (std::size_t s = 0; s < n; s += 2 * h) {
-    for (std::size_t k = 0; k < h; k += 4) {
+    for (std::size_t k = k0; k < k1; k += 4) {
       cf* p = x + s + k;
-      const __m256 t = cmul4(_mm256_xor_ps(_mm256_loadu_ps(fp(wh + k)), conj),
-                             _mm256_loadu_ps(fp(p + h)));
+      const __m256 t = cmul_tw(load_twiddles(table, h, k, conj), _mm256_loadu_ps(fp(p + h)));
       const __m256 a = _mm256_loadu_ps(fp(p));
       _mm256_storeu_ps(fp(p), _mm256_add_ps(a, t));
       _mm256_storeu_ps(fp(p + h), _mm256_sub_ps(a, t));
@@ -269,32 +363,31 @@ void radix2_stage(cf* x, std::size_t n, const cf* tw, std::size_t h, __m256 conj
   }
 }
 
-/// Stages h and 2h (h >= 4) in one pass: for each k, the four samples
-/// k, k + h, k + 2h, k + 3h of a 4h block go through both butterfly
-/// levels in registers. Stage h pairs (k, k+h) and (k+2h, k+3h) with
-/// tw_h[k]; stage 2h pairs (k, k+2h) with tw_2h[k] and (k+h, k+3h) with
-/// tw_2h[k+h].
-void radix4_pass(cf* x, std::size_t n, const cf* tw, std::size_t h, __m256 conj) {
-  const cf* wh = tw + h - 1;
-  const cf* w2h = tw + 2 * h - 1;
+/// Stages h and 2h (h >= 4) over x[0, n) in one pass: for each k in
+/// [k0, k1), the four samples k, k + h, k + 2h, k + 3h of a 4h block go
+/// through both butterfly levels in registers. Stage h pairs (k, k+h) and
+/// (k+2h, k+3h) with tw_h[k]; stage 2h pairs (k, k+2h) with tw_2h[k] and
+/// (k+h, k+3h) with tw_2h[k+h].
+void radix4_pass(cf* x, std::size_t n, const float* table_h, const float* table_2h,
+                 std::size_t h, __m256 conj, std::size_t k0, std::size_t k1) {
   for (std::size_t s = 0; s < n; s += 4 * h) {
-    for (std::size_t k = 0; k < h; k += 4) {
+    for (std::size_t k = k0; k < k1; k += 4) {
       cf* p = x + s + k;
-      const __m256 w1 = _mm256_xor_ps(_mm256_loadu_ps(fp(wh + k)), conj);
-      const __m256 w2 = _mm256_xor_ps(_mm256_loadu_ps(fp(w2h + k)), conj);
-      const __m256 w3 = _mm256_xor_ps(_mm256_loadu_ps(fp(w2h + h + k)), conj);
+      const Twiddles4 w1 = load_twiddles(table_h, h, k, conj);
+      const Twiddles4 w2 = load_twiddles(table_2h, 2 * h, k, conj);
+      const Twiddles4 w3 = load_twiddles(table_2h, 2 * h, k + h, conj);
       const __m256 a = _mm256_loadu_ps(fp(p));
       const __m256 b = _mm256_loadu_ps(fp(p + h));
       const __m256 c = _mm256_loadu_ps(fp(p + 2 * h));
       const __m256 d = _mm256_loadu_ps(fp(p + 3 * h));
-      const __m256 t1 = cmul4(w1, b);
-      const __m256 t2 = cmul4(w1, d);
+      const __m256 t1 = cmul_tw(w1, b);
+      const __m256 t2 = cmul_tw(w1, d);
       const __m256 a1 = _mm256_add_ps(a, t1);
       const __m256 b1 = _mm256_sub_ps(a, t1);
       const __m256 c1 = _mm256_add_ps(c, t2);
       const __m256 d1 = _mm256_sub_ps(c, t2);
-      const __m256 t3 = cmul4(w2, c1);
-      const __m256 t4 = cmul4(w3, d1);
+      const __m256 t3 = cmul_tw(w2, c1);
+      const __m256 t4 = cmul_tw(w3, d1);
       _mm256_storeu_ps(fp(p), _mm256_add_ps(a1, t3));
       _mm256_storeu_ps(fp(p + h), _mm256_add_ps(b1, t4));
       _mm256_storeu_ps(fp(p + 2 * h), _mm256_sub_ps(a1, t3));
@@ -303,23 +396,80 @@ void radix4_pass(cf* x, std::size_t n, const cf* tw, std::size_t h, __m256 conj)
   }
 }
 
+/// The outputs a transform keeps, x[keep, keep + keep_len).
+struct Kept {
+  std::size_t keep;
+  std::size_t len;
+};
+
+/// Runs `pass(k0, k1)` over the butterflies k < h of a stage of half h
+/// that the kept outputs depend on. Output p of a block of 2h comes from
+/// butterfly p mod h, and the stages after it read each block's outputs
+/// at the offsets of the kept ones, so a stage needs only k = (keep + i)
+/// mod h, i < len: every k once len is near h, else one range, split
+/// where it wraps at h, rounded out to whole vectors.
+template <typename Pass>
+void over_needed(std::size_t h, Kept kept, Pass&& pass) {
+  if (kept.len + 8 >= h) {
+    pass(std::size_t{0}, h);
+    return;
+  }
+  const std::size_t first = kept.keep % h;
+  const std::size_t k0 = first & ~std::size_t{3};
+  const std::size_t k1 = (first + kept.len + 3) & ~std::size_t{3};
+  pass(k0, std::min(k1, h));
+  if (k1 > h) pass(std::size_t{0}, k1 - h);
+}
+
+/// Stages first, first + 1, ..., last - 1 (stage s has half 2^s >= 4)
+/// over x[0, n): an odd count runs its first stage alone, the rest two
+/// per pass (a pass needs the butterflies of its lower stage).
+void run_stages(cf* x, std::size_t n, const float* const* tw, int first, int last,
+                __m256 conj, Kept kept) {
+  int s = first;
+  if ((last - first) % 2 == 1) {
+    const std::size_t h = std::size_t{1} << s;
+    over_needed(h, kept, [&](std::size_t k0, std::size_t k1) {
+      radix2_stage(x, n, tw[s], h, conj, k0, k1);
+    });
+    ++s;
+  }
+  for (; s < last; s += 2) {
+    const std::size_t h = std::size_t{1} << s;
+    over_needed(h, kept, [&](std::size_t k0, std::size_t k1) {
+      radix4_pass(x, n, tw[s], tw[s + 1], h, conj, k0, k1);
+    });
+  }
+}
+
 }  // namespace
 
-void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
-  BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft_stages: null buffer");
-  if (n < 4) {
-    scalar::fft_stages(x, n, tw, inverse);
+void fft(cf* x, std::size_t n, const float* const* tw, bool inverse, const cf* mul,
+         std::size_t keep, std::size_t keep_len) {
+  BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft: null buffer");
+  BHSS_REQUIRE(keep <= n && keep_len <= n - keep, "fft: kept outputs past the transform");
+  if (n < 16) {
+    scalar::fft(x, n, tw, inverse, mul, keep, keep_len);
     return;
   }
   const __m256 conj = conj_mask(inverse);
-  first_two_stages(x, n, tw, conj);
-  // log2(n) - 2 stages remain; an odd count runs its first one alone.
-  std::size_t h = 4;
-  if (std::countr_zero(n) % 2 == 1) {
-    radix2_stage(x, n, tw, h, conj);
-    h *= 2;
+  if (mul != nullptr) {
+    reverse_first_two<true>(x, n, tw, conj, mul);
+  } else {
+    reverse_first_two<false>(x, n, tw, conj, nullptr);
   }
-  for (; h < n; h *= 4) radix4_pass(x, n, tw, h, conj);
+  // Stages half = 4 .. block / 2 block by block, then the rest over the
+  // whole array.
+  const Kept kept{keep, keep_len};
+  const std::size_t block = std::min(n, kFftBlock);
+  const int block_stages = std::countr_zero(block);
+  for (std::size_t b = 0; b < n; b += block) {
+    run_stages(x + b, block, tw, 2, block_stages, conj, kept);
+  }
+  run_stages(x, n, tw, block_stages, std::countr_zero(n), conj, kept);
+  // Return with clean upper halves: a caller in baseline code that runs
+  // SSE instructions next would otherwise pay the transition on each.
+  _mm256_zeroupper();
 }
 
 void cmul_inplace(cf* a, const cf* b, std::size_t n) {

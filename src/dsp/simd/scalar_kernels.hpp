@@ -21,6 +21,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "core/contracts.hpp"
 #include "dsp/simd/libm.hpp"
@@ -150,18 +151,20 @@ inline void despread_correlate16(const cf* pairs, std::size_t n_pairs, const flo
 
 /// Stage half h = 1, 2, 4, ..., n/2 in order, its blocks in address order,
 /// and within a block for k in [0, h)
-///   w = inverse ? conj(tw[h - 1 + k]) : tw[h - 1 + k];  t = w * b[k];
-///   a[k] = a[k] + t;  b[k] = a[k]_old - t
+///   w = (tw[s][2k], tw[s][2h + 2k]) with h = 2^s, conjugated if inverse;
+///   t = w * b[k];  a[k] = a[k] + t;  b[k] = a[k]_old - t
 /// with a = the block's first half and b its second.
-inline void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
+inline void fft_stages(cf* x, std::size_t n, const float* const* tw, bool inverse) {
   BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft_stages: null buffer");
-  for (std::size_t half = 1; half < n; half <<= 1) {
-    const cf* wh = tw + half - 1;
+  std::size_t s = 0;
+  for (std::size_t half = 1; half < n; half <<= 1, ++s) {
+    const float* re = tw[s];
+    const float* im = tw[s] + 2 * half;
     for (std::size_t start = 0; start < n; start += 2 * half) {
       cf* a = x + start;
       cf* b = a + half;
       for (std::size_t k = 0; k < half; ++k) {
-        cf w = wh[k];
+        cf w{re[2 * k], im[2 * k]};
         if (inverse) w = std::conj(w);
         const cf u = a[k];
         const cf t = w * b[k];
@@ -172,9 +175,32 @@ inline void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse) {
   }
 }
 
+/// The bit-reversal permutation of n (a power of two) samples in place:
+/// x[i] and x[rev(i)] trade places, the partner index counted backwards
+/// from the top bit as i counts up.
+inline void bit_reverse(cf* x, std::size_t n) {
+  BHSS_REQUIRE(x != nullptr, "bit_reverse: null buffer");
+  for (std::size_t i = 0, j = 0; i < n; ++i) {
+    if (i < j) std::swap(x[i], x[j]);
+    std::size_t bit = n >> 1;
+    for (; (j & bit) != 0; bit >>= 1) j ^= bit;
+    j |= bit;
+  }
+}
+
 inline void cmul_inplace(cf* a, const cf* b, std::size_t n) {
   BHSS_REQUIRE(a != nullptr && b != nullptr, "cmul_inplace: null buffer");
   for (std::size_t i = 0; i < n; ++i) a[i] *= b[i];
+}
+
+/// Computes every output, the kept ones included.
+inline void fft(cf* x, std::size_t n, const float* const* tw, bool inverse, const cf* mul,
+                std::size_t keep, std::size_t keep_len) {
+  BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft: null buffer");
+  BHSS_REQUIRE(keep <= n && keep_len <= n - keep, "fft: kept outputs past the transform");
+  if (mul != nullptr) cmul_inplace(x, mul, n);
+  bit_reverse(x, n);
+  fft_stages(x, n, tw, inverse);
 }
 
 inline void scale_inplace(cf* x, float s, std::size_t n) {

@@ -21,13 +21,16 @@
 ///    symbols over a structure-of-arrays chip table; the chip-pair index
 ///    m walks sequentially, so each symbol's correlation accumulates in
 ///    the scalar order.
-///  * `fft_stages`            — every radix-2 stage of one transform in
-///    one call. Each butterfly is elementwise and keeps its scalar
-///    products, so any schedule that respects the stage-to-stage data
-///    flow gives the scalar bits: AVX2 runs the half = 1 and half = 2
-///    stages across blocks in one pass (`a - t` as `a + (t ^ sign)`, the
-///    same IEEE addition of the negation) and the half >= 4 stages two
-///    at a time, both levels in registers (radix-2^2).
+///  * `fft`                   — one whole transform: the bit reversal
+///    and every radix-2 stage. Each butterfly is elementwise and keeps its
+///    scalar products, so any schedule that respects the stage-to-stage
+///    data flow gives the bits of the reference (`scalar::bit_reverse`,
+///    then `scalar::fft_stages`): AVX2 reads each sample's bit-reversed
+///    partner group straight into the half = 1 and half = 2 stages (no
+///    permutation pass), runs the stages of half < 2048 block by block
+///    while a block sits in L1, and the rest two at a time over the whole
+///    array (radix-2^2), `a - t` as `a + (t ^ sign)` only where one
+///    vector holds both outputs (the same IEEE addition of the negation).
 ///  * `cmul_inplace`, `scale_inplace`, `window_apply`, `scale_pulse` —
 ///    elementwise, trivially order-preserving.
 ///  * `gaussian_cf`           — the Gaussian noise stream: MT19937-64
@@ -98,15 +101,24 @@ BHSS_HOT void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* 
 BHSS_HOT void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
                                    const float* so, const float* cols, cf* out);
 
-/// All butterfly stages of an in-place radix-2 decimation-in-time
-/// transform of `x`, which holds n (a power of two >= 2) samples already
-/// in bit-reversed order. Stage half h = 1, 2, 4, ..., n/2 reads its
-/// twiddles at tw[h - 1 + k], k in [0, h) (n - 1 values in all), and for
-/// every block start s (a multiple of 2h) and k in [0, h) computes
-///   w = inverse ? conj(tw[h - 1 + k]) : tw[h - 1 + k];
-///   t = w * x[s+k+h];  x[s+k] = x[s+k] + t;  x[s+k+h] = x[s+k]_old - t.
-/// No 1/n scaling: the inverse only conjugates the twiddles.
-BHSS_HOT void fft_stages(cf* x, std::size_t n, const cf* tw, bool inverse);
+/// In-place radix-2 decimation-in-time transform of `x`, n (a power of
+/// two >= 2) samples in natural order, with no 1/n scaling: first, if
+/// `mul` is not null, x[i] *= mul[i] (cmul_inplace's product); then the
+/// bit-reversal permutation; then every butterfly stage, as
+/// `scalar::fft_stages` runs them:
+///   stage half h = 1, 2, 4, ..., n/2 (h = 2^s), for every block start
+///   b (a multiple of 2h) and k in [0, h):
+///     w = (tw[s][2k], tw[s][2h + 2k]), conjugated if `inverse`;
+///     t = w * x[b+k+h];  x[b+k] = x[b+k] + t;  x[b+k+h] = x[b+k]_old - t.
+/// `tw[s]` is stage s's twiddle table, 4h floats: the real parts, each
+/// written twice, then the imaginary parts, each written twice
+/// (tw[s][2k + 1] = tw[s][2k], tw[s][2h + 2k + 1] = tw[s][2h + 2k]), the
+/// layout in which a vector of four twiddles is two loads and its product
+/// one shuffle. The output is in natural order, and only the kept outputs
+/// x[keep, keep + keep_len) are specified: a kernel may skip butterflies
+/// that none of them depends on (keep = 0, keep_len = n keeps all).
+BHSS_HOT void fft(cf* x, std::size_t n, const float* const* tw, bool inverse, const cf* mul,
+                  std::size_t keep, std::size_t keep_len);
 
 /// Pointwise complex multiply in place: a[i] *= b[i].
 BHSS_HOT void cmul_inplace(cf* a, const cf* b, std::size_t n);

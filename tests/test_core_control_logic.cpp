@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "channel/awgn.hpp"
 #include "core/control_logic.hpp"
@@ -131,6 +137,44 @@ TEST(ControlLogic, EstimatorAblationStillDetects) {
   }
 }
 
+/// A BHSS waveform at one level of at least eight design-size segments at
+/// 15 dB SNR, with a 25 dB tone inside the signal band.
+dsp::cvec tone_jammed_wave(const BandwidthSet& bands, std::size_t level) {
+  SystemConfig sys;
+  sys.pattern = HopPattern::fixed(bands, level);
+  sys.hopping = false;
+  const std::size_t symbol_len = 32 * bands.sps(level);
+  const std::vector<std::uint8_t> payload(
+      std::min(phy::FrameSpec::max_payload, 8 + 32768 / (2 * symbol_len)), 0x5A);
+  dsp::cvec wave = BhssTransmitter(sys).transmit(payload, 90 + level).samples;
+  dsp::scale_to_power(dsp::cspan_mut{wave}, dsp::db_to_linear(15.0));
+  const double f_tone = 0.2 * bands.bandwidth_frac(level);
+  const auto g = static_cast<float>(std::sqrt(dsp::db_to_linear(25.0)));
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const double ph = 2.0 * 3.141592653589793 * f_tone * static_cast<double>(i);
+    wave[i] += dsp::cf{g * static_cast<float>(std::cos(ph)), g * static_cast<float>(std::sin(ph))};
+  }
+  channel::AwgnSource noise(190 + level);
+  noise.add_to(dsp::cspan_mut{wave}, 1.0);
+  return wave;
+}
+
+/// FNV-1a 64 over the float words of a tap set, least significant byte first.
+std::uint64_t fnv1a(const dsp::cvec& taps) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const dsp::cf& t : taps) {
+    for (const float f : {t.real(), t.imag()}) {
+      std::uint32_t w = 0;
+      std::memcpy(&w, &f, sizeof w);
+      for (int b = 0; b < 4; ++b) {
+        h ^= (w >> (8 * b)) & 0xFFU;
+        h *= 0x100000001B3ULL;
+      }
+    }
+  }
+  return h;
+}
+
 // decide() hands its detection PSD to the excision design when the two
 // FFT sizes agree, as they do on a slice of eight design-size segments,
 // and estimates the design PSD itself when they differ, as on a slice of
@@ -142,25 +186,7 @@ TEST(ControlLogic, ExcisionFromDecideIsForceExcisionBitForBit) {
   const ControlLogic logic(cfg, bands);
   std::size_t short_excisions = 0;
   for (std::size_t level = 0; level < bands.size(); ++level) {
-    // A BHSS waveform of at least eight design-size segments at 15 dB
-    // SNR, with a 25 dB tone inside the signal band.
-    SystemConfig sys;
-    sys.pattern = HopPattern::fixed(bands, level);
-    sys.hopping = false;
-    const std::size_t symbol_len = 32 * bands.sps(level);
-    const std::vector<std::uint8_t> payload(
-        std::min(phy::FrameSpec::max_payload, 8 + 32768 / (2 * symbol_len)), 0x5A);
-    dsp::cvec wave = BhssTransmitter(sys).transmit(payload, 90 + level).samples;
-    dsp::scale_to_power(dsp::cspan_mut{wave}, dsp::db_to_linear(15.0));
-    const double f_tone = 0.2 * bands.bandwidth_frac(level);
-    const auto g = static_cast<float>(std::sqrt(dsp::db_to_linear(25.0)));
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      const double ph = 2.0 * 3.141592653589793 * f_tone * static_cast<double>(i);
-      wave[i] += dsp::cf{g * static_cast<float>(std::cos(ph)), g * static_cast<float>(std::sin(ph))};
-    }
-    channel::AwgnSource noise(190 + level);
-    noise.add_to(dsp::cspan_mut{wave}, 1.0);
-
+    const dsp::cvec wave = tone_jammed_wave(bands, level);
     const std::size_t design_fft = logic.force_excision(wave, level).plan->taps.size();
     ASSERT_GE(wave.size(), 8 * design_fft) << "level " << level;
     for (const std::size_t segments : {std::size_t{8}, std::size_t{2}}) {
@@ -184,6 +210,61 @@ TEST(ControlLogic, ExcisionFromDecideIsForceExcisionBitForBit) {
   }
   // The short slices must reach the path where the sizes differ.
   EXPECT_GT(short_excisions, 0U);
+}
+
+// The exact taps of the eq. (3) template-notch design at every paper
+// level, so a change to the Welch estimate, the MSK template, the notch
+// mask or the inverse DFT fails in every build.
+TEST(ControlLogic, ExcisionTapsArePinned) {
+  const BandwidthSet bands = BandwidthSet::paper();
+  const ControlLogic logic({}, bands);
+  const std::vector<std::uint64_t> pins = {
+      0xE2096AFAAE7E0D7EULL, 0x9A23C84F3D7D1306ULL, 0x175C66C8D58193D1ULL,
+      0x07A9197F2C4D89D0ULL, 0xDB08BF081682AF41ULL, 0x2B00DD84BCDA42C4ULL,
+      0x2717B302AEFE9DD5ULL,
+  };
+  ASSERT_EQ(pins.size(), bands.size());
+  for (std::size_t level = 0; level < bands.size(); ++level) {
+    const FilterDecision d = logic.force_excision(tone_jammed_wave(bands, level), level);
+    ASSERT_EQ(d.kind, FilterDecision::Kind::excision) << "level " << level;
+    EXPECT_EQ(fnv1a(d.plan->taps), pins[level]) << "level " << level;
+  }
+}
+
+// The template memo is process-wide: threads that ask for a table first,
+// at once, must all get the one table, with the values the design used to
+// compute per bin. The ControlLogic constructors race for the paper
+// levels' tables the same way. Run under TSan.
+TEST(ExcisionTemplate, ConcurrentFirstUseSharesOneTable) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kBins = 2048;
+  constexpr double kSps = 5.0;  // no paper level's samples per chip
+  const BandwidthSet bands = BandwidthSet::paper();
+  std::atomic<bool> go{false};
+  std::array<std::shared_ptr<const dsp::fvec>, kThreads> tables;
+  std::array<std::uint64_t, kThreads> taps{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      tables[t] = excision_template(kBins, kSps);
+      const ControlLogic logic({}, bands);
+      taps[t] = fnv1a(logic.force_excision(tone_jammed_wave(bands, 0), 0).plan->taps);
+    });
+  }
+  go.store(true);
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(tables[t], tables[0]) << "thread " << t;
+    EXPECT_EQ(taps[t], 0xE2096AFAAE7E0D7EULL) << "thread " << t;  // ExcisionTapsArePinned, level 0
+  }
+  ASSERT_EQ(tables[0]->size(), kBins);
+  for (std::size_t k = 0; k < kBins; ++k) {
+    const double f = k < kBins / 2 ? static_cast<double>(k) / kBins
+                                   : static_cast<double>(k) / kBins - 1.0;
+    EXPECT_EQ((*tables[0])[k], static_cast<float>(std::max(msk_psd_shape(f, kSps), 1e-3)))
+        << "bin " << k;
+  }
 }
 
 TEST(ControlLogic, DegeneratePsdFallsBackToNoFilterInsteadOfThrowing) {

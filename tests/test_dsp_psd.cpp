@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <random>
 
 #include "dsp/psd.hpp"
+#include "dsp/simd/simd.hpp"
 #include "dsp/utils.hpp"
 
 namespace bhss::dsp {
@@ -63,6 +66,48 @@ TEST(WelchPsd, ShortInputZeroPads) {
   ASSERT_EQ(psd.size(), 128U);
   // Zero padding spreads the 50 samples' power over the 128-bin frame.
   EXPECT_NEAR(psd_total_power(psd), 1.0 * 50.0 / 128.0, 0.25);
+}
+
+/// FNV-1a 64 over the float words of a PSD, least significant byte first.
+std::uint64_t fnv1a(const fvec& psd) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (float p : psd) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, &p, sizeof w);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(WelchPsd, OutputIsPinned) {
+  // The exact bins of the estimate behind every filter decision, so a
+  // change to the window, the segment walk, the FFT or the normalisation
+  // fails in every build: fft 32 over 256 samples (the narrowest
+  // detection estimate of a short hop), 256 and 2048 over 16384.
+  simd::Mt19937_64 eng(0x3E1C4);
+  cvec x(16384);
+  for (cf& v : x) {
+    const float re = static_cast<float>(eng() >> 40) * 0x1p-23F - 1.0F;
+    const float im = static_cast<float>(eng() >> 40) * 0x1p-23F - 1.0F;
+    v = cf{re, im};
+  }
+  struct Pin {
+    std::size_t fft;
+    std::size_t samples;
+    std::uint64_t digest;
+  };
+  const std::vector<Pin> pins = {
+      {32, 256, 0xF91140D2456B921CULL},
+      {256, 16384, 0x2FC19BF8A9AAD5BEULL},
+      {2048, 16384, 0x23A18954E2B10406ULL},
+  };
+  for (const Pin& pin : pins) {
+    const fvec psd = welch_psd(cspan{x}.first(pin.samples), pin.fft);
+    EXPECT_EQ(fnv1a(psd), pin.digest) << "fft=" << pin.fft << " isa=" << simd::active_isa();
+  }
 }
 
 TEST(WelchPsd, RejectsBadArgs) {

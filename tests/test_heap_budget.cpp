@@ -11,10 +11,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "core/link_simulator.hpp"
 #include "core/transmitter.hpp"
+#include "dsp/fft.hpp"
+#include "dsp/fir.hpp"
 
 namespace {
 
@@ -160,6 +163,53 @@ TEST(HeapBudget, NarrowestFrameHoldsUnderThreeFrames) {
       << "lane high-water " << high_water << " B = "
       << static_cast<double>(high_water) / static_cast<double>(frame_bytes)
       << " frames of " << frame_bytes << " B";
+}
+
+TEST(HeapBudget, FftTablesGrowLessThanPerSizePlans) {
+  // The twiddle tables are process-wide, one per stage, and a stage's
+  // values do not depend on the transform size, so a new size adds only
+  // its top stage's table: n/2 twiddles at 16 B, 8 B per point. A
+  // per-size plan of a bit-reversal swap list (n/2 pairs of 32-bit
+  // indices reserved, 4 B per point) and n - 1 twiddles at 8 B held
+  // 12 B per point. Built in ascending order, as a link builds them (its
+  // Welch estimates start at 32 points), no size may cost more than that,
+  // and all of them together less than their per-size plans.
+  const dsp::Fft smallest(2);  // one 16-byte table, below the allocator's minimum chunk
+  std::size_t total = 0;
+  std::size_t per_size_plans = 0;
+  for (std::size_t n = 4; n <= 16384; n *= 2) {
+    const std::size_t live_before = t_live;
+    t_high = t_live;
+    const dsp::Fft fft(n);
+    const std::size_t grown = t_high - live_before;
+    const std::size_t plan_bytes = (n / 2) * 8 + (n - 1) * 8;
+    EXPECT_LE(grown, plan_bytes) << "n=" << n;
+    total += grown;
+    per_size_plans += plan_bytes;
+  }
+  EXPECT_LT(total, per_size_plans);
+}
+
+TEST(HeapBudget, FirstFilterOnAThreadHoldsOnlyItsBlockScratch) {
+  // The noise jammer's 2049-tap shaper runs 16384-point blocks. On a
+  // fresh thread, the first filter call raises the heap high-water by the
+  // thread's scratch alone: the FFT block and the taps - 1 inputs kept for
+  // the next block. The transform runs in place and takes no buffer of
+  // its own; the slack is the allocator's page rounding of the scratch.
+  const auto plan = dsp::lowpass_plan(2049, 0.1);
+  ASSERT_EQ(plan->fft_size, 16384U);
+  const dsp::cvec x(256, dsp::cf{1.0F, -1.0F});
+  dsp::cvec y(x.size());
+  std::size_t high_water = 0;
+  std::thread([&] {
+    t_high = t_live;
+    const std::size_t live_before = t_live;
+    plan->filter(x, 0, y);
+    high_water = t_high - live_before;
+  }).join();
+  const std::size_t scratch = (plan->fft_size + plan->taps.size() - 1) * sizeof(dsp::cf);
+  EXPECT_GE(high_water, scratch);
+  EXPECT_LE(high_water, scratch + 4096) << "first filter high-water " << high_water << " B";
 }
 
 }  // namespace
