@@ -92,7 +92,7 @@ void BM_FftScalar(benchmark::State& state) {
   dsp::cvec x(n);
   for (auto _ : state) {
     std::copy(input.begin(), input.end(), x.begin());
-    dsp::simd::scalar::fft(x.data(), n, tw.data(), false, nullptr, 0, n);
+    dsp::simd::scalar::fft(x.data(), n, tw.data(), false);
     benchmark::DoNotOptimize(x.data());
   }
   if (!dsp::all_finite(dsp::cspan{x})) state.SkipWithError("non-finite FFT output");

@@ -60,30 +60,23 @@ const float* const* stage_tables(std::size_t n) {
 }  // namespace
 
 bool Fft::valid_size(std::size_t n) noexcept {
-  return n >= 2 && (n & (n - 1)) == 0;
+  return n >= 2 && n <= kMaxSize && (n & (n - 1)) == 0;
 }
 
 Fft::Fft(std::size_t n) : n_(n), twiddles_(nullptr) {
-  BHSS_REQUIRE(valid_size(n), "Fft: size must be a power of two >= 2");
+  BHSS_REQUIRE(valid_size(n), "Fft: size must be a power of two in [2, kMaxSize]");
   twiddles_ = stage_tables(n);
 }
 
 void Fft::forward(cspan_mut x) const {
   BHSS_REQUIRE(x.size() == n_, "Fft: buffer length must equal the transform size");
-  simd::fft(x.data(), n_, twiddles_, false, nullptr, 0, n_);
+  simd::fft(x.data(), n_, twiddles_, false);
 }
 
 void Fft::inverse(cspan_mut x) const {
   BHSS_REQUIRE(x.size() == n_, "Fft: buffer length must equal the transform size");
-  simd::fft(x.data(), n_, twiddles_, true, nullptr, 0, n_);
+  simd::fft(x.data(), n_, twiddles_, true);
   simd::scale_inplace(x.data(), 1.0F / static_cast<float>(n_), n_);
-}
-
-void Fft::inverse_of_product(cspan_mut x, cspan spectrum, std::size_t keep,
-                             std::size_t keep_len) const {
-  BHSS_REQUIRE(x.size() == n_ && spectrum.size() == n_,
-               "Fft: buffer length must equal the transform size");
-  simd::fft(x.data(), n_, twiddles_, true, spectrum.data(), keep, keep_len);
 }
 
 cvec Fft::forward_copy(cspan x) const {

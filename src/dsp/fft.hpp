@@ -28,7 +28,11 @@ namespace bhss::dsp {
 /// inverse(forward(x)) == x. Copying an Fft copies a pointer.
 class Fft {
  public:
-  /// @param n transform size; must be a power of two >= 2.
+  /// Largest supported size, far above the 65536 points any caller uses:
+  /// the tables every stage up to it needs take 16 MB.
+  static constexpr std::size_t kMaxSize = std::size_t{1} << 20;
+
+  /// @param n transform size; must pass valid_size().
   explicit Fft(std::size_t n);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
@@ -39,20 +43,10 @@ class Fft {
   /// In-place inverse transform of `x` (normalised by 1/N).
   BHSS_HOT void inverse(cspan_mut x) const;
 
-  /// In place, N times the inverse transform of x[i] * spectrum[i], at
-  /// x[keep, keep + keep_len) only (the rest of x is left unspecified):
-  /// the overlap-save step, with the product folded into the transform's
-  /// first pass, the butterflies no kept output depends on skipped, and
-  /// the 1/N left to the caller, which scales only the outputs it keeps
-  /// (`x * (1.0F / N)` gives inverse()'s bits). Both spans must hold
-  /// size() values.
-  BHSS_HOT void inverse_of_product(cspan_mut x, cspan spectrum, std::size_t keep,
-                                   std::size_t keep_len) const;
-
   /// Out-of-place convenience: returns FFT of `x`.
   [[nodiscard]] cvec forward_copy(cspan x) const;
 
-  /// True if `n` is a power of two >= 2.
+  /// True if `n` is a power of two in [2, kMaxSize].
   [[nodiscard]] static bool valid_size(std::size_t n) noexcept;
 
  private:

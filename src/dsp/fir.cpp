@@ -61,7 +61,6 @@ void ConvolverPlan::filter(std::size_t x_size, const Source& source, std::size_t
   // y[pos, pos + block_size).
   const std::size_t end = skip + out.size();
   const std::size_t start = skip - skip % block_size;
-  const float inv_n = 1.0F / static_cast<float>(fft_size);
   for (std::size_t pos = start; pos < end; pos += block_size) {
     // The first block starts with zeros where it reaches before x[0],
     // every later one with the inputs the block before kept.
@@ -81,16 +80,14 @@ void ConvolverPlan::filter(std::size_t x_size, const Source& source, std::size_t
     if (pos + block_size < end) {
       std::copy(block.end() - static_cast<std::ptrdiff_t>(overlap), block.end(), kept.begin());
     }
-    // The inverse computes, and its 1/N scales, the outputs this window
-    // keeps only.
+    fft.forward(block);
+    simd::cmul_inplace(block.data(), taps_spectrum.data(), fft_size);
+    fft.inverse(block);
     const std::size_t lo = std::max(pos, skip);
     const std::size_t hi = std::min(pos + block_size, end);
-    fft.forward(block);
-    fft.inverse_of_product(block, taps_spectrum, overlap + lo - pos, hi - lo);
     std::copy(block.begin() + static_cast<std::ptrdiff_t>(overlap + lo - pos),
               block.begin() + static_cast<std::ptrdiff_t>(overlap + hi - pos),
               out.begin() + static_cast<std::ptrdiff_t>(lo - skip));
-    simd::scale_inplace(out.data() + (lo - skip), inv_n, hi - lo);
   }
 }
 

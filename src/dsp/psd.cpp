@@ -36,7 +36,8 @@ const WelchSetup& cached_setup(Window window, std::size_t size) {
 }  // namespace
 
 fvec welch_psd(cspan x, std::size_t fft_size, double overlap, Window window) {
-  BHSS_REQUIRE(Fft::valid_size(fft_size), "welch_psd: fft_size must be a power of two >= 2");
+  BHSS_REQUIRE(Fft::valid_size(fft_size),
+               "welch_psd: fft_size must be a power of two in [2, Fft::kMaxSize]");
   BHSS_REQUIRE(overlap >= 0.0 && overlap <= 0.95, "welch_psd: overlap must be in [0, 0.95]");
   BHSS_REQUIRE(!x.empty(), "welch_psd: empty input");
 

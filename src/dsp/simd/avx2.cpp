@@ -257,36 +257,19 @@ inline __m256 cmul_tw(const Twiddles4& w, __m256 z) { return cmul_bcast4(w.re, w
 
 inline __m256d as_pd(__m256 v) { return _mm256_castps_pd(v); }
 
-/// Bit reversal of the cell-index bits of a (bits wide).
-inline std::size_t reverse_bits(std::size_t a, int bits) {
-  std::size_t r = 0;
-  for (int b = 0; b < bits; ++b, a >>= 1) r = (r << 1) | (a & 1U);
-  return r;
-}
-
 /// The half = 1 and half = 2 stages of four bit-reversed groups, read
 /// from natural order at r = `first`. Lane i of a, b, c, d holds
-/// x[r + i + j n/4] for j = 0, 1, 2, 3 (times mul[r + i + j n/4] with
-/// kMul); in bit-reversed order these are the group
-/// [x[r+i], x[r+i+n/2], x[r+i+n/4], x[r+i+3n/4]] that starts at
+/// x[r + i + j n/4] for j = 0, 1, 2, 3; in bit-reversed order these are
+/// the group [x[r+i], x[r+i+n/2], x[r+i+n/4], x[r+i+3n/4]] that starts at
 /// 4 rev(r + i). The four outputs of that group come back transposed, one
 /// vector per lane, in o[i].
-template <bool kMul>
-inline void first_two_cell(const cf* x, const cf* mul, std::size_t first, std::size_t q,
-                           const Twiddles4& w1, const Twiddles4& w20, const Twiddles4& w21,
-                           __m256 (&o)[4]) {
+inline void first_two_cell(const cf* x, std::size_t first, std::size_t q, const Twiddles4& w1,
+                           const Twiddles4& w20, const Twiddles4& w21, __m256 (&o)[4]) {
   const cf* src = x + first;
-  __m256 a = _mm256_loadu_ps(fp(src));
-  __m256 b = _mm256_loadu_ps(fp(src + q));
-  __m256 c = _mm256_loadu_ps(fp(src + 2 * q));
-  __m256 d = _mm256_loadu_ps(fp(src + 3 * q));
-  if constexpr (kMul) {
-    const cf* m = mul + first;
-    a = cmul4(a, _mm256_loadu_ps(fp(m)));
-    b = cmul4(b, _mm256_loadu_ps(fp(m + q)));
-    c = cmul4(c, _mm256_loadu_ps(fp(m + 2 * q)));
-    d = cmul4(d, _mm256_loadu_ps(fp(m + 3 * q)));
-  }
+  const __m256 a = _mm256_loadu_ps(fp(src));
+  const __m256 b = _mm256_loadu_ps(fp(src + q));
+  const __m256 c = _mm256_loadu_ps(fp(src + 2 * q));
+  const __m256 d = _mm256_loadu_ps(fp(src + 3 * q));
   // half = 1: (a, c) and (b, d) with tw_1[0].
   const __m256 t1 = cmul_tw(w1, c);
   const __m256 t2 = cmul_tw(w1, d);
@@ -324,36 +307,32 @@ inline void store_cell(cf* dst, std::size_t q, const __m256 (&o)[4]) {
 /// The cell {r + i + j n/4 : i, j < 4} (r = 4a) lands on the cell of
 /// r' = 4 rev(a), and r' lands on r, so each cell is read together with
 /// its partner and the two are written over each other.
-template <bool kMul>
-void reverse_first_two(cf* x, std::size_t n, const float* const* tw, __m256 conj,
-                       const cf* mul) {
+void reverse_first_two(cf* x, std::size_t n, const float* const* tw, __m256 conj) {
   const std::size_t q = n / 4;
   const Twiddles4 w1 = broadcast_twiddle(tw[0], 1, 0, conj);
   const Twiddles4 w20 = broadcast_twiddle(tw[1], 2, 0, conj);
   const Twiddles4 w21 = broadcast_twiddle(tw[1], 2, 1, conj);
   const int bits = std::countr_zero(n) - 4;
   for (std::size_t a = 0; a < n / 16; ++a) {
-    const std::size_t partner = reverse_bits(a, bits);
+    const std::size_t partner = scalar::reverse_bits(a, bits);
     if (partner < a) continue;
     __m256 oa[4];
-    first_two_cell<kMul>(x, mul, 4 * a, q, w1, w20, w21, oa);
+    first_two_cell(x, 4 * a, q, w1, w20, w21, oa);
     if (partner == a) {
       store_cell(x + 4 * a, q, oa);
       continue;
     }
     __m256 ob[4];
-    first_two_cell<kMul>(x, mul, 4 * partner, q, w1, w20, w21, ob);
+    first_two_cell(x, 4 * partner, q, w1, w20, w21, ob);
     store_cell(x + 4 * partner, q, oa);
     store_cell(x + 4 * a, q, ob);
   }
 }
 
-/// The butterflies k in [k0, k1) of every block of one stage of half
-/// h >= 4 over x[0, n), four butterflies per vector.
-void radix2_stage(cf* x, std::size_t n, const float* table, std::size_t h, __m256 conj,
-                  std::size_t k0, std::size_t k1) {
+/// One stage of half h >= 4 over x[0, n), four butterflies per vector.
+void radix2_stage(cf* x, std::size_t n, const float* table, std::size_t h, __m256 conj) {
   for (std::size_t s = 0; s < n; s += 2 * h) {
-    for (std::size_t k = k0; k < k1; k += 4) {
+    for (std::size_t k = 0; k < h; k += 4) {
       cf* p = x + s + k;
       const __m256 t = cmul_tw(load_twiddles(table, h, k, conj), _mm256_loadu_ps(fp(p + h)));
       const __m256 a = _mm256_loadu_ps(fp(p));
@@ -363,15 +342,15 @@ void radix2_stage(cf* x, std::size_t n, const float* table, std::size_t h, __m25
   }
 }
 
-/// Stages h and 2h (h >= 4) over x[0, n) in one pass: for each k in
-/// [k0, k1), the four samples k, k + h, k + 2h, k + 3h of a 4h block go
-/// through both butterfly levels in registers. Stage h pairs (k, k+h) and
-/// (k+2h, k+3h) with tw_h[k]; stage 2h pairs (k, k+2h) with tw_2h[k] and
-/// (k+h, k+3h) with tw_2h[k+h].
+/// Stages h and 2h (h >= 4) over x[0, n) in one pass: for each k, the
+/// four samples k, k + h, k + 2h, k + 3h of a 4h block go through both
+/// butterfly levels in registers. Stage h pairs (k, k+h) and (k+2h, k+3h)
+/// with tw_h[k]; stage 2h pairs (k, k+2h) with tw_2h[k] and (k+h, k+3h)
+/// with tw_2h[k+h].
 void radix4_pass(cf* x, std::size_t n, const float* table_h, const float* table_2h,
-                 std::size_t h, __m256 conj, std::size_t k0, std::size_t k1) {
+                 std::size_t h, __m256 conj) {
   for (std::size_t s = 0; s < n; s += 4 * h) {
-    for (std::size_t k = k0; k < k1; k += 4) {
+    for (std::size_t k = 0; k < h; k += 4) {
       cf* p = x + s + k;
       const Twiddles4 w1 = load_twiddles(table_h, h, k, conj);
       const Twiddles4 w2 = load_twiddles(table_2h, 2 * h, k, conj);
@@ -396,77 +375,35 @@ void radix4_pass(cf* x, std::size_t n, const float* table_h, const float* table_
   }
 }
 
-/// The outputs a transform keeps, x[keep, keep + keep_len).
-struct Kept {
-  std::size_t keep;
-  std::size_t len;
-};
-
-/// Runs `pass(k0, k1)` over the butterflies k < h of a stage of half h
-/// that the kept outputs depend on. Output p of a block of 2h comes from
-/// butterfly p mod h, and the stages after it read each block's outputs
-/// at the offsets of the kept ones, so a stage needs only k = (keep + i)
-/// mod h, i < len: every k once len is near h, else one range, split
-/// where it wraps at h, rounded out to whole vectors.
-template <typename Pass>
-void over_needed(std::size_t h, Kept kept, Pass&& pass) {
-  if (kept.len + 8 >= h) {
-    pass(std::size_t{0}, h);
-    return;
-  }
-  const std::size_t first = kept.keep % h;
-  const std::size_t k0 = first & ~std::size_t{3};
-  const std::size_t k1 = (first + kept.len + 3) & ~std::size_t{3};
-  pass(k0, std::min(k1, h));
-  if (k1 > h) pass(std::size_t{0}, k1 - h);
-}
-
 /// Stages first, first + 1, ..., last - 1 (stage s has half 2^s >= 4)
 /// over x[0, n): an odd count runs its first stage alone, the rest two
-/// per pass (a pass needs the butterflies of its lower stage).
+/// per pass.
 void run_stages(cf* x, std::size_t n, const float* const* tw, int first, int last,
-                __m256 conj, Kept kept) {
+                __m256 conj) {
   int s = first;
   if ((last - first) % 2 == 1) {
-    const std::size_t h = std::size_t{1} << s;
-    over_needed(h, kept, [&](std::size_t k0, std::size_t k1) {
-      radix2_stage(x, n, tw[s], h, conj, k0, k1);
-    });
+    radix2_stage(x, n, tw[s], std::size_t{1} << s, conj);
     ++s;
   }
-  for (; s < last; s += 2) {
-    const std::size_t h = std::size_t{1} << s;
-    over_needed(h, kept, [&](std::size_t k0, std::size_t k1) {
-      radix4_pass(x, n, tw[s], tw[s + 1], h, conj, k0, k1);
-    });
-  }
+  for (; s < last; s += 2) radix4_pass(x, n, tw[s], tw[s + 1], std::size_t{1} << s, conj);
 }
 
 }  // namespace
 
-void fft(cf* x, std::size_t n, const float* const* tw, bool inverse, const cf* mul,
-         std::size_t keep, std::size_t keep_len) {
+void fft(cf* x, std::size_t n, const float* const* tw, bool inverse) {
   BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft: null buffer");
-  BHSS_REQUIRE(keep <= n && keep_len <= n - keep, "fft: kept outputs past the transform");
   if (n < 16) {
-    scalar::fft(x, n, tw, inverse, mul, keep, keep_len);
+    scalar::fft(x, n, tw, inverse);
     return;
   }
   const __m256 conj = conj_mask(inverse);
-  if (mul != nullptr) {
-    reverse_first_two<true>(x, n, tw, conj, mul);
-  } else {
-    reverse_first_two<false>(x, n, tw, conj, nullptr);
-  }
+  reverse_first_two(x, n, tw, conj);
   // Stages half = 4 .. block / 2 block by block, then the rest over the
   // whole array.
-  const Kept kept{keep, keep_len};
   const std::size_t block = std::min(n, kFftBlock);
   const int block_stages = std::countr_zero(block);
-  for (std::size_t b = 0; b < n; b += block) {
-    run_stages(x + b, block, tw, 2, block_stages, conj, kept);
-  }
-  run_stages(x, n, tw, block_stages, std::countr_zero(n), conj, kept);
+  for (std::size_t b = 0; b < n; b += block) run_stages(x + b, block, tw, 2, block_stages, conj);
+  run_stages(x, n, tw, block_stages, std::countr_zero(n), conj);
   // Return with clean upper halves: a caller in baseline code that runs
   // SSE instructions next would otherwise pay the transition on each.
   _mm256_zeroupper();

@@ -16,7 +16,7 @@ namespace avx2 {
 void fir_decimate_real(const float*, std::size_t, const cf*, cf*, std::size_t, std::size_t);
 void correlate_lags(const cf*, const cf*, std::size_t, cf*, std::size_t);
 void despread_correlate16(const cf*, std::size_t, const float*, const float*, const float*, cf*);
-void fft(cf*, std::size_t, const float* const*, bool, const cf*, std::size_t, std::size_t);
+void fft(cf*, std::size_t, const float* const*, bool);
 void cmul_inplace(cf*, const cf*, std::size_t);
 void scale_inplace(cf*, float, std::size_t);
 void window_apply(const cf*, const float*, cf*, std::size_t);
@@ -63,12 +63,11 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   }
 }
 
-void fft(cf* x, std::size_t n, const float* const* tw, bool inverse, const cf* mul,
-         std::size_t keep, std::size_t keep_len) {
+void fft(cf* x, std::size_t n, const float* const* tw, bool inverse) {
   if (kUseAvx2) {
-    avx2::fft(x, n, tw, inverse, mul, keep, keep_len);
+    avx2::fft(x, n, tw, inverse);
   } else {
-    scalar::fft(x, n, tw, inverse, mul, keep, keep_len);
+    scalar::fft(x, n, tw, inverse);
   }
 }
 

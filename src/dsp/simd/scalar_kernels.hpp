@@ -17,6 +17,7 @@
 /// except where an avx2:: body inlines them.
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstddef>
@@ -175,16 +176,42 @@ inline void fft_stages(cf* x, std::size_t n, const float* const* tw, bool invers
   }
 }
 
+/// The low `bits` bits of a in reverse order.
+inline std::size_t reverse_bits(std::size_t a, int bits) {
+  std::size_t r = 0;
+  for (int b = 0; b < bits; ++b, a >>= 1) r = (r << 1) | (a & 1U);
+  return r;
+}
+
 /// The bit-reversal permutation of n (a power of two) samples in place:
-/// x[i] and x[rev(i)] trade places, the partner index counted backwards
-/// from the top bit as i counts up.
+/// x[i] and x[rev(i)] trade places. From n = 64 on the swaps go in 8 x 8
+/// tiles: the index bits split into high, middle and low fields, the
+/// outer two 3 bits wide, and for one middle value the low field walks 8
+/// contiguous samples under each of 8 high values, whose partners (low
+/// and high fields reversed and exchanged) are again 8 runs of 8. In
+/// ascending order the partners of neighbouring samples lie n/2 apart
+/// and, once the buffer outgrows L1, keep evicting each other.
 inline void bit_reverse(cf* x, std::size_t n) {
   BHSS_REQUIRE(x != nullptr, "bit_reverse: null buffer");
-  for (std::size_t i = 0, j = 0; i < n; ++i) {
-    if (i < j) std::swap(x[i], x[j]);
-    std::size_t bit = n >> 1;
-    for (; (j & bit) != 0; bit >>= 1) j ^= bit;
-    j |= bit;
+  constexpr std::array<std::size_t, 8> kRev3 = {0, 4, 2, 6, 1, 5, 3, 7};
+  const int bits = std::countr_zero(n);
+  if (bits < 6) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t r = reverse_bits(i, bits);
+      if (i < r) std::swap(x[i], x[r]);
+    }
+    return;
+  }
+  const int top = bits - 3;
+  for (std::size_t mid = 0; mid < (n >> 6); ++mid) {
+    const std::size_t mid_rev = reverse_bits(mid, bits - 6) << 3;
+    for (std::size_t hi = 0; hi < 8; ++hi) {
+      for (std::size_t lo = 0; lo < 8; ++lo) {
+        const std::size_t i = (hi << top) | (mid << 3) | lo;
+        const std::size_t r = (kRev3[lo] << top) | mid_rev | kRev3[hi];
+        if (i < r) std::swap(x[i], x[r]);
+      }
+    }
   }
 }
 
@@ -193,12 +220,7 @@ inline void cmul_inplace(cf* a, const cf* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) a[i] *= b[i];
 }
 
-/// Computes every output, the kept ones included.
-inline void fft(cf* x, std::size_t n, const float* const* tw, bool inverse, const cf* mul,
-                std::size_t keep, std::size_t keep_len) {
-  BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft: null buffer");
-  BHSS_REQUIRE(keep <= n && keep_len <= n - keep, "fft: kept outputs past the transform");
-  if (mul != nullptr) cmul_inplace(x, mul, n);
+inline void fft(cf* x, std::size_t n, const float* const* tw, bool inverse) {
   bit_reverse(x, n);
   fft_stages(x, n, tw, inverse);
 }

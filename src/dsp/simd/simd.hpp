@@ -102,9 +102,8 @@ BHSS_HOT void despread_correlate16(const cf* pairs, std::size_t n_pairs, const f
                                    const float* so, const float* cols, cf* out);
 
 /// In-place radix-2 decimation-in-time transform of `x`, n (a power of
-/// two >= 2) samples in natural order, with no 1/n scaling: first, if
-/// `mul` is not null, x[i] *= mul[i] (cmul_inplace's product); then the
-/// bit-reversal permutation; then every butterfly stage, as
+/// two >= 2) samples in natural order, with no 1/n scaling: the
+/// bit-reversal permutation, then every butterfly stage, as
 /// `scalar::fft_stages` runs them:
 ///   stage half h = 1, 2, 4, ..., n/2 (h = 2^s), for every block start
 ///   b (a multiple of 2h) and k in [0, h):
@@ -114,11 +113,8 @@ BHSS_HOT void despread_correlate16(const cf* pairs, std::size_t n_pairs, const f
 /// written twice, then the imaginary parts, each written twice
 /// (tw[s][2k + 1] = tw[s][2k], tw[s][2h + 2k + 1] = tw[s][2h + 2k]), the
 /// layout in which a vector of four twiddles is two loads and its product
-/// one shuffle. The output is in natural order, and only the kept outputs
-/// x[keep, keep + keep_len) are specified: a kernel may skip butterflies
-/// that none of them depends on (keep = 0, keep_len = n keeps all).
-BHSS_HOT void fft(cf* x, std::size_t n, const float* const* tw, bool inverse, const cf* mul,
-                  std::size_t keep, std::size_t keep_len);
+/// one shuffle. The output is in natural order.
+BHSS_HOT void fft(cf* x, std::size_t n, const float* const* tw, bool inverse);
 
 /// Pointwise complex multiply in place: a[i] *= b[i].
 BHSS_HOT void cmul_inplace(cf* a, const cf* b, std::size_t n);

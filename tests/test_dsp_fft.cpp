@@ -47,11 +47,18 @@ TEST(Fft, ValidSize) {
   EXPECT_FALSE(Fft::valid_size(1));
   EXPECT_FALSE(Fft::valid_size(3));
   EXPECT_FALSE(Fft::valid_size(96));
+  EXPECT_TRUE(Fft::valid_size(Fft::kMaxSize));
+  EXPECT_FALSE(Fft::valid_size(2 * Fft::kMaxSize));
 }
 
 TEST(Fft, RejectsInvalidSize) {
   EXPECT_THROW(Fft(0), std::invalid_argument);
   EXPECT_THROW(Fft(7), std::invalid_argument);
+  // A power of two past the largest supported size is refused before any
+  // twiddle table is built (all stages of 2^33 points would be 128 GB).
+  if constexpr (sizeof(std::size_t) > 4) {
+    EXPECT_THROW(Fft(std::size_t{1} << 33), std::invalid_argument);
+  }
 }
 
 TEST(Fft, ImpulseIsFlat) {

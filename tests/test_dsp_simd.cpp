@@ -169,74 +169,44 @@ void salt_specials(cf* p, std::size_t n, std::size_t first) {
 
 TEST(DspSimd, FftStagesMatchScalarBitExact) {
   // The dispatched transform against its reference, scalar::bit_reverse
-  // then scalar::fft_stages (after cmul_inplace when it takes a
-  // multiplier), at every power of two from 2 to 65536: below 16 the
-  // dispatch runs the reference; from 16 on, the AVX2 pass reads each
-  // 16-sample cell with its bit-reversed partner (some cells are their
-  // own partner at every n, distinct pairs start at n = 64), runs the
-  // stages of half < 2048 block by block and, from n = 4096 on, the rest
-  // over the whole array, both parities of each stage count included; a
-  // transform that keeps a window of its outputs matches there.
-  // Twiddles are arbitrary values: the kernel contract holds for any
-  // table. The salt starts past the first twiddle, which alone drives the
-  // half = 1 stage: a zero there would hide that stage's add/sub lanes
-  // behind t = 0.
+  // then scalar::fft_stages, at every power of two from 2 to 65536: below
+  // 16 the dispatch runs the reference; from 16 on, the AVX2 pass reads
+  // each 16-sample cell with its bit-reversed partner (some cells are
+  // their own partner at every n, distinct pairs start at n = 64), runs
+  // the stages of half < 2048 block by block and, from n = 4096 on, the
+  // rest over the whole array, both parities of each stage count
+  // included. Twiddles are arbitrary values: the kernel contract holds
+  // for any table. The salt starts past the first twiddle, which alone
+  // drives the half = 1 stage: a zero there would hide that stage's
+  // add/sub lanes behind t = 0.
   for (std::size_t n = 2; n <= 65536; n *= 2) {
     for (bool inverse : {false, true}) {
-      for (bool with_mul : {false, true}) {
-        for (std::size_t off = 0; off <= kMaxOffset; ++off) {
-          Offset<cf> x(n, off);
-          Offset<cf> mul(n, off);
-          std::vector<cf> flat(n - 1);
-          fill(x.p, n);
-          fill(mul.p, n);
-          fill(flat.data(), n - 1);
-          salt_specials(x.p, n, off);
-          salt_specials(mul.p, n, off + 2);
-          salt_specials(flat.data(), n - 1, off + 1);
-          // Stage half h's twiddle k is flat[h - 1 + k], duplicated into
-          // the kernel's layout, each table at its own misalignment.
-          std::vector<Offset<float>> tables;
-          std::vector<const float*> tw;
-          for (std::size_t h = 1; h < n; h *= 2) {
-            Offset<float>& t = tables.emplace_back(4 * h, off);
-            for (std::size_t k = 0; k < h; ++k) {
-              t.p[2 * k] = t.p[2 * k + 1] = flat[h - 1 + k].real();
-              t.p[2 * h + 2 * k] = t.p[2 * h + 2 * k + 1] = flat[h - 1 + k].imag();
-            }
-            tw.push_back(t.p);
+      for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+        Offset<cf> x(n, off);
+        std::vector<cf> flat(n - 1);
+        fill(x.p, n);
+        fill(flat.data(), n - 1);
+        salt_specials(x.p, n, off);
+        salt_specials(flat.data(), n - 1, off + 1);
+        // Stage half h's twiddle k is flat[h - 1 + k], duplicated into
+        // the kernel's layout, each table at its own misalignment.
+        std::vector<Offset<float>> tables;
+        std::vector<const float*> tw;
+        for (std::size_t h = 1; h < n; h *= 2) {
+          Offset<float>& t = tables.emplace_back(4 * h, off);
+          for (std::size_t k = 0; k < h; ++k) {
+            t.p[2 * k] = t.p[2 * k + 1] = flat[h - 1 + k].real();
+            t.p[2 * h + 2 * k] = t.p[2 * h + 2 * k + 1] = flat[h - 1 + k].imag();
           }
-          const cf* m = with_mul ? mul.p : nullptr;
-          std::vector<cf> want(x.p, x.p + n);
-          if (m != nullptr) simd::scalar::cmul_inplace(want.data(), m, n);
-          simd::scalar::bit_reverse(want.data(), n);
-          simd::scalar::fft_stages(want.data(), n, tw.data(), inverse);
-          // Every output, then (with a multiplier, as the convolver calls
-          // it) windows that skip butterflies: single outputs at both
-          // ends, short runs off vector alignment, one that straddles
-          // n/2 and so wraps past the half of every stage that skips,
-          // and a wide one.
-          std::vector<std::array<std::size_t, 2>> windows = {{0, n}};
-          if (with_mul) {
-            windows.insert(windows.end(), {{0, 1},
-                                           {n - 1, 1},
-                                           {n / 3, std::min<std::size_t>(n - n / 3, 7)},
-                                           {n / 2 - 3 * (n >= 8), std::min<std::size_t>(n / 2, 9)},
-                                           {n / 2 + 5, std::min<std::size_t>(n / 2 - 5, 253)},
-                                           {n / 4 + 3, n / 2}});
-          }
-          const std::vector<cf> input(x.p, x.p + n);
-          for (const auto& [keep, len] : windows) {
-            if (keep + len > n || len == 0) continue;
-            std::copy(input.begin(), input.end(), x.p);
-            simd::fft(x.p, n, tw.data(), inverse, m, keep, len);
-            expect_same_bits(x.p + keep, want.data() + keep, len,
-                             "fft n=" + std::to_string(n) + " inv=" + std::to_string(inverse) +
-                                 " mul=" + std::to_string(with_mul) +
-                                 " off=" + std::to_string(off) + " keep=" + std::to_string(keep) +
-                                 "+" + std::to_string(len));
-          }
+          tw.push_back(t.p);
         }
+        std::vector<cf> want(x.p, x.p + n);
+        simd::scalar::bit_reverse(want.data(), n);
+        simd::scalar::fft_stages(want.data(), n, tw.data(), inverse);
+        simd::fft(x.p, n, tw.data(), inverse);
+        expect_same_bits(x.p, want.data(), n,
+                         "fft n=" + std::to_string(n) + " inv=" + std::to_string(inverse) +
+                             " off=" + std::to_string(off));
       }
     }
   }

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <thread>
@@ -172,22 +173,38 @@ TEST(HeapBudget, FftTablesGrowLessThanPerSizePlans) {
   // per-size plan of a bit-reversal swap list (n/2 pairs of 32-bit
   // indices reserved, 4 B per point) and n - 1 twiddles at 8 B held
   // 12 B per point. Built in ascending order, as a link builds them (its
-  // Welch estimates start at 32 points), no size may cost more than that,
-  // and all of them together less than their per-size plans.
-  const dsp::Fft smallest(2);  // one 16-byte table, below the allocator's minimum chunk
-  std::size_t total = 0;
-  std::size_t per_size_plans = 0;
-  for (std::size_t n = 4; n <= 16384; n *= 2) {
-    const std::size_t live_before = t_live;
-    t_high = t_live;
-    const dsp::Fft fft(n);
-    const std::size_t grown = t_high - live_before;
-    const std::size_t plan_bytes = (n / 2) * 8 + (n - 1) * 8;
-    EXPECT_LE(grown, plan_bytes) << "n=" << n;
-    total += grown;
-    per_size_plans += plan_bytes;
-  }
-  EXPECT_LT(total, per_size_plans);
+  // Welch estimates start at 32 points), every size must build its table
+  // and cost no more than that, and all of them together less than their
+  // per-size plans. The tables outlive every test, so the sizes are
+  // measured in a fresh process (the binary re-run for this test alone),
+  // never after another test has built them.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const dsp::Fft smallest(2);
+        bool ok = true;
+        std::size_t total = 0;
+        std::size_t per_size_plans = 0;
+        for (std::size_t n = 4; n <= 16384; n *= 2) {
+          const std::size_t live_before = t_live;
+          t_high = t_live;
+          const dsp::Fft fft(n);
+          const std::size_t grown = t_high - live_before;
+          const std::size_t plan_bytes = (n / 2) * 8 + (n - 1) * 8;
+          if (grown == 0 || grown > plan_bytes) {
+            std::fprintf(stderr, "n=%zu grew %zu B, per-size plan %zu B\n", n, grown, plan_bytes);
+            ok = false;
+          }
+          total += grown;
+          per_size_plans += plan_bytes;
+        }
+        if (total >= per_size_plans) {
+          std::fprintf(stderr, "tables %zu B, per-size plans %zu B\n", total, per_size_plans);
+          ok = false;
+        }
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(HeapBudget, FirstFilterOnAThreadHoldsOnlyItsBlockScratch) {
