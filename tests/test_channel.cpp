@@ -170,6 +170,31 @@ TEST(Impairments, CfoAccumulatesLinearly) {
   }
 }
 
+TEST(Impairments, CfoIsPinned) {
+  // The exact bits, by digest, of the channel's CFO oscillator over noise
+  // long enough for four renormalisations (every 4096 samples), at three
+  // offsets. The accuracy test above passes a change that moves the last
+  // bit of a sample; this one does not.
+  const std::array<float, 3> cfos = {1e-3F, -2.5e-4F, 0.3F};
+  const std::array<std::uint64_t, cfos.size()> pins = {
+      0x2DA37A9D1F890286ULL, 0xB4C7598FBCD899B1ULL, 0x64B5D808E37ECAA3ULL,
+  };
+  for (std::size_t c = 0; c < cfos.size(); ++c) {
+    dsp::cvec x = AwgnSource(60 + c).generate(17000, 1.0);
+    apply_cfo(dsp::cspan_mut{x}, cfos[c]);
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (std::size_t i = 0; i < 2 * x.size(); ++i) {
+      std::uint32_t w = 0;
+      std::memcpy(&w, reinterpret_cast<const float*>(x.data()) + i, sizeof(w));
+      for (int b = 0; b < 4; ++b) {
+        h ^= (w >> (8 * b)) & 0xFFU;
+        h *= 0x100000001B3ULL;
+      }
+    }
+    EXPECT_EQ(h, pins[c]) << "cfo " << cfos[c];
+  }
+}
+
 TEST(Impairments, IntegerDelay) {
   const dsp::cvec x = {dsp::cf{1.0F, 1.0F}, dsp::cf{2.0F, 0.0F}};
   const dsp::cvec y = apply_delay(x, 3, 8);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <numbers>
 
@@ -13,6 +14,7 @@
 #include "core/receiver.hpp"
 #include "core/transmitter.hpp"
 #include "dsp/fir.hpp"
+#include "jammer/noise_jammer.hpp"
 #include "phy/frame.hpp"
 #include "dsp/utils.hpp"
 
@@ -307,6 +309,113 @@ TEST(Receiver, HopDiagnosticsMatchSchedule) {
   for (std::size_t i = 0; i < res.hops.size(); ++i) {
     EXPECT_EQ(res.hops[i].bw_index, t.schedule.segments[i].bw_index);
   }
+}
+
+/// FNV-1a 64 over a sequence of words, each least significant byte first.
+struct Digest {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  void add(std::uint64_t w, int bytes = 8) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  void add(float f) { add(std::bit_cast<std::uint32_t>(f), 4); }
+};
+
+/// Everything receive() decides: the symbols, the sync estimate's bits,
+/// each hop's band and filter, and the sync and scrub bookkeeping.
+std::uint64_t result_digest(const RxResult& r) {
+  Digest d;
+  for (const std::uint8_t s : r.symbols) d.add(s, 1);
+  d.add(r.sync.frame_start);
+  d.add(r.sync.phase);
+  d.add(r.sync.cfo);
+  d.add(r.sync.quality);
+  d.add(r.sync.margin);
+  for (const HopDiagnostics& hop : r.hops) {
+    d.add(hop.bw_index);
+    d.add(static_cast<std::uint64_t>(hop.filter));
+    d.add(static_cast<std::uint64_t>(hop.degenerate_psd));
+  }
+  d.add(r.sync_attempts);
+  d.add(static_cast<std::uint64_t>(r.frame_detected) | std::uint64_t{r.crc_ok} << 1 |
+        std::uint64_t{r.reacquired} << 2 | std::uint64_t{r.sync_lost} << 3 |
+        std::uint64_t{r.input_scrubbed} << 4);
+  d.add(r.filter_fallbacks);
+  return d.h;
+}
+
+TEST(BhssReceiver, ResultIsPinned) {
+  // The exact decisions of receive(), by digest, on seeded captures of the
+  // parabolic pattern at one symbol per hop: a clean channel (every hop
+  // unfiltered, the Costas loop on the raw derotated capture), a narrow
+  // and a wide noise jammer (excision and low-pass hops), a frame that
+  // arrives past the first search window (one retry), and a clean capture
+  // cut inside its last hop (the loop reads zeros past its end). The
+  // round-trip tests pass a change that moves the last bit of a tracked
+  // sample, a sync estimate or a decision threshold; this one does not.
+  const SystemConfig cfg = hopping_config(HopPatternType::parabolic);
+  const BhssTransmitter tx(cfg);
+  const BhssReceiver rx(cfg);
+  const auto payload = test_payload(8);
+  struct Case {
+    std::uint64_t frame;
+    double jammer_bw;  // 0: no jammer
+    double snr_db;
+    std::size_t delay;
+    std::size_t search_window;
+    std::size_t cut;  // samples cut off the end of the capture
+  };
+  const std::array<Case, 6> cases = {{
+      {40, 0.0, 12.0, 37, 96, 0},
+      {41, 0.008, 14.0, 53, 128, 0},
+      {42, 0.5, 14.0, 21, 64, 0},
+      {43, 0.03, 16.0, 9, 64, 0},
+      {49, 0.0, 14.0, 130, 70, 0},
+      {45, 0.0, 12.0, 45, 96, 700},
+  }};
+  const std::array<std::uint64_t, cases.size()> pins = {
+      0xFF00157E88D3C461ULL, 0xBE9D6705211DAEC4ULL, 0xA5C94DC56991574CULL,
+      0x0F255CA375D20E58ULL, 0xBF2411E6E3598E59ULL, 0x05B7F44981637FAEULL,
+  };
+  std::array<std::size_t, 3> kinds{};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Case& k = cases[c];
+    const std::uint64_t frame = k.frame;
+    const std::size_t f = frame - 40;
+    const Transmission t = tx.transmit(payload, frame);
+    channel::LinkConfig link;
+    link.snr_db = k.snr_db;
+    link.tx_delay = k.delay;
+    link.tail_pad = 64;
+    link.phase = 0.4F + 0.9F * static_cast<float>(f);
+    link.cfo = (static_cast<float>(f % 3) - 1.0F) * 6e-5F;
+    dsp::cvec jam;
+    if (k.jammer_bw > 0.0) {
+      link.jnr_db = 22.0;
+      jam = jammer::NoiseJammer(k.jammer_bw, 90 + f).generate(k.delay + t.samples.size() + 64);
+    }
+    channel::AwgnSource noise(70 + f);
+    dsp::cvec capture = channel::transmit(t.samples, std::move(jam), link, noise);
+    capture.resize(capture.size() - 64 - k.cut);
+    const std::size_t captured = capture.size();
+    const RxResult res = rx.receive(std::move(capture), frame, payload.size(), k.search_window);
+    for (const HopDiagnostics& hop : res.hops) ++kinds[static_cast<std::size_t>(hop.filter)];
+    if (k.delay > k.search_window) {
+      EXPECT_EQ(res.sync_attempts, 2U);
+    }
+    if (k.cut > 0) {
+      // The capture ends inside the last hop, which runs unfiltered.
+      const HopSegment& last = t.schedule.segments.back();
+      EXPECT_GT(captured, res.sync.frame_start + last.start_sample);
+      EXPECT_LT(captured, res.sync.frame_start + t.schedule.total_samples);
+      EXPECT_EQ(res.hops.back().filter, FilterDecision::Kind::none);
+    }
+    EXPECT_EQ(result_digest(res), pins[c]) << "case " << c;
+  }
+  // The set reaches every filter kind.
+  for (const std::size_t n : kinds) EXPECT_GT(n, 0U);
 }
 
 /// The hop filter as it was written before it read the capture in place:

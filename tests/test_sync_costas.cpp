@@ -4,13 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <random>
 
 #include "channel/awgn.hpp"
 #include "channel/impairments.hpp"
 #include "dsp/pulse.hpp"
+#include "dsp/utils.hpp"
 #include "phy/modem.hpp"
 #include "sync/costas.hpp"
 
@@ -133,6 +138,84 @@ TEST(CostasLoop, FrequencyClamped) {
     widest = std::max(widest, std::abs(loop.frequency()));
   }
   EXPECT_EQ(widest, 0.5F);
+}
+
+/// FNV-1a 64 over the loop's output words, then its final phase and
+/// frequency, each least significant byte first.
+std::uint64_t loop_digest(std::uint64_t h, const dsp::cvec& y, const CostasLoop& loop) {
+  const auto add = [&h](std::uint32_t w) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (std::size_t i = 0; i < 2 * y.size(); ++i) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, reinterpret_cast<const float*>(y.data()) + i, sizeof(w));
+    add(w);
+  }
+  add(std::bit_cast<std::uint32_t>(loop.phase()));
+  add(std::bit_cast<std::uint32_t>(loop.frequency()));
+  return h;
+}
+
+TEST(CostasLoop, OutputIsPinned) {
+  // The exact bits, by digest, of the receiver's carrier tracking: seeded
+  // pulse-shaped hops at three pulse lengths with a phase offset, a CFO
+  // and noise, each with a run of exact zeros inside and at its end (a
+  // hop read past the end of its capture). Each is tracked as it is (row
+  // 0), and after the per-hop rotation by the residual-phase model, for a
+  // zero ramp and ramps whose angle crosses 2^-12, 0.75 and +-120 rad (the
+  // branches of the sincos replica). Lock and CFO tests pass a change that
+  // moves the last bit of one sample; this one does not.
+  struct Ramp {
+    double phase;
+    double cfo;
+    std::size_t start;
+    double anchor;
+  };
+  const std::array<Ramp, 5> ramps = {{
+      {0.0, 0.0, 0, 0.0},
+      {-2e-4, -1e-8, 0, 0.0},
+      {-0.74, -3e-6, 1000, 2000.5},
+      {119.98, 1e-5, 0, 0.0},
+      {-119.99, -1e-5, 300, 150.5},
+  }};
+  const std::array<std::uint64_t, ramps.size() + 1> pins = {
+      0xF7D6396872AF0F35ULL, 0xF7D6396872AF0F35ULL, 0xEEFAAC107E286DADULL,
+      0xE6296DC6A9A04C6FULL, 0x31BD05741994295AULL, 0x6980B810FABEACE2ULL,
+  };
+  std::array<std::uint64_t, ramps.size() + 1> got{};
+  got.fill(0xCBF29CE484222325ULL);
+  const std::array<std::size_t, 3> sps = {2, 8, 64};
+  for (std::size_t h = 0; h < sps.size(); ++h) {
+    dsp::cvec x = qpsk_waveform(8192 / sps[h], sps[h], 20 + static_cast<unsigned>(h));
+    channel::apply_phase(dsp::cspan_mut{x}, 0.3F + 0.5F * static_cast<float>(h));
+    channel::apply_cfo(dsp::cspan_mut{x}, 2e-4F);
+    channel::AwgnSource(30 + h).add_to(dsp::cspan_mut{x}, 0.05);
+    std::fill(x.begin() + 2000, x.begin() + 2050, dsp::cf{0.0F, 0.0F});
+    std::fill(x.end() - 1000, x.end(), dsp::cf{0.0F, 0.0F});
+
+    dsp::cvec y = x;
+    CostasLoop plain(0.002F);
+    plain.process(dsp::cspan_mut{y});
+    got[0] = loop_digest(got[0], y, plain);
+
+    for (std::size_t r = 0; r < ramps.size(); ++r) {
+      const Ramp& m = ramps[r];
+      dsp::cvec z = x;
+      dsp::rotate(z, [&m](std::size_t i) {
+        const double t = static_cast<double>(m.start + i);
+        return static_cast<float>(-(m.phase + m.cfo * (t - m.anchor)));
+      });
+      CostasLoop loop(0.002F);
+      loop.process(dsp::cspan_mut{z});
+      got[r + 1] = loop_digest(got[r + 1], z, loop);
+    }
+  }
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r], pins[r]) << (r == 0 ? "plain tracking" : "ramp " + std::to_string(r - 1));
+  }
 }
 
 }  // namespace

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <random>
 
 #include "channel/awgn.hpp"
 #include "channel/impairments.hpp"
+#include "dsp/fir.hpp"
+#include "phy/modem.hpp"
 #include "sync/preamble_sync.hpp"
 
 namespace bhss::sync {
@@ -178,6 +183,75 @@ TEST(PreambleSync, QualityDegradesWithJamming) {
   const auto jammed_est = sync.acquire(rx, 128, 0.05F);
   ASSERT_TRUE(jammed_est.has_value());
   EXPECT_LT(jammed_est->quality, clean_est->quality);
+}
+
+/// FNV-1a 64 of an estimate's fields, each least significant byte first,
+/// continuing from `h`; a missing estimate folds in one marker word.
+std::uint64_t estimate_digest(std::uint64_t h, const std::optional<SyncEstimate>& e) {
+  const auto add = [&h](std::uint64_t w, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  if (!e.has_value()) {
+    add(0xFFFFFFFFU, 4);
+    return h;
+  }
+  add(e->frame_start, 8);
+  for (const float f : {e->phase, e->cfo, e->quality, e->margin}) {
+    add(std::bit_cast<std::uint32_t>(f), 4);
+  }
+  return h;
+}
+
+TEST(PreambleSync, EstimateIsPinned) {
+  // The exact bits, by digest, of acquire() and refine() on the receiver's
+  // references: eight symbols (256 chips) of half-sine QPSK at each of the
+  // paper's pulse lengths, 2 to 128 samples per chip (references of 512
+  // to 32768 samples), delayed, rotated, frequency-shifted and noisy. Each
+  // is searched as it is over 301 lags, and low-pass filtered like a
+  // filtered acquisition window (window and reference through one plan)
+  // over 202, lag counts that leave a partial block of eight lags.
+  const std::array<std::size_t, 7> sps = {2, 4, 8, 16, 32, 64, 128};
+  const std::array<std::uint64_t, sps.size()> pins = {
+      0xE86B300024AE02C9ULL, 0xBA8C6E92CD2CBF13ULL, 0x1ACD4DD471C8EDF9ULL, 0x009314CB9FBADFC7ULL,
+      0x72732865E7156EDDULL, 0x334E34BF78527CEAULL, 0xBDE41E0C30337850ULL,
+  };
+  for (std::size_t l = 0; l < sps.size(); ++l) {
+    std::mt19937 rng(40 + static_cast<unsigned>(l));
+    std::vector<float> chips(256);
+    for (float& c : chips) c = (rng() & 1U) ? 1.0F : -1.0F;
+    dsp::cvec ref(chips.size() * sps[l]);
+    phy::QpskModem(sps[l]).modulate(chips, ref);
+
+    const std::size_t delay = 29 + sps[l];
+    dsp::cvec channel_in = ref;
+    channel::apply_phase(dsp::cspan_mut{channel_in}, 0.9F - 0.4F * static_cast<float>(l));
+    channel::apply_cfo(dsp::cspan_mut{channel_in}, 3e-5F * static_cast<float>(l % 3) - 2e-5F);
+    dsp::cvec rx = channel::apply_delay(channel_in, delay, delay + ref.size() + 512);
+    channel::AwgnSource(50 + l).add_to(dsp::cspan_mut{rx}, 0.5);
+
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    const PreambleSync raw(ref);
+    const auto coarse = raw.acquire(rx, 300, 0.1F);
+    h = estimate_digest(h, coarse);
+    if (coarse) h = estimate_digest(h, raw.refine(rx, *coarse));
+
+    const auto plan = dsp::lowpass_plan(dsp::lowpass_num_taps(0.25 / static_cast<double>(sps[l])),
+                                        0.6 / static_cast<double>(sps[l]));
+    dsp::cvec window(rx.size());
+    plan->filter(rx, 0, window);
+    dsp::cvec filtered_ref(ref.size());
+    plan->filter(ref, 0, filtered_ref);
+    const PreambleSync filtered(std::move(filtered_ref));
+    const auto fcoarse = filtered.acquire(window, 201, 0.1F);
+    h = estimate_digest(h, fcoarse);
+    if (fcoarse) h = estimate_digest(h, filtered.refine(window, *fcoarse));
+
+    EXPECT_TRUE(coarse.has_value() && fcoarse.has_value()) << "sps " << sps[l];
+    EXPECT_EQ(h, pins[l]) << "sps " << sps[l];
+  }
 }
 
 }  // namespace
