@@ -36,6 +36,7 @@
 #include "phy/modem.hpp"
 #include "phy/spreader.hpp"
 #include "sync/correlate.hpp"
+#include "sync/costas.hpp"
 
 namespace {
 
@@ -263,6 +264,49 @@ void BM_CorrelateSearch(benchmark::State& state) {
 // 4096 is the 8-symbol preamble at 16 samples per chip (the narrowest
 // paper levels search 8192-32768-sample references); reported, not gated.
 BENCHMARK(BM_CorrelateSearch)->Arg(64)->Arg(512)->Arg(4096);
+
+/// A search of 300 lags, which the kernel runs as nine 32-lag blocks and
+/// one partial group of twelve: 8 lags plus a masked group of 4.
+void BM_CorrelateSearchPartial(benchmark::State& state) {
+  const auto n_ref = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kLags = 300;
+  const dsp::cvec ref = random_signal(n_ref, 14);
+  const dsp::cvec x = random_signal(kLags - 1 + n_ref, 15);
+  for (auto _ : state) {
+    const sync::CorrelationPeak peak = sync::correlate_search(x, ref, kLags - 1);
+    benchmark::DoNotOptimize(peak.normalized);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kLags));
+}
+BENCHMARK(BM_CorrelateSearchPartial)->Arg(4096);
+
+// ------------------------------------------------------- carrier tracking
+
+/// One receiver hop through the Costas loop: 16384 samples of half-sine
+/// QPSK at 8 samples per chip with noise, rotated by a residual-phase
+/// ramp and tracked in one pass (a fresh loop per hop, as receive() runs
+/// it). The loop is one serial dependency chain per sample.
+void BM_CostasTrack(benchmark::State& state) {
+  constexpr std::size_t kSps = 8;
+  constexpr std::size_t kSamples = 16384;
+  std::mt19937 rng(16);
+  std::vector<float> chips(kSamples / kSps);
+  for (float& c : chips) c = (rng() & 1U) ? 1.0F : -1.0F;
+  dsp::cvec hop(kSamples);
+  phy::QpskModem::of(kSps).modulate(chips, hop);
+  const dsp::cvec noise = random_signal(kSamples, 17);
+  for (std::size_t i = 0; i < kSamples; ++i) hop[i] += 0.3F * noise[i];
+  const sync::PhaseRamp ramp{0.4, 2e-5, 3000, 1500.5};
+  dsp::cvec out(kSamples);
+  for (auto _ : state) {
+    sync::CostasLoop loop(0.002F);
+    loop.track(hop, ramp, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kSamples));
+}
+BENCHMARK(BM_CostasTrack);
 
 // ------------------------------------------------------ filter-design cache
 

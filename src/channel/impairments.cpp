@@ -26,7 +26,11 @@ void apply_cfo(dsp::cspan_mut x, float cfo) noexcept {
   std::size_t count = 0;
   for (dsp::cf& s : x) {
     s *= osc;
-    osc *= step;
+    // osc * step written out: osc and step stay finite, so these are the
+    // bits of std::complex's fast path, without its NaN check on this
+    // serial chain.
+    osc = dsp::cf{osc.real() * step.real() - osc.imag() * step.imag(),
+                  osc.real() * step.imag() + osc.imag() * step.real()};
     if (++count % 4096 == 0) {
       const float mag = std::abs(osc);
       if (mag > 0.0F) osc /= mag;

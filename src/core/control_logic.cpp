@@ -37,12 +37,18 @@ dsp::fvec smooth_psd(const dsp::fvec& psd, std::size_t half_width) {
   const std::size_t n = psd.size();
   dsp::fvec out(n, 0.0F);
   const auto width = static_cast<float>(2 * half_width + 1);
+  // Term d of bin k reads bin (k - half_width + d) mod n: the index walks
+  // up from the window's first bin and wraps by a compare, not a division.
+  std::size_t first = (n - half_width % n) % n;
   for (std::size_t k = 0; k < n; ++k) {
     double acc = 0.0;
+    std::size_t j = first;
     for (std::size_t d = 0; d <= 2 * half_width; ++d) {
-      acc += static_cast<double>(psd[(k + n - half_width + d) % n]);
+      acc += static_cast<double>(psd[j]);
+      if (++j == n) j = 0;
     }
     out[k] = static_cast<float>(acc) / width;
+    if (++first == n) first = 0;
   }
   return out;
 }
@@ -204,8 +210,8 @@ FilterDecision ControlLogic::design_excision(const dsp::fvec& raw_psd, std::size
     std::vector<bool> dilated = hot;
     for (std::size_t k = 0; k < n; ++k) {
       if (hot[k]) {
-        dilated[(k + 1) % n] = true;
-        dilated[(k + n - 1) % n] = true;
+        dilated[k + 1 == n ? 0 : k + 1] = true;
+        dilated[k == 0 ? n - 1 : k - 1] = true;
       }
     }
     // The binary verdict above makes the design a pure function of

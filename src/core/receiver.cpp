@@ -67,11 +67,7 @@ FilterDecision BhssReceiver::choose_filter(dsp::cspan slice, std::size_t bw_inde
 dsp::cvec BhssReceiver::filtered_slice(dsp::cspan buffer, std::size_t a0, std::size_t needed,
                                        const FilterDecision& decision, obs::TraceSink* trace) {
   BHSS_TRACE_SCOPE(trace, obs::TraceScopeId::filter_apply);
-  if (decision.kind == FilterDecision::Kind::none) {
-    dsp::cvec out(needed, dsp::cf{0.0F, 0.0F});
-    for (std::size_t i = 0; i < needed && a0 + i < buffer.size(); ++i) out[i] = buffer[a0 + i];
-    return out;
-  }
+  BHSS_REQUIRE(decision.plan != nullptr, "filtered_slice: the decision carries no filter");
 
   // Filter from a lead-in (so the filter is warmed up by real samples
   // where they exist) and read the group-delay-compensated samples aligned
@@ -266,28 +262,31 @@ RxResult BhssReceiver::receive(dsp::cvec capture, std::uint64_t frame_counter,
                 .v5 = dsp::linear_to_db(kOobLevelRatio)});
     }
 
-    // Remove the predicted residual rotation for this hop.
-    dsp::cvec clean = filtered_slice(capture, a0, needed, decision, o.sink());
-    dsp::rotate(clean, [&](std::size_t i) {
-      const double t = static_cast<double>(seg.start_sample + i);
-      return static_cast<float>(-(model_phase + model_cfo * (t - t_anchor)));
-    });
+    // The predicted residual rotation for this hop.
+    const sync::PhaseRamp ramp{model_phase, model_cfo, seg.start_sample, t_anchor};
 
     // Carrier tracking runs after the suppression filter and before the
     // matched filter, exactly as in the paper's chain (§6.1): without the
     // filter, a strong jammer drives the loop out of lock — a large part
     // of why unfiltered spread spectrum collapses under jamming. The loop
     // is re-anchored per hop on the phase model, so a slip inside one
-    // badly jammed hop cannot poison the rest of the frame. When the
-    // excision filter has notched out the spectral core, the waveform no
-    // longer matches the decision-directed QPSK model and the loop would
-    // wander; carrier tracking is bypassed there and the despread-level
-    // phase feedback carries the hop instead.
+    // badly jammed hop cannot poison the rest of the frame. It removes the
+    // model's rotation in the same pass; an unfiltered hop is read straight
+    // from the capture, zero past its end. When the excision filter has
+    // notched out the spectral core, the waveform no longer matches the
+    // decision-directed QPSK model and the loop would wander; carrier
+    // tracking is bypassed there (the rotation alone is applied) and the
+    // despread-level phase feedback carries the hop instead.
     sync::CostasLoop costas(kCostasBandwidth);
+    const bool filtered = decision.kind != FilterDecision::Kind::none;
     const bool track_carrier = decision.kind != FilterDecision::Kind::excision;
+    dsp::cvec clean =
+        filtered ? filtered_slice(capture, a0, needed, decision, o.sink()) : dsp::cvec(needed);
     if (track_carrier) {
       BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::carrier_track);
-      costas.process(dsp::cspan_mut{clean});
+      costas.track(filtered ? dsp::cspan{clean} : raw_slice, ramp, clean);
+    } else {
+      dsp::rotate(clean, [&ramp](std::size_t i) { return ramp.angle(i); });
     }
 
     BHSS_TRACE_SCOPE(o.sink(), obs::TraceScopeId::demod_despread);

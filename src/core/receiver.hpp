@@ -78,8 +78,9 @@ class BhssReceiver {
 
   [[nodiscard]] const SystemConfig& config() const noexcept { return config_; }
 
-  /// Filter `buffer` around [a0, a0+needed) with `decision`, returning the
-  /// group-delay-compensated samples aligned to a0 (zero-padded at edges).
+  /// Filter `buffer` around [a0, a0+needed) with `decision`, which must
+  /// carry a filter, returning the group-delay-compensated samples aligned
+  /// to a0 (zero-padded at edges).
   /// With a filter of K taps these are the bits of a copy of the capture
   /// from a0 - lead, lead = min(a0, K), zero-padded to lead + needed + K
   /// samples and filtered whole, read from lead + K/2 (the group delay) on.

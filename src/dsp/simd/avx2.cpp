@@ -160,7 +160,17 @@ void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std:
     _mm256_storeu_ps(o + 48, acc6);
     _mm256_storeu_ps(o + 56, acc7);
   }
-  for (; l + 8 <= n_lags; l += 8) {
+  // The rest in groups of eight lags, two accumulators. The last group may
+  // hold fewer: its loads and stores are masked to its lags, so it reads
+  // no sample past the n_lags - 1 + n_ref that x holds, and its lanes sum
+  // in the same order as full ones (a masked lane reads zeros and is
+  // never stored).
+  const __m256i lane0 = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+  const __m256i lane1 = _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7);
+  for (; l < n_lags; l += 8) {
+    const __m256i live = _mm256_set1_epi32(static_cast<int>(std::min<std::size_t>(8, n_lags - l)));
+    const __m256i m0 = _mm256_cmpgt_epi32(live, lane0);
+    const __m256i m1 = _mm256_cmpgt_epi32(live, lane1);
     __m256 acc0 = _mm256_setzero_ps();
     __m256 acc1 = _mm256_setzero_ps();
     const float* base = fp(x + l);
@@ -168,13 +178,12 @@ void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std:
       const __m256 cr = _mm256_set1_ps(ref[k].real());
       const __m256 ci = _mm256_set1_ps(-ref[k].imag());
       const float* p = base + 2 * k;
-      acc0 = _mm256_add_ps(acc0, cmul_bcast4(cr, ci, _mm256_loadu_ps(p)));
-      acc1 = _mm256_add_ps(acc1, cmul_bcast4(cr, ci, _mm256_loadu_ps(p + 8)));
+      acc0 = _mm256_add_ps(acc0, cmul_bcast4(cr, ci, _mm256_maskload_ps(p, m0)));
+      acc1 = _mm256_add_ps(acc1, cmul_bcast4(cr, ci, _mm256_maskload_ps(p + 8, m1)));
     }
-    _mm256_storeu_ps(fp(out + l), acc0);
-    _mm256_storeu_ps(fp(out + l + 4), acc1);
+    _mm256_maskstore_ps(fp(out + l), m0, acc0);
+    _mm256_maskstore_ps(fp(out + l + 4), m1, acc1);
   }
-  scalar::correlate_lags(x + l, ref, n_ref, out + l, n_lags - l);
 }
 
 void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se, const float* so,

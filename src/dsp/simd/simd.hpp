@@ -15,8 +15,11 @@
 ///    instants only (the demodulator discards everything between them);
 ///    vectorized across outputs via gathers, k sequential per output.
 ///  * `correlate_lags`        — vectorized across *lags*; each lag's
-///    accumulator lives in its own lane and k walks sequentially,
-///    matching `sync::correlate_at` exactly.
+///    accumulator lives in its own lane and k walks sequentially, in the
+///    order of `scalar::correlate_lags`. AVX2 runs blocks of 32 lags,
+///    then groups of eight; a last group of fewer than eight loads and
+///    stores through lane masks, so no lane past n_lags reads `x`, which
+///    still needs only its n_lags - 1 + n_ref samples.
 ///  * `despread_correlate16`  — vectorized across the 16 candidate
 ///    symbols over a structure-of-arrays chip table; the chip-pair index
 ///    m walks sequentially, so each symbol's correlation accumulates in

@@ -1,30 +1,46 @@
 #include "sync/correlate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
 #include "dsp/simd/libm.hpp"
 #include "dsp/simd/simd.hpp"
-#include "dsp/utils.hpp"
 
 namespace bhss::sync {
 
-dsp::cf correlate_at(dsp::cspan x, dsp::cspan ref, std::size_t lag) {
-  BHSS_REQUIRE(lag + ref.size() <= x.size(), "correlate_at: reference does not fit at this lag");
-  dsp::cf acc{0.0F, 0.0F};
-  for (std::size_t k = 0; k < ref.size(); ++k) acc += x[lag + k] * std::conj(ref[k]);
-  return acc;
+HalfCorrelations correlate_halves(dsp::cspan x, dsp::cspan ref, std::size_t lag) {
+  BHSS_REQUIRE(lag <= x.size() && ref.size() <= x.size() - lag,
+               "correlate_halves: reference does not fit at this lag");
+  const std::size_t half = ref.size() / 2;
+  const dsp::cf* xa = x.data() + lag;
+  const dsp::cf* xb = xa + half;
+  const dsp::cf* rb = ref.data() + half;
+  HalfCorrelations c;
+  for (std::size_t k = 0; k < half; ++k) {
+    c.first += xa[k] * std::conj(ref[k]);
+    c.second += xb[k] * std::conj(rb[k]);
+  }
+  // An odd reference leaves the second half one term longer.
+  if (2 * half < ref.size()) c.second += xb[half] * std::conj(rb[half]);
+  return c;
 }
 
 CorrelationPeak correlate_search(dsp::cspan x, dsp::cspan ref, std::size_t max_lag) {
   BHSS_REQUIRE(!ref.empty() && x.size() >= ref.size(),
                "correlate_search: reference longer than signal");
   const std::size_t last_lag = std::min(max_lag, x.size() - ref.size());
-  const double ref_energy = dsp::energy(ref);
 
-  // Running window energy for normalisation.
-  double win_energy = dsp::energy(x.first(ref.size()));
+  // The reference's energy and the first window's, the start of the
+  // running window energy for normalisation: dsp::energy's two sums,
+  // walked together.
+  double ref_energy = 0.0;
+  double win_energy = 0.0;
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    ref_energy += static_cast<double>(std::norm(ref[k]));
+    win_energy += static_cast<double>(std::norm(x[k]));
+  }
 
   CorrelationPeak best;
   double norm_sum = 0.0;

@@ -19,10 +19,19 @@ struct CorrelationPeak {
                                 ///< times the underlying Rayleigh scale.
 };
 
-/// Complex cross-correlation of `x` against `ref` at a single lag:
-///   c(lag) = sum_k x[lag + k] * conj(ref[k]).
-/// Requires lag + ref.size() <= x.size().
-[[nodiscard]] dsp::cf correlate_at(dsp::cspan x, dsp::cspan ref, std::size_t lag);
+/// The two halves of a complex cross-correlation at one lag.
+struct HalfCorrelations {
+  dsp::cf first{0.0F, 0.0F};   ///< terms k < ref.size() / 2
+  dsp::cf second{0.0F, 0.0F};  ///< terms k >= ref.size() / 2
+};
+
+/// The halves of the cross-correlation of `x` against `ref` at one lag,
+/// with h = ref.size() / 2:
+///   first  = sum_{k < h}             x[lag + k] * conj(ref[k]),
+///   second = sum_{h <= k < ref.size()} x[lag + k] * conj(ref[k]),
+/// each summed in k order. The two sums are walked together, so neither
+/// waits on the other's adds. Requires lag + ref.size() <= x.size().
+[[nodiscard]] HalfCorrelations correlate_halves(dsp::cspan x, dsp::cspan ref, std::size_t lag);
 
 /// Search lags [0, max_lag] for the strongest normalised correlation of
 /// `ref` inside `x`. `max_lag` is clamped so the reference always fits.

@@ -74,6 +74,22 @@ dsp::cf CostasLoop::process(dsp::cf in) noexcept {
   for (dsp::cf& s : x) s = process(s);
 }
 
+// Flattened for the same reason. The rotation does not depend on the
+// loop's state, so the core runs it in the idle cycles of the step's
+// serial dependency chain, where a separate pass would cost its own time.
+[[gnu::flatten]] void CostasLoop::track(dsp::cspan in, const PhaseRamp& ramp,
+                                        dsp::cspan_mut out) noexcept {
+  const std::size_t n_in = std::min(in.size(), out.size());
+  const auto step = [&](std::size_t i, dsp::cf x) {
+    const dsp::cf r = dsp::simd::sincos(ramp.angle(i));
+    // x * r as the finite product: (a*c - b*d, a*d + b*c).
+    out[i] = process(dsp::cf{x.real() * r.real() - x.imag() * r.imag(),
+                             x.real() * r.imag() + x.imag() * r.real()});
+  };
+  for (std::size_t i = 0; i < n_in; ++i) step(i, in[i]);
+  for (std::size_t i = n_in; i < out.size(); ++i) step(i, dsp::cf{0.0F, 0.0F});
+}
+
 void CostasLoop::reset() noexcept {
   phase_ = 0.0F;
   freq_ = 0.0F;

@@ -1,5 +1,6 @@
 #include "sync/preamble_sync.hpp"
 
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -39,8 +40,7 @@ std::optional<SyncEstimate> PreambleSync::acquire(dsp::cspan x, std::size_t max_
   // correlation picks up the average phase over its span; the difference
   // divided by the half-length gives rad/sample.
   const std::size_t half = ref_.size() / 2;
-  const dsp::cf c1 = correlate_at(x, dsp::cspan{ref_}.first(half), peak.offset);
-  const dsp::cf c2 = correlate_at(x, dsp::cspan{ref_}.subspan(half), peak.offset + half);
+  const auto [c1, c2] = correlate_halves(x, ref_, peak.offset);
   if (std::abs(c1) > 0.0F && std::abs(c2) > 0.0F) {
     const float dphi = std::arg(c2 * std::conj(c1));
     est.cfo = dphi / static_cast<float>(half);
@@ -65,12 +65,18 @@ SyncEstimate PreambleSync::refine(dsp::cspan x, const SyncEstimate& coarse,
   double swnn = 0.0;
   double swp = 0.0;
   double swnp = 0.0;
+  // The blocks' data-aided correlations, each summed in sample order, all
+  // eight walked together so that no sum waits on another's adds.
+  std::array<dsp::cf, kRefineBlocks> sums{};
+  const dsp::cf* xs = x.data() + coarse.frame_start;
+  for (std::size_t i = 0; i < block; ++i) {
+    for (std::size_t b = 0; b < kRefineBlocks; ++b) {
+      sums[b] += xs[b * block + i] * std::conj(ref_[b * block + i]);
+    }
+  }
   for (std::size_t b = 0; b < kRefineBlocks; ++b) {
     const std::size_t begin = b * block;
-    dsp::cf acc{0.0F, 0.0F};
-    for (std::size_t i = begin; i < begin + block; ++i) {
-      acc += x[coarse.frame_start + i] * std::conj(ref_[i]);
-    }
+    const dsp::cf acc = sums[b];
     const float mag = std::abs(acc);
     if (mag <= 0.0F) continue;
     const double centre = static_cast<double>(begin) + static_cast<double>(block - 1) / 2.0;

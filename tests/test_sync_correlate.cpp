@@ -19,23 +19,36 @@ dsp::cvec random_signal(std::size_t n, unsigned seed) {
   return x;
 }
 
-TEST(CorrelateAt, MatchesManualComputation) {
+TEST(CorrelateHalves, MatchesManualComputation) {
   const dsp::cvec x = {dsp::cf{1, 0}, dsp::cf{0, 1}, dsp::cf{-1, 0}, dsp::cf{2, 2}};
   const dsp::cvec ref = {dsp::cf{1, 0}, dsp::cf{0, 1}};
-  // lag 0: x0*conj(r0) + x1*conj(r1) = 1 + (0+1i)(-i) = 1 + 1 = 2.
-  const dsp::cf c0 = correlate_at(x, ref, 0);
-  EXPECT_NEAR(c0.real(), 2.0F, 1e-6F);
-  EXPECT_NEAR(c0.imag(), 0.0F, 1e-6F);
-  // lag 2: x2*conj(r0) + x3*conj(r1) = -1 + (2+2i)(-i) = -1 + (2 - 2i)·...
-  const dsp::cf c2 = correlate_at(x, ref, 2);
-  EXPECT_NEAR(c2.real(), 1.0F, 1e-6F);
-  EXPECT_NEAR(c2.imag(), -2.0F, 1e-6F);
+  // lag 0: x0*conj(r0) = 1 and x1*conj(r1) = (0+1i)(-i) = 1; together 2.
+  const HalfCorrelations c0 = correlate_halves(x, ref, 0);
+  EXPECT_NEAR(c0.first.real(), 1.0F, 1e-6F);
+  EXPECT_NEAR(c0.first.imag(), 0.0F, 1e-6F);
+  EXPECT_NEAR(c0.second.real(), 1.0F, 1e-6F);
+  EXPECT_NEAR(c0.second.imag(), 0.0F, 1e-6F);
+  // lag 2: x2*conj(r0) = -1 and x3*conj(r1) = (2+2i)(-i) = 2 - 2i;
+  // together 1 - 2i.
+  const HalfCorrelations c2 = correlate_halves(x, ref, 2);
+  EXPECT_NEAR(c2.first.real(), -1.0F, 1e-6F);
+  EXPECT_NEAR(c2.first.imag(), 0.0F, 1e-6F);
+  EXPECT_NEAR(c2.second.real(), 2.0F, 1e-6F);
+  EXPECT_NEAR(c2.second.imag(), -2.0F, 1e-6F);
+  // An odd reference: the second half takes the extra term.
+  const dsp::cvec odd = {dsp::cf{1, 0}, dsp::cf{0, 1}, dsp::cf{1, 0}};
+  const HalfCorrelations c1 = correlate_halves(x, odd, 1);
+  EXPECT_NEAR(c1.first.real(), 0.0F, 1e-6F);
+  EXPECT_NEAR(c1.first.imag(), 1.0F, 1e-6F);
+  EXPECT_NEAR(c1.second.real(), 2.0F, 1e-6F);  // (-1)(-i) + (2+2i) = 2 + 3i
+  EXPECT_NEAR(c1.second.imag(), 3.0F, 1e-6F);
 }
 
-TEST(CorrelateAt, RejectsOutOfRangeLag) {
+TEST(CorrelateHalves, RejectsOutOfRangeLag) {
   const dsp::cvec x = random_signal(8, 1);
   const dsp::cvec ref = random_signal(4, 2);
-  EXPECT_THROW((void)correlate_at(x, ref, 5), std::invalid_argument);
+  EXPECT_THROW((void)correlate_halves(x, ref, 5), std::invalid_argument);
+  EXPECT_THROW((void)correlate_halves(x, ref, ~std::size_t{0}), std::invalid_argument);
 }
 
 TEST(CorrelateSearch, FindsEmbeddedReference) {

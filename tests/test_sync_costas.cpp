@@ -166,15 +166,12 @@ TEST(CostasLoop, OutputIsPinned) {
   // hop read past the end of its capture). Each is tracked as it is (row
   // 0), and after the per-hop rotation by the residual-phase model, for a
   // zero ramp and ramps whose angle crosses 2^-12, 0.75 and +-120 rad (the
-  // branches of the sincos replica). Lock and CFO tests pass a change that
-  // moves the last bit of one sample; this one does not.
-  struct Ramp {
-    double phase;
-    double cfo;
-    std::size_t start;
-    double anchor;
-  };
-  const std::array<Ramp, 5> ramps = {{
+  // branches of the sincos replica). Each ramp runs three ways against one
+  // pin: `dsp::rotate` by the model's angle written out, then `process`;
+  // `track` in place; and `track` from the hop without its zero tail into
+  // the full-length output. Lock and CFO tests pass a change that moves
+  // the last bit of one sample; this one does not.
+  const std::array<PhaseRamp, 5> ramps = {{
       {0.0, 0.0, 0, 0.0},
       {-2e-4, -1e-8, 0, 0.0},
       {-0.74, -3e-6, 1000, 2000.5},
@@ -185,8 +182,13 @@ TEST(CostasLoop, OutputIsPinned) {
       0xF7D6396872AF0F35ULL, 0xF7D6396872AF0F35ULL, 0xEEFAAC107E286DADULL,
       0xE6296DC6A9A04C6FULL, 0x31BD05741994295AULL, 0x6980B810FABEACE2ULL,
   };
+  constexpr std::size_t kZeroTail = 1000;
   std::array<std::uint64_t, ramps.size() + 1> got{};
   got.fill(0xCBF29CE484222325ULL);
+  std::array<std::uint64_t, ramps.size()> got_in_place{};
+  got_in_place.fill(0xCBF29CE484222325ULL);
+  std::array<std::uint64_t, ramps.size()> got_short{};
+  got_short.fill(0xCBF29CE484222325ULL);
   const std::array<std::size_t, 3> sps = {2, 8, 64};
   for (std::size_t h = 0; h < sps.size(); ++h) {
     dsp::cvec x = qpsk_waveform(8192 / sps[h], sps[h], 20 + static_cast<unsigned>(h));
@@ -194,7 +196,7 @@ TEST(CostasLoop, OutputIsPinned) {
     channel::apply_cfo(dsp::cspan_mut{x}, 2e-4F);
     channel::AwgnSource(30 + h).add_to(dsp::cspan_mut{x}, 0.05);
     std::fill(x.begin() + 2000, x.begin() + 2050, dsp::cf{0.0F, 0.0F});
-    std::fill(x.end() - 1000, x.end(), dsp::cf{0.0F, 0.0F});
+    std::fill(x.end() - kZeroTail, x.end(), dsp::cf{0.0F, 0.0F});
 
     dsp::cvec y = x;
     CostasLoop plain(0.002F);
@@ -202,7 +204,7 @@ TEST(CostasLoop, OutputIsPinned) {
     got[0] = loop_digest(got[0], y, plain);
 
     for (std::size_t r = 0; r < ramps.size(); ++r) {
-      const Ramp& m = ramps[r];
+      const PhaseRamp& m = ramps[r];
       dsp::cvec z = x;
       dsp::rotate(z, [&m](std::size_t i) {
         const double t = static_cast<double>(m.start + i);
@@ -211,10 +213,24 @@ TEST(CostasLoop, OutputIsPinned) {
       CostasLoop loop(0.002F);
       loop.process(dsp::cspan_mut{z});
       got[r + 1] = loop_digest(got[r + 1], z, loop);
+
+      dsp::cvec w = x;
+      CostasLoop in_place(0.002F);
+      in_place.track(w, m, w);
+      got_in_place[r] = loop_digest(got_in_place[r], w, in_place);
+
+      dsp::cvec out(x.size(), dsp::cf{1.0F, 1.0F});
+      CostasLoop short_in(0.002F);
+      short_in.track(dsp::cspan{x}.first(x.size() - kZeroTail), m, out);
+      got_short[r] = loop_digest(got_short[r], out, short_in);
     }
   }
   for (std::size_t r = 0; r < got.size(); ++r) {
     EXPECT_EQ(got[r], pins[r]) << (r == 0 ? "plain tracking" : "ramp " + std::to_string(r - 1));
+  }
+  for (std::size_t r = 0; r < ramps.size(); ++r) {
+    EXPECT_EQ(got_in_place[r], pins[r + 1]) << "track in place, ramp " << r;
+    EXPECT_EQ(got_short[r], pins[r + 1]) << "track with zero fill, ramp " << r;
   }
 }
 
