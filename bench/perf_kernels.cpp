@@ -30,6 +30,7 @@
 #include "dsp/fir.hpp"
 #include "dsp/psd.hpp"
 #include "dsp/simd/scalar_kernels.hpp"
+#include "dsp/simd/tiers.hpp"
 #include "dsp/utils.hpp"
 #include "obs/link_obs.hpp"
 #include "phy/chip_table.hpp"
@@ -192,6 +193,41 @@ void BM_AwgnGenerateScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_AwgnGenerateScalar)->Arg(38748);
+
+#if defined(BHSS_SIMD_AVX512)
+// The AVX-512 bodies themselves, whichever tier the dispatched rows run;
+// main registers these rows only where the CPU runs AVX-512.
+void BM_AwgnGenerateAvx512(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dsp::simd::Mt19937_64 eng(21);
+  dsp::cvec y(n);
+  for (auto _ : state) {
+    dsp::simd::avx512::gaussian_cf(eng, y.data(), n);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
+/// 8192 lags in the 32-lag calls correlate_search makes, without its
+/// normalisation walk.
+void BM_CorrelateLagsAvx512(benchmark::State& state) {
+  const auto n_ref = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kLags = 8192;
+  constexpr std::size_t kChunk = 32;
+  const dsp::cvec ref = random_signal(n_ref, 14);
+  const dsp::cvec x = random_signal(kLags + n_ref, 15);
+  dsp::cf corr[kChunk];
+  for (auto _ : state) {
+    for (std::size_t lag0 = 0; lag0 < kLags; lag0 += kChunk) {
+      dsp::simd::avx512::correlate_lags(x.data() + lag0, ref.data(), n_ref, corr, kChunk);
+      benchmark::DoNotOptimize(corr);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kLags));
+}
+#endif
 
 // ------------------------------------------------------ libm replicas
 //
@@ -537,6 +573,17 @@ int main(int argc, char** argv) {
   warn_if_not_release();
   benchmark::AddCustomContext("bhss_build_flavor", build_flavor());
   benchmark::AddCustomContext("bhss_simd_isa", bhss::dsp::simd::active_isa());
+  // "avx512" where the dispatched correlate_lags and gaussian_cf rows ran
+  // their AVX-512 bodies and the *Avx512 rows are registered.
+  benchmark::AddCustomContext("bhss_simd_wide_isa", bhss::dsp::simd::wide_isa());
+#if defined(BHSS_SIMD_AVX512)
+  if (bhss::dsp::simd::avx512_runs()) {
+    benchmark::RegisterBenchmark("BM_AwgnGenerateAvx512", BM_AwgnGenerateAvx512)->Arg(38748);
+    benchmark::RegisterBenchmark("BM_CorrelateLagsAvx512", BM_CorrelateLagsAvx512)
+        ->Arg(512)
+        ->Arg(4096);
+  }
+#endif
   std::vector<std::string> storage;
   storage.reserve(static_cast<std::size_t>(argc) + 1);
   for (int i = 0; i < argc; ++i) {

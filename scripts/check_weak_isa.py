@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Fail when a weak function in the AVX2 object holds a VEX/EVEX instruction.
+"""Fail when a weak function in a vector unit's object holds a VEX/EVEX instruction.
 
-The AVX2 kernels' unit (src/dsp/simd/avx2.cpp) is compiled for the
-baseline ISA and turns AVX2 on only around its avx2:: bodies. Every inline
-function it instantiates outside them (the contract failure path,
-libstdc++ templates) is emitted as a weak symbol that the linker may keep
-for the whole program, so such a copy must contain no VEX-encoded
-instruction: otherwise a CPU without AVX would fault in code that has
-nothing to do with the kernels.
+The vector kernels' units (src/dsp/simd/avx2.cpp and avx512.cpp) are
+compiled for the baseline ISA and turn their ISA on only around their
+avx2:: and avx512:: bodies. Every inline function they instantiate
+outside them (the contract failure path, libstdc++ templates) is emitted
+as a weak symbol that the linker may keep for the whole program, so such
+a copy must contain no VEX- or EVEX-encoded instruction: otherwise a CPU
+without AVX (or AVX-512) would fault in code that has nothing to do with
+the kernels.
 
 An instruction is VEX- or EVEX-encoded when its first byte is c4, c5 or 62
 (in 64-bit mode these bytes are no legacy opcode; legacy prefixes cannot
 precede a VEX prefix).
 
-Usage:  scripts/check_weak_isa.py OBJECT...   (only objects named avx2.cpp.o
-        or avx2.cpp.obj are checked; the others are ignored, so a target's
-        whole $<TARGET_OBJECTS:...> list can be passed, ';'-separated too)
+Usage:  scripts/check_weak_isa.py OBJECT...   (only the vector units'
+        objects, avx2.cpp.o and avx512.cpp.o (or .obj), are checked; the
+        others are ignored, so a target's whole $<TARGET_OBJECTS:...> list
+        can be passed, ';'-separated too)
 Exit:   0 clean, 1 a weak function holds VEX code, 2 bad invocation or a
         missing binutils tool.
 """
@@ -29,6 +31,7 @@ import sys
 from pathlib import Path
 
 VEX_FIRST_BYTES = {"c4", "c5", "62"}
+VECTOR_UNITS = {f"{unit}.cpp.{ext}" for unit in ("avx2", "avx512") for ext in ("o", "obj")}
 FUNC_HEADER = re.compile(r"^[0-9a-f]+ <(?P<sym>[^>]+)>:$")
 INSN = re.compile(r"^\s*[0-9a-f]+:\t(?P<bytes>(?:[0-9a-f]{2} )+)\s*\t?(?P<text>.*)$")
 
@@ -66,9 +69,9 @@ def vex_in_weak(obj: Path) -> list[str]:
 def main(argv: list[str]) -> int:
     # CMake passes $<TARGET_OBJECTS:...> as one ';'-separated argument.
     paths = [Path(p) for a in argv[1:] for p in a.split(";") if p]
-    objects = [p for p in paths if p.name in ("avx2.cpp.o", "avx2.cpp.obj")]
+    objects = [p for p in paths if p.name in VECTOR_UNITS]
     if not objects:
-        print("check_weak_isa: no avx2.cpp object among the arguments", file=sys.stderr)
+        print("check_weak_isa: no vector unit's object among the arguments", file=sys.stderr)
         return 2
     for tool in ("nm", "objdump"):
         if shutil.which(tool) is None:

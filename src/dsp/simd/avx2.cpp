@@ -72,6 +72,8 @@ inline __m256 dup_pairs(__m128 w) {
 
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {
+  BHSS_REQUIRE(taps != nullptr && x != nullptr && out != nullptr,
+               "fir_decimate_real: null buffer");
   std::size_t m = 0;
   const __m128i idx = _mm_set_epi32(static_cast<int>(3 * stride), static_cast<int>(2 * stride),
                                     static_cast<int>(stride), 0);
@@ -91,7 +93,38 @@ void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* o
   scalar::fir_decimate_real(taps, n_taps, x + m * stride, out + m, n_out - m, stride);
 }
 
+namespace {
+
+/// Lags [0, live) of x, live <= 8: a group of eight whose loads and
+/// stores are masked to its live lags, so it reads no sample past the
+/// live - 1 + n_ref it needs, and its lanes sum in the same order as full
+/// ones (a masked lane reads zeros and is never stored). The second
+/// accumulator, lags 4-7, runs only when one of them is live (kHigh).
+template <bool kHigh>
+void correlate_group8(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std::size_t live) {
+  const __m256i n = _mm256_set1_epi32(static_cast<int>(live));
+  const __m256i m0 = _mm256_cmpgt_epi32(n, _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3));
+  const __m256i m1 = _mm256_cmpgt_epi32(n, _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7));
+  __m256 acc0 = _mm256_setzero_ps();
+  __m256 acc1 = _mm256_setzero_ps();
+  const float* base = fp(x);
+  for (std::size_t k = 0; k < n_ref; ++k) {
+    const __m256 cr = _mm256_set1_ps(ref[k].real());
+    const __m256 ci = _mm256_set1_ps(-ref[k].imag());
+    const float* p = base + 2 * k;
+    acc0 = _mm256_add_ps(acc0, cmul_bcast4(cr, ci, _mm256_maskload_ps(p, m0)));
+    if constexpr (kHigh) {
+      acc1 = _mm256_add_ps(acc1, cmul_bcast4(cr, ci, _mm256_maskload_ps(p + 8, m1)));
+    }
+  }
+  _mm256_maskstore_ps(fp(out), m0, acc0);
+  if constexpr (kHigh) _mm256_maskstore_ps(fp(out + 4), m1, acc1);
+}
+
+}  // namespace
+
 void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std::size_t n_lags) {
+  BHSS_REQUIRE(x != nullptr && ref != nullptr && out != nullptr, "correlate_lags: null buffer");
   // Blocks of 32 lags: one sweep of the reference feeds eight independent
   // accumulators, so the adds of one k overlap instead of each waiting on
   // the previous k's add; every lag still sums its products in k order.
@@ -160,34 +193,22 @@ void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std:
     _mm256_storeu_ps(o + 48, acc6);
     _mm256_storeu_ps(o + 56, acc7);
   }
-  // The rest in groups of eight lags, two accumulators. The last group may
-  // hold fewer: its loads and stores are masked to its lags, so it reads
-  // no sample past the n_lags - 1 + n_ref that x holds, and its lanes sum
-  // in the same order as full ones (a masked lane reads zeros and is
-  // never stored).
-  const __m256i lane0 = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
-  const __m256i lane1 = _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7);
+  // The rest in groups of eight lags.
   for (; l < n_lags; l += 8) {
-    const __m256i live = _mm256_set1_epi32(static_cast<int>(std::min<std::size_t>(8, n_lags - l)));
-    const __m256i m0 = _mm256_cmpgt_epi32(live, lane0);
-    const __m256i m1 = _mm256_cmpgt_epi32(live, lane1);
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    const float* base = fp(x + l);
-    for (std::size_t k = 0; k < n_ref; ++k) {
-      const __m256 cr = _mm256_set1_ps(ref[k].real());
-      const __m256 ci = _mm256_set1_ps(-ref[k].imag());
-      const float* p = base + 2 * k;
-      acc0 = _mm256_add_ps(acc0, cmul_bcast4(cr, ci, _mm256_maskload_ps(p, m0)));
-      acc1 = _mm256_add_ps(acc1, cmul_bcast4(cr, ci, _mm256_maskload_ps(p + 8, m1)));
+    const std::size_t live = std::min<std::size_t>(8, n_lags - l);
+    if (live > 4) {
+      correlate_group8<true>(x + l, ref, n_ref, out + l, live);
+    } else {
+      correlate_group8<false>(x + l, ref, n_ref, out + l, live);
     }
-    _mm256_maskstore_ps(fp(out + l), m0, acc0);
-    _mm256_maskstore_ps(fp(out + l + 4), m1, acc1);
   }
 }
 
 void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se, const float* so,
                           const float* cols, cf* out) {
+  BHSS_REQUIRE(pairs != nullptr && se != nullptr && so != nullptr && cols != nullptr &&
+                   out != nullptr,
+               "despread_correlate16: null buffer");
   // Sixteen symbol lanes, split re/im (structure of arrays): 2+2 __m256
   // accumulators. The chip-pair index m is the sequential reduction axis.
   __m256 re0 = _mm256_setzero_ps();

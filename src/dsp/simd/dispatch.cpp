@@ -1,41 +1,35 @@
 // Runtime ISA dispatch for the simd.hpp kernels: one dispatcher per
-// kernel, serving every build. The AVX2 TU is compiled only on x86-64
-// when the toolchain supports it and BHSS_SIMD is ON; whether it is
-// *entered* is decided once at startup from
-// __builtin_cpu_supports("avx2"). Every other build names the scalar
-// reference `avx2` and never takes that branch.
+// kernel, serving every build. The AVX2 unit is compiled only on x86-64
+// when the toolchain supports it and BHSS_SIMD is ON, and the AVX-512
+// unit (correlate_lags and gaussian_cf only) where the toolchain also
+// supports AVX-512F and DQ; whether either is *entered* is decided once
+// at startup from __builtin_cpu_supports (tiers.hpp). A build without a
+// unit names the next tier down in its place and never takes that
+// branch.
 
 #include "dsp/simd/scalar_kernels.hpp"
 #include "dsp/simd/simd.hpp"
+#include "dsp/simd/tiers.hpp"
 
 namespace bhss::dsp::simd {
 
 #if defined(BHSS_SIMD_AVX2)
-
-namespace avx2 {
-void fir_decimate_real(const float*, std::size_t, const cf*, cf*, std::size_t, std::size_t);
-void correlate_lags(const cf*, const cf*, std::size_t, cf*, std::size_t);
-void despread_correlate16(const cf*, std::size_t, const float*, const float*, const float*, cf*);
-void fft(cf*, std::size_t, const float* const*, bool);
-void cmul_inplace(cf*, const cf*, std::size_t);
-void scale_inplace(cf*, float, std::size_t);
-void window_apply(const cf*, const float*, cf*, std::size_t);
-void scale_pulse(float, float, const float*, cf*, std::size_t);
-void gaussian_cf(Mt19937_64&, cf*, std::size_t);
-void sincos_f32(const float*, cf*, std::size_t);
-void log_f32(const float*, float*, std::size_t);
-}  // namespace avx2
-
-const bool kUseAvx2 = __builtin_cpu_supports("avx2") != 0;
-
+const bool kUseAvx2 = avx2_runs();
 #else
-
 namespace avx2 = scalar;
 constexpr bool kUseAvx2 = false;
+#endif
 
+#if defined(BHSS_SIMD_AVX512)
+const bool kUseAvx512 = avx512_runs();
+#else
+namespace avx512 = avx2;
+constexpr bool kUseAvx512 = false;
 #endif
 
 const char* active_isa() noexcept { return kUseAvx2 ? "avx2" : "scalar"; }
+
+const char* wide_isa() noexcept { return kUseAvx512 ? "avx512" : active_isa(); }
 
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {
@@ -47,7 +41,9 @@ void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* o
 }
 
 void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* out, std::size_t n_lags) {
-  if (kUseAvx2) {
+  if (kUseAvx512) {
+    avx512::correlate_lags(x, ref, n_ref, out, n_lags);
+  } else if (kUseAvx2) {
     avx2::correlate_lags(x, ref, n_ref, out, n_lags);
   } else {
     scalar::correlate_lags(x, ref, n_ref, out, n_lags);
@@ -104,7 +100,9 @@ void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
 }
 
 void gaussian_cf(Mt19937_64& eng, cf* out, std::size_t n) {
-  if (kUseAvx2) {
+  if (kUseAvx512) {
+    avx512::gaussian_cf(eng, out, n);
+  } else if (kUseAvx2) {
     avx2::gaussian_cf(eng, out, n);
   } else {
     scalar::gaussian_cf(eng, out, n);

@@ -19,7 +19,9 @@
 ///    order of `scalar::correlate_lags`. AVX2 runs blocks of 32 lags,
 ///    then groups of eight; a last group of fewer than eight loads and
 ///    stores through lane masks, so no lane past n_lags reads `x`, which
-///    still needs only its n_lags - 1 + n_ref samples.
+///    still needs only its n_lags - 1 + n_ref samples. AVX-512 runs the
+///    same 32-lag blocks as four groups of eight lags, and the lags left
+///    over as one sweep of at most four groups, the last one masked.
 ///  * `despread_correlate16`  — vectorized across the 16 candidate
 ///    symbols over a structure-of-arrays chip table; the chip-pair index
 ///    m walks sequentially, so each symbol's correlation accumulates in
@@ -38,7 +40,8 @@
 ///    elementwise, trivially order-preserving.
 ///  * `gaussian_cf`           — the Gaussian noise stream: MT19937-64
 ///    twist and tempering four words at a time, then the polar method's
-///    attempts eight at a time, with rejection compacted in order. Every
+///    attempts eight at a time, with rejection compacted in order (AVX-512:
+///    eight words and sixteen attempts at a time). Every
 ///    step is either exact integer work or one correctly rounded IEEE
 ///    operation, and the one transcendental is `log_f32`, so the vector
 ///    stream is the scalar stream bit for bit.
@@ -52,7 +55,9 @@
 ///
 /// No FMA is used anywhere (a fused multiply-add rounds once where the
 /// scalar code rounds twice, which would break bit-identity between this
-/// translation unit and the scalar ones). The complex multiply is the
+/// translation unit and the scalar ones); every target compiles with
+/// -ffp-contract=off, so the compiler fuses no multiply and add either,
+/// even where the target ISA has FMA (AVX-512F). The complex multiply is the
 /// naive four-multiply form — the same fast path GCC emits for finite
 /// `std::complex<float>` products — so callers must keep NaN/Inf out
 /// (the receiver already scrubs non-finite samples at its boundary and
@@ -61,8 +66,11 @@
 /// Dispatch: the AVX2 translation unit is compiled only on x86-64 when
 /// the compiler supports `-mavx2` and `BHSS_SIMD=ON`, for the baseline ISA
 /// with `#pragma GCC target("avx2")` around its `avx2::` bodies only, and
-/// is entered only when the CPU reports AVX2 at runtime. Every other build
-/// and host runs the scalar reference, `simd::scalar::*` in
+/// is entered only when the CPU reports AVX2 at runtime. The AVX-512 unit
+/// holds `correlate_lags` and `gaussian_cf` only; it is built the same way
+/// where the compiler also takes `-mavx512f -mavx512dq`, and entered where
+/// the CPU reports AVX2, AVX-512F and AVX-512DQ. Every other build and
+/// host runs the scalar reference, `simd::scalar::*` in
 /// scalar_kernels.hpp, which the equivalence suite (`test_dsp_simd`)
 /// compares against everywhere.
 
@@ -78,6 +86,11 @@ namespace bhss::dsp::simd {
 /// Name of the instruction set the dispatched kernels actually use at
 /// runtime: "avx2" or "scalar".
 [[nodiscard]] const char* active_isa() noexcept;
+
+/// Name of the instruction set the dispatched `correlate_lags` and
+/// `gaussian_cf`, the kernels with an AVX-512 body, use at runtime:
+/// "avx512", else the same as active_isa().
+[[nodiscard]] const char* wide_isa() noexcept;
 
 // ------------------------------------------------------------- kernels
 //

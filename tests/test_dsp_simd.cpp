@@ -10,6 +10,10 @@
 // callers pass arbitrary subspans of hop slices). Where the dispatch runs
 // the reference itself (a scalar build, or a CPU without AVX2) the
 // comparisons hold trivially; ActiveIsaIsConsistent pins which one ran.
+// The two kernels with an AVX-512 body are also swept tier by tier
+// (tiers.hpp), so the AVX2 body that the dispatch passes over on an
+// AVX-512 host is still held to the reference there; a tier this build
+// or CPU cannot run skips with the reason.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +28,7 @@
 
 #include "dsp/simd/scalar_kernels.hpp"
 #include "dsp/simd/simd.hpp"
+#include "dsp/simd/tiers.hpp"
 #include "dsp/types.hpp"
 #include "phy/chip_table.hpp"
 
@@ -77,15 +82,61 @@ void expect_same_bits(const cf* a, const cf* b, std::size_t n, const std::string
 // The dispatch enters a vector unit exactly when the build compiled it
 // and the CPU runs it. A dispatch that never left the scalar reference
 // would pass every *MatchesScalarBitExact case below, comparing the
-// reference with itself; this pins which kernels ran.
+// reference with itself; this pins which kernels ran: every kernel's
+// tier, and that of correlate_lags and gaussian_cf, which have an
+// AVX-512 body.
 TEST(DspSimd, ActiveIsaIsConsistent) {
 #if defined(BHSS_SIMD_AVX2)
   const std::string want = __builtin_cpu_supports("avx2") != 0 ? "avx2" : "scalar";
 #else
   const std::string want = "scalar";
 #endif
+#if defined(BHSS_SIMD_AVX512)
+  const bool avx512 = want == "avx2" && __builtin_cpu_supports("avx512f") != 0 &&
+                      __builtin_cpu_supports("avx512dq") != 0;
+  const std::string want_wide = avx512 ? "avx512" : want;
+#else
+  const std::string want_wide = want;
+#endif
   EXPECT_EQ(simd::active_isa(), want);
+  EXPECT_EQ(simd::wide_isa(), want_wide) << "correlate_lags and gaussian_cf";
 }
+
+/// "" where this build and CPU run the avx2:: bodies, else why not.
+std::string avx2_unavailable() {
+#if defined(BHSS_SIMD_AVX2)
+  return simd::avx2_runs() ? "" : "the CPU does not report AVX2";
+#else
+  return "this build compiled no AVX2 unit";
+#endif
+}
+
+/// "" where this build and CPU run the avx512:: bodies, else why not.
+std::string avx512_unavailable() {
+#if defined(BHSS_SIMD_AVX512)
+  return simd::avx512_runs() ? "" : "the CPU does not report AVX2, AVX-512F and AVX-512DQ";
+#else
+  return "this build compiled no AVX-512 unit";
+#endif
+}
+
+using CorrelateLagsFn = void (*)(const cf*, const cf*, std::size_t, cf*, std::size_t);
+using GaussianCfFn = void (*)(simd::Mt19937_64&, cf*, std::size_t);
+
+#if defined(BHSS_SIMD_AVX2)
+constexpr CorrelateLagsFn kAvx2CorrelateLags = simd::avx2::correlate_lags;
+constexpr GaussianCfFn kAvx2GaussianCf = simd::avx2::gaussian_cf;
+#else
+constexpr CorrelateLagsFn kAvx2CorrelateLags = nullptr;
+constexpr GaussianCfFn kAvx2GaussianCf = nullptr;
+#endif
+#if defined(BHSS_SIMD_AVX512)
+constexpr CorrelateLagsFn kAvx512CorrelateLags = simd::avx512::correlate_lags;
+constexpr GaussianCfFn kAvx512GaussianCf = simd::avx512::gaussian_cf;
+#else
+constexpr CorrelateLagsFn kAvx512CorrelateLags = nullptr;
+constexpr GaussianCfFn kAvx512GaussianCf = nullptr;
+#endif
 
 TEST(DspSimd, FirDecimateRealMatchesScalarBitExact) {
   for (std::size_t stride : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{5}}) {
@@ -110,10 +161,11 @@ TEST(DspSimd, FirDecimateRealMatchesScalarBitExact) {
   }
 }
 
-// Lags 1..72 reach two 32-lag blocks, the 8-lag loop and the scalar
-// tail; references of 257 and 2049 samples end on a one-step strip of the
-// AVX2 body's stack copy (256 steps of k per strip).
-TEST(DspSimd, CorrelateLagsMatchesScalarBitExact) {
+// Lags 1..72 reach two 32-lag blocks and every masked tail: of one
+// 8-lag group with one or two AVX2 accumulators live, and of one to four
+// AVX-512 groups; references of 257 and 2049 samples end on a one-step
+// strip of the exchanged stack copy (256 steps of k per strip).
+void sweep_correlate_lags(CorrelateLagsFn body, const std::string& name) {
   constexpr std::size_t kMaxLags = 72;
   for (std::size_t n_ref : {std::size_t{1}, std::size_t{5}, std::size_t{16}, std::size_t{257},
                             std::size_t{2049}}) {
@@ -125,14 +177,28 @@ TEST(DspSimd, CorrelateLagsMatchesScalarBitExact) {
         fill(ref.p, n_ref);
         std::vector<cf> got(n_lags);
         std::vector<cf> want(n_lags);
-        simd::correlate_lags(x.p, ref.p, n_ref, got.data(), n_lags);
+        body(x.p, ref.p, n_ref, got.data(), n_lags);
         simd::scalar::correlate_lags(x.p, ref.p, n_ref, want.data(), n_lags);
         expect_same_bits(got.data(), want.data(), n_lags,
-                         "correlate_lags ref=" + std::to_string(n_ref) +
+                         name + " correlate_lags ref=" + std::to_string(n_ref) +
                              " lags=" + std::to_string(n_lags) + " off=" + std::to_string(off));
       }
     }
   }
+}
+
+TEST(DspSimd, CorrelateLagsMatchesScalarBitExact) {
+  sweep_correlate_lags(simd::correlate_lags, "dispatched");
+}
+
+TEST(DspSimd, CorrelateLagsAvx2MatchesScalarBitExact) {
+  if (const std::string why = avx2_unavailable(); !why.empty()) GTEST_SKIP() << why;
+  sweep_correlate_lags(kAvx2CorrelateLags, "avx2");
+}
+
+TEST(DspSimd, CorrelateLagsAvx512MatchesScalarBitExact) {
+  if (const std::string why = avx512_unavailable(); !why.empty()) GTEST_SKIP() << why;
+  sweep_correlate_lags(kAvx512CorrelateLags, "avx512");
 }
 
 TEST(DspSimd, DespreadCorrelate16MatchesScalarBitExact) {
@@ -428,39 +494,51 @@ void expect_same_engine(const simd::Mt19937_64& a, const simd::Mt19937_64& b,
   EXPECT_EQ(a.words, b.words) << what;
 }
 
-TEST(DspSimd, GaussianCfMatchesScalarBitExact) {
+void sweep_gaussian_cf(GaussianCfFn body, const std::string& name) {
   for (std::size_t n : {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 255, 256, 257, 311, 312, 313, 1000,
                         5000}) {
     simd::Mt19937_64 a(n + 1);
     simd::Mt19937_64 b(n + 1);
     std::vector<cf> got(n);
     std::vector<cf> want(n);
-    simd::gaussian_cf(a, got.data(), n);
+    body(a, got.data(), n);
     simd::scalar::gaussian_cf(b, want.data(), n);
-    expect_same_bits(got.data(), want.data(), n, "gaussian_cf n=" + std::to_string(n));
-    expect_same_engine(a, b, "n=" + std::to_string(n));
+    expect_same_bits(got.data(), want.data(), n, name + " gaussian_cf n=" + std::to_string(n));
+    expect_same_engine(a, b, name + " n=" + std::to_string(n));
   }
 }
 
-TEST(DspSimd, GaussianCfSplitsLikeOneCall) {
-  // Any split of the stream into calls gives the same samples and leaves
-  // the engine where one call leaves it.
+TEST(DspSimd, GaussianCfMatchesScalarBitExact) {
+  sweep_gaussian_cf(simd::gaussian_cf, "dispatched");
+}
+
+/// Any split of the stream into calls gives the samples of one reference
+/// call, and after each call the engine sits where the reference's does
+/// after the same calls: the calls end at different offsets of the
+/// 312-word state, and their twists run from different first words.
+void split_gaussian_cf(GaussianCfFn body, const std::string& name) {
   const std::vector<std::size_t> splits = {1, 0, 300, 3, 257, 8, 1024, 5, 311, 2};
   std::size_t total = 0;
   for (std::size_t s : splits) total += s;
   simd::Mt19937_64 whole(99);
   simd::Mt19937_64 parts(99);
+  simd::Mt19937_64 steps(99);
   std::vector<cf> want(total);
   std::vector<cf> got(total);
+  std::vector<cf> scratch(total);
   simd::scalar::gaussian_cf(whole, want.data(), total);
   std::size_t pos = 0;
   for (std::size_t s : splits) {
-    simd::gaussian_cf(parts, got.data() + pos, s);
+    body(parts, got.data() + pos, s);
+    simd::scalar::gaussian_cf(steps, scratch.data(), s);
+    expect_same_engine(parts, steps, name + " after a call of " + std::to_string(s));
     pos += s;
   }
-  expect_same_bits(got.data(), want.data(), total, "gaussian_cf split");
-  expect_same_engine(parts, whole, "split");
+  expect_same_bits(got.data(), want.data(), total, name + " gaussian_cf split");
+  expect_same_engine(parts, whole, name + " split");
 }
+
+TEST(DspSimd, GaussianCfSplitsLikeOneCall) { split_gaussian_cf(simd::gaussian_cf, "dispatched"); }
 
 /// The state word whose tempered output is `z` (tempering inverted step
 /// by step; the left-shift and right-shift steps by fixed-point iteration).
@@ -521,7 +599,7 @@ TEST(DspSimd, CanonicalStepAtTheEdges) {
 #endif
 }
 
-TEST(DspSimd, GaussianCfEdgeWordsMatchScalarBitExact) {
+void edge_words_gaussian_cf(GaussianCfFn body, const std::string& name) {
   // Plant the edge words at the engine's read position, as x paired with
   // a y of exactly 0 (word 2^63), with itself and with its neighbour, so
   // they reach every lane of the vector path. (0, 2^63) gives x = -1,
@@ -548,14 +626,34 @@ TEST(DspSimd, GaussianCfEdgeWordsMatchScalarBitExact) {
   simd::Mt19937_64 b = planted;
   std::vector<cf> got(n);
   std::vector<cf> want(n);
-  simd::gaussian_cf(a, got.data(), n);
+  body(a, got.data(), n);
   simd::scalar::gaussian_cf(b, want.data(), n);
-  expect_same_bits(got.data(), want.data(), n, "gaussian_cf edge words");
-  expect_same_engine(a, b, "edge words");
+  expect_same_bits(got.data(), want.data(), n, name + " gaussian_cf edge words");
+  expect_same_engine(a, b, name + " edge words");
 
   // The first attempt is (0, 2^63): accepted with r2 = 1, both rails +0.
   const cf zero{0.0F, 0.0F};
   EXPECT_EQ(std::memcmp(&want[0], &zero, sizeof(cf)), 0);
+}
+
+TEST(DspSimd, GaussianCfEdgeWordsMatchScalarBitExact) {
+  edge_words_gaussian_cf(simd::gaussian_cf, "dispatched");
+}
+
+// Each vector tier's body on its own: the lengths, the split calls and
+// the planted edge words above.
+TEST(DspSimd, GaussianCfAvx2MatchesScalarBitExact) {
+  if (const std::string why = avx2_unavailable(); !why.empty()) GTEST_SKIP() << why;
+  sweep_gaussian_cf(kAvx2GaussianCf, "avx2");
+  split_gaussian_cf(kAvx2GaussianCf, "avx2");
+  edge_words_gaussian_cf(kAvx2GaussianCf, "avx2");
+}
+
+TEST(DspSimd, GaussianCfAvx512MatchesScalarBitExact) {
+  if (const std::string why = avx512_unavailable(); !why.empty()) GTEST_SKIP() << why;
+  sweep_gaussian_cf(kAvx512GaussianCf, "avx512");
+  split_gaussian_cf(kAvx512GaussianCf, "avx512");
+  edge_words_gaussian_cf(kAvx512GaussianCf, "avx512");
 }
 
 }  // namespace
